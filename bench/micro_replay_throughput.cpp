@@ -32,12 +32,17 @@
  *
  * --configs=N picks the sweep width of the headline table (default 12);
  * a scaling run at N = 2/4/8/12 lands in BENCH_replay.json regardless.
- * The binary verifies all three sweeps are bit-identical and exits
- * nonzero on divergence, if the scalar materialized sweep is not faster
- * than streaming, or (in optimized builds) if the config-parallel sweep
- * is not >= 3x faster than streaming at N=12 or the direct cold capture
- * is not >= 1.5x faster than the varint cold capture — the ROADMAP and
- * PR-8 perf gates.
+ * A dispatch ladder then times widths 1-4 on each model over the
+ * resident trace through the dispatched replaySweep, the packed kernel
+ * and the per-machine kernel (sweep only, no materialize).
+ * The binary verifies all sweeps are bit-identical and exits nonzero
+ * on divergence, if the scalar materialized sweep is not faster than
+ * streaming, or (in optimized builds) if the config-parallel sweep is
+ * not >= 3x faster than streaming at N=12, the dispatched 1-machine
+ * sweeps are not >= 1.3x faster than the packed kernel (the median
+ * per-repetition ratio, averaged over the three models), or the
+ * direct cold capture is not >= 1.5x faster
+ * than the varint cold capture — the ROADMAP and PR-8 perf gates.
  */
 
 #include <algorithm>
@@ -66,7 +71,13 @@ using namespace mmxdsp;
 namespace {
 
 constexpr int kRepetitions = 3;
+/** The dispatch ladder's sweeps take milliseconds: more repetitions. */
+constexpr int kLadderRepetitions = 9;
 constexpr double kPackedSpeedupGate = 3.0; ///< at 12 configs, Release
+/** At one machine: dispatched replaySweep vs the packed kernel, the
+ *  median per-repetition ratio averaged over the models, Release (the
+ *  measured crossover is 1.5-2.1x). */
+constexpr double kDispatchGate = 1.3;
 constexpr double kColdCaptureGate = 1.5;   ///< direct vs varint, Release
 
 double
@@ -147,6 +158,19 @@ struct ScalePoint
     double streaming_seconds = 0.0;
     double scalar_seconds = 0.0; ///< materialize + replaySweepScalar
     double packed_seconds = 0.0; ///< materialize + replaySweepPacked
+};
+
+/** One dispatch-ladder point: sweep-only times on a resident trace. */
+struct DispatchPoint
+{
+    sim::ModelKind model = sim::ModelKind::P5;
+    size_t configs = 0;
+    double dispatched_seconds = 0.0; ///< replaySweep
+    double packed_seconds = 0.0;     ///< replaySweepPacked
+    double scalar_seconds = 0.0;     ///< replaySweepScalar
+    /** Median over repetitions of packed / dispatched time, each pair
+     *  timed back to back (robust to drift in machine speed). */
+    double speedup = 0.0;
 };
 
 } // namespace
@@ -280,6 +304,60 @@ main(int argc, char **argv)
         if (!rep || dt < materialized_single)
             materialized_single = dt;
     }
+
+    // -- dispatch ladder: widths 1-4 per model on the resident trace --
+    std::vector<DispatchPoint> ladder;
+    bool ladder_identical = true;
+    for (sim::ModelKind model :
+         {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+        for (size_t width = 1; width <= 4; ++width) {
+            std::vector<sim::MachineConfig> machines;
+            for (const sim::TimerConfig &config : makeConfigs(width))
+                machines.push_back({model, config});
+            DispatchPoint point;
+            point.model = model;
+            point.configs = width;
+            // Best of N per path, the paths interleaved within each
+            // repetition so drift in machine speed hits all three alike.
+            std::vector<profile::ProfileResult> dispatched, packed, scalar;
+            const auto time = [](double &best, int rep, auto &&sweep) {
+                const double t0 = now();
+                sweep();
+                const double dt = now() - t0;
+                if (!rep || dt < best)
+                    best = dt;
+                return dt;
+            };
+            std::vector<double> ratios;
+            for (int rep = 0; rep < kLadderRepetitions; ++rep) {
+                const double d = time(point.dispatched_seconds, rep, [&] {
+                    dispatched = mat.replaySweep(machines, opts.threads);
+                });
+                const double p = time(point.packed_seconds, rep, [&] {
+                    packed = mat.replaySweepPacked(machines, opts.threads);
+                });
+                time(point.scalar_seconds, rep, [&] {
+                    scalar = mat.replaySweepScalar(machines, opts.threads);
+                });
+                ratios.push_back(p / d);
+            }
+            std::nth_element(ratios.begin(),
+                             ratios.begin() + kLadderRepetitions / 2,
+                             ratios.end());
+            point.speedup = ratios[kLadderRepetitions / 2];
+            for (size_t i = 0; i < width; ++i)
+                ladder_identical = ladder_identical
+                                   && sameResult(dispatched[i], scalar[i])
+                                   && sameResult(packed[i], scalar[i]);
+            ladder.push_back(point);
+        }
+    }
+
+    // 1-machine sweeps, averaged over the models: packed / dispatched.
+    double dispatch_speedup = 0.0;
+    for (const DispatchPoint &p : ladder)
+        if (p.configs == 1)
+            dispatch_speedup += p.speedup / sim::kNumModelKinds;
 
     // -- live-capture arm: execute + capture, no timing model --
     // A fresh suite with the disk cache off pays the full capture each
@@ -451,6 +529,22 @@ main(int argc, char **argv)
     }
     scale.print();
 
+    std::printf("\nsweep dispatch (ms, resident trace, --threads=%d)\n",
+                opts.threads);
+    Table dispatch({"model", "configs", "dispatched", "packed", "scalar",
+                    "packed / dispatched"});
+    for (const DispatchPoint &p : ladder) {
+        char ms[3][32], ratio[32];
+        std::snprintf(ms[0], sizeof(ms[0]), "%.2f", p.dispatched_seconds * 1e3);
+        std::snprintf(ms[1], sizeof(ms[1]), "%.2f", p.packed_seconds * 1e3);
+        std::snprintf(ms[2], sizeof(ms[2]), "%.2f", p.scalar_seconds * 1e3);
+        std::snprintf(ratio, sizeof(ratio), "%.2fx", p.speedup);
+        dispatch.addRow({sim::modelName(p.model),
+                         Table::fmtCount(static_cast<int64_t>(p.configs)),
+                         ms[0], ms[1], ms[2], ratio});
+    }
+    dispatch.print();
+
     std::printf("\nmaterialize cost      %.1f ms (%.1f MB resident)\n",
                 build_seconds * 1e3,
                 static_cast<double>(mat.byteSize()) / 1e6);
@@ -458,8 +552,11 @@ main(int argc, char **argv)
                 scalar_speedup);
     std::printf("packed sweep speedup  %.2fx (incl. materialize)\n",
                 packed_speedup);
+    std::printf("dispatch speedup      %.2fx (1 machine, vs packed)\n",
+                dispatch_speedup);
     std::printf("cold capture speedup  %.2fx (direct vs varint)\n",
                 cold_capture_speedup);
+    identical = identical && ladder_identical;
     std::printf("results bit-identical %s\n", identical ? "yes" : "NO");
     std::printf("cold v2 bit-identical %s\n", cold_identical ? "yes" : "NO");
 
@@ -521,12 +618,26 @@ main(int argc, char **argv)
                 p.packed_seconds, p.streaming_seconds / p.packed_seconds,
                 i + 1 < scaling.size() ? "," : "");
         }
+        std::fprintf(json, "  ],\n  \"dispatch\": [\n");
+        for (size_t i = 0; i < ladder.size(); ++i) {
+            const DispatchPoint &p = ladder[i];
+            std::fprintf(
+                json,
+                "    {\"model\": \"%s\", \"configs\": %zu, "
+                "\"dispatched_seconds\": %.6f, \"packed_seconds\": %.6f, "
+                "\"scalar_seconds\": %.6f, \"speedup\": %.3f}%s\n",
+                sim::modelName(p.model), p.configs, p.dispatched_seconds,
+                p.packed_seconds, p.scalar_seconds, p.speedup,
+                i + 1 < ladder.size() ? "," : "");
+        }
         std::fprintf(json,
                      "  ],\n"
                      "  \"sweep_speedup\": %.3f,\n"
+                     "  \"dispatch_speedup\": %.3f,\n"
                      "  \"identical\": %s\n"
                      "}\n",
-                     scalar_speedup, identical ? "true" : "false");
+                     scalar_speedup, dispatch_speedup,
+                     identical ? "true" : "false");
         std::fclose(json);
         std::fprintf(stderr, "wrote BENCH_replay.json\n");
     }
@@ -558,6 +669,17 @@ main(int argc, char **argv)
                      "FAIL: config-parallel sweep at 12 configs only "
                      "%.2fx vs streaming (gate %.1fx)\n",
                      wide_speedup, kPackedSpeedupGate);
+        return 1;
+    }
+    // The dispatch gate: a 1-machine sweep must take the per-machine
+    // kernel, well clear of the packed kernel's cost at the same
+    // --threads (paired medians averaged over the three models, which
+    // steadies the millisecond-scale timings).
+    if (dispatch_speedup < kDispatchGate) {
+        std::fprintf(stderr,
+                     "FAIL: dispatched 1-machine sweeps only %.2fx vs the "
+                     "packed kernel (gate %.1fx)\n",
+                     dispatch_speedup, kDispatchGate);
         return 1;
     }
 #ifndef MMXDSP_FORCE_V1_CAPTURE

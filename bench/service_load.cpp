@@ -323,7 +323,9 @@ main(int argc, char **argv)
                 "%zu total, scale %d\n\n",
                 pairs.size(), hot.size(), n_queries, opts.scale);
     Table table({"metric", "value"});
-    table.addRow({"populate (19 captures)",
+    const std::string populate_label =
+        "populate (" + std::to_string(pairs.size()) + " captures)";
+    table.addRow({populate_label,
                   Table::fmtCount(
                       static_cast<int64_t>(populate_seconds * 1e3))});
     table.addRow({"warm batch ms",

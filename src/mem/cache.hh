@@ -191,8 +191,8 @@ class MemoryHierarchy
      * access() — access(a, s, w) == penalties().ofClass(accessClass(a,
      * s, w)) for the same hierarchy state — but the class is
      * penalty-independent, so one recorded class stream characterizes
-     * every configuration sharing this cache geometry (the
-     * config-parallel sweep memo in trace/sweep_kernel.cc).
+     * every configuration sharing this cache geometry (the per-machine
+     * replay memos, MaterializedTrace::Memos, record through this).
      */
     uint32_t accessClass(uint64_t addr, uint32_t size, bool write)
     {

@@ -125,11 +125,34 @@ QueryEngine::insertTrace(const std::string &key,
         return;
     }
     traceLru_.push_front(key);
-    traces_.emplace(key, TraceEntry{std::move(t), traceLru_.begin()});
+    TraceEntry &entry = traces_[key];
+    entry.trace = std::move(t);
+    entry.lru = traceLru_.begin();
     traceBytes_ += bytes;
+    chargeMemos(entry);
+}
+
+void
+QueryEngine::chargeMemos(TraceEntry &entry)
+{
+    const size_t bytes = entry.memos.byteSize();
+    traceBytes_ = traceBytes_ - entry.memoBytes + bytes;
+    stats_.memo_bytes = stats_.memo_bytes - entry.memoBytes + bytes;
+    entry.memoBytes = bytes;
+    // Over budget, this trace's own memos go before any other trace:
+    // a memo costs one pass over a resident trace to record again, an
+    // evicted trace a store reload.
+    if (traceBytes_ > opts_.trace_cache_bytes && entry.memoBytes) {
+        traceBytes_ -= entry.memoBytes;
+        stats_.memo_bytes -= entry.memoBytes;
+        entry.memos.clear();
+        entry.memoBytes = 0;
+    }
     while (traceBytes_ > opts_.trace_cache_bytes && traces_.size() > 1) {
         auto victim = traces_.find(traceLru_.back());
-        traceBytes_ -= victim->second.trace->byteSize();
+        traceBytes_ -= victim->second.trace->byteSize()
+                       + victim->second.memoBytes;
+        stats_.memo_bytes -= victim->second.memoBytes;
         traces_.erase(victim);
         traceLru_.pop_back();
     }
@@ -239,12 +262,20 @@ QueryEngine::queryBatch(const std::vector<Query> &queries)
             }
             continue;
         }
-        // One pass over the trace for the whole group: replaySweep
-        // dedups identical machines and runs the remaining lanes
-        // through the packed config-parallel kernel.
+        // One sweep for the whole group: replaySweep dedups identical
+        // machines, runs a few through per-machine passes over the
+        // trace's memos and a wide group through the packed kernel.
+        auto entry = traces_.find(key);
+        trace::MaterializedTrace::Memos *memos =
+            entry != traces_.end() ? &entry->second.memos : nullptr;
+        const uint64_t memoHits = memos ? memos->hits() : 0;
         std::vector<profile::ProfileResult> profiles =
-            mat->replaySweep(group.machines, opts_.threads);
+            mat->replaySweep(group.machines, opts_.threads, memos);
         stats_.replays += group.machines.size();
+        if (memos) {
+            stats_.memo_hits += memos->hits() - memoHits;
+            chargeMemos(entry->second);
+        }
         for (size_t j = 0; j < group.indices.size(); ++j) {
             const size_t idx = group.indices[j];
             out[idx].ok = true;

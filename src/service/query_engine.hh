@@ -12,11 +12,19 @@
  *                   a v2 store hit mmaps the entry zero-copy, and the
  *                   mapping stays resident (LRU by byte size) for
  *                   subsequent queries against other machines;
+ *   memos         — beside each resident trace, its per-geometry
+ *                   cache/BTB outcome memos (MaterializedTrace::Memos):
+ *                   the first replay on a geometry records them, and a
+ *                   later miss that only changes penalties or the model
+ *                   replays them and runs the timing pass alone. Their
+ *                   bytes count against the trace-cache budget and they
+ *                   are dropped with their trace;
  *   batch sweeps  — queryBatch() groups result-cache misses by trace
  *                   and answers each group with one replaySweep()
- *                   call, so same-trace queries ride the config-parallel
- *                   packed kernel (one pass over the trace, one lane
- *                   per distinct machine) instead of N scalar replays;
+ *                   call: a few machines run per-machine passes side by
+ *                   side (over the memos), a wide group rides the
+ *                   config-parallel packed kernel (one pass over the
+ *                   trace, one lane per distinct machine);
  *   capture       — a trace absent from the store is captured live
  *                   (BenchmarkSuite, the same capture path the bench
  *                   harness uses), published to the store as format
@@ -83,7 +91,8 @@ struct EngineOptions
     bool allow_capture = true;
     /** Completed-profile cache capacity (entries; 0 disables). */
     size_t result_cache_entries = 4096;
-    /** Resident-trace cache budget in bytes (0 disables). */
+    /** Resident-trace cache budget in bytes, memos included (0
+     *  disables both). */
     size_t trace_cache_bytes = 512ull << 20;
 };
 
@@ -95,6 +104,10 @@ struct EngineStats
     uint64_t store_loads = 0;   ///< trace loaded from the store
     uint64_t captures = 0;      ///< traces captured live
     uint64_t replays = 0;       ///< sweep lanes actually computed
+    /** Replays served from recorded cache and BTB memos (no cache or
+     *  BTB simulation at all). */
+    uint64_t memo_hits = 0;
+    uint64_t memo_bytes = 0;    ///< memo bytes resident right now
     uint64_t failures = 0;
 };
 
@@ -141,6 +154,8 @@ class QueryEngine
     {
         std::shared_ptr<const trace::MaterializedTrace> trace;
         std::list<std::string>::iterator lru;
+        trace::MaterializedTrace::Memos memos;
+        size_t memoBytes = 0; ///< memos.byteSize() as last charged
     };
 
     std::string traceKey(const std::string &benchmark,
@@ -159,6 +174,9 @@ class QueryEngine
     const profile::ProfileResult *lookupResult(const std::string &key);
     void insertTrace(const std::string &key,
                      std::shared_ptr<const trace::MaterializedTrace> t);
+    /** Charge @p entry's memo growth to the budget; to fit, drop
+     *  @p entry's memos first, then evict least recently used traces. */
+    void chargeMemos(TraceEntry &entry);
 
     EngineOptions opts_;
     TraceStore store_;

@@ -123,6 +123,8 @@ statsToJson(const service::QueryEngine &engine, service::TraceStore &store)
         << ",\"store_loads\":" << es.store_loads
         << ",\"captures\":" << es.captures
         << ",\"replays\":" << es.replays
+        << ",\"memo_hits\":" << es.memo_hits
+        << ",\"memo_bytes\":" << es.memo_bytes
         << ",\"failures\":" << es.failures
         << ",\"store\":{\"entries\":" << entries << ",\"bytes\":" << bytes
         << ",\"quarantine_entries\":" << parked

@@ -72,18 +72,23 @@ class P6PTimer final : public TimingModel
         bool mispredict = false;
         if (isa::isControl(event.op))
             mispredict = btb_.predict(event.site, event.taken);
-        return consumeWithPrediction(event, mispredict);
+        uint32_t mem_penalty = 0;
+        if (event.mem != isa::MemMode::None)
+            mem_penalty = memory_.access(event.addr, event.size,
+                                         event.mem == isa::MemMode::Store);
+        return consumeResolved(event, mem_penalty, mispredict);
     }
 
     /**
-     * consume() with the branch outcome supplied by the caller; the
-     * internal BTB is neither consulted nor updated (the shared-memo
-     * contract of TimingModel). @p mispredict must be false for
-     * non-control ops.
+     * consume() with the data-access penalty and branch outcome
+     * supplied by the caller; the internal cache hierarchy and BTB are
+     * neither consulted nor updated (the shared-memo contract of
+     * TimingModel). @p mem_penalty must be 0 for non-memory ops and
+     * @p mispredict false for non-control ops.
      */
     uint64_t
-    consumeWithPrediction(const isa::InstrEvent &event,
-                          bool mispredict) override
+    consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
+                    bool mispredict) override
     {
         const UopDesc &desc = descs_[uopTableIndex(event)];
         const uint32_t uops = desc.uops;
@@ -94,12 +99,7 @@ class P6PTimer final : public TimingModel
         const uint64_t ready =
             std::max(ready_[event.src0], ready_[event.src1]);
 
-        uint32_t mem_penalty = 0;
-        if (event.mem != isa::MemMode::None) {
-            mem_penalty = memory_.access(event.addr, event.size,
-                                         event.mem == isa::MemMode::Store);
-            stats_.memPenaltyCycles += mem_penalty;
-        }
+        stats_.memPenaltyCycles += mem_penalty;
 
         const P6PParams &pp = config_.p6p;
         uint64_t issue;

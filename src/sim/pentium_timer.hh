@@ -57,25 +57,30 @@ class PentiumTimer final : public TimingModel
         bool mispredict = false;
         if (isa::isControl(event.op))
             mispredict = btb_.predict(event.site, event.taken);
-        return consumeWithPrediction(event, mispredict);
+        uint32_t mem_penalty = 0;
+        if (event.mem != isa::MemMode::None)
+            mem_penalty = memory_.access(event.addr, event.size,
+                                         event.mem == isa::MemMode::Store);
+        return consumeResolved(event, mem_penalty, mispredict);
     }
 
     /**
-     * consume() with the branch-prediction outcome supplied by the
-     * caller instead of this timer's BTB. Memoized sweeps use this:
-     * prediction depends only on BTB geometry, so configurations that
-     * share one can record the outcomes once and feed the bits back
-     * here. @p mispredict must be false for non-control ops. The
-     * internal BTB is neither consulted nor updated, so the caller owns
-     * btb-stat reporting.
+     * consume() with the data-access penalty and the branch outcome
+     * supplied by the caller instead of this timer's cache hierarchy
+     * and BTB. Memoized replays use this: both outcomes depend only on
+     * the cache / BTB geometry, so machines that share one can record
+     * the outcomes once and feed them back here. @p mem_penalty must be
+     * 0 for non-memory ops and @p mispredict false for non-control ops.
+     * Neither structure is consulted or updated, so the caller owns
+     * cache- and btb-stat reporting.
      *
      * Inline (as is consume()): the replay loops call this per event,
      * and inlining lets the issue/scoreboard state live in registers
      * across iterations.
      */
     uint64_t
-    consumeWithPrediction(const isa::InstrEvent &event,
-                          bool mispredict) override
+    consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
+                    bool mispredict) override
     {
         const UopDesc &desc = descs_[uopTableIndex(event)];
         const uint64_t before = nextIssue_;
@@ -87,12 +92,7 @@ class PentiumTimer final : public TimingModel
             std::max(ready_[event.src0], ready_[event.src1]);
 
         // Data-cache behaviour (blocking on the Pentium).
-        uint32_t mem_penalty = 0;
-        if (event.mem != isa::MemMode::None) {
-            mem_penalty = memory_.access(event.addr, event.size,
-                                         event.mem == isa::MemMode::Store);
-            stats_.memPenaltyCycles += mem_penalty;
-        }
+        stats_.memPenaltyCycles += mem_penalty;
 
         uint64_t issue;
         if (canPairInV(event, desc, ready, mem_penalty, mispredict)) {

@@ -15,14 +15,16 @@
  *  - consume() accounts one instruction in program order and returns
  *    the cycles that event advanced the machine, so per-event costs sum
  *    exactly to cycles();
- *  - consumeWithPrediction() is consume() with the branch outcome
- *    supplied by the caller: the model's own BTB must be neither
- *    consulted nor updated, which is what lets one memoized mispredict
- *    bitvector (recorded per BTB geometry) be shared by every model in
- *    a sweep group;
- *  - branch prediction in consume() is exactly
- *    `btb().predict(site, taken)` for control-transfer ops and nothing
- *    else, so recorded outcomes are model-independent.
+ *  - consumeResolved() is consume() with both outcomes supplied by
+ *    the caller — the data access's penalty and the branch outcome:
+ *    the model's own cache hierarchy and BTB must be neither consulted
+ *    nor updated, which is what lets one memoized penalty-class stream
+ *    (recorded per cache geometry) and one mispredict bitvector
+ *    (recorded per BTB geometry) drive every model that shares them;
+ *  - outcome resolution in consume() is exactly
+ *    `memory().access(addr, size, store)` for memory ops and
+ *    `btb().predict(site, taken)` for control-transfer ops, and
+ *    nothing else, so recorded outcomes are model-independent.
  */
 
 #ifndef MMXDSP_SIM_TIMING_MODEL_HH
@@ -154,12 +156,15 @@ class TimingModel
     virtual uint64_t consume(const isa::InstrEvent &event) = 0;
 
     /**
-     * consume() with the branch-prediction outcome supplied by the
-     * caller instead of this model's BTB (which must stay untouched).
-     * @p mispredict must be false for non-control ops.
+     * consume() with both outcomes supplied by the caller instead of
+     * this model's cache hierarchy and BTB (which must stay untouched):
+     * @p memPenalty is what memory().access() would have charged (0 for
+     * non-memory ops), @p mispredict the branch outcome (false for
+     * non-control ops).
      */
-    virtual uint64_t consumeWithPrediction(const isa::InstrEvent &event,
-                                           bool mispredict) = 0;
+    virtual uint64_t consumeResolved(const isa::InstrEvent &event,
+                                     uint32_t memPenalty,
+                                     bool mispredict) = 0;
 
     /**
      * Account a block of consecutive instructions, writing each event's

@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/p6_timer.hh"
 #include "sim/p6p_timer.hh"
@@ -335,7 +337,68 @@ MaterializedTrace::serializeV1() const
     return writer.serialize();
 }
 
-MaterializedTrace::BtbMemo
+MaterializedTrace::Memos::CacheKey
+MaterializedTrace::Memos::cacheKey(const sim::TimerConfig &c)
+{
+    return {c.l1.size_bytes, c.l1.line_bytes, c.l1.ways,
+            c.l2.size_bytes, c.l2.line_bytes, c.l2.ways};
+}
+
+MaterializedTrace::Memos::BtbKey
+MaterializedTrace::Memos::btbKey(const sim::TimerConfig &c)
+{
+    return {c.btb_entries, c.btb_ways};
+}
+
+size_t
+MaterializedTrace::Memos::byteSize() const
+{
+    size_t bytes = 0;
+    for (const auto &[key, memo] : cache_)
+        bytes += sizeof(cache_[0]) + memo.cls.capacity();
+    for (const auto &[key, memo] : btb_)
+        bytes += sizeof(btb_[0]) + memo.bits.capacity() * sizeof(uint64_t);
+    return bytes;
+}
+
+void
+MaterializedTrace::Memos::clear()
+{
+    cache_ = {};
+    btb_ = {};
+}
+
+CacheMemo
+MaterializedTrace::buildCacheMemo(const mem::CacheConfig &l1,
+                                  const mem::CacheConfig &l2) const
+{
+    CacheMemo memo;
+    memo.cls.resize(counts_.memoryReferences);
+    // accessClass() is penalty-independent: any penalty set will do.
+    mem::MemoryHierarchy hierarchy(l1, l2,
+                                   mem::MemoryHierarchy::Penalties{});
+    const uint8_t *flags = flags_.data();
+    const uint64_t *addr = addr_.data();
+    const uint8_t *size = size_.data();
+    const size_t n = op_.size();
+    size_t j = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const uint8_t f = flags[i];
+        if (f & kFlagMemMask) {
+            const uint32_t cls = hierarchy.accessClass(
+                addr[i], size[i],
+                static_cast<MemMode>(f & kFlagMemMask) == MemMode::Store);
+            memo.cls[j++] = static_cast<uint8_t>(cls);
+            memo.l2Served += cls == 1;
+            memo.l2Missed += cls == 2;
+        }
+    }
+    memo.l1 = hierarchy.l1().stats();
+    memo.l2 = hierarchy.l2().stats();
+    return memo;
+}
+
+BtbMemo
 MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
 {
     BtbMemo memo;
@@ -359,36 +422,54 @@ MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
 
 profile::ProfileResult
 MaterializedTrace::runKernel(const sim::MachineConfig &machine,
-                             const BtbMemo *memo) const
+                             const CacheMemo *cache, const BtbMemo *btb) const
 {
+    const sim::TimerConfig &c = machine.timer;
     switch (machine.model) {
       case sim::ModelKind::P6:
-        return runKernelImpl<sim::P6Timer>(machine.timer, memo);
+        return cache ? runKernelImpl<sim::P6Timer, true>(c, cache, btb)
+                     : runKernelImpl<sim::P6Timer, false>(c, cache, btb);
       case sim::ModelKind::P6P:
-        return runKernelImpl<sim::P6PTimer>(machine.timer, memo);
+        return cache ? runKernelImpl<sim::P6PTimer, true>(c, cache, btb)
+                     : runKernelImpl<sim::P6PTimer, false>(c, cache, btb);
       case sim::ModelKind::P5:
         break;
     }
-    return runKernelImpl<sim::PentiumTimer>(machine.timer, memo);
+    return cache ? runKernelImpl<sim::PentiumTimer, true>(c, cache, btb)
+                 : runKernelImpl<sim::PentiumTimer, false>(c, cache, btb);
 }
 
-template <typename Model>
+template <typename Model, bool Memoized>
 profile::ProfileResult
 MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
-                                 const BtbMemo *memo) const
+                                 const CacheMemo *cache,
+                                 const BtbMemo *btb) const
 {
     // Start from the config-independent template; this loop only runs
     // the timing model and attributes its cycles. Model is a final
     // class, so every consume call below devirtualizes and inlines.
     profile::ProfileResult r = counts_;
-    Model timer(config);
     std::vector<uint64_t> fnCycles(fnNames_.size(), 0);
     uint64_t callRet = 0;
     uint64_t overhead = 0;
 
+    // With memos, consumeResolved() never touches the timer's own
+    // cache hierarchy and BTB, so they get the smallest legal geometry
+    // instead of real tag arrays.
+    sim::TimerConfig timing = config;
+    if constexpr (Memoized) {
+        timing.l1 = timing.l2 = mem::CacheConfig{"unused", 8, 8, 1};
+        timing.btb_entries = timing.btb_ways = 1;
+    }
+    Model timer(timing);
+    const uint8_t *cls = Memoized ? cache->cls.data() : nullptr;
+    const uint64_t *bits = Memoized ? btb->bits.data() : nullptr;
+    const std::array<uint32_t, 3> penaltyOf = {
+        0, config.penalties.ofClass(1), config.penalties.ofClass(2)};
+
     const uint8_t *flags = flags_.data();
     const uint32_t *fnId = fnId_.data();
-    const uint64_t *bits = memo ? memo->bits.data() : nullptr;
+    size_t memIdx = 0;
     size_t branch = 0;
 
     const size_t n = op_.size();
@@ -396,14 +477,17 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
         const InstrEvent e = eventAt(i);
         const uint8_t f = flags[i];
         uint64_t cost;
-        if (bits) {
-            // Branch outcomes were recorded once for this BTB geometry.
+        if constexpr (Memoized) {
+            // Both outcomes were recorded once for these geometries.
+            uint32_t penalty = 0;
+            if (f & kFlagMemMask)
+                penalty = penaltyOf[cls[memIdx++]];
             bool mispredict = false;
             if (f & kFlagControl) {
                 mispredict = (bits[branch >> 6] >> (branch & 63)) & 1;
                 ++branch;
             }
-            cost = timer.consumeWithPrediction(e, mispredict);
+            cost = timer.consumeResolved(e, penalty, mispredict);
         } else {
             cost = timer.consume(e);
         }
@@ -417,9 +501,15 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
     r.callRetCycles = callRet;
     r.callOverheadCycles = overhead;
     r.timer = timer.stats();
-    r.l1 = timer.memory().l1().stats();
-    r.l2 = timer.memory().l2().stats();
-    r.btb = memo ? memo->stats : timer.btb().stats();
+    if constexpr (Memoized) {
+        r.l1 = cache->l1;
+        r.l2 = cache->l2;
+        r.btb = btb->stats;
+    } else {
+        r.l1 = timer.memory().l1().stats();
+        r.l2 = timer.memory().l2().stats();
+        r.btb = timer.btb().stats();
+    }
     for (size_t id = 0; id < fnCounts_.size(); ++id) {
         const profile::FunctionStats &st = fnCounts_[id];
         if (st.calls || st.instructions) {
@@ -435,13 +525,13 @@ profile::ProfileResult
 MaterializedTrace::replayProfile(const sim::TimerConfig &config) const
 {
     return runKernel(sim::MachineConfig{sim::ModelKind::P5, config},
-                     nullptr);
+                     nullptr, nullptr);
 }
 
 profile::ProfileResult
 MaterializedTrace::replayProfile(const sim::MachineConfig &machine) const
 {
-    return runKernel(machine, nullptr);
+    return runKernel(machine, nullptr, nullptr);
 }
 
 std::vector<profile::ProfileResult>
@@ -505,11 +595,22 @@ sameMachine(const sim::MachineConfig &a, const sim::MachineConfig &b)
     return false;
 }
 
+/** Index of @p key in a memo list, or the list's size when absent. */
+template <typename Key, typename Memo>
+size_t
+memoIndex(const std::vector<std::pair<Key, Memo>> &memos, const Key &key)
+{
+    size_t k = 0;
+    while (k < memos.size() && memos[k].first != key)
+        ++k;
+    return k;
+}
+
 } // namespace
 
 std::vector<profile::ProfileResult>
 MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
-                               int threads) const
+                               int threads, Memos *memos) const
 {
     // Deduplicate identical entries before dispatch: each unique machine
     // is timed once and its result fanned back out to every duplicate
@@ -530,13 +631,20 @@ MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
         uniqueOf[i] = u;
     }
 
+    // The packed kernel advances every lane in one pass, but its
+    // hoisted program costs about one scalar pass on its own, so it
+    // only pays off once there are more lanes than workers to run
+    // per-machine passes side by side (the crossover in EXPERIMENTS.md).
 #ifdef MMXDSP_FORCE_SCALAR_SWEEP
-    std::vector<profile::ProfileResult> uniqueResults =
-        replaySweepScalar(unique, threads);
+    const bool perMachine = true;
 #else
-    std::vector<profile::ProfileResult> uniqueResults =
-        replaySweepPacked(unique, threads);
+    const bool perMachine =
+        unique.size()
+        <= std::max<size_t>(2, static_cast<size_t>(resolveThreads(threads)));
 #endif
+    std::vector<profile::ProfileResult> uniqueResults =
+        perMachine ? replaySweepScalar(unique, threads, memos)
+                   : replaySweepPacked(unique, threads);
 
     if (unique.size() == machines.size())
         return uniqueResults;
@@ -548,40 +656,73 @@ MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
 
 std::vector<profile::ProfileResult>
 MaterializedTrace::replaySweepScalar(
-    const std::vector<sim::MachineConfig> &machines, int threads) const
+    const std::vector<sim::MachineConfig> &machines, int threads,
+    Memos *memos) const
 {
-    std::vector<profile::ProfileResult> results(machines.size());
-
-    // Group entries by BTB geometry; any geometry that appears more
-    // than once gets one recorded prediction pass for the group. The
-    // key deliberately ignores the model: prediction depends only on
-    // the mem::Btb geometry, so a P5 and a P6 entry share a memo.
-    std::vector<uint64_t> keys(machines.size());
-    for (size_t i = 0; i < machines.size(); ++i)
-        keys[i] =
-            (static_cast<uint64_t>(machines[i].timer.btb_entries) << 32)
-            | machines[i].timer.btb_ways;
-    std::vector<int> memoOf(machines.size(), -1);
-    std::vector<BtbMemo> memos;
-    for (size_t i = 0; i < machines.size(); ++i) {
-        if (memoOf[i] >= 0)
-            continue;
-        bool shared = false;
-        for (size_t j = i + 1; j < machines.size(); ++j)
-            shared = shared || keys[j] == keys[i];
-        if (!shared)
-            continue;
-        const int m = static_cast<int>(memos.size());
-        memos.push_back(buildBtbMemo(machines[i].timer.btb_entries,
-                                     machines[i].timer.btb_ways));
-        for (size_t j = i; j < machines.size(); ++j)
-            if (keys[j] == keys[i])
-                memoOf[j] = m;
+    const size_t n = machines.size();
+    std::vector<profile::ProfileResult> results(n);
+    if (!memos) {
+        parallelFor(n, threads, [&](size_t i) {
+            results[i] = runKernel(machines[i], nullptr, nullptr);
+        });
+        return results;
     }
+    if (memos->owner_ && memos->owner_ != this)
+        mmxdsp_panic("replay memos used with a second trace");
+    memos->owner_ = this;
 
-    parallelFor(machines.size(), threads, [&](size_t i) {
-        results[i] = runKernel(
-            machines[i], memoOf[i] >= 0 ? &memos[memoOf[i]] : nullptr);
+    // Pre-pass: every geometry the memos lack is recorded once, from
+    // the first entry using it, all recordings in parallel. An entry
+    // that finds both of its geometries already recorded is a hit.
+    const size_t cacheBase = memos->cache_.size();
+    const size_t btbBase = memos->btb_.size();
+    std::vector<std::pair<Memos::CacheKey, CacheMemo>> newCache;
+    std::vector<std::pair<Memos::BtbKey, BtbMemo>> newBtb;
+    std::vector<const sim::TimerConfig *> cacheCfg;
+    std::vector<const sim::TimerConfig *> btbCfg;
+    std::vector<size_t> cacheOf(n);
+    std::vector<size_t> btbOf(n);
+    for (size_t i = 0; i < n; ++i) {
+        const sim::TimerConfig &tc = machines[i].timer;
+        const Memos::CacheKey ck = Memos::cacheKey(tc);
+        size_t c = memoIndex(memos->cache_, ck);
+        if (c == cacheBase) {
+            c += memoIndex(newCache, ck);
+            if (c == cacheBase + newCache.size()) {
+                newCache.push_back({ck, {}});
+                cacheCfg.push_back(&tc);
+            }
+        }
+        const Memos::BtbKey bk = Memos::btbKey(tc);
+        size_t b = memoIndex(memos->btb_, bk);
+        if (b == btbBase) {
+            b += memoIndex(newBtb, bk);
+            if (b == btbBase + newBtb.size()) {
+                newBtb.push_back({bk, {}});
+                btbCfg.push_back(&tc);
+            }
+        }
+        cacheOf[i] = c;
+        btbOf[i] = b;
+        memos->hits_ += c < cacheBase && b < btbBase;
+    }
+    parallelFor(cacheCfg.size() + btbCfg.size(), threads, [&](size_t g) {
+        if (g < cacheCfg.size()) {
+            newCache[g].second = buildCacheMemo(cacheCfg[g]->l1,
+                                                cacheCfg[g]->l2);
+        } else {
+            g -= cacheCfg.size();
+            newBtb[g].second =
+                buildBtbMemo(btbCfg[g]->btb_entries, btbCfg[g]->btb_ways);
+        }
+    });
+    std::move(newCache.begin(), newCache.end(),
+              std::back_inserter(memos->cache_));
+    std::move(newBtb.begin(), newBtb.end(), std::back_inserter(memos->btb_));
+
+    parallelFor(n, threads, [&](size_t i) {
+        results[i] = runKernel(machines[i], &memos->cache_[cacheOf[i]].second,
+                               &memos->btb_[btbOf[i]].second);
     });
     return results;
 }

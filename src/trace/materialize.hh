@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "profile/vprof.hh"
@@ -52,6 +53,32 @@
 #include "trace/reader.hh"
 
 namespace mmxdsp::trace {
+
+/**
+ * One cache-geometry outcome memo: the penalty class (0 = L1 hit,
+ * 1 = served from L2, 2 = missed both) of every memory event in stream
+ * order, plus the final statistics — everything a replay needs to
+ * price its memory accesses without touching a tag array. Outcomes
+ * depend only on the L1 x L2 geometry and the event stream, so one
+ * memo serves every penalty set and every model. Built by both sweep
+ * kernels (the packed one per sweep, the per-machine one per
+ * MaterializedTrace::Memos).
+ */
+struct CacheMemo
+{
+    std::vector<uint8_t> cls;
+    uint64_t l2Served = 0; ///< class-1 count
+    uint64_t l2Missed = 0; ///< class-2 count
+    mem::CacheStats l1;
+    mem::CacheStats l2;
+};
+
+/** One BTB-geometry outcome memo: mispredict bit per control event. */
+struct BtbMemo
+{
+    std::vector<uint64_t> bits;
+    mem::BtbStats stats;
+};
 
 /**
  * One structure-of-arrays event buffer: either owns its storage (the
@@ -172,6 +199,40 @@ class MaterializedTrace
     size_t byteSize() const;
 
     /**
+     * The per-geometry outcome memos of one trace (a CacheMemo per
+     * L1 x L2 geometry, a BtbMemo per BTB geometry), built by the
+     * per-machine kernel on a geometry's first use and replayed on
+     * every later one, so a replay that finds both of its memos walks
+     * no tag array at all. A Memos object is bound to the trace that
+     * first uses it; its holder (QueryEngine keeps one beside each
+     * resident trace) passes it to every sweep of that trace and drops
+     * it with the trace. Not thread-safe: one sweep at a time.
+     */
+    class Memos
+    {
+      public:
+        /** Heap bytes of the recorded memos. */
+        size_t byteSize() const;
+        /** Replays whose memos were all recorded by an earlier sweep. */
+        uint64_t hits() const { return hits_; }
+        /** Drop every recorded memo (the trace binding stays). */
+        void clear();
+
+      private:
+        friend class MaterializedTrace;
+
+        using CacheKey = std::array<uint32_t, 6>; ///< L1, L2 size/line/ways
+        using BtbKey = std::array<uint32_t, 2>;   ///< entries, ways
+        static CacheKey cacheKey(const sim::TimerConfig &c);
+        static BtbKey btbKey(const sim::TimerConfig &c);
+
+        std::vector<std::pair<CacheKey, CacheMemo>> cache_;
+        std::vector<std::pair<BtbKey, BtbMemo>> btb_;
+        const MaterializedTrace *owner_ = nullptr;
+        uint64_t hits_ = 0;
+    };
+
+    /**
      * Deliver the identical event stream a TraceReader replay would
      * produce, but via batched dispatch: instruction runs arrive through
      * sink.onInstrBatch() in blocks, enter/leave markers in original
@@ -196,11 +257,14 @@ class MaterializedTrace
     /**
      * Replay under every configuration in @p configs, fanning out over
      * @p threads workers (0 = auto); all workers share these buffers.
-     * Duplicate configurations are computed once and fanned back out;
-     * unique ones go through the config-parallel kernel (one pass over
+     * Duplicate configurations are computed once and fanned back out.
+     * At most max(2, workers) unique ones go through the per-machine
+     * kernel (replaySweepScalar(), one timing pass each, in parallel);
+     * wider sweeps go through the config-parallel kernel (one pass over
      * the trace advancing one lane per configuration — see
-     * replaySweepPacked()), or through the scalar reference path when
-     * the build pins MMXDSP_FORCE_SCALAR_SWEEP. Results are
+     * replaySweepPacked()), which only wins once it has more lanes than
+     * there are workers. A build pinning MMXDSP_FORCE_SCALAR_SWEEP
+     * takes the per-machine kernel at every width. Results are
      * index-aligned with @p configs and bit-identical to per-config
      * replayProfile() calls either way.
      */
@@ -211,24 +275,29 @@ class MaterializedTrace
     /**
      * Multi-model sweep: each entry picks its own machine and timer
      * parameters. Same dedup + kernel dispatch as the TimerConfig
-     * overload; P5, P6, and P6P entries all ride the one-pass kernel
-     * (one block of lanes per model).
+     * overload; P5, P6, and P6P entries all ride either kernel. With
+     * @p memos, per-machine sweeps replay the recorded outcomes of
+     * every geometry they find there and record the ones they do not
+     * (the packed kernel builds its own memos and ignores them).
      */
     std::vector<profile::ProfileResult>
     replaySweep(const std::vector<sim::MachineConfig> &machines,
-                int threads = 0) const;
+                int threads = 0, Memos *memos = nullptr) const;
 
     /**
-     * The golden reference sweep: one full scalar timing pass per entry
-     * (the pre-config-parallel behavior, kept as the identity oracle).
-     * Entries sharing a BTB geometry share a recorded prediction pass;
-     * everything else is simulated per configuration. Exposed so tests
-     * and benches can check the packed kernel against it regardless of
-     * which path replaySweep() dispatches to.
+     * The per-machine sweep: one scalar timing pass per entry. Without
+     * @p memos every entry runs the timer's own cache and BTB — the
+     * golden reference the packed kernel is checked against. With
+     * @p memos, a pre-pass first records every cache and BTB geometry
+     * missing there (one pass each, in parallel), then every entry
+     * replays its two memos through the timer's consumeResolved() and
+     * walks no tag array. Exposed so tests and benches can check the
+     * packed kernel against it regardless of which path replaySweep()
+     * dispatches to.
      */
     std::vector<profile::ProfileResult>
     replaySweepScalar(const std::vector<sim::MachineConfig> &machines,
-                      int threads = 0) const;
+                      int threads = 0, Memos *memos = nullptr) const;
 
     /**
      * The config-parallel sweep kernel (trace/sweep_kernel.cc): builds
@@ -371,17 +440,9 @@ class MaterializedTrace
     uint32_t siteTableSize_ = 0;
     uint64_t controlCount_ = 0; ///< number of events with kFlagControl
 
-    /**
-     * One recorded branch-prediction pass: the mispredict outcome of
-     * every control event in stream order (packed bits) plus the final
-     * predictor statistics. Outcomes depend only on BTB geometry, so
-     * sweep configurations sharing one share a memo.
-     */
-    struct BtbMemo
-    {
-        std::vector<uint64_t> bits;
-        mem::BtbStats stats;
-    };
+    /** Run one cache geometry over the memory events of this trace. */
+    CacheMemo buildCacheMemo(const mem::CacheConfig &l1,
+                             const mem::CacheConfig &l2) const;
 
     /** Run the BTB once over the control events of this trace. */
     BtbMemo buildBtbMemo(uint32_t entries, uint32_t ways) const;
@@ -389,20 +450,23 @@ class MaterializedTrace
     /**
      * The per-config replay loop behind replayProfile()/replaySweep(),
      * dispatching once per replay to the kernel instantiated for the
-     * selected machine. With a memo, branch outcomes come from its
-     * recorded bits (and its stats are reported); without one the
-     * timer's own BTB runs.
+     * selected machine. With memos (both or neither), memory and branch
+     * outcomes come from their records and their stats are reported;
+     * without, the timer's own cache and BTB run.
      */
     profile::ProfileResult runKernel(const sim::MachineConfig &machine,
-                                     const BtbMemo *memo) const;
+                                     const CacheMemo *cache,
+                                     const BtbMemo *btb) const;
 
     /**
      * The kernel body, templated on the concrete (final) model class so
-     * the per-event consume calls devirtualize and inline.
+     * the per-event consume calls devirtualize and inline, and on
+     * whether the outcomes come from memos.
      */
-    template <typename Model>
+    template <typename Model, bool Memoized>
     profile::ProfileResult runKernelImpl(const sim::TimerConfig &config,
-                                         const BtbMemo *memo) const;
+                                         const CacheMemo *cache,
+                                         const BtbMemo *btb) const;
 
     // -- re-interned site metadata for hotspot labelling --
     struct SiteMeta

@@ -49,7 +49,7 @@
  * machines all have lane kernels; a mixed sweep runs one block per
  * model, still a handful of passes instead of N. Every result is
  * bit-identical to replaySweepScalar() — the per-lane state machines
- * mirror PentiumTimer / P6Timer / P6PTimer ::consumeWithPrediction
+ * mirror PentiumTimer / P6Timer / P6PTimer ::consumeResolved
  * exactly, exploiting only don't-care stores (fields the scalar model
  * leaves stale behind an invalid flag may be overwritten
  * unconditionally). The port model's extra per-event inputs (uop→port
@@ -183,28 +183,6 @@ struct SweepProgram
 };
 
 /**
- * One cache-geometry memo: the penalty class (0 = L1 hit, 1 = served
- * from L2, 2 = missed both) of every memory event in stream order,
- * plus the final statistics — everything a member config needs to
- * price its memory accesses without touching a tag array.
- */
-struct MemGeoMemo
-{
-    std::vector<uint8_t> cls;
-    uint64_t l2Served = 0; ///< class-1 count (for the closed-form total)
-    uint64_t l2Missed = 0; ///< class-2 count
-    mem::CacheStats l1;
-    mem::CacheStats l2;
-};
-
-/** One BTB-geometry memo: mispredict outcome per control event. */
-struct BtbGeoMemo
-{
-    std::vector<uint64_t> bits;
-    mem::BtbStats stats;
-};
-
-/**
  * One L1-geometry memo: the stream of line probes the L2 will see.
  * The L1 filters the reference stream, so everything downstream of it
  * — including which lines reach the L2, in what order — depends only
@@ -254,11 +232,11 @@ buildL1Memo(const mem::CacheConfig &cfg, const SweepProgram &prog)
     return memo;
 }
 
-MemGeoMemo
+CacheMemo
 buildMemMemo(const L1GeoMemo &l1m, const mem::CacheConfig &l2cfg,
              const SweepProgram &prog)
 {
-    MemGeoMemo memo;
+    CacheMemo memo;
     const size_t m = prog.memAddr.size();
     memo.cls.resize(m);
     mem::Cache l2(l2cfg);
@@ -290,10 +268,10 @@ buildMemMemo(const L1GeoMemo &l1m, const mem::CacheConfig &l2cfg,
     return memo;
 }
 
-BtbGeoMemo
-recordBtbGeoMemo(uint32_t entries, uint32_t ways, const SweepProgram &prog)
+BtbMemo
+recordBtbMemo(uint32_t entries, uint32_t ways, const SweepProgram &prog)
 {
-    BtbGeoMemo memo;
+    BtbMemo memo;
     const size_t m = prog.ctlSite.size();
     memo.bits.assign((m + 63) / 64, 0);
     mem::Btb btb(entries, ways);
@@ -308,8 +286,8 @@ recordBtbGeoMemo(uint32_t entries, uint32_t ways, const SweepProgram &prog)
 struct LaneRef
 {
     const sim::MachineConfig *machine = nullptr;
-    const MemGeoMemo *mem = nullptr;
-    const BtbGeoMemo *btb = nullptr;
+    const CacheMemo *mem = nullptr;
+    const BtbMemo *btb = nullptr;
     size_t resultIndex = 0;
 };
 
@@ -363,7 +341,7 @@ assembleLane(const SweepProgram &prog, const LaneRef &ref, uint64_t cycles,
 }
 
 /**
- * The P5 lane kernel: PentiumTimer::consumeWithPrediction() with the
+ * The P5 lane kernel: PentiumTimer::consumeResolved() with the
  * state held lane-major and every per-lane decision a mask select.
  * Stale uSlot fields are overwritten unconditionally — the scalar
  * model only reads them behind uSlot_.valid, and every path that sets
@@ -552,7 +530,7 @@ runP5BlockT(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
 }
 
 /**
- * The P6 lane kernel: P6Timer::consumeWithPrediction() lane-major.
+ * The P6 lane kernel: P6Timer::consumeResolved() lane-major.
  * Same don't-care-store discipline — group fields are only read while
  * slotsLeft > 0, and every path that makes slotsLeft nonzero rewrites
  * them. The retirement floor (retiredUops / retire_width, on a shared
@@ -728,7 +706,7 @@ runP6BlockT(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
 }
 
 /**
- * The P6P lane kernel: P6PTimer::consumeWithPrediction() lane-major.
+ * The P6P lane kernel: P6PTimer::consumeResolved() lane-major.
  * The decode-group half is the P6 kernel with one extra floor (decode
  * may run at most `window` cycles ahead of the latest port dispatch);
  * the dispatch half binds each uop to a single-issue port. Which ports
@@ -1497,15 +1475,15 @@ MaterializedTrace::replaySweepPacked(
     }
     const auto t1 = now();
     std::vector<L1GeoMemo> l1Memos(l1Keys.size());
-    std::vector<MemGeoMemo> memMemos(memKeys.size());
-    std::vector<BtbGeoMemo> btbMemos(btbKeys.size());
+    std::vector<CacheMemo> memMemos(memKeys.size());
+    std::vector<BtbMemo> btbMemos(btbKeys.size());
     // Phase A: the full passes (L1 filters, BTB streams) fan out
     // together; phase B distributes the L2 miss-stream passes.
     parallelFor(l1Keys.size() + btbKeys.size(), threads, [&](size_t g) {
         if (g < l1Keys.size())
             l1Memos[g] = buildL1Memo(l1Cfgs[g], prog);
         else
-            btbMemos[g - l1Keys.size()] = recordBtbGeoMemo(
+            btbMemos[g - l1Keys.size()] = recordBtbMemo(
                 btbKeys[g - l1Keys.size()][0],
                 btbKeys[g - l1Keys.size()][1], prog);
     });

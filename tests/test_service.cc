@@ -3,7 +3,8 @@
  * Tests for the vprofd service layer: the sharded TraceStore (round
  * trips, stable sharding, v1 upgrade, quarantine, LRU eviction,
  * concurrency) and the QueryEngine (result cache, batch-vs-scalar
- * identity, capture-free cold restart, untrusted query parsing).
+ * identity, capture-free cold restart, untrusted query parsing, memo
+ * reuse and its share of the trace-cache budget).
  */
 
 #include <gtest/gtest.h>
@@ -641,6 +642,144 @@ TEST(QueryEngineTest, P6AndP6PNeverAliasInTheResultCache)
     ASSERT_TRUE(batch[1].ok);
     EXPECT_EQ(batch[0].profile.cycles, first.profile.cycles);
     EXPECT_EQ(batch[1].profile.cycles, second.profile.cycles);
+}
+
+/** Every ProfileResult field a served answer must reproduce. */
+void
+expectSameServed(const profile::ProfileResult &a,
+                 const profile::ProfileResult &b, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
+    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
+    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
+    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
+    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
+    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
+    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
+    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
+    EXPECT_EQ(a.timer.portStallCycles, b.timer.portStallCycles);
+    EXPECT_EQ(a.l1.accesses, b.l1.accesses);
+    EXPECT_EQ(a.l1.misses, b.l1.misses);
+    EXPECT_EQ(a.l2.misses, b.l2.misses);
+    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
+    ASSERT_EQ(a.functions.size(), b.functions.size());
+    for (const auto &[name, st] : a.functions) {
+        auto it = b.functions.find(name);
+        ASSERT_NE(it, b.functions.end()) << name;
+        EXPECT_EQ(st.cycles, it->second.cycles) << name;
+    }
+}
+
+TEST(QueryEngineTest, PenaltyAndModelMissesReplayTheGeometryMemos)
+{
+    ScratchDir scratch("mmxdsp_engine_memo_test");
+    service::EngineOptions opts = engineOpts(scratch);
+    service::QueryEngine engine(opts);
+
+    // The first default-geometry query records the cache and BTB memos.
+    const service::Query base{"fir", "mmx", sim::MachineConfig{}};
+    std::vector<service::QueryResult> served = {engine.query(base)};
+    ASSERT_TRUE(served.back().ok) << served.back().error;
+    EXPECT_EQ(engine.stats().memo_hits, 0u);
+    const uint64_t recorded = engine.stats().memo_bytes;
+    EXPECT_GT(recorded, 0u);
+
+    // A penalty-only and a model-only miss replay them: no new memo.
+    service::Query penalty = base;
+    penalty.machine.timer.mispredict_penalty = 9;
+    penalty.machine.timer.penalties.l2_miss = 11;
+    service::Query model = base;
+    model.machine.model = sim::ModelKind::P6P;
+    served.push_back(engine.query(penalty));
+    served.push_back(engine.query(model));
+    EXPECT_EQ(engine.stats().memo_hits, 2u);
+    EXPECT_EQ(engine.stats().memo_bytes, recorded);
+
+    // A geometry miss records a fresh cache memo, which the next query
+    // on that geometry replays.
+    service::Query geometry = base;
+    geometry.machine.timer.l1.size_bytes = 8 * 1024;
+    served.push_back(engine.query(geometry));
+    EXPECT_EQ(engine.stats().memo_hits, 2u);
+    EXPECT_GT(engine.stats().memo_bytes, recorded);
+    service::Query geometryP6 = geometry;
+    geometryP6.machine.model = sim::ModelKind::P6;
+    served.push_back(engine.query(geometryP6));
+    EXPECT_EQ(engine.stats().memo_hits, 3u);
+
+    // Every answer equals an independent load + memo-less replay.
+    service::TraceStore oracle(opts.store);
+    auto mat = oracle.load("fir", "mmx", opts.suite.hash());
+    ASSERT_NE(mat, nullptr);
+    for (const service::QueryResult &r : served) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.from_result_cache);
+        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
+                         sim::modelName(r.query.machine.model));
+    }
+}
+
+TEST(QueryEngineTest, MemosCountAgainstTheTraceBudgetAndLeaveWithTheirTrace)
+{
+    ScratchDir scratch("mmxdsp_engine_memo_budget_test");
+    service::EngineOptions opts = engineOpts(scratch);
+    const service::Query fir{"fir", "c", sim::MachineConfig{}};
+    const service::Query fft{"fft", "c", sim::MachineConfig{}};
+    service::Query firPenalty = fir;
+    firPenalty.machine.timer.mispredict_penalty = 7;
+    service::Query firModel = fir;
+    firModel.machine.model = sim::ModelKind::P6;
+
+    // Publish both traces and measure fir.c's resident bytes and the
+    // bytes of its default-geometry memos.
+    uint64_t memoBytes = 0;
+    {
+        service::QueryEngine capture(opts);
+        ASSERT_TRUE(capture.query(fir).ok);
+        memoBytes = capture.stats().memo_bytes;
+        ASSERT_TRUE(capture.query(fft).ok);
+    }
+    ASSERT_GT(memoBytes, 0u);
+    service::TraceStore store(opts.store);
+    auto firTrace = store.load("fir", "c", opts.suite.hash());
+    ASSERT_NE(firTrace, nullptr);
+
+    // A one-trace budget: fir.c plus its memos fit exactly.
+    service::EngineOptions one = opts;
+    one.allow_capture = false;
+    one.trace_cache_bytes = firTrace->byteSize() + memoBytes;
+    {
+        service::QueryEngine engine(one);
+        ASSERT_TRUE(engine.query(fir).ok);
+        ASSERT_TRUE(engine.query(firPenalty).ok);
+        EXPECT_EQ(engine.stats().memo_hits, 1u);
+        EXPECT_EQ(engine.stats().memo_bytes, memoBytes);
+
+        // fft.c evicts fir.c, and fir.c's memos leave with it: the
+        // next fir.c miss reloads the trace and records them again.
+        ASSERT_TRUE(engine.query(fft).ok);
+        ASSERT_TRUE(engine.query(firModel).ok);
+        EXPECT_EQ(engine.stats().store_loads, 3u);
+        EXPECT_EQ(engine.stats().memo_hits, 1u);
+        EXPECT_EQ(engine.stats().memo_bytes, memoBytes);
+    }
+
+    // One byte less: the memos do not fit beside their trace, so the
+    // engine keeps the trace and drops the memos.
+    one.trace_cache_bytes -= 1;
+    {
+        service::QueryEngine engine(one);
+        ASSERT_TRUE(engine.query(fir).ok);
+        EXPECT_EQ(engine.stats().memo_bytes, 0u);
+        const service::QueryResult r = engine.query(firPenalty);
+        ASSERT_TRUE(r.ok);
+        EXPECT_EQ(engine.stats().memo_hits, 0u);
+        EXPECT_EQ(engine.stats().store_loads, 1u);
+        expectSameServed(r.profile, firTrace->replayProfile(r.query.machine),
+                         "over-budget memos");
+    }
 }
 
 } // namespace

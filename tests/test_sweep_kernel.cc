@@ -10,7 +10,10 @@
  *    to the scalar golden reference,
  *  - a randomized-config-set differential across every registry (benchmark,
  *    version) pairs: replaySweepPacked() == replaySweepScalar() for
- *    every entry, P5 and P6 alike.
+ *    every entry, P5 and P6 alike;
+ *  - the per-geometry memos: replays that record a cache/BTB memo and
+ *    replays that consume one (under any model) equal the memo-less
+ *    replayProfile(), on the edge machines and on random ones.
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
@@ -180,13 +183,13 @@ TEST(SweepDedup, CrossModelDuplicatesStayPerModel)
 
 // ---------------- edge geometries ----------------
 
-TEST(SweepKernel, EdgeGeometriesMatchScalar)
+/**
+ * Machines the memo/lane paths could mishandle: four timer configs,
+ * each on P5, P6 and P6P in turn (the model varies fastest).
+ */
+std::vector<sim::MachineConfig>
+edgeMachines()
 {
-    ScratchDir scratch("mmxdsp_sweep_edge_test");
-    harness::BenchmarkSuite suite(
-        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
-    auto mat = materializedTrace(suite, "matvec", "mmx");
-
     // Direct-mapped everything: assoc=1 at both levels plus a starved
     // L1, so the memo records plenty of class-1/class-2 events and the
     // conflict-miss pattern differs from every set-associative lane.
@@ -224,6 +227,16 @@ TEST(SweepKernel, EdgeGeometriesMatchScalar)
         machines.push_back({sim::ModelKind::P6, tc});
         machines.push_back({sim::ModelKind::P6P, tc});
     }
+    return machines;
+}
+
+TEST(SweepKernel, EdgeGeometriesMatchScalar)
+{
+    ScratchDir scratch("mmxdsp_sweep_edge_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = materializedTrace(suite, "matvec", "mmx");
+    const std::vector<sim::MachineConfig> machines = edgeMachines();
 
     const auto scalar = mat->replaySweepScalar(machines, 2);
     const auto packed = mat->replaySweepPacked(machines, 2);
@@ -302,6 +315,88 @@ TEST(SweepKernel, RandomizedConfigsMatchScalarOnEveryPair)
         for (size_t i = 0; i < machines.size(); ++i)
             expectSameProfile(packed[i], scalar[i],
                               what + " machine " + std::to_string(i));
+    }
+}
+
+// ---------------- per-geometry memos ----------------
+
+TEST(SweepMemos, EdgeGeometriesReplayBitIdentically)
+{
+    ScratchDir scratch("mmxdsp_sweep_memo_edge_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = materializedTrace(suite, "matvec", "mmx");
+    const std::vector<sim::MachineConfig> machines = edgeMachines();
+
+    // One machine per call: the first use of a cache or BTB geometry
+    // records its memo, every later use replays it — across models,
+    // since the model varies fastest. Replays with both memos found:
+    // P6+P6P of directMapped (2), of oneBtb (2), all of weirdPen (3,
+    // default geometries already recorded), P6+P6P of smallLines (2).
+    trace::MaterializedTrace::Memos memos;
+    std::vector<profile::ProfileResult> solo;
+    for (size_t i = 0; i < machines.size(); ++i) {
+        solo.push_back(mat->replayProfile(machines[i]));
+        const auto r = mat->replaySweepScalar({machines[i]}, 1, &memos);
+        ASSERT_EQ(r.size(), 1u);
+        expectSameProfile(r[0], solo[i], "edge memo " + std::to_string(i));
+    }
+    EXPECT_EQ(memos.hits(), 9u);
+    EXPECT_GT(memos.byteSize(), 0u);
+
+    // A second pass replays every machine, several at a time.
+    const auto again = mat->replaySweepScalar(machines, 2, &memos);
+    ASSERT_EQ(again.size(), machines.size());
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectSameProfile(again[i], solo[i],
+                          "edge memo replay " + std::to_string(i));
+    EXPECT_EQ(memos.hits(), 9u + machines.size());
+
+    // Dropped memos are recorded again, not replayed stale.
+    memos.clear();
+    EXPECT_EQ(memos.byteSize(), 0u);
+    const auto fresh = mat->replaySweepScalar({machines[0]}, 1, &memos);
+    expectSameProfile(fresh[0], solo[0], "edge memo after clear");
+    EXPECT_EQ(memos.hits(), 9u + machines.size());
+}
+
+TEST(SweepMemos, RandomizedMachinesReplayAcrossModelsOnEveryPair)
+{
+    ScratchDir scratch("mmxdsp_sweep_memo_random_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+
+    Rng rng(0x6e60c0de);
+    for (const auto &[bench, version] : harness::BenchmarkSuite::allRuns()) {
+        const std::string what = bench + "." + version;
+        auto mat = materializedTrace(suite, bench, version);
+        ASSERT_NE(mat, nullptr) << what;
+
+        trace::MaterializedTrace::Memos memos;
+        for (int c = 0; c < 3; ++c) {
+            // Record under one random machine...
+            const sim::MachineConfig recorder = randomMachine(rng);
+            const auto rec = mat->replaySweepScalar({recorder}, 1, &memos);
+            expectSameProfile(rec[0], mat->replayProfile(recorder),
+                              what + " recorder " + std::to_string(c));
+
+            // ...and replay under another model with fresh penalties
+            // and front-end widths on the same geometries.
+            sim::MachineConfig other = randomMachine(rng);
+            other.model = static_cast<sim::ModelKind>(
+                (static_cast<size_t>(recorder.model) + 1
+                 + rng.nextBelow(2))
+                % sim::kNumModelKinds);
+            other.timer.l1 = recorder.timer.l1;
+            other.timer.l2 = recorder.timer.l2;
+            other.timer.btb_entries = recorder.timer.btb_entries;
+            other.timer.btb_ways = recorder.timer.btb_ways;
+            const uint64_t hits = memos.hits();
+            const auto rep = mat->replaySweepScalar({other}, 1, &memos);
+            EXPECT_EQ(memos.hits(), hits + 1) << what;
+            expectSameProfile(rep[0], mat->replayProfile(other),
+                              what + " replay " + std::to_string(c));
+        }
     }
 }
 

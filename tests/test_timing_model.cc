@@ -154,7 +154,7 @@ TEST(P6Timer, CallTemplateOccupiesTwoIssueCycles)
 {
     P6Timer t;
     // call is a 4-uop template: ceil(4/3) = 2 issue cycles.
-    EXPECT_EQ(t.consumeWithPrediction(ev(Op::Call), false), 2u);
+    EXPECT_EQ(t.consumeResolved(ev(Op::Call), 0, false), 2u);
     EXPECT_EQ(t.cycles(), 2u);
     EXPECT_EQ(t.stats().uopsIssued, 4u);
 }
@@ -199,7 +199,7 @@ TEST(P6Timer, MispredictPaysTheDeepPipelinePenalty)
     P6Timer t;
     // Supplied-outcome path: a mispredicted branch charges the P6's
     // 11-cycle penalty on top of its own issue cycle.
-    EXPECT_EQ(t.consumeWithPrediction(branch(Op::Jcc, 7, true), true), 12u);
+    EXPECT_EQ(t.consumeResolved(branch(Op::Jcc, 7, true), 0, true), 12u);
     EXPECT_EQ(t.stats().mispredictCycles, 11u);
     // The fetch bubble closes the decode group.
     EXPECT_EQ(t.consume(ev(Op::Add, r1, isa::kNoReg, r0)), 1u);
@@ -322,7 +322,7 @@ TEST(P6PTimer, MispredictPaysTheDeeperPipelinePenalty)
     P6PTimer t;
     // One stage deeper than the P6: 12 cycles on top of the branch's
     // own issue cycle.
-    EXPECT_EQ(t.consumeWithPrediction(branch(Op::Jcc, 7, true), true),
+    EXPECT_EQ(t.consumeResolved(branch(Op::Jcc, 7, true), 0, true),
               13u);
     EXPECT_EQ(t.stats().mispredictCycles, 12u);
     // The fetch bubble closes the decode group.

@@ -861,5 +861,68 @@ TEST(TraceReplay, CrossModelSweepKeepsP5ColumnsBitIdentical)
                           "suite machine " + std::to_string(i));
 }
 
+TEST(MaterializedTraceTest, SweepDispatchBoundaryIsBitIdentical)
+{
+    // replaySweep() sends up to max(2, workers) machines through the
+    // per-machine kernel and wider sweeps through the packed one. Pin
+    // both sides of that boundary: at every width 1-5 on each model and
+    // at 1, 2 and 4 threads, the dispatched sweep, both kernels called
+    // directly and a solo replayProfile() agree bit for bit. So does
+    // the per-machine kernel over fresh memos, which records each
+    // geometry once per sweep (machines k and k+3 share a cache
+    // geometry, k and k+2 a BTB geometry) and replays it for both.
+    ScratchDir scratch("mmxdsp_trace_dispatch_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = suite.materializedFor("fir", "mmx");
+    ASSERT_NE(mat, nullptr);
+
+    for (sim::ModelKind model :
+         {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+        std::vector<sim::MachineConfig> machines;
+        std::vector<profile::ProfileResult> solo;
+        for (uint32_t k = 0; k < 5; ++k) {
+            sim::MachineConfig m{model, sim::TimerConfig{}};
+            m.timer.l1.size_bytes = 1024u << (k % 3);
+            m.timer.btb_entries = 64u << (k % 2);
+            m.timer.mispredict_penalty = 3 + k;
+            m.timer.p6.mispredict_penalty = 9 + k;
+            m.timer.p6p.mispredict_penalty = 10 + k;
+            machines.push_back(m);
+            solo.push_back(mat->replayProfile(m));
+        }
+        for (size_t width = 1; width <= machines.size(); ++width) {
+            const std::vector<sim::MachineConfig> sweep(
+                machines.begin(),
+                machines.begin() + static_cast<ptrdiff_t>(width));
+            for (int threads : {1, 2, 4}) {
+                const std::string what =
+                    std::string(sim::modelName(model)) + " width "
+                    + std::to_string(width) + " threads "
+                    + std::to_string(threads);
+                const auto dispatched = mat->replaySweep(sweep, threads);
+                const auto packed = mat->replaySweepPacked(sweep, threads);
+                const auto scalar = mat->replaySweepScalar(sweep, threads);
+                trace::MaterializedTrace::Memos memos;
+                const auto memoized =
+                    mat->replaySweepScalar(sweep, threads, &memos);
+                ASSERT_EQ(dispatched.size(), width) << what;
+                ASSERT_EQ(packed.size(), width) << what;
+                ASSERT_EQ(scalar.size(), width) << what;
+                ASSERT_EQ(memoized.size(), width) << what;
+                for (size_t i = 0; i < width; ++i) {
+                    const std::string at = what + " machine "
+                                           + std::to_string(i);
+                    expectSameProfile(dispatched[i], solo[i],
+                                      at + " dispatched");
+                    expectSameProfile(packed[i], solo[i], at + " packed");
+                    expectSameProfile(scalar[i], solo[i], at + " scalar");
+                    expectSameProfile(memoized[i], solo[i], at + " memos");
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace mmxdsp
