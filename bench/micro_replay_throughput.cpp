@@ -12,8 +12,8 @@
  *    golden reference path);
  *  - config-parallel: the same shared buffers, but all configurations
  *    advance together in one lane-packed pass fed by per-geometry
- *    cache/BTB memos (replaySweepPacked — the default replaySweep
- *    dispatch).
+ *    cache/BTB memos (replaySweepPacked, where replaySweep sends wide
+ *    P5 sweeps).
  *
  * Also times live capture (functional execution + block-buffered emit +
  * encoding, no timing model) of the same pair on a fresh suite, so the
@@ -34,7 +34,10 @@
  * a scaling run at N = 2/4/8/12 lands in BENCH_replay.json regardless.
  * A dispatch ladder then times widths 1-4 on each model over the
  * resident trace through the dispatched replaySweep, the packed kernel
- * and the per-machine kernel (sweep only, no materialize).
+ * and the per-machine kernel (sweep only, no materialize), and the
+ * cache-size ablation's 36-machine mixed sweep is split into its parts:
+ * ns per lane-event of the memo pre-pass, the P5 lanes and the P6 and
+ * P6P per-machine runs.
  * The binary verifies all sweeps are bit-identical and exits nonzero
  * on divergence, if the scalar materialized sweep is not faster than
  * streaming, or (in optimized builds) if the config-parallel sweep is
@@ -172,6 +175,27 @@ struct DispatchPoint
      *  timed back to back (robust to drift in machine speed). */
     double speedup = 0.0;
 };
+
+/**
+ * The cache-size ablation's 36-machine mixed sweep (4 L1 x 3 L2
+ * geometries on P5, P6 and P6P), split into the sweep driver's parts:
+ * medians of paired timings, in ns per lane-event.
+ */
+struct LaneCost
+{
+    double memo_ns = 0.0;     ///< memo pre-pass, per lane it serves (36)
+    double p5_lanes_ns = 0.0; ///< P5 hoist + lanes over recorded memos
+    double p6_ns = 0.0;       ///< P6 per-machine runs over recorded memos
+    double p6p_ns = 0.0;      ///< P6P per-machine runs over recorded memos
+    double sweep_ns = 0.0;    ///< the dispatched sweep, end to end
+};
+
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
 
 } // namespace
 
@@ -351,6 +375,60 @@ main(int argc, char **argv)
                                    && sameResult(packed[i], scalar[i]);
             ladder.push_back(point);
         }
+    }
+
+    // -- the 36-machine mixed sweep, part by part --
+    // Each repetition records the 13 memos into fresh Memos through
+    // the P6 sweep, then times every part over them: the first P6
+    // sweep minus the second is the memo pre-pass.
+    LaneCost laneCost;
+    bool mixed_identical = true;
+    {
+        std::vector<sim::MachineConfig> p5Set, p6Set, p6pSet;
+        for (const sim::TimerConfig &config : makeConfigs(12)) {
+            p5Set.push_back({sim::ModelKind::P5, config});
+            p6Set.push_back({sim::ModelKind::P6, config});
+            p6pSet.push_back({sim::ModelKind::P6P, config});
+        }
+        std::vector<sim::MachineConfig> mixed = p5Set;
+        mixed.insert(mixed.end(), p6Set.begin(), p6Set.end());
+        mixed.insert(mixed.end(), p6pSet.begin(), p6pSet.end());
+        const double ev = static_cast<double>(events);
+        std::vector<double> memo, p5, p6, p6p, sweep;
+        std::vector<profile::ProfileResult> swept;
+        for (int rep = 0; rep < kLadderRepetitions; ++rep) {
+            trace::MaterializedTrace::Memos memos;
+            const auto time = [](auto &&run) {
+                const double t0 = now();
+                run();
+                return now() - t0;
+            };
+            const double recording = time([&] {
+                mat.replaySweepScalar(p6Set, opts.threads, &memos);
+            });
+            const double p6s = time([&] {
+                mat.replaySweepScalar(p6Set, opts.threads, &memos);
+            });
+            memo.push_back((recording - p6s) / (ev * 36));
+            p6.push_back(p6s / (ev * 12));
+            p6p.push_back(time([&] {
+                mat.replaySweepScalar(p6pSet, opts.threads, &memos);
+            }) / (ev * 12));
+            // 12 P5 machines: the dispatched sweep packs them (in a
+            // MMXDSP_FORCE_SCALAR_SWEEP build it runs them per machine).
+            p5.push_back(time([&] {
+                mat.replaySweep(p5Set, opts.threads, &memos);
+            }) / (ev * 12));
+            sweep.push_back(time([&] {
+                swept = mat.replaySweep(mixed, opts.threads);
+            }) / (ev * 36));
+        }
+        laneCost = {median(memo) * 1e9, median(p5) * 1e9, median(p6) * 1e9,
+                    median(p6p) * 1e9, median(sweep) * 1e9};
+        const auto golden = mat.replaySweepScalar(mixed, opts.threads);
+        for (size_t i = 0; i < mixed.size(); ++i)
+            mixed_identical =
+                mixed_identical && sameResult(swept[i], golden[i]);
     }
 
     // 1-machine sweeps, averaged over the models: packed / dispatched.
@@ -545,6 +623,23 @@ main(int argc, char **argv)
     }
     dispatch.print();
 
+    std::printf("\nmixed 36-machine sweep (ns per lane-event, resident trace, "
+                "--threads=%d)\n",
+                opts.threads);
+    Table parts({"part", "ns/lane-event"});
+    const std::pair<const char *, double> partRows[] = {
+        {"memo pre-pass (per lane served)", laneCost.memo_ns},
+        {"P5 lanes (hoist + lanes)", laneCost.p5_lanes_ns},
+        {"P6 per-machine", laneCost.p6_ns},
+        {"P6P per-machine", laneCost.p6p_ns},
+        {"dispatched sweep", laneCost.sweep_ns}};
+    for (const auto &[part, ns] : partRows) {
+        char cell[32];
+        std::snprintf(cell, sizeof(cell), "%.2f", ns);
+        parts.addRow({part, cell});
+    }
+    parts.print();
+
     std::printf("\nmaterialize cost      %.1f ms (%.1f MB resident)\n",
                 build_seconds * 1e3,
                 static_cast<double>(mat.byteSize()) / 1e6);
@@ -556,7 +651,7 @@ main(int argc, char **argv)
                 dispatch_speedup);
     std::printf("cold capture speedup  %.2fx (direct vs varint)\n",
                 cold_capture_speedup);
-    identical = identical && ladder_identical;
+    identical = identical && ladder_identical && mixed_identical;
     std::printf("results bit-identical %s\n", identical ? "yes" : "NO");
     std::printf("cold v2 bit-identical %s\n", cold_identical ? "yes" : "NO");
 
@@ -632,6 +727,13 @@ main(int argc, char **argv)
         }
         std::fprintf(json,
                      "  ],\n"
+                     "  \"lane_cost\": {\"machines\": 36, \"threads\": %d, "
+                     "\"memo_prepass_ns\": %.3f, \"p5_lanes_ns\": %.3f, "
+                     "\"p6_per_machine_ns\": %.3f, "
+                     "\"p6p_per_machine_ns\": %.3f, \"sweep_ns\": %.3f},\n",
+                     opts.threads, laneCost.memo_ns, laneCost.p5_lanes_ns,
+                     laneCost.p6_ns, laneCost.p6p_ns, laneCost.sweep_ns);
+        std::fprintf(json,
                      "  \"sweep_speedup\": %.3f,\n"
                      "  \"dispatch_speedup\": %.3f,\n"
                      "  \"identical\": %s\n"

@@ -145,8 +145,8 @@ class MemoryHierarchy
         uint32_t l2_miss = 7;  ///< added again when L2 misses (total 15)
 
         /**
-         * Penalty charged for one access class (see accessClass()):
-         * 0 = L1 hit, 1 = served from L2, 2 = missed both levels.
+         * Penalty charged for one access class: 0 = L1 hit, 1 = served
+         * from L2, 2 = missed both levels.
          * Monotone non-decreasing in the class, which is what lets a
          * line-straddling access take the max over its two lines'
          * classes instead of their penalties.
@@ -182,27 +182,6 @@ class MemoryHierarchy
         if (last != first)
             penalty = std::max(penalty, accessLine(last << shift, write));
         return penalty;
-    }
-
-    /**
-     * Simulate one data access and return its penalty *class* instead
-     * of its penalty: 0 = L1 hit, 1 = L2 served the line, 2 = both
-     * levels missed. Touches the tag arrays and statistics exactly like
-     * access() — access(a, s, w) == penalties().ofClass(accessClass(a,
-     * s, w)) for the same hierarchy state — but the class is
-     * penalty-independent, so one recorded class stream characterizes
-     * every configuration sharing this cache geometry (the per-machine
-     * replay memos, MaterializedTrace::Memos, record through this).
-     */
-    uint32_t accessClass(uint64_t addr, uint32_t size, bool write)
-    {
-        const uint32_t shift = l1_.lineShift();
-        const uint64_t first = addr >> shift;
-        const uint64_t last = (addr + (size ? size - 1 : 0)) >> shift;
-        uint32_t cls = classifyLine(addr, write);
-        if (last != first)
-            cls = std::max(cls, classifyLine(last << shift, write));
-        return cls;
     }
 
     /** Invalidate both levels (between benchmark runs). */

@@ -262,9 +262,9 @@ QueryEngine::queryBatch(const std::vector<Query> &queries)
             }
             continue;
         }
-        // One sweep for the whole group: replaySweep dedups identical
-        // machines, runs a few through per-machine passes over the
-        // trace's memos and a wide group through the packed kernel.
+        // One sweep for the whole group over the trace's memos:
+        // replaySweep dedups identical machines, records each missing
+        // geometry once and replays it for every machine using it.
         auto entry = traces_.find(key);
         trace::MaterializedTrace::Memos *memos =
             entry != traces_.end() ? &entry->second.memos : nullptr;

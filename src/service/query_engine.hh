@@ -21,9 +21,9 @@
  *                   are dropped with their trace;
  *   batch sweeps  — queryBatch() groups result-cache misses by trace
  *                   and answers each group with one replaySweep()
- *                   call: a few machines run per-machine passes side by
- *                   side (over the memos), a wide group rides the
- *                   config-parallel packed kernel (one pass over the
+ *                   call over the trace's memos: per-machine passes
+ *                   side by side, and the P5 machines of a wide group
+ *                   on the config-parallel lanes (one pass over the
  *                   trace, one lane per distinct machine);
  *   capture       — a trace absent from the store is captured live
  *                   (BenchmarkSuite, the same capture path the bench
@@ -123,9 +123,9 @@ class QueryEngine
     /**
      * Answer many queries, index-aligned with @p queries. Result-cache
      * misses are grouped by trace and each group is answered by one
-     * replaySweep() over that trace (packed config-parallel lanes,
-     * duplicate machines deduplicated), so a batch against one trace
-     * costs one pass regardless of how many machines it asks about.
+     * replaySweep() over that trace and its memos (duplicate machines
+     * deduplicated), so every geometry of a batch is recorded at most
+     * once and replayed by all of its machines.
      */
     std::vector<QueryResult> queryBatch(const std::vector<Query> &queries);
 

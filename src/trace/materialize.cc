@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -368,15 +367,27 @@ MaterializedTrace::Memos::clear()
     btb_ = {};
 }
 
-CacheMemo
-MaterializedTrace::buildCacheMemo(const mem::CacheConfig &l1,
-                                  const mem::CacheConfig &l2) const
+void
+MaterializedTrace::buildCacheMemos(
+    const mem::CacheConfig &l1, const std::vector<const mem::CacheConfig *> &l2s,
+    const std::vector<CacheMemo *> &out) const
 {
-    CacheMemo memo;
-    memo.cls.resize(counts_.memoryReferences);
-    // accessClass() is penalty-independent: any penalty set will do.
-    mem::MemoryHierarchy hierarchy(l1, l2,
-                                   mem::MemoryHierarchy::Penalties{});
+    // Geometry-only simulation: penalties do not influence tag-array
+    // behaviour, so one class stream serves every penalty set.
+    //
+    // The L1 pass keeps each line it misses, in probe order, with the
+    // memory event it belongs to. Mirrors MemoryHierarchy::access(): a
+    // line-straddling access probes both lines, the first under its
+    // full address.
+    struct Miss
+    {
+        uint64_t addr;
+        uint32_t event; ///< memory-event index
+        bool write;
+    };
+    mem::Cache first(l1);
+    const uint32_t shift = first.lineShift();
+    std::vector<Miss> misses;
     const uint8_t *flags = flags_.data();
     const uint64_t *addr = addr_.data();
     const uint8_t *size = size_.data();
@@ -384,18 +395,43 @@ MaterializedTrace::buildCacheMemo(const mem::CacheConfig &l1,
     size_t j = 0;
     for (size_t i = 0; i < n; ++i) {
         const uint8_t f = flags[i];
-        if (f & kFlagMemMask) {
-            const uint32_t cls = hierarchy.accessClass(
-                addr[i], size[i],
-                static_cast<MemMode>(f & kFlagMemMask) == MemMode::Store);
-            memo.cls[j++] = static_cast<uint8_t>(cls);
+        if (!(f & kFlagMemMask))
+            continue;
+        const uint64_t a = addr[i];
+        const bool w = static_cast<MemMode>(f & kFlagMemMask) == MemMode::Store;
+        const uint64_t line = a >> shift;
+        const uint64_t last = (a + (size[i] ? size[i] - 1 : 0)) >> shift;
+        const uint32_t event = static_cast<uint32_t>(j++);
+        if (!first.access(a, w))
+            misses.push_back({a, event, w});
+        if (last != line && !first.access(last << shift, w))
+            misses.push_back({last << shift, event, w});
+    }
+
+    // Each L2 then runs over just those lines. An event the L1 served
+    // stays class 0; a straddling one takes the larger class of its
+    // lines (class order is penalty order, Penalties::ofClass() being
+    // monotone).
+    for (size_t k = 0; k < l2s.size(); ++k) {
+        mem::Cache second(*l2s[k]);
+        CacheMemo &memo = *out[k];
+        memo.cls.assign(counts_.memoryReferences, 0);
+        for (const Miss &m : misses) {
+            const uint8_t c = second.access(m.addr, m.write) ? 1 : 2;
+            uint8_t &cls = memo.cls[m.event];
+            cls = std::max(cls, c);
+        }
+        for (size_t p = 0; p < misses.size(); ++p) {
+            if (p + 1 < misses.size()
+                && misses[p + 1].event == misses[p].event)
+                continue; // count a straddling event once, at its last line
+            const uint8_t cls = memo.cls[misses[p].event];
             memo.l2Served += cls == 1;
             memo.l2Missed += cls == 2;
         }
+        memo.l1 = first.stats();
+        memo.l2 = second.stats();
     }
-    memo.l1 = hierarchy.l1().stats();
-    memo.l2 = hierarchy.l2().stats();
-    return memo;
 }
 
 BtbMemo
@@ -474,10 +510,18 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
 
     const size_t n = op_.size();
     for (size_t i = 0; i < n; ++i) {
-        const InstrEvent e = eventAt(i);
         const uint8_t f = flags[i];
         uint64_t cost;
         if constexpr (Memoized) {
+            // consumeResolved() reads only the op, the memory mode and
+            // the register tags, so the address, size and site columns
+            // are never loaded.
+            InstrEvent e;
+            e.op = static_cast<isa::Op>(op_[i]);
+            e.mem = static_cast<MemMode>(f & kFlagMemMask);
+            e.src0 = src0_[i];
+            e.src1 = src1_[i];
+            e.dst = dst_[i];
             // Both outcomes were recorded once for these geometries.
             uint32_t penalty = 0;
             if (f & kFlagMemMask)
@@ -489,7 +533,7 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
             }
             cost = timer.consumeResolved(e, penalty, mispredict);
         } else {
-            cost = timer.consume(e);
+            cost = timer.consume(eventAt(i));
         }
         fnCycles[fnId[i]] += cost;
         // Branchless attribution from the pre-decoded flag bits.
@@ -631,20 +675,8 @@ MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
         uniqueOf[i] = u;
     }
 
-    // The packed kernel advances every lane in one pass, but its
-    // hoisted program costs about one scalar pass on its own, so it
-    // only pays off once there are more lanes than workers to run
-    // per-machine passes side by side (the crossover in EXPERIMENTS.md).
-#ifdef MMXDSP_FORCE_SCALAR_SWEEP
-    const bool perMachine = true;
-#else
-    const bool perMachine =
-        unique.size()
-        <= std::max<size_t>(2, static_cast<size_t>(resolveThreads(threads)));
-#endif
     std::vector<profile::ProfileResult> uniqueResults =
-        perMachine ? replaySweepScalar(unique, threads, memos)
-                   : replaySweepPacked(unique, threads);
+        runSweep(unique, threads, memos, SweepRoute::Dispatch);
 
     if (unique.size() == machines.size())
         return uniqueResults;
@@ -659,72 +691,107 @@ MaterializedTrace::replaySweepScalar(
     const std::vector<sim::MachineConfig> &machines, int threads,
     Memos *memos) const
 {
-    const size_t n = machines.size();
-    std::vector<profile::ProfileResult> results(n);
-    if (!memos) {
-        parallelFor(n, threads, [&](size_t i) {
-            results[i] = runKernel(machines[i], nullptr, nullptr);
-        });
-        return results;
-    }
-    if (memos->owner_ && memos->owner_ != this)
-        mmxdsp_panic("replay memos used with a second trace");
-    memos->owner_ = this;
+    if (memos)
+        return runSweep(machines, threads, memos, SweepRoute::PerMachine);
+    std::vector<profile::ProfileResult> results(machines.size());
+    parallelFor(machines.size(), threads, [&](size_t i) {
+        results[i] = runKernel(machines[i], nullptr, nullptr);
+    });
+    return results;
+}
 
-    // Pre-pass: every geometry the memos lack is recorded once, from
-    // the first entry using it, all recordings in parallel. An entry
-    // that finds both of its geometries already recorded is a hit.
-    const size_t cacheBase = memos->cache_.size();
-    const size_t btbBase = memos->btb_.size();
-    std::vector<std::pair<Memos::CacheKey, CacheMemo>> newCache;
-    std::vector<std::pair<Memos::BtbKey, BtbMemo>> newBtb;
-    std::vector<const sim::TimerConfig *> cacheCfg;
-    std::vector<const sim::TimerConfig *> btbCfg;
+MaterializedTrace::MemoPass
+MaterializedTrace::planMemos(const std::vector<sim::MachineConfig> &machines,
+                             Memos &memos) const
+{
+    if (memos.owner_ && memos.owner_ != this)
+        mmxdsp_panic("replay memos used with a second trace");
+    memos.owner_ = this;
+
+    // Resolve every entry's geometries against the recorded memos; each
+    // missing one is recorded once, for the first entry using it. An
+    // entry that finds both of its geometries already recorded is a hit.
+    const size_t n = machines.size();
+    const size_t cacheBase = memos.cache_.size();
+    const size_t btbBase = memos.btb_.size();
+    MemoPass pass;
+    std::vector<const sim::TimerConfig *> cacheCfg; ///< per newCache entry
     std::vector<size_t> cacheOf(n);
     std::vector<size_t> btbOf(n);
+    std::vector<uint8_t> reused(cacheBase + btbBase, 0);
     for (size_t i = 0; i < n; ++i) {
         const sim::TimerConfig &tc = machines[i].timer;
         const Memos::CacheKey ck = Memos::cacheKey(tc);
-        size_t c = memoIndex(memos->cache_, ck);
+        size_t c = memoIndex(memos.cache_, ck);
         if (c == cacheBase) {
-            c += memoIndex(newCache, ck);
-            if (c == cacheBase + newCache.size()) {
-                newCache.push_back({ck, {}});
+            c += memoIndex(pass.newCache, ck);
+            if (c == cacheBase + pass.newCache.size()) {
+                pass.newCache.push_back({ck, {}});
                 cacheCfg.push_back(&tc);
             }
+        } else {
+            reused[c] = 1;
         }
         const Memos::BtbKey bk = Memos::btbKey(tc);
-        size_t b = memoIndex(memos->btb_, bk);
+        size_t b = memoIndex(memos.btb_, bk);
         if (b == btbBase) {
-            b += memoIndex(newBtb, bk);
-            if (b == btbBase + newBtb.size()) {
-                newBtb.push_back({bk, {}});
-                btbCfg.push_back(&tc);
-            }
+            b += memoIndex(pass.newBtb, bk);
+            if (b == btbBase + pass.newBtb.size())
+                pass.newBtb.push_back({bk, {}});
+        } else {
+            reused[cacheBase + b] = 1;
         }
         cacheOf[i] = c;
         btbOf[i] = b;
-        memos->hits_ += c < cacheBase && b < btbBase;
+        memos.hits_ += c < cacheBase && b < btbBase;
     }
-    parallelFor(cacheCfg.size() + btbCfg.size(), threads, [&](size_t g) {
-        if (g < cacheCfg.size()) {
-            newCache[g].second = buildCacheMemo(cacheCfg[g]->l1,
-                                                cacheCfg[g]->l2);
-        } else {
-            g -= cacheCfg.size();
-            newBtb[g].second =
-                buildBtbMemo(btbCfg[g]->btb_entries, btbCfg[g]->btb_ways);
-        }
-    });
-    std::move(newCache.begin(), newCache.end(),
-              std::back_inserter(memos->cache_));
-    std::move(newBtb.begin(), newBtb.end(), std::back_inserter(memos->btb_));
+    pass.reused = static_cast<size_t>(
+        std::count(reused.begin(), reused.end(), uint8_t{1}));
 
-    parallelFor(n, threads, [&](size_t i) {
-        results[i] = runKernel(machines[i], &memos->cache_[cacheOf[i]].second,
-                               &memos->btb_[btbOf[i]].second);
-    });
-    return results;
+    // New cache geometries grouped by L1: one recorder per group filters
+    // the events through the L1 once for all of its L2 geometries, so
+    // the 12 geometries of a 4 x 3 L1 x L2 grid cost 4 full passes.
+    std::vector<std::vector<size_t>> byL1;
+    for (size_t g = 0; g < pass.newCache.size(); ++g) {
+        const auto sameL1 = [&](const std::vector<size_t> &group) {
+            return std::equal(pass.newCache[g].first.begin(),
+                              pass.newCache[g].first.begin() + 3,
+                              pass.newCache[group[0]].first.begin());
+        };
+        auto it = std::find_if(byL1.begin(), byL1.end(), sameL1);
+        if (it == byL1.end())
+            byL1.push_back({g});
+        else
+            it->push_back(g);
+    }
+    for (const std::vector<size_t> &group : byL1) {
+        std::vector<const mem::CacheConfig *> l2s;
+        std::vector<CacheMemo *> out;
+        for (size_t g : group) {
+            l2s.push_back(&cacheCfg[g]->l2);
+            out.push_back(&pass.newCache[g].second);
+        }
+        pass.recorders.push_back(
+            [this, l1 = cacheCfg[group[0]]->l1, l2s, out] {
+                buildCacheMemos(l1, l2s, out);
+            });
+    }
+    for (auto &[key, memo] : pass.newBtb)
+        pass.recorders.push_back([this, key = key, memo = &memo] {
+            *memo = buildBtbMemo(key[0], key[1]);
+        });
+
+    pass.refs.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        pass.refs[i].cache =
+            cacheOf[i] < cacheBase
+                ? &memos.cache_[cacheOf[i]].second
+                : &pass.newCache[cacheOf[i] - cacheBase].second;
+        pass.refs[i].btb = btbOf[i] < btbBase
+                               ? &memos.btb_[btbOf[i]].second
+                               : &pass.newBtb[btbOf[i] - btbBase].second;
+    }
+    return pass;
 }
 
 std::string

@@ -41,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -60,9 +61,9 @@ namespace mmxdsp::trace {
  * order, plus the final statistics — everything a replay needs to
  * price its memory accesses without touching a tag array. Outcomes
  * depend only on the L1 x L2 geometry and the event stream, so one
- * memo serves every penalty set and every model. Built by both sweep
- * kernels (the packed one per sweep, the per-machine one per
- * MaterializedTrace::Memos).
+ * memo serves every penalty set and every model. Recorded by the sweep
+ * driver's memo pre-pass into a MaterializedTrace::Memos, and read by
+ * the P5 lanes and the per-machine kernel alike.
  */
 struct CacheMemo
 {
@@ -200,8 +201,8 @@ class MaterializedTrace
 
     /**
      * The per-geometry outcome memos of one trace (a CacheMemo per
-     * L1 x L2 geometry, a BtbMemo per BTB geometry), built by the
-     * per-machine kernel on a geometry's first use and replayed on
+     * L1 x L2 geometry, a BtbMemo per BTB geometry), recorded by a
+     * sweep's memo pre-pass on a geometry's first use and replayed on
      * every later one, so a replay that finds both of its memos walks
      * no tag array at all. A Memos object is bound to the trace that
      * first uses it; its holder (QueryEngine keeps one beside each
@@ -255,30 +256,32 @@ class MaterializedTrace
     replayProfile(const sim::MachineConfig &machine) const;
 
     /**
-     * Replay under every configuration in @p configs, fanning out over
-     * @p threads workers (0 = auto); all workers share these buffers.
-     * Duplicate configurations are computed once and fanned back out.
-     * At most max(2, workers) unique ones go through the per-machine
-     * kernel (replaySweepScalar(), one timing pass each, in parallel);
-     * wider sweeps go through the config-parallel kernel (one pass over
-     * the trace advancing one lane per configuration — see
-     * replaySweepPacked()), which only wins once it has more lanes than
-     * there are workers. A build pinning MMXDSP_FORCE_SCALAR_SWEEP
-     * takes the per-machine kernel at every width. Results are
-     * index-aligned with @p configs and bit-identical to per-config
-     * replayProfile() calls either way.
+     * Replay under every configuration in @p configs on the P5, fanning
+     * out over @p threads workers (0 = auto); all workers share these
+     * buffers. The machine overload below with the model fixed to P5.
      */
     std::vector<profile::ProfileResult>
     replaySweep(const std::vector<sim::TimerConfig> &configs,
                 int threads = 0) const;
 
     /**
-     * Multi-model sweep: each entry picks its own machine and timer
-     * parameters. Same dedup + kernel dispatch as the TimerConfig
-     * overload; P5, P6, and P6P entries all ride either kernel. With
-     * @p memos, per-machine sweeps replay the recorded outcomes of
-     * every geometry they find there and record the ones they do not
-     * (the packed kernel builds its own memos and ignores them).
+     * The sweep driver. Each entry picks its own machine and timer
+     * parameters; duplicates are computed once and fanned back out.
+     * Then, in order:
+     *  1. the memo pre-pass records every cache and BTB geometry the
+     *     entries use and @p memos lacks (into @p memos, or into
+     *     call-local memos without one), one pass per L1 geometry
+     *     shared by all of its L2 geometries;
+     *  2. P5 entries run on the config-parallel lane kernel
+     *     (trace/sweep_kernel.cc) when there are more than
+     *     max(2, workers) of them, per machine otherwise;
+     *  3. P6 and P6P entries always run per machine, on the memoized
+     *     kernel, which beats a lane kernel for those models.
+     * The P5 lane blocks and the per-machine runs share one worker
+     * pool, largest task first. A build pinning
+     * MMXDSP_FORCE_SCALAR_SWEEP runs every entry per machine. Results
+     * are index-aligned with @p machines and bit-identical to
+     * per-machine replayProfile() calls either way.
      */
     std::vector<profile::ProfileResult>
     replaySweep(const std::vector<sim::MachineConfig> &machines,
@@ -287,28 +290,24 @@ class MaterializedTrace
     /**
      * The per-machine sweep: one scalar timing pass per entry. Without
      * @p memos every entry runs the timer's own cache and BTB — the
-     * golden reference the packed kernel is checked against. With
-     * @p memos, a pre-pass first records every cache and BTB geometry
-     * missing there (one pass each, in parallel), then every entry
-     * replays its two memos through the timer's consumeResolved() and
-     * walks no tag array. Exposed so tests and benches can check the
-     * packed kernel against it regardless of which path replaySweep()
-     * dispatches to.
+     * golden reference every other sweep path is checked against.
+     * With @p memos it is the sweep driver with no lane kernel: the
+     * memo pre-pass, then every entry replays its two memos through
+     * the timer's consumeResolved() and walks no tag array.
      */
     std::vector<profile::ProfileResult>
     replaySweepScalar(const std::vector<sim::MachineConfig> &machines,
                       int threads = 0, Memos *memos = nullptr) const;
 
     /**
-     * The config-parallel sweep kernel (trace/sweep_kernel.cc): builds
-     * one hit/miss-class memo per unique cache geometry and one
-     * mispredict memo per unique BTB geometry, then times all entries
-     * in a single pass over the trace — lane-major state, branchless
-     * per-lane selects, with every config-independent per-event fact
-     * (decode classification, pairing class, uop count, latency)
-     * hoisted out and computed once per event. Results are bit-identical
-     * to replaySweepScalar(); duplicate entries are tolerated but not
-     * deduplicated here (replaySweep() does that).
+     * The sweep driver with a lane kernel wherever one exists: every P5
+     * entry runs on the config-parallel lanes whatever the width (one
+     * pass over a hoisted program of config-independent per-event
+     * facts, lane-major state, branchless per-lane selects), P6 and P6P
+     * entries on the memoized per-machine kernel, all over call-local
+     * memos. Results are bit-identical to replaySweepScalar(); duplicate
+     * entries are tolerated but not deduplicated here (replaySweep()
+     * does that).
      */
     std::vector<profile::ProfileResult>
     replaySweepPacked(const std::vector<sim::MachineConfig> &machines,
@@ -440,12 +439,70 @@ class MaterializedTrace
     uint32_t siteTableSize_ = 0;
     uint64_t controlCount_ = 0; ///< number of events with kFlagControl
 
-    /** Run one cache geometry over the memory events of this trace. */
-    CacheMemo buildCacheMemo(const mem::CacheConfig &l1,
-                             const mem::CacheConfig &l2) const;
+    /**
+     * Record the CacheMemo of every L2 geometry in @p l2s behind the L1
+     * geometry @p l1 into the matching @p out slot: one L1 pass over
+     * the memory events keeps the lines it misses, then each L2 runs
+     * over just those (what reaches the L2, and in what order, depends
+     * only on the L1).
+     */
+    void buildCacheMemos(const mem::CacheConfig &l1,
+                          const std::vector<const mem::CacheConfig *> &l2s,
+                          const std::vector<CacheMemo *> &out) const;
 
-    /** Run the BTB once over the control events of this trace. */
+    /** Record one BTB geometry's memo: the BTB over the control events. */
     BtbMemo buildBtbMemo(uint32_t entries, uint32_t ways) const;
+
+    /** One sweep entry's two memos. */
+    struct MemoRefs
+    {
+        const CacheMemo *cache = nullptr;
+        const BtbMemo *btb = nullptr;
+    };
+
+    /**
+     * The memos of one sweep: what every entry reads, and the recorder
+     * tasks that fill the geometries the caller's Memos lacked. The new
+     * memos stay here while the sweep runs (so the refs stay valid) and
+     * move into the Memos when it is done.
+     */
+    struct MemoPass
+    {
+        std::vector<MemoRefs> refs; ///< index-aligned with the machines
+        /** One per new L1 geometry (all of its L2 geometries), then one
+         *  per new BTB geometry. */
+        std::vector<std::function<void()>> recorders;
+        size_t reused = 0; ///< memos found already recorded
+        std::vector<std::pair<Memos::CacheKey, CacheMemo>> newCache;
+        std::vector<std::pair<Memos::BtbKey, BtbMemo>> newBtb;
+    };
+
+    /**
+     * Resolve every cache and BTB geometry of @p machines against
+     * @p memos: recorded ones are reused, each missing one is recorded
+     * once by a recorder task of the returned pass. Counts the entries
+     * that find both of their memos recorded as hits of @p memos.
+     */
+    MemoPass planMemos(const std::vector<sim::MachineConfig> &machines,
+                       Memos &memos) const;
+
+    /** How runSweep() picks each entry's kernel. */
+    enum class SweepRoute {
+        PerMachine, ///< every entry per machine, memoized
+        Dispatch,   ///< replaySweep(): P5 lanes only when wide enough
+        Packed,     ///< every P5 entry on lanes, every entry memoized
+    };
+
+    /**
+     * The sweep driver behind replaySweep(), replaySweepPacked() and
+     * replaySweepScalar() with memos (trace/sweep_kernel.cc): the memo
+     * recorders into @p memos (call-local when null), then P5 entries
+     * on the lane kernel or per machine as @p route says, and every
+     * P6/P6P entry per machine. Entries are not deduplicated here.
+     */
+    std::vector<profile::ProfileResult>
+    runSweep(const std::vector<sim::MachineConfig> &machines, int threads,
+             Memos *memos, SweepRoute route) const;
 
     /**
      * The per-config replay loop behind replayProfile()/replaySweep(),

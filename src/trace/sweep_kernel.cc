@@ -1,79 +1,77 @@
 /**
  * @file
- * The config-parallel sweep kernel behind
- * MaterializedTrace::replaySweepPacked().
+ * The sweep driver behind MaterializedTrace::replaySweep(),
+ * replaySweepPacked() and the memoized replaySweepScalar(), and the P5
+ * config-parallel lane kernel it runs wide P5 sweeps on.
  *
  * A scalar sweep times N configurations with N passes over the trace,
  * and each pass re-simulates structures whose behaviour most
  * configurations share: the cache tag arrays (identical for every
  * config with the same geometry, regardless of penalties) and the BTB
- * (identical for every config with the same entry count). Once decode
- * is amortized by MaterializedTrace, that per-config timing pass is the
- * sweep's Amdahl bound. This kernel breaks it with two composable
- * pieces:
+ * (identical for every config with the same entry count). The driver
+ * takes that work out of the timing passes, then picks the cheapest
+ * timing kernel per model:
  *
- *  1. **Per-geometry memos.** For each unique (L1, L2) cache geometry
- *     the hierarchy is simulated once over just the memory events,
- *     recording a penalty *class* (L1 hit / L2 hit / L2 miss) per
- *     access plus the final hit/miss statistics
- *     (mem::MemoryHierarchy::accessClass). For each unique BTB
- *     geometry the predictor runs once over just the control events,
- *     recording a mispredict bitvector. Member configs' timing loops
- *     become pure table math — no tag arrays, no LRU, no counters.
+ *  1. **Memo pre-pass** (MaterializedTrace::planMemos()). For each
+ *     unique (L1, L2) cache geometry the hierarchy is simulated once
+ *     over just the memory events, recording a penalty *class* (L1 hit
+ *     / L2 hit / L2 miss) per access plus the final statistics; every
+ *     L2 geometry behind one L1 shares that L1's miss stream. For each
+ *     unique BTB geometry the predictor runs once over just the
+ *     control events, recording a mispredict bitvector. Memos the
+ *     caller's MaterializedTrace::Memos already holds are reused.
  *
- *  2. **A lane-packed timing loop.** All configurations advance
- *     together in ONE pass over the trace, one lane per config, with
- *     lane-major state (scoreboard rows hold one cycle count per lane,
- *     so the same-register gather/scatter is a contiguous vector) and
+ *  2. **P5 lanes.** All P5 configurations of a block advance together
+ *     in ONE pass over the trace, one lane per config, with lane-major
+ *     state (scoreboard rows hold one cycle count per lane, so the
+ *     same-register gather/scatter is a contiguous vector) and
  *     mask-select per-lane updates in the style of mmx_swar.hh. The
  *     selects are arithmetic (x ^ ((x ^ y) & mask)) rather than
- *     ternaries on purpose: whether a lane pairs/joins is data-dependent
- *     and effectively random, so a compiled branch would mispredict
+ *     ternaries on purpose: whether a lane pairs is data-dependent and
+ *     effectively random, so a compiled branch would mispredict
  *     constantly — the only branches left are on config-independent
  *     event facts, identical for every lane and perfectly predicted.
  *     The kernels are templated on the lane count: with L a constant
- *     the lane loops fully unroll, the per-lane state lives in
- *     registers and known stack slots instead of aliasing-hostile heap
- *     vectors, and the compiler can schedule the independent lanes
- *     across the event-to-event dependency chains that bound the
- *     scalar timer. Everything config-independent (pairing class,
- *     decode classification, uop count, latency) is hoisted into a
- *     PackedOp stream computed once per event; statistics with a
- *     closed form over the memos (memory penalty cycles, mispredict
- *     cycles, P5 blocking cycles, P6 uops) are hoisted out of the loop
+ *     the lane loops fully unroll and the per-lane state lives in
+ *     registers and known stack slots. Everything config-independent
+ *     (pairing class, latency, blocking) is hoisted into a PackedOp
+ *     stream computed once per sweep, alongside the memo pre-pass;
+ *     statistics with a closed form over the memos (memory penalty
+ *     cycles, mispredict cycles, blocking cycles) leave the loop
  *     entirely; and per-function cycle attribution telescopes —
  *     per-event costs are deltas of the lane clock, so one subtraction
  *     per same-function run replaces a read-modify-write per event.
  *
- * The P5 (U/V pairing), P6 (4-1-1 decode-group), and P6P (issue-port)
- * machines all have lane kernels; a mixed sweep runs one block per
- * model, still a handful of passes instead of N. Every result is
- * bit-identical to replaySweepScalar() — the per-lane state machines
- * mirror PentiumTimer / P6Timer / P6PTimer ::consumeResolved
- * exactly, exploiting only don't-care stores (fields the scalar model
- * leaves stale behind an invalid flag may be overwritten
- * unconditionally). The port model's extra per-event inputs (uop→port
- * binding, ALU uop count) are config-independent facts of the
- * sim::UopDesc table, carried in a one-byte side stream next to the
- * PackedOp; its per-uop dispatch loop has a config-independent trip
- * count, so the lane loops stay branchless.
+ *  3. **Per-machine runs.** P6 and P6P entries (and P5 entries of a
+ *     narrow sweep) run the memoized per-machine kernel
+ *     (MaterializedTrace::runKernelImpl<Model, true>), which hands the
+ *     timer both recorded outcomes through consumeResolved(). Their
+ *     decode-group and port state machines carry more per-lane state
+ *     than the P5's, and lane kernels for them lost to this kernel at
+ *     every width (EXPERIMENTS.md).
+ *
+ * P5 blocks and per-machine runs share one worker pool after the
+ * pre-pass, largest task first. Every result is bit-identical to
+ * replaySweepScalar() without memos — the P5 lane state machine
+ * mirrors PentiumTimer::consumeResolved() exactly, exploiting only
+ * don't-care stores (fields the scalar model leaves stale behind an
+ * invalid flag may be overwritten unconditionally).
  */
 
 #include "materialize.hh"
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
+#include <functional>
+#include <iterator>
 #include <utility>
 
-#include "mem/btb.hh"
-#include "mem/cache.hh"
-#include "sim/p6_timer.hh"
 #include "sim/uop.hh"
 #include "support/parallel.hh"
 
@@ -119,8 +117,8 @@ enum : uint8_t {
 };
 
 /**
- * Everything the lane loops need per event, none of it depending on
- * the configuration: one 8-byte record instead of re-deriving these
+ * Everything the P5 lane loops need per event, none of it depending on
+ * the configuration: one 6-byte record instead of re-deriving these
  * facts from the op tables once per event *per config*.
  */
 struct PackedOp
@@ -128,11 +126,9 @@ struct PackedOp
     uint8_t flags;    ///< see the enum above
     uint8_t blocking; ///< P5 issue-blocking cycles
     uint8_t latP5;    ///< P5 result latency
-    uint8_t latP6;    ///< P6 result latency (pipelined imul/mul)
     uint8_t src0, src1, dst;
-    uint8_t uops; ///< P6 decode template size for this op+mem form
 };
-static_assert(sizeof(PackedOp) == 8);
+static_assert(sizeof(PackedOp) == 6);
 
 /** A maximal run of consecutive events owned by one function: the unit
  *  of cycle attribution (per-event costs telescope across a run). */
@@ -143,36 +139,17 @@ struct FnRun
 };
 
 /**
- * The hoisted, shared form of one trace: the PackedOp stream plus
- * dense side streams for the memo builders (memory events and control
- * events only), the function-run list, and the statistics that have a
- * closed form.
+ * The hoisted, shared form of one trace for the P5 lanes: the PackedOp
+ * stream, the function-run list, and the statistics that have a closed
+ * form.
  */
-/** Bit layout of the P6P side stream (one byte per event): the uop→port
- *  binding facts of the sim::UopDesc table, consumed only by the port
- *  lane kernel so the shared PackedOp stays 8 bytes. */
-enum : uint8_t {
-    kPortAluMask = 0x0f, ///< UopDesc::aluUops (compute uops to bind)
-    kPortClassShift = 4, ///< bits 4-5: sim::PortClass
-    kPortClassMask = 0x30,
-    kPortLoad = 1 << 6,  ///< has a load uop (port 2)
-    kPortStore = 1 << 7, ///< has a store-addr/store-data pair (p3+p4)
-};
-
 struct SweepProgram
 {
     size_t n = 0;
     std::vector<PackedOp> ops;
-    /** P6P port-binding facts, parallel to ops (see kPort* above). */
-    std::vector<uint8_t> portInfo;
     std::vector<FnRun> runs;
-    // Dense memory-event stream (inputs of the cache-geometry memos).
-    std::vector<uint64_t> memAddr;
-    std::vector<uint8_t> memSize;
-    std::vector<uint8_t> memStore;
-    // Dense control-event stream (inputs of the BTB-geometry memos).
-    std::vector<uint32_t> ctlSite;
-    std::vector<uint8_t> ctlTaken;
+    size_t memEvents = 0;     ///< length of every CacheMemo::cls
+    size_t controlEvents = 0; ///< bits in every BtbMemo
     /** Hoisted P5 blockingExtraCycles: sum of (blocking - 1). Blocking
      *  ops never pair, so this total is configuration-independent. */
     uint64_t blockingExtraP5 = 0;
@@ -181,106 +158,6 @@ struct SweepProgram
     const std::vector<std::string> *fnNames = nullptr;
     const std::vector<profile::FunctionStats> *fnCounts = nullptr;
 };
-
-/**
- * One L1-geometry memo: the stream of line probes the L2 will see.
- * The L1 filters the reference stream, so everything downstream of it
- * — including which lines reach the L2, in what order — depends only
- * on the L1 geometry. Sharing this across every (L1, L2) combination
- * turns the per-combination work into a pass over just the L1 misses.
- */
-struct L1GeoMemo
-{
-    std::vector<uint8_t> missCount; ///< missed lines per event (0..2)
-    std::vector<uint64_t> missAddr; ///< per missed line, in probe order
-    std::vector<uint8_t> missWrite;
-    mem::CacheStats l1;
-};
-
-L1GeoMemo
-buildL1Memo(const mem::CacheConfig &cfg, const SweepProgram &prog)
-{
-    L1GeoMemo memo;
-    const size_t m = prog.memAddr.size();
-    memo.missCount.resize(m);
-    // Geometry-only simulation: penalties do not influence tag-array
-    // behaviour, so one miss stream serves every penalty set.
-    mem::Cache l1(cfg);
-    const uint32_t shift = l1.lineShift();
-    for (size_t j = 0; j < m; ++j) {
-        const uint64_t addr = prog.memAddr[j];
-        const uint32_t size = prog.memSize[j];
-        const bool w = prog.memStore[j] != 0;
-        // Mirrors MemoryHierarchy::accessClass(): line-straddling
-        // accesses probe both lines, first line under its full address.
-        const uint64_t first = addr >> shift;
-        const uint64_t last = (addr + (size ? size - 1 : 0)) >> shift;
-        uint8_t mc = 0;
-        if (!l1.access(addr, w)) {
-            memo.missAddr.push_back(addr);
-            memo.missWrite.push_back(w);
-            ++mc;
-        }
-        if (last != first && !l1.access(last << shift, w)) {
-            memo.missAddr.push_back(last << shift);
-            memo.missWrite.push_back(w);
-            ++mc;
-        }
-        memo.missCount[j] = mc;
-    }
-    memo.l1 = l1.stats();
-    return memo;
-}
-
-CacheMemo
-buildMemMemo(const L1GeoMemo &l1m, const mem::CacheConfig &l2cfg,
-             const SweepProgram &prog)
-{
-    CacheMemo memo;
-    const size_t m = prog.memAddr.size();
-    memo.cls.resize(m);
-    mem::Cache l2(l2cfg);
-    const size_t nMiss = l1m.missAddr.size();
-    std::vector<uint8_t> l2cls(nMiss);
-    for (size_t k = 0; k < nMiss; ++k)
-        l2cls[k] = l2.access(l1m.missAddr[k], l1m.missWrite[k] != 0)
-                       ? uint8_t{1}
-                       : uint8_t{2};
-    // Recombine per event: an L1 hit is class 0; a straddling access
-    // takes the max class of its lines (class order matches penalty
-    // order — Penalties::ofClass is monotone).
-    size_t k = 0;
-    for (size_t j = 0; j < m; ++j) {
-        const uint8_t mc = l1m.missCount[j];
-        uint8_t c = 0;
-        if (mc) {
-            c = l2cls[k];
-            if (mc == 2)
-                c = std::max(c, l2cls[k + 1]);
-            k += mc;
-        }
-        memo.cls[j] = c;
-        memo.l2Served += c == 1;
-        memo.l2Missed += c == 2;
-    }
-    memo.l1 = l1m.l1;
-    memo.l2 = l2.stats();
-    return memo;
-}
-
-BtbMemo
-recordBtbMemo(uint32_t entries, uint32_t ways, const SweepProgram &prog)
-{
-    BtbMemo memo;
-    const size_t m = prog.ctlSite.size();
-    memo.bits.assign((m + 63) / 64, 0);
-    mem::Btb btb(entries, ways);
-    for (size_t j = 0; j < m; ++j)
-        if (btb.predict(prog.ctlSite[j], prog.ctlTaken[j] != 0))
-            memo.bits[j >> 6] |= uint64_t{1} << (j & 63);
-    memo.stats = btb.stats();
-    return memo;
-}
 
 /** One sweep entry bound to its shared memos and its result slot. */
 struct LaneRef
@@ -304,11 +181,11 @@ sel(uint64_t mask, uint64_t a, uint64_t b)
  */
 profile::ProfileResult
 assembleLane(const SweepProgram &prog, const LaneRef &ref, uint64_t cycles,
-             uint64_t pairs, uint64_t dependStall, uint64_t blockingExtra,
-             uint64_t retireStall, uint64_t portStall, uint64_t uopsIssued,
-             uint64_t callRet, uint64_t overhead, const uint64_t *fnCycles,
-             size_t stride, size_t lane, uint64_t mispredictPenalty)
+             uint64_t pairs, uint64_t dependStall, uint64_t callRet,
+             uint64_t overhead, const uint64_t *fnCycles, size_t stride,
+             size_t lane)
 {
+    const sim::TimerConfig &tc = ref.machine->timer;
     profile::ProfileResult r = *prog.counts;
     r.cycles = cycles;
     r.callRetCycles = callRet;
@@ -316,16 +193,11 @@ assembleLane(const SweepProgram &prog, const LaneRef &ref, uint64_t cycles,
     r.timer.instructions = prog.n;
     r.timer.pairs = pairs;
     r.timer.dependStallCycles = dependStall;
-    r.timer.blockingExtraCycles = blockingExtra;
-    r.timer.retireStallCycles = retireStall;
-    r.timer.portStallCycles = portStall;
-    r.timer.uopsIssued = uopsIssued;
-    const mem::MemoryHierarchy::Penalties &pen =
-        ref.machine->timer.penalties;
-    r.timer.memPenaltyCycles = ref.mem->l2Served * pen.ofClass(1)
-                               + ref.mem->l2Missed * pen.ofClass(2);
+    r.timer.blockingExtraCycles = prog.blockingExtraP5;
+    r.timer.memPenaltyCycles = ref.mem->l2Served * tc.penalties.ofClass(1)
+                               + ref.mem->l2Missed * tc.penalties.ofClass(2);
     r.timer.mispredictCycles =
-        ref.btb->stats.mispredicts * mispredictPenalty;
+        ref.btb->stats.mispredicts * tc.mispredict_penalty;
     r.l1 = ref.mem->l1;
     r.l2 = ref.mem->l2;
     r.btb = ref.btb->stats;
@@ -523,433 +395,10 @@ runP5BlockT(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
     }
 
     for (size_t l = 0; l < L; ++l)
-        results[lanes[l].resultIndex] = assembleLane(
-            prog, lanes[l], nextIssue[l], pairsN[l], dependStall[l],
-            prog.blockingExtraP5, 0, 0, 0, callRetA[l], overheadA[l],
-            fnCycles, L, l, mpPen[l]);
-}
-
-/**
- * The P6 lane kernel: P6Timer::consumeResolved() lane-major.
- * Same don't-care-store discipline — group fields are only read while
- * slotsLeft > 0, and every path that makes slotsLeft nonzero rewrites
- * them. The retirement floor (retiredUops / retire_width, on a shared
- * uop prefix) is maintained incrementally per lane so the loop divides
- * a small remainder instead of a 64-bit counter.
- */
-template <size_t L>
-void
-runP6BlockT(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
-            std::vector<profile::ProfileResult> &results)
-{
-    const uint8_t *cls[L];
-    const uint64_t *mpBits[L];
-    uint64_t penByClass[L * 3] = {};
-    uint64_t mpPen[L], decodeW[L], issueW[L], retireW[L];
-    std::vector<uint64_t> occupyTabV(L * 256);
-    uint64_t *__restrict occupyTab = occupyTabV.data();
-    for (size_t l = 0; l < L; ++l) {
-        const sim::TimerConfig &tc = lanes[l].machine->timer;
-        const sim::P6Params &p6 = tc.p6;
-        penByClass[l * 3 + 1] = tc.penalties.ofClass(1);
-        penByClass[l * 3 + 2] = tc.penalties.ofClass(2);
-        mpPen[l] = p6.mispredict_penalty;
-        decodeW[l] = p6.decode_width;
-        issueW[l] = p6.issue_width;
-        retireW[l] = p6.retire_width;
-        cls[l] = lanes[l].mem->cls.data();
-        mpBits[l] = lanes[l].btb->bits.data();
-        // Combined decode classification per possible uop count: the
-        // group-occupancy cycles, a joinable bit (fits the complex
-        // decoder's template), and a simple bit (uops <= 1).
-        for (size_t u = 0; u < 256; ++u) {
-            const uint64_t occupy =
-                (u + p6.issue_width - 1) / p6.issue_width;
-            const uint64_t fits = u <= p6.complex_uops;
-            const uint64_t simple = u <= 1;
-            occupyTab[l * 256 + u] = occupy | (fits << 32) | (simple << 33);
-        }
-    }
-
-    std::vector<uint64_t> fnCyclesV(prog.fnNames->size() * L, 0);
-    uint64_t *__restrict fnCycles = fnCyclesV.data();
-
-    alignas(64) uint64_t ready[256 * L] = {};
-    uint64_t timeL[L] = {}, mark[L] = {}, prev[L] = {};
-    uint64_t callRetA[L] = {}, overheadA[L] = {};
-    uint64_t groupCycle[L] = {}, complexFree[L], retFloor[L] = {};
-    uint64_t slotsLeft[L] = {}, uopsLeft[L] = {}, retRem[L] = {};
-    uint64_t joined[L] = {}, dependStall[L] = {}, retireStall[L] = {};
-    uint64_t blockingExtra[L] = {};
-    for (size_t l = 0; l < L; ++l)
-        complexFree[l] = 1;
-
-    const PackedOp *__restrict ops = prog.ops.data();
-    size_t memIdx = 0;
-    size_t branchIdx = 0;
-    size_t i = 0;
-
-    for (const FnRun &run : prog.runs) {
-        for (const size_t runEnd = i + run.count; i < runEnd; ++i) {
-            const PackedOp po = ops[i];
-            const uint32_t f = po.flags;
-
-            uint64_t pen[L] = {};
-            uint64_t mp[L] = {};
-            if (f & kOpMem) {
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l)
-                    pen[l] = penByClass[l * 3 + cls[l][memIdx]];
-                ++memIdx;
-            }
-            if (f & kOpControl) {
-                const size_t w = branchIdx >> 6;
-                const unsigned b = branchIdx & 63;
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l)
-                    mp[l] = (mpBits[l][w] >> b) & 1;
-                ++branchIdx;
-            }
-            const bool flagged = (f & (kOpCallRet | kOpOverhead)) != 0;
-            if (flagged)
-                std::memcpy(prev, timeL, sizeof(prev));
-
-            const uint64_t uops = po.uops;
-            const uint64_t lat = po.latP6;
-            const uint64_t s0 = po.src0;
-            const uint64_t s1 = po.src1;
-            const uint64_t d = po.dst;
-            const uint64_t *__restrict r0 = ready + s0 * L;
-            const uint64_t *__restrict r1 = ready + s1 * L;
-            uint64_t *__restrict rd = ready + d * L;
-            const uint64_t dMask =
-                uint64_t{0} - uint64_t{d != isa::kNoReg};
-
-            MMXDSP_LANE_UNROLL
-            for (size_t l = 0; l < L; ++l) {
-                const uint64_t rs0 = r0[l];
-                const uint64_t rs1 = r1[l];
-                const uint64_t rdy = rs0 > rs1 ? rs0 : rs1;
-                const uint64_t t = timeL[l];
-                const uint64_t tab = occupyTab[l * 256 + uops];
-                const uint64_t occupy = tab & 0xffffffffu;
-                const uint64_t fits = (tab >> 32) & 1;
-                const uint64_t simple = (tab >> 33) & 1;
-
-                const uint64_t freeOk = uint64_t{(pen[l] | mp[l]) == 0};
-                const uint64_t canJoin =
-                    uint64_t{slotsLeft[l] > 0}
-                    & uint64_t{static_cast<int64_t>(uopsLeft[l])
-                               >= static_cast<int64_t>(uops)}
-                    & (simple | complexFree[l]) & fits
-                    & uint64_t{rdy <= groupCycle[l]} & freeOk;
-                const uint64_t jm = uint64_t{0} - canJoin;
-
-                // Open-group side, computed unconditionally, masked in.
-                const uint64_t rf = retFloor[l];
-                const uint64_t at0 = t > rf ? t : rf;
-                const uint64_t at = at0 > rdy ? at0 : rdy;
-                const uint64_t open = uint64_t{occupy == 1} & freeOk;
-
-                const uint64_t issue = sel(jm, groupCycle[l], at);
-                uint64_t newTime = sel(jm, t, at + occupy + pen[l]);
-                newTime += mp[l] * mpPen[l];
-                joined[l] += canJoin;
-                retireStall[l] += (at0 - t) & ~jm;
-                dependStall[l] += (at - at0) & ~jm;
-                blockingExtra[l] += (occupy - 1) & ~jm;
-                // open ? decode_width-1 : 0; a mispredict forces 0.
-                const uint64_t slotsOpen =
-                    (decodeW[l] - 1) & (uint64_t{0} - open);
-                slotsLeft[l] =
-                    sel(jm, slotsLeft[l] - 1, slotsOpen) & (mp[l] - 1);
-                uopsLeft[l] = sel(jm, uopsLeft[l] - uops, issueW[l] - uops);
-                complexFree[l] = simple & (complexFree[l] | (canJoin ^ 1));
-                groupCycle[l] = issue;
-
-                // Small-operand division: rr < retire_width + 255.
-                const uint32_t rr = static_cast<uint32_t>(retRem[l] + uops);
-                const uint32_t rw = static_cast<uint32_t>(retireW[l]);
-                retFloor[l] += rr / rw;
-                retRem[l] = rr % rw;
-
-                rd[l] = sel(dMask, issue + lat + pen[l], rd[l]);
-                timeL[l] = newTime;
-            }
-
-            if (flagged) {
-                const uint64_t crM =
-                    uint64_t{0} - uint64_t{(f & kOpCallRet) != 0};
-                const uint64_t ovM =
-                    uint64_t{0} - uint64_t{(f & kOpOverhead) != 0};
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l) {
-                    const uint64_t cost = timeL[l] - prev[l];
-                    callRetA[l] += cost & crM;
-                    overheadA[l] += cost & ovM;
-                }
-            }
-        }
-        uint64_t *__restrict row = fnCycles + size_t{run.fnId} * L;
-        MMXDSP_LANE_UNROLL
-        for (size_t l = 0; l < L; ++l) {
-            row[l] += timeL[l] - mark[l];
-            mark[l] = timeL[l];
-        }
-    }
-
-    for (size_t l = 0; l < L; ++l)
-        results[lanes[l].resultIndex] = assembleLane(
-            prog, lanes[l], timeL[l], joined[l], dependStall[l],
-            blockingExtra[l], retireStall[l], 0, prog.counts->uops,
-            callRetA[l], overheadA[l], fnCycles, L, l, mpPen[l]);
-}
-
-/**
- * The P6P lane kernel: P6PTimer::consumeResolved() lane-major.
- * The decode-group half is the P6 kernel with one extra floor (decode
- * may run at most `window` cycles ahead of the latest port dispatch);
- * the dispatch half binds each uop to a single-issue port. Which ports
- * an event needs (load / store pair / N compute uops on p0, p1, or
- * either) is a config-independent fact of the UopDesc table carried in
- * the portInfo side stream, so every per-event branch below is shared
- * by all lanes; only the either-port choice is per-lane data, handled
- * with a mask select.
- */
-template <size_t L>
-void
-runP6PBlockT(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
-             std::vector<profile::ProfileResult> &results)
-{
-    const uint8_t *cls[L];
-    const uint64_t *mpBits[L];
-    uint64_t penByClass[L * 3] = {};
-    uint64_t mpPen[L], decodeW[L], issueW[L], retireW[L], windowW[L];
-    std::vector<uint64_t> occupyTabV(L * 256);
-    uint64_t *__restrict occupyTab = occupyTabV.data();
-    for (size_t l = 0; l < L; ++l) {
-        const sim::TimerConfig &tc = lanes[l].machine->timer;
-        const sim::P6PParams &pp = tc.p6p;
-        penByClass[l * 3 + 1] = tc.penalties.ofClass(1);
-        penByClass[l * 3 + 2] = tc.penalties.ofClass(2);
-        mpPen[l] = pp.mispredict_penalty;
-        decodeW[l] = pp.decode_width;
-        issueW[l] = pp.issue_width;
-        retireW[l] = pp.retire_width;
-        windowW[l] = pp.window;
-        cls[l] = lanes[l].mem->cls.data();
-        mpBits[l] = lanes[l].btb->bits.data();
-        for (size_t u = 0; u < 256; ++u) {
-            const uint64_t occupy =
-                (u + pp.issue_width - 1) / pp.issue_width;
-            const uint64_t fits = u <= pp.complex_uops;
-            const uint64_t simple = u <= 1;
-            occupyTab[l * 256 + u] = occupy | (fits << 32) | (simple << 33);
-        }
-    }
-
-    std::vector<uint64_t> fnCyclesV(prog.fnNames->size() * L, 0);
-    uint64_t *__restrict fnCycles = fnCyclesV.data();
-
-    alignas(64) uint64_t ready[256 * L] = {};
-    uint64_t timeL[L] = {}, mark[L] = {}, prev[L] = {};
-    uint64_t callRetA[L] = {}, overheadA[L] = {};
-    uint64_t groupCycle[L] = {}, complexFree[L], retFloor[L] = {};
-    uint64_t slotsLeft[L] = {}, uopsLeft[L] = {}, retRem[L] = {};
-    uint64_t joined[L] = {}, dependStall[L] = {}, retireStall[L] = {};
-    uint64_t blockingExtra[L] = {}, portStall[L] = {};
-    // The five single-issue port clocks plus the window anchor.
-    uint64_t portFree[5][L] = {};
-    uint64_t lastDisp[L] = {};
-    uint64_t issueA[L];
-    for (size_t l = 0; l < L; ++l)
-        complexFree[l] = 1;
-
-    /** One uop onto a fixed port, per lane. */
-    const auto disp = [&](uint64_t *__restrict port, size_t l) {
-        const uint64_t at =
-            issueA[l] > port[l] ? issueA[l] : port[l];
-        port[l] = at + 1;
-        if (at > lastDisp[l])
-            lastDisp[l] = at;
-    };
-
-    const PackedOp *__restrict ops = prog.ops.data();
-    const uint8_t *__restrict ports = prog.portInfo.data();
-    size_t memIdx = 0;
-    size_t branchIdx = 0;
-    size_t i = 0;
-
-    for (const FnRun &run : prog.runs) {
-        for (const size_t runEnd = i + run.count; i < runEnd; ++i) {
-            const PackedOp po = ops[i];
-            const uint32_t f = po.flags;
-            const uint32_t pi = ports[i];
-
-            uint64_t pen[L] = {};
-            uint64_t mp[L] = {};
-            if (f & kOpMem) {
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l)
-                    pen[l] = penByClass[l * 3 + cls[l][memIdx]];
-                ++memIdx;
-            }
-            if (f & kOpControl) {
-                const size_t w = branchIdx >> 6;
-                const unsigned b = branchIdx & 63;
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l)
-                    mp[l] = (mpBits[l][w] >> b) & 1;
-                ++branchIdx;
-            }
-            const bool flagged = (f & (kOpCallRet | kOpOverhead)) != 0;
-            if (flagged)
-                std::memcpy(prev, timeL, sizeof(prev));
-
-            const uint64_t uops = po.uops;
-            const uint64_t lat = po.latP6;
-            const uint64_t s0 = po.src0;
-            const uint64_t s1 = po.src1;
-            const uint64_t d = po.dst;
-            const uint64_t *__restrict r0 = ready + s0 * L;
-            const uint64_t *__restrict r1 = ready + s1 * L;
-            uint64_t *__restrict rd = ready + d * L;
-            const uint64_t dMask =
-                uint64_t{0} - uint64_t{d != isa::kNoReg};
-
-            MMXDSP_LANE_UNROLL
-            for (size_t l = 0; l < L; ++l) {
-                const uint64_t rs0 = r0[l];
-                const uint64_t rs1 = r1[l];
-                const uint64_t rdy = rs0 > rs1 ? rs0 : rs1;
-                const uint64_t t = timeL[l];
-                const uint64_t tab = occupyTab[l * 256 + uops];
-                const uint64_t occupy = tab & 0xffffffffu;
-                const uint64_t fits = (tab >> 32) & 1;
-                const uint64_t simple = (tab >> 33) & 1;
-
-                const uint64_t freeOk = uint64_t{(pen[l] | mp[l]) == 0};
-                const uint64_t canJoin =
-                    uint64_t{slotsLeft[l] > 0}
-                    & uint64_t{static_cast<int64_t>(uopsLeft[l])
-                               >= static_cast<int64_t>(uops)}
-                    & (simple | complexFree[l]) & fits
-                    & uint64_t{rdy <= groupCycle[l]} & freeOk;
-                const uint64_t jm = uint64_t{0} - canJoin;
-
-                // Open-group floors: retirement, operands, and the
-                // port-dispatch window, in the scalar model's order.
-                const uint64_t rf = retFloor[l];
-                const uint64_t ld = lastDisp[l];
-                const uint64_t w = windowW[l];
-                const uint64_t pf = ld > w ? ld - w : 0;
-                const uint64_t at0 = t > rf ? t : rf;
-                const uint64_t at1 = at0 > rdy ? at0 : rdy;
-                const uint64_t at = at1 > pf ? at1 : pf;
-                const uint64_t open = uint64_t{occupy == 1} & freeOk;
-
-                const uint64_t issue = sel(jm, groupCycle[l], at);
-                uint64_t newTime = sel(jm, t, at + occupy + pen[l]);
-                newTime += mp[l] * mpPen[l];
-                joined[l] += canJoin;
-                retireStall[l] += (at0 - t) & ~jm;
-                dependStall[l] += (at1 - at0) & ~jm;
-                portStall[l] += (at - at1) & ~jm;
-                blockingExtra[l] += (occupy - 1) & ~jm;
-                const uint64_t slotsOpen =
-                    (decodeW[l] - 1) & (uint64_t{0} - open);
-                slotsLeft[l] =
-                    sel(jm, slotsLeft[l] - 1, slotsOpen) & (mp[l] - 1);
-                uopsLeft[l] = sel(jm, uopsLeft[l] - uops, issueW[l] - uops);
-                complexFree[l] = simple & (complexFree[l] | (canJoin ^ 1));
-                groupCycle[l] = issue;
-
-                const uint32_t rr = static_cast<uint32_t>(retRem[l] + uops);
-                const uint32_t rw = static_cast<uint32_t>(retireW[l]);
-                retFloor[l] += rr / rw;
-                retRem[l] = rr % rw;
-
-                rd[l] = sel(dMask, issue + lat + pen[l], rd[l]);
-                timeL[l] = newTime;
-                issueA[l] = issue;
-            }
-
-            // Port binding, mirroring P6PTimer's dispatch order: the
-            // load uop, the store-addr/store-data pair, then the
-            // compute uops. Trip counts and port classes are shared by
-            // every lane; only the either-port pick is per-lane.
-            if (pi & kPortLoad) {
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l)
-                    disp(portFree[2], l);
-            }
-            if (pi & kPortStore) {
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l) {
-                    disp(portFree[3], l);
-                    disp(portFree[4], l);
-                }
-            }
-            const uint32_t aluN = pi & kPortAluMask;
-            const uint32_t pcls = (pi & kPortClassMask) >> kPortClassShift;
-            for (uint32_t k = 0; k < aluN; ++k) {
-                if (pcls == static_cast<uint32_t>(sim::PortClass::P0)) {
-                    MMXDSP_LANE_UNROLL
-                    for (size_t l = 0; l < L; ++l)
-                        disp(portFree[0], l);
-                } else if (pcls
-                           == static_cast<uint32_t>(sim::PortClass::P1)) {
-                    MMXDSP_LANE_UNROLL
-                    for (size_t l = 0; l < L; ++l)
-                        disp(portFree[1], l);
-                } else {
-                    MMXDSP_LANE_UNROLL
-                    for (size_t l = 0; l < L; ++l) {
-                        const uint64_t pf0 = portFree[0][l];
-                        const uint64_t pf1 = portFree[1][l];
-                        // Earliest-free wins, ties to p0 (the scalar
-                        // model's pf0 <= pf1).
-                        const uint64_t m0 =
-                            uint64_t{0} - uint64_t{pf0 <= pf1};
-                        const uint64_t chosen = sel(m0, pf0, pf1);
-                        const uint64_t at =
-                            issueA[l] > chosen ? issueA[l] : chosen;
-                        const uint64_t nv = at + 1;
-                        portFree[0][l] = sel(m0, nv, pf0);
-                        portFree[1][l] = sel(m0, pf1, nv);
-                        if (at > lastDisp[l])
-                            lastDisp[l] = at;
-                    }
-                }
-            }
-
-            if (flagged) {
-                const uint64_t crM =
-                    uint64_t{0} - uint64_t{(f & kOpCallRet) != 0};
-                const uint64_t ovM =
-                    uint64_t{0} - uint64_t{(f & kOpOverhead) != 0};
-                MMXDSP_LANE_UNROLL
-                for (size_t l = 0; l < L; ++l) {
-                    const uint64_t cost = timeL[l] - prev[l];
-                    callRetA[l] += cost & crM;
-                    overheadA[l] += cost & ovM;
-                }
-            }
-        }
-        uint64_t *__restrict row = fnCycles + size_t{run.fnId} * L;
-        MMXDSP_LANE_UNROLL
-        for (size_t l = 0; l < L; ++l) {
-            row[l] += timeL[l] - mark[l];
-            mark[l] = timeL[l];
-        }
-    }
-
-    for (size_t l = 0; l < L; ++l)
-        results[lanes[l].resultIndex] = assembleLane(
-            prog, lanes[l], timeL[l], joined[l], dependStall[l],
-            blockingExtra[l], retireStall[l], portStall[l],
-            prog.counts->uops, callRetA[l], overheadA[l], fnCycles, L, l,
-            mpPen[l]);
+        results[lanes[l].resultIndex] =
+            assembleLane(prog, lanes[l], nextIssue[l], pairsN[l],
+                         dependStall[l], callRetA[l], overheadA[l],
+                         fnCycles, L, l);
 }
 
 #if MMXDSP_SWEEP_AVX2
@@ -995,8 +444,8 @@ runP5BlockAvx2(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
 
     // Lane-major transposes of the per-lane memo streams, so the hot
     // loop reads one 4-byte word per group instead of gathering.
-    const size_t nMem = prog.memAddr.size();
-    const size_t nCtl = prog.ctlSite.size();
+    const size_t nMem = prog.memEvents;
+    const size_t nCtl = prog.controlEvents;
     std::vector<uint8_t> clsLM(nMem * L);
     std::vector<uint8_t> mpLM(nCtl * L);
     for (size_t l = 0; l < L; ++l) {
@@ -1249,42 +698,24 @@ runP5BlockAvx2(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
                            overheadV[g]);
     }
     for (size_t l = 0; l < L; ++l)
-        results[lanes[l].resultIndex] = assembleLane(
-            prog, lanes[l], niA[l], pairsA[l], depA[l],
-            prog.blockingExtraP5, 0, 0, 0, crA[l], ovA[l], fnCycles, L, l,
-            mpPenA[l]);
+        results[lanes[l].resultIndex] =
+            assembleLane(prog, lanes[l], niA[l], pairsA[l], depA[l], crA[l],
+                         ovA[l], fnCycles, L, l);
 }
 
 #endif // MMXDSP_SWEEP_AVX2
 
-/** Block index per ModelKind (the byModel partition in the driver). */
-constexpr size_t
-modelIndex(sim::ModelKind model)
-{
-    switch (model) {
-      case sim::ModelKind::P5:
-        return 0;
-      case sim::ModelKind::P6:
-        return 1;
-      case sim::ModelKind::P6P:
-        return 2;
-    }
-    return 0;
-}
-
-/** Instantiate one kernel per lane count so every block runs with a
- *  compile-time L (full unrolling, register-resident lane state). */
-template <size_t M, size_t... Ls>
+/** Instantiate one mask-select kernel per lane count so every block
+ *  runs with a compile-time L (full unrolling, register-resident lane
+ *  state). */
+template <size_t... Ls>
 void
 dispatchBlock(std::index_sequence<Ls...>, const SweepProgram &prog,
               const std::vector<LaneRef> &lanes,
               std::vector<profile::ProfileResult> &results)
 {
-    ((lanes.size() == Ls + 1
-          ? (M == 2   ? runP6PBlockT<Ls + 1>(prog, lanes, results)
-             : M == 1 ? runP6BlockT<Ls + 1>(prog, lanes, results)
-                      : runP5BlockT<Ls + 1>(prog, lanes, results))
-          : void()),
+    ((lanes.size() == Ls + 1 ? runP5BlockT<Ls + 1>(prog, lanes, results)
+                             : void()),
      ...);
 }
 
@@ -1303,245 +734,219 @@ runP5Block(const SweepProgram &prog, const std::vector<LaneRef> &lanes,
         }
     }
 #endif
-    dispatchBlock<0>(std::make_index_sequence<kMaxLanes>{}, prog, lanes,
-                     results);
+    dispatchBlock(std::make_index_sequence<kMaxLanes>{}, prog, lanes,
+                  results);
 }
 
-void
-runModelBlock(size_t model, const SweepProgram &prog,
-              const std::vector<LaneRef> &lanes,
-              std::vector<profile::ProfileResult> &results)
+/**
+ * Rank of one task of the timing pool in its largest-first order: P5
+ * lane blocks (@p lanes > 0, the widest first), then per-machine runs
+ * of P6P, P6 and P5, slowest model first (EXPERIMENTS.md).
+ */
+size_t
+taskRank(sim::ModelKind model, size_t lanes)
 {
+    if (lanes)
+        return 2 + lanes;
     switch (model) {
-      case 2:
-        dispatchBlock<2>(std::make_index_sequence<kMaxLanes>{}, prog,
-                         lanes, results);
-        break;
-      case 1:
-        dispatchBlock<1>(std::make_index_sequence<kMaxLanes>{}, prog,
-                         lanes, results);
-        break;
-      default:
-        runP5Block(prog, lanes, results);
+      case sim::ModelKind::P6P:
+        return 2;
+      case sim::ModelKind::P6:
+        return 1;
+      case sim::ModelKind::P5:
         break;
     }
+    return 0;
 }
 
 } // namespace
 
 std::vector<profile::ProfileResult>
-MaterializedTrace::replaySweepPacked(
-    const std::vector<sim::MachineConfig> &machines, int threads) const
+MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
+                            int threads, Memos *memos, SweepRoute route) const
 {
     std::vector<profile::ProfileResult> results(machines.size());
     if (machines.empty())
         return results;
 
+    using Clock = std::chrono::steady_clock;
     const bool dbg = std::getenv("MMXDSP_SWEEP_DEBUG") != nullptr;
-    auto now = [] { return std::chrono::steady_clock::now(); };
-    auto ms = [](auto a, auto b) {
-        return std::chrono::duration<double, std::milli>(b - a).count();
+    const auto t0 = Clock::now();
+
+    // The P5 lane kernel advances every lane in one pass, but its
+    // hoisted program costs about one per-machine pass on its own, so
+    // replaySweep() only packs once there are more P5 lanes than
+    // workers to run per-machine passes side by side (the crossover in
+    // EXPERIMENTS.md).
+    const size_t workers = static_cast<size_t>(resolveThreads(threads));
+    const auto isP5 = [](const sim::MachineConfig &m) {
+        return m.model == sim::ModelKind::P5;
     };
-    const auto t0 = now();
+    bool packP5 = route == SweepRoute::Packed;
+#ifndef MMXDSP_FORCE_SCALAR_SWEEP
+    if (route == SweepRoute::Dispatch)
+        packP5 = static_cast<size_t>(std::count_if(
+                     machines.begin(), machines.end(), isP5))
+                 > std::max<size_t>(2, workers);
+#endif
+    std::vector<size_t> lanes; ///< entries for the P5 lane kernel
+    std::vector<size_t> solo;  ///< entries for the per-machine kernel
+    for (size_t i = 0; i < machines.size(); ++i)
+        (packP5 && isP5(machines[i]) ? lanes : solo).push_back(i);
 
-    // ---- 1. hoist the config-independent program (one pass) ----
+    // ---- 1. the memo pre-pass, and the lanes' program ----
+    Memos local;
+    Memos &store = memos ? *memos : local;
+    MemoPass pass = planMemos(machines, store);
+
+    // A task of the shared pool, timed by kind for MMXDSP_SWEEP_DEBUG.
+    enum Kind { kRecord, kHoist, kLanes, kSolo, kKinds };
+    struct Task
+    {
+        Kind kind;
+        size_t rank; ///< taskRank(), for the largest-first order
+        std::function<void()> run;
+    };
+    std::vector<Task> tasks;
+    for (std::function<void()> &record : pass.recorders)
+        tasks.push_back({kRecord, 0, std::move(record)});
+
+    // The config-independent per-event facts of the P5 lanes, hoisted
+    // once into a PackedOp stream beside the recorders.
     SweepProgram prog;
-    prog.n = op_.size();
-    prog.counts = &counts_;
-    prog.fnNames = &fnNames_;
-    prog.fnCounts = &fnCounts_;
-    prog.ops.resize(prog.n);
-    prog.portInfo.resize(prog.n);
-    prog.memAddr.reserve(counts_.memoryReferences);
-    prog.memSize.reserve(counts_.memoryReferences);
-    prog.memStore.reserve(counts_.memoryReferences);
-    prog.ctlSite.reserve(controlCount_);
-    prog.ctlTaken.reserve(controlCount_);
-
-    // Everything per-op comes from the shared descriptor table: the
-    // kOp* bits 0-5 are the same encoding as sim::kDesc* (checked by
-    // static_asserts below), so the flag byte is the descriptor's with
-    // the trace-derived attribution bits merged in.
-    static_assert(int{kOpMem} == int{sim::kDescMem}
-                  && int{kOpMmxMul} == int{sim::kDescMmxMul}
-                  && int{kOpMmxShift} == int{sim::kDescMmxShift}
-                  && int{kOpPairPV} == int{sim::kDescPairPV}
-                  && int{kOpPairUP} == int{sim::kDescPairUP}
-                  && int{kOpControl} == int{sim::kDescControl});
-    const sim::UopDesc *descTab = sim::descTable().data();
-
-    uint32_t runFn = 0;
-    uint32_t runLen = 0;
-    for (size_t i = 0; i < prog.n; ++i) {
-        const size_t op = op_[i];
-        const uint8_t mf = flags_[i];
-        const size_t memMode = mf & kFlagMemMask;
-        const sim::UopDesc &desc = descTab[op * 3 + memMode];
-        PackedOp &po = prog.ops[i];
-        uint8_t f = desc.flags;
-        if (mf & kFlagCallRet)
-            f |= kOpCallRet;
-        if (mf & kFlagOverhead)
-            f |= kOpOverhead;
-        po.flags = f;
-        po.blocking = desc.blocking;
-        po.latP5 = desc.latP5;
-        po.latP6 = desc.latP6;
-        po.src0 = src0_[i];
-        po.src1 = src1_[i];
-        po.dst = dst_[i];
-        po.uops = desc.uops;
-        prog.portInfo[i] = static_cast<uint8_t>(
-            desc.aluUops
-            | (static_cast<uint8_t>(desc.port) << kPortClassShift)
-            | (desc.loadUops ? kPortLoad : 0)
-            | (desc.storeOps ? kPortStore : 0));
-        if (desc.blocking > 1)
-            prog.blockingExtraP5 += desc.blocking - 1u;
-        if (memMode) {
-            prog.memAddr.push_back(addr_[i]);
-            prog.memSize.push_back(size_[i]);
-            prog.memStore.push_back(
-                memMode == static_cast<size_t>(isa::MemMode::Store));
-        }
-        if (mf & kFlagControl) {
-            prog.ctlSite.push_back(site_[i]);
-            prog.ctlTaken.push_back((mf & kFlagTaken) != 0);
-        }
-        if (fnId_[i] != runFn) {
+    if (!lanes.empty()) {
+        tasks.push_back({kHoist, 0, [&] {
+            prog.n = op_.size();
+            prog.counts = &counts_;
+            prog.fnNames = &fnNames_;
+            prog.fnCounts = &fnCounts_;
+            prog.memEvents = counts_.memoryReferences;
+            prog.controlEvents = controlCount_;
+            prog.ops.resize(prog.n);
+            // The kOp* bits 0-5 are the sim::kDesc* encoding (checked
+            // below), so the flag byte is the descriptor's with the
+            // trace-derived attribution bits merged in.
+            static_assert(int{kOpMem} == int{sim::kDescMem}
+                          && int{kOpMmxMul} == int{sim::kDescMmxMul}
+                          && int{kOpMmxShift} == int{sim::kDescMmxShift}
+                          && int{kOpPairPV} == int{sim::kDescPairPV}
+                          && int{kOpPairUP} == int{sim::kDescPairUP}
+                          && int{kOpControl} == int{sim::kDescControl});
+            const sim::UopDesc *descTab = sim::descTable().data();
+            uint32_t runFn = 0;
+            uint32_t runLen = 0;
+            for (size_t i = 0; i < prog.n; ++i) {
+                const uint8_t mf = flags_[i];
+                const sim::UopDesc &desc =
+                    descTab[op_[i] * 3 + (mf & kFlagMemMask)];
+                uint8_t f = desc.flags;
+                if (mf & kFlagCallRet)
+                    f |= kOpCallRet;
+                if (mf & kFlagOverhead)
+                    f |= kOpOverhead;
+                prog.ops[i] = {f, desc.blocking, desc.latP5, src0_[i],
+                               src1_[i], dst_[i]};
+                if (desc.blocking > 1)
+                    prog.blockingExtraP5 += desc.blocking - 1u;
+                if (fnId_[i] != runFn) {
+                    if (runLen)
+                        prog.runs.push_back({runLen, runFn});
+                    runFn = fnId_[i];
+                    runLen = 0;
+                }
+                ++runLen;
+            }
             if (runLen)
                 prog.runs.push_back({runLen, runFn});
-            runFn = fnId_[i];
-            runLen = 0;
-        }
-        ++runLen;
+        }});
     }
-    if (runLen)
-        prog.runs.push_back({runLen, runFn});
+    const size_t prepared = tasks.size();
 
-    // ---- 2. one memo per unique geometry, built in parallel. Cache
-    // memos are two-level: one full L1 pass per unique L1 geometry,
-    // then one cheap L2 pass over that L1's miss stream per unique
-    // (L1, L2) combination. ----
-    std::vector<std::array<uint32_t, 3>> l1Keys;
-    std::vector<mem::CacheConfig> l1Cfgs; ///< representative per l1Keys
-    std::vector<std::array<uint32_t, 6>> memKeys;
-    std::vector<size_t> memRep;  ///< a machine index with that geometry
-    std::vector<size_t> memL1Of; ///< l1Keys index per memKeys entry
-    std::vector<size_t> memGeoOf(machines.size());
-    std::vector<std::array<uint32_t, 2>> btbKeys;
-    std::vector<size_t> btbGeoOf(machines.size());
-    for (size_t i = 0; i < machines.size(); ++i) {
-        const sim::TimerConfig &tc = machines[i].timer;
-        const std::array<uint32_t, 3> lk = {tc.l1.size_bytes,
-                                            tc.l1.line_bytes, tc.l1.ways};
-        size_t lg = l1Keys.size();
-        for (size_t j = 0; j < l1Keys.size(); ++j)
-            if (l1Keys[j] == lk) {
-                lg = j;
-                break;
-            }
-        if (lg == l1Keys.size()) {
-            l1Keys.push_back(lk);
-            l1Cfgs.push_back(tc.l1);
-        }
-
-        const std::array<uint32_t, 6> mk = {
-            tc.l1.size_bytes, tc.l1.line_bytes, tc.l1.ways,
-            tc.l2.size_bytes, tc.l2.line_bytes, tc.l2.ways};
-        size_t g = memKeys.size();
-        for (size_t j = 0; j < memKeys.size(); ++j)
-            if (memKeys[j] == mk) {
-                g = j;
-                break;
-            }
-        if (g == memKeys.size()) {
-            memKeys.push_back(mk);
-            memRep.push_back(i);
-            memL1Of.push_back(lg);
-        }
-        memGeoOf[i] = g;
-
-        const std::array<uint32_t, 2> bk = {tc.btb_entries, tc.btb_ways};
-        size_t bg = btbKeys.size();
-        for (size_t j = 0; j < btbKeys.size(); ++j)
-            if (btbKeys[j] == bk) {
-                bg = j;
-                break;
-            }
-        if (bg == btbKeys.size())
-            btbKeys.push_back(bk);
-        btbGeoOf[i] = bg;
-    }
-    const auto t1 = now();
-    std::vector<L1GeoMemo> l1Memos(l1Keys.size());
-    std::vector<CacheMemo> memMemos(memKeys.size());
-    std::vector<BtbMemo> btbMemos(btbKeys.size());
-    // Phase A: the full passes (L1 filters, BTB streams) fan out
-    // together; phase B distributes the L2 miss-stream passes.
-    parallelFor(l1Keys.size() + btbKeys.size(), threads, [&](size_t g) {
-        if (g < l1Keys.size())
-            l1Memos[g] = buildL1Memo(l1Cfgs[g], prog);
-        else
-            btbMemos[g - l1Keys.size()] = recordBtbMemo(
-                btbKeys[g - l1Keys.size()][0],
-                btbKeys[g - l1Keys.size()][1], prog);
-    });
-    parallelFor(memKeys.size(), threads, [&](size_t g) {
-        memMemos[g] = buildMemMemo(l1Memos[memL1Of[g]],
-                                   machines[memRep[g]].timer.l2, prog);
-    });
-    const auto t2 = now();
-
-    // ---- 3. lane blocks per model, sized so the workers share the
-    // pass count evenly but no block exceeds kMaxLanes ----
-    std::vector<LaneRef> byModel[sim::kNumModelKinds];
-    for (size_t i = 0; i < machines.size(); ++i) {
-        const size_t m = modelIndex(machines[i].model);
-        byModel[m].push_back(LaneRef{&machines[i], &memMemos[memGeoOf[i]],
-                                     &btbMemos[btbGeoOf[i]], i});
-    }
-    struct Block
-    {
-        size_t model = 0; ///< modelIndex() of every lane in the block
-        std::vector<LaneRef> lanes;
-    };
-    std::vector<Block> blocks;
-    const size_t workers = static_cast<size_t>(resolveThreads(threads));
-    for (size_t m = 0; m < sim::kNumModelKinds; ++m) {
-        const std::vector<LaneRef> &lanes = byModel[m];
-        if (lanes.empty())
-            continue;
-        size_t target = (lanes.size() + workers - 1) / workers;
-        // Keep blocks a multiple of 4 so full blocks hit the AVX2
-        // kernel (4 lanes per register group); only the tail can fall
-        // back to the mask-select path.
-        target = (target + 3) & ~size_t{3};
+    // ---- 2. P5 lane blocks, sized to fill the workers the per-machine
+    // runs leave idle (a multiple of 4 lanes, so full blocks hit the
+    // AVX2 kernel) ----
+    std::vector<std::vector<LaneRef>> blocks;
+    if (!lanes.empty()) {
+        const size_t idle = workers > solo.size() ? workers - solo.size() : 1;
+        const size_t target =
+            ((lanes.size() + idle - 1) / idle + 3) & ~size_t{3};
         const size_t blockSize = std::clamp(target, size_t{4}, kMaxLanes);
         for (size_t at = 0; at < lanes.size(); at += blockSize) {
-            Block block;
-            block.model = m;
-            block.lanes.assign(
-                lanes.begin() + static_cast<ptrdiff_t>(at),
-                lanes.begin()
-                    + static_cast<ptrdiff_t>(
-                        std::min(at + blockSize, lanes.size())));
+            std::vector<LaneRef> block;
+            for (size_t k = at; k < std::min(at + blockSize, lanes.size());
+                 ++k) {
+                const size_t i = lanes[k];
+                block.push_back(LaneRef{&machines[i], pass.refs[i].cache,
+                                        pass.refs[i].btb, i});
+            }
             blocks.push_back(std::move(block));
         }
     }
+    for (const std::vector<LaneRef> &block : blocks) {
+        tasks.push_back({kLanes, taskRank(sim::ModelKind::P5, block.size()),
+                         [&] { runP5Block(prog, block, results); }});
+    }
 
-    parallelFor(blocks.size(), threads, [&](size_t b) {
-        runModelBlock(blocks[b].model, prog, blocks[b].lanes, results);
-    });
+    // ---- 3. one per-machine run per other entry ----
+    for (size_t i : solo)
+        tasks.push_back({kSolo, taskRank(machines[i].model, 0), [&, i] {
+                             results[i] = runKernel(machines[i],
+                                                    pass.refs[i].cache,
+                                                    pass.refs[i].btb);
+                         }});
+    std::stable_sort(tasks.begin() + static_cast<ptrdiff_t>(prepared),
+                     tasks.end(), [](const Task &a, const Task &b) {
+                         return a.rank > b.rank;
+                     });
+
+    // Two pools: the memo pre-pass (recorders and hoist), then every
+    // lane block and per-machine run, largest first.
+    std::array<std::atomic<int64_t>, kKinds> taskNs{};
+    const auto runTasks = [&](size_t from, size_t to) {
+        parallelFor(to - from, threads, [&](size_t t) {
+            const Task &task = tasks[from + t];
+            const auto s0 = dbg ? Clock::now() : Clock::time_point{};
+            task.run();
+            if (dbg)
+                taskNs[task.kind] +=
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - s0)
+                        .count();
+        });
+    };
+    runTasks(0, prepared);
+    const auto t1 = Clock::now();
+    runTasks(prepared, tasks.size());
+    std::move(pass.newCache.begin(), pass.newCache.end(),
+              std::back_inserter(store.cache_));
+    std::move(pass.newBtb.begin(), pass.newBtb.end(),
+              std::back_inserter(store.btb_));
+
     if (dbg) {
-        const auto t3 = now();
-        std::fprintf(stderr,
-                     "[sweep] prog %.2fms memos(%zu+%zu) %.2fms lanes(%zu "
-                     "blocks) %.2fms total %.2fms\n",
-                     ms(t0, t1), memKeys.size(), btbKeys.size(), ms(t1, t2),
-                     blocks.size(), ms(t2, t3), ms(t0, t3));
+        // Phase times are summed over the workers; the two walls are
+        // the pre-pass pool's and the timing pool's.
+        const auto ms = [&](Kind kind) { return taskNs[kind].load() / 1e6; };
+        const auto wall = [](Clock::time_point a, Clock::time_point b) {
+            return std::chrono::duration<double, std::milli>(b - a).count();
+        };
+        std::fprintf(
+            stderr,
+            "[sweep] memo pre-pass(%zu recorded, %zu reused) %.2fms "
+            "p5 hoist %.2fms (pre-pass wall %.2fms) p5 lanes(%zu in %zu "
+            "blocks) %.2fms per-machine(%zu) %.2fms (wall %.2fms)\n",
+            pass.newCache.size() + pass.newBtb.size(), pass.reused,
+            ms(kRecord), ms(kHoist),
+            wall(t0, t1), lanes.size(), blocks.size(), ms(kLanes),
+            solo.size(), ms(kSolo), wall(t1, Clock::now()));
     }
     return results;
+}
+
+std::vector<profile::ProfileResult>
+MaterializedTrace::replaySweepPacked(
+    const std::vector<sim::MachineConfig> &machines, int threads) const
+{
+    return runSweep(machines, threads, nullptr, SweepRoute::Packed);
 }
 
 } // namespace mmxdsp::trace

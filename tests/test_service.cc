@@ -466,9 +466,9 @@ TEST(QueryEngineTest, RepeatQueryIsServedFromResultCache)
 
 TEST(QueryEngineTest, BatchMatchesStoreReplayExactly)
 {
-    // The batch path answers misses through one packed replaySweep per
-    // trace; every lane must be bit-identical to a scalar
-    // replayProfile over the same stored bytes.
+    // The batch path answers misses through one replaySweep per trace;
+    // every machine must be bit-identical to a scalar replayProfile
+    // over the same stored bytes.
     ScratchDir scratch("mmxdsp_engine_batch_test");
     service::EngineOptions opts = engineOpts(scratch);
     service::QueryEngine engine(opts);
@@ -708,6 +708,57 @@ TEST(QueryEngineTest, PenaltyAndModelMissesReplayTheGeometryMemos)
     geometryP6.machine.model = sim::ModelKind::P6;
     served.push_back(engine.query(geometryP6));
     EXPECT_EQ(engine.stats().memo_hits, 3u);
+
+    // Every answer equals an independent load + memo-less replay.
+    service::TraceStore oracle(opts.store);
+    auto mat = oracle.load("fir", "mmx", opts.suite.hash());
+    ASSERT_NE(mat, nullptr);
+    for (const service::QueryResult &r : served) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.from_result_cache);
+        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
+                         sim::modelName(r.query.machine.model));
+    }
+}
+
+TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
+{
+    ScratchDir scratch("mmxdsp_engine_memo_batch_test");
+    service::EngineOptions opts = engineOpts(scratch);
+    // Two workers: a 12-machine batch with 4 P5 machines is wider than
+    // max(2, workers), so its P5 entries take the lane kernel.
+    opts.threads = 2;
+    service::QueryEngine engine(opts);
+
+    // 1-machine queries record the default geometry's memos.
+    std::string error;
+    service::Query q;
+    ASSERT_TRUE(service::QueryEngine::parseQueryLine("fir mmx", &q, &error))
+        << error;
+    ASSERT_TRUE(engine.query(q).ok);
+    ASSERT_TRUE(service::QueryEngine::parseQueryLine("fir mmx model=p6", &q,
+                                                     &error))
+        << error;
+    ASSERT_TRUE(engine.query(q).ok);
+    const uint64_t hits = engine.stats().memo_hits;
+    const uint64_t bytes = engine.stats().memo_bytes;
+    EXPECT_EQ(hits, 1u);
+
+    // A wide batch on that geometry: 4 x P5, P6 and P6P, every machine
+    // distinct through its mispredict penalty.
+    std::vector<service::Query> batch;
+    for (const char *model : {"p5", "p6", "p6p"})
+        for (int mp = 2; mp < 6; ++mp) {
+            const std::string line = std::string("fir mmx model=") + model
+                                     + " mp=" + std::to_string(mp);
+            ASSERT_TRUE(service::QueryEngine::parseQueryLine(line, &q, &error))
+                << error;
+            batch.push_back(q);
+        }
+    const std::vector<service::QueryResult> served = engine.queryBatch(batch);
+    ASSERT_EQ(served.size(), batch.size());
+    EXPECT_EQ(engine.stats().memo_hits, hits + batch.size());
+    EXPECT_EQ(engine.stats().memo_bytes, bytes);
 
     // Every answer equals an independent load + memo-less replay.
     service::TraceStore oracle(opts.store);

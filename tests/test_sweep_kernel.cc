@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the config-parallel sweep kernel (trace/sweep_kernel.cc)
+ * Tests for the sweep driver and its P5 lane kernel (trace/sweep_kernel.cc)
  * and the sweep-entry deduplication in replaySweep():
  *
  *  - duplicate TimerConfig/MachineConfig entries come back with
@@ -13,7 +13,11 @@
  *    every entry, P5 and P6 alike;
  *  - the per-geometry memos: replays that record a cache/BTB memo and
  *    replays that consume one (under any model) equal the memo-less
- *    replayProfile(), on the edge machines and on random ones.
+ *    replayProfile(), on the edge machines and on random ones;
+ *  - the sweep driver's mixed sweeps: the ablation's 36 machines on
+ *    every pair, and P5 lane blocks of several widths beside
+ *    per-machine P6/P6P runs, dispatched and packed, at 1, 2 and 4
+ *    threads.
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
@@ -396,6 +400,114 @@ TEST(SweepMemos, RandomizedMachinesReplayAcrossModelsOnEveryPair)
             EXPECT_EQ(memos.hits(), hits + 1) << what;
             expectSameProfile(rep[0], mat->replayProfile(other),
                               what + " replay " + std::to_string(c));
+        }
+    }
+}
+
+
+// ---------------- mixed sweeps: P5 lanes beside per-machine runs ----------------
+
+/**
+ * The cache-size ablation's 36 machines: L1 {4,8,16,32} KB x L2
+ * {128K,512K,2M}, each on P5, P6 and P6P (the model varies slowest).
+ */
+std::vector<sim::MachineConfig>
+ablationMachines()
+{
+    std::vector<sim::MachineConfig> machines;
+    for (sim::ModelKind model :
+         {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P})
+        for (uint32_t l1_kb : {4, 8, 16, 32})
+            for (uint32_t l2_kb : {128, 512, 2048}) {
+                sim::MachineConfig m{model, sim::TimerConfig{}};
+                m.timer.l1.size_bytes = l1_kb * 1024;
+                m.timer.l2.size_bytes = l2_kb * 1024;
+                machines.push_back(m);
+            }
+    return machines;
+}
+
+TEST(SweepDriver, AblationSweepMatchesScalarOnEveryPair)
+{
+    ScratchDir scratch("mmxdsp_sweep_ablation_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    const std::vector<sim::MachineConfig> machines = ablationMachines();
+
+    for (const auto &[bench, version] : harness::BenchmarkSuite::allRuns()) {
+        const std::string what = bench + "." + version;
+        auto mat = suite.materializedFor(bench, version);
+        ASSERT_NE(mat, nullptr) << what;
+
+        // The memo-less per-machine sweep is the reference; its P6/P6P
+        // entries are pinned to solo replays.
+        const auto scalar = mat->replaySweepScalar(machines, 4);
+        ASSERT_EQ(scalar.size(), machines.size()) << what;
+        for (size_t i = 0; i < machines.size(); ++i)
+            if (machines[i].model != sim::ModelKind::P5)
+                expectSameProfile(scalar[i], mat->replayProfile(machines[i]),
+                                  what + " solo " + std::to_string(i));
+
+        for (int threads : {1, 2, 4}) {
+            const std::string at =
+                what + " threads " + std::to_string(threads) + " machine ";
+            const auto dispatched = mat->replaySweep(machines, threads);
+            const auto packed = mat->replaySweepPacked(machines, threads);
+            ASSERT_EQ(dispatched.size(), machines.size()) << at;
+            ASSERT_EQ(packed.size(), machines.size()) << at;
+            for (size_t i = 0; i < machines.size(); ++i) {
+                expectSameProfile(dispatched[i], scalar[i],
+                                  at + std::to_string(i) + " dispatched");
+                expectSameProfile(packed[i], scalar[i],
+                                  at + std::to_string(i) + " packed");
+            }
+        }
+    }
+}
+
+TEST(SweepDriver, P5LaneBlocksRunBesidePerMachineTasks)
+{
+    // 3, 5, 13 and 17 P5 lanes beside one P6 and one P6P machine: at 1,
+    // 2 and 4 threads the lanes split into AVX2 groups, mask-select
+    // tails and several blocks, all in one pool with the per-machine
+    // runs. The P6/P6P machines share lane 0's cache geometry.
+    ScratchDir scratch("mmxdsp_sweep_lane_mix_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = materializedTrace(suite, "fft", "mmx");
+
+    for (uint32_t lanes : {3u, 5u, 13u, 17u}) {
+        std::vector<sim::MachineConfig> machines;
+        for (uint32_t k = 0; k < lanes; ++k) {
+            sim::MachineConfig m{sim::ModelKind::P5, sim::TimerConfig{}};
+            m.timer.l1.size_bytes = 1024u << (k % 4);
+            m.timer.l2.size_bytes = 16384u << (k % 3);
+            m.timer.btb_entries = 64u << (k % 2);
+            m.timer.mispredict_penalty = 1 + k;
+            machines.push_back(m);
+        }
+        for (sim::ModelKind model : {sim::ModelKind::P6, sim::ModelKind::P6P}) {
+            sim::MachineConfig m = machines[0];
+            m.model = model;
+            machines.push_back(m);
+        }
+        std::vector<profile::ProfileResult> solo;
+        for (const sim::MachineConfig &m : machines)
+            solo.push_back(mat->replayProfile(m));
+
+        for (int threads : {1, 2, 4}) {
+            const std::string what = std::to_string(lanes) + " lanes threads "
+                                     + std::to_string(threads) + " machine ";
+            const auto dispatched = mat->replaySweep(machines, threads);
+            const auto packed = mat->replaySweepPacked(machines, threads);
+            ASSERT_EQ(dispatched.size(), machines.size()) << what;
+            ASSERT_EQ(packed.size(), machines.size()) << what;
+            for (size_t i = 0; i < machines.size(); ++i) {
+                expectSameProfile(dispatched[i], solo[i],
+                                  what + std::to_string(i) + " dispatched");
+                expectSameProfile(packed[i], solo[i],
+                                  what + std::to_string(i) + " packed");
+            }
         }
     }
 }
