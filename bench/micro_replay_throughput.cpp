@@ -12,8 +12,8 @@
  *    golden reference path);
  *  - config-parallel: the same shared buffers, but all configurations
  *    advance together in one lane-packed pass fed by per-geometry
- *    cache/BTB memos (replaySweepPacked, where replaySweep sends wide
- *    P5 sweeps).
+ *    cache/BTB memos (replaySweepPacked, where replaySweep sends every
+ *    wide group of machines of one model and front end).
  *
  * Also times live capture (functional execution + block-buffered emit +
  * encoding, no timing model) of the same pair on a fresh suite, so the
@@ -36,8 +36,8 @@
  * resident trace through the dispatched replaySweep, the packed kernel
  * and the per-machine kernel (sweep only, no materialize), and the
  * cache-size ablation's 36-machine mixed sweep is split into its parts:
- * ns per lane-event of the memo pre-pass, the P5 lanes and the P6 and
- * P6P per-machine runs.
+ * ns per lane-event of the memo pre-pass, the lanes of each model and
+ * the P6 and P6P per-machine runs, on the widest lane ISA the CPU runs.
  * The binary verifies all sweeps are bit-identical and exits nonzero
  * on divergence, if the scalar materialized sweep is not faster than
  * streaming, or (in optimized builds) if the config-parallel sweep is
@@ -183,10 +183,12 @@ struct DispatchPoint
  */
 struct LaneCost
 {
-    double memo_ns = 0.0;     ///< memo pre-pass, per lane it serves (36)
-    double p5_lanes_ns = 0.0; ///< P5 hoist + lanes over recorded memos
-    double p6_ns = 0.0;       ///< P6 per-machine runs over recorded memos
-    double p6p_ns = 0.0;      ///< P6P per-machine runs over recorded memos
+    double memo_ns = 0.0;      ///< memo pre-pass, per lane it serves (36)
+    double p5_lanes_ns = 0.0;  ///< P5 hoist + lanes over recorded memos
+    double p6_lanes_ns = 0.0;  ///< P6 hoist + lanes over recorded memos
+    double p6p_lanes_ns = 0.0; ///< P6P hoist + lanes over recorded memos
+    double p6_ns = 0.0;        ///< P6 per-machine runs over recorded memos
+    double p6p_ns = 0.0;       ///< P6P per-machine runs over recorded memos
     double sweep_ns = 0.0;    ///< the dispatched sweep, end to end
 };
 
@@ -394,7 +396,7 @@ main(int argc, char **argv)
         mixed.insert(mixed.end(), p6Set.begin(), p6Set.end());
         mixed.insert(mixed.end(), p6pSet.begin(), p6pSet.end());
         const double ev = static_cast<double>(events);
-        std::vector<double> memo, p5, p6, p6p, sweep;
+        std::vector<double> memo, p5, p6Lanes, p6pLanes, p6, p6p, sweep;
         std::vector<profile::ProfileResult> swept;
         for (int rep = 0; rep < kLadderRepetitions; ++rep) {
             trace::MaterializedTrace::Memos memos;
@@ -414,17 +416,26 @@ main(int argc, char **argv)
             p6p.push_back(time([&] {
                 mat.replaySweepScalar(p6pSet, opts.threads, &memos);
             }) / (ev * 12));
-            // 12 P5 machines: the dispatched sweep packs them (in a
-            // MMXDSP_FORCE_SCALAR_SWEEP build it runs them per machine).
+            // 12 machines of one model: the dispatched sweep packs them
+            // (in a MMXDSP_FORCE_SCALAR_SWEEP build it runs them per
+            // machine).
             p5.push_back(time([&] {
                 mat.replaySweep(p5Set, opts.threads, &memos);
+            }) / (ev * 12));
+            p6Lanes.push_back(time([&] {
+                mat.replaySweep(p6Set, opts.threads, &memos);
+            }) / (ev * 12));
+            p6pLanes.push_back(time([&] {
+                mat.replaySweep(p6pSet, opts.threads, &memos);
             }) / (ev * 12));
             sweep.push_back(time([&] {
                 swept = mat.replaySweep(mixed, opts.threads);
             }) / (ev * 36));
         }
-        laneCost = {median(memo) * 1e9, median(p5) * 1e9, median(p6) * 1e9,
-                    median(p6p) * 1e9, median(sweep) * 1e9};
+        laneCost = {median(memo) * 1e9,    median(p5) * 1e9,
+                    median(p6Lanes) * 1e9, median(p6pLanes) * 1e9,
+                    median(p6) * 1e9,      median(p6p) * 1e9,
+                    median(sweep) * 1e9};
         const auto golden = mat.replaySweepScalar(mixed, opts.threads);
         for (size_t i = 0; i < mixed.size(); ++i)
             mixed_identical =
@@ -623,14 +634,17 @@ main(int argc, char **argv)
     }
     dispatch.print();
 
+    const trace::LaneIsa isa = trace::hostLaneIsa();
     std::printf("\nmixed 36-machine sweep (ns per lane-event, resident trace, "
-                "--threads=%d)\n",
-                opts.threads);
+                "--threads=%d, %s lanes)\n",
+                opts.threads, trace::laneIsaName(isa));
     Table parts({"part", "ns/lane-event"});
     const std::pair<const char *, double> partRows[] = {
         {"memo pre-pass (per lane served)", laneCost.memo_ns},
         {"P5 lanes (hoist + lanes)", laneCost.p5_lanes_ns},
+        {"P6 lanes (hoist + lanes)", laneCost.p6_lanes_ns},
         {"P6 per-machine", laneCost.p6_ns},
+        {"P6P lanes (hoist + lanes)", laneCost.p6p_lanes_ns},
         {"P6P per-machine", laneCost.p6p_ns},
         {"dispatched sweep", laneCost.sweep_ns}};
     for (const auto &[part, ns] : partRows) {
@@ -728,11 +742,16 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "  ],\n"
                      "  \"lane_cost\": {\"machines\": 36, \"threads\": %d, "
+                     "\"isa\": \"%s\", \"lanes_per_register\": %d, "
                      "\"memo_prepass_ns\": %.3f, \"p5_lanes_ns\": %.3f, "
-                     "\"p6_per_machine_ns\": %.3f, "
-                     "\"p6p_per_machine_ns\": %.3f, \"sweep_ns\": %.3f},\n",
-                     opts.threads, laneCost.memo_ns, laneCost.p5_lanes_ns,
-                     laneCost.p6_ns, laneCost.p6p_ns, laneCost.sweep_ns);
+                     "\"p6_lanes_ns\": %.3f, \"p6_per_machine_ns\": %.3f, "
+                     "\"p6p_lanes_ns\": %.3f, \"p6p_per_machine_ns\": %.3f, "
+                     "\"sweep_ns\": %.3f},\n",
+                     opts.threads, trace::laneIsaName(isa),
+                     static_cast<int>(isa), laneCost.memo_ns,
+                     laneCost.p5_lanes_ns, laneCost.p6_lanes_ns,
+                     laneCost.p6_ns, laneCost.p6p_lanes_ns, laneCost.p6p_ns,
+                     laneCost.sweep_ns);
         std::fprintf(json,
                      "  \"sweep_speedup\": %.3f,\n"
                      "  \"dispatch_speedup\": %.3f,\n"

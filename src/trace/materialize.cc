@@ -589,55 +589,22 @@ MaterializedTrace::replaySweep(const std::vector<sim::TimerConfig> &configs,
     return replaySweep(machines, threads);
 }
 
-namespace {
-
-/**
- * True when two sweep entries are guaranteed to produce bit-identical
- * ProfileResults: same model and same value for every parameter that
- * model reads. Cosmetic fields (cache names) are ignored, as are
- * parameters the selected model never consults (P6 front-end widths on
- * a P5 entry; the P5 mispredict penalty on a P6 entry, which uses
- * p6.mispredict_penalty instead).
- */
-bool
-sameMachine(const sim::MachineConfig &a, const sim::MachineConfig &b)
+std::vector<profile::ProfileResult>
+MaterializedTrace::replaySweepScalar(
+    const std::vector<sim::MachineConfig> &machines, int threads,
+    Memos *memos) const
 {
-    if (a.model != b.model)
-        return false;
-    const auto sameCache = [](const mem::CacheConfig &x,
-                              const mem::CacheConfig &y) {
-        return x.size_bytes == y.size_bytes && x.line_bytes == y.line_bytes
-               && x.ways == y.ways;
-    };
-    const sim::TimerConfig &ta = a.timer;
-    const sim::TimerConfig &tb = b.timer;
-    if (!sameCache(ta.l1, tb.l1) || !sameCache(ta.l2, tb.l2))
-        return false;
-    if (ta.penalties.l1_miss != tb.penalties.l1_miss
-        || ta.penalties.l2_hit != tb.penalties.l2_hit
-        || ta.penalties.l2_miss != tb.penalties.l2_miss)
-        return false;
-    if (ta.btb_entries != tb.btb_entries || ta.btb_ways != tb.btb_ways)
-        return false;
-    switch (a.model) {
-      case sim::ModelKind::P5:
-        return ta.mispredict_penalty == tb.mispredict_penalty;
-      case sim::ModelKind::P6:
-        return ta.p6.decode_width == tb.p6.decode_width
-               && ta.p6.complex_uops == tb.p6.complex_uops
-               && ta.p6.issue_width == tb.p6.issue_width
-               && ta.p6.retire_width == tb.p6.retire_width
-               && ta.p6.mispredict_penalty == tb.p6.mispredict_penalty;
-      case sim::ModelKind::P6P:
-        return ta.p6p.decode_width == tb.p6p.decode_width
-               && ta.p6p.complex_uops == tb.p6p.complex_uops
-               && ta.p6p.issue_width == tb.p6p.issue_width
-               && ta.p6p.retire_width == tb.p6p.retire_width
-               && ta.p6p.window == tb.p6p.window
-               && ta.p6p.mispredict_penalty == tb.p6p.mispredict_penalty;
-    }
-    return false;
+    if (memos)
+        return runSweep(machines, threads, memos, SweepRoute::Dispatch,
+                        LaneIsa::None);
+    std::vector<profile::ProfileResult> results(machines.size());
+    parallelFor(machines.size(), threads, [&](size_t i) {
+        results[i] = runKernel(machines[i], nullptr, nullptr);
+    });
+    return results;
 }
+
+namespace {
 
 /** Index of @p key in a memo list, or the list's size when absent. */
 template <typename Key, typename Memo>
@@ -651,54 +618,6 @@ memoIndex(const std::vector<std::pair<Key, Memo>> &memos, const Key &key)
 }
 
 } // namespace
-
-std::vector<profile::ProfileResult>
-MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
-                               int threads, Memos *memos) const
-{
-    // Deduplicate identical entries before dispatch: each unique machine
-    // is timed once and its result fanned back out to every duplicate
-    // index, so callers may pass redundant grids at no extra cost.
-    std::vector<size_t> uniqueOf(machines.size());
-    std::vector<sim::MachineConfig> unique;
-    unique.reserve(machines.size());
-    for (size_t i = 0; i < machines.size(); ++i) {
-        size_t u = unique.size();
-        for (size_t j = 0; j < unique.size(); ++j) {
-            if (sameMachine(machines[i], unique[j])) {
-                u = j;
-                break;
-            }
-        }
-        if (u == unique.size())
-            unique.push_back(machines[i]);
-        uniqueOf[i] = u;
-    }
-
-    std::vector<profile::ProfileResult> uniqueResults =
-        runSweep(unique, threads, memos, SweepRoute::Dispatch);
-
-    if (unique.size() == machines.size())
-        return uniqueResults;
-    std::vector<profile::ProfileResult> results(machines.size());
-    for (size_t i = 0; i < machines.size(); ++i)
-        results[i] = uniqueResults[uniqueOf[i]];
-    return results;
-}
-
-std::vector<profile::ProfileResult>
-MaterializedTrace::replaySweepScalar(
-    const std::vector<sim::MachineConfig> &machines, int threads,
-    Memos *memos) const
-{
-    if (memos)
-        return runSweep(machines, threads, memos, SweepRoute::PerMachine);
-    std::vector<profile::ProfileResult> results(machines.size());
-    parallelFor(machines.size(), threads, [&](size_t i) {
-        results[i] = runKernel(machines[i], nullptr, nullptr);
-    });
-    return results;
-}
 
 MaterializedTrace::MemoPass
 MaterializedTrace::planMemos(const std::vector<sim::MachineConfig> &machines,

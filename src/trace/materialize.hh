@@ -63,7 +63,7 @@ namespace mmxdsp::trace {
  * depend only on the L1 x L2 geometry and the event stream, so one
  * memo serves every penalty set and every model. Recorded by the sweep
  * driver's memo pre-pass into a MaterializedTrace::Memos, and read by
- * the P5 lanes and the per-machine kernel alike.
+ * the lanes and the per-machine kernel alike.
  */
 struct CacheMemo
 {
@@ -80,6 +80,17 @@ struct BtbMemo
     std::vector<uint64_t> bits;
     mem::BtbStats stats;
 };
+
+/** The vector ISA of the sweep lane kernel, valued by its widest count
+ *  of 64-bit lanes per register. */
+enum class LaneIsa : uint8_t { None = 0, Avx2 = 4, Avx512 = 8 };
+
+/** The widest LaneIsa this CPU runs (None: every sweep runs per
+ *  machine). */
+LaneIsa hostLaneIsa();
+
+/** "avx512" / "avx2" / "none". */
+const char *laneIsaName(LaneIsa isa);
 
 /**
  * One structure-of-arrays event buffer: either owns its storage (the
@@ -272,13 +283,13 @@ class MaterializedTrace
      *     entries use and @p memos lacks (into @p memos, or into
      *     call-local memos without one), one pass per L1 geometry
      *     shared by all of its L2 geometries;
-     *  2. P5 entries run on the config-parallel lane kernel
-     *     (trace/sweep_kernel.cc) when there are more than
-     *     max(2, workers) of them, per machine otherwise;
-     *  3. P6 and P6P entries always run per machine, on the memoized
-     *     kernel, which beats a lane kernel for those models.
-     * The P5 lane blocks and the per-machine runs share one worker
-     * pool, largest task first. A build pinning
+     *  2. entries are grouped by model and front end (every P6/P6P
+     *     parameter but the mispredict penalty); a group of more than
+     *     max(2, workers) entries runs on the config-parallel lane
+     *     kernel (trace/sweep_kernel.cc) of hostLaneIsa();
+     *  3. every other entry runs per machine, on the memoized kernel.
+     * The lane blocks and the per-machine runs share one worker pool,
+     * largest task first. A build pinning
      * MMXDSP_FORCE_SCALAR_SWEEP runs every entry per machine. Results
      * are index-aligned with @p machines and bit-identical to
      * per-machine replayProfile() calls either way.
@@ -300,18 +311,19 @@ class MaterializedTrace
                       int threads = 0, Memos *memos = nullptr) const;
 
     /**
-     * The sweep driver with a lane kernel wherever one exists: every P5
-     * entry runs on the config-parallel lanes whatever the width (one
-     * pass over a hoisted program of config-independent per-event
-     * facts, lane-major state, branchless per-lane selects), P6 and P6P
-     * entries on the memoized per-machine kernel, all over call-local
-     * memos. Results are bit-identical to replaySweepScalar(); duplicate
-     * entries are tolerated but not deduplicated here (replaySweep()
-     * does that).
+     * The sweep driver with every entry on the config-parallel lanes,
+     * whatever the width (one pass per block over a hoisted program of
+     * config-independent per-event facts, lane-major state, branchless
+     * per-lane selects), over call-local memos; only a CPU without a
+     * lane ISA runs them per machine. @p isa pins the lane kernel's
+     * ISA (tests reach every width the host runs); one wider than
+     * hostLaneIsa() is a fatal error. Results are bit-identical to
+     * replaySweepScalar(); duplicate entries are tolerated but not
+     * deduplicated here (replaySweep() does that).
      */
     std::vector<profile::ProfileResult>
     replaySweepPacked(const std::vector<sim::MachineConfig> &machines,
-                      int threads = 0) const;
+                      int threads = 0, LaneIsa isa = hostLaneIsa()) const;
 
     /** "file.cc:123" for a recorded site, or "site#N" when unknown. */
     std::string siteLabel(uint32_t site) const;
@@ -488,21 +500,21 @@ class MaterializedTrace
 
     /** How runSweep() picks each entry's kernel. */
     enum class SweepRoute {
-        PerMachine, ///< every entry per machine, memoized
-        Dispatch,   ///< replaySweep(): P5 lanes only when wide enough
-        Packed,     ///< every P5 entry on lanes, every entry memoized
+        Dispatch, ///< replaySweep(): lanes only for wide groups
+        Packed,   ///< every entry on lanes
     };
 
     /**
      * The sweep driver behind replaySweep(), replaySweepPacked() and
      * replaySweepScalar() with memos (trace/sweep_kernel.cc): the memo
-     * recorders into @p memos (call-local when null), then P5 entries
-     * on the lane kernel or per machine as @p route says, and every
-     * P6/P6P entry per machine. Entries are not deduplicated here.
+     * recorders into @p memos (call-local when null), then each group
+     * of entries on the @p isa lane kernel or per machine as @p route
+     * says (every entry per machine with LaneIsa::None). Entries are
+     * not deduplicated here.
      */
     std::vector<profile::ProfileResult>
     runSweep(const std::vector<sim::MachineConfig> &machines, int threads,
-             Memos *memos, SweepRoute route) const;
+             Memos *memos, SweepRoute route, LaneIsa isa) const;
 
     /**
      * The per-config replay loop behind replayProfile()/replaySweep(),

@@ -17,7 +17,11 @@
  *  - the sweep driver's mixed sweeps: the ablation's 36 machines on
  *    every pair, and P5 lane blocks of several widths beside
  *    per-machine P6/P6P runs, dispatched and packed, at 1, 2 and 4
- *    threads.
+ *    threads;
+ *  - the lane kernel at every vector ISA the host runs (the others
+ *    skip): 1-17 lanes per model, so full, remainder and padded blocks
+ *    all run, with distinct penalties per lane, three P6 front ends in
+ *    one sweep and P6P window/retire-width variants.
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
@@ -29,6 +33,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +44,17 @@
 #include "trace/materialize.hh"
 
 namespace mmxdsp {
+namespace trace {
+
+/** Test parameters print as "avx2" / "avx512". */
+void
+PrintTo(LaneIsa isa, std::ostream *os)
+{
+    *os << laneIsaName(isa);
+}
+
+} // namespace trace
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -511,6 +527,143 @@ TEST(SweepDriver, P5LaneBlocksRunBesidePerMachineTasks)
         }
     }
 }
+
+// ---------------- the lane kernel at every vector ISA ----------------
+
+/**
+ * @p n machines of @p model on the default front end, each lane with
+ * its own cache/BTB geometry, memory penalties and mispredict penalty.
+ */
+std::vector<sim::MachineConfig>
+laneMachines(sim::ModelKind model, uint32_t n)
+{
+    std::vector<sim::MachineConfig> machines;
+    for (uint32_t k = 0; k < n; ++k) {
+        sim::MachineConfig m{model, sim::TimerConfig{}};
+        m.timer.l1.size_bytes = 1024u << (k % 4);
+        m.timer.l2.size_bytes = 16384u << (k % 3);
+        m.timer.btb_entries = 64u << (k % 2);
+        m.timer.penalties.l1_miss = k % 5;
+        m.timer.penalties.l2_hit = 1 + k % 3;
+        m.timer.penalties.l2_miss = 4 + k;
+        m.timer.mispredict_penalty = 1 + k;
+        m.timer.p6.mispredict_penalty = 2 + k;
+        m.timer.p6p.mispredict_penalty = 3 + 2 * k;
+        machines.push_back(m);
+    }
+    return machines;
+}
+
+/** The packed sweep at @p isa equals the memo-less scalar sweep. */
+void
+expectLanesMatchScalar(const trace::MaterializedTrace &mat,
+                       const std::vector<sim::MachineConfig> &machines,
+                       trace::LaneIsa isa, const std::string &what)
+{
+    const auto packed = mat.replaySweepPacked(machines, 2, isa);
+    const auto scalar = mat.replaySweepScalar(machines, 2);
+    ASSERT_EQ(packed.size(), machines.size()) << what;
+    ASSERT_EQ(scalar.size(), machines.size()) << what;
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectSameProfile(packed[i], scalar[i],
+                          what + " machine " + std::to_string(i));
+}
+
+class SweepLanes : public ::testing::TestWithParam<trace::LaneIsa>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (static_cast<int>(GetParam())
+            > static_cast<int>(trace::hostLaneIsa()))
+            GTEST_SKIP() << trace::laneIsaName(GetParam())
+                         << " is not supported by this CPU";
+    }
+
+    /** A scratch directory name of its own per test and ISA (ctest
+     *  runs the instances in parallel). */
+    std::string
+    scratchName(const char *test) const
+    {
+        return std::string("mmxdsp_sweep_lanes_") + test + "_"
+               + trace::laneIsaName(GetParam());
+    }
+};
+
+TEST_P(SweepLanes, EveryLaneCountMatchesScalar)
+{
+    ScratchDir scratch(scratchName("count").c_str());
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = materializedTrace(suite, "fft", "mmx");
+
+    // 1-17 lanes per model: full registers, 4-lane remainders and
+    // padded blocks, every model in one sweep.
+    for (uint32_t n = 1; n <= 17; ++n) {
+        std::vector<sim::MachineConfig> machines;
+        for (sim::ModelKind model :
+             {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+            const auto some = laneMachines(model, n);
+            machines.insert(machines.end(), some.begin(), some.end());
+        }
+        expectLanesMatchScalar(*mat, machines, GetParam(),
+                               std::to_string(n) + " lanes");
+    }
+    // The chain closes on the solo replay.
+    const auto one = laneMachines(sim::ModelKind::P6P, 1);
+    expectSameProfile(mat->replaySweepPacked(one, 1, GetParam())[0],
+                      mat->replayProfile(one[0]), "P6P solo");
+}
+
+TEST_P(SweepLanes, FrontEndVariantsMatchScalar)
+{
+    ScratchDir scratch(scratchName("front").c_str());
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+
+    // Three P6 front ends in one sweep (three lane groups): the default,
+    // a narrow one, and a wide one whose issue width lets two multi-uop
+    // ops reach one decode group (so the complex decoder's state
+    // matters); then P6P window and retire-width variants. 5 or 9 lanes
+    // each.
+    const sim::P6Params narrow{2, 2, 2, 2};
+    const sim::P6Params wide{4, 3, 6, 4};
+    std::vector<sim::MachineConfig> machines;
+    for (const sim::P6Params &front : {sim::P6Params{}, narrow, wide})
+        for (sim::MachineConfig m : laneMachines(
+                 sim::ModelKind::P6, front.issue_width == 2 ? 5 : 9)) {
+            const uint32_t mp = m.timer.p6.mispredict_penalty;
+            m.timer.p6 = front;
+            m.timer.p6.mispredict_penalty = mp;
+            machines.push_back(m);
+        }
+    for (uint32_t window : {1u, 5u, 16u})
+        for (uint32_t retire : {1u, 4u})
+            for (sim::MachineConfig m :
+                 laneMachines(sim::ModelKind::P6P, retire == 1 ? 5 : 9)) {
+                m.timer.p6p.window = window;
+                m.timer.p6p.retire_width = retire;
+                machines.push_back(m);
+            }
+
+    for (const auto &[bench, version] :
+         {std::pair<std::string, std::string>{"fir", "mmx"},
+          {"jpeg", "c"},
+          {"gemm", "mmx_blocked"}}) {
+        auto mat = materializedTrace(suite, bench, version);
+        expectLanesMatchScalar(*mat, machines, GetParam(),
+                               bench + "." + version);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, SweepLanes,
+                         ::testing::Values(trace::LaneIsa::Avx2,
+                                           trace::LaneIsa::Avx512),
+                         [](const auto &info) {
+                             return std::string(
+                                 trace::laneIsaName(info.param));
+                         });
 
 } // namespace
 } // namespace mmxdsp
