@@ -93,11 +93,10 @@ main(int argc, char **argv)
     sweepOne(suite, "jpeg", "c", opts.threads);
 
     const BenchmarkSuite::TraceActivity &activity = suite.traceActivity();
+    const std::string dir = suite.traceDir();
     std::fprintf(stderr,
                  "[harness] %d trace(s) captured live, %d loaded from %s\n",
                  activity.captured, activity.disk_hits,
-                 suite.traceCache().enabled()
-                     ? suite.traceCache().dir().c_str()
-                     : "(cache off)");
+                 dir.empty() ? "(cache off)" : dir.c_str());
     return 0;
 }

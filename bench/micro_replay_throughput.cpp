@@ -1,51 +1,34 @@
 /**
  * @file
- * Microbenchmark of the replay engine's paths, and the regression gate
- * for both the decode-once and the config-parallel optimizations:
+ * Microbenchmark of the replay engine's sweep paths over one resident
+ * trace, and the regression gate for the sweep dispatcher:
  *
- *  - streaming: every configuration of a sweep decodes the serialized
- *    trace body again through trace::replayProfile (the baseline
- *    capture-once/replay-many semantics);
- *  - materialized scalar: the body is decoded once into a
- *    trace::MaterializedTrace and every configuration runs its own full
- *    timing pass over the shared buffers (replaySweepScalar — the
- *    golden reference path);
- *  - config-parallel: the same shared buffers, but all configurations
- *    advance together in one lane-packed pass fed by per-geometry
- *    cache/BTB memos (replaySweepPacked, where replaySweep sends every
- *    wide group of machines of one model and front end).
+ *  - per machine: replaySweepScalar without memos, one full timing pass
+ *    per configuration with the timer's own cache and BTB (the golden
+ *    reference path);
+ *  - lanes: replaySweepPacked, all configurations advancing together
+ *    on the config-parallel lane kernel, fed by per-geometry cache/BTB
+ *    memos (where replaySweep sends every wide group of machines of one
+ *    model and front end).
  *
- * Also times live capture (functional execution + block-buffered emit +
- * encoding, no timing model) of the same pair on a fresh suite, so the
- * capture-once cost can be read next to the replay-many cost.
- *
- * The cold-capture arms time the full cold-miss path — execution to a
- * replayable MaterializedTrace — both ways:
- *
- *  - varint: traceFor (capture through TraceWriter, LEB128 encode,
- *    serialize, parse) followed by MaterializedTrace::build — the
- *    v1 golden reference, and the only path under
- *    -DMMXDSP_FORCE_V1_CAPTURE=ON;
- *  - direct: materializedFor on a cache-less suite, which captures
- *    straight into the SoA buffers through a trace::MaterializeSink
- *    (no varint encode or decode anywhere).
+ * Also times cold capture (functional execution into a
+ * trace::MaterializeSink, no timing model) on a fresh cache-less suite,
+ * so the capture-once cost can be read next to the replay-many cost.
  *
  * --configs=N picks the sweep width of the headline table (default 12);
  * a scaling run at N = 2/4/8/12 lands in BENCH_replay.json regardless.
- * A dispatch ladder then times widths 1-4 on each model over the
- * resident trace through the dispatched replaySweep, the packed kernel
- * and the per-machine kernel (sweep only, no materialize), and the
+ * The dispatch boundary then times, on each model, the lanes against
+ * memoized per-machine runs (memo pre-pass + the per-machine kernel,
+ * what replaySweep runs for narrow groups) at the two widths around
+ * the switch: max(2, workers) machines, the widest group replaySweep
+ * keeps per machine, and one more, the narrowest it puts on lanes. The
  * cache-size ablation's 36-machine mixed sweep is split into its parts:
  * ns per lane-event of the memo pre-pass, the lanes of each model and
  * the P6 and P6P per-machine runs, on the widest lane ISA the CPU runs.
- * The binary verifies all sweeps are bit-identical and exits nonzero
- * on divergence, if the scalar materialized sweep is not faster than
- * streaming, or (in optimized builds) if the config-parallel sweep is
- * not >= 3x faster than streaming at N=12, the dispatched 1-machine
- * sweeps are not >= 1.3x faster than the packed kernel (the median
- * per-repetition ratio, averaged over the three models), or the
- * direct cold capture is not >= 1.5x faster
- * than the varint cold capture — the ROADMAP and PR-8 perf gates.
+ * The binary verifies all sweeps are bit-identical and exits nonzero on
+ * divergence or (in optimized builds on a CPU with a lane ISA) if, on
+ * any model, the lanes lose to the per-machine runs at the narrowest
+ * width replaySweep gives them (median of paired ratios below 1.0x).
  */
 
 #include <algorithm>
@@ -59,29 +42,19 @@
 #include "harness/cli.hh"
 #include "harness/suite.hh"
 #include "profile/vprof.hh"
-#include "runtime/cpu.hh"
-#include "sim/pentium_timer.hh"
 #include "support/parallel.hh"
 #include "support/table.hh"
 #include "trace/materialize.hh"
-#include "trace/materialize_sink.hh"
-#include "trace/reader.hh"
-#include "trace/replay.hh"
-#include "trace/writer.hh"
 
 using namespace mmxdsp;
 
 namespace {
 
 constexpr int kRepetitions = 3;
-/** The dispatch ladder's sweeps take milliseconds: more repetitions. */
+/** The dispatch boundary's sweeps take milliseconds: more repetitions. */
 constexpr int kLadderRepetitions = 9;
-constexpr double kPackedSpeedupGate = 3.0; ///< at 12 configs, Release
-/** At one machine: dispatched replaySweep vs the packed kernel, the
- *  median per-repetition ratio averaged over the models, Release (the
- *  measured crossover is 1.5-2.1x). */
-constexpr double kDispatchGate = 1.3;
-constexpr double kColdCaptureGate = 1.5;   ///< direct vs varint, Release
+/** At the narrowest lane width: lanes vs per-machine runs, per model. */
+constexpr double kDispatchGate = 1.0;
 
 double
 now()
@@ -154,24 +127,22 @@ sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
     return true;
 }
 
-/** One sweep-width measurement across the three sweep paths. */
+/** One sweep-width measurement across the two sweep kernels. */
 struct ScalePoint
 {
     size_t configs = 0;
-    double streaming_seconds = 0.0;
-    double scalar_seconds = 0.0; ///< materialize + replaySweepScalar
-    double packed_seconds = 0.0; ///< materialize + replaySweepPacked
+    double scalar_seconds = 0.0; ///< replaySweepScalar, no memos
+    double packed_seconds = 0.0; ///< replaySweepPacked
 };
 
-/** One dispatch-ladder point: sweep-only times on a resident trace. */
+/** One dispatch-boundary point: sweep-only times on a resident trace. */
 struct DispatchPoint
 {
     sim::ModelKind model = sim::ModelKind::P5;
     size_t configs = 0;
-    double dispatched_seconds = 0.0; ///< replaySweep
-    double packed_seconds = 0.0;     ///< replaySweepPacked
-    double scalar_seconds = 0.0;     ///< replaySweepScalar
-    /** Median over repetitions of packed / dispatched time, each pair
+    double per_machine_seconds = 0.0; ///< memo pre-pass + per machine
+    double lanes_seconds = 0.0;       ///< replaySweepPacked
+    /** Median over repetitions of per-machine / lanes time, each pair
      *  timed back to back (robust to drift in machine speed). */
     double speedup = 0.0;
 };
@@ -228,8 +199,9 @@ main(int argc, char **argv)
     const char *version = "c";
     std::fprintf(stderr, "capturing %s.%s trace (scale %d)...\n", bench,
                  version, opts.scale);
-    auto reader = suite.traceFor(bench, version);
-    const uint64_t events = reader->instrCount();
+    const auto trace = suite.materializedFor(bench, version);
+    const trace::MaterializedTrace &mat = *trace;
+    const uint64_t events = mat.instrCount();
 
     // The sweep widths measured: the scaling ladder plus --configs=N.
     std::vector<size_t> widths = {2, 4, 8, 12};
@@ -237,145 +209,92 @@ main(int argc, char **argv)
         widths.push_back(gateConfigs);
     std::sort(widths.begin(), widths.end());
 
-    // -- sweep arms at every width (best-of-N wall time each) --
-    // The materialized arms rebuild the trace inside the timed region:
-    // the comparison is end-to-end (decode + sweep) against streaming.
+    // -- both sweep kernels at every width (best-of-N wall time each) --
     std::vector<ScalePoint> scaling;
-    std::vector<profile::ProfileResult> streamed, scalarSwept, packedSwept;
+    std::vector<profile::ProfileResult> scalarSwept, packedSwept;
     for (size_t width : widths) {
-        const std::vector<sim::TimerConfig> configs = makeConfigs(width);
         std::vector<sim::MachineConfig> machines;
-        for (const sim::TimerConfig &config : configs)
+        for (const sim::TimerConfig &config : makeConfigs(width))
             machines.push_back({opts.model, config});
         ScalePoint point;
         point.configs = width;
-
-        std::vector<profile::ProfileResult> stream(configs.size());
+        std::vector<profile::ProfileResult> scalar, packed;
         for (int rep = 0; rep < kRepetitions; ++rep) {
-            const double t0 = now();
-            parallelFor(configs.size(), opts.threads, [&](size_t i) {
-                stream[i] = trace::replayProfile(*reader, machines[i]);
-            });
-            const double dt = now() - t0;
-            if (!rep || dt < point.streaming_seconds)
-                point.streaming_seconds = dt;
-        }
-
-        std::vector<profile::ProfileResult> scalar;
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-            const double t0 = now();
-            trace::MaterializedTrace shared;
-            if (!shared.build(*reader)) {
-                std::fprintf(stderr, "FAIL: trace did not materialize\n");
-                return 1;
-            }
-            scalar = shared.replaySweepScalar(machines, opts.threads);
-            const double dt = now() - t0;
+            double t0 = now();
+            scalar = mat.replaySweepScalar(machines, opts.threads);
+            double dt = now() - t0;
             if (!rep || dt < point.scalar_seconds)
                 point.scalar_seconds = dt;
-        }
-
-        std::vector<profile::ProfileResult> packed;
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-            const double t0 = now();
-            trace::MaterializedTrace shared;
-            if (!shared.build(*reader))
-                return 1;
-            packed = shared.replaySweepPacked(machines, opts.threads);
-            const double dt = now() - t0;
+            t0 = now();
+            packed = mat.replaySweepPacked(machines, opts.threads);
+            dt = now() - t0;
             if (!rep || dt < point.packed_seconds)
                 point.packed_seconds = dt;
         }
-
         scaling.push_back(point);
         if (width == gateConfigs) {
-            streamed = std::move(stream);
             scalarSwept = std::move(scalar);
             packedSwept = std::move(packed);
         }
     }
+    const ScalePoint &gate = *std::find_if(
+        scaling.begin(), scaling.end(),
+        [&](const ScalePoint &p) { return p.configs == gateConfigs; });
 
-    const auto pointAt = [&](size_t width) -> const ScalePoint & {
-        for (const ScalePoint &p : scaling)
-            if (p.configs == width)
-                return p;
-        return scaling.back();
-    };
-    const ScalePoint &gate = pointAt(gateConfigs);
-
-    // -- single-replay throughput of both decode paths --
-    double streaming_single = 0.0;
+    // -- single-replay throughput --
+    double single = 0.0;
     for (int rep = 0; rep < kRepetitions; ++rep) {
         const double t0 = now();
-        trace::replayProfile(*reader);
+        mat.replayProfile(opts.machineConfig());
         const double dt = now() - t0;
-        if (!rep || dt < streaming_single)
-            streaming_single = dt;
-    }
-    trace::MaterializedTrace mat;
-    double build_seconds = 0.0;
-    {
-        const double t0 = now();
-        if (!mat.build(*reader)) {
-            std::fprintf(stderr, "FAIL: trace did not materialize\n");
-            return 1;
-        }
-        build_seconds = now() - t0;
-    }
-    double materialized_single = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        const double t0 = now();
-        mat.replayProfile();
-        const double dt = now() - t0;
-        if (!rep || dt < materialized_single)
-            materialized_single = dt;
+        if (!rep || dt < single)
+            single = dt;
     }
 
-    // -- dispatch ladder: widths 1-4 per model on the resident trace --
-    std::vector<DispatchPoint> ladder;
-    bool ladder_identical = true;
+    // -- dispatch boundary: lanes vs per-machine runs around the switch --
+    // replaySweep keeps a group of at most max(2, workers) machines per
+    // machine and puts a wider one on lanes.
+    const size_t laneWidth =
+        std::max<size_t>(2, static_cast<size_t>(resolveThreads(opts.threads)))
+        + 1;
+    std::vector<DispatchPoint> boundary;
+    bool boundary_identical = true;
     for (sim::ModelKind model :
          {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
-        for (size_t width = 1; width <= 4; ++width) {
+        for (size_t width : {laneWidth - 1, laneWidth}) {
             std::vector<sim::MachineConfig> machines;
             for (const sim::TimerConfig &config : makeConfigs(width))
                 machines.push_back({model, config});
             DispatchPoint point;
             point.model = model;
             point.configs = width;
-            // Best of N per path, the paths interleaved within each
-            // repetition so drift in machine speed hits all three alike.
-            std::vector<profile::ProfileResult> dispatched, packed, scalar;
-            const auto time = [](double &best, int rep, auto &&sweep) {
-                const double t0 = now();
-                sweep();
-                const double dt = now() - t0;
-                if (!rep || dt < best)
-                    best = dt;
-                return dt;
-            };
+            // Both arms record the same memos per call (the per-machine
+            // arm into fresh Memos), so each pays the memo pre-pass.
+            std::vector<profile::ProfileResult> perMachine, lanes;
             std::vector<double> ratios;
             for (int rep = 0; rep < kLadderRepetitions; ++rep) {
-                const double d = time(point.dispatched_seconds, rep, [&] {
-                    dispatched = mat.replaySweep(machines, opts.threads);
-                });
-                const double p = time(point.packed_seconds, rep, [&] {
-                    packed = mat.replaySweepPacked(machines, opts.threads);
-                });
-                time(point.scalar_seconds, rep, [&] {
-                    scalar = mat.replaySweepScalar(machines, opts.threads);
-                });
-                ratios.push_back(p / d);
+                trace::MaterializedTrace::Memos memos;
+                double t0 = now();
+                perMachine =
+                    mat.replaySweepScalar(machines, opts.threads, &memos);
+                const double pm = now() - t0;
+                t0 = now();
+                lanes = mat.replaySweepPacked(machines, opts.threads);
+                const double ln = now() - t0;
+                if (!rep || pm < point.per_machine_seconds)
+                    point.per_machine_seconds = pm;
+                if (!rep || ln < point.lanes_seconds)
+                    point.lanes_seconds = ln;
+                ratios.push_back(pm / ln);
             }
-            std::nth_element(ratios.begin(),
-                             ratios.begin() + kLadderRepetitions / 2,
-                             ratios.end());
-            point.speedup = ratios[kLadderRepetitions / 2];
+            point.speedup = median(ratios);
+            const auto dispatched = mat.replaySweep(machines, opts.threads);
             for (size_t i = 0; i < width; ++i)
-                ladder_identical = ladder_identical
-                                   && sameResult(dispatched[i], scalar[i])
-                                   && sameResult(packed[i], scalar[i]);
-            ladder.push_back(point);
+                boundary_identical = boundary_identical
+                                     && sameResult(lanes[i], perMachine[i])
+                                     && sameResult(dispatched[i],
+                                                   perMachine[i]);
+            boundary.push_back(point);
         }
     }
 
@@ -442,123 +361,33 @@ main(int argc, char **argv)
                 mixed_identical && sameResult(swept[i], golden[i]);
     }
 
-    // 1-machine sweeps, averaged over the models: packed / dispatched.
-    double dispatch_speedup = 0.0;
-    for (const DispatchPoint &p : ladder)
-        if (p.configs == 1)
-            dispatch_speedup += p.speedup / sim::kNumModelKinds;
-
-    // -- live-capture arm: execute + capture, no timing model --
-    // A fresh suite with the disk cache off pays the full capture each
-    // time: functional execution, block-buffered emit, encoding.
+    // -- capture arm: execution into a MaterializeSink, no timing model --
+    // A fresh cache-less suite pays the full cold capture each time.
     double capture_seconds = 0.0;
     for (int rep = 0; rep < kRepetitions; ++rep) {
-        harness::BenchmarkSuite live(opts.suiteConfig(),
+        harness::BenchmarkSuite cold(opts.suiteConfig(),
                                      harness::TraceOptions{},
                                      opts.machineConfig());
         const double t0 = now();
-        auto captured = live.traceFor(bench, version);
+        auto captured = cold.materializedFor(bench, version);
         const double dt = now() - t0;
         if (captured->instrCount() != events) {
-            std::fprintf(stderr, "FAIL: live capture event count drifted\n");
+            std::fprintf(stderr, "FAIL: cold capture event count drifted\n");
             return 1;
         }
         if (!rep || dt < capture_seconds)
             capture_seconds = dt;
     }
 
-    // -- cold-capture arms: execution to a replayable trace, both ways --
-    // Each repetition pays the full cold miss on a fresh cache-less
-    // suite. The varint arm is capture -> LEB128 encode -> serialize ->
-    // parse -> build; the direct arm is materializedFor, which (outside
-    // MMXDSP_FORCE_V1_CAPTURE builds) captures straight into the SoA
-    // buffers through a MaterializeSink.
-    double cold_varint_seconds = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        harness::BenchmarkSuite cold(opts.suiteConfig(),
-                                     harness::TraceOptions{},
-                                     opts.machineConfig());
-        const double t0 = now();
-        auto captured = cold.traceFor(bench, version);
-        trace::MaterializedTrace built;
-        if (!built.build(*captured)) {
-            std::fprintf(stderr, "FAIL: cold varint capture did not "
-                                 "materialize\n");
-            return 1;
-        }
-        const double dt = now() - t0;
-        if (built.instrCount() != events) {
-            std::fprintf(stderr,
-                         "FAIL: cold varint capture event count drifted\n");
-            return 1;
-        }
-        if (!rep || dt < cold_varint_seconds)
-            cold_varint_seconds = dt;
-    }
-    double cold_direct_seconds = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        harness::BenchmarkSuite cold(opts.suiteConfig(),
-                                     harness::TraceOptions{},
-                                     opts.machineConfig());
-        const double t0 = now();
-        auto direct = cold.materializedFor(bench, version);
-        const double dt = now() - t0;
-        if (direct->instrCount() != events) {
-            std::fprintf(stderr,
-                         "FAIL: cold direct capture event count drifted\n");
-            return 1;
-        }
-        if (!rep || dt < cold_direct_seconds)
-            cold_direct_seconds = dt;
-    }
+    // -- bit-identity gate: per machine == lanes at every point --
+    bool identical = packedSwept.size() == scalarSwept.size();
+    for (size_t i = 0; identical && i < scalarSwept.size(); ++i)
+        identical = sameResult(packedSwept[i], scalarSwept[i]);
+    identical = identical && boundary_identical && mixed_identical;
 
-    // Same-stream identity: run one captured event stream through both
-    // cold paths — varint round trip (TraceWriter → parse → build) and
-    // MaterializeSink — and demand byte-identical v2 images (buffers
-    // and section checksums). Two live executions are not comparable
-    // (heap placement shifts cache behavior), and the reader may have
-    // come from the disk cache, so neither path consults the live
-    // runtime for site metadata here; the per-pair metadata identity is
-    // covered by test_materialize_sink.
-    bool cold_identical = false;
-    {
-        trace::TraceWriter writer(reader->benchmark(), reader->version(),
-                                  reader->configHash());
-        reader->replayTo(writer);
-        writer.finish(static_cast<const runtime::Cpu *>(nullptr));
-        trace::TraceReader roundtrip;
-        trace::MaterializedTrace built;
-        trace::MaterializeSink sink(reader->benchmark(), reader->version(),
-                                    reader->configHash());
-        reader->replayTo(sink);
-        trace::MaterializedTrace direct = sink.finish(nullptr);
-        cold_identical = roundtrip.parse(writer.serialize())
-                         && built.build(roundtrip)
-                         && direct.serializeV2() == built.serializeV2();
-    }
-
-    // -- bit-identity gate: streaming == scalar == packed --
-    bool identical = scalarSwept.size() == streamed.size()
-                     && packedSwept.size() == streamed.size();
-    for (size_t i = 0; identical && i < streamed.size(); ++i)
-        identical = sameResult(scalarSwept[i], streamed[i])
-                    && sameResult(packedSwept[i], streamed[i]);
-
-    const double streaming_eps =
-        static_cast<double>(events) / streaming_single;
-    const double materialized_eps =
-        static_cast<double>(events) / materialized_single;
-    const double scalar_speedup =
-        gate.streaming_seconds / gate.scalar_seconds;
-    const double packed_speedup =
-        gate.streaming_seconds / gate.packed_seconds;
+    const double scalar_eps = static_cast<double>(events) / single;
+    const double packed_speedup = gate.scalar_seconds / gate.packed_seconds;
     const double capture_eps = static_cast<double>(events) / capture_seconds;
-    const double cold_capture_speedup =
-        cold_varint_seconds / cold_direct_seconds;
-    const double cold_varint_eps =
-        static_cast<double>(events) / cold_varint_seconds;
-    const double cold_direct_eps =
-        static_cast<double>(events) / cold_direct_seconds;
     // Aggregate config-lanes-per-second of the packed pass: N configs
     // advance per event, so the kernel's useful work scales with N.
     const double packed_lane_eps =
@@ -569,47 +398,30 @@ main(int argc, char **argv)
                 bench, version, static_cast<unsigned long long>(events),
                 gateConfigs);
     Table table({"path", "sweep ms", "single ms", "events/sec"});
-    table.addRow({"streaming",
-                  Table::fmtCount(static_cast<int64_t>(
-                      gate.streaming_seconds * 1e3)),
+    table.addRow({"per machine",
                   Table::fmtCount(
-                      static_cast<int64_t>(streaming_single * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(streaming_eps))});
-    table.addRow({"materialized scalar",
-                  Table::fmtCount(static_cast<int64_t>(
-                      gate.scalar_seconds * 1e3)),
-                  Table::fmtCount(
-                      static_cast<int64_t>(materialized_single * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(materialized_eps))});
+                      static_cast<int64_t>(gate.scalar_seconds * 1e3)),
+                  Table::fmtCount(static_cast<int64_t>(single * 1e3)),
+                  Table::fmtCount(static_cast<int64_t>(scalar_eps))});
     table.addRow({"config-parallel",
-                  Table::fmtCount(static_cast<int64_t>(
-                      gate.packed_seconds * 1e3)),
+                  Table::fmtCount(
+                      static_cast<int64_t>(gate.packed_seconds * 1e3)),
                   "n/a",
                   Table::fmtCount(static_cast<int64_t>(packed_lane_eps))});
-    table.addRow({"live capture", "n/a",
+    table.addRow({"cold capture", "n/a",
                   Table::fmtCount(
                       static_cast<int64_t>(capture_seconds * 1e3)),
                   Table::fmtCount(static_cast<int64_t>(capture_eps))});
-    table.addRow({"cold capture varint", "n/a",
-                  Table::fmtCount(
-                      static_cast<int64_t>(cold_varint_seconds * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(cold_varint_eps))});
-    table.addRow({"cold capture direct", "n/a",
-                  Table::fmtCount(
-                      static_cast<int64_t>(cold_direct_seconds * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(cold_direct_eps))});
     table.print();
 
-    std::printf("\nsweep scaling (ms, end-to-end incl. materialize)\n");
-    Table scale({"configs", "streaming", "scalar", "config-parallel",
-                 "speedup vs streaming"});
+    std::printf("\nsweep scaling (ms, resident trace)\n");
+    Table scale({"configs", "per machine", "config-parallel",
+                 "speedup vs per machine"});
     for (const ScalePoint &p : scaling) {
         char speed[32];
         std::snprintf(speed, sizeof(speed), "%.2fx",
-                      p.streaming_seconds / p.packed_seconds);
+                      p.scalar_seconds / p.packed_seconds);
         scale.addRow({Table::fmtCount(static_cast<int64_t>(p.configs)),
-                      Table::fmtCount(static_cast<int64_t>(
-                          p.streaming_seconds * 1e3)),
                       Table::fmtCount(
                           static_cast<int64_t>(p.scalar_seconds * 1e3)),
                       Table::fmtCount(
@@ -618,19 +430,20 @@ main(int argc, char **argv)
     }
     scale.print();
 
-    std::printf("\nsweep dispatch (ms, resident trace, --threads=%d)\n",
-                opts.threads);
-    Table dispatch({"model", "configs", "dispatched", "packed", "scalar",
-                    "packed / dispatched"});
-    for (const DispatchPoint &p : ladder) {
-        char ms[3][32], ratio[32];
-        std::snprintf(ms[0], sizeof(ms[0]), "%.2f", p.dispatched_seconds * 1e3);
-        std::snprintf(ms[1], sizeof(ms[1]), "%.2f", p.packed_seconds * 1e3);
-        std::snprintf(ms[2], sizeof(ms[2]), "%.2f", p.scalar_seconds * 1e3);
+    std::printf("\nsweep dispatch boundary (ms, resident trace, "
+                "--threads=%d: lanes from %zu machines)\n",
+                opts.threads, laneWidth);
+    Table dispatch({"model", "configs", "per machine", "lanes",
+                    "per machine / lanes"});
+    for (const DispatchPoint &p : boundary) {
+        char ms[2][32], ratio[32];
+        std::snprintf(ms[0], sizeof(ms[0]), "%.2f",
+                      p.per_machine_seconds * 1e3);
+        std::snprintf(ms[1], sizeof(ms[1]), "%.2f", p.lanes_seconds * 1e3);
         std::snprintf(ratio, sizeof(ratio), "%.2fx", p.speedup);
         dispatch.addRow({sim::modelName(p.model),
                          Table::fmtCount(static_cast<int64_t>(p.configs)),
-                         ms[0], ms[1], ms[2], ratio});
+                         ms[0], ms[1], ratio});
     }
     dispatch.print();
 
@@ -654,20 +467,15 @@ main(int argc, char **argv)
     }
     parts.print();
 
-    std::printf("\nmaterialize cost      %.1f ms (%.1f MB resident)\n",
-                build_seconds * 1e3,
+    std::printf("\nresident trace        %.1f MB\n",
                 static_cast<double>(mat.byteSize()) / 1e6);
-    std::printf("scalar sweep speedup  %.2fx (incl. materialize)\n",
-                scalar_speedup);
-    std::printf("packed sweep speedup  %.2fx (incl. materialize)\n",
+    std::printf("packed sweep speedup  %.2fx (vs per machine)\n",
                 packed_speedup);
-    std::printf("dispatch speedup      %.2fx (1 machine, vs packed)\n",
-                dispatch_speedup);
-    std::printf("cold capture speedup  %.2fx (direct vs varint)\n",
-                cold_capture_speedup);
-    identical = identical && ladder_identical && mixed_identical;
+    for (const DispatchPoint &p : boundary)
+        if (p.configs == laneWidth)
+            std::printf("lanes at %zu machines %.2fx (%s, vs per machine)\n",
+                        p.configs, p.speedup, sim::modelName(p.model));
     std::printf("results bit-identical %s\n", identical ? "yes" : "NO");
-    std::printf("cold v2 bit-identical %s\n", cold_identical ? "yes" : "NO");
 
     std::FILE *json = std::fopen("BENCH_replay.json", "w");
     if (json) {
@@ -679,13 +487,7 @@ main(int argc, char **argv)
             "  \"events\": %llu,\n"
             "  \"configs\": %zu,\n"
             "  \"repetitions\": %d,\n"
-            "  \"streaming\": {\n"
-            "    \"sweep_seconds\": %.6f,\n"
-            "    \"single_seconds\": %.6f,\n"
-            "    \"events_per_sec\": %.0f\n"
-            "  },\n"
-            "  \"materialized\": {\n"
-            "    \"build_seconds\": %.6f,\n"
+            "  \"per_machine\": {\n"
             "    \"sweep_seconds\": %.6f,\n"
             "    \"single_seconds\": %.6f,\n"
             "    \"events_per_sec\": %.0f,\n"
@@ -694,50 +496,40 @@ main(int argc, char **argv)
             "  \"config_parallel\": {\n"
             "    \"sweep_seconds\": %.6f,\n"
             "    \"lane_events_per_sec\": %.0f,\n"
-            "    \"speedup_vs_streaming\": %.3f\n"
-            "  },\n"
-            "  \"live_capture\": {\n"
-            "    \"capture_seconds\": %.6f,\n"
-            "    \"events_per_sec\": %.0f\n"
+            "    \"speedup_vs_per_machine\": %.3f\n"
             "  },\n"
             "  \"cold_capture\": {\n"
-            "    \"varint_seconds\": %.6f,\n"
-            "    \"direct_seconds\": %.6f,\n"
-            "    \"speedup\": %.3f,\n"
-            "    \"identical\": %s\n"
+            "    \"seconds\": %.6f,\n"
+            "    \"events_per_sec\": %.0f\n"
             "  },\n",
             bench, version, opts.scale,
             static_cast<unsigned long long>(events), gateConfigs,
-            kRepetitions, gate.streaming_seconds, streaming_single,
-            streaming_eps, build_seconds, gate.scalar_seconds,
-            materialized_single, materialized_eps, mat.byteSize(),
-            gate.packed_seconds, packed_lane_eps, packed_speedup,
-            capture_seconds, capture_eps, cold_varint_seconds,
-            cold_direct_seconds, cold_capture_speedup,
-            cold_identical ? "true" : "false");
+            kRepetitions, gate.scalar_seconds, single, scalar_eps,
+            mat.byteSize(), gate.packed_seconds, packed_lane_eps,
+            packed_speedup, capture_seconds, capture_eps);
         std::fprintf(json, "  \"scaling\": [\n");
         for (size_t i = 0; i < scaling.size(); ++i) {
             const ScalePoint &p = scaling[i];
             std::fprintf(
                 json,
-                "    {\"configs\": %zu, \"streaming_seconds\": %.6f, "
-                "\"scalar_seconds\": %.6f, \"packed_seconds\": %.6f, "
-                "\"packed_speedup\": %.3f}%s\n",
-                p.configs, p.streaming_seconds, p.scalar_seconds,
-                p.packed_seconds, p.streaming_seconds / p.packed_seconds,
+                "    {\"configs\": %zu, \"scalar_seconds\": %.6f, "
+                "\"packed_seconds\": %.6f, \"packed_speedup\": %.3f}%s\n",
+                p.configs, p.scalar_seconds, p.packed_seconds,
+                p.scalar_seconds / p.packed_seconds,
                 i + 1 < scaling.size() ? "," : "");
         }
-        std::fprintf(json, "  ],\n  \"dispatch\": [\n");
-        for (size_t i = 0; i < ladder.size(); ++i) {
-            const DispatchPoint &p = ladder[i];
+        std::fprintf(json, "  ],\n  \"lane_width\": %zu,\n  \"dispatch\": [\n",
+                     laneWidth);
+        for (size_t i = 0; i < boundary.size(); ++i) {
+            const DispatchPoint &p = boundary[i];
             std::fprintf(
                 json,
                 "    {\"model\": \"%s\", \"configs\": %zu, "
-                "\"dispatched_seconds\": %.6f, \"packed_seconds\": %.6f, "
-                "\"scalar_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                sim::modelName(p.model), p.configs, p.dispatched_seconds,
-                p.packed_seconds, p.scalar_seconds, p.speedup,
-                i + 1 < ladder.size() ? "," : "");
+                "\"per_machine_seconds\": %.6f, \"lanes_seconds\": %.6f, "
+                "\"speedup\": %.3f}%s\n",
+                sim::modelName(p.model), p.configs, p.per_machine_seconds,
+                p.lanes_seconds, p.speedup,
+                i + 1 < boundary.size() ? "," : "");
         }
         std::fprintf(json,
                      "  ],\n"
@@ -752,69 +544,35 @@ main(int argc, char **argv)
                      laneCost.p5_lanes_ns, laneCost.p6_lanes_ns,
                      laneCost.p6_ns, laneCost.p6p_lanes_ns, laneCost.p6p_ns,
                      laneCost.sweep_ns);
-        std::fprintf(json,
-                     "  \"sweep_speedup\": %.3f,\n"
-                     "  \"dispatch_speedup\": %.3f,\n"
-                     "  \"identical\": %s\n"
-                     "}\n",
-                     scalar_speedup, dispatch_speedup,
+        std::fprintf(json, "  \"identical\": %s\n}\n",
                      identical ? "true" : "false");
         std::fclose(json);
         std::fprintf(stderr, "wrote BENCH_replay.json\n");
     }
 
     if (!identical) {
-        std::fprintf(stderr,
-                     "FAIL: sweep paths diverged from streaming\n");
-        return 1;
-    }
-    if (!cold_identical) {
-        std::fprintf(stderr, "FAIL: direct capture v2 image diverged "
-                             "from the varint reference\n");
-        return 1;
-    }
-    if (scalar_speedup <= 1.0) {
-        std::fprintf(stderr,
-                     "FAIL: materialized sweep slower than streaming "
-                     "(%.2fx)\n",
-                     scalar_speedup);
+        std::fprintf(stderr, "FAIL: sweep paths diverged\n");
         return 1;
     }
 #ifdef NDEBUG
-    // The config-parallel perf gate (optimized builds only; debug and
-    // sanitizer builds keep the identity gates but skip this one).
-    const ScalePoint &wide = pointAt(12);
-    const double wide_speedup = wide.streaming_seconds / wide.packed_seconds;
-    if (wide_speedup < kPackedSpeedupGate) {
+    // The dispatch gate (optimized builds on a CPU with a lane ISA;
+    // elsewhere replaySweepPacked runs per machine too): where
+    // replaySweep() switches a group to lanes, the lanes must not lose
+    // to the per-machine runs it would otherwise use, on any model.
+    bool fast = true;
+    for (const DispatchPoint &p : boundary) {
+        if (isa == trace::LaneIsa::None || p.configs != laneWidth
+            || p.speedup >= kDispatchGate)
+            continue;
         std::fprintf(stderr,
-                     "FAIL: config-parallel sweep at 12 configs only "
-                     "%.2fx vs streaming (gate %.1fx)\n",
-                     wide_speedup, kPackedSpeedupGate);
-        return 1;
+                     "FAIL: %s lanes at %zu machines only %.2fx vs per "
+                     "machine (gate %.1fx)\n",
+                     sim::modelName(p.model), p.configs, p.speedup,
+                     kDispatchGate);
+        fast = false;
     }
-    // The dispatch gate: a 1-machine sweep must take the per-machine
-    // kernel, well clear of the packed kernel's cost at the same
-    // --threads (paired medians averaged over the three models, which
-    // steadies the millisecond-scale timings).
-    if (dispatch_speedup < kDispatchGate) {
-        std::fprintf(stderr,
-                     "FAIL: dispatched 1-machine sweeps only %.2fx vs the "
-                     "packed kernel (gate %.1fx)\n",
-                     dispatch_speedup, kDispatchGate);
+    if (!fast)
         return 1;
-    }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-    // The cold-capture perf gate (optimized builds only; under
-    // MMXDSP_FORCE_V1_CAPTURE both arms run the varint path, so only
-    // the identity checks apply).
-    if (cold_capture_speedup < kColdCaptureGate) {
-        std::fprintf(stderr,
-                     "FAIL: direct cold capture only %.2fx vs varint "
-                     "(gate %.1fx)\n",
-                     cold_capture_speedup, kColdCaptureGate);
-        return 1;
-    }
-#endif
 #endif
     return 0;
 }

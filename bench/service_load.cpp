@@ -209,7 +209,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "FAIL: warm store still captured live\n");
         return 1;
     }
-    if (store_warm.v2_hits > pairs.size() || store_warm.v1_hits != 0) {
+    if (store_warm.v2_hits > pairs.size()) {
         std::fprintf(stderr,
                      "FAIL: %llu store loads for %zu distinct traces "
                      "(re-decode instead of serve-from-memory)\n",

@@ -14,8 +14,9 @@
  *
  * Also the regression gate for the model layer: for every pair, the P5
  * entry of the cross-model sweep must be bit-identical to the plain P5
- * replay, and the P6 and P6P materialized results must each be
- * bit-identical to a streaming replay of the same trace on that model.
+ * replay, and the P6 and P6P entries must each be bit-identical to the
+ * same trace replayed event by event through a profile::VProf on that
+ * model (MaterializedTrace::replayTo).
  * Exits nonzero on any divergence, and writes BENCH_p5_vs_p6.json for
  * CI artifact upload.
  */
@@ -30,7 +31,6 @@
 #include "sim/timing_model.hh"
 #include "support/table.hh"
 #include "trace/materialize.hh"
-#include "trace/replay.hh"
 
 using namespace mmxdsp;
 using harness::BenchmarkSuite;
@@ -57,6 +57,16 @@ sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
            && a.timer.portStallCycles == b.timer.portStallCycles
            && a.l1.misses == b.l1.misses && a.l2.misses == b.l2.misses
            && a.btb.mispredicts == b.btb.mispredicts;
+}
+
+/** @p mat replayed event by event through a fresh VProf on @p machine. */
+profile::ProfileResult
+vprofReplay(const trace::MaterializedTrace &mat,
+            const sim::MachineConfig &machine)
+{
+    profile::VProf prof(machine);
+    mat.replayTo(prof);
+    return prof.result();
 }
 
 double
@@ -104,20 +114,19 @@ main(int argc, char **argv)
                          benchmark.c_str(), version.c_str());
             identical = false;
         }
-        // Gates 2 and 3: materialized P6/P6P match the streaming
-        // replays of the same trace on those models.
-        auto reader = suite.traceFor(benchmark, version);
-        if (!sameResult(swept[1], trace::replayProfile(*reader, p6))) {
+        // Gates 2 and 3: the sweep's P6/P6P entries match a VProf fed
+        // the same trace event by event on those models.
+        if (!sameResult(swept[1], vprofReplay(*mat, p6))) {
             std::fprintf(stderr,
-                         "FAIL: %s.%s materialized P6 replay diverged "
-                         "from streaming P6 replay\n",
+                         "FAIL: %s.%s swept P6 entry diverged from the "
+                         "VProf replay\n",
                          benchmark.c_str(), version.c_str());
             identical = false;
         }
-        if (!sameResult(swept[2], trace::replayProfile(*reader, p6p))) {
+        if (!sameResult(swept[2], vprofReplay(*mat, p6p))) {
             std::fprintf(stderr,
-                         "FAIL: %s.%s materialized P6P replay diverged "
-                         "from streaming P6P replay\n",
+                         "FAIL: %s.%s swept P6P entry diverged from the "
+                         "VProf replay\n",
                          benchmark.c_str(), version.c_str());
             identical = false;
         }

@@ -22,7 +22,7 @@ usage(const char *prog, int exit_code)
         "  --scale=N         shrink every workload by ~N for quick runs\n"
         "  --threads=N       replay worker threads (0 = auto)\n"
         "  --model=p5|p6|p6p     timing model profiles run on (default p5)\n"
-        "  --trace-dir=PATH  instruction-trace cache directory\n"
+        "  --trace-dir=PATH  instruction-trace store directory\n"
         "                    (default traces; MMXDSP_TRACE_DIR overrides)\n"
         "  --no-trace-cache  always execute; skip trace capture/replay\n"
         "  --sizes=A,B,...   problem sizes for size-sweeping benches\n"
@@ -154,13 +154,13 @@ runAllTimed(BenchmarkSuite &suite, int threads)
         std::chrono::steady_clock::now() - start);
 
     const BenchmarkSuite::TraceActivity &activity = suite.traceActivity();
+    const std::string dir = suite.traceDir();
     std::fprintf(
         stderr,
         "[harness] %d pair(s) captured live, %d replayed from %s; "
         "%d worker thread(s), %lld ms\n",
         activity.captured, activity.disk_hits,
-        suite.traceCache().enabled() ? suite.traceCache().dir().c_str()
-                                     : "(cache off)",
+        dir.empty() ? "(cache off)" : dir.c_str(),
         resolveThreads(threads),
         static_cast<long long>(elapsed.count()));
 }

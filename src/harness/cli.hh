@@ -9,7 +9,7 @@
  *   --scale=N          shrink every workload by ~N (SuiteConfig::scaleDown)
  *   --threads=N        replay worker threads (0 = auto, default 0)
  *   --model=p5|p6|p6p      timing model the profiles run on (default p5)
- *   --trace-dir=PATH   on-disk trace cache directory (default "traces")
+ *   --trace-dir=PATH   trace store directory (default "traces")
  *   --no-trace-cache   always execute; do not read or write trace files
  *   --sizes=A,B,...    problem-size list (benches that sweep sizes)
  *   --blocks=A,B,...   block-size list (benches that sweep blockings)

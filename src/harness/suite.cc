@@ -1,6 +1,7 @@
 #include "suite.hh"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "apps/g722/g722_app.hh"
 #include "apps/image/image_app.hh"
@@ -15,8 +16,6 @@
 #include "support/parallel.hh"
 #include "trace/format.hh"
 #include "trace/materialize_sink.hh"
-#include "trace/replay.hh"
-#include "trace/writer.hh"
 #include "workloads/image_data.hh"
 
 namespace mmxdsp::harness {
@@ -47,7 +46,7 @@ uint64_t
 SuiteConfig::hash() const
 {
     uint64_t h = 0xcbf29ce484222325ull;
-    h = trace::fnv1aMix(h, trace::kFormatVersion);
+    h = trace::fnv1aMix(h, kTraceKeySalt);
     h = trace::fnv1aMix(h, static_cast<uint64_t>(fir_samples));
     h = trace::fnv1aMix(h, static_cast<uint64_t>(iir_samples));
     h = trace::fnv1aMix(h, static_cast<uint64_t>(fft_size));
@@ -64,6 +63,28 @@ SuiteConfig::hash() const
     h = trace::fnv1aMix(h, seed);
     return h;
 }
+
+namespace {
+
+/** The store root @p options resolve to under the environment
+ *  overrides (see TraceOptions); empty means tracing is off. */
+std::string
+resolveTraceDir(const TraceOptions &options)
+{
+    bool enabled = options.enabled;
+    if (const char *flag = std::getenv("MMXDSP_TRACE_CACHE")) {
+        if (flag[0] == '0' && flag[1] == '\0')
+            return {};
+        enabled = true;
+    }
+    if (!enabled)
+        return {};
+    if (const char *env = std::getenv("MMXDSP_TRACE_DIR"); env && env[0])
+        return env;
+    return options.dir;
+}
+
+} // namespace
 
 struct BenchmarkSuite::Impl
 {
@@ -84,10 +105,13 @@ BenchmarkSuite::BenchmarkSuite(const SuiteConfig &config,
                                const sim::MachineConfig &machine)
     : config_(config),
       machine_(machine),
-      traceCache_(
-          trace::TraceCache::fromEnv(trace_options.dir, trace_options.enabled)),
       impl_(std::make_unique<Impl>())
 {
+    if (std::string dir = resolveTraceDir(trace_options); !dir.empty()) {
+        service::StoreOptions store;
+        store.root = std::move(dir);
+        store_ = std::make_unique<service::TraceStore>(std::move(store));
+    }
     impl_->fir.setup(config.fir_samples, config.seed);
     impl_->iir.setup(config.iir_samples, config.seed + 1);
     impl_->fft.setup(config.fft_size, config.seed + 2);
@@ -200,57 +224,39 @@ BenchmarkSuite::executeLive(const std::string &benchmark,
                      version.c_str());
 }
 
-std::shared_ptr<const trace::TraceReader>
-BenchmarkSuite::ensureTrace(const std::string &benchmark,
-                            const std::string &version)
+std::shared_ptr<const trace::MaterializedTrace>
+BenchmarkSuite::capture(const std::string &benchmark,
+                        const std::string &version)
+{
+    // Capture-only pass: no profiler attached, so the capture costs
+    // functional execution plus the SoA appends, not a timing-model run.
+    const uint64_t h = config_.hash();
+    trace::MaterializeSink sink(benchmark, version, h);
+    executeLive(benchmark, version, &sink);
+    auto mat = std::make_shared<const trace::MaterializedTrace>(
+        sink.finish(&impl_->cpu));
+    ++activity_.captured;
+    if (store_)
+        store_->store(benchmark, version, h, *mat);
+    return mat;
+}
+
+std::shared_ptr<const trace::MaterializedTrace>
+BenchmarkSuite::materializedFor(const std::string &benchmark,
+                                const std::string &version)
 {
     const std::string key = benchmark + "." + version;
-    auto it = traces_.find(key);
-    if (it != traces_.end())
+    auto it = materialized_.find(key);
+    if (it != materialized_.end())
         return it->second;
 
-    const uint64_t h = config_.hash();
-    auto reader = std::make_shared<trace::TraceReader>();
-    if (traceCache_.load(benchmark, version, h, *reader)) {
+    std::shared_ptr<const trace::MaterializedTrace> mat;
+    if (store_ && (mat = store_->load(benchmark, version, config_.hash())))
         ++activity_.disk_hits;
-    } else {
-        // A materialized capture of this pair (direct-captured by
-        // sweep()/materializedFor(), or published as a v2 image by an
-        // earlier process) already holds the exact event stream:
-        // re-encode it as v1 instead of executing the workload again —
-        // a second run need not reproduce the address stream, and a
-        // trace that disagrees with the materialized one would make
-        // streaming and materialized replays diverge.
-        std::vector<uint8_t> image;
-        if (auto mit = materialized_.find(key); mit != materialized_.end())
-            image = mit->second->serializeV1();
-        else if (traceCache_.enabled()) {
-            trace::MaterializedTrace mat;
-            if (traceCache_.loadMaterialized(benchmark, version, h, mat)) {
-                ++activity_.disk_hits;
-                image = mat.serializeV1();
-            }
-        }
-        if (image.empty()) {
-            // Capture-only pass: no profiler attached, so the capture
-            // costs functional execution plus encoding, not a
-            // timing-model run.
-            trace::TraceWriter writer(benchmark, version, h);
-            executeLive(benchmark, version, &writer);
-            writer.finish(&impl_->cpu);
-            image = writer.serialize();
-            ++activity_.captured;
-        }
-        traceCache_.store(benchmark, version, h, image);
-        if (!reader->parse(std::move(image)))
-            mmxdsp_panic("freshly captured trace failed to parse (%s)",
-                         key.c_str());
-    }
-    auto [pos, inserted] =
-        traces_.emplace(key, std::shared_ptr<const trace::TraceReader>(
-                                 std::move(reader)));
-    (void)inserted;
-    return pos->second;
+    else
+        mat = capture(benchmark, version);
+    materialized_.emplace(key, mat);
+    return mat;
 }
 
 const RunResult &
@@ -264,82 +270,18 @@ BenchmarkSuite::run(const std::string &benchmark, const std::string &version)
     RunResult result;
     result.benchmark = benchmark;
     result.version = version;
-
-    const std::string tkey = benchmark + "." + version;
-
-    // A direct-captured materialized trace (sweep()/materializedFor()
-    // on this suite) carries the identical event stream — replay it
-    // rather than executing again, so run() and sweep() stay
-    // bit-consistent within one suite.
-    if (!traces_.count(tkey)) {
-        auto mit = materialized_.find(tkey);
-        if (mit != materialized_.end()) {
-            result.profile = mit->second->replayProfile(machine_);
-            result.replayed = true;
-            auto [pos, inserted] = cache_.emplace(key, std::move(result));
-            (void)inserted;
-            return pos->second;
-        }
-    }
-
-    auto cached = traces_.find(tkey);
-    if (cached == traces_.end() && traceCache_.enabled()) {
-        // Try the on-disk cache before paying for an execution.
-        const uint64_t h = config_.hash();
-        auto reader = std::make_shared<trace::TraceReader>();
-        if (traceCache_.load(benchmark, version, h, *reader)) {
-            cached = traces_.emplace(tkey, std::move(reader)).first;
-            ++activity_.disk_hits;
-        }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-        else {
-            // No varint entry, but a previous process may have
-            // published the materialized (v2) image: mmap it and
-            // replay, which is cheaper than either decode or re-run.
-            auto mat = std::make_shared<trace::MaterializedTrace>();
-            if (traceCache_.loadMaterialized(benchmark, version, h,
-                                             *mat)) {
-                ++activity_.disk_hits;
-                materialized_.emplace(tkey, mat);
-                result.profile = mat->replayProfile(machine_);
-                result.replayed = true;
-                auto [pos, inserted] = cache_.emplace(key, std::move(result));
-                (void)inserted;
-                return pos->second;
-            }
-        }
-#endif
-    }
-
-    if (cached != traces_.end()) {
-        result.profile = trace::replayProfile(*cached->second, machine_);
+    // A pair already captured by this suite (sweep()/materializedFor())
+    // replays too, so run() and sweep() see one event stream.
+    if (store_ || materialized_.count(key)) {
+        result.profile =
+            materializedFor(benchmark, version)->replayProfile(machine_);
         result.replayed = true;
-    } else if (traceCache_.enabled()) {
-        // Live run: profile and capture in one pass through a tee.
-        const uint64_t h = config_.hash();
-        profile::VProf prof(machine_);
-        trace::TraceWriter writer(benchmark, version, h);
-        sim::TeeSink tee(&prof, &writer);
-        executeLive(benchmark, version, &tee);
-        writer.finish(&impl_->cpu);
-        std::vector<uint8_t> image = writer.serialize();
-        traceCache_.store(benchmark, version, h, image);
-        auto reader = std::make_shared<trace::TraceReader>();
-        if (!reader->parse(std::move(image)))
-            mmxdsp_panic("freshly captured trace failed to parse (%s)",
-                         key.c_str());
-        traces_.emplace(tkey, std::move(reader));
-        result.profile = prof.result();
-        ++activity_.captured;
     } else {
         profile::VProf prof(machine_);
         executeLive(benchmark, version, &prof);
         result.profile = prof.result();
     }
-
-    auto [pos, inserted] = cache_.emplace(key, std::move(result));
-    (void)inserted;
-    return pos->second;
+    return cache_.emplace(key, std::move(result)).first->second;
 }
 
 void
@@ -349,80 +291,55 @@ BenchmarkSuite::runAll(int n_threads)
     {
         std::string benchmark;
         std::string version;
-        std::shared_ptr<const trace::TraceReader> reader;
         std::shared_ptr<const trace::MaterializedTrace> mat;
         profile::ProfileResult profile;
     };
 
-    // Phase 1: gather every pair still to be measured. A pair that was
-    // already direct-captured (sweep()/materializedFor()) replays from
-    // its materialized buffers — same stream, no second execution.
+    // Phase 1: gather every pair still to be measured; a pair this
+    // suite already holds a trace for replays that trace.
     std::vector<Job> jobs;
     for (const auto &[benchmark, version] : allRuns()) {
-        if (cache_.count(benchmark + "." + version))
+        const std::string key = benchmark + "." + version;
+        if (cache_.count(key))
             continue;
-        Job job;
-        job.benchmark = benchmark;
-        job.version = version;
-        auto it = traces_.find(benchmark + "." + version);
-        if (it != traces_.end())
-            job.reader = it->second;
-        else if (auto mit = materialized_.find(benchmark + "." + version);
-                 mit != materialized_.end())
-            job.mat = mit->second;
+        Job job{benchmark, version, nullptr, {}};
+        if (auto it = materialized_.find(key); it != materialized_.end())
+            job.mat = it->second;
         jobs.push_back(std::move(job));
     }
 
-    // Phase 2 (parallel): the on-disk lookups — checksumming and
-    // decoding a trace costs real time, and each load is independent.
-    // A v1 entry decodes; failing that, a published v2 image mmaps.
-    const uint64_t h = config_.hash();
-    parallelFor(jobs.size(), n_threads, [&](size_t i) {
-        if (jobs[i].reader || jobs[i].mat)
-            return;
-        auto reader = std::make_shared<trace::TraceReader>();
-        if (traceCache_.load(jobs[i].benchmark, jobs[i].version, h,
-                             *reader)) {
-            jobs[i].reader = std::move(reader);
-            return;
-        }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-        auto mat = std::make_shared<trace::MaterializedTrace>();
-        if (traceCache_.loadMaterialized(jobs[i].benchmark,
-                                         jobs[i].version, h, *mat))
-            jobs[i].mat = std::move(mat);
-#endif
-    });
-    for (Job &job : jobs) {
-        if (job.reader) {
-            auto [pos, inserted] = traces_.emplace(
-                job.benchmark + "." + job.version, job.reader);
-            if (inserted)
-                ++activity_.disk_hits;
-            job.reader = pos->second;
-        } else if (job.mat) {
-            auto [pos, inserted] = materialized_.emplace(
-                job.benchmark + "." + job.version, job.mat);
-            if (inserted)
-                ++activity_.disk_hits;
-            job.mat = pos->second;
-        }
+    // Phase 2 (parallel): the store lookups — mapping and checksumming
+    // an image costs real time, and each load is independent.
+    std::vector<std::shared_ptr<const trace::MaterializedTrace>> loaded(
+        jobs.size());
+    if (store_) {
+        const uint64_t h = config_.hash();
+        parallelFor(jobs.size(), n_threads, [&](size_t i) {
+            if (!jobs[i].mat)
+                loaded[i] = store_->load(jobs[i].benchmark, jobs[i].version,
+                                         h);
+        });
     }
 
-    // Phase 3 (serial): capture whatever the disk didn't have. The
+    // Phase 3 (serial): capture whatever the store didn't have. The
     // runtime executes single-threaded.
-    for (Job &job : jobs) {
-        if (!job.reader && !job.mat)
-            job.reader = ensureTrace(job.benchmark, job.version);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        Job &job = jobs[i];
+        if (job.mat)
+            continue;
+        if (loaded[i]) {
+            ++activity_.disk_hits;
+            job.mat = std::move(loaded[i]);
+        } else {
+            job.mat = capture(job.benchmark, job.version);
+        }
+        materialized_.emplace(job.benchmark + "." + job.version, job.mat);
     }
 
     // Phase 4 (parallel): each worker replays a trace through its own
-    // profiler/timing model; the shared readers are immutable.
+    // timing model; the shared traces are immutable.
     parallelFor(jobs.size(), n_threads, [&](size_t i) {
-        jobs[i].profile =
-            jobs[i].mat
-                ? jobs[i].mat->replayProfile(machine_)
-                : trace::replayProfile(*jobs[i].reader, machine_);
+        jobs[i].profile = jobs[i].mat->replayProfile(machine_);
     });
 
     for (Job &job : jobs) {
@@ -433,13 +350,6 @@ BenchmarkSuite::runAll(int n_threads)
         result.replayed = true;
         cache_.emplace(job.benchmark + "." + job.version, std::move(result));
     }
-}
-
-std::shared_ptr<const trace::TraceReader>
-BenchmarkSuite::traceFor(const std::string &benchmark,
-                         const std::string &version)
-{
-    return ensureTrace(benchmark, version);
 }
 
 std::vector<profile::ProfileResult>
@@ -460,58 +370,6 @@ BenchmarkSuite::sweep(const std::string &benchmark,
 {
     return materializedFor(benchmark, version)
         ->replaySweep(machines, threads);
-}
-
-std::shared_ptr<const trace::MaterializedTrace>
-BenchmarkSuite::materializedFor(const std::string &benchmark,
-                                const std::string &version)
-{
-    const std::string key = benchmark + "." + version;
-    auto it = materialized_.find(key);
-    if (it != materialized_.end())
-        return it->second;
-
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-    // The direct cold path: when no varint trace exists yet (neither in
-    // memory nor on disk), capture straight into the SoA buffers via a
-    // MaterializeSink — one pass, no varint encode or decode anywhere —
-    // and publish the v2 image so the next process mmaps instead of
-    // re-executing. An existing v1 entry (this process or disk) still
-    // wins: it is already paid for. MMXDSP_FORCE_V1_CAPTURE pins the
-    // varint reference path below for golden comparisons.
-    if (!traces_.count(key)) {
-        const uint64_t h = config_.hash();
-        {
-            auto mat = std::make_shared<trace::MaterializedTrace>();
-            if (traceCache_.loadMaterialized(benchmark, version, h, *mat)) {
-                ++activity_.disk_hits;
-                materialized_.emplace(key, mat);
-                return mat;
-            }
-        }
-        auto reader = std::make_shared<trace::TraceReader>();
-        if (traceCache_.enabled()
-            && traceCache_.load(benchmark, version, h, *reader)) {
-            ++activity_.disk_hits;
-            traces_.emplace(key, std::move(reader));
-        } else {
-            trace::MaterializeSink sink(benchmark, version, h);
-            executeLive(benchmark, version, &sink);
-            auto mat = std::make_shared<trace::MaterializedTrace>(
-                sink.finish(&impl_->cpu));
-            ++activity_.captured;
-            traceCache_.storeMaterialized(benchmark, version, h, *mat);
-            materialized_.emplace(key, mat);
-            return mat;
-        }
-    }
-#endif
-
-    auto reader = ensureTrace(benchmark, version);
-    auto mat = std::make_shared<trace::MaterializedTrace>(
-        trace::materialize(*reader));
-    materialized_.emplace(key, std::move(mat));
-    return materialized_.at(key);
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -7,12 +7,13 @@
  *
  * With tracing enabled the harness follows the paper's VTune
  * methodology — capture the instruction stream once, characterize it as
- * often as needed: live runs are captured through a trace::TraceWriter
- * and persisted in a content-addressed on-disk cache; subsequent runs
- * (or other bench binaries with the same workload config) replay the
- * trace through the profiler without re-executing benchmark code, with
- * bit-identical metrics. runAll() fans replay out over a worker pool,
- * and sweep() replays one trace under many timing configurations.
+ * often as needed: each pair executes once through a
+ * trace::MaterializeSink, its trace image is published to a
+ * service::TraceStore rooted at the trace directory, and every result
+ * is a replay of that trace. Later suites (or other bench binaries with
+ * the same workload config) mmap the stored image instead of executing
+ * benchmark code. runAll() fans replay out over a worker pool, and
+ * sweep() replays one trace under many timing configurations.
  */
 
 #ifndef MMXDSP_HARNESS_SUITE_HH
@@ -27,9 +28,8 @@
 #include "runtime/cpu.hh"
 #include "sim/pentium_timer.hh"
 #include "sim/timing_model.hh"
-#include "trace/cache.hh"
+#include "service/trace_store.hh"
 #include "trace/materialize.hh"
-#include "trace/reader.hh"
 
 namespace mmxdsp::harness {
 
@@ -54,19 +54,31 @@ struct SuiteConfig
     void scaleDown(int factor);
 
     /**
-     * Key of this workload for the trace cache: an FNV-1a hash over
-     * every field above plus the trace format version, so any workload
-     * or format change misses cleanly.
+     * Key of this workload for the trace store: an FNV-1a hash over
+     * kTraceKeySalt and every field above, so any workload change
+     * misses cleanly.
      */
     uint64_t hash() const;
 };
 
-/** How the suite uses the instruction-trace layer. */
+/**
+ * Salt mixed first into SuiteConfig::hash(). Its value (1) is part of
+ * every stored trace's key, so it stays fixed; the trace image carries
+ * its own format version in its header.
+ */
+constexpr uint64_t kTraceKeySalt = 1;
+
+/**
+ * How the suite uses the instruction-trace layer. The environment
+ * overrides both fields: MMXDSP_TRACE_CACHE=0 turns tracing off (any
+ * other value turns it on), and a non-empty MMXDSP_TRACE_DIR replaces
+ * @c dir.
+ */
 struct TraceOptions
 {
-    /** Capture executions and replay cached traces. */
+    /** Capture executions into the trace store and replay them. */
     bool enabled = false;
-    /** On-disk cache directory (MMXDSP_TRACE_DIR overrides). */
+    /** Root of the trace store (entries live in "<dir>/shard-NN/"). */
     std::string dir = "traces";
 };
 
@@ -89,7 +101,7 @@ class BenchmarkSuite
      * @p machine selects the timing model every run()/runAll() profile
      * is computed on (default: P5 with default parameters). Captured
      * traces are model-independent, so suites with different machines
-     * share the same trace cache entries.
+     * share the same trace store entries.
      */
     explicit BenchmarkSuite(
         const SuiteConfig &config = SuiteConfig{},
@@ -103,41 +115,30 @@ class BenchmarkSuite
      * all, "fp" for fft/fir/iir, "mmx" for all, "mmx_v1" for fft, and
      * "c_blocked"/"mmx_blocked" for gemm. Fatal on unknown pairs.
      *
-     * With tracing enabled, a disk-cached trace is replayed instead of
-     * executing, and live executions are captured for next time.
+     * With tracing enabled (or once materializedFor() has captured the
+     * pair) the result is a replay of the pair's trace; otherwise the
+     * pair executes live under a profile::VProf — the oracle every
+     * replay is tested against.
      */
     const RunResult &run(const std::string &benchmark,
                          const std::string &version);
 
     /**
-     * Produce every (benchmark, version) result. Missing traces are
-     * captured first (serially — the runtime is single-threaded), then
-     * all pending profiles are computed by replaying traces across
-     * @p n_threads workers (0 = auto). Afterwards run() returns cached
-     * results. Metrics are bit-identical to the serial path.
+     * Produce every (benchmark, version) result: the store is searched
+     * in parallel, missing traces are captured (serially — the runtime
+     * is single-threaded), then all pending profiles are computed by
+     * replaying traces across @p n_threads workers (0 = auto).
+     * Afterwards run() returns cached results. Metrics are
+     * bit-identical to the serial path.
      */
     void runAll(int n_threads = 1);
 
     /**
-     * The captured trace for one pair (capturing it on demand), usable
-     * with trace::replayProfile / trace::replaySweep. Valid as long as
-     * the suite lives.
-     */
-    std::shared_ptr<const trace::TraceReader>
-    traceFor(const std::string &benchmark, const std::string &version);
-
-    /**
-     * The decode-once materialized form of one pair's trace, built (and
-     * cached for the suite's lifetime) on demand. This is the buffer
-     * sweep() replays from; repeated sweeps over the same pair never
-     * re-decode the serialized trace.
-     *
-     * When neither an in-memory nor an on-disk trace exists, the cold
-     * capture goes straight into the SoA buffers through a
-     * trace::MaterializeSink (no varint encode/decode; the v2 image is
-     * published to the trace cache with capture-time checksums).
-     * Building MMXDSP_FORCE_V1_CAPTURE pins the varint golden path
-     * (capture → v1 encode → decode → build) instead.
+     * The captured trace of one pair, loaded from the trace store or
+     * captured on demand (and published when tracing is enabled), then
+     * kept for the suite's lifetime. This is the buffer run(), runAll()
+     * and sweep() replay from; a pair never executes twice in one
+     * suite.
      */
     std::shared_ptr<const trace::MaterializedTrace>
     materializedFor(const std::string &benchmark,
@@ -146,9 +147,8 @@ class BenchmarkSuite
     /**
      * Replay one benchmark's trace under every timing configuration in
      * @p configs (L1/L2 geometry, penalties, BTB size, ...), fanning out
-     * over @p threads workers. One capture, many machine models: the
-     * trace is decoded once into a MaterializedTrace shared by all
-     * workers.
+     * over @p threads workers. One capture, many machine models: every
+     * worker replays the same MaterializedTrace.
      */
     std::vector<profile::ProfileResult>
     sweep(const std::string &benchmark, const std::string &version,
@@ -174,37 +174,41 @@ class BenchmarkSuite
     const SuiteConfig &config() const { return config_; }
     /** The machine run()/runAll() results are computed on. */
     const sim::MachineConfig &machine() const { return machine_; }
-    const trace::TraceCache &traceCache() const { return traceCache_; }
+    /** Root of the trace store; empty when tracing is off. */
+    std::string traceDir() const
+    {
+        return store_ ? store_->options().root : std::string();
+    }
 
     /** How traces were obtained so far (for provenance footers). */
     struct TraceActivity
     {
         int captured = 0;  ///< pairs executed live this process
-        int disk_hits = 0; ///< pairs loaded from the on-disk cache
+        int disk_hits = 0; ///< pairs loaded from the trace store
     };
     const TraceActivity &traceActivity() const { return activity_; }
+
+    /**
+     * Execute one pair on the suite's live runtime with @p sink
+     * attached, caching nothing (tests tee a VProf and a
+     * trace::MaterializeSink onto one execution this way).
+     */
+    void executeLive(const std::string &benchmark,
+                     const std::string &version, sim::TraceSink *sink);
 
   private:
     struct Impl;
 
-    /** Execute one pair on the live runtime with @p sink attached. */
-    void executeLive(const std::string &benchmark,
-                     const std::string &version, sim::TraceSink *sink);
-
-    /**
-     * Ensure an in-memory trace exists for the pair: from the run
-     * cache's capture, the disk cache, or a fresh capture-only pass.
-     */
-    std::shared_ptr<const trace::TraceReader>
-    ensureTrace(const std::string &benchmark, const std::string &version);
+    /** Capture one pair live and publish it when tracing is on. */
+    std::shared_ptr<const trace::MaterializedTrace>
+    capture(const std::string &benchmark, const std::string &version);
 
     SuiteConfig config_;
     sim::MachineConfig machine_;
-    trace::TraceCache traceCache_;
+    std::unique_ptr<service::TraceStore> store_; ///< null = tracing off
     TraceActivity activity_;
     std::unique_ptr<Impl> impl_;
     std::map<std::string, RunResult> cache_;
-    std::map<std::string, std::shared_ptr<const trace::TraceReader>> traces_;
     std::map<std::string, std::shared_ptr<const trace::MaterializedTrace>>
         materialized_;
 };

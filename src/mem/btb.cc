@@ -4,14 +4,23 @@
 
 namespace mmxdsp::mem {
 
+bool
+Btb::valid(uint32_t entries, uint32_t ways)
+{
+    if (ways == 0 || entries % ways)
+        return false;
+    const uint32_t sets = entries / ways;
+    return sets != 0 && (sets & (sets - 1)) == 0;
+}
+
 Btb::Btb(uint32_t entries, uint32_t ways)
     : ways_(ways)
 {
-    if (ways == 0 || entries % ways)
-        mmxdsp_fatal("BTB: entries must be a multiple of ways");
+    if (!valid(entries, ways))
+        mmxdsp_fatal("BTB: %u entries / %u ways is not a power-of-two "
+                     "set count",
+                     entries, ways);
     sets_ = entries / ways;
-    if (sets_ == 0 || (sets_ & (sets_ - 1)))
-        mmxdsp_fatal("BTB: set count must be a power of two");
     entries_.resize(entries);
 }
 

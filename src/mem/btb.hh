@@ -49,6 +49,14 @@ class Btb
     explicit Btb(uint32_t entries = 256, uint32_t ways = 4);
 
     /**
+     * True when a Btb can be built with this geometry: @p ways > 0
+     * divides @p entries into a power-of-two number of sets. The
+     * constructor enforces it; untrusted geometries (vprofd query
+     * lines) are checked with it first.
+     */
+    static bool valid(uint32_t entries, uint32_t ways);
+
+    /**
      * Record one executed branch and return true if it was mispredicted.
      * Inline: the timing model calls this for every control transfer;
      * only the miss/allocate path leaves the header.

@@ -38,19 +38,25 @@ CacheConfig::describe() const
     return buf;
 }
 
+bool
+CacheConfig::valid() const
+{
+    // 64-bit: line * ways must not wrap around to a false divisor.
+    const uint64_t set_bytes = static_cast<uint64_t>(line_bytes) * ways;
+    return isPowerOfTwo(size_bytes) && isPowerOfTwo(line_bytes) && ways != 0
+           && size_bytes % set_bytes == 0
+           && isPowerOfTwo(size_bytes / set_bytes);
+}
+
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    if (!isPowerOfTwo(config.size_bytes) || !isPowerOfTwo(config.line_bytes))
-        mmxdsp_fatal("cache %s: size and line must be powers of two",
-                     config.name.c_str());
-    if (config.ways == 0 || config.size_bytes % (config.line_bytes * config.ways))
-        mmxdsp_fatal("cache %s: size %% (line * ways) != 0",
-                     config.name.c_str());
+    if (!config.valid())
+        mmxdsp_fatal("cache %s: invalid geometry %s (size and line must "
+                     "be powers of two, size / (line * ways) a power of "
+                     "two)",
+                     config.name.c_str(), config.describe().c_str());
     numSets_ = config.size_bytes / (config.line_bytes * config.ways);
-    if (!isPowerOfTwo(numSets_))
-        mmxdsp_fatal("cache %s: set count must be a power of two",
-                     config.name.c_str());
     // Both divisors are enforced powers of two, so the per-access
     // index/tag math reduces to shifts computed once here.
     lineShift_ = log2OfPowerOfTwo(config.line_bytes);

@@ -28,6 +28,15 @@ struct CacheConfig
 
     /** Compact geometry label for sweep reports, e.g. "16KB/32B/4w". */
     std::string describe() const;
+
+    /**
+     * True when a Cache can be built from this geometry: size and line
+     * are powers of two and the size splits into a power-of-two number
+     * of sets of @c ways lines. The Cache constructor enforces it;
+     * untrusted geometries (vprofd query lines) are checked with it
+     * before they reach a constructor.
+     */
+    bool valid() const;
 };
 
 /** Hit/miss counters for one cache level. */

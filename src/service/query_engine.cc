@@ -1,11 +1,14 @@
 #include "query_engine.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 
+#include "mem/btb.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
 
@@ -64,6 +67,25 @@ knownPair(const std::string &benchmark, const std::string &version)
         if (b == benchmark && v == version)
             return true;
     return false;
+}
+
+/** Why @p machine's cache or BTB geometry cannot be built; empty when
+ *  it can (the rule lives in mem::CacheConfig::valid / Btb::valid). */
+std::string
+geometryError(const sim::MachineConfig &machine)
+{
+    const sim::TimerConfig &t = machine.timer;
+    for (const mem::CacheConfig *c : {&t.l1, &t.l2})
+        if (!c->valid())
+            return std::string("invalid ") + (c == &t.l1 ? "L1" : "L2")
+                   + " geometry " + c->describe()
+                   + " (size and line must be powers of two, size / "
+                     "(line * ways) a power of two)";
+    if (!mem::Btb::valid(t.btb_entries, t.btb_ways))
+        return "invalid BTB geometry " + std::to_string(t.btb_entries)
+               + " entries / " + std::to_string(t.btb_ways)
+               + " ways (want a power-of-two set count)";
+    return {};
 }
 
 } // namespace
@@ -184,9 +206,9 @@ QueryEngine::traceFor(const std::string &benchmark,
         return nullptr;
     }
 
-    // Capture live through the bench harness (its own trace cache is
-    // disabled; the store is the only persistence layer here), then
-    // publish as v2 so every later process takes the mmap path.
+    // Capture live through the bench harness (with its tracing off, so
+    // the engine's store is the one persistence layer here), then
+    // publish so every later process takes the mmap path.
     if (!suite_)
         suite_ = std::make_unique<harness::BenchmarkSuite>(
             opts_.suite, harness::TraceOptions{false, ""});
@@ -229,9 +251,12 @@ QueryEngine::queryBatch(const std::vector<Query> &queries)
         const Query &q = queries[i];
         out[i].query = q;
         ++stats_.queries;
-        if (!knownPair(q.benchmark, q.version)) {
+        if (!knownPair(q.benchmark, q.version))
             out[i].error =
                 "unknown benchmark pair " + q.benchmark + "." + q.version;
+        else
+            out[i].error = geometryError(q.machine);
+        if (!out[i].error.empty()) {
             ++stats_.failures;
             continue;
         }
@@ -327,10 +352,15 @@ QueryEngine::parseQueryLine(const std::string &line, Query *out,
             continue;
         }
         char *end = nullptr;
+        errno = 0;
         const unsigned long long n = std::strtoull(value.c_str(), &end, 0);
-        if (end == value.c_str() || *end != '\0') {
+        if (end == value.c_str() || *end != '\0' || value[0] == '-') {
             *error = "parameter '" + key + "' wants a number, got '"
                      + value + "'";
+            return false;
+        }
+        if (errno == ERANGE || n > UINT32_MAX) {
+            *error = "parameter '" + key + "' is out of range: " + value;
             return false;
         }
         const uint32_t v = static_cast<uint32_t>(n);
@@ -363,6 +393,10 @@ QueryEngine::parseQueryLine(const std::string &line, Query *out,
             *error = "parameter '" + key + "' must be positive";
             return false;
         }
+    }
+    if (std::string why = geometryError(q.machine); !why.empty()) {
+        *error = std::move(why);
+        return false;
     }
     *out = std::move(q);
     return true;

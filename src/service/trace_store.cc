@@ -8,8 +8,6 @@
 #include "support/io.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
-#include "trace/format_v2.hh"
-#include "trace/reader.hh"
 
 namespace fs = std::filesystem;
 
@@ -19,12 +17,12 @@ namespace {
 
 std::string
 keyFileName(const std::string &benchmark, const std::string &version,
-            uint64_t config_hash, const char *ext)
+            uint64_t config_hash)
 {
     char hash[24];
     std::snprintf(hash, sizeof(hash), "%016llx",
                   static_cast<unsigned long long>(config_hash));
-    return benchmark + "." + version + "." + hash + ext;
+    return benchmark + "." + version + "." + hash + ".mxt2";
 }
 
 /** Refresh an entry's mtime so budget eviction sees it as recent. */
@@ -78,69 +76,28 @@ TraceStore::path(const std::string &benchmark, const std::string &version,
                  uint64_t config_hash) const
 {
     return shardDir(shardOf(benchmark, version, config_hash)) + "/"
-           + keyFileName(benchmark, version, config_hash, ".mxt2");
-}
-
-std::string
-TraceStore::legacyPath(const std::string &benchmark,
-                       const std::string &version,
-                       uint64_t config_hash) const
-{
-    return shardDir(shardOf(benchmark, version, config_hash)) + "/"
-           + keyFileName(benchmark, version, config_hash, ".mxt");
+           + keyFileName(benchmark, version, config_hash);
 }
 
 std::shared_ptr<const trace::MaterializedTrace>
 TraceStore::load(const std::string &benchmark, const std::string &version,
                  uint64_t config_hash)
 {
-    std::error_code ec;
-
-    // Fast path: the mmap'd v2 entry.
-    const std::string p2 = path(benchmark, version, config_hash);
-    {
-        auto mat = std::make_shared<trace::MaterializedTrace>();
-        if (mat->loadV2File(p2)) {
-            if (mat->benchmark() == benchmark && mat->version() == version
-                && mat->configHash() == config_hash) {
-                touchEntry(p2);
-                bump(&StoreStats::v2_hits);
-                return mat;
-            }
-            quarantineEntry(p2, "key-mismatched v2 entry");
-            bump(&StoreStats::quarantined);
-        } else if (fs::exists(p2, ec)) {
-            quarantineEntry(p2, "corrupt v2 entry");
-            bump(&StoreStats::quarantined);
-        }
-    }
-
-    // Legacy path: a v1 varint entry, decoded and (optionally)
-    // upgraded in place so the next load takes the mmap path.
-    const std::string p1 = legacyPath(benchmark, version, config_hash);
-    std::vector<uint8_t> v1;
-    if (readFile(p1, v1)) {
-        trace::TraceReader reader;
-        auto mat = std::make_shared<trace::MaterializedTrace>();
-        if (reader.parse(std::move(v1)) && reader.benchmark() == benchmark
-            && reader.version() == version
-            && reader.configHash() == config_hash && mat->build(reader)) {
-            bump(&StoreStats::v1_hits);
-            if (opts_.upgrade_v1
-                && writeFileAtomic(p2, mat->serializeV2())) {
-                std::remove(p1.c_str());
-                bump(&StoreStats::upgraded);
-            } else {
-                touchEntry(p1);
-            }
+    const std::string p = path(benchmark, version, config_hash);
+    auto mat = std::make_shared<trace::MaterializedTrace>();
+    if (mat->loadV2File(p)) {
+        if (mat->benchmark() == benchmark && mat->version() == version
+            && mat->configHash() == config_hash) {
+            touchEntry(p);
+            bump(&StoreStats::v2_hits);
             return mat;
         }
-        quarantineEntry(p1, "corrupt or key-mismatched v1 entry");
+        quarantineEntry(p, "key-mismatched entry");
         bump(&StoreStats::quarantined);
-    } else if (fs::exists(p1, ec)) {
-        mmxdsp_warn("trace store: cannot read %s", p1.c_str());
+    } else if (std::error_code ec; fs::exists(p, ec)) {
+        quarantineEntry(p, "corrupt entry");
+        bump(&StoreStats::quarantined);
     }
-
     bump(&StoreStats::misses);
     return nullptr;
 }
@@ -159,28 +116,15 @@ TraceStore::store(const std::string &benchmark, const std::string &version,
                     shardDir(shard).c_str(), ec.message().c_str());
         return false;
     }
-    const std::string p2 = path(benchmark, version, config_hash);
-    if (!writeFileAtomic(p2, mat.serializeV2())) {
-        mmxdsp_warn("trace store: cannot write %s", p2.c_str());
+    const std::string p = path(benchmark, version, config_hash);
+    if (!mat.writeV2File(p)) {
+        mmxdsp_warn("trace store: cannot write %s", p.c_str());
         return false;
     }
     bump(&StoreStats::stores);
     if (opts_.budget_bytes)
         enforceBudget();
     return true;
-}
-
-bool
-TraceStore::storeV1Image(const std::string &benchmark,
-                         const std::string &version, uint64_t config_hash,
-                         const std::vector<uint8_t> &v1_image)
-{
-    trace::TraceReader reader;
-    std::vector<uint8_t> copy = v1_image;
-    trace::MaterializedTrace mat;
-    if (!reader.parse(std::move(copy)) || !mat.build(reader))
-        return false;
-    return store(benchmark, version, config_hash, mat);
 }
 
 std::vector<TraceStore::Entry>

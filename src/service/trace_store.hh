@@ -1,26 +1,21 @@
 /**
  * @file
- * Sharded, content-addressed trace store — the persistence layer of
- * vprofd.
+ * Sharded, content-addressed trace store — the one persistence layer
+ * for captured traces, shared by the bench harness
+ * (harness::BenchmarkSuite) and vprofd (service::QueryEngine):
  *
- * The flat trace::Cache directory works for a handful of bench
- * binaries; a trace *corpus* serving many concurrent queries wants a
- * different shape:
- *
- *  - entries are spread over N shard subdirectories ("shard-00" ..)
- *    by a stable hash of the key (benchmark, version, SuiteConfig
- *    hash), so directory scans and evictions touch 1/N of the corpus
- *    and two stores rarely contend on one directory;
- *  - the on-disk format is trace format v2 (format_v2.hh), so a hit
- *    is an mmap + checksum scan instead of a varint decode — the
- *    returned MaterializedTrace aliases the mapping and is shared
- *    (read-only) between any number of query threads;
- *  - legacy v1 ".mxt" files in a shard are read transparently and,
- *    by default, upgraded in place to v2 on first touch;
+ *  - entries are keyed by (benchmark, version, SuiteConfig hash) and
+ *    spread over N shard subdirectories ("shard-00" ..) by a stable
+ *    hash of the key, so directory scans and evictions touch 1/N of
+ *    the corpus and two stores rarely contend on one directory;
+ *  - every entry is a trace image (format_v2.hh), so a hit is an mmap
+ *    + checksum scan with no decode — the returned MaterializedTrace
+ *    aliases the mapping and is shared (read-only) between any number
+ *    of replay threads;
  *  - publishes are write-to-unique-temp + rename (support/io.hh), so
  *    readers never see partial files, and any file that fails
- *    validation is moved to "<root>/quarantine/" and treated as a
- *    miss;
+ *    validation or carries another key is moved to the shard's
+ *    "quarantine/" subdirectory and treated as a miss;
  *  - an optional size budget is enforced by evicting the
  *    least-recently-used entries (hits refresh the file mtime), so a
  *    long-running daemon cannot grow the corpus without bound.
@@ -50,8 +45,6 @@ struct StoreOptions
     uint32_t shards = 16;
     /** Total corpus size budget in bytes; 0 = unlimited. */
     uint64_t budget_bytes = 0;
-    /** Rewrite legacy v1 entries as v2 on first load. */
-    bool upgrade_v1 = true;
 };
 
 /**
@@ -71,11 +64,12 @@ struct ShardUsage
 
 struct StoreStats
 {
-    uint64_t v2_hits = 0;    ///< served straight from an mmap'd v2 file
-    uint64_t v1_hits = 0;    ///< served via a legacy v1 decode
+    uint64_t v2_hits = 0;    ///< served straight from an mmap'd image
+    /** Always 0: every entry is a v3 image. Kept because the pipeline
+     *  benchmark (perfbench/src/layers.cc) still sums it into its hits. */
+    uint64_t v1_hits = 0;
     uint64_t misses = 0;     ///< no entry (or only invalid ones)
     uint64_t stores = 0;     ///< successful publishes
-    uint64_t upgraded = 0;   ///< v1 entries rewritten as v2
     uint64_t quarantined = 0;///< invalid files moved aside
     uint64_t evicted = 0;    ///< entries removed by the budget
 };
@@ -98,36 +92,25 @@ class TraceStore
 
     std::string shardDir(uint32_t shard) const;
 
-    /** On-disk v2 path for a key. */
+    /** On-disk path for a key: "<root>/shard-NN/<bench>.<ver>.<hash>.mxt2". */
     std::string path(const std::string &benchmark,
                      const std::string &version,
                      uint64_t config_hash) const;
 
-    /** On-disk path a legacy v1 entry would occupy (same shard). */
-    std::string legacyPath(const std::string &benchmark,
-                           const std::string &version,
-                           uint64_t config_hash) const;
-
     /**
-     * Look up a trace. A v2 hit mmaps the file (zero-copy, validated);
-     * a v1 hit decodes it and, when options().upgrade_v1, republishes
-     * it as v2 and retires the v1 file. Invalid files are quarantined.
-     * A miss (or an unloadable entry) returns nullptr. Hits refresh
-     * the entry's mtime for LRU eviction.
+     * Look up a trace. A hit mmaps the file (zero-copy, validated).
+     * Invalid or key-mismatched files are quarantined. A miss (or an
+     * unloadable entry) returns nullptr. Hits refresh the entry's
+     * mtime for LRU eviction.
      */
     std::shared_ptr<const trace::MaterializedTrace>
     load(const std::string &benchmark, const std::string &version,
          uint64_t config_hash);
 
-    /** Publish a materialized trace as a v2 entry (atomic rename),
-     *  then enforce the size budget. */
+    /** Publish a materialized trace as an image (atomic rename), then
+     *  enforce the size budget. */
     bool store(const std::string &benchmark, const std::string &version,
                uint64_t config_hash, const trace::MaterializedTrace &mat);
-
-    /** Publish a serialized v1 image, converting it to v2 first. */
-    bool storeV1Image(const std::string &benchmark,
-                      const std::string &version, uint64_t config_hash,
-                      const std::vector<uint8_t> &v1_image);
 
     /** Total bytes of live entries across all shards. */
     uint64_t totalBytes() const;

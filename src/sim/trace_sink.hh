@@ -56,8 +56,9 @@ class TraceSink
 
 /**
  * Fans one event stream out to two sinks in order (either may be null).
- * Used to profile live while a TraceWriter captures the same execution,
- * which is what makes capture and measurement one pass.
+ * Used to profile live while a trace::MaterializeSink captures the same
+ * execution, which is how the tests hold replay to the live profile of
+ * one run.
  */
 class TeeSink final : public TraceSink
 {

@@ -36,6 +36,16 @@ readFile(const std::string &path, std::vector<uint8_t> &out)
 bool
 writeFileAtomic(const std::string &path, const std::vector<uint8_t> &data)
 {
+    return writeFileAtomic(path, [&](std::FILE *f) {
+        return data.empty()
+               || std::fwrite(data.data(), 1, data.size(), f) == data.size();
+    });
+}
+
+bool
+writeFileAtomic(const std::string &path,
+                const std::function<bool(std::FILE *)> &write)
+{
     static std::atomic<uint64_t> counter{0};
     char suffix[64];
     std::snprintf(suffix, sizeof(suffix), ".tmp.%d.%llu",
@@ -46,10 +56,8 @@ writeFileAtomic(const std::string &path, const std::vector<uint8_t> &data)
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f)
         return false;
-    const size_t put = data.empty()
-                           ? 0
-                           : std::fwrite(data.data(), 1, data.size(), f);
-    const bool ok = std::fclose(f) == 0 && put == data.size();
+    const bool wrote = write(f);
+    const bool ok = std::fclose(f) == 0 && wrote;
     if (!ok) {
         std::remove(tmp.c_str());
         return false;

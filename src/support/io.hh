@@ -1,10 +1,8 @@
 /**
  * @file
- * Small file-I/O helpers shared by the trace cache and the service
- * trace store.
+ * Small file-I/O helpers used by the trace store.
  *
- * writeFileAtomic() is the publish primitive for every on-disk cache in
- * the tree: the bytes land in a uniquely named temp file in the target
+ * writeFileAtomic() is the store's publish primitive: the bytes land in a uniquely named temp file in the target
  * directory and are rename()d into place, so a concurrent reader sees
  * either the old file, the new file, or no file — never a partial
  * write. The temp name mixes the pid and a process-wide counter, so two
@@ -17,6 +15,8 @@
 #define MMXDSP_SUPPORT_IO_HH
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,10 +34,18 @@ bool writeFileAtomic(const std::string &path,
                      const std::vector<uint8_t> &data);
 
 /**
+ * The same publish, with the content written by @p write into the
+ * open temp file (it returns false on failure) — for content too large
+ * to assemble in memory first.
+ */
+bool writeFileAtomic(const std::string &path,
+                     const std::function<bool(std::FILE *)> &write);
+
+/**
  * Move @p path into a "quarantine/" subdirectory of its parent
  * directory (created on demand), preserving the file name (a numeric
  * suffix is added when that name is already taken). Used by the trace
- * cache and store to get corrupt files out of the lookup path without
+ * store to get corrupt files out of the lookup path without
  * destroying the evidence. Returns false when the file cannot be moved.
  */
 bool quarantineFile(const std::string &path);

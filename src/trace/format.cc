@@ -40,20 +40,6 @@ putString(std::vector<uint8_t> &out, const std::string &s)
     out.insert(out.end(), s.begin(), s.end());
 }
 
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 uint64_t
 ByteReader::getVarint()
 {
@@ -87,54 +73,6 @@ ByteReader::getString()
                   static_cast<size_t>(len));
     p_ += len;
     return s;
-}
-
-uint32_t
-ByteReader::getU32()
-{
-    if (remaining() < 4) {
-        ok_ = false;
-        return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(*p_++) << (8 * i);
-    return v;
-}
-
-uint64_t
-ByteReader::getU64()
-{
-    if (remaining() < 8) {
-        ok_ = false;
-        return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(*p_++) << (8 * i);
-    return v;
-}
-
-uint8_t
-ByteReader::getByte()
-{
-    if (p_ == end_) {
-        ok_ = false;
-        return 0;
-    }
-    return *p_++;
-}
-
-const uint8_t *
-ByteReader::getBytes(size_t n)
-{
-    if (remaining() < n) {
-        ok_ = false;
-        return nullptr;
-    }
-    const uint8_t *r = p_;
-    p_ += n;
-    return r;
 }
 
 } // namespace mmxdsp::trace

@@ -1,45 +1,9 @@
 /**
  * @file
- * The binary instruction-trace format shared by TraceWriter and
- * TraceReader.
- *
- * A trace is the complete observable record of one measured region: the
- * instruction-event stream runtime::Cpu fed to its sim::TraceSink plus
- * the function enter/leave markers, so that replaying the trace through
- * profile::VProf reproduces every metric of the original execution
- * bit for bit without re-executing benchmark code (the paper's
- * capture-once / analyze-many VTune methodology).
- *
- * Layout (all multi-byte scalars are LEB128 varints unless noted):
- *
- *   magic  "MXTR"            4 bytes
- *   format version           u32 (fixed width)
- *   config hash              u64 (fixed width; SuiteConfig::hash())
- *   body checksum            u64 (fixed width; FNV-1a over the body)
- *   benchmark name           varint length + bytes
- *   version name             varint length + bytes
- *   instruction count        varint
- *   body length              varint
- *   body                     encoded records (below)
- *   string table             varint count, then per string length + bytes
- *   site table               varint count, then per site:
- *                            id, line, column, file str-idx, func str-idx
- *
- * Body records start with one varint R:
- *
- *   R == 0   end of stream
- *   R == 1   enter function: varint name id; a name id equal to the
- *            number of names seen so far introduces a new name
- *            (varint length + bytes)
- *   R == 2   leave function
- *   R >= 3   instruction. P = R - 3 packs
- *            (op << 6) | (reg-presence mask << 3) | (mem mode << 1) | taken
- *            followed by zigzag(site - prev_site); if mem != None,
- *            zigzag(addr - prev_addr) and varint size; then one raw byte
- *            per present register tag (src0, src1, dst order).
- *
- * Deltas make the common case (looping over consecutive sites and
- * sequential addresses) one or two bytes per field.
+ * Byte-level primitives shared by the trace layer: FNV-1a hashing
+ * (SuiteConfig::hash(), the trace store's shard routing and vprofd's
+ * machine hash) and the LEB128 varint encoding of the v3 image's Meta
+ * section (format_v2.hh).
  */
 
 #ifndef MMXDSP_TRACE_FORMAT_HH
@@ -51,31 +15,7 @@
 
 namespace mmxdsp::trace {
 
-constexpr char kMagic[4] = {'M', 'X', 'T', 'R'};
-
-/** Bump when the record encoding or event semantics change. */
-constexpr uint32_t kFormatVersion = 1;
-
-/** Body record discriminators. */
-constexpr uint64_t kRecEnd = 0;
-constexpr uint64_t kRecEnter = 1;
-constexpr uint64_t kRecLeave = 2;
-constexpr uint64_t kRecInstrBase = 3;
-
-constexpr uint64_t
-zigzag(int64_t v)
-{
-    return (static_cast<uint64_t>(v) << 1)
-           ^ static_cast<uint64_t>(v >> 63);
-}
-
-constexpr int64_t
-unzigzag(uint64_t v)
-{
-    return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-/** FNV-1a over a byte range (the body checksum and cache-key hash). */
+/** FNV-1a over a byte range (store shard and cache-key hashes). */
 uint64_t fnv1a(const uint8_t *data, size_t size, uint64_t seed = 0xcbf29ce484222325ull);
 
 /** Mix one u64 into an FNV-1a running hash (for struct field hashing). */
@@ -101,16 +41,8 @@ class ByteReader
 
     uint64_t getVarint();
     std::string getString();
-    /** Raw little-endian fixed-width u32/u64 (header fields). */
-    uint32_t getU32();
-    uint64_t getU64();
-    uint8_t getByte();
-
-    /** Skip ahead; fails the reader if the range is short. */
-    const uint8_t *getBytes(size_t n);
 
     bool ok() const { return ok_; }
-    bool atEnd() const { return p_ == end_; }
     size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
   private:
@@ -118,10 +50,6 @@ class ByteReader
     const uint8_t *end_;
     bool ok_ = true;
 };
-
-/** Raw little-endian fixed-width scalars (header fields). */
-void putU32(std::vector<uint8_t> &out, uint32_t v);
-void putU64(std::vector<uint8_t> &out, uint64_t v);
 
 } // namespace mmxdsp::trace
 

@@ -16,7 +16,6 @@
 #include "support/logging.hh"
 #include "trace/format.hh"
 #include "trace/materialize.hh"
-#include "trace/reader.hh"
 
 #ifdef _WIN32
 // No mmap on Windows builds; MmapFile falls back to a buffered read.
@@ -33,12 +32,6 @@ bool
 isV2Image(const uint8_t *data, size_t size)
 {
     return size >= 4 && std::memcmp(data, kMagicV2, 4) == 0;
-}
-
-bool
-isV1Image(const uint8_t *data, size_t size)
-{
-    return size >= 4 && std::memcmp(data, kMagic, 4) == 0;
 }
 
 // ------------------------------------------------------------- fnv1aWords
@@ -161,12 +154,23 @@ struct SectionDesc
 
 } // namespace
 
-std::vector<uint8_t>
-MaterializedTrace::serializeV2() const
+/** The image of one trace, laid out but not assembled. */
+struct MaterializedTrace::V2Layout
 {
+    V2Header header{};
+    std::vector<V2Section> table;
+    std::vector<uint8_t> meta;
+    std::vector<const uint8_t *> bytes; ///< section data, table order
+    size_t size = 0;                    ///< image bytes in total
+};
+
+MaterializedTrace::V2Layout
+MaterializedTrace::layoutV2() const
+{
+    V2Layout layout;
     // The Meta section: every small table, varint-encoded. Decoded once
     // at load time; everything O(instrCount) ships as raw arrays below.
-    std::vector<uint8_t> meta;
+    std::vector<uint8_t> &meta = layout.meta;
     putString(meta, benchmark_);
     putString(meta, version_);
     putVarint(meta, siteTableSize_);
@@ -218,13 +222,12 @@ MaterializedTrace::serializeV2() const
     constexpr size_t kNumSections = sizeof(sections) / sizeof(sections[0]);
 
     // Lay out the section table, then every section 64-byte aligned.
-    // A trace that carries capture-time running checksums (the
-    // MaterializeSink path, or a validated v2 load) reuses them for the
-    // O(instrCount) sections instead of re-hashing; only the small Meta
-    // blob — assembled just above — is always hashed here. Either way
-    // the emitted table is identical (the cached values are the same
-    // word-folded FNV-1a over the same bytes, folded block by block).
-    std::vector<V2Section> table(kNumSections);
+    // The O(instrCount) sections reuse the checksums every trace
+    // carries (folded at capture by MaterializeSink, or verified on a
+    // load); only the small Meta blob — assembled just above — is
+    // hashed here.
+    std::vector<V2Section> &table = layout.table;
+    table.resize(kNumSections);
     size_t offset = sizeof(V2Header) + kNumSections * sizeof(V2Section);
     for (size_t i = 0; i < kNumSections; ++i) {
         offset = alignUp(offset, kV2Align);
@@ -233,13 +236,15 @@ MaterializedTrace::serializeV2() const
         table[i].offset = offset;
         table[i].length = sections[i].length;
         table[i].checksum =
-            (sectionChecksumsValid_ && sections[i].id != V2SectionId::Meta)
+            sections[i].id != V2SectionId::Meta
                 ? sectionChecksums_[static_cast<size_t>(sections[i].id)]
                 : fnv1aWords(sections[i].bytes, sections[i].length);
         offset += sections[i].length;
+        layout.bytes.push_back(sections[i].bytes);
     }
+    layout.size = offset;
 
-    V2Header header{};
+    V2Header &header = layout.header;
     std::memcpy(header.magic, kMagicV2, 4);
     header.version = kFormatVersionV2;
     header.configHash = configHash_;
@@ -251,15 +256,45 @@ MaterializedTrace::serializeV2() const
         fnv1aWords(reinterpret_cast<const uint8_t *>(table.data()),
                    table.size() * sizeof(V2Section));
 
-    std::vector<uint8_t> image(offset, 0);
-    std::memcpy(image.data(), &header, sizeof(header));
-    std::memcpy(image.data() + sizeof(V2Header), table.data(),
-                table.size() * sizeof(V2Section));
-    for (size_t i = 0; i < kNumSections; ++i)
-        if (sections[i].length)
-            std::memcpy(image.data() + table[i].offset, sections[i].bytes,
-                        sections[i].length);
+    return layout;
+}
+
+std::vector<uint8_t>
+MaterializedTrace::serializeV2() const
+{
+    const V2Layout layout = layoutV2();
+    std::vector<uint8_t> image(layout.size, 0);
+    std::memcpy(image.data(), &layout.header, sizeof(V2Header));
+    std::memcpy(image.data() + sizeof(V2Header), layout.table.data(),
+                layout.table.size() * sizeof(V2Section));
+    for (size_t i = 0; i < layout.table.size(); ++i)
+        if (layout.table[i].length)
+            std::memcpy(image.data() + layout.table[i].offset,
+                        layout.bytes[i], layout.table[i].length);
     return image;
+}
+
+bool
+MaterializedTrace::writeV2File(const std::string &path) const
+{
+    const V2Layout layout = layoutV2();
+    return writeFileAtomic(path, [&](std::FILE *f) {
+        static constexpr uint8_t kZeros[kV2Align] = {};
+        size_t at = sizeof(V2Header) + layout.table.size() * sizeof(V2Section);
+        bool ok = std::fwrite(&layout.header, sizeof(V2Header), 1, f) == 1
+                  && std::fwrite(layout.table.data(),
+                                 layout.table.size() * sizeof(V2Section), 1,
+                                 f) == 1;
+        for (size_t i = 0; ok && i < layout.table.size(); ++i) {
+            const V2Section &sec = layout.table[i];
+            ok = std::fwrite(kZeros, 1, sec.offset - at, f) == sec.offset - at
+                 && (!sec.length
+                     || std::fwrite(layout.bytes[i], 1, sec.length, f)
+                            == sec.length);
+            at = sec.offset + sec.length;
+        }
+        return ok;
+    });
 }
 
 // ------------------------------------------------------------------ load
@@ -308,8 +343,8 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
         found[sec.id] = data + sec.offset;
         lengths[sec.id] = static_cast<size_t>(sec.length);
         // Each checksum was just verified against the bytes, so carry
-        // it forward: a re-serialize of this trace (the store's v1→v2
-        // upgrade publish) can then skip re-hashing the event sections.
+        // it forward: a re-serialize of this trace can then skip
+        // re-hashing the event sections.
         sectionChecksums_[sec.id] = sec.checksum;
     }
     for (uint32_t id = 1; id <= 11; ++id)
@@ -438,7 +473,6 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
     configHash_ = header.configHash;
     controlCount_ = header.controlCount;
     backing_ = std::move(holder);
-    sectionChecksumsValid_ = true;
     valid_ = true;
     return true;
 }
@@ -462,21 +496,6 @@ MaterializedTrace::loadV2Image(std::vector<uint8_t> image)
     const uint8_t *data = holder->data();
     const size_t size = holder->size();
     return adoptV2(data, size, std::move(holder));
-}
-
-// ------------------------------------------------------------- converter
-
-bool
-convertV1ImageToV2(const std::vector<uint8_t> &v1, std::vector<uint8_t> &v2)
-{
-    TraceReader reader;
-    if (!reader.parse(v1))
-        return false;
-    MaterializedTrace mat;
-    if (!mat.build(reader))
-        return false;
-    v2 = mat.serializeV2();
-    return true;
 }
 
 } // namespace mmxdsp::trace

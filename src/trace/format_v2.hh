@@ -1,15 +1,14 @@
 /**
  * @file
- * Trace format v2 — the mmap'd materialized layout.
+ * The trace image — the one on-disk form of a captured trace (header
+ * version kFormatVersionV2, currently 3; the names keep the "V2" of
+ * the first mmap'd layout).
  *
- * Format v1 (format.hh) optimizes for capture: a varint/delta byte
- * stream that is compact to write but must be fully decoded on every
- * load. Format v2 optimizes for serving: its on-disk layout *is* the
- * trace::MaterializedTrace structure-of-arrays, so a load is an mmap
- * plus a checksum scan — the event buffers are used in place with zero
- * copies and zero per-event decode work. This is what lets a trace
- * store answer thousands of (trace, machine-config) queries without
- * ever paying the varint decode again (compute once, serve many).
+ * Its layout *is* the trace::MaterializedTrace structure-of-arrays, so
+ * a load is an mmap plus a checksum scan — the event buffers are used
+ * in place with zero copies and zero per-event decode work. This is
+ * what lets the trace store answer thousands of (trace, machine-config)
+ * queries from one capture (compute once, serve many).
  *
  * Layout (all fixed-width fields little-endian):
  *
@@ -141,9 +140,6 @@ struct Fnv1aStream
 /** True when @p data starts with the v2 magic. */
 bool isV2Image(const uint8_t *data, size_t size);
 
-/** True when @p data starts with the v1 magic ("MXTR"). */
-bool isV1Image(const uint8_t *data, size_t size);
-
 /**
  * A read-only memory-mapped file. On platforms (or filesystems) where
  * mmap fails, falls back to reading the file into an owned buffer, so
@@ -172,14 +168,6 @@ class MmapFile
     bool mapped_ = false;
     std::vector<uint8_t> fallback_;
 };
-
-/**
- * Convert a serialized v1 trace image into a v2 image (parse, build
- * the materialized form, serialize). Returns false when @p v1 does not
- * parse as a valid v1 trace.
- */
-bool convertV1ImageToV2(const std::vector<uint8_t> &v1,
-                        std::vector<uint8_t> &v2);
 
 } // namespace mmxdsp::trace
 

@@ -5,14 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/p6_timer.hh"
 #include "sim/p6p_timer.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
-#include "trace/writer.hh"
 
 namespace mmxdsp::trace {
 
@@ -26,112 +24,6 @@ namespace {
 constexpr size_t kBatchEvents = 512;
 
 } // namespace
-
-/**
- * The recording sink build() drives the TraceReader through: writes
- * every event into the pre-sized structure-of-arrays buffers, interns
- * function names, and resolves the owning function id per event. Event
- * fields go through raw pointers (the arrays were resized to the
- * header's instruction count up front), so the per-event cost is plain
- * stores rather than nine capacity-checked push_backs.
- */
-struct MaterializedTrace::BuildSink final : sim::TraceSink
-{
-    BuildSink(MaterializedTrace &trace, size_t count)
-        : t(trace), n(count), op(trace.op_.mutableData()),
-          flags(trace.flags_.mutableData()), size(trace.size_.mutableData()),
-          src0(trace.src0_.mutableData()), src1(trace.src1_.mutableData()),
-          dst(trace.dst_.mutableData()), site(trace.site_.mutableData()),
-          addr(trace.addr_.mutableData()), fnId(trace.fnId_.mutableData())
-    {
-        // Per-op flag bits, derived once so onInstr() and the replay
-        // kernels never consult the op tables.
-        opBits = opFlagBits();
-    }
-
-    void
-    onInstr(const InstrEvent &e) override
-    {
-        if (idx >= n) {
-            overflow = true;
-            return;
-        }
-        const size_t i = idx++;
-        op[i] = static_cast<uint16_t>(e.op);
-        flags[i] = static_cast<uint8_t>(
-            (static_cast<uint8_t>(e.mem) & kFlagMemMask)
-            | (e.taken ? kFlagTaken : 0)
-            | opBits[static_cast<size_t>(e.op)]);
-        size[i] = e.size;
-        src0[i] = e.src0;
-        src1[i] = e.src1;
-        dst[i] = e.dst;
-        site[i] = e.site;
-        addr[i] = e.addr;
-        fnId[i] = current;
-        ++run;
-    }
-
-    void
-    onEnterFunction(const char *name) override
-    {
-        flushRun();
-        auto [it, inserted] =
-            fnIds.try_emplace(name ? name : "", static_cast<uint32_t>(0));
-        if (inserted) {
-            it->second = static_cast<uint32_t>(t.fnNames_.size());
-            t.fnNames_.push_back(it->first);
-            t.fnCounts_.emplace_back();
-        }
-        const uint32_t id = it->second;
-        stack.push_back(id);
-        current = id;
-        ++t.fnCounts_[id].calls;
-        segs.push_back({Segment::Enter, id});
-    }
-
-    void
-    onLeaveFunction() override
-    {
-        flushRun();
-        if (!stack.empty())
-            stack.pop_back();
-        current = stack.empty() ? 0 : stack.back();
-        segs.push_back({Segment::Leave, 0});
-    }
-
-    /** Close the open instruction run (instead of touching the segment
-     *  list per event, onInstr just counts and a marker flushes). */
-    void
-    flushRun()
-    {
-        if (run) {
-            segs.push_back({Segment::Run, run});
-            run = 0;
-        }
-    }
-
-    MaterializedTrace &t;
-    /** Staged segment list, adopted into t.segments_ after the run. */
-    std::vector<Segment> segs;
-    size_t n;
-    uint16_t *op;
-    uint8_t *flags;
-    uint8_t *size;
-    uint8_t *src0;
-    uint8_t *src1;
-    uint8_t *dst;
-    uint32_t *site;
-    uint64_t *addr;
-    uint32_t *fnId;
-    std::array<uint8_t, isa::kNumOps> opBits{};
-    std::unordered_map<std::string, uint32_t> fnIds;
-    std::vector<uint32_t> stack;
-    size_t idx = 0;
-    bool overflow = false;
-    uint32_t current = 0;
-    uint32_t run = 0; ///< length of the currently open instruction run
-};
 
 std::array<uint8_t, isa::kNumOps>
 MaterializedTrace::opFlagBits()
@@ -150,117 +42,6 @@ MaterializedTrace::opFlagBits()
         bits[o] = b;
     }
     return bits;
-}
-
-void
-MaterializedTrace::finalizeFromBuffers()
-{
-    const size_t n = op_.size();
-    uint32_t maxSite = 0;
-    for (size_t i = 0; i < n; ++i)
-        maxSite = std::max(maxSite, site_[i]);
-    siteTableSize_ = n ? maxSite + 1 : 0;
-    for (size_t i = 0; i < n; ++i)
-        ++fnCounts_[fnId_[i]].instructions;
-
-    // Fold every config-independent metric into the result template so
-    // the per-config kernel only has to produce cycle attribution.
-    const auto &table = profile::opReplayTable();
-    std::vector<uint8_t> seen(siteTableSize_, 0);
-    counts_.dynamicInstructions = n;
-    for (size_t i = 0; i < n; ++i) {
-        const size_t op_idx = op_[i];
-        const size_t mem_idx = flags_[i] & kFlagMemMask;
-        const profile::OpReplayEntry &entry = table[op_idx];
-        counts_.uops += entry.uopsByMem[mem_idx];
-        counts_.memoryReferences += mem_idx != 0;
-        ++counts_.opCounts[op_idx];
-        if (entry.mmxCategory)
-            ++counts_.mmxByCategory[entry.mmxCategory];
-        counts_.functionCalls += entry.costClass == profile::kCostCall;
-        controlCount_ += (flags_[i] & kFlagControl) != 0;
-        const uint32_t site = site_[i];
-        counts_.staticInstructions += seen[site] == 0;
-        seen[site] = 1;
-    }
-    for (size_t c = 1; c < counts_.mmxByCategory.size(); ++c)
-        counts_.mmxInstructions += counts_.mmxByCategory[c];
-}
-
-bool
-MaterializedTrace::build(const TraceReader &reader)
-{
-    *this = MaterializedTrace();
-    if (!reader.valid())
-        return false;
-
-    benchmark_ = reader.benchmark();
-    version_ = reader.version();
-    configHash_ = reader.configHash();
-
-    const size_t n = static_cast<size_t>(reader.instrCount());
-    op_.alloc(n);
-    flags_.alloc(n);
-    size_.alloc(n);
-    src0_.alloc(n);
-    src1_.alloc(n);
-    dst_.alloc(n);
-    site_.alloc(n);
-    addr_.alloc(n);
-    fnId_.alloc(n);
-
-    fnNames_.emplace_back(profile::rootFunctionName());
-    fnCounts_.emplace_back();
-
-    BuildSink sink(*this, n);
-    // A body whose event count disagrees with the header is corrupt.
-    if (!reader.replayTo(sink) || sink.overflow || sink.idx != n) {
-        *this = MaterializedTrace();
-        return false;
-    }
-    sink.flushRun();
-    segments_.adopt(std::move(sink.segs));
-
-    // Everything derivable from the filled buffers happens in this
-    // finalize scan, keeping the per-event sink above to plain stores.
-    finalizeFromBuffers();
-
-    // Re-intern the trace's site metadata into a dense table. Walk the
-    // ids in ascending order (not unordered_map order) so the string
-    // table — and therefore the serialized v2 image — comes out
-    // byte-identical to a direct MaterializeSink capture of the same
-    // event stream, which interns metadata the same way.
-    if (!reader.sites().empty()) {
-        siteMeta_.resize(siteTableSize_);
-        std::vector<uint32_t> ids;
-        ids.reserve(reader.sites().size());
-        for (const auto &[id, site] : reader.sites())
-            ids.push_back(id);
-        std::sort(ids.begin(), ids.end());
-        std::unordered_map<std::string, int32_t> stringIds;
-        auto intern = [&](const std::string &s) {
-            auto [it, inserted] =
-                stringIds.try_emplace(s, static_cast<int32_t>(0));
-            if (inserted) {
-                it->second = static_cast<int32_t>(strings_.size());
-                strings_.push_back(s);
-            }
-            return it->second;
-        };
-        for (uint32_t id : ids) {
-            const TraceReader::Site &site = reader.sites().at(id);
-            if (id >= siteMeta_.size())
-                siteMeta_.resize(static_cast<size_t>(id) + 1);
-            SiteMeta &meta = siteMeta_[id];
-            meta.line = site.line;
-            meta.column = site.column;
-            meta.file = intern(site.file);
-            meta.function = intern(site.function);
-        }
-    }
-
-    valid_ = true;
-    return true;
 }
 
 size_t
@@ -309,31 +90,6 @@ MaterializedTrace::replayTo(sim::TraceSink &sink) const
         }
     }
     return true;
-}
-
-std::vector<uint8_t>
-MaterializedTrace::serializeV1() const
-{
-    TraceWriter writer(benchmark_, version_, configHash_);
-    replayTo(writer);
-    // Rebuild the site-metadata rows from the re-interned tables; rows
-    // the original capture never recorded stay at file/function == -1
-    // and are skipped, so the section matches a live capture's.
-    std::vector<TraceWriter::SiteRow> rows;
-    for (uint32_t id = 0; id < siteMeta_.size(); ++id) {
-        const SiteMeta &m = siteMeta_[id];
-        if (m.file < 0 && m.function < 0)
-            continue;
-        rows.push_back(
-            {id, m.line, m.column,
-             m.file >= 0 ? strings_[static_cast<size_t>(m.file)].c_str()
-                         : "",
-             m.function >= 0
-                 ? strings_[static_cast<size_t>(m.function)].c_str()
-                 : ""});
-    }
-    writer.finish(std::span<const TraceWriter::SiteRow>(rows));
-    return writer.serialize();
 }
 
 MaterializedTrace::Memos::CacheKey
@@ -728,17 +484,6 @@ MaterializedTrace::siteLabel(uint32_t site) const
     char buf[256];
     std::snprintf(buf, sizeof(buf), "%s:%u", file, meta.line);
     return buf;
-}
-
-MaterializedTrace
-materialize(const TraceReader &reader)
-{
-    MaterializedTrace mat;
-    if (!mat.build(reader))
-        mmxdsp_fatal("corrupt trace body for %s.%s",
-                     reader.benchmark().c_str(),
-                     reader.version().c_str());
-    return mat;
 }
 
 } // namespace mmxdsp::trace

@@ -1,24 +1,27 @@
 /**
  * @file
- * MaterializedTrace — the decode-once fast replay path.
+ * MaterializedTrace — the one in-memory form of a captured trace.
  *
- * TraceReader::replayTo() re-parses the varint/delta body on every
- * replay, which makes an N-configuration sweep pay N full decodes plus
- * one virtual sink call per instruction. A MaterializedTrace parses the
- * trace exactly once into dense structure-of-arrays event buffers and
- * then serves any number of replays straight from memory:
+ * A trace is the complete observable record of one measured region:
+ * the instruction-event stream runtime::Cpu fed to its sim::TraceSink
+ * plus the function enter/leave markers, so that replaying it through
+ * profile::VProf reproduces every metric of the original execution bit
+ * for bit without re-executing benchmark code (the paper's
+ * capture-once / analyze-many VTune methodology). A MaterializeSink
+ * (materialize_sink.hh) captures it straight into dense
+ * structure-of-arrays event buffers, which then serve any number of
+ * replays straight from memory:
  *
  *  - one contiguous array per event field (op, packed mem/taken flags,
  *    memory address/size, site id, register tags, owning-function id),
- *    so replay walks sequential cache lines instead of a byte-stream
- *    decoder;
+ *    so replay walks sequential cache lines;
  *  - function enter/leave markers collapsed into a segment list with an
- *    interned function-name table, and the trace's site metadata table
- *    re-interned densely for hotspot labelling;
+ *    interned function-name table, and the capture's site metadata
+ *    interned densely for hotspot labelling;
  *  - per-event facts that no timing configuration can change (micro-op
  *    counts, instruction/op/MMX-category/memory-reference totals,
  *    per-function call and instruction counts, the static-site count)
- *    folded into a ProfileResult template at materialize time, so a
+ *    folded into a ProfileResult template at capture time, so a
  *    per-configuration replay only has to run the timing model and
  *    attribute cycles.
  *
@@ -26,14 +29,14 @@
  * in cache-friendly blocks (any sink, bit-identical event stream);
  * replayProfile() / replaySweep() run the specialized profile kernel
  * whose results are bit-identical to a full VProf replay. One
- * MaterializedTrace is immutable after build() and safely shared by
- * any number of replay threads.
+ * MaterializedTrace is immutable once captured or loaded and safely
+ * shared by any number of replay threads.
  *
- * Besides build() (the v1 varint decode), a MaterializedTrace can be
- * serialized as trace format v2 (format_v2.hh) — whose on-disk layout
- * is exactly these buffers — and loaded back by mmap: the event arrays
- * then alias the mapped file (zero copy, no per-load decode), which is
- * the storage format of the vprofd trace store.
+ * Its on-disk form is the trace image (format_v2.hh), whose layout is
+ * exactly these buffers: serializeV2() writes it, and loadV2File()
+ * maps it back so the event arrays alias the mapped file (zero copy,
+ * no per-load decode). service::TraceStore keeps these images for the
+ * bench harness and vprofd alike.
  */
 
 #ifndef MMXDSP_TRACE_MATERIALIZE_HH
@@ -51,7 +54,6 @@
 #include "sim/pentium_timer.hh"
 #include "sim/timing_model.hh"
 #include "sim/trace_sink.hh"
-#include "trace/reader.hh"
 
 namespace mmxdsp::trace {
 
@@ -94,7 +96,7 @@ const char *laneIsaName(LaneIsa isa);
 
 /**
  * One structure-of-arrays event buffer: either owns its storage (the
- * build()/adopt() paths) or aliases external read-only memory (the
+ * capture path's adopt()) or aliases external read-only memory (the
  * mmap'd format-v2 load path, where the backing mapping outlives the
  * trace via MaterializedTrace::backing_). Read access is identical
  * either way, so the replay kernels never know which they got.
@@ -109,14 +111,6 @@ class EventBuf
     EventBuf &operator=(EventBuf &&) noexcept = default;
     EventBuf(const EventBuf &) = delete;
     EventBuf &operator=(const EventBuf &) = delete;
-
-    /** Allocate @p n owned, zero-initialized elements. */
-    void alloc(size_t n)
-    {
-        owned_.assign(n, T{});
-        ptr_ = owned_.data();
-        size_ = n;
-    }
 
     /** Take ownership of an already-filled vector. */
     void adopt(std::vector<T> &&v)
@@ -136,8 +130,6 @@ class EventBuf
     }
 
     const T *data() const { return ptr_; }
-    /** Writable storage; only valid for owned (alloc'd) buffers. */
-    T *mutableData() { return owned_.data(); }
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     const T &operator[](size_t i) const { return ptr_[i]; }
@@ -156,13 +148,6 @@ class MaterializedTrace
     MaterializedTrace() = default;
 
     /**
-     * Decode @p reader's body exactly once into the dense buffers.
-     * Returns false (leaving this trace invalid) when the reader is
-     * invalid or its body is corrupt.
-     */
-    bool build(const TraceReader &reader);
-
-    /**
      * The complete format-v2 image of this trace (header + section
      * table + the SoA buffers; see format_v2.hh). Deterministic: the
      * same trace always serializes byte for byte identically.
@@ -170,14 +155,11 @@ class MaterializedTrace
     std::vector<uint8_t> serializeV2() const;
 
     /**
-     * Re-encode this trace as a format-v1 (varint) image, byte-identical
-     * to what a live TraceWriter capture of the same event stream would
-     * have produced — including the site-metadata section, rebuilt from
-     * the re-interned tables. Lets a consumer that needs a TraceReader
-     * reuse a materialized capture instead of executing the workload
-     * again (a second run need not reproduce the address stream).
+     * Publish serializeV2()'s bytes at @p path (temp file + rename, see
+     * support/io.hh) straight from the buffers, without assembling the
+     * image in memory. False on any I/O failure.
      */
-    std::vector<uint8_t> serializeV1() const;
+    bool writeV2File(const std::string &path) const;
 
     /**
      * Load a format-v2 file by mmap. On success the event buffers
@@ -245,10 +227,9 @@ class MaterializedTrace
     };
 
     /**
-     * Deliver the identical event stream a TraceReader replay would
-     * produce, but via batched dispatch: instruction runs arrive through
-     * sink.onInstrBatch() in blocks, enter/leave markers in original
-     * order between them.
+     * Deliver the captured event stream to @p sink via batched
+     * dispatch: instruction runs arrive through sink.onInstrBatch() in
+     * blocks, enter/leave markers in original order between them.
      */
     bool replayTo(sim::TraceSink &sink) const;
 
@@ -256,7 +237,7 @@ class MaterializedTrace
      * The fast replay kernel: profile this trace under @p config on the
      * default machine (P5) and return metrics bit-identical to replaying
      * through a fresh profile::VProf. Config-independent counts come
-     * from the template computed at build time; the per-event loop runs
+     * from the template computed at capture time; the per-event loop runs
      * only the timing model and cycle attribution.
      */
     profile::ProfileResult
@@ -329,8 +310,7 @@ class MaterializedTrace
     std::string siteLabel(uint32_t site) const;
 
   private:
-    struct BuildSink;
-    /** The direct live-capture sink fills the buffers in place. */
+    /** The live-capture sink fills the buffers in place. */
     friend class MaterializeSink;
 
     /** Reassemble the i-th event from the structure-of-arrays buffers. */
@@ -358,7 +338,7 @@ class MaterializedTrace
     /**
      * Bit layout of flags_: everything the replay kernel branches on,
      * pre-decoded per event so the per-config loop never consults the
-     * op tables. Bits 3-5 are derived from the op at build time.
+     * op tables. Bits 3-5 are derived from the op at capture time.
      */
     enum : uint8_t {
         kFlagMemMask = 3,    ///< isa::MemMode
@@ -369,7 +349,7 @@ class MaterializedTrace
     };
 
     // -- structure-of-arrays event buffers, all instrCount() long;
-    //    owned after build(), mmap-aliased after loadV2File() --
+    //    owned after capture, mmap-aliased after loadV2File() --
     EventBuf<uint16_t> op_;   ///< isa::Op (also the OpInfo index)
     EventBuf<uint8_t> flags_; ///< see the flag enum above
     EventBuf<uint8_t> size_;  ///< memory operand size
@@ -398,9 +378,14 @@ class MaterializedTrace
     /**
      * Keeps the memory the EventBufs alias alive when this trace was
      * loaded from a v2 image (an MmapFile or the image vector itself);
-     * null for build()-constructed traces, whose buffers own storage.
+     * null for captured traces, whose buffers own storage.
      */
     std::shared_ptr<const void> backing_;
+
+    /** The image laid out: header, section table, Meta bytes and
+     *  where each section's data lives (trace/format_v2.cc). */
+    struct V2Layout;
+    V2Layout layoutV2() const;
 
     /** Shared v2 image validation + aliasing behind the loadV2 entry
      *  points; @p holder keeps @p data alive. */
@@ -409,20 +394,9 @@ class MaterializedTrace
 
     /**
      * Per-op flag bits (control / call-ret / overhead) for flags_,
-     * derived once from the op replay table and shared by build()'s
-     * sink and the live-capture MaterializeSink, so both producers
-     * stamp bit-identical flag bytes.
+     * derived once from the op replay table for MaterializeSink.
      */
     static std::array<uint8_t, isa::kNumOps> opFlagBits();
-
-    /**
-     * Derive everything the filled event buffers imply: siteTableSize_,
-     * per-function instruction counts, the config-independent
-     * ProfileResult template and controlCount_. Shared by build() and
-     * MaterializeSink::finish(); expects op_..fnId_, segments_,
-     * fnNames_/fnCounts_ (calls already tallied) to be populated.
-     */
-    void finalizeFromBuffers();
 
     /**
      * Per-section FNV-1a checksums carried alongside the buffers,
@@ -431,12 +405,9 @@ class MaterializedTrace
      * validated table on the v2 load path, so serializeV2() never
      * re-hashes the O(instrCount) event sections. The small Meta
      * section is always hashed at serialize time (it is assembled
-     * there); build()-constructed traces leave the cache invalid and
-     * serializeV2() hashes everything, which is the golden reference
-     * behavior.
+     * there).
      */
     std::array<uint64_t, 12> sectionChecksums_{};
-    bool sectionChecksumsValid_ = false;
 
     std::vector<std::string> fnNames_;
     /** Per-function calls/instructions (config-independent). */
@@ -548,9 +519,6 @@ class MaterializedTrace
     std::vector<SiteMeta> siteMeta_; ///< dense by site id
     std::vector<std::string> strings_;
 };
-
-/** Convenience wrapper: materialize @p reader, fatal on corruption. */
-MaterializedTrace materialize(const TraceReader &reader);
 
 } // namespace mmxdsp::trace
 

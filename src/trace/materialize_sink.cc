@@ -27,9 +27,8 @@ MaterializeSink::MaterializeSink(std::string benchmark, std::string version,
     : benchmark_(std::move(benchmark)), version_(std::move(version)),
       configHash_(config_hash)
 {
-    // Index 0 is the measured root, exactly as build() seeds it. It is
-    // deliberately not interned into fnIds_: an explicit enter of the
-    // same name gets its own id, matching BuildSink.
+    // Index 0 is the measured root. It is deliberately not interned
+    // into fnIds_: an explicit enter of the same name gets its own id.
     fnNames_.emplace_back(profile::rootFunctionName());
     fnCounts_.emplace_back();
     opBits_ = MaterializedTrace::opFlagBits();
@@ -96,13 +95,12 @@ MaterializeSink::appendChunk(std::span<const InstrEvent> events)
     }
     // The owning function is constant within a block: markers always
     // flush the emit buffer first (runtime::Cpu) / close the run
-    // (replayTo), so a block never straddles an enter/leave.
+    // (replayTo, flushStage), so a block never straddles an enter/leave.
     std::fill_n(b.fnId, m, current_);
     fnCounts_[current_].instructions += m;
 
-    // Fold the config-independent tallies over the hot block — the
-    // exact per-event arithmetic of finalizeFromBuffers(), just run
-    // now instead of over gigabytes of cold buffers at finish().
+    // Fold the config-independent tallies over the hot block now
+    // instead of over gigabytes of cold buffers at finish().
     const auto &table = profile::opReplayTable();
     for (size_t i = 0; i < m; ++i) {
         const size_t op_idx = b.op[i];
@@ -241,9 +239,7 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
     t.fnNames_ = std::move(fnNames_);
     t.fnCounts_ = std::move(fnCounts_);
 
-    // Stamp the incrementally-folded tallies — what build() derives in
-    // finalizeFromBuffers()'s full-buffer scan, already accumulated
-    // chunk by chunk above.
+    // Stamp the tallies accumulated chunk by chunk above.
     const size_t n = t.op_.size();
     t.siteTableSize_ = n ? maxSite_ + 1 : 0;
     counts_.dynamicInstructions = n;
@@ -254,9 +250,8 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
 
     // Site metadata for every site the stream touched (the capture-time
     // first-use bitmap), interned in ascending id order with the file
-    // name before the function name — the exact rows (and string-table
-    // order) the varint path produces, so the Meta section serializes
-    // byte-identically.
+    // name before the function name, so the Meta section serializes
+    // byte-identically for the same stream.
     if (cpu && n) {
         t.siteMeta_.resize(t.siteTableSize_);
         std::unordered_map<std::string, int32_t> stringIds;
@@ -289,7 +284,6 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
     t.sectionChecksums_[idx(V2SectionId::Segments)] = fnv1aWords(
         reinterpret_cast<const uint8_t *>(t.segments_.data()),
         t.segments_.size() * sizeof(MaterializedTrace::Segment));
-    t.sectionChecksumsValid_ = true;
 
     t.valid_ = true;
     return t;

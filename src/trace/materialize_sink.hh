@@ -1,26 +1,19 @@
 /**
  * @file
- * MaterializeSink — direct-to-materialized live capture.
+ * MaterializeSink — the capture path: runtime::Cpu → MaterializedTrace.
  *
- * The historical cold path captures through a TraceWriter (varint/delta
- * encode), then parses the image back (varint decode) and rebuilds it
- * into MaterializedTrace SoA buffers — two full passes over the event
- * stream that exist only to produce bytes nobody keeps. This sink is
- * the single-pass replacement: it implements TraceSink::onInstrBatch
- * and writes each 512-event capture block straight into the SoA
- * buffers (per-op flag bits pre-decoded, segment stream and function
- * table built incrementally), while folding a running FNV-1a state per
- * v2 section over every appended block. finish() then hands back a
- * ready MaterializedTrace whose serializeV2() reuses those running
- * checksums, so `runtime::Cpu` capture → v2 on-disk image is one pass
- * with no varint encode or decode anywhere.
+ * It implements TraceSink::onInstrBatch and writes each 512-event
+ * capture block straight into the SoA buffers (per-op flag bits
+ * pre-decoded, segment stream and function table built incrementally),
+ * while folding a running FNV-1a state per image section over every
+ * appended block. finish() then hands back a ready MaterializedTrace
+ * whose serializeV2() reuses those running checksums, so capture → v3
+ * on-disk image is one pass over the event stream.
  *
- * Bit-identity contract (test_materialize_sink.cc): feeding this sink
- * the event stream of a capture produces a trace whose replay results
- * AND serialized v2 image are byte-identical to the varint reference
- * path (TraceWriter → TraceReader → MaterializedTrace::build) over the
- * same stream. The reference path stays selectable as the suite's
- * capture path with -DMMXDSP_FORCE_V1_CAPTURE=ON.
+ * Contract (test_trace.cc, test_materialize_sink.cc): replaying the
+ * finished trace reproduces the profile of the live execution it
+ * captured bit for bit, and the image is the same whether the producer
+ * delivers events in batches or one at a time.
  */
 
 #ifndef MMXDSP_TRACE_MATERIALIZE_SINK_HH
@@ -45,7 +38,7 @@ namespace mmxdsp::trace {
 class MaterializeSink final : public sim::TraceSink
 {
   public:
-    /** Key fields stamped into the finished trace (same as TraceWriter). */
+    /** Key fields stamped into the finished trace. */
     MaterializeSink(std::string benchmark, std::string version,
                     uint64_t config_hash);
 
@@ -59,10 +52,9 @@ class MaterializeSink final : public sim::TraceSink
     /**
      * Seal the capture and return the materialized trace (valid, with
      * the per-section checksums cached for serializeV2). Pass the
-     * capturing @p cpu to embed site metadata for the sites the stream
-     * touched — the same rows TraceWriter::finish() records; with a
-     * null cpu the trace carries no site metadata (like a v1 trace
-     * finished without one). Fatal when called twice.
+     * capturing @p cpu to embed site metadata (file, line, function)
+     * for the sites the stream touched; with a null cpu the trace
+     * carries no site metadata. Fatal when called twice.
      */
     MaterializedTrace finish(const runtime::Cpu *cpu = nullptr);
 
@@ -87,8 +79,9 @@ class MaterializeSink final : public sim::TraceSink
     bool finished_ = false;
 
     /**
-     * Staging for per-event producers (TraceReader::replayTo delivers
-     * one onInstr per decoded event): events accumulate here and flush
+     * Staging for per-event producers (a sink that does not override
+     * onInstrBatch forwards one onInstr per event): events accumulate
+     * here and flush
      * through appendBlock() in kBlockEvents blocks, so the SoA appends
      * and checksum folds always run over full blocks. Batch producers
      * (runtime::Cpu) bypass it entirely.
@@ -129,7 +122,7 @@ class MaterializeSink final : public sim::TraceSink
     std::vector<uint32_t> fnId_;
     std::vector<MaterializedTrace::Segment> segs_;
 
-    // -- function table, built exactly like BuildSink's --
+    // -- function table: index 0 is the measured root --
     std::vector<std::string> fnNames_;
     std::vector<profile::FunctionStats> fnCounts_;
     std::unordered_map<std::string, uint32_t> fnIds_;
@@ -137,15 +130,13 @@ class MaterializeSink final : public sim::TraceSink
     uint32_t current_ = 0; ///< owning function id for arriving events
     uint32_t run_ = 0;     ///< length of the open instruction run
 
-    /** Per-op flag bits, shared with build() (bit-identical flags_). */
+    /** Per-op flag bits (MaterializedTrace::opFlagBits()). */
     std::array<uint8_t, isa::kNumOps> opBits_{};
 
     /**
      * Config-independent profile tallies, folded per chunk while the
-     * block is cache-hot — event for event the same arithmetic as
-     * MaterializedTrace::finalizeFromBuffers(), so finish() can stamp
-     * the result template without re-streaming the (by then cold)
-     * buffers.
+     * block is cache-hot, so finish() can stamp the result template
+     * without re-streaming the (by then cold) buffers.
      */
     profile::ProfileResult counts_{};
     uint64_t controlCount_ = 0;

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for trace format v2 (the mmap'd materialized layout): property
- * round-trips on randomized streams, determinism, corruption and
- * truncation rejection, the v1 -> v2 converter, and the acceptance
- * gate — every benchmark pair's v2 mmap load replays bit-identical to
- * the v1 varint path on both machine models.
+ * Tests for the trace image (format_v2.hh, the mmap'd materialized
+ * layout): property round-trips on randomized streams, determinism,
+ * the zero-copy file load, corruption and truncation rejection, and
+ * every benchmark pair's mmap'd image against its live run.
  */
 
 #include <gtest/gtest.h>
@@ -15,197 +14,44 @@
 #include <string>
 #include <vector>
 
-#include "harness/suite.hh"
-#include "isa/event.hh"
-#include "isa/op.hh"
 #include "profile/vprof.hh"
 #include "sim/timing_model.hh"
-#include "sim/trace_sink.hh"
 #include "support/io.hh"
 #include "support/rng.hh"
 #include "trace/format_v2.hh"
 #include "trace/materialize.hh"
-#include "trace/reader.hh"
-#include "trace/writer.hh"
+#include "trace_test_util.hh"
 
 namespace mmxdsp {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct ScratchDir
-{
-    fs::path path;
-
-    explicit ScratchDir(const char *name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-};
-
-harness::SuiteConfig
-tinyConfig()
-{
-    harness::SuiteConfig config;
-    config.scaleDown(16);
-    return config;
-}
-
-/** A random but encodable instruction event (same shape test_trace.cc
- *  exercises the v1 codec with). */
-isa::InstrEvent
-randomEvent(Rng &rng)
-{
-    isa::InstrEvent e;
-    e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
-    e.mem = static_cast<isa::MemMode>(rng.nextBelow(3));
-    if (e.mem != isa::MemMode::None) {
-        e.addr = rng.next() >> rng.nextBelow(40);
-        e.size = static_cast<uint8_t>(1u << rng.nextBelow(4));
-    }
-    e.site = rng.nextBelow(2000);
-    auto tag = [&]() -> isa::RegTag {
-        if (rng.nextBelow(4) == 0)
-            return isa::kNoReg;
-        return isa::makeTag(static_cast<isa::RegClass>(rng.nextBelow(3)),
-                            static_cast<uint8_t>(rng.nextBelow(8)));
-    };
-    e.src0 = tag();
-    e.src1 = tag();
-    e.dst = tag();
-    e.taken = rng.nextBelow(2) != 0;
-    return e;
-}
-
-/** Serialized v1 image of a random stream with function markers. */
-std::vector<uint8_t>
-randomV1Image(uint64_t seed, int target_events)
-{
-    Rng rng(seed);
-    trace::TraceWriter writer("rand", "c", seed);
-    int depth = 0;
-    for (int i = 0; i < target_events; ++i) {
-        const uint32_t roll = rng.nextBelow(20);
-        if (roll == 0) {
-            const char *names[] = {"alpha", "beta", "gamma", "delta"};
-            writer.onEnterFunction(names[rng.nextBelow(4)]);
-            ++depth;
-        } else if (roll == 1 && depth > 0) {
-            writer.onLeaveFunction();
-            --depth;
-        } else {
-            writer.onInstr(randomEvent(rng));
-        }
-    }
-    writer.finish();
-    return writer.serialize();
-}
-
-trace::MaterializedTrace
-buildFromV1(const std::vector<uint8_t> &v1)
-{
-    trace::TraceReader reader;
-    EXPECT_TRUE(reader.parse(std::vector<uint8_t>(v1)));
-    trace::MaterializedTrace mat;
-    EXPECT_TRUE(mat.build(reader));
-    return mat;
-}
-
-struct RecordingSink final : sim::TraceSink
-{
-    std::vector<isa::InstrEvent> events;
-    std::vector<std::string> enters;
-    int leaves = 0;
-
-    void onInstr(const isa::InstrEvent &event) override
-    {
-        events.push_back(event);
-    }
-    void onEnterFunction(const char *name) override
-    {
-        enters.emplace_back(name);
-    }
-    void onLeaveFunction() override { ++leaves; }
-};
-
-bool
-sameEvent(const isa::InstrEvent &a, const isa::InstrEvent &b)
-{
-    return a.op == b.op && a.mem == b.mem && a.addr == b.addr
-           && a.size == b.size && a.site == b.site && a.src0 == b.src0
-           && a.src1 == b.src1 && a.dst == b.dst && a.taken == b.taken;
-}
-
-void
-expectSameProfile(const profile::ProfileResult &a,
-                  const profile::ProfileResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dynamicInstructions, b.dynamicInstructions);
-    EXPECT_EQ(a.staticInstructions, b.staticInstructions);
-    EXPECT_EQ(a.uops, b.uops);
-    EXPECT_EQ(a.memoryReferences, b.memoryReferences);
-    EXPECT_EQ(a.mmxInstructions, b.mmxInstructions);
-    EXPECT_EQ(a.mmxByCategory, b.mmxByCategory);
-    EXPECT_EQ(a.functionCalls, b.functionCalls);
-    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
-    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
-    EXPECT_EQ(a.opCounts, b.opCounts);
-    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
-    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
-    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
-    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
-    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
-    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
-    EXPECT_EQ(a.timer.blockingExtraCycles, b.timer.blockingExtraCycles);
-    EXPECT_EQ(a.l1.accesses, b.l1.accesses);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l2.accesses, b.l2.accesses);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.btb.branches, b.btb.branches);
-    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        ASSERT_NE(it, b.functions.end()) << name;
-        EXPECT_EQ(st.calls, it->second.calls) << name;
-        EXPECT_EQ(st.instructions, it->second.instructions) << name;
-        EXPECT_EQ(st.cycles, it->second.cycles) << name;
-    }
-}
+using namespace testutil;
 
 // ---------------- image detection ----------------
 
 TEST(FormatV2, DetectsImageVersions)
 {
-    const std::vector<uint8_t> v1 = randomV1Image(1, 100);
-    EXPECT_TRUE(trace::isV1Image(v1.data(), v1.size()));
-    EXPECT_FALSE(trace::isV2Image(v1.data(), v1.size()));
+    const std::vector<uint8_t> image = randomTrace(1, 100).serializeV2();
+    EXPECT_TRUE(trace::isV2Image(image.data(), image.size()));
+    EXPECT_FALSE(trace::isV2Image(image.data(), 3)); // too short
 
-    const std::vector<uint8_t> v2 = buildFromV1(v1).serializeV2();
-    EXPECT_TRUE(trace::isV2Image(v2.data(), v2.size()));
-    EXPECT_FALSE(trace::isV1Image(v2.data(), v2.size()));
-
-    EXPECT_FALSE(trace::isV2Image(v2.data(), 3)); // too short
+    std::vector<uint8_t> other = image;
+    other[3] ^= 0x01; // "MXT2" -> another magic
+    EXPECT_FALSE(trace::isV2Image(other.data(), other.size()));
 }
 
 // ---------------- property round-trip ----------------
 
 TEST(FormatV2, RandomStreamsRoundTripBitIdentical)
 {
-    // For a spread of random streams: v1 -> materialize -> v2 ->
-    // in-memory load must reproduce the identical event stream, the
-    // identical metadata, and identical profiles on both machines.
+    // For a spread of random streams: capture -> image -> in-memory
+    // load must reproduce the identical event stream, the identical
+    // metadata, and identical profiles on every machine.
     for (uint64_t seed : {1u, 17u, 99u, 12345u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng sizeRng(seed);
         const int n = 500 + static_cast<int>(sizeRng.nextBelow(3000));
-        const std::vector<uint8_t> v1 = randomV1Image(seed, n);
-        trace::MaterializedTrace built = buildFromV1(v1);
+        const trace::MaterializedTrace built = randomTrace(seed, n);
 
         trace::MaterializedTrace loaded;
         ASSERT_TRUE(loaded.loadV2Image(built.serializeV2()));
@@ -220,11 +66,7 @@ TEST(FormatV2, RandomStreamsRoundTripBitIdentical)
         RecordingSink a, b;
         ASSERT_TRUE(built.replayTo(a));
         ASSERT_TRUE(loaded.replayTo(b));
-        ASSERT_EQ(a.events.size(), b.events.size());
-        for (size_t i = 0; i < a.events.size(); ++i)
-            ASSERT_TRUE(sameEvent(a.events[i], b.events[i])) << i;
-        EXPECT_EQ(a.enters, b.enters);
-        EXPECT_EQ(a.leaves, b.leaves);
+        expectSameStream(b, a);
 
         for (const sim::ModelKind model :
              {sim::ModelKind::P5, sim::ModelKind::P6,
@@ -240,8 +82,7 @@ TEST(FormatV2, RandomStreamsRoundTripBitIdentical)
 
 TEST(FormatV2, SerializationIsDeterministic)
 {
-    const std::vector<uint8_t> v1 = randomV1Image(7, 1200);
-    trace::MaterializedTrace mat = buildFromV1(v1);
+    const trace::MaterializedTrace mat = randomTrace(7, 1200);
     EXPECT_EQ(mat.serializeV2(), mat.serializeV2());
 
     // A load-then-reserialize is also byte-stable (views serialize
@@ -251,26 +92,18 @@ TEST(FormatV2, SerializationIsDeterministic)
     EXPECT_EQ(loaded.serializeV2(), mat.serializeV2());
 }
 
-TEST(FormatV2, ConverterMatchesBuildPath)
-{
-    const std::vector<uint8_t> v1 = randomV1Image(21, 900);
-    std::vector<uint8_t> v2;
-    ASSERT_TRUE(trace::convertV1ImageToV2(v1, v2));
-    EXPECT_EQ(v2, buildFromV1(v1).serializeV2());
-
-    std::vector<uint8_t> garbage(64, 0xab);
-    EXPECT_FALSE(trace::convertV1ImageToV2(garbage, v2));
-}
-
 // ---------------- mmap file load ----------------
 
 TEST(FormatV2, FileLoadAliasesMapping)
 {
     ScratchDir scratch("mmxdsp_v2_file_test");
-    const std::vector<uint8_t> v1 = randomV1Image(3, 2000);
-    trace::MaterializedTrace built = buildFromV1(v1);
+    const trace::MaterializedTrace built = randomTrace(3, 2000);
     const std::string path = (scratch.path / "t.mxt2").string();
-    ASSERT_TRUE(writeFileAtomic(path, built.serializeV2()));
+    // The streaming publish writes exactly serializeV2()'s bytes.
+    ASSERT_TRUE(built.writeV2File(path));
+    std::vector<uint8_t> written;
+    ASSERT_TRUE(readFile(path, written));
+    EXPECT_EQ(written, built.serializeV2());
 
     trace::MaterializedTrace loaded;
     ASSERT_TRUE(loaded.loadV2File(path));
@@ -294,7 +127,7 @@ TEST(FormatV2, FileLoadAliasesMapping)
 TEST(FormatV2, RejectsTruncation)
 {
     const std::vector<uint8_t> image =
-        buildFromV1(randomV1Image(5, 600)).serializeV2();
+        randomTrace(5, 600).serializeV2();
     // Every strict prefix must be refused: the final section runs to
     // the end of the image, so any truncation breaks its bounds.
     for (size_t len : {0ul, 3ul, 16ul, 63ul, 64ul, 200ul,
@@ -310,7 +143,7 @@ TEST(FormatV2, RejectsTruncation)
 TEST(FormatV2, RejectsHeaderAndSectionCorruption)
 {
     const std::vector<uint8_t> image =
-        buildFromV1(randomV1Image(5, 600)).serializeV2();
+        randomTrace(5, 600).serializeV2();
     { // magic
         std::vector<uint8_t> bad = image;
         bad[0] ^= 0xff;
@@ -337,7 +170,7 @@ TEST(FormatV2, FuzzedCorruptionNeverReplaysWrongNumbers)
     // the image or the loaded trace replays bit-identical to the
     // original (alignment padding between sections is the only region
     // no checksum covers, and it carries no data).
-    trace::MaterializedTrace built = buildFromV1(randomV1Image(9, 800));
+    const trace::MaterializedTrace built = randomTrace(9, 800);
     const std::vector<uint8_t> image = built.serializeV2();
     const profile::ProfileResult expect = built.replayProfile();
 
@@ -369,32 +202,22 @@ TEST(FormatV2, FuzzedCorruptionNeverReplaysWrongNumbers)
 
 TEST(FormatV2, EveryPairMmapLoadMatchesVarintPathOnBothModels)
 {
-    // For every registry pair (allRuns() is counted, not enumerated,
-    // so new workloads join automatically): capture once, then the
-    // v2 file load
-    // (the vprofd serving path) must replay bit-identical to the v1
-    // varint decode (the original path) under both P5 and P6.
+    // For every registry pair (allRuns() is counted, not enumerated, so
+    // new workloads join automatically): the capture's image written to
+    // disk and mmap'd back (the vprofd serving path) must replay each
+    // live profile bit-identically on every model.
     ScratchDir scratch("mmxdsp_v2_pairs_test");
-    harness::BenchmarkSuite suite(tinyConfig());
-    for (const auto &[bench, version] : harness::BenchmarkSuite::allRuns()) {
-        auto reader = suite.traceFor(bench, version);
-        trace::MaterializedTrace fromV1;
-        ASSERT_TRUE(fromV1.build(*reader)) << bench << "." << version;
-
-        const std::string path =
-            (scratch.path / (bench + "." + version + ".mxt2")).string();
-        ASSERT_TRUE(writeFileAtomic(path, fromV1.serializeV2()));
-        trace::MaterializedTrace fromV2;
-        ASSERT_TRUE(fromV2.loadV2File(path)) << bench << "." << version;
-
-        for (const sim::ModelKind model :
-             {sim::ModelKind::P5, sim::ModelKind::P6,
-              sim::ModelKind::P6P}) {
-            const sim::MachineConfig machine{model, sim::TimerConfig{}};
-            expectSameProfile(fromV2.replayProfile(machine),
-                              fromV1.replayProfile(machine),
-                              bench + "." + version + " on "
-                                  + sim::modelName(model));
+    for (const PairCapture &pc : everyPairCapture()) {
+        const std::string path = (scratch.path / (pc.name + ".mxt2")).string();
+        ASSERT_TRUE(pc.mat.writeV2File(path)) << pc.name;
+        trace::MaterializedTrace loaded;
+        ASSERT_TRUE(loaded.loadV2File(path)) << pc.name;
+        EXPECT_EQ(loaded.serializeV2(), pc.mat.serializeV2()) << pc.name;
+        for (size_t m = 0; m < std::size(kModels); ++m) {
+            const sim::MachineConfig machine{kModels[m], {}};
+            expectSameProfile(loaded.replayProfile(machine), pc.live[m],
+                              pc.name + " on "
+                                  + sim::modelName(kModels[m]));
         }
     }
 }

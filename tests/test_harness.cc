@@ -94,7 +94,7 @@ TEST(SuiteConfigTest, ScaleDownKeepsValidSizes)
 
 TEST(SuiteConfigTest, HashCoversEveryWorkloadField)
 {
-    // The trace cache is keyed by this hash; if a workload field were
+    // The trace store is keyed by this hash; if a workload field were
     // left out, a config change could silently replay the wrong stream.
     const SuiteConfig base;
     const uint64_t base_hash = base.hash();

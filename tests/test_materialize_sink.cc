@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for MaterializeSink (direct-to-materialized capture): the
- * acceptance gate — for every benchmark pair the direct capture is
- * bit-identical to the varint reference path (TraceWriter encode →
- * TraceReader decode → build) in both replay results (P5 and P6) and
- * the serialized v2 image, so the capture-time streaming checksums are
- * provably the same FNV-1a values a full re-hash produces — plus
- * randomized-stream identity, truncation/corruption fuzz of
- * direct-captured images (mirroring test_format_v2.cc), and the
- * BenchmarkSuite wiring (direct capture publishes a v2 cache entry a
- * second process mmaps instead of re-executing).
+ * Tests for MaterializeSink (the one capture path): the image of a real
+ * capture passes full validation and survives truncation and
+ * corruption fuzz, and the BenchmarkSuite wiring publishes each cold
+ * capture to the trace store, where a second process maps it instead
+ * of re-executing. Random streams and every registry pair are captured
+ * next to live VProfs, and the capture's image must reproduce each live
+ * profile on every model.
  */
 
 #include <gtest/gtest.h>
@@ -20,212 +17,90 @@
 #include <vector>
 
 #include "harness/suite.hh"
-#include "isa/event.hh"
-#include "isa/op.hh"
 #include "profile/vprof.hh"
 #include "runtime/cpu.hh"
-#include "sim/timing_model.hh"
+#include "service/trace_store.hh"
 #include "support/rng.hh"
-#include "trace/cache.hh"
 #include "trace/materialize.hh"
 #include "trace/materialize_sink.hh"
-#include "trace/reader.hh"
-#include "trace/writer.hh"
+#include "trace_test_util.hh"
 
 namespace mmxdsp {
 namespace {
 
-namespace fs = std::filesystem;
+using namespace testutil;
 
-struct ScratchDir
-{
-    fs::path path;
-
-    explicit ScratchDir(const char *name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-};
-
-harness::SuiteConfig
-tinyConfig()
-{
-    harness::SuiteConfig config;
-    config.scaleDown(16);
-    return config;
-}
-
-/** A random but encodable instruction event (same shape the v1 codec
- *  tests use). */
-isa::InstrEvent
-randomEvent(Rng &rng)
-{
-    isa::InstrEvent e;
-    e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
-    e.mem = static_cast<isa::MemMode>(rng.nextBelow(3));
-    if (e.mem != isa::MemMode::None) {
-        e.addr = rng.next() >> rng.nextBelow(40);
-        e.size = static_cast<uint8_t>(1u << rng.nextBelow(4));
-    }
-    e.site = rng.nextBelow(2000);
-    auto tag = [&]() -> isa::RegTag {
-        if (rng.nextBelow(4) == 0)
-            return isa::kNoReg;
-        return isa::makeTag(static_cast<isa::RegClass>(rng.nextBelow(3)),
-                            static_cast<uint8_t>(rng.nextBelow(8)));
-    };
-    e.src0 = tag();
-    e.src1 = tag();
-    e.dst = tag();
-    e.taken = rng.nextBelow(2) != 0;
-    return e;
-}
-
-/** Serialized v1 image of a random stream with function markers. */
-std::vector<uint8_t>
-randomV1Image(uint64_t seed, int target_events)
-{
-    Rng rng(seed);
-    trace::TraceWriter writer("rand", "c", seed);
-    int depth = 0;
-    for (int i = 0; i < target_events; ++i) {
-        const uint32_t roll = rng.nextBelow(20);
-        if (roll == 0) {
-            const char *names[] = {"alpha", "beta", "gamma", "delta"};
-            writer.onEnterFunction(names[rng.nextBelow(4)]);
-            ++depth;
-        } else if (roll == 1 && depth > 0) {
-            writer.onLeaveFunction();
-            --depth;
-        } else {
-            writer.onInstr(randomEvent(rng));
-        }
-    }
-    writer.finish();
-    return writer.serialize();
-}
-
-void
-expectSameProfile(const profile::ProfileResult &a,
-                  const profile::ProfileResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dynamicInstructions, b.dynamicInstructions);
-    EXPECT_EQ(a.staticInstructions, b.staticInstructions);
-    EXPECT_EQ(a.uops, b.uops);
-    EXPECT_EQ(a.memoryReferences, b.memoryReferences);
-    EXPECT_EQ(a.mmxInstructions, b.mmxInstructions);
-    EXPECT_EQ(a.mmxByCategory, b.mmxByCategory);
-    EXPECT_EQ(a.functionCalls, b.functionCalls);
-    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
-    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
-    EXPECT_EQ(a.opCounts, b.opCounts);
-    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
-    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
-    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
-    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
-    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
-    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
-    EXPECT_EQ(a.timer.blockingExtraCycles, b.timer.blockingExtraCycles);
-    EXPECT_EQ(a.l1.accesses, b.l1.accesses);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l2.accesses, b.l2.accesses);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.btb.branches, b.btb.branches);
-    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        ASSERT_NE(it, b.functions.end()) << name;
-        EXPECT_EQ(st.calls, it->second.calls) << name;
-        EXPECT_EQ(st.instructions, it->second.instructions) << name;
-        EXPECT_EQ(st.cycles, it->second.cycles) << name;
-    }
-}
-
-/** Feed @p reader's event stream into a MaterializeSink — the same
- *  stream a live capture delivers (replay is bit-identical to live) —
- *  and return the finished trace. @p cpu supplies site metadata. */
+/** One real capture of fir.mmx at tinyConfig(), with site metadata. */
 trace::MaterializedTrace
-directCapture(const trace::TraceReader &reader, const runtime::Cpu *cpu)
+firCapture()
 {
-    trace::MaterializeSink sink(reader.benchmark(), reader.version(),
-                                reader.configHash());
-    EXPECT_TRUE(reader.replayTo(sink));
-    return sink.finish(cpu);
+    harness::BenchmarkSuite suite(tinyConfig());
+    trace::MaterializeSink sink("fir", "mmx", tinyConfig().hash());
+    suite.executeLive("fir", "mmx", &sink);
+    runtime::Cpu cpu; // site ids are process-global
+    return sink.finish(&cpu);
 }
 
-// ---------------- randomized-stream identity ----------------
+// ---------------- live identity ----------------
+
+/**
+ * Expect @p mat's image, validated by a full re-hash on load, to be
+ * byte-stable and to replay @p live (indexed as kModels) on every model.
+ */
+void
+expectImageMatchesLive(const trace::MaterializedTrace &mat,
+                       const profile::ProfileResult *live,
+                       const std::string &what)
+{
+    const std::vector<uint8_t> image = mat.serializeV2();
+    trace::MaterializedTrace loaded;
+    ASSERT_TRUE(loaded.loadV2Image(image)) << what;
+    EXPECT_EQ(loaded.serializeV2(), image) << what;
+    for (size_t m = 0; m < std::size(kModels); ++m) {
+        const sim::MachineConfig machine{kModels[m], {}};
+        const std::string on = what + " on " + sim::modelName(kModels[m]);
+        expectSameProfile(mat.replayProfile(machine), live[m], on);
+        expectSameProfile(loaded.replayProfile(machine), live[m],
+                          on + " reloaded");
+    }
+}
 
 TEST(MaterializeSink, RandomStreamsMatchVarintPathBitIdentically)
 {
-    // For a spread of random streams (batched and single-event
-    // delivery, no site metadata): the direct capture must equal the
-    // varint round trip in replay results and in serialized v2 bytes —
-    // including the section checksums, which the sink computed
-    // incrementally and the reference path by whole-array re-hash.
+    // Random streams (single-event delivery, no site metadata) feed a
+    // MaterializeSink and a live VProf per model in one pass. The
+    // capture — and its image, whose section checksums the sink folded
+    // incrementally and the load re-hashes whole — must reproduce each
+    // live profile.
     for (uint64_t seed : {2u, 29u, 404u, 31337u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng sizeRng(seed);
         const int n = 500 + static_cast<int>(sizeRng.nextBelow(3000));
-        trace::TraceReader reader;
-        ASSERT_TRUE(reader.parse(randomV1Image(seed, n)));
 
-        trace::MaterializedTrace fromV1;
-        ASSERT_TRUE(fromV1.build(reader));
-        const trace::MaterializedTrace direct =
-            directCapture(reader, nullptr);
+        trace::MaterializeSink sink("rand", "c", seed);
+        profile::VProf p5(sim::MachineConfig{kModels[0], {}});
+        profile::VProf p6(sim::MachineConfig{kModels[1], {}});
+        profile::VProf p6p(sim::MachineConfig{kModels[2], {}});
+        sim::TeeSink t3(&p6p, &sink), t2(&p6, &t3), tee(&p5, &t2);
+        feedRandomStream(seed, n, tee);
+        const trace::MaterializedTrace mat = sink.finish();
+        ASSERT_TRUE(mat.valid());
 
-        EXPECT_EQ(direct.instrCount(), fromV1.instrCount());
-        EXPECT_EQ(direct.functionNames(), fromV1.functionNames());
-        for (const sim::ModelKind model :
-             {sim::ModelKind::P5, sim::ModelKind::P6,
-              sim::ModelKind::P6P}) {
-            const sim::MachineConfig machine{model, sim::TimerConfig{}};
-            expectSameProfile(direct.replayProfile(machine),
-                              fromV1.replayProfile(machine),
-                              std::string("model ")
-                                  + sim::modelName(model));
-        }
-        ASSERT_TRUE(direct.serializeV2() == fromV1.serializeV2());
+        const profile::ProfileResult live[] = {p5.result(), p6.result(),
+                                               p6p.result()};
+        expectImageMatchesLive(mat, live, "rand.c");
     }
 }
 
-// ---------------- the acceptance gate ----------------
-
 TEST(MaterializeSink, EveryPairDirectCaptureMatchesVarintPathOnBothModels)
 {
-    // For every allRuns() registry pair: feeding the captured event stream
-    // through a MaterializeSink (the direct cold path) must be
-    // bit-identical to TraceWriter → TraceReader → build (the golden
-    // varint path) — replay results under P5 and P6, AND the full v2
-    // image including site metadata and every section checksum.
-    harness::BenchmarkSuite suite(tinyConfig());
-    // Site ids are process-global, so any Cpu resolves the suite's
-    // metadata — the same lookups TraceWriter::finish performed.
-    runtime::Cpu cpu;
-    for (const auto &[bench, version] : harness::BenchmarkSuite::allRuns()) {
-        auto reader = suite.traceFor(bench, version);
-        trace::MaterializedTrace fromV1;
-        ASSERT_TRUE(fromV1.build(*reader)) << bench << "." << version;
-        const trace::MaterializedTrace direct =
-            directCapture(*reader, &cpu);
-
-        for (const sim::ModelKind model :
-             {sim::ModelKind::P5, sim::ModelKind::P6,
-              sim::ModelKind::P6P}) {
-            const sim::MachineConfig machine{model, sim::TimerConfig{}};
-            expectSameProfile(direct.replayProfile(machine),
-                              fromV1.replayProfile(machine),
-                              bench + "." + version + " on "
-                                  + sim::modelName(model));
-        }
-        ASSERT_TRUE(direct.serializeV2() == fromV1.serializeV2())
-            << bench << "." << version;
+    // For every allRuns() registry pair: the capture, with its site
+    // metadata, must give a valid byte-stable image that reproduces
+    // the pair's live profile on every model.
+    for (const PairCapture &pc : everyPairCapture()) {
+        ASSERT_TRUE(pc.mat.valid()) << pc.name;
+        EXPECT_FALSE(pc.mat.functionNames().empty()) << pc.name;
+        expectImageMatchesLive(pc.mat, pc.live, pc.name);
     }
 }
 
@@ -236,14 +111,12 @@ TEST(MaterializeSink, DirectImagePassesFullValidationRehash)
     // loadV2Image re-hashes every section against the table, so a
     // successful load proves each incrementally-folded checksum equals
     // the whole-array FNV-1a of the final bytes.
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.parse(randomV1Image(11, 2500)));
-    const trace::MaterializedTrace direct = directCapture(reader, nullptr);
-
+    const trace::MaterializedTrace direct = firCapture();
     trace::MaterializedTrace loaded;
     ASSERT_TRUE(loaded.loadV2Image(direct.serializeV2()));
     expectSameProfile(loaded.replayProfile(), direct.replayProfile(),
                       "validated reload");
+    EXPECT_EQ(loaded.siteLabel(1), direct.siteLabel(1));
     // And a load-then-reserialize (which reuses the harvested
     // checksums) is still byte-stable.
     EXPECT_EQ(loaded.serializeV2(), direct.serializeV2());
@@ -251,10 +124,7 @@ TEST(MaterializeSink, DirectImagePassesFullValidationRehash)
 
 TEST(MaterializeSink, DirectImageRejectsTruncation)
 {
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.parse(randomV1Image(5, 600)));
-    const std::vector<uint8_t> image =
-        directCapture(reader, nullptr).serializeV2();
+    const std::vector<uint8_t> image = firCapture().serializeV2();
     for (size_t len : {0ul, 3ul, 16ul, 63ul, 64ul, 200ul,
                        image.size() / 2, image.size() - 1}) {
         std::vector<uint8_t> bad(image.begin(),
@@ -267,17 +137,14 @@ TEST(MaterializeSink, DirectImageRejectsTruncation)
 
 TEST(MaterializeSink, DirectImageFuzzedCorruptionNeverReplaysWrongNumbers)
 {
-    // Same contract as the build-path image: any single-byte corruption
-    // of a direct-captured image is either refused or harmless (only
-    // the uncheck-summed alignment padding is harmless).
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.parse(randomV1Image(13, 800)));
-    const trace::MaterializedTrace direct = directCapture(reader, nullptr);
+    // Any single-byte corruption of a captured image is either refused
+    // or harmless (only the unchecksummed alignment padding is).
+    const trace::MaterializedTrace direct = firCapture();
     const std::vector<uint8_t> image = direct.serializeV2();
     const profile::ProfileResult expect = direct.replayProfile();
 
     Rng rng(0xd1ec7u);
-    int accepted = 0, rejected = 0;
+    int rejected = 0;
     for (int i = 0; i < 200; ++i) {
         std::vector<uint8_t> bad = image;
         const size_t pos = rng.nextBelow(
@@ -289,13 +156,11 @@ TEST(MaterializeSink, DirectImageFuzzedCorruptionNeverReplaysWrongNumbers)
             ++rejected;
             continue;
         }
-        ++accepted;
         const profile::ProfileResult got = mat.replayProfile();
         ASSERT_EQ(got.cycles, expect.cycles) << "byte " << pos;
         ASSERT_EQ(got.dynamicInstructions, expect.dynamicInstructions);
     }
     EXPECT_GT(rejected, 150);
-    (void)accepted;
 }
 
 // ---------------- suite wiring ----------------
@@ -303,7 +168,7 @@ TEST(MaterializeSink, DirectImageFuzzedCorruptionNeverReplaysWrongNumbers)
 TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
 {
     // First suite: the cold materializedFor captures exactly once and
-    // publishes to the trace cache; a second suite (same config + dir,
+    // publishes to the trace store; a second suite (same config + dir,
     // modelling a fresh process) must serve the identical trace from
     // disk without executing anything.
     ScratchDir scratch("mmxdsp_matsink_suite_test");
@@ -314,36 +179,35 @@ TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
     auto mat1 = first.materializedFor("fir", "mmx");
     EXPECT_EQ(first.traceActivity().captured, 1);
     EXPECT_EQ(first.traceActivity().disk_hits, 0);
+    EXPECT_EQ(first.traceDir(), scratch.path.string());
 
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-    // The direct path publishes the materialized (v2) image and never
-    // produces varint bytes at all.
-    const trace::TraceCache cache(scratch.path.string());
-    const uint64_t h = config.hash();
-    EXPECT_TRUE(fs::exists(cache.pathV2("fir", "mmx", h)));
-    EXPECT_FALSE(fs::exists(cache.path("fir", "mmx", h)));
-#endif
+    // The entry is a trace image in its shard directory.
+    service::StoreOptions store_opts;
+    store_opts.root = scratch.path.string();
+    const service::TraceStore store(store_opts);
+    const fs::path entry = store.path("fir", "mmx", config.hash());
+    EXPECT_TRUE(fs::exists(entry));
+    EXPECT_EQ(entry.parent_path().filename().string().rfind("shard-", 0),
+              0u);
 
     harness::BenchmarkSuite second(config, opts);
     auto mat2 = second.materializedFor("fir", "mmx");
     EXPECT_EQ(second.traceActivity().captured, 0);
     EXPECT_EQ(second.traceActivity().disk_hits, 1);
     EXPECT_EQ(mat2->instrCount(), mat1->instrCount());
-    expectSameProfile(mat2->replayProfile(), mat1->replayProfile(),
-                      "second process");
+    EXPECT_EQ(mat2->serializeV2(), mat1->serializeV2());
 
     // run() on the second suite serves the same stream (replayed, not
     // re-executed), so sweeps and runs stay consistent across the two.
     const harness::RunResult &run = second.run("fir", "mmx");
     EXPECT_TRUE(run.replayed);
-    EXPECT_EQ(run.profile.cycles, mat2->replayProfile().cycles);
+    EXPECT_EQ(second.traceActivity().disk_hits, 1);
+    expectSameProfile(run.profile, mat1->replayProfile(), "second process");
 }
 
 TEST(MaterializeSink, FinishWithoutCpuCarriesNoSiteMetadata)
 {
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.parse(randomV1Image(3, 300)));
-    const trace::MaterializedTrace direct = directCapture(reader, nullptr);
+    const trace::MaterializedTrace direct = randomTrace(3, 300);
     // Unknown sites label as "site#N" — metadata was not embedded.
     EXPECT_EQ(direct.siteLabel(0).rfind("site#", 0), 0u);
 }

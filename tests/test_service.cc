@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the vprofd service layer: the sharded TraceStore (round
- * trips, stable sharding, v1 upgrade, quarantine, LRU eviction,
- * concurrency) and the QueryEngine (result cache, batch-vs-scalar
- * identity, capture-free cold restart, untrusted query parsing, memo
- * reuse and its share of the trace-cache budget).
+ * trips, stable sharding, quarantine, LRU eviction, concurrency), the
+ * QueryEngine (result cache, batch-vs-scalar identity, capture-free
+ * cold restart, untrusted query parsing, memo reuse and its share of
+ * the trace-cache budget) and the --serve session loop.
  */
 
 #include <gtest/gtest.h>
@@ -14,67 +14,42 @@
 #include <cstdint>
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/suite.hh"
 #include "service/query_engine.hh"
+#include "service/serve.hh"
 #include "service/trace_store.hh"
 #include "support/io.hh"
 #include "support/rng.hh"
 #include "trace/format_v2.hh"
 #include "trace/materialize.hh"
-#include "trace/reader.hh"
-#include "trace/writer.hh"
+#include "trace/materialize_sink.hh"
+#include "trace_test_util.hh"
 
 namespace mmxdsp {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct ScratchDir
-{
-    fs::path path;
-
-    explicit ScratchDir(const char *name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-};
-
-harness::SuiteConfig
-tinyConfig()
-{
-    harness::SuiteConfig config;
-    config.scaleDown(16);
-    return config;
-}
+using namespace testutil;
 
 /** A small synthetic trace (no live run needed for store tests). */
 trace::MaterializedTrace
 syntheticTrace(uint64_t seed, uint64_t config_hash, int events = 400)
 {
     Rng rng(seed);
-    trace::TraceWriter writer("synth", "c", config_hash);
-    writer.onEnterFunction("work");
+    trace::MaterializeSink sink("synth", "c", config_hash);
+    sink.onEnterFunction("work");
     for (int i = 0; i < events; ++i) {
         isa::InstrEvent e;
         e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
         e.site = rng.nextBelow(64);
-        writer.onInstr(e);
+        sink.onInstr(e);
     }
-    writer.onLeaveFunction();
-    writer.finish();
-
-    trace::TraceReader reader;
-    EXPECT_TRUE(reader.parse(writer.serialize()));
-    trace::MaterializedTrace mat;
-    EXPECT_TRUE(mat.build(reader));
-    return mat;
+    sink.onLeaveFunction();
+    return sink.finish();
 }
 
 service::StoreOptions
@@ -125,8 +100,14 @@ TEST(TraceStoreTest, StoreThenLoadRoundTrips)
     const service::StoreStats stats = store.stats();
     EXPECT_EQ(stats.stores, 1u);
     EXPECT_EQ(stats.v2_hits, 1u);
-    EXPECT_EQ(stats.v1_hits, 0u);
     EXPECT_EQ(stats.quarantined, 0u);
+
+    // Any key component mismatch is a miss, not an error.
+    EXPECT_EQ(store.load("synth", "c", 0x1235), nullptr);
+    EXPECT_EQ(store.load("synth", "mmx", 0x1234), nullptr);
+    EXPECT_EQ(store.load("other", "c", 0x1234), nullptr);
+    EXPECT_EQ(store.stats().misses, 4u);
+    EXPECT_EQ(store.stats().quarantined, 0u);
 }
 
 TEST(TraceStoreTest, ShardingIsStableAcrossInstances)
@@ -160,46 +141,6 @@ TEST(TraceStoreTest, ShardingIsStableAcrossInstances)
                               a.shardOf("fft", "c", 1),
                               a.shardOf("fir", "c", 2)};
     EXPECT_GT(varied.size(), 1u);
-}
-
-TEST(TraceStoreTest, LegacyV1EntryIsServedAndUpgraded)
-{
-    ScratchDir scratch("mmxdsp_store_v1_test");
-    service::TraceStore store(storeOpts(scratch));
-
-    // Plant a raw v1 file where the legacy path says it belongs.
-    Rng rng(11);
-    trace::TraceWriter writer("synth", "c", 0x77);
-    for (int i = 0; i < 300; ++i) {
-        isa::InstrEvent e;
-        e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
-        writer.onInstr(e);
-    }
-    writer.finish();
-    const std::vector<uint8_t> v1 = writer.serialize();
-    const std::string p1 = store.legacyPath("synth", "c", 0x77);
-    fs::create_directories(fs::path(p1).parent_path());
-    ASSERT_TRUE(writeFileAtomic(p1, v1));
-
-    trace::TraceReader reader;
-    ASSERT_TRUE(reader.parse(std::vector<uint8_t>(v1)));
-    trace::MaterializedTrace expect;
-    ASSERT_TRUE(expect.build(reader));
-
-    auto first = store.load("synth", "c", 0x77);
-    ASSERT_NE(first, nullptr);
-    EXPECT_EQ(first->replayProfile().cycles, expect.replayProfile().cycles);
-    EXPECT_EQ(store.stats().v1_hits, 1u);
-    EXPECT_EQ(store.stats().upgraded, 1u);
-    // Upgrade retired the v1 file and published a v2 replacement.
-    EXPECT_FALSE(fs::exists(p1));
-    EXPECT_TRUE(fs::exists(store.path("synth", "c", 0x77)));
-
-    auto second = store.load("synth", "c", 0x77);
-    ASSERT_NE(second, nullptr);
-    EXPECT_EQ(second->replayProfile().cycles,
-              expect.replayProfile().cycles);
-    EXPECT_EQ(store.stats().v2_hits, 1u);
 }
 
 TEST(TraceStoreTest, CorruptEntryIsQuarantinedAndSurvivesRewrite)
@@ -565,6 +506,13 @@ TEST(QueryEngineTest, ParseQueryLineAcceptsAndRejects)
         "fir c bogus=1",         // unknown key
         "nosuch c",              // unknown pair (would fatal in harness)
         "fir nosuchversion",     // unknown pair
+        "fir c l1=3000",         // L1 size not a power of two
+        "fir c l1_ways=3",       // 16 KB does not split into 3 ways
+        "fir c l2_line=48",      // L2 line not a power of two
+        "fir c btb=3",           // 3 entries do not fill 4 ways
+        "fir c btb_ways=3",      // 256 entries do not split 3 ways
+        "fir c l1=4294967297",   // above UINT32_MAX (not truncated to 1)
+        "fir c mp=-1",           // negative
     };
     for (const char *line : bad) {
         EXPECT_FALSE(
@@ -601,6 +549,65 @@ TEST(QueryEngineTest, ParseQueryLineAcceptsAndRejects)
     a = b;
     b.timer.p6p.window += 1;
     EXPECT_NE(service::machineHash(a), service::machineHash(b));
+}
+
+TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
+{
+    // Each invalid line gets an error reply and the session goes on:
+    // the valid query after them is still answered, and nothing
+    // reached a Cache or Btb constructor (whose check is fatal).
+    ScratchDir scratch("mmxdsp_engine_serve_test");
+    service::QueryEngine engine(engineOpts(scratch));
+    std::istringstream in("fir c l1=3000\n"
+                          "fir c l1_ways=3\n"
+                          "fir c btb=3\n"
+                          "fir c l1=4294967297\n"
+                          "\n"
+                          "# comment\n"
+                          "fir c\n"
+                          "stats\n"
+                          "quit\n"
+                          "fir mmx\n");
+    std::ostringstream out;
+    service::serveSession(engine, in, out);
+
+    std::vector<std::string> replies;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);)
+        replies.push_back(line);
+    ASSERT_EQ(replies.size(), 6u) << out.str();
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(replies[i].rfind("{\"ok\":false,\"error\":\"", 0), 0u)
+            << replies[i];
+    }
+    EXPECT_NE(replies[0].find("L1 geometry"), std::string::npos);
+    EXPECT_NE(replies[2].find("BTB geometry"), std::string::npos);
+    EXPECT_NE(replies[3].find("out of range"), std::string::npos);
+    EXPECT_NE(replies[4].find("\"benchmark\":\"fir\""), std::string::npos);
+    EXPECT_NE(replies[4].find("\"ok\":true"), std::string::npos);
+    EXPECT_EQ(replies[5].rfind("{\"queries\":1,", 0), 0u) << replies[5];
+    EXPECT_EQ(engine.stats().failures, 0u);
+}
+
+TEST(QueryEngineTest, QueryBatchRejectsInvalidGeometry)
+{
+    // Queries built in code skip parseQueryLine; the engine still fails
+    // a geometry no cache or BTB can take instead of dying on it.
+    ScratchDir scratch("mmxdsp_engine_badgeo_test");
+    service::QueryEngine engine(engineOpts(scratch));
+    service::Query l1{"fir", "c", sim::MachineConfig{}};
+    l1.machine.timer.l1.size_bytes = 3000;
+    service::Query btb{"fir", "c", sim::MachineConfig{}};
+    btb.machine.timer.btb_entries = 3;
+    service::Query ok{"fir", "c", sim::MachineConfig{}};
+    const auto results = engine.queryBatch({l1, btb, ok});
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_NE(results[0].error.find("L1 geometry"), std::string::npos);
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_NE(results[1].error.find("BTB geometry"), std::string::npos);
+    EXPECT_TRUE(results[2].ok) << results[2].error;
+    EXPECT_EQ(engine.stats().failures, 2u);
 }
 
 TEST(QueryEngineTest, P6AndP6PNeverAliasInTheResultCache)

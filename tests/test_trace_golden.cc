@@ -5,9 +5,9 @@
  * The batched emit path (runtime::Cpu buffering kEmitBatch events per
  * TraceSink::onInstrBatch call) must be invisible on disk: the same
  * execution captured batched and per-instruction has to produce the
- * same bytes, the encoder itself has to stay byte-stable for a fixed
- * event stream, and SuiteConfig::hash() — the trace-cache key — must
- * not move, or every cached trace on every machine is silently
+ * same image bytes, the image itself has to stay byte-stable for a
+ * fixed event stream, and SuiteConfig::hash() — the trace-store key —
+ * must not move, or every stored trace on every machine is silently
  * invalidated.
  */
 
@@ -22,14 +22,15 @@
 #include "runtime/cpu.hh"
 #include "sim/trace_sink.hh"
 #include "trace/format.hh"
-#include "trace/writer.hh"
+#include "trace/materialize.hh"
+#include "trace/materialize_sink.hh"
 
 namespace mmxdsp {
 namespace {
 
 // ---------------- cache-key stability ----------------
 
-// A change here means every existing on-disk trace cache misses (or
+// A change here means every existing trace store misses (or
 // worse, collides): bump only with a deliberate workload/format
 // migration. Last bumped when the gemm_dim/gemm_block workload fields
 // joined the key.
@@ -49,39 +50,39 @@ TEST(TraceGolden, SuiteConfigHashIsStable)
 
 // ---------------- batched capture == per-event capture ----------------
 
-/** Forwards every event one at a time into a second TraceWriter.
- *  Deliberately does NOT override onInstrBatch: the base class unrolls
- *  batches into per-instruction onInstr calls, i.e. the historical
- *  delivery cadence. */
+/** Forwards every event one at a time into a second sink. Deliberately
+ *  does NOT override onInstrBatch: the base class unrolls batches into
+ *  per-instruction onInstr calls, i.e. the historical delivery
+ *  cadence. */
 class PerEventRelay final : public sim::TraceSink
 {
   public:
-    explicit PerEventRelay(trace::TraceWriter &w) : w_(w) {}
-    void onInstr(const isa::InstrEvent &e) override { w_.onInstr(e); }
-    void onEnterFunction(const char *n) override { w_.onEnterFunction(n); }
-    void onLeaveFunction() override { w_.onLeaveFunction(); }
+    explicit PerEventRelay(sim::TraceSink &s) : s_(s) {}
+    void onInstr(const isa::InstrEvent &e) override { s_.onInstr(e); }
+    void onEnterFunction(const char *n) override { s_.onEnterFunction(n); }
+    void onLeaveFunction() override { s_.onLeaveFunction(); }
 
   private:
-    trace::TraceWriter &w_;
+    sim::TraceSink &s_;
 };
 
 TEST(TraceGolden, BatchedCaptureIsByteIdenticalToPerEventCapture)
 {
     // One real benchmark pair, captured once. The tee hands each block
     // to `batched` through onInstrBatch and unrolls the same block
-    // per-instruction into `unbatched`; since both writers see the
-    // identical sequence in the identical process, their serialized
-    // images (delta-encoded addresses and all) must match byte for
+    // per-instruction into `unbatched`; since both sinks see the
+    // identical sequence in the identical process, their images
+    // (addresses, segments, checksums and all) must match byte for
     // byte. This pins the whole batching layer — block boundaries,
     // enter/leave flush points, tail flush on detach — to the exact
-    // on-disk artifact the per-instruction path produced.
+    // on-disk artifact the per-instruction path produces.
     kernels::FirBenchmark fir;
     fir.setup(512, 42);
     runtime::Cpu cpu;
 
     for (const char *version : {"c", "mmx"}) {
-        trace::TraceWriter batched("fir", version, 0x1234);
-        trace::TraceWriter unbatched("fir", version, 0x1234);
+        trace::MaterializeSink batched("fir", version, 0x1234);
+        trace::MaterializeSink unbatched("fir", version, 0x1234);
         PerEventRelay relay(unbatched);
         sim::TeeSink tee(&batched, &relay);
 
@@ -92,20 +93,20 @@ TEST(TraceGolden, BatchedCaptureIsByteIdenticalToPerEventCapture)
             fir.runMmx(cpu);
         cpu.attachSink(nullptr);
 
-        batched.finish(&cpu);
-        unbatched.finish(&cpu);
-        ASSERT_GT(batched.instrCount(), 1000u) << version;
-        EXPECT_EQ(batched.instrCount(), unbatched.instrCount()) << version;
-        EXPECT_EQ(batched.serialize(), unbatched.serialize()) << version;
+        const trace::MaterializedTrace a = batched.finish(&cpu);
+        const trace::MaterializedTrace b = unbatched.finish(&cpu);
+        ASSERT_GT(a.instrCount(), 1000u) << version;
+        EXPECT_EQ(a.instrCount(), b.instrCount()) << version;
+        EXPECT_EQ(a.serializeV2(), b.serializeV2()) << version;
     }
 }
 
-// ---------------- encoder byte-stability ----------------
+// ---------------- image byte-stability ----------------
 
 /** A fixed, address-deterministic event stream (no heap pointers), so
  *  the serialized image is reproducible across processes and builds. */
 void
-writeFixedStream(trace::TraceWriter &writer)
+writeFixedStream(sim::TraceSink &writer)
 {
     uint64_t addr = 0x1000;
     for (int i = 0; i < 800; ++i) {
@@ -132,20 +133,19 @@ writeFixedStream(trace::TraceWriter &writer)
         if (i % 100 == 99)
             writer.onLeaveFunction();
     }
-    writer.finish();
 }
 
 TEST(TraceGolden, EncoderImageIsByteStable)
 {
-    // Golden FNV-1a of the serialized image for the fixed stream above,
-    // captured from the pre-batching encoder. Any drift in the varint
-    // packing, delta encoding, or header layout trips this.
-    trace::TraceWriter writer("golden", "mmx", 0xfeedfacecafef00dull);
-    writeFixedStream(writer);
-    const std::vector<uint8_t> image = writer.serialize();
-    EXPECT_EQ(image.size(), 5297u);
+    // Golden size and FNV-1a of the image for the fixed stream above.
+    // Any drift in the section layout, the Meta encoding, the profile
+    // template, the checksums or the header trips this.
+    trace::MaterializeSink sink("golden", "mmx", 0xfeedfacecafef00dull);
+    writeFixedStream(sink);
+    const std::vector<uint8_t> image = sink.finish().serializeV2();
+    EXPECT_EQ(image.size(), 19392u);
     EXPECT_EQ(trace::fnv1a(image.data(), image.size()),
-              0x911db3b9c13b3ce4ull);
+              0xe2e1d352c2c496b1ull);
 }
 
 } // namespace
