@@ -155,9 +155,9 @@ struct DispatchPoint
 struct LaneCost
 {
     double memo_ns = 0.0;      ///< memo pre-pass, per lane it serves (36)
-    double p5_lanes_ns = 0.0;  ///< P5 hoist + lanes over recorded memos
-    double p6_lanes_ns = 0.0;  ///< P6 hoist + lanes over recorded memos
-    double p6p_lanes_ns = 0.0; ///< P6P hoist + lanes over recorded memos
+    double p5_lanes_ns = 0.0;  ///< P5 lanes over recorded memos
+    double p6_lanes_ns = 0.0;  ///< P6 lanes over recorded memos
+    double p6p_lanes_ns = 0.0; ///< P6P lanes over recorded memos
     double p6_ns = 0.0;        ///< P6 per-machine runs over recorded memos
     double p6p_ns = 0.0;       ///< P6P per-machine runs over recorded memos
     double sweep_ns = 0.0;    ///< the dispatched sweep, end to end
@@ -454,10 +454,10 @@ main(int argc, char **argv)
     Table parts({"part", "ns/lane-event"});
     const std::pair<const char *, double> partRows[] = {
         {"memo pre-pass (per lane served)", laneCost.memo_ns},
-        {"P5 lanes (hoist + lanes)", laneCost.p5_lanes_ns},
-        {"P6 lanes (hoist + lanes)", laneCost.p6_lanes_ns},
+        {"P5 lanes", laneCost.p5_lanes_ns},
+        {"P6 lanes", laneCost.p6_lanes_ns},
         {"P6 per-machine", laneCost.p6_ns},
-        {"P6P lanes (hoist + lanes)", laneCost.p6p_lanes_ns},
+        {"P6P lanes", laneCost.p6p_lanes_ns},
         {"P6P per-machine", laneCost.p6p_ns},
         {"dispatched sweep", laneCost.sweep_ns}};
     for (const auto &[part, ns] : partRows) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <future>
 
 #include "apps/g722/g722_app.hh"
 #include "apps/image/image_app.hh"
@@ -226,18 +227,20 @@ BenchmarkSuite::executeLive(const std::string &benchmark,
 
 std::shared_ptr<const trace::MaterializedTrace>
 BenchmarkSuite::capture(const std::string &benchmark,
-                        const std::string &version)
+                        const std::string &version, bool *published)
 {
     // Capture-only pass: no profiler attached, so the capture costs
-    // functional execution plus the SoA appends, not a timing-model run.
+    // functional execution plus packing the records, not a timing-model
+    // run.
     const uint64_t h = config_.hash();
     trace::MaterializeSink sink(benchmark, version, h);
     executeLive(benchmark, version, &sink);
     auto mat = std::make_shared<const trace::MaterializedTrace>(
         sink.finish(&impl_->cpu));
     ++activity_.captured;
-    if (store_)
-        store_->store(benchmark, version, h, *mat);
+    const bool stored = store_ && store_->store(benchmark, version, h, *mat);
+    if (published)
+        *published = stored;
     return mat;
 }
 
@@ -293,6 +296,7 @@ BenchmarkSuite::runAll(int n_threads)
         std::string version;
         std::shared_ptr<const trace::MaterializedTrace> mat;
         profile::ProfileResult profile;
+        bool done = false; ///< profile filled
     };
 
     // Phase 1: gather every pair still to be measured; a pair this
@@ -309,37 +313,61 @@ BenchmarkSuite::runAll(int n_threads)
     }
 
     // Phase 2 (parallel): the store lookups — mapping and checksumming
-    // an image costs real time, and each load is independent.
-    std::vector<std::shared_ptr<const trace::MaterializedTrace>> loaded(
-        jobs.size());
+    // an image costs real time, and each load is independent. A loaded
+    // trace is replayed at once and dropped (a later materializedFor()
+    // maps it again), so the corpus is never resident all at once.
     if (store_) {
         const uint64_t h = config_.hash();
         parallelFor(jobs.size(), n_threads, [&](size_t i) {
-            if (!jobs[i].mat)
-                loaded[i] = store_->load(jobs[i].benchmark, jobs[i].version,
-                                         h);
+            Job &job = jobs[i];
+            if (job.mat)
+                return;
+            if (auto loaded = store_->load(job.benchmark, job.version, h)) {
+                job.profile = loaded->replayProfile(machine_);
+                job.done = true;
+            }
         });
+        for (const Job &job : jobs)
+            activity_.disk_hits += job.done;
     }
 
     // Phase 3 (serial): capture whatever the store didn't have. The
-    // runtime executes single-threaded.
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        Job &job = jobs[i];
-        if (job.mat)
+    // runtime executes single-threaded. A capture the store took is
+    // replayed beside the next pair's execution and then dropped, so a
+    // cold run holds about two traces rather than every one. A capture
+    // the store could not take stays in materialized_: a recapture
+    // could shift the address stream.
+    const bool overlap = resolveThreads(n_threads) > 1;
+    std::future<void> replaying; // destroyed before jobs: waits for its task
+    for (Job &job : jobs) {
+        if (job.mat || job.done)
             continue;
-        if (loaded[i]) {
-            ++activity_.disk_hits;
-            job.mat = std::move(loaded[i]);
-        } else {
-            job.mat = capture(job.benchmark, job.version);
+        bool published = false;
+        auto mat = capture(job.benchmark, job.version, &published);
+        if (!published) {
+            job.mat = mat;
+            materialized_.emplace(job.benchmark + "." + job.version, mat);
+            continue;
         }
-        materialized_.emplace(job.benchmark + "." + job.version, job.mat);
+        auto replay = [this, &job, mat = std::move(mat)] {
+            job.profile = mat->replayProfile(machine_);
+            job.done = true;
+        };
+        if (replaying.valid())
+            replaying.get();
+        if (overlap)
+            replaying = std::async(std::launch::async, std::move(replay));
+        else
+            replay();
     }
+    if (replaying.valid())
+        replaying.get();
 
     // Phase 4 (parallel): each worker replays a trace through its own
     // timing model; the shared traces are immutable.
     parallelFor(jobs.size(), n_threads, [&](size_t i) {
-        jobs[i].profile = jobs[i].mat->replayProfile(machine_);
+        if (!jobs[i].done)
+            jobs[i].profile = jobs[i].mat->replayProfile(machine_);
     });
 
     for (Job &job : jobs) {

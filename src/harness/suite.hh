@@ -126,19 +126,25 @@ class BenchmarkSuite
     /**
      * Produce every (benchmark, version) result: the store is searched
      * in parallel, missing traces are captured (serially — the runtime
-     * is single-threaded), then all pending profiles are computed by
-     * replaying traces across @p n_threads workers (0 = auto).
-     * Afterwards run() returns cached results. Metrics are
-     * bit-identical to the serial path.
+     * is single-threaded), and every profile is computed by replaying
+     * a trace across @p n_threads workers (0 = auto). Afterwards run()
+     * returns cached results. Metrics are bit-identical to the serial
+     * path.
+     *
+     * With a store attached, a trace loaded from it or published to it
+     * is dropped once replayed (a later materializedFor() maps it
+     * again), so peak memory follows a few traces, not the corpus. A
+     * capture the store could not take is kept.
      */
     void runAll(int n_threads = 1);
 
     /**
      * The captured trace of one pair, loaded from the trace store or
      * captured on demand (and published when tracing is enabled), then
-     * kept for the suite's lifetime. This is the buffer run(), runAll()
-     * and sweep() replay from; a pair never executes twice in one
-     * suite.
+     * kept for the suite's lifetime (runAll() drops the traces the
+     * store holds once it has replayed them). This is the trace run(),
+     * runAll() and sweep() replay from; a pair executes at most once in
+     * one suite, unless the store loses an entry runAll() dropped.
      */
     std::shared_ptr<const trace::MaterializedTrace>
     materializedFor(const std::string &benchmark,
@@ -199,9 +205,11 @@ class BenchmarkSuite
   private:
     struct Impl;
 
-    /** Capture one pair live and publish it when tracing is on. */
+    /** Capture one pair live and publish it when tracing is on;
+     *  @p published (when given) says whether the store took it. */
     std::shared_ptr<const trace::MaterializedTrace>
-    capture(const std::string &benchmark, const std::string &version);
+    capture(const std::string &benchmark, const std::string &version,
+            bool *published = nullptr);
 
     SuiteConfig config_;
     sim::MachineConfig machine_;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace format v2 serialization and the zero-copy mmap load path (see
+ * Trace image serialization and the zero-copy mmap load path (see
  * format_v2.hh for the layout). serializeV2()/adoptV2() are members of
- * MaterializedTrace because the format *is* that class's buffer
+ * MaterializedTrace because the format *is* that class's table
  * layout; they live here to keep materialize.cc focused on the replay
  * kernels.
  */
@@ -205,27 +205,25 @@ MaterializedTrace::layoutV2() const
     const auto raw = [](const auto &buf) {
         return reinterpret_cast<const uint8_t *>(buf.data());
     };
+    const auto bytes = [](const auto &buf) {
+        return buf.size() * sizeof(buf[0]);
+    };
     const SectionDesc sections[] = {
         {V2SectionId::Meta, meta.data(), meta.size()},
-        {V2SectionId::Op, raw(op_), op_.size() * sizeof(uint16_t)},
-        {V2SectionId::Flags, raw(flags_), flags_.size()},
-        {V2SectionId::MemSize, raw(size_), size_.size()},
-        {V2SectionId::Src0, raw(src0_), src0_.size()},
-        {V2SectionId::Src1, raw(src1_), src1_.size()},
-        {V2SectionId::Dst, raw(dst_), dst_.size()},
-        {V2SectionId::Site, raw(site_), site_.size() * sizeof(uint32_t)},
-        {V2SectionId::Addr, raw(addr_), addr_.size() * sizeof(uint64_t)},
-        {V2SectionId::FnId, raw(fnId_), fnId_.size() * sizeof(uint32_t)},
-        {V2SectionId::Segments, raw(segments_),
-         segments_.size() * sizeof(Segment)},
+        {V2SectionId::Statics, raw(statics_), bytes(statics_)},
+        {V2SectionId::Regions, raw(regions_), bytes(regions_)},
+        {V2SectionId::Ops, raw(ops_), bytes(ops_)},
+        {V2SectionId::Addr, raw(addrLo_), bytes(addrLo_)},
+        {V2SectionId::Segments, raw(segments_), bytes(segments_)},
     };
     constexpr size_t kNumSections = sizeof(sections) / sizeof(sections[0]);
+    static_assert(kNumSections + 1 == kV2SectionIds);
 
     // Lay out the section table, then every section 64-byte aligned.
-    // The O(instrCount) sections reuse the checksums every trace
-    // carries (folded at capture by MaterializeSink, or verified on a
-    // load); only the small Meta blob — assembled just above — is
-    // hashed here.
+    // The table sections reuse the checksums every trace carries
+    // (folded at capture by MaterializeSink, or verified on a load);
+    // only the small Meta blob — assembled just above — is hashed
+    // here.
     std::vector<V2Section> &table = layout.table;
     table.resize(kNumSections);
     size_t offset = sizeof(V2Header) + kNumSections * sizeof(V2Section);
@@ -248,7 +246,7 @@ MaterializedTrace::layoutV2() const
     std::memcpy(header.magic, kMagicV2, 4);
     header.version = kFormatVersionV2;
     header.configHash = configHash_;
-    header.instrCount = op_.size();
+    header.instrCount = ops_.size();
     header.segmentCount = segments_.size();
     header.controlCount = controlCount_;
     header.sectionCount = kNumSections;
@@ -324,13 +322,13 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
 
     // Locate every known section exactly once, bounds- and
     // checksum-checked. The checksum pass is the only O(file) work a
-    // v2 load does — a linear scan, no decode.
-    const uint8_t *found[12] = {};
-    size_t lengths[12] = {};
+    // load does besides the bounds scan below — linear, no decode.
+    const uint8_t *found[kV2SectionIds] = {};
+    size_t lengths[kV2SectionIds] = {};
     std::vector<V2Section> table(header.sectionCount);
     std::memcpy(table.data(), data + sizeof(V2Header), tableBytes);
     for (const V2Section &sec : table) {
-        if (sec.id == 0 || sec.id > 11)
+        if (sec.id == 0 || sec.id >= kV2SectionIds)
             return false;
         if (found[sec.id])
             return false; // duplicate section
@@ -344,10 +342,10 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
         lengths[sec.id] = static_cast<size_t>(sec.length);
         // Each checksum was just verified against the bytes, so carry
         // it forward: a re-serialize of this trace can then skip
-        // re-hashing the event sections.
+        // re-hashing the big sections.
         sectionChecksums_[sec.id] = sec.checksum;
     }
-    for (uint32_t id = 1; id <= 11; ++id)
+    for (uint32_t id = 1; id < kV2SectionIds; ++id)
         if (!found[id])
             return false;
 
@@ -361,13 +359,17 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
     // Cross-section size invariants against the header counts.
     const size_t n = static_cast<size_t>(header.instrCount);
     const size_t nseg = static_cast<size_t>(header.segmentCount);
-    if (len(V2SectionId::Op) != n * sizeof(uint16_t)
-        || len(V2SectionId::Flags) != n || len(V2SectionId::MemSize) != n
-        || len(V2SectionId::Src0) != n || len(V2SectionId::Src1) != n
-        || len(V2SectionId::Dst) != n
-        || len(V2SectionId::Site) != n * sizeof(uint32_t)
-        || len(V2SectionId::Addr) != n * sizeof(uint64_t)
-        || len(V2SectionId::FnId) != n * sizeof(uint32_t)
+    const size_t nstatic = len(V2SectionId::Statics) / sizeof(StaticInstr);
+    const size_t nregion = len(V2SectionId::Regions) / sizeof(uint32_t);
+    const size_t naddr = len(V2SectionId::Addr) / sizeof(uint32_t);
+    if (len(V2SectionId::Statics) % sizeof(StaticInstr) != 0
+        || nstatic > kMaxStaticInstrs
+        || len(V2SectionId::Regions) % sizeof(uint32_t) != 0
+        || nregion > kMaxAddrRegions
+        || len(V2SectionId::Addr) % sizeof(uint32_t) != 0
+        || n > len(V2SectionId::Ops)
+        || len(V2SectionId::Ops) != n * sizeof(PackedOp)
+        || nseg > len(V2SectionId::Segments)
         || len(V2SectionId::Segments) != nseg * sizeof(Segment))
         return false;
 
@@ -421,31 +423,36 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
                 || m.function >= static_cast<int32_t>(strings_.size()))
                 return false;
         }
-        if (!r.ok() || counts_.dynamicInstructions != n)
+        if (!r.ok() || counts_.dynamicInstructions != n
+            || counts_.memoryReferences != naddr)
             return false;
     }
 
-    // Alias the event buffers straight into the image.
-    op_.view(reinterpret_cast<const uint16_t *>(sec(V2SectionId::Op)), n);
-    flags_.view(sec(V2SectionId::Flags), n);
-    size_.view(sec(V2SectionId::MemSize), n);
-    src0_.view(sec(V2SectionId::Src0), n);
-    src1_.view(sec(V2SectionId::Src1), n);
-    dst_.view(sec(V2SectionId::Dst), n);
-    site_.view(reinterpret_cast<const uint32_t *>(sec(V2SectionId::Site)),
-               n);
-    addr_.view(reinterpret_cast<const uint64_t *>(sec(V2SectionId::Addr)),
-               n);
-    fnId_.view(reinterpret_cast<const uint32_t *>(sec(V2SectionId::FnId)),
-               n);
+    // Alias the tables straight into the image.
+    statics_.view(
+        reinterpret_cast<const StaticInstr *>(sec(V2SectionId::Statics)),
+        nstatic);
+    regions_.view(
+        reinterpret_cast<const uint32_t *>(sec(V2SectionId::Regions)),
+        nregion);
+    ops_.view(reinterpret_cast<const PackedOp *>(sec(V2SectionId::Ops)), n);
+    addrLo_.view(reinterpret_cast<const uint32_t *>(sec(V2SectionId::Addr)),
+                 naddr);
     segments_.view(
         reinterpret_cast<const Segment *>(sec(V2SectionId::Segments)),
         nseg);
 
-    // Referential integrity scans: everything a replay kernel indexes
-    // with must be in range, and the redundant header counts must
-    // agree, so a corrupt-but-checksum-valid image can never walk a
-    // kernel out of bounds. Linear passes, no decode.
+    // Referential integrity: everything a replay kernel indexes with
+    // must be in range, and the redundant counts must agree, so a
+    // corrupt-but-checksum-valid image can never walk a kernel out of
+    // bounds. The static table first (O(entries)), then one linear
+    // pass over the records.
+    for (const StaticInstr &s : statics_) {
+        if (s.op >= isa::kNumOps
+            || s.mem > static_cast<uint8_t>(isa::MemMode::Store)
+            || s.site >= siteTableSize_)
+            return false;
+    }
     uint64_t runSum = 0;
     for (const Segment &seg : segments_) {
         if (seg.kind == Segment::Run)
@@ -459,15 +466,24 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
     }
     if (runSum != n)
         return false;
+    derive();
+    uint64_t memory = 0;
     uint64_t control = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (fnId_[i] >= fnNames_.size())
+    for (const PackedOp &p : ops_) {
+        if (p.sid >= nstatic)
             return false;
-        if (site_[i] >= siteTableSize_)
+        const uint8_t f = facts_[p.sid].flags;
+        const uint32_t region = p.ev >> 1;
+        if (f & kOpMem) {
+            if (region >= nregion)
+                return false;
+            ++memory;
+        } else if (region != 0) {
             return false;
-        control += (flags_[i] & kFlagControl) != 0;
+        }
+        control += (f & kOpControl) != 0;
     }
-    if (control != header.controlCount)
+    if (memory != naddr || control != header.controlCount)
         return false;
 
     configHash_ = header.configHash;

@@ -1,14 +1,14 @@
 /**
  * @file
  * The trace image — the one on-disk form of a captured trace (header
- * version kFormatVersionV2, currently 3; the names keep the "V2" of
+ * version kFormatVersionV2, currently 4; the names keep the "V2" of
  * the first mmap'd layout).
  *
- * Its layout *is* the trace::MaterializedTrace structure-of-arrays, so
- * a load is an mmap plus a checksum scan — the event buffers are used
- * in place with zero copies and zero per-event decode work. This is
- * what lets the trace store answer thousands of (trace, machine-config)
- * queries from one capture (compute once, serve many).
+ * Its layout *is* the trace::MaterializedTrace tables, so a load is an
+ * mmap plus a checksum and bounds scan — the per-event records are
+ * used in place with zero copies and zero per-event decode work. This
+ * is what lets the trace store answer thousands of (trace,
+ * machine-config) queries from one capture (compute once, serve many).
  *
  * Layout (all fixed-width fields little-endian):
  *
@@ -20,20 +20,35 @@
  *                 checksum}; offsets are from the start of the file and
  *                 kV2Align-aligned, checksums are word-folded FNV-1a
  *                 (fnv1aWords) over the section bytes
- *   sections      raw little-endian arrays, one per MaterializedTrace
- *                 event buffer (op u16, flags/size/src0/src1/dst u8,
- *                 site/fnId u32, addr u64, segments {u32 kind, u32
- *                 value}), plus one varint-encoded Meta section for the
- *                 small tables (names, per-function counts, the
- *                 config-independent ProfileResult template, site
- *                 metadata)
+ *   sections      Meta: the varint-encoded small tables (names,
+ *                 per-function counts, the config-independent
+ *                 ProfileResult template, site metadata);
+ *                 Statics: StaticInstr {u32 site, u16 op, u8 memory
+ *                 mode, u8 size} per distinct tuple (at most 65536);
+ *                 Regions: u32 high address half per region (at most
+ *                 128);
+ *                 Ops: PackedOp {u16 sid, u8 src0, u8 src1, u8 dst,
+ *                 u8 ev} per event — ev bit 0 is the branch outcome,
+ *                 bits 1-7 a memory event's region index;
+ *                 Addr: u32 low address half per memory event, in
+ *                 memory-event order;
+ *                 Segments: {u32 kind, u32 value} per run/enter/leave
+ *
+ * A memory event's address is (regions[ev >> 1] << 32) | addr[j] for
+ * the j-th memory event, so every host address replays exactly. About
+ * 8 bytes per event in all: 6 for the record, 4 per memory event.
  *
  * mmap() returns page-aligned memory and every section offset is
  * 64-byte aligned, so each array is naturally aligned for its element
  * type. Integrity: a load validates magic, version, the table checksum
- * and every section checksum (a fast linear scan — no decode), and all
- * cross-section size invariants; any mismatch is a refused load, which
- * the trace store turns into quarantine-and-miss.
+ * and every section checksum (a fast linear scan — no decode), then
+ * every index a kernel reads through: each static entry's op, memory
+ * mode and site, each record's sid and (memory events) region, the
+ * address column's length against the memory events and the Meta
+ * memory-reference count, the control count against the header, and
+ * the segment stream against the function table and the event count.
+ * Any mismatch is a refused load, which the trace store turns into
+ * quarantine-and-miss.
  */
 
 #ifndef MMXDSP_TRACE_FORMAT_V2_HH
@@ -48,29 +63,28 @@ namespace mmxdsp::trace {
 
 constexpr char kMagicV2[4] = {'M', 'X', 'T', '2'};
 
-/** Bump when the SoA layout, the Meta encoding, or the checksum
+/** Bump when the section layout, the Meta encoding, or the checksum
  *  definition changes. v3 switched section checksums from byte-wise to
- *  word-folded FNV-1a (fnv1aWords) so capture-time streaming hashes
- *  cost one multiply per 8 bytes instead of 8. */
-constexpr uint32_t kFormatVersionV2 = 3;
+ *  word-folded FNV-1a (fnv1aWords); v4 replaced the per-field event
+ *  columns with the static table, 6-byte records and the memory-only
+ *  address column. */
+constexpr uint32_t kFormatVersionV2 = 4;
 
 /** Every section offset is aligned to this (covers u64 naturally). */
 constexpr size_t kV2Align = 64;
 
 /** Section ids (u32 on disk; unknown ids are a refused load). */
 enum class V2SectionId : uint32_t {
-    Meta = 1,     ///< varint-encoded small tables (see materialize.cc)
-    Op = 2,       ///< u16 per event
-    Flags = 3,    ///< u8 per event
-    MemSize = 4,  ///< u8 per event
-    Src0 = 5,     ///< u8 per event
-    Src1 = 6,     ///< u8 per event
-    Dst = 7,      ///< u8 per event
-    Site = 8,     ///< u32 per event
-    Addr = 9,     ///< u64 per event
-    FnId = 10,    ///< u32 per event
-    Segments = 11 ///< {u32 kind, u32 value} per segment
+    Meta = 1,     ///< varint-encoded small tables (see format_v2.cc)
+    Statics = 2,  ///< StaticInstr per static entry
+    Regions = 3,  ///< u32 per address region
+    Ops = 4,      ///< PackedOp per event
+    Addr = 5,     ///< u32 per memory event
+    Segments = 6  ///< {u32 kind, u32 value} per segment
 };
+
+/** One past the largest V2SectionId. */
+constexpr uint32_t kV2SectionIds = 7;
 
 /** Fixed file header. Trivially copyable: read/written as raw bytes. */
 struct V2Header

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -9,6 +10,7 @@
 
 #include "sim/p6_timer.hh"
 #include "sim/p6p_timer.hh"
+#include "sim/uop.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
 
@@ -25,32 +27,73 @@ constexpr size_t kBatchEvents = 512;
 
 } // namespace
 
-std::array<uint8_t, isa::kNumOps>
-MaterializedTrace::opFlagBits()
+void
+MaterializedTrace::derive()
 {
-    std::array<uint8_t, isa::kNumOps> bits{};
+    // The OpFacts of every static entry: its descriptor and flags, with
+    // the attribution bits of its op's cost class merged in. The kOp*
+    // bits 0-5 are the sim::kDesc* encoding.
+    static_assert(int{kOpMem} == int{sim::kDescMem}
+                  && int{kOpMmxMul} == int{sim::kDescMmxMul}
+                  && int{kOpMmxShift} == int{sim::kDescMmxShift}
+                  && int{kOpPairPV} == int{sim::kDescPairPV}
+                  && int{kOpPairUP} == int{sim::kDescPairUP}
+                  && int{kOpControl} == int{sim::kDescControl});
     const auto &table = profile::opReplayTable();
-    for (size_t o = 0; o < bits.size(); ++o) {
-        uint8_t b = 0;
-        if (isa::isControl(static_cast<isa::Op>(o)))
-            b |= kFlagControl;
-        if (table[o].costClass == profile::kCostCall
-            || table[o].costClass == profile::kCostRet)
-            b |= kFlagCallRet | kFlagOverhead;
-        else if (table[o].costClass == profile::kCostPushPop)
-            b |= kFlagOverhead;
-        bits[o] = b;
+    const sim::UopDesc *descs = sim::descTable().data();
+    facts_.resize(statics_.size());
+    for (size_t sid = 0; sid < statics_.size(); ++sid) {
+        const StaticInstr &s = statics_[sid];
+        OpFacts &f = facts_[sid];
+        f.desc = static_cast<uint16_t>(s.op * 3u + s.mem);
+        f.flags = descs[f.desc].flags;
+        const uint8_t cost = table[s.op].costClass;
+        if (cost == profile::kCostCall || cost == profile::kCostRet)
+            f.flags |= kOpCallRet | kOpOverhead;
+        else if (cost == profile::kCostPushPop)
+            f.flags |= kOpOverhead;
     }
-    return bits;
+
+    // The function-run list: each Run segment belongs to the function
+    // on top of the enter/leave stack, adjacent runs of one function
+    // merge.
+    fnRuns_.clear();
+    std::vector<uint32_t> stack;
+    uint32_t current = 0;
+    for (const Segment &seg : segments_) {
+        switch (seg.kind) {
+          case Segment::Enter:
+            stack.push_back(seg.value);
+            current = seg.value;
+            break;
+          case Segment::Leave:
+            if (!stack.empty())
+                stack.pop_back();
+            current = stack.empty() ? 0 : stack.back();
+            break;
+          case Segment::Run:
+            if (!seg.value)
+                break;
+            if (!fnRuns_.empty() && fnRuns_.back().fnId == current
+                && fnRuns_.back().count <= UINT32_MAX - seg.value)
+                fnRuns_.back().count += seg.value;
+            else
+                fnRuns_.push_back({seg.value, current});
+            break;
+        }
+    }
 }
 
 size_t
 MaterializedTrace::byteSize() const
 {
-    size_t bytes = op_.size()
-                       * (sizeof(uint16_t) + 4 * sizeof(uint8_t)
-                          + 2 * sizeof(uint32_t) + sizeof(uint64_t))
+    size_t bytes = ops_.size() * sizeof(PackedOp)
+                   + addrLo_.size() * sizeof(uint32_t)
+                   + statics_.size() * sizeof(StaticInstr)
+                   + regions_.size() * sizeof(uint32_t)
                    + segments_.size() * sizeof(Segment)
+                   + facts_.size() * sizeof(OpFacts)
+                   + fnRuns_.size() * sizeof(FnRun)
                    + siteMeta_.size() * sizeof(SiteMeta);
     for (const std::string &s : fnNames_)
         bytes += s.size();
@@ -66,6 +109,7 @@ MaterializedTrace::replayTo(sim::TraceSink &sink) const
         return false;
     std::array<InstrEvent, kBatchEvents> buf;
     size_t pos = 0;
+    size_t memIdx = 0;
     for (const Segment &seg : segments_) {
         switch (seg.kind) {
           case Segment::Enter:
@@ -79,7 +123,7 @@ MaterializedTrace::replayTo(sim::TraceSink &sink) const
             while (remaining) {
                 const size_t chunk = std::min(remaining, kBatchEvents);
                 for (size_t i = 0; i < chunk; ++i)
-                    buf[i] = eventAt(pos + i);
+                    buf[i] = decode(ops_[pos + i], memIdx);
                 sink.onInstrBatch(
                     std::span<const InstrEvent>(buf.data(), chunk));
                 pos += chunk;
@@ -144,19 +188,18 @@ MaterializedTrace::buildCacheMemos(
     mem::Cache first(l1);
     const uint32_t shift = first.lineShift();
     std::vector<Miss> misses;
-    const uint8_t *flags = flags_.data();
-    const uint64_t *addr = addr_.data();
-    const uint8_t *size = size_.data();
-    const size_t n = op_.size();
+    const StaticInstr *statics = statics_.data();
+    const uint32_t *regions = regions_.data();
+    const uint32_t *addrLo = addrLo_.data();
     size_t j = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const uint8_t f = flags[i];
-        if (!(f & kFlagMemMask))
+    for (const PackedOp &p : ops_) {
+        const StaticInstr &s = statics[p.sid];
+        if (!s.mem)
             continue;
-        const uint64_t a = addr[i];
-        const bool w = static_cast<MemMode>(f & kFlagMemMask) == MemMode::Store;
+        const uint64_t a = uint64_t{regions[p.ev >> 1]} << 32 | addrLo[j];
+        const bool w = static_cast<MemMode>(s.mem) == MemMode::Store;
         const uint64_t line = a >> shift;
-        const uint64_t last = (a + (size[i] ? size[i] - 1 : 0)) >> shift;
+        const uint64_t last = (a + (s.size ? s.size - 1 : 0)) >> shift;
         const uint32_t event = static_cast<uint32_t>(j++);
         if (!first.access(a, w))
             misses.push_back({a, event, w});
@@ -196,14 +239,12 @@ MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
     BtbMemo memo;
     memo.bits.assign((controlCount_ + 63) / 64, 0);
     mem::Btb btb(entries, ways);
-    const uint8_t *flags = flags_.data();
-    const uint32_t *site = site_.data();
-    const size_t n = op_.size();
+    const OpFacts *facts = facts_.data();
+    const StaticInstr *statics = statics_.data();
     size_t branch = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const uint8_t f = flags[i];
-        if (f & kFlagControl) {
-            if (btb.predict(site[i], (f & kFlagTaken) != 0))
+    for (const PackedOp &p : ops_) {
+        if (facts[p.sid].flags & kOpControl) {
+            if (btb.predict(statics[p.sid].site, (p.ev & 1) != 0))
                 memo.bits[branch >> 6] |= uint64_t{1} << (branch & 63);
             ++branch;
         }
@@ -259,42 +300,50 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
     const std::array<uint32_t, 3> penaltyOf = {
         0, config.penalties.ofClass(1), config.penalties.ofClass(2)};
 
-    const uint8_t *flags = flags_.data();
-    const uint32_t *fnId = fnId_.data();
+    const PackedOp *ops = ops_.data();
+    const OpFacts *facts = facts_.data();
+    const StaticInstr *statics = statics_.data();
     size_t memIdx = 0;
     size_t branch = 0;
+    size_t i = 0;
 
-    const size_t n = op_.size();
-    for (size_t i = 0; i < n; ++i) {
-        const uint8_t f = flags[i];
-        uint64_t cost;
-        if constexpr (Memoized) {
-            // consumeResolved() reads only the op, the memory mode and
-            // the register tags, so the address, size and site columns
-            // are never loaded.
-            InstrEvent e;
-            e.op = static_cast<isa::Op>(op_[i]);
-            e.mem = static_cast<MemMode>(f & kFlagMemMask);
-            e.src0 = src0_[i];
-            e.src1 = src1_[i];
-            e.dst = dst_[i];
-            // Both outcomes were recorded once for these geometries.
-            uint32_t penalty = 0;
-            if (f & kFlagMemMask)
-                penalty = penaltyOf[cls[memIdx++]];
-            bool mispredict = false;
-            if (f & kFlagControl) {
-                mispredict = (bits[branch >> 6] >> (branch & 63)) & 1;
-                ++branch;
+    for (const FnRun &run : fnRuns_) {
+        uint64_t runCycles = 0;
+        for (const size_t runEnd = i + run.count; i < runEnd; ++i) {
+            const PackedOp &p = ops[i];
+            const uint8_t f = facts[p.sid].flags;
+            uint64_t cost;
+            if constexpr (Memoized) {
+                // consumeResolved() reads only the op, the memory mode
+                // and the register tags, so the address column is
+                // never loaded.
+                const StaticInstr &s = statics[p.sid];
+                InstrEvent e;
+                e.op = static_cast<isa::Op>(s.op);
+                e.mem = static_cast<MemMode>(s.mem);
+                e.src0 = p.src0;
+                e.src1 = p.src1;
+                e.dst = p.dst;
+                // Both outcomes were recorded once for these geometries.
+                uint32_t penalty = 0;
+                if (f & kOpMem)
+                    penalty = penaltyOf[cls[memIdx++]];
+                bool mispredict = false;
+                if (f & kOpControl) {
+                    mispredict = (bits[branch >> 6] >> (branch & 63)) & 1;
+                    ++branch;
+                }
+                cost = timer.consumeResolved(e, penalty, mispredict);
+            } else {
+                cost = timer.consume(decode(p, memIdx));
             }
-            cost = timer.consumeResolved(e, penalty, mispredict);
-        } else {
-            cost = timer.consume(eventAt(i));
+            runCycles += cost;
+            // Branchless attribution from the static entry's flags.
+            callRet += cost & -static_cast<uint64_t>((f & kOpCallRet) != 0);
+            overhead +=
+                cost & -static_cast<uint64_t>((f & kOpOverhead) != 0);
         }
-        fnCycles[fnId[i]] += cost;
-        // Branchless attribution from the pre-decoded flag bits.
-        callRet += cost & -static_cast<uint64_t>((f & kFlagCallRet) != 0);
-        overhead += cost & -static_cast<uint64_t>((f & kFlagOverhead) != 0);
+        fnCycles[run.fnId] += runCycles;
     }
 
     r.cycles = timer.cycles();

@@ -8,13 +8,17 @@
  * profile::VProf reproduces every metric of the original execution bit
  * for bit without re-executing benchmark code (the paper's
  * capture-once / analyze-many VTune methodology). A MaterializeSink
- * (materialize_sink.hh) captures it straight into dense
- * structure-of-arrays event buffers, which then serve any number of
- * replays straight from memory:
+ * (materialize_sink.hh) captures it straight into the packed form
+ * every replay reads in place:
  *
- *  - one contiguous array per event field (op, packed mem/taken flags,
- *    memory address/size, site id, register tags, owning-function id),
- *    so replay walks sequential cache lines;
+ *  - a static-instruction table: one (site, op, memory mode, size)
+ *    entry per distinct tuple the stream executed (a few hundred per
+ *    trace), so the facts a site fixes are stored once, not per event;
+ *  - one 6-byte PackedOp per event: the static-table index, the three
+ *    register tags, the branch outcome and the address-region index;
+ *  - the low 32 address bits of each memory event, in memory-event
+ *    order, over a per-trace table of high 32-bit halves (regions), so
+ *    every address is rebuilt exactly;
  *  - function enter/leave markers collapsed into a segment list with an
  *    interned function-name table, and the capture's site metadata
  *    interned densely for hotspot labelling;
@@ -25,7 +29,7 @@
  *    per-configuration replay only has to run the timing model and
  *    attribute cycles.
  *
- * replayTo() streams the buffers through sim::TraceSink::onInstrBatch
+ * replayTo() decodes the records through sim::TraceSink::onInstrBatch
  * in cache-friendly blocks (any sink, bit-identical event stream);
  * replayProfile() / replaySweep() run the specialized profile kernel
  * whose results are bit-identical to a full VProf replay. One
@@ -33,10 +37,12 @@
  * shared by any number of replay threads.
  *
  * Its on-disk form is the trace image (format_v2.hh), whose layout is
- * exactly these buffers: serializeV2() writes it, and loadV2File()
- * maps it back so the event arrays alias the mapped file (zero copy,
- * no per-load decode). service::TraceStore keeps these images for the
- * bench harness and vprofd alike.
+ * exactly these tables: serializeV2() writes it, and loadV2File() maps
+ * it back so the records alias the mapped file (zero copy, no
+ * per-event decode; the per-static-entry timing facts and the
+ * function-run list are derived from the small tables). Memory use is
+ * about 8 bytes per event. service::TraceStore keeps these images for
+ * the bench harness and vprofd alike.
  */
 
 #ifndef MMXDSP_TRACE_MATERIALIZE_HH
@@ -54,6 +60,7 @@
 #include "sim/pentium_timer.hh"
 #include "sim/timing_model.hh"
 #include "sim/trace_sink.hh"
+#include "trace/format_v2.hh"
 
 namespace mmxdsp::trace {
 
@@ -95,9 +102,74 @@ LaneIsa hostLaneIsa();
 const char *laneIsaName(LaneIsa isa);
 
 /**
- * One structure-of-arrays event buffer: either owns its storage (the
- * capture path's adopt()) or aliases external read-only memory (the
- * mmap'd format-v2 load path, where the backing mapping outlives the
+ * One event of a captured trace, as stored in the trace image and read
+ * in place by every replay kernel. The static facts of the executed
+ * instruction live once per trace in the static table @c sid indexes.
+ */
+struct PackedOp
+{
+    uint16_t sid; ///< static-table index (StaticInstr)
+    uint8_t src0; ///< register tags (isa::RegTag)
+    uint8_t src1;
+    uint8_t dst;
+    /** Bit 0: branch taken. Bits 1-7: the address region of a memory
+     *  event (index into the trace's region table; 0 otherwise). */
+    uint8_t ev;
+};
+static_assert(sizeof(PackedOp) == 6);
+
+/** One static-instruction table entry: what a site fixes per event. */
+struct StaticInstr
+{
+    uint32_t site;
+    uint16_t op;  ///< isa::Op
+    uint8_t mem;  ///< isa::MemMode
+    uint8_t size; ///< memory operand size
+};
+static_assert(sizeof(StaticInstr) == 8);
+
+/** The most static entries a trace holds (PackedOp::sid is 16 bits). */
+constexpr size_t kMaxStaticInstrs = size_t{1} << 16;
+/** The most address regions a trace holds (7 bits of PackedOp::ev). */
+constexpr size_t kMaxAddrRegions = 128;
+
+/**
+ * Bit layout of OpFacts::flags: everything a replay kernel branches on
+ * per event. Bits 0-5 are the sim::UopDesc flags (kDesc*) of the
+ * entry's (op, memory mode); the low three double as the P5 intra-pair
+ * structural-hazard signature: an op conflicts with the open U-pipe op
+ * iff (flags & uHaz & 7) != 0.
+ */
+enum : uint8_t {
+    kOpMem = 1 << 0,      ///< references memory (one access per event)
+    kOpMmxMul = 1 << 1,   ///< occupies the single MMX multiplier
+    kOpMmxShift = 1 << 2, ///< occupies the single MMX shifter
+    kOpPairPV = 1 << 3,   ///< may issue in V: (UV|PV) and 1-cycle
+    kOpPairUP = 1 << 4,   ///< may open a pair in U: (UV|PU) and 1-cycle
+    kOpControl = 1 << 5,  ///< consumes one branch prediction
+    kOpCallRet = 1 << 6,  ///< cycles attributed to call/ret
+    kOpOverhead = 1 << 7, ///< cycles attributed to call overhead
+};
+
+/** The timing facts of one static entry, derived on capture and load. */
+struct OpFacts
+{
+    uint16_t desc; ///< sim::descTable() index (op * 3 + memory mode)
+    uint8_t flags; ///< kOp* bits
+};
+
+/** A maximal run of consecutive events owned by one function: the unit
+ *  of cycle attribution (per-event costs telescope across a run). */
+struct FnRun
+{
+    uint32_t count;
+    uint32_t fnId;
+};
+
+/**
+ * One trace table: either owns its storage (the capture path's
+ * adopt()) or aliases external read-only memory (the mmap'd image
+ * load path, where the backing mapping outlives the
  * trace via MaterializedTrace::backing_). Read access is identical
  * either way, so the replay kernels never know which they got.
  * Move-only: a view into another buffer's owned storage would dangle.
@@ -148,8 +220,8 @@ class MaterializedTrace
     MaterializedTrace() = default;
 
     /**
-     * The complete format-v2 image of this trace (header + section
-     * table + the SoA buffers; see format_v2.hh). Deterministic: the
+     * The complete image of this trace (header + section table + the
+     * trace tables; see format_v2.hh). Deterministic: the
      * same trace always serializes byte for byte identically.
      */
     std::vector<uint8_t> serializeV2() const;
@@ -162,23 +234,24 @@ class MaterializedTrace
     bool writeV2File(const std::string &path) const;
 
     /**
-     * Load a format-v2 file by mmap. On success the event buffers
-     * alias the mapping (zero-copy; only the small Meta tables are
-     * decoded) and the mapping is kept alive for this trace's
-     * lifetime. Any validation failure — bad magic/version, checksum
-     * mismatch, truncation, inconsistent section sizes — returns false
-     * and leaves the trace invalid.
+     * Load an image file by mmap. On success the records and the
+     * address column alias the mapping (zero-copy; only the small
+     * tables are decoded) and the mapping is kept alive for this
+     * trace's lifetime. Any validation failure — bad magic/version,
+     * checksum mismatch, truncation, inconsistent section sizes, an
+     * index out of its table — returns false and leaves the trace
+     * invalid.
      */
     bool loadV2File(const std::string &path);
 
     /**
-     * Same validation and zero-copy aliasing over an in-memory v2
-     * image (the buffers view the moved-in vector).
+     * Same validation and zero-copy aliasing over an in-memory image
+     * (the tables view the moved-in vector).
      */
     bool loadV2Image(std::vector<uint8_t> image);
 
     bool valid() const { return valid_; }
-    uint64_t instrCount() const { return op_.size(); }
+    uint64_t instrCount() const { return ops_.size(); }
     const std::string &benchmark() const { return benchmark_; }
     const std::string &version() const { return version_; }
     uint64_t configHash() const { return configHash_; }
@@ -189,7 +262,7 @@ class MaterializedTrace
     {
         return fnNames_;
     }
-    /** Resident size of the materialized buffers in bytes. */
+    /** Resident size of the trace tables in bytes. */
     size_t byteSize() const;
 
     /**
@@ -293,9 +366,9 @@ class MaterializedTrace
 
     /**
      * The sweep driver with every entry on the config-parallel lanes,
-     * whatever the width (one pass per block over a hoisted program of
-     * config-independent per-event facts, lane-major state, branchless
-     * per-lane selects), over call-local memos; only a CPU without a
+     * whatever the width (one pass per block over the trace's records
+     * in place, lane-major state, branchless per-lane selects), over
+     * call-local memos; only a CPU without a
      * lane ISA runs them per machine. @p isa pins the lane kernel's
      * ISA (tests reach every width the host runs); one wider than
      * hostLaneIsa() is a fatal error. Results are bit-identical to
@@ -313,20 +386,26 @@ class MaterializedTrace
     /** The live-capture sink fills the buffers in place. */
     friend class MaterializeSink;
 
-    /** Reassemble the i-th event from the structure-of-arrays buffers. */
-    isa::InstrEvent eventAt(size_t i) const
+    /**
+     * Reassemble one event from its record; @p memIdx walks the
+     * address column and advances past a memory event. Decodes the
+     * stream in order, the way replayTo() and the memo-less kernel
+     * read it.
+     */
+    isa::InstrEvent decode(const PackedOp &p, size_t &memIdx) const
     {
+        const StaticInstr &s = statics_[p.sid];
         isa::InstrEvent e;
-        e.op = static_cast<isa::Op>(op_[i]);
-        const uint8_t flags = flags_[i];
-        e.mem = static_cast<isa::MemMode>(flags & 3);
-        e.taken = (flags & 4) != 0;
-        e.addr = addr_[i];
-        e.size = size_[i];
-        e.site = site_[i];
-        e.src0 = src0_[i];
-        e.src1 = src1_[i];
-        e.dst = dst_[i];
+        e.op = static_cast<isa::Op>(s.op);
+        e.mem = static_cast<isa::MemMode>(s.mem);
+        if (s.mem)
+            e.addr = uint64_t{regions_[p.ev >> 1]} << 32 | addrLo_[memIdx++];
+        e.size = s.size;
+        e.site = s.site;
+        e.src0 = p.src0;
+        e.src1 = p.src1;
+        e.dst = p.dst;
+        e.taken = (p.ev & 1) != 0;
         return e;
     }
 
@@ -335,31 +414,12 @@ class MaterializedTrace
     std::string version_;
     uint64_t configHash_ = 0;
 
-    /**
-     * Bit layout of flags_: everything the replay kernel branches on,
-     * pre-decoded per event so the per-config loop never consults the
-     * op tables. Bits 3-5 are derived from the op at capture time.
-     */
-    enum : uint8_t {
-        kFlagMemMask = 3,    ///< isa::MemMode
-        kFlagTaken = 1 << 2, ///< branch outcome
-        kFlagControl = 1 << 3,  ///< op is Jmp/Jcc/Call/Ret
-        kFlagCallRet = 1 << 4,  ///< cost attributed to call/ret
-        kFlagOverhead = 1 << 5, ///< cost attributed to call overhead
-    };
-
-    // -- structure-of-arrays event buffers, all instrCount() long;
-    //    owned after capture, mmap-aliased after loadV2File() --
-    EventBuf<uint16_t> op_;   ///< isa::Op (also the OpInfo index)
-    EventBuf<uint8_t> flags_; ///< see the flag enum above
-    EventBuf<uint8_t> size_;  ///< memory operand size
-    EventBuf<uint8_t> src0_;
-    EventBuf<uint8_t> src1_;
-    EventBuf<uint8_t> dst_;
-    EventBuf<uint32_t> site_;
-    EventBuf<uint64_t> addr_;
-    /** Owning function per event (enter/leave pre-resolved; 0 = root). */
-    EventBuf<uint32_t> fnId_;
+    // -- the trace tables; owned after capture, mmap-aliased after
+    //    loadV2File() --
+    EventBuf<PackedOp> ops_;        ///< one record per event
+    EventBuf<uint32_t> addrLo_;     ///< low address half per memory event
+    EventBuf<StaticInstr> statics_; ///< indexed by PackedOp::sid
+    EventBuf<uint32_t> regions_;    ///< high address halves
 
     /**
      * The marker stream for sink-level replay: instruction runs
@@ -377,8 +437,8 @@ class MaterializedTrace
 
     /**
      * Keeps the memory the EventBufs alias alive when this trace was
-     * loaded from a v2 image (an MmapFile or the image vector itself);
-     * null for captured traces, whose buffers own storage.
+     * loaded from an image (an MmapFile or the image vector itself);
+     * null for captured traces, whose tables own storage.
      */
     std::shared_ptr<const void> backing_;
 
@@ -387,27 +447,29 @@ class MaterializedTrace
     struct V2Layout;
     V2Layout layoutV2() const;
 
-    /** Shared v2 image validation + aliasing behind the loadV2 entry
+    /** Shared image validation + aliasing behind the loadV2 entry
      *  points; @p holder keeps @p data alive. */
     bool adoptV2(const uint8_t *data, size_t size,
                  std::shared_ptr<const void> holder);
 
     /**
-     * Per-op flag bits (control / call-ret / overhead) for flags_,
-     * derived once from the op replay table for MaterializeSink.
+     * Derive what the kernels read besides the records: the OpFacts of
+     * every static entry and the function-run list of the segment
+     * stream. O(static entries + segments); run on capture and load.
      */
-    static std::array<uint8_t, isa::kNumOps> opFlagBits();
+    void derive();
 
     /**
-     * Per-section FNV-1a checksums carried alongside the buffers,
-     * indexed by V2SectionId (format_v2.hh): filled incrementally by
-     * MaterializeSink as capture blocks land, and harvested from the
-     * validated table on the v2 load path, so serializeV2() never
-     * re-hashes the O(instrCount) event sections. The small Meta
-     * section is always hashed at serialize time (it is assembled
-     * there).
+     * Per-section FNV-1a checksums carried alongside the tables,
+     * indexed by V2SectionId (format_v2.hh): the record and address
+     * sections are folded incrementally by MaterializeSink as capture
+     * blocks land, the small tables hashed at finish(), and all of
+     * them harvested from the validated table on the load path, so
+     * serializeV2() never re-hashes the O(instrCount) sections. The
+     * Meta section is always hashed at serialize time (it is
+     * assembled there).
      */
-    std::array<uint64_t, 12> sectionChecksums_{};
+    std::array<uint64_t, kV2SectionIds> sectionChecksums_{};
 
     std::vector<std::string> fnNames_;
     /** Per-function calls/instructions (config-independent). */
@@ -420,7 +482,11 @@ class MaterializedTrace
     profile::ProfileResult counts_;
 
     uint32_t siteTableSize_ = 0;
-    uint64_t controlCount_ = 0; ///< number of events with kFlagControl
+    uint64_t controlCount_ = 0; ///< number of events with kOpControl
+
+    // -- derived by derive() --
+    std::vector<OpFacts> facts_; ///< indexed by PackedOp::sid
+    std::vector<FnRun> fnRuns_;  ///< the segment stream's runs, in order
 
     /**
      * Record the CacheMemo of every L2 geometry in @p l2s behind the L1

@@ -5,7 +5,6 @@
 
 #include "runtime/cpu.hh"
 #include "support/logging.hh"
-#include "trace/format.hh"
 #include "trace/format_v2.hh"
 
 namespace mmxdsp::trace {
@@ -14,10 +13,13 @@ using isa::InstrEvent;
 
 namespace {
 
-constexpr size_t
-idx(V2SectionId id)
+/** A static entry's 8 bytes as one integer: its interning key. */
+uint64_t
+keyOf(const StaticInstr &s)
 {
-    return static_cast<size_t>(id);
+    uint64_t key;
+    std::memcpy(&key, &s, sizeof(key));
+    return key;
 }
 
 } // namespace
@@ -31,7 +33,6 @@ MaterializeSink::MaterializeSink(std::string benchmark, std::string version,
     // into fnIds_: an explicit enter of the same name gets its own id.
     fnNames_.emplace_back(profile::rootFunctionName());
     fnCounts_.emplace_back();
-    opBits_ = MaterializedTrace::opFlagBits();
 }
 
 void
@@ -79,99 +80,95 @@ MaterializeSink::appendChunk(std::span<const InstrEvent> events)
 {
     const size_t m = events.size();
     Block &b = block_;
+    b.mem = 0;
     for (size_t i = 0; i < m; ++i) {
         const InstrEvent &e = events[i];
-        b.op[i] = static_cast<uint16_t>(e.op);
-        b.flags[i] = static_cast<uint8_t>(
-            (static_cast<uint8_t>(e.mem) & MaterializedTrace::kFlagMemMask)
-            | (e.taken ? MaterializedTrace::kFlagTaken : 0)
-            | opBits_[static_cast<size_t>(e.op)]);
-        b.size[i] = e.size;
-        b.src0[i] = e.src0;
-        b.src1[i] = e.src1;
-        b.dst[i] = e.dst;
-        b.site[i] = e.site;
-        b.addr[i] = e.addr;
+        // The static entry: a site almost always repeats its last
+        // tuple, so one compare against the site's last entry settles
+        // nearly every event.
+        const StaticInstr st{e.site, static_cast<uint16_t>(e.op),
+                             static_cast<uint8_t>(e.mem), e.size};
+        const uint64_t key = keyOf(st);
+        uint32_t sid = e.site < lastSid_.size() ? lastSid_[e.site] : kNoSid;
+        if (sid == kNoSid || keyOf(statics_[sid]) != key)
+            sid = internStatic(st, key);
+        ++sidCounts_[sid];
+
+        uint8_t ev = e.taken ? 1 : 0;
+        if (e.mem != isa::MemMode::None) {
+            const uint32_t hi = static_cast<uint32_t>(e.addr >> 32);
+            if (hi != regionHi_) {
+                region_ = internRegion(hi);
+                regionHi_ = hi;
+            }
+            ev |= static_cast<uint8_t>(region_ << 1);
+            b.addr[b.mem++] = static_cast<uint32_t>(e.addr);
+        }
+        b.ops[i] = {static_cast<uint16_t>(sid), e.src0, e.src1, e.dst, ev};
     }
     // The owning function is constant within a block: markers always
     // flush the emit buffer first (runtime::Cpu) / close the run
     // (replayTo, flushStage), so a block never straddles an enter/leave.
-    std::fill_n(b.fnId, m, current_);
     fnCounts_[current_].instructions += m;
-
-    // Fold the config-independent tallies over the hot block now
-    // instead of over gigabytes of cold buffers at finish().
-    const auto &table = profile::opReplayTable();
-    for (size_t i = 0; i < m; ++i) {
-        const size_t op_idx = b.op[i];
-        const size_t mem_idx = b.flags[i] & MaterializedTrace::kFlagMemMask;
-        const profile::OpReplayEntry &entry = table[op_idx];
-        counts_.uops += entry.uopsByMem[mem_idx];
-        counts_.memoryReferences += mem_idx != 0;
-        ++counts_.opCounts[op_idx];
-        if (entry.mmxCategory)
-            ++counts_.mmxByCategory[entry.mmxCategory];
-        counts_.functionCalls += entry.costClass == profile::kCostCall;
-        controlCount_ +=
-            (b.flags[i] & MaterializedTrace::kFlagControl) != 0;
-        const uint32_t site = b.site[i];
-        maxSite_ = std::max(maxSite_, site);
-        if (site >= seenSites_.size())
-            seenSites_.resize(
-                std::max<size_t>(site + 1, seenSites_.size() * 2), 0);
-        counts_.staticInstructions += seenSites_[site] == 0;
-        seenSites_[site] = 1;
-    }
 
     // Fold the running section checksums over the block while it is
     // still L1-resident — by the time finish() or serializeV2() runs,
-    // these bytes would be gigabytes cold.
-    const auto fold = [&](V2SectionId id, const auto *data) {
-        cksum_[idx(id)].update(data, m * sizeof(*data));
-    };
-    fold(V2SectionId::Op, b.op);
-    fold(V2SectionId::Flags, b.flags);
-    fold(V2SectionId::MemSize, b.size);
-    fold(V2SectionId::Src0, b.src0);
-    fold(V2SectionId::Src1, b.src1);
-    fold(V2SectionId::Dst, b.dst);
-    fold(V2SectionId::Site, b.site);
-    fold(V2SectionId::Addr, b.addr);
-    fold(V2SectionId::FnId, b.fnId);
+    // these bytes would be cold.
+    opsSum_.update(b.ops, m * sizeof(PackedOp));
+    addrSum_.update(b.addr, b.mem * sizeof(uint32_t));
 
-    if (op_.size() + m > op_.capacity())
-        growTo(op_.size() + m);
-    op_.insert(op_.end(), b.op, b.op + m);
-    flags_.insert(flags_.end(), b.flags, b.flags + m);
-    size_.insert(size_.end(), b.size, b.size + m);
-    src0_.insert(src0_.end(), b.src0, b.src0 + m);
-    src1_.insert(src1_.end(), b.src1, b.src1 + m);
-    dst_.insert(dst_.end(), b.dst, b.dst + m);
-    site_.insert(site_.end(), b.site, b.site + m);
-    addr_.insert(addr_.end(), b.addr, b.addr + m);
-    fnId_.insert(fnId_.end(), b.fnId, b.fnId + m);
-    run_ += static_cast<uint32_t>(m);
-}
-
-void
-MaterializeSink::growTo(size_t need)
-{
-    // Aggressive (×8) growth with a 1M-event floor: a multi-million-
+    // Aggressive (x8) growth with a 1M-entry floor: a multi-million-
     // event capture pays at most one small realloc copy instead of the
     // default doubling's full-buffer copy cascade, and the
     // over-reserved tail is never touched, so it costs address space,
     // not resident pages.
-    size_t cap = std::max<size_t>(op_.capacity() * 8, size_t(1) << 20);
-    cap = std::max(cap, need);
-    op_.reserve(cap);
-    flags_.reserve(cap);
-    size_.reserve(cap);
-    src0_.reserve(cap);
-    src1_.reserve(cap);
-    dst_.reserve(cap);
-    site_.reserve(cap);
-    addr_.reserve(cap);
-    fnId_.reserve(cap);
+    const auto grow = [](auto &v, size_t add) {
+        if (v.size() + add > v.capacity())
+            v.reserve(std::max({v.capacity() * 8, size_t{1} << 20,
+                                v.size() + add}));
+    };
+    grow(ops_, m);
+    grow(addrLo_, b.mem);
+    ops_.insert(ops_.end(), b.ops, b.ops + m);
+    addrLo_.insert(addrLo_.end(), b.addr, b.addr + b.mem);
+    run_ += static_cast<uint32_t>(m);
+}
+
+uint32_t
+MaterializeSink::internStatic(const StaticInstr &st, uint64_t key)
+{
+    const auto [it, inserted] = staticIds_.try_emplace(
+        key, static_cast<uint32_t>(statics_.size()));
+    if (inserted) {
+        if (statics_.size() == kMaxStaticInstrs)
+            mmxdsp_panic("capture of %s.%s executed more than %zu distinct "
+                         "(site, op, memory mode, size) tuples; the trace "
+                         "image's 16-bit static index cannot hold them",
+                         benchmark_.c_str(), version_.c_str(),
+                         kMaxStaticInstrs);
+        statics_.push_back(st);
+        sidCounts_.push_back(0);
+    }
+    if (st.site >= lastSid_.size())
+        lastSid_.resize(std::max<size_t>(st.site + 1, lastSid_.size() * 2),
+                        kNoSid);
+    lastSid_[st.site] = it->second;
+    return it->second;
+}
+
+uint32_t
+MaterializeSink::internRegion(uint32_t hi)
+{
+    const auto it = std::find(regions_.begin(), regions_.end(), hi);
+    if (it != regions_.end())
+        return static_cast<uint32_t>(it - regions_.begin());
+    if (regions_.size() == kMaxAddrRegions)
+        mmxdsp_panic("capture of %s.%s touched more than %zu distinct "
+                     "address regions (high 32-bit halves); the trace "
+                     "image's 7-bit region index cannot hold them",
+                     benchmark_.c_str(), version_.c_str(), kMaxAddrRegions);
+    regions_.push_back(hi);
+    return static_cast<uint32_t>(regions_.size() - 1);
 }
 
 void
@@ -226,32 +223,53 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
     t.benchmark_ = std::move(benchmark_);
     t.version_ = std::move(version_);
     t.configHash_ = configHash_;
-    t.op_.adopt(std::move(op_));
-    t.flags_.adopt(std::move(flags_));
-    t.size_.adopt(std::move(size_));
-    t.src0_.adopt(std::move(src0_));
-    t.src1_.adopt(std::move(src1_));
-    t.dst_.adopt(std::move(dst_));
-    t.site_.adopt(std::move(site_));
-    t.addr_.adopt(std::move(addr_));
-    t.fnId_.adopt(std::move(fnId_));
+    t.ops_.adopt(std::move(ops_));
+    t.addrLo_.adopt(std::move(addrLo_));
+    t.statics_.adopt(std::move(statics_));
+    t.regions_.adopt(std::move(regions_));
     t.segments_.adopt(std::move(segs_));
     t.fnNames_ = std::move(fnNames_);
     t.fnCounts_ = std::move(fnCounts_);
+    t.derive();
 
-    // Stamp the tallies accumulated chunk by chunk above.
-    const size_t n = t.op_.size();
-    t.siteTableSize_ = n ? maxSite_ + 1 : 0;
-    counts_.dynamicInstructions = n;
-    for (size_t c = 1; c < counts_.mmxByCategory.size(); ++c)
-        counts_.mmxInstructions += counts_.mmxByCategory[c];
-    t.counts_ = counts_;
-    t.controlCount_ = controlCount_;
+    // The config-independent tallies depend only on the static entry,
+    // so they fold from the per-entry event counts: O(entries).
+    const auto &table = profile::opReplayTable();
+    profile::ProfileResult counts{};
+    uint64_t control = 0;
+    uint32_t maxSite = 0;
+    for (size_t sid = 0; sid < t.statics_.size(); ++sid) {
+        const StaticInstr &s = t.statics_[sid];
+        const uint64_t count = sidCounts_[sid];
+        const profile::OpReplayEntry &entry = table[s.op];
+        counts.uops += count * entry.uopsByMem[s.mem];
+        counts.memoryReferences += s.mem ? count : 0;
+        counts.opCounts[s.op] += count;
+        if (entry.mmxCategory)
+            counts.mmxByCategory[entry.mmxCategory] += count;
+        if (entry.costClass == profile::kCostCall)
+            counts.functionCalls += count;
+        if (t.facts_[sid].flags & kOpControl)
+            control += count;
+        maxSite = std::max(maxSite, s.site);
+    }
+    const size_t n = t.ops_.size();
+    t.siteTableSize_ = n ? maxSite + 1 : 0;
+    std::vector<uint8_t> seenSites(t.siteTableSize_, 0);
+    for (const StaticInstr &s : t.statics_)
+        seenSites[s.site] = 1;
+    counts.staticInstructions = static_cast<uint64_t>(
+        std::count(seenSites.begin(), seenSites.end(), uint8_t{1}));
+    counts.dynamicInstructions = n;
+    for (size_t c = 1; c < counts.mmxByCategory.size(); ++c)
+        counts.mmxInstructions += counts.mmxByCategory[c];
+    t.counts_ = counts;
+    t.controlCount_ = control;
 
-    // Site metadata for every site the stream touched (the capture-time
-    // first-use bitmap), interned in ascending id order with the file
-    // name before the function name, so the Meta section serializes
-    // byte-identically for the same stream.
+    // Site metadata for every site the stream touched, interned in
+    // ascending id order with the file name before the function name,
+    // so the Meta section serializes byte-identically for the same
+    // stream.
     if (cpu && n) {
         t.siteMeta_.resize(t.siteTableSize_);
         std::unordered_map<std::string, int32_t> stringIds;
@@ -265,7 +283,7 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
             return it->second;
         };
         for (uint32_t id = 0; id < t.siteTableSize_; ++id) {
-            if (!seenSites_[id])
+            if (!seenSites[id])
                 continue;
             const runtime::SiteInfo &info = cpu->siteInfo(id);
             MaterializedTrace::SiteMeta &meta = t.siteMeta_[id];
@@ -276,14 +294,21 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
         }
     }
 
-    // Seal the running section checksums: the segment stream only
-    // settles at finish(), so hash it here; the event sections carry
-    // their capture-time running state forward.
-    for (size_t i = 0; i < cksum_.size(); ++i)
-        t.sectionChecksums_[i] = cksum_[i].digest();
-    t.sectionChecksums_[idx(V2SectionId::Segments)] = fnv1aWords(
-        reinterpret_cast<const uint8_t *>(t.segments_.data()),
-        t.segments_.size() * sizeof(MaterializedTrace::Segment));
+    // Seal the section checksums: the record and address sections
+    // carry their capture-time running state forward; the small tables
+    // only settle here, so hash them now.
+    const auto hash = [](const auto &buf) {
+        return fnv1aWords(reinterpret_cast<const uint8_t *>(buf.data()),
+                          buf.size() * sizeof(buf[0]));
+    };
+    const auto slot = [&](V2SectionId id) -> uint64_t & {
+        return t.sectionChecksums_[static_cast<size_t>(id)];
+    };
+    slot(V2SectionId::Ops) = opsSum_.digest();
+    slot(V2SectionId::Addr) = addrSum_.digest();
+    slot(V2SectionId::Statics) = hash(t.statics_);
+    slot(V2SectionId::Regions) = hash(t.regions_);
+    slot(V2SectionId::Segments) = hash(t.segments_);
 
     t.valid_ = true;
     return t;

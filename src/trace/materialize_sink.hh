@@ -2,13 +2,21 @@
  * @file
  * MaterializeSink — the capture path: runtime::Cpu → MaterializedTrace.
  *
- * It implements TraceSink::onInstrBatch and writes each 512-event
- * capture block straight into the SoA buffers (per-op flag bits
- * pre-decoded, segment stream and function table built incrementally),
- * while folding a running FNV-1a state per image section over every
- * appended block. finish() then hands back a ready MaterializedTrace
- * whose serializeV2() reuses those running checksums, so capture → v3
- * on-disk image is one pass over the event stream.
+ * It implements TraceSink::onInstrBatch and packs each 512-event
+ * capture block straight into the trace tables: each event's (site,
+ * op, memory mode, size) tuple is interned into the static table
+ * through a per-site last-entry cache, its address's high half into
+ * the region table, and what is left — the 6-byte record and a memory
+ * event's low address half — is appended while a running FNV-1a state
+ * per image section folds over the block. The segment stream and the
+ * function table are built incrementally, and the config-independent
+ * tallies are counted per static entry and folded at finish(). So
+ * capture → on-disk image is one pass over the event stream.
+ *
+ * An event without a memory operand keeps no address (it replays as
+ * 0). A stream with more than kMaxStaticInstrs distinct tuples or
+ * kMaxAddrRegions distinct high address halves does not fit the image:
+ * capture panics.
  *
  * Contract (test_trace.cc, test_materialize_sink.cc): replaying the
  * finished trace reproduces the profile of the live execution it
@@ -19,7 +27,6 @@
 #ifndef MMXDSP_TRACE_MATERIALIZE_SINK_HH
 #define MMXDSP_TRACE_MATERIALIZE_SINK_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -47,7 +54,7 @@ class MaterializeSink final : public sim::TraceSink
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
 
-    uint64_t instrCount() const { return op_.size() + nstage_; }
+    uint64_t instrCount() const { return ops_.size() + nstage_; }
 
     /**
      * Seal the capture and return the materialized trace (valid, with
@@ -64,10 +71,13 @@ class MaterializeSink final : public sim::TraceSink
   private:
     /** Append a producer batch (chunked to kBlockEvents internally). */
     void appendBlock(std::span<const isa::InstrEvent> events);
-    /** Append one ≤kBlockEvents chunk: transpose, checksum, insert. */
+    /** Append one ≤kBlockEvents chunk: pack, checksum, insert. */
     void appendChunk(std::span<const isa::InstrEvent> events);
-    /** Reserve ≥ @p need events in every SoA buffer (growth ×4). */
-    void growTo(size_t need);
+    /** The static-table index of @p st, whose interning key is
+     *  @p key; a new tuple gets a new entry. */
+    uint32_t internStatic(const StaticInstr &st, uint64_t key);
+    /** The region-table index of high address half @p hi. */
+    uint32_t internRegion(uint32_t hi);
     /** Flush the per-event staging block (see onInstr). */
     void flushStage();
     /** Close the currently open instruction run in the segment stream. */
@@ -81,46 +91,47 @@ class MaterializeSink final : public sim::TraceSink
     /**
      * Staging for per-event producers (a sink that does not override
      * onInstrBatch forwards one onInstr per event): events accumulate
-     * here and flush
-     * through appendBlock() in kBlockEvents blocks, so the SoA appends
-     * and checksum folds always run over full blocks. Batch producers
-     * (runtime::Cpu) bypass it entirely.
+     * here and flush through appendBlock() in kBlockEvents blocks, so
+     * the appends and checksum folds always run over full blocks.
+     * Batch producers (runtime::Cpu) bypass it entirely.
      */
     std::vector<isa::InstrEvent> stage_;
     size_t nstage_ = 0;
 
     /**
-     * One capture block transposed to SoA form, L1-resident and reused
-     * for every chunk: events are transposed and checksummed here while
-     * cache-hot, then appended to the big buffers with insert() — a
-     * single write per byte, instead of resize()'s zero-fill followed
-     * by the store.
+     * One capture block packed, L1-resident and reused for every chunk:
+     * events are packed and checksummed here while cache-hot, then
+     * appended to the big tables with insert() — a single write per
+     * byte, instead of resize()'s zero-fill followed by the store.
      */
     struct Block
     {
-        uint16_t op[kBlockEvents];
-        uint8_t flags[kBlockEvents];
-        uint8_t size[kBlockEvents];
-        uint8_t src0[kBlockEvents];
-        uint8_t src1[kBlockEvents];
-        uint8_t dst[kBlockEvents];
-        uint32_t site[kBlockEvents];
-        uint64_t addr[kBlockEvents];
-        uint32_t fnId[kBlockEvents];
+        PackedOp ops[kBlockEvents];
+        uint32_t addr[kBlockEvents]; ///< the first `mem` are filled
+        size_t mem = 0;
     };
     Block block_;
 
-    // -- SoA staging buffers, adopted by the trace at finish() --
-    std::vector<uint16_t> op_;
-    std::vector<uint8_t> flags_;
-    std::vector<uint8_t> size_;
-    std::vector<uint8_t> src0_;
-    std::vector<uint8_t> src1_;
-    std::vector<uint8_t> dst_;
-    std::vector<uint32_t> site_;
-    std::vector<uint64_t> addr_;
-    std::vector<uint32_t> fnId_;
+    // -- the trace tables, adopted by the trace at finish() --
+    std::vector<PackedOp> ops_;
+    std::vector<uint32_t> addrLo_;
+    std::vector<StaticInstr> statics_;
+    std::vector<uint32_t> regions_;
     std::vector<MaterializedTrace::Segment> segs_;
+
+    // -- interning state --
+    /** Static-table index by the entry's 8 bytes. */
+    std::unordered_map<uint64_t, uint32_t> staticIds_;
+    /** Per site id: the entry its last event used (kNoSid: none). */
+    std::vector<uint32_t> lastSid_;
+    static constexpr uint32_t kNoSid = UINT32_MAX;
+    /** Events per static entry: the config-independent tallies depend
+     *  only on the entry, so finish() folds them from these. */
+    std::vector<uint64_t> sidCounts_;
+    /** The last memory event's high address half (~0: none yet) and
+     *  its region index. */
+    uint64_t regionHi_ = ~uint64_t{0};
+    uint32_t region_ = 0;
 
     // -- function table: index 0 is the measured root --
     std::vector<std::string> fnNames_;
@@ -130,27 +141,14 @@ class MaterializeSink final : public sim::TraceSink
     uint32_t current_ = 0; ///< owning function id for arriving events
     uint32_t run_ = 0;     ///< length of the open instruction run
 
-    /** Per-op flag bits (MaterializedTrace::opFlagBits()). */
-    std::array<uint8_t, isa::kNumOps> opBits_{};
-
     /**
-     * Config-independent profile tallies, folded per chunk while the
-     * block is cache-hot, so finish() can stamp the result template
-     * without re-streaming the (by then cold) buffers.
+     * Running word-folded FNV-1a state of the record and address
+     * sections, advanced over each appended block while its bytes are
+     * still cache-hot; chunk-sequential, so after the last block each
+     * digest() equals fnv1aWords over the whole section.
      */
-    profile::ProfileResult counts_{};
-    uint64_t controlCount_ = 0;
-    uint32_t maxSite_ = 0;
-    std::vector<uint8_t> seenSites_; ///< first-use bitmap, grown on demand
-
-    /**
-     * Running word-folded FNV-1a state per event section, advanced
-     * over each appended block while its bytes are still cache-hot;
-     * chunk-sequential, so after the last block each digest() equals
-     * fnv1aWords over the whole section. Indexed by V2SectionId like
-     * MaterializedTrace::sectionChecksums_.
-     */
-    std::array<Fnv1aStream, 12> cksum_{};
+    Fnv1aStream opsSum_;
+    Fnv1aStream addrSum_;
 };
 
 } // namespace mmxdsp::trace

@@ -20,15 +20,12 @@
  *     unique BTB geometry the predictor runs once over just the
  *     control events, recording a mispredict bitvector. Memos the
  *     caller's MaterializedTrace::Memos already holds are reused.
- *     Beside the recorders, one task hoists everything
- *     config-independent per event (flags, descriptor index, register
- *     tags) into a PackedOp stream and the function-run list.
  *
  *  2. **Lanes.** Machines are grouped by model and front end (every
  *     P6Params/P6PParams field except the mispredict penalty). A
  *     group of more than max(2, workers) machines advances together
- *     in ONE pass over the hoisted program, one 64-bit lane per
- *     machine, in blocks of one vector register: 8 lanes per zmm on
+ *     in ONE pass over the trace's own 6-byte records (PackedOp), read
+ *     in place, one 64-bit lane per machine, in blocks of one vector register: 8 lanes per zmm on
  *     AVX-512 (a remainder of at most 4 lanes takes a ymm block), 4
  *     per ymm on AVX2 — the widest ISA the CPU runs, chosen at run
  *     time. The kernel (sweep_lanes.inc) is written once over GCC/Clang
@@ -82,52 +79,17 @@ namespace mmxdsp::trace {
 
 namespace {
 
-/** Bit layout of PackedOp::flags. The low three bits double as the
- *  P5 intra-pair structural-hazard signature: an op conflicts with the
- *  open U-pipe op iff (flags & uHaz & 7) != 0. */
-enum : uint8_t {
-    kOpMem = 1 << 0,      ///< references memory (one access per event)
-    kOpMmxMul = 1 << 1,   ///< occupies the single MMX multiplier
-    kOpMmxShift = 1 << 2, ///< occupies the single MMX shifter
-    kOpPairPV = 1 << 3,   ///< may issue in V: (UV|PV) and 1-cycle
-    kOpPairUP = 1 << 4,   ///< may open a pair in U: (UV|PU) and 1-cycle
-    kOpControl = 1 << 5,  ///< consumes one mispredict-memo bit
-    kOpCallRet = 1 << 6,  ///< cycles attributed to call/ret
-    kOpOverhead = 1 << 7, ///< cycles attributed to call overhead
-};
-
-/**
- * Everything the lane loops need per event that no configuration can
- * change: one 6-byte record instead of five event columns, read once
- * per event *per block*. The model-specific facts come from the event's
- * sim::UopDesc.
- */
-struct PackedOp
-{
-    uint16_t desc;  ///< sim::descTable() index
-    uint8_t flags;  ///< see the enum above
-    uint8_t src0, src1, dst;
-};
-static_assert(sizeof(PackedOp) == 6);
-
-/** A maximal run of consecutive events owned by one function: the unit
- *  of cycle attribution (per-event costs telescope across a run). */
-struct FnRun
-{
-    uint32_t count;
-    uint32_t fnId;
-};
-
-/** The hoisted, shared form of one trace for the lanes: the PackedOp
- *  stream and the function-run list. */
+/** What the lanes read of one trace, borrowed from the
+ *  MaterializedTrace: its records in place, the OpFacts of its static
+ *  entries, its function-run list and the result-assembly context. */
 struct SweepProgram
 {
     size_t n = 0;
-    std::vector<PackedOp> ops;
-    std::vector<FnRun> runs;
+    const PackedOp *ops = nullptr;
+    const OpFacts *facts = nullptr; ///< indexed by PackedOp::sid
+    const std::vector<FnRun> *runs = nullptr;
     size_t memEvents = 0;     ///< length of every CacheMemo::cls
     size_t controlEvents = 0; ///< bits in every BtbMemo
-    // Result-assembly context borrowed from the MaterializedTrace.
     const profile::ProfileResult *counts = nullptr;
     const std::vector<std::string> *fnNames = nullptr;
     const std::vector<profile::FunctionStats> *fnCounts = nullptr;
@@ -395,10 +357,10 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     const auto t0 = Clock::now();
 
     // Group the machines by model and front end. The lane kernel
-    // advances a group in one pass, but the hoisted program costs about
-    // one per-machine pass on its own, so replaySweep() only packs a
-    // group once it holds more machines than there are workers to run
-    // per-machine passes side by side (the crossover in EXPERIMENTS.md);
+    // advances a group in one pass, but a lane block is one serial task
+    // while per-machine passes run side by side, so replaySweep() only
+    // packs a group once it holds more machines than there are workers
+    // to run per-machine passes (the crossover in EXPERIMENTS.md);
     // replaySweepPacked() packs every group.
     const size_t workers = static_cast<size_t>(resolveThreads(threads));
     std::vector<std::pair<std::array<uint32_t, 6>, std::vector<size_t>>>
@@ -427,13 +389,13 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
             solo.insert(solo.end(), group.begin(), group.end());
     }
 
-    // ---- 1. the memo pre-pass, and the lanes' program ----
+    // ---- 1. the memo pre-pass ----
     Memos local;
     Memos &store = memos ? *memos : local;
     MemoPass pass = planMemos(machines, store);
 
     // A task of the shared pool, timed by kind for MMXDSP_SWEEP_DEBUG.
-    enum Kind { kRecord, kHoist, kLanes, kSolo, kKinds };
+    enum Kind { kRecord, kLanes, kSolo, kKinds };
     struct Task
     {
         Kind kind;
@@ -443,54 +405,14 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     std::vector<Task> tasks;
     for (std::function<void()> &record : pass.recorders)
         tasks.push_back({kRecord, 0, std::move(record)});
-
-    // The config-independent per-event facts of the lanes, hoisted
-    // once into a PackedOp stream beside the recorders.
-    SweepProgram prog;
-    if (!lanes.empty()) {
-        tasks.push_back({kHoist, 0, [&] {
-            prog.n = op_.size();
-            prog.counts = &counts_;
-            prog.fnNames = &fnNames_;
-            prog.fnCounts = &fnCounts_;
-            prog.memEvents = counts_.memoryReferences;
-            prog.controlEvents = controlCount_;
-            prog.ops.resize(prog.n);
-            // The kOp* bits 0-5 are the sim::kDesc* encoding (checked
-            // below), so the flag byte is the descriptor's with the
-            // trace-derived attribution bits merged in.
-            static_assert(int{kOpMem} == int{sim::kDescMem}
-                          && int{kOpMmxMul} == int{sim::kDescMmxMul}
-                          && int{kOpMmxShift} == int{sim::kDescMmxShift}
-                          && int{kOpPairPV} == int{sim::kDescPairPV}
-                          && int{kOpPairUP} == int{sim::kDescPairUP}
-                          && int{kOpControl} == int{sim::kDescControl});
-            const sim::UopDesc *descTab = sim::descTable().data();
-            uint32_t runFn = 0;
-            uint32_t runLen = 0;
-            for (size_t i = 0; i < prog.n; ++i) {
-                const uint8_t mf = flags_[i];
-                const size_t desc = op_[i] * 3u + (mf & kFlagMemMask);
-                uint8_t f = descTab[desc].flags;
-                if (mf & kFlagCallRet)
-                    f |= kOpCallRet;
-                if (mf & kFlagOverhead)
-                    f |= kOpOverhead;
-                prog.ops[i] = {static_cast<uint16_t>(desc), f, src0_[i],
-                               src1_[i], dst_[i]};
-                if (fnId_[i] != runFn) {
-                    if (runLen)
-                        prog.runs.push_back({runLen, runFn});
-                    runFn = fnId_[i];
-                    runLen = 0;
-                }
-                ++runLen;
-            }
-            if (runLen)
-                prog.runs.push_back({runLen, runFn});
-        }});
-    }
     const size_t prepared = tasks.size();
+
+    // The lanes read the trace in place.
+    const SweepProgram prog{ops_.size(),      ops_.data(),
+                            facts_.data(),    &fnRuns_,
+                            counts_.memoryReferences,
+                            controlCount_,    &counts_,
+                            &fnNames_,        &fnCounts_};
 
     // ---- 2. lane blocks: one register of lanes each; on AVX-512 a
     // remainder of at most 4 lanes takes a 4-lane (ymm) block ----
@@ -533,8 +455,8 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
                          return a.rank > b.rank;
                      });
 
-    // Two pools: the memo pre-pass (recorders and hoist), then every
-    // lane block and per-machine run, largest first.
+    // Two pools: the memo pre-pass, then every lane block and
+    // per-machine run, largest first.
     std::array<std::atomic<int64_t>, kKinds> taskNs{};
     const auto runTasks = [&](size_t from, size_t to) {
         parallelFor(to - from, threads, [&](size_t t) {
@@ -566,11 +488,11 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
         std::fprintf(
             stderr,
             "[sweep] memo pre-pass(%zu recorded, %zu reused) %.2fms "
-            "hoist %.2fms (pre-pass wall %.2fms) lanes(%s: p5 %zu, p6 %zu, "
+            "(pre-pass wall %.2fms) lanes(%s: p5 %zu, p6 %zu, "
             "p6p %zu in %zu blocks) %.2fms per-machine(%zu) %.2fms "
             "(wall %.2fms)\n",
             pass.newCache.size() + pass.newBtb.size(), pass.reused,
-            ms(kRecord), ms(kHoist), wall(t0, t1),
+            ms(kRecord), wall(t0, t1),
             blocks.empty() ? "none" : laneIsaName(isa), lanesOf[0],
             lanesOf[1], lanesOf[2], blocks.size(), ms(kLanes), solo.size(),
             ms(kSolo), wall(t1, Clock::now()));

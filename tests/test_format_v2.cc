@@ -2,15 +2,20 @@
  * @file
  * Tests for the trace image (format_v2.hh, the mmap'd materialized
  * layout): property round-trips on randomized streams, determinism,
- * the zero-copy file load, corruption and truncation rejection, and
- * every benchmark pair's mmap'd image against its live run.
+ * the zero-copy file load, corruption and truncation rejection, crafted
+ * images whose checksums were recomputed over an out-of-range field,
+ * the image's bytes per event, and every benchmark pair's mmap'd image
+ * against its live run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "sim/timing_model.hh"
 #include "support/io.hh"
 #include "support/rng.hh"
+#include "isa/op.hh"
 #include "trace/format_v2.hh"
 #include "trace/materialize.hh"
 #include "trace_test_util.hh"
@@ -198,9 +204,230 @@ TEST(FormatV2, FuzzedCorruptionNeverReplaysWrongNumbers)
     (void)accepted;
 }
 
+// ---------------- crafted images ----------------
+
+/** The header and section table of an image, and where each section
+ *  lies. */
+struct ImageView
+{
+    trace::V2Header header{};
+    std::vector<trace::V2Section> table;
+
+    explicit ImageView(const std::vector<uint8_t> &image)
+    {
+        std::memcpy(&header, image.data(), sizeof(header));
+        table.resize(header.sectionCount);
+        std::memcpy(table.data(), image.data() + sizeof(header),
+                    table.size() * sizeof(trace::V2Section));
+    }
+
+    trace::V2Section &section(trace::V2SectionId id)
+    {
+        for (trace::V2Section &sec : table)
+            if (sec.id == static_cast<uint32_t>(id))
+                return sec;
+        ADD_FAILURE() << "no section " << static_cast<uint32_t>(id);
+        return table[0];
+    }
+
+    /** Element @p i of section @p id, read as a T. */
+    template <typename T>
+    T at(const std::vector<uint8_t> &image, trace::V2SectionId id,
+         size_t i)
+    {
+        T v;
+        std::memcpy(&v, image.data() + section(id).offset + i * sizeof(T),
+                    sizeof(T));
+        return v;
+    }
+};
+
+/**
+ * @p image with section @p id changed by @p patch (its bytes and its
+ * length field) and the section and table checksums recomputed with
+ * fnv1aWords: a crafted file every checksum accepts.
+ */
+std::vector<uint8_t>
+recomputed(std::vector<uint8_t> image, trace::V2SectionId id,
+           const std::function<void(uint8_t *, uint64_t &)> &patch)
+{
+    ImageView view(image);
+    trace::V2Section &sec = view.section(id);
+    patch(image.data() + sec.offset, sec.length);
+    sec.checksum = trace::fnv1aWords(image.data() + sec.offset,
+                                     static_cast<size_t>(sec.length));
+    const size_t tableBytes = view.table.size() * sizeof(trace::V2Section);
+    std::memcpy(image.data() + sizeof(trace::V2Header), view.table.data(),
+                tableBytes);
+    view.header.tableChecksum = trace::fnv1aWords(
+        image.data() + sizeof(trace::V2Header), tableBytes);
+    std::memcpy(image.data(), &view.header, sizeof(view.header));
+    return image;
+}
+
+/** A patch overwriting the T at byte @p offset of a section. */
+template <typename T>
+std::function<void(uint8_t *, uint64_t &)>
+setAt(size_t offset, T value)
+{
+    return [=](uint8_t *data, uint64_t &) {
+        std::memcpy(data + offset, &value, sizeof(T));
+    };
+}
+
+bool
+loads(std::vector<uint8_t> image)
+{
+    trace::MaterializedTrace mat;
+    return mat.loadV2Image(std::move(image));
+}
+
+TEST(FormatV2, RecomputedChecksumsLoadAnUnchangedImage)
+{
+    // The crafting helper itself: re-sealing an unchanged section must
+    // leave a loadable, byte-identical image.
+    const std::vector<uint8_t> image = randomTrace(5, 600).serializeV2();
+    for (const trace::V2SectionId id :
+         {trace::V2SectionId::Statics, trace::V2SectionId::Regions,
+          trace::V2SectionId::Ops, trace::V2SectionId::Addr,
+          trace::V2SectionId::Segments}) {
+        const std::vector<uint8_t> same =
+            recomputed(image, id, [](uint8_t *, uint64_t &) {});
+        EXPECT_EQ(same, image);
+        EXPECT_TRUE(loads(same));
+    }
+}
+
+TEST(FormatV2, RefusesOutOfRangeStaticEntriesDespiteValidChecksums)
+{
+    // FNV is not a MAC: an image whose checksums were recomputed over a
+    // bad static entry must still be refused, or a kernel would index
+    // sim::descTable() or the site table past its end.
+    const trace::MaterializedTrace built = randomTrace(5, 600);
+    const std::vector<uint8_t> image = built.serializeV2();
+    const struct
+    {
+        const char *what;
+        std::function<void(uint8_t *, uint64_t &)> patch;
+    } cases[] = {
+        {"op 0xffff",
+         setAt<uint16_t>(offsetof(trace::StaticInstr, op), 0xffff)},
+        {"op kNumOps", setAt<uint16_t>(offsetof(trace::StaticInstr, op),
+                                       static_cast<uint16_t>(isa::kNumOps))},
+        {"memory mode 3",
+         setAt<uint8_t>(offsetof(trace::StaticInstr, mem), 3)},
+        {"site == siteTableSize",
+         setAt<uint32_t>(offsetof(trace::StaticInstr, site),
+                         built.siteTableSize())},
+    };
+    for (const auto &c : cases)
+        EXPECT_FALSE(loads(recomputed(image, trace::V2SectionId::Statics,
+                                      c.patch)))
+            << c.what;
+}
+
+TEST(FormatV2, RefusesOutOfRangeRecordsDespiteValidChecksums)
+{
+    const std::vector<uint8_t> image = randomTrace(5, 600).serializeV2();
+    ImageView view(image);
+    const size_t nstatic =
+        view.section(trace::V2SectionId::Statics).length
+        / sizeof(trace::StaticInstr);
+    const size_t nregion =
+        view.section(trace::V2SectionId::Regions).length / sizeof(uint32_t);
+    const size_t nops =
+        view.section(trace::V2SectionId::Ops).length
+        / sizeof(trace::PackedOp);
+    ASSERT_GT(nregion, 1u);
+
+    // The first memory and the first non-memory event.
+    size_t memEvent = nops, plainEvent = nops;
+    for (size_t i = 0; i < nops; ++i) {
+        const auto op =
+            view.at<trace::PackedOp>(image, trace::V2SectionId::Ops, i);
+        const auto st = view.at<trace::StaticInstr>(
+            image, trace::V2SectionId::Statics, op.sid);
+        size_t &slot = st.mem ? memEvent : plainEvent;
+        if (slot == nops)
+            slot = i;
+    }
+    ASSERT_LT(memEvent, nops);
+    ASSERT_LT(plainEvent, nops);
+
+    const auto field = [](size_t i, size_t offset) {
+        return i * sizeof(trace::PackedOp) + offset;
+    };
+    const struct
+    {
+        const char *what;
+        std::function<void(uint8_t *, uint64_t &)> patch;
+    } cases[] = {
+        {"sid == static count",
+         setAt<uint16_t>(field(memEvent, offsetof(trace::PackedOp, sid)),
+                         static_cast<uint16_t>(nstatic))},
+        {"region == region count",
+         setAt<uint8_t>(field(memEvent, offsetof(trace::PackedOp, ev)),
+                        static_cast<uint8_t>(nregion << 1))},
+        {"region on a non-memory event",
+         setAt<uint8_t>(field(plainEvent, offsetof(trace::PackedOp, ev)),
+                        1 << 1)},
+    };
+    for (const auto &c : cases)
+        EXPECT_FALSE(
+            loads(recomputed(image, trace::V2SectionId::Ops, c.patch)))
+            << c.what;
+}
+
+TEST(FormatV2, RefusesMismatchedCountsDespiteValidChecksums)
+{
+    const std::vector<uint8_t> image = randomTrace(5, 600).serializeV2();
+    // An address column one entry short of the memory events (and of
+    // the Meta memory-reference count).
+    EXPECT_FALSE(loads(recomputed(image, trace::V2SectionId::Addr,
+                                  [](uint8_t *, uint64_t &length) {
+                                      length -= sizeof(uint32_t);
+                                  })));
+    // A region table one entry short of what the records index.
+    EXPECT_FALSE(loads(recomputed(image, trace::V2SectionId::Regions,
+                                  [](uint8_t *, uint64_t &length) {
+                                      length -= sizeof(uint32_t);
+                                  })));
+    // A static table one entry short.
+    EXPECT_FALSE(loads(recomputed(image, trace::V2SectionId::Statics,
+                                  [](uint8_t *, uint64_t &length) {
+                                      length -= sizeof(trace::StaticInstr);
+                                  })));
+    // A header control count the records disagree with (the header is
+    // covered by no checksum at all).
+    std::vector<uint8_t> bad = image;
+    ImageView view(bad);
+    ++view.header.controlCount;
+    std::memcpy(bad.data(), &view.header, sizeof(view.header));
+    EXPECT_FALSE(loads(std::move(bad)));
+}
+
+// ---------------- image size ----------------
+
+TEST(FormatV2, EveryPairImageTakesAtMostEightAndAHalfBytesPerEvent)
+{
+    // The image keeps a 6-byte record per event and 4 bytes per memory
+    // event; the static, region and segment tables and the Meta section
+    // are small beside them.
+    uint64_t bytes = 0, events = 0;
+    for (const PairCapture &pc : everyPairCapture()) {
+        bytes += pc.mat.serializeV2().size();
+        events += pc.mat.instrCount();
+    }
+    ASSERT_GT(events, 0u);
+    const double perEvent =
+        static_cast<double>(bytes) / static_cast<double>(events);
+    EXPECT_LE(perEvent, 8.5);
+    RecordProperty("bytes_per_event", std::to_string(perEvent));
+}
+
 // ---------------- the acceptance gate ----------------
 
-TEST(FormatV2, EveryPairMmapLoadMatchesVarintPathOnBothModels)
+TEST(FormatV2, EveryPairMmapLoadMatchesLiveOnEveryModel)
 {
     // For every registry pair (allRuns() is counted, not enumerated, so
     // new workloads join automatically): the capture's image written to

@@ -4,14 +4,16 @@
  * capture passes full validation and survives truncation and
  * corruption fuzz, and the BenchmarkSuite wiring publishes each cold
  * capture to the trace store, where a second process maps it instead
- * of re-executing. Random streams and every registry pair are captured
- * next to live VProfs, and the capture's image must reproduce each live
- * profile on every model.
+ * of re-executing, and quarantines an image of an older layout. Random
+ * streams and every registry pair are captured next to live VProfs, and
+ * the capture's image must reproduce each live profile on every model.
+ * A capture past the image's address-region limit panics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -20,7 +22,9 @@
 #include "profile/vprof.hh"
 #include "runtime/cpu.hh"
 #include "service/trace_store.hh"
+#include "support/io.hh"
 #include "support/rng.hh"
+#include "trace/format_v2.hh"
 #include "trace/materialize.hh"
 #include "trace/materialize_sink.hh"
 #include "trace_test_util.hh"
@@ -65,7 +69,7 @@ expectImageMatchesLive(const trace::MaterializedTrace &mat,
     }
 }
 
-TEST(MaterializeSink, RandomStreamsMatchVarintPathBitIdentically)
+TEST(MaterializeSink, RandomStreamsMatchLiveBitIdentically)
 {
     // Random streams (single-event delivery, no site metadata) feed a
     // MaterializeSink and a live VProf per model in one pass. The
@@ -92,7 +96,7 @@ TEST(MaterializeSink, RandomStreamsMatchVarintPathBitIdentically)
     }
 }
 
-TEST(MaterializeSink, EveryPairDirectCaptureMatchesVarintPathOnBothModels)
+TEST(MaterializeSink, EveryPairCaptureMatchesLiveOnEveryModel)
 {
     // For every allRuns() registry pair: the capture, with its site
     // metadata, must give a valid byte-stable image that reproduces
@@ -102,6 +106,68 @@ TEST(MaterializeSink, EveryPairDirectCaptureMatchesVarintPathOnBothModels)
         EXPECT_FALSE(pc.mat.functionNames().empty()) << pc.name;
         expectImageMatchesLive(pc.mat, pc.live, pc.name);
     }
+}
+
+// ---------------- image limits ----------------
+
+TEST(MaterializeSinkDeathTest, PanicsPastTheAddressRegionLimit)
+{
+    // The record's 7-bit region index addresses 128 high address
+    // halves; a stream touching a 129th cannot be stored and must stop
+    // the capture with a clear message rather than wrap silently.
+    EXPECT_DEATH(
+        {
+            trace::MaterializeSink sink("regions", "c", 1);
+            for (uint64_t r = 0; r <= trace::kMaxAddrRegions; ++r) {
+                isa::InstrEvent e;
+                e.op = isa::Op::Mov;
+                e.mem = isa::MemMode::Load;
+                e.addr = r << 32 | 0x40;
+                e.size = 4;
+                sink.onInstr(e);
+            }
+            sink.finish();
+        },
+        "more than 128 distinct address regions");
+}
+
+TEST(MaterializeSinkDeathTest, PanicsPastTheStaticTableLimit)
+{
+    // Likewise the record's 16-bit static index: 65537 distinct
+    // (site, op, memory mode, size) tuples cannot be stored.
+    EXPECT_DEATH(
+        {
+            trace::MaterializeSink sink("statics", "c", 1);
+            isa::InstrEvent e;
+            e.op = isa::Op::Nop;
+            for (uint32_t site = 0; site <= trace::kMaxStaticInstrs; ++site) {
+                e.site = site;
+                sink.onInstr(e);
+            }
+            sink.finish();
+        },
+        "more than 65536 distinct \\(site, op, memory mode, size\\) tuples");
+}
+
+TEST(MaterializeSink, HoldsExactlyTheAddressRegionLimit)
+{
+    // 128 regions fit, and every address replays exactly.
+    trace::MaterializeSink sink("regions", "c", 1);
+    RecordingSink fed;
+    sim::TeeSink tee(&fed, &sink);
+    for (uint64_t r = 0; r < trace::kMaxAddrRegions; ++r) {
+        isa::InstrEvent e;
+        e.op = isa::Op::Mov;
+        e.mem = isa::MemMode::Store;
+        e.addr = (r * 0x9e3779b9ull) << 32 | (0xfffffff0u - r);
+        e.size = 4;
+        tee.onInstr(e);
+    }
+    trace::MaterializedTrace loaded;
+    ASSERT_TRUE(loaded.loadV2Image(sink.finish().serializeV2()));
+    RecordingSink replayed;
+    ASSERT_TRUE(loaded.replayTo(replayed));
+    expectSameStream(replayed, fed);
 }
 
 // ---------------- streaming serializer integrity ----------------
@@ -203,6 +269,45 @@ TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
     EXPECT_TRUE(run.replayed);
     EXPECT_EQ(second.traceActivity().disk_hits, 1);
     expectSameProfile(run.profile, mat1->replayProfile(), "second process");
+}
+
+TEST(MaterializeSink, SuiteQuarantinesAnOlderImageVersionAndRecaptures)
+{
+    // An image of an older layout version (a store filled before the
+    // last format change) must not load: the store quarantines it and
+    // the suite captures the pair afresh and publishes it again.
+    ScratchDir scratch("mmxdsp_matsink_version_test");
+    const harness::SuiteConfig config = tinyConfig();
+    service::StoreOptions store_opts;
+    store_opts.root = scratch.path.string();
+    service::TraceStore store(store_opts);
+    const fs::path entry = store.path("fir", "mmx", config.hash());
+    fs::create_directories(entry.parent_path());
+
+    std::vector<uint8_t> image = firCapture().serializeV2();
+    trace::V2Header header;
+    std::memcpy(&header, image.data(), sizeof(header));
+    ASSERT_EQ(header.version, trace::kFormatVersionV2);
+    header.version = 3;
+    std::memcpy(image.data(), &header, sizeof(header));
+    ASSERT_TRUE(writeFileAtomic(entry.string(), image));
+
+    harness::BenchmarkSuite suite(config,
+                                  harness::TraceOptions{true,
+                                                        scratch.path.string()});
+    const auto mat = suite.materializedFor("fir", "mmx");
+    EXPECT_EQ(suite.traceActivity().captured, 1);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
+
+    size_t quarantined = 0;
+    for (const auto &de : fs::recursive_directory_iterator(scratch.path))
+        quarantined += de.is_regular_file()
+                       && de.path().parent_path().filename() == "quarantine";
+    EXPECT_EQ(quarantined, 1u);
+    // The recapture took the old entry's place in the current layout.
+    const auto reloaded = store.load("fir", "mmx", config.hash());
+    ASSERT_TRUE(reloaded);
+    EXPECT_EQ(reloaded->serializeV2(), mat->serializeV2());
 }
 
 TEST(MaterializeSink, FinishWithoutCpuCarriesNoSiteMetadata)

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "harness/suite.hh"
@@ -254,11 +256,12 @@ TEST(MaterializedTraceTest, BatchedReplayDeliversTheExactStream)
     expectSameStream(batched, streamed);
 }
 
-TEST(MaterializedTraceTest, EveryPairMatchesStreamingAndLive)
+TEST(MaterializedTraceTest, EveryPairStreamedReplayMatchesLive)
 {
-    // The event-by-event replay (the capture streamed through the
-    // TraceSink interface into a VProf) must reproduce each live
-    // profile on every model, just as the profile kernel does.
+    // The event-by-event replay (the records decoded in order and
+    // streamed through the TraceSink interface into a VProf) must
+    // reproduce each live profile on every model, just as the profile
+    // kernel does.
     for (const PairCapture &pc : everyPairCapture()) {
         for (size_t m = 0; m < std::size(kModels); ++m) {
             const sim::MachineConfig machine{kModels[m], {}};
@@ -475,6 +478,55 @@ TEST(SuiteTraceStore, DamagedEntryIsQuarantinedAndSurvivesRewrite)
 
     trace::MaterializedTrace fresh;
     EXPECT_TRUE(fresh.loadV2File(entry.string()));
+}
+
+TEST(SuiteTraceStore, RunAllDropsStoredTracesOnceReplayed)
+{
+    // With a store, runAll() keeps no trace the store holds: each
+    // capture is published, replayed (beside the next capture when
+    // there is more than one worker) and dropped, so a later
+    // materializedFor() maps the stored image — the very capture the
+    // runAll() profile came from.
+    ScratchDir scratch("mmxdsp_trace_runall_drop_test");
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    suite.runAll(4);
+    const auto pairs = harness::BenchmarkSuite::allRuns();
+    const int n = static_cast<int>(pairs.size());
+    EXPECT_EQ(suite.traceActivity().captured, n);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
+    int loads = 0;
+    for (const auto &[bench, version] : pairs) {
+        const std::string name = bench + "." + version;
+        const auto mat = suite.materializedFor(bench, version);
+        EXPECT_EQ(suite.traceActivity().disk_hits, ++loads) << name;
+        expectSameProfile(suite.run(bench, version).profile,
+                          mat->replayProfile(), name);
+    }
+    EXPECT_EQ(suite.traceActivity().captured, n);
+}
+
+TEST(SuiteTraceStore, RunAllKeepsCapturesTheStoreCannotTake)
+{
+    // A store rooted at a regular file takes nothing, and a recapture
+    // could shift the address stream, so runAll() keeps every capture
+    // and materializedFor() serves it without executing or loading.
+    ScratchDir scratch("mmxdsp_trace_runall_keep_test");
+    const fs::path root = scratch.path / "not-a-directory";
+    std::ofstream(root) << "x";
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, root.string()});
+    suite.runAll(2);
+    const auto pairs = harness::BenchmarkSuite::allRuns();
+    const int n = static_cast<int>(pairs.size());
+    EXPECT_EQ(suite.traceActivity().captured, n);
+    for (const auto &[bench, version] : pairs)
+        expectSameProfile(suite.run(bench, version).profile,
+                          suite.materializedFor(bench, version)
+                              ->replayProfile(),
+                          bench + "." + version);
+    EXPECT_EQ(suite.traceActivity().captured, n);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
 }
 
 // ---------------- cross-model replay ----------------

@@ -68,7 +68,11 @@ randomEvent(Rng &rng)
     e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
     e.mem = static_cast<isa::MemMode>(rng.nextBelow(3));
     if (e.mem != isa::MemMode::None) {
-        e.addr = rng.next() >> rng.nextBelow(40); // mix near/far addresses
+        // Up to 8 address regions (high 32-bit halves, one of them 0)
+        // under any low half: near and far addresses, as a capture's
+        // heap, stack and static data give, within the trace image's
+        // 128-region limit.
+        e.addr = uint64_t{rng.nextBelow(8)} << 44 | (rng.next() >> 32);
         e.size = static_cast<uint8_t>(1u << rng.nextBelow(4));
     }
     e.site = rng.nextBelow(2000);
