@@ -23,8 +23,9 @@
  * the switch: max(2, workers) machines, the widest group replaySweep
  * keeps per machine, and one more, the narrowest it puts on lanes. The
  * cache-size ablation's 36-machine mixed sweep is split into its parts:
- * ns per lane-event of the memo pre-pass, the lanes of each model and
- * the P6 and P6P per-machine runs, on the widest lane ISA the CPU runs.
+ * ns per lane-event of the memo pre-pass, the outcome planes, the lanes
+ * of each model and the P6 and P6P per-machine runs, on the widest lane
+ * ISA the CPU runs.
  * The binary verifies all sweeps are bit-identical and exits nonzero on
  * divergence or (in optimized builds on a CPU with a lane ISA) if, on
  * any model, the lanes lose to the per-machine runs at the narrowest
@@ -155,6 +156,7 @@ struct DispatchPoint
 struct LaneCost
 {
     double memo_ns = 0.0;      ///< memo pre-pass, per lane it serves (36)
+    double plane_ns = 0.0;     ///< outcome planes, per lane they serve
     double p5_lanes_ns = 0.0;  ///< P5 lanes over recorded memos
     double p6_lanes_ns = 0.0;  ///< P6 lanes over recorded memos
     double p6p_lanes_ns = 0.0; ///< P6P lanes over recorded memos
@@ -315,7 +317,8 @@ main(int argc, char **argv)
         mixed.insert(mixed.end(), p6Set.begin(), p6Set.end());
         mixed.insert(mixed.end(), p6pSet.begin(), p6pSet.end());
         const double ev = static_cast<double>(events);
-        std::vector<double> memo, p5, p6Lanes, p6pLanes, p6, p6p, sweep;
+        std::vector<double> memo, planes, p5, p6Lanes, p6pLanes, p6, p6p,
+            sweep;
         std::vector<profile::ProfileResult> swept;
         for (int rep = 0; rep < kLadderRepetitions; ++rep) {
             trace::MaterializedTrace::Memos memos;
@@ -347,14 +350,23 @@ main(int argc, char **argv)
             p6pLanes.push_back(time([&] {
                 mat.replaySweep(p6pSet, opts.threads, &memos);
             }) / (ev * 12));
+            trace::SweepReport report;
             sweep.push_back(time([&] {
-                swept = mat.replaySweep(mixed, opts.threads);
+                swept = mat.replaySweep(mixed, opts.threads, nullptr,
+                                        &report);
             }) / (ev * 36));
+            // The planes' pool wall, per lane-event of the lanes that
+            // read them.
+            planes.push_back(
+                report.laneServed
+                    ? report.planeWallMs * 1e-3
+                          / (ev * static_cast<double>(report.laneServed))
+                    : 0.0);
         }
-        laneCost = {median(memo) * 1e9,    median(p5) * 1e9,
-                    median(p6Lanes) * 1e9, median(p6pLanes) * 1e9,
-                    median(p6) * 1e9,      median(p6p) * 1e9,
-                    median(sweep) * 1e9};
+        laneCost = {median(memo) * 1e9,     median(planes) * 1e9,
+                    median(p5) * 1e9,       median(p6Lanes) * 1e9,
+                    median(p6pLanes) * 1e9, median(p6) * 1e9,
+                    median(p6p) * 1e9,      median(sweep) * 1e9};
         const auto golden = mat.replaySweepScalar(mixed, opts.threads);
         for (size_t i = 0; i < mixed.size(); ++i)
             mixed_identical =
@@ -449,11 +461,12 @@ main(int argc, char **argv)
 
     const trace::LaneIsa isa = trace::hostLaneIsa();
     std::printf("\nmixed 36-machine sweep (ns per lane-event, resident trace, "
-                "--threads=%d, %s lanes)\n",
-                opts.threads, trace::laneIsaName(isa));
+                "--threads=%d, lanes: %s, %d × i32)\n",
+                opts.threads, trace::laneIsaName(isa), static_cast<int>(isa));
     Table parts({"part", "ns/lane-event"});
     const std::pair<const char *, double> partRows[] = {
         {"memo pre-pass (per lane served)", laneCost.memo_ns},
+        {"outcome planes (per lane served)", laneCost.plane_ns},
         {"P5 lanes", laneCost.p5_lanes_ns},
         {"P6 lanes", laneCost.p6_lanes_ns},
         {"P6 per-machine", laneCost.p6_ns},
@@ -535,13 +548,14 @@ main(int argc, char **argv)
                      "  ],\n"
                      "  \"lane_cost\": {\"machines\": 36, \"threads\": %d, "
                      "\"isa\": \"%s\", \"lanes_per_register\": %d, "
-                     "\"memo_prepass_ns\": %.3f, \"p5_lanes_ns\": %.3f, "
+                     "\"memo_prepass_ns\": %.3f, \"planes_ns\": %.3f, "
+                     "\"p5_lanes_ns\": %.3f, "
                      "\"p6_lanes_ns\": %.3f, \"p6_per_machine_ns\": %.3f, "
                      "\"p6p_lanes_ns\": %.3f, \"p6p_per_machine_ns\": %.3f, "
                      "\"sweep_ns\": %.3f},\n",
                      opts.threads, trace::laneIsaName(isa),
                      static_cast<int>(isa), laneCost.memo_ns,
-                     laneCost.p5_lanes_ns, laneCost.p6_lanes_ns,
+                     laneCost.plane_ns, laneCost.p5_lanes_ns, laneCost.p6_lanes_ns,
                      laneCost.p6_ns, laneCost.p6p_lanes_ns, laneCost.p6p_ns,
                      laneCost.sweep_ns);
         std::fprintf(json, "  \"identical\": %s\n}\n",

@@ -91,8 +91,8 @@ struct BtbMemo
 };
 
 /** The vector ISA of the sweep lane kernel, valued by its widest count
- *  of 64-bit lanes per register. */
-enum class LaneIsa : uint8_t { None = 0, Avx2 = 4, Avx512 = 8 };
+ *  of 32-bit lanes per register. */
+enum class LaneIsa : uint8_t { None = 0, Avx2 = 8, Avx512 = 16 };
 
 /** The widest LaneIsa this CPU runs (None: every sweep runs per
  *  machine). */
@@ -100,6 +100,30 @@ LaneIsa hostLaneIsa();
 
 /** "avx512" / "avx2" / "none". */
 const char *laneIsaName(LaneIsa isa);
+
+/**
+ * What one sweep of the driver did and where its time went
+ * (MMXDSP_SWEEP_DEBUG prints it; replaySweep() can return it). Task
+ * times are summed over the workers; each wall is one pool's.
+ */
+struct SweepReport
+{
+    size_t memosRecorded = 0;
+    size_t memosReused = 0;
+    /** Machines on lanes, per sim::ModelKind. */
+    std::array<size_t, sim::kNumModelKinds> lanes{};
+    size_t blocks = 0;
+    size_t planes = 0;     ///< outcome planes built for the blocks
+    size_t laneServed = 0; ///< real lanes reading those planes
+    size_t rebases = 0;    ///< summed over the blocks
+    size_t perMachine = 0;
+    /** Of the per-machine runs, those the lanes could not take: a lane
+     *  bound above the limit, or a front end issuing wider than it
+     *  retires. */
+    size_t unfit = 0;
+    double prepassMs = 0.0, planeMs = 0.0, laneMs = 0.0, perMachineMs = 0.0;
+    double prepassWallMs = 0.0, planeWallMs = 0.0, timingWallMs = 0.0;
+};
 
 /**
  * One event of a captured trace, as stored in the trace image and read
@@ -340,17 +364,21 @@ class MaterializedTrace
      *  2. entries are grouped by model and front end (every P6/P6P
      *     parameter but the mispredict penalty); a group of more than
      *     max(2, workers) entries runs on the config-parallel lane
-     *     kernel (trace/sweep_kernel.cc) of hostLaneIsa();
+     *     kernel (trace/sweep_kernel.cc) of hostLaneIsa(), over one
+     *     bit-per-lane outcome plane per distinct lane tuple, except an
+     *     entry whose penalties or front end do not fit 32-bit lanes;
      *  3. every other entry runs per machine, on the memoized kernel.
      * The lane blocks and the per-machine runs share one worker pool,
      * largest task first. A build pinning
      * MMXDSP_FORCE_SCALAR_SWEEP runs every entry per machine. Results
      * are index-aligned with @p machines and bit-identical to
-     * per-machine replayProfile() calls either way.
+     * per-machine replayProfile() calls either way. @p report, when
+     * given, receives what the sweep of the unique entries did.
      */
     std::vector<profile::ProfileResult>
     replaySweep(const std::vector<sim::MachineConfig> &machines,
-                int threads = 0, Memos *memos = nullptr) const;
+                int threads = 0, Memos *memos = nullptr,
+                SweepReport *report = nullptr) const;
 
     /**
      * The per-machine sweep: one scalar timing pass per entry. Without
@@ -373,11 +401,14 @@ class MaterializedTrace
      * ISA (tests reach every width the host runs); one wider than
      * hostLaneIsa() is a fatal error. Results are bit-identical to
      * replaySweepScalar(); duplicate entries are tolerated but not
-     * deduplicated here (replaySweep() does that).
+     * deduplicated here (replaySweep() does that). Entries that do not
+     * fit 32-bit lanes run per machine. @p report, when given,
+     * receives what the sweep did.
      */
     std::vector<profile::ProfileResult>
     replaySweepPacked(const std::vector<sim::MachineConfig> &machines,
-                      int threads = 0, LaneIsa isa = hostLaneIsa()) const;
+                      int threads = 0, LaneIsa isa = hostLaneIsa(),
+                      SweepReport *report = nullptr) const;
 
     /** "file.cc:123" for a recorded site, or "site#N" when unknown. */
     std::string siteLabel(uint32_t site) const;
@@ -547,11 +578,12 @@ class MaterializedTrace
      * recorders into @p memos (call-local when null), then each group
      * of entries on the @p isa lane kernel or per machine as @p route
      * says (every entry per machine with LaneIsa::None). Entries are
-     * not deduplicated here.
+     * not deduplicated here. Fills @p report when given.
      */
     std::vector<profile::ProfileResult>
     runSweep(const std::vector<sim::MachineConfig> &machines, int threads,
-             Memos *memos, SweepRoute route, LaneIsa isa) const;
+             Memos *memos, SweepRoute route, LaneIsa isa,
+             SweepReport *report = nullptr) const;
 
     /**
      * The per-config replay loop behind replayProfile()/replaySweep(),

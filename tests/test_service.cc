@@ -779,6 +779,44 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
     }
 }
 
+TEST(QueryEngineTest, OverBoundMispredictPenaltyIsAnsweredBesideLanes)
+{
+    // A batch wide enough for the lanes, with one mp=4294967295 line
+    // per model among ordinary ones: that machine cannot run on 32-bit
+    // lanes and is timed per machine, and every line is answered
+    // exactly as replayProfile() answers it.
+    ScratchDir scratch("mmxdsp_engine_huge_mp_test");
+    service::EngineOptions opts = engineOpts(scratch);
+    opts.threads = 2;
+    service::QueryEngine engine(opts);
+
+    std::vector<service::Query> batch;
+    std::string error;
+    for (const char *model : {"p5", "p6", "p6p"})
+        for (const char *mp : {"2", "3", "4294967295", "5", "6"}) {
+            service::Query q;
+            const std::string line = std::string("fir mmx model=") + model
+                                     + " mp=" + mp;
+            ASSERT_TRUE(service::QueryEngine::parseQueryLine(line, &q, &error))
+                << error;
+            batch.push_back(q);
+        }
+    const std::vector<service::QueryResult> served = engine.queryBatch(batch);
+    ASSERT_EQ(served.size(), batch.size());
+
+    service::TraceStore oracle(opts.store);
+    auto mat = oracle.load("fir", "mmx", opts.suite.hash());
+    ASSERT_NE(mat, nullptr);
+    for (const service::QueryResult &r : served) {
+        ASSERT_TRUE(r.ok) << r.error;
+        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
+                         std::string(sim::modelName(r.query.machine.model))
+                             + " mp="
+                             + std::to_string(
+                                 r.query.machine.timer.mispredict_penalty));
+    }
+}
+
 TEST(QueryEngineTest, MemosCountAgainstTheTraceBudgetAndLeaveWithTheirTrace)
 {
     ScratchDir scratch("mmxdsp_engine_memo_budget_test");

@@ -19,9 +19,14 @@
  *    per-machine P6/P6P runs, dispatched and packed, at 1, 2 and 4
  *    threads;
  *  - the lane kernel at every vector ISA the host runs (the others
- *    skip): 1-17 lanes per model, so full, remainder and padded blocks
- *    all run, with distinct penalties per lane, three P6 front ends in
- *    one sweep and P6P window/retire-width variants.
+ *    skip): 1-33 lanes per model, so full, half-width and padded blocks
+ *    all run, with distinct penalties per lane, four P6 front ends in
+ *    one sweep and P6P window/retire-width variants; penalties near
+ *    the lane bound, which make every block rebase every few dozen
+ *    events, on every pair; machines the 32-bit lanes cannot take (a
+ *    4294967295-cycle mispredict penalty, a front end issuing wider
+ *    than it retires) running per machine beside the lanes; and one
+ *    outcome plane shared by the ablation's three lane groups.
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
@@ -30,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -42,6 +48,7 @@
 #include "sim/timing_model.hh"
 #include "support/rng.hh"
 #include "trace/materialize.hh"
+#include "trace/materialize_sink.hh"
 
 namespace mmxdsp {
 namespace trace {
@@ -598,9 +605,10 @@ TEST_P(SweepLanes, EveryLaneCountMatchesScalar)
         tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
     auto mat = materializedTrace(suite, "fft", "mmx");
 
-    // 1-17 lanes per model: full registers, 4-lane remainders and
-    // padded blocks, every model in one sweep.
-    for (uint32_t n = 1; n <= 17; ++n) {
+    // 1-33 lanes per model: full registers, half-width remainders and
+    // padded blocks (16-, 8- and 4-lane blocks across the two ISAs),
+    // every model in one sweep.
+    for (uint32_t n = 1; n <= 33; ++n) {
         std::vector<sim::MachineConfig> machines;
         for (sim::ModelKind model :
              {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
@@ -622,15 +630,18 @@ TEST_P(SweepLanes, FrontEndVariantsMatchScalar)
     harness::BenchmarkSuite suite(
         tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
 
-    // Three P6 front ends in one sweep (three lane groups): the default,
-    // a narrow one, and a wide one whose issue width lets two multi-uop
-    // ops reach one decode group (so the complex decoder's state
-    // matters); then P6P window and retire-width variants. 5 or 9 lanes
-    // each.
+    // Four P6 front ends in one sweep (four groups): the default, a
+    // narrow one, and two wide ones whose issue width lets two
+    // multi-uop ops reach one decode group (so the complex decoder's
+    // state matters), one retiring as wide as it issues (lanes) and one
+    // narrower (per machine); then P6P window and retire-width variants
+    // (retire width 1 runs per machine). 5 or 9 lanes each.
     const sim::P6Params narrow{2, 2, 2, 2};
-    const sim::P6Params wide{4, 3, 6, 4};
+    const sim::P6Params wide{4, 3, 6, 6};
+    const sim::P6Params wideIssue{4, 3, 6, 4};
     std::vector<sim::MachineConfig> machines;
-    for (const sim::P6Params &front : {sim::P6Params{}, narrow, wide})
+    for (const sim::P6Params &front :
+         {sim::P6Params{}, narrow, wide, wideIssue})
         for (sim::MachineConfig m : laneMachines(
                  sim::ModelKind::P6, front.issue_width == 2 ? 5 : 9)) {
             const uint32_t mp = m.timer.p6.mispredict_penalty;
@@ -655,6 +666,180 @@ TEST_P(SweepLanes, FrontEndVariantsMatchScalar)
         expectLanesMatchScalar(*mat, machines, GetParam(),
                                bench + "." + version);
     }
+}
+
+/**
+ * laneMachines() with memory and mispredict penalties near 2^22: a
+ * block's lane bound comes near the lane limit, so the kernel rebases
+ * every few dozen events and values left behind for a few hundred
+ * events fall more than 2^30 cycles back and are clamped.
+ */
+std::vector<sim::MachineConfig>
+nearBoundMachines(sim::ModelKind model, uint32_t n)
+{
+    std::vector<sim::MachineConfig> machines = laneMachines(model, n);
+    for (uint32_t k = 0; k < n; ++k) {
+        sim::TimerConfig &t = machines[k].timer;
+        t.penalties.l1_miss = (1u << 20) + k;
+        t.penalties.l2_miss = (3u << 22) - 7 * k;
+        t.mispredict_penalty = (1u << 21) + k;
+        t.p6.mispredict_penalty = (1u << 21) + 3 * k;
+        t.p6p.mispredict_penalty = (1u << 21) + 5 * k;
+    }
+    return machines;
+}
+
+TEST_P(SweepLanes, ForcedRebasesMatchScalarOnEveryPair)
+{
+    ScratchDir scratch(scratchName("rebase").c_str());
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+
+    // 12 machines per model: one 16-lane block on AVX-512, an 8- and a
+    // 4-lane block on AVX2.
+    std::vector<sim::MachineConfig> machines;
+    for (sim::ModelKind model :
+         {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+        const auto some = nearBoundMachines(model, 12);
+        machines.insert(machines.end(), some.begin(), some.end());
+    }
+    for (const auto &[bench, version] : harness::BenchmarkSuite::allRuns()) {
+        const std::string what = bench + "." + version;
+        auto mat = suite.materializedFor(bench, version);
+        ASSERT_NE(mat, nullptr) << what;
+        trace::SweepReport report;
+        const auto packed =
+            mat->replaySweepPacked(machines, 2, GetParam(), &report);
+        const auto scalar = mat->replaySweepScalar(machines, 2);
+        EXPECT_EQ(report.unfit, 0u) << what;
+        EXPECT_EQ(report.perMachine, 0u) << what;
+        // Every block rebases at least once per 40 events.
+        EXPECT_GE(report.rebases,
+                  report.blocks * (mat->instrCount() / 40))
+            << what;
+        ASSERT_EQ(packed.size(), machines.size()) << what;
+        for (size_t i = 0; i < machines.size(); ++i)
+            expectSameProfile(packed[i], scalar[i],
+                              what + " machine " + std::to_string(i));
+    }
+}
+
+TEST_P(SweepLanes, StalePortsKeepTheirOrderAcrossRebases)
+{
+    // A crafted P6P stream: port 1 and then port 0 take a uop (port 0
+    // ends one cycle later), 120 loads that miss both caches carry the
+    // clock more than 2^30 cycles past both ports, so a rebase clamps
+    // them, and an Either uop must still pick port 1, the earlier. A
+    // run of port-0 multiplies then makes port 0's backlog, and so the
+    // cycle count, show which port it took.
+    trace::MaterializeSink sink("ports", "c", 1);
+    sink.onEnterFunction("work");
+    const auto emit = [&](isa::Op op, isa::MemMode mem, uint64_t addr,
+                          uint8_t reg) {
+        isa::InstrEvent e;
+        e.op = op;
+        e.mem = mem;
+        e.addr = addr;
+        e.size = mem == isa::MemMode::None ? 0 : 8;
+        e.site = static_cast<uint32_t>(op);
+        e.src0 = isa::makeTag(isa::RegClass::Mmx, 0); // always ready
+        e.dst = isa::makeTag(isa::RegClass::Mmx, reg);
+        sink.onInstr(e);
+    };
+    emit(isa::Op::Psllw, isa::MemMode::None, 0, 1);
+    emit(isa::Op::Pmullw, isa::MemMode::None, 0, 2);
+    emit(isa::Op::Pmullw, isa::MemMode::None, 0, 3);
+    for (uint64_t k = 0; k < 120; ++k)
+        emit(isa::Op::Movq, isa::MemMode::Load, 0x100000 + k * 65536, 4);
+    emit(isa::Op::Paddw, isa::MemMode::None, 0, 5);
+    for (int k = 0; k < 24; ++k)
+        emit(isa::Op::Pmullw, isa::MemMode::None, 0, 6);
+    sink.onLeaveFunction();
+    const trace::MaterializedTrace mat = sink.finish();
+
+    const auto machines = nearBoundMachines(sim::ModelKind::P6P, 5);
+    trace::SweepReport report;
+    const auto packed =
+        mat.replaySweepPacked(machines, 1, GetParam(), &report);
+    EXPECT_GE(report.rebases, 4u);
+    const auto scalar = mat.replaySweepScalar(machines, 1);
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectSameProfile(packed[i], scalar[i],
+                          "machine " + std::to_string(i));
+}
+
+TEST_P(SweepLanes, OverBoundMachinesRunPerMachine)
+{
+    ScratchDir scratch(scratchName("unfit").c_str());
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+
+    // Per model, 6 ordinary machines and one whose mispredict penalty
+    // (4294967295, which vprofd accepts) is beyond any lane bound; then
+    // P6 and P6P front ends that issue 4 uops a cycle but retire 3.
+    std::vector<sim::MachineConfig> machines;
+    for (sim::ModelKind model :
+         {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+        const auto some = laneMachines(model, 6);
+        machines.insert(machines.end(), some.begin(), some.end());
+        sim::MachineConfig huge = some[2];
+        huge.timer.mispredict_penalty = 4294967295u;
+        huge.timer.p6.mispredict_penalty = 4294967295u;
+        huge.timer.p6p.mispredict_penalty = 4294967295u;
+        machines.push_back(huge);
+    }
+    for (sim::ModelKind model : {sim::ModelKind::P6, sim::ModelKind::P6P})
+        for (sim::MachineConfig m : laneMachines(model, 5)) {
+            m.timer.p6.issue_width = 4;
+            m.timer.p6.retire_width = 3;
+            m.timer.p6p.issue_width = 4;
+            m.timer.p6p.retire_width = 3;
+            machines.push_back(m);
+        }
+
+    for (const auto &[bench, version] :
+         {std::pair<std::string, std::string>{"fir", "mmx"},
+          {"jpeg", "c"}}) {
+        const std::string what = bench + "." + version;
+        auto mat = materializedTrace(suite, bench, version);
+        trace::SweepReport report;
+        const auto packed =
+            mat->replaySweepPacked(machines, 2, GetParam(), &report);
+        EXPECT_EQ(report.unfit, 13u) << what;
+        EXPECT_EQ(report.perMachine, 13u) << what;
+        EXPECT_EQ(report.lanes,
+                  (std::array<size_t, sim::kNumModelKinds>{6, 6, 6}))
+            << what;
+        const auto scalar = mat->replaySweepScalar(machines, 2);
+        ASSERT_EQ(packed.size(), machines.size()) << what;
+        for (size_t i = 0; i < machines.size(); ++i)
+            expectSameProfile(packed[i], scalar[i],
+                              what + " machine " + std::to_string(i));
+    }
+}
+
+TEST_P(SweepLanes, AblationGroupsShareOneOutcomePlane)
+{
+    ScratchDir scratch(scratchName("plane").c_str());
+    harness::BenchmarkSuite suite(
+        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
+    auto mat = materializedTrace(suite, "iir", "mmx");
+
+    // The three models' 12 machines list the same geometries in the
+    // same order, so their blocks share their lane tuples: one 16-lane
+    // plane on AVX-512, an 8- and a 4-lane plane on AVX2.
+    const std::vector<sim::MachineConfig> machines = ablationMachines();
+    trace::SweepReport report;
+    const auto packed =
+        mat->replaySweepPacked(machines, 2, GetParam(), &report);
+    const bool zmm = GetParam() == trace::LaneIsa::Avx512;
+    EXPECT_EQ(report.blocks, zmm ? 3u : 6u);
+    EXPECT_EQ(report.planes, zmm ? 1u : 2u);
+    EXPECT_EQ(report.laneServed, machines.size());
+    const auto scalar = mat->replaySweepScalar(machines, 2);
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectSameProfile(packed[i], scalar[i],
+                          "machine " + std::to_string(i));
 }
 
 INSTANTIATE_TEST_SUITE_P(Isa, SweepLanes,
