@@ -4,16 +4,17 @@
  *
  *  - op layer: every mmx:: binop and shift timed through the scalar
  *    lane-loop golden reference and through the active dispatch path
- *    (SWAR or host SSE2), reported as Mops/sec plus geomean speedup;
+ *    (host SSE2), reported as Mops/sec plus geomean speedup;
  *  - live capture: an MMX micro kernel captured through the real
  *    runtime into a trace::MaterializeSink twice — with the block
  *    buffer disabled (setEmitBatch(1)) and with the default 512-event
  *    blocks.
  *
  * Verifies that the batched and per-instruction captures serialize to
- * byte-identical trace images, writes BENCH_mmx_swar.json, and (in
- * Release builds on a fast path) exits nonzero unless the op-layer
- * geomean beats scalar — so CI can run it as a perf smoke test.
+ * byte-identical trace images, writes BENCH_mmx_ops.json, and (in
+ * Release builds with the host SSE2 path) exits nonzero unless the
+ * op-layer geomean beats scalar — so CI can run it as a perf smoke
+ * test.
  */
 
 #include <chrono>
@@ -41,12 +42,10 @@ constexpr uint64_t kOpIters = 1u << 20;
 constexpr size_t kBufSize = 4096; // power of two
 constexpr int kKernelIters = 1 << 17;
 
-#if defined(MMXDSP_FORCE_SCALAR_MMX)
-constexpr const char *kActivePath = "scalar (forced)";
-#elif defined(MMXDSP_MMX_HAVE_HOST_SIMD)
+#if defined(MMXDSP_MMX_HAVE_HOST_SIMD)
 constexpr const char *kActivePath = "host-sse2";
 #else
-constexpr const char *kActivePath = "swar";
+constexpr const char *kActivePath = "scalar";
 #endif
 
 double
@@ -264,7 +263,7 @@ main()
                 speedupVsPerInstr);
     std::printf("traces byte-identical %s\n", identical ? "yes" : "NO");
 
-    std::FILE *json = std::fopen("BENCH_mmx_swar.json", "w");
+    std::FILE *json = std::fopen("BENCH_mmx_ops.json", "w");
     if (json) {
         std::fprintf(json,
                      "{\n"
@@ -298,7 +297,7 @@ main()
             eps(batched.seconds, batched.events), speedupVsPerInstr,
             identical ? "true" : "false");
         std::fclose(json);
-        std::fprintf(stderr, "wrote BENCH_mmx_swar.json\n");
+        std::fprintf(stderr, "wrote BENCH_mmx_ops.json\n");
     }
 
     if (!identical) {
@@ -306,7 +305,7 @@ main()
                              "per-instruction capture\n");
         return 1;
     }
-#if defined(NDEBUG) && !defined(MMXDSP_FORCE_SCALAR_MMX)
+#if defined(NDEBUG) && defined(MMXDSP_MMX_HAVE_HOST_SIMD)
     if (geomean <= 1.0) {
         std::fprintf(stderr,
                      "FAIL: %s op path not faster than scalar "
@@ -315,8 +314,8 @@ main()
         return 1;
     }
 #else
-    std::fprintf(stderr, "perf gates skipped (debug or forced-scalar "
-                         "build)\n");
+    std::fprintf(stderr, "perf gates skipped (debug build or no host "
+                         "SSE2 path)\n");
 #endif
     return 0;
 }

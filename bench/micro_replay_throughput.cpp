@@ -338,9 +338,7 @@ main(int argc, char **argv)
             p6p.push_back(time([&] {
                 mat.replaySweepScalar(p6pSet, opts.threads, &memos);
             }) / (ev * 12));
-            // 12 machines of one model: the dispatched sweep packs them
-            // (in a MMXDSP_FORCE_SCALAR_SWEEP build it runs them per
-            // machine).
+            // 12 machines of one model: the dispatched sweep packs them.
             p5.push_back(time([&] {
                 mat.replaySweep(p5Set, opts.threads, &memos);
             }) / (ev * 12));

@@ -1,10 +1,10 @@
 #include "gemm.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "nsp/vector.hh"
 #include "support/fixed_point.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 
 namespace mmxdsp::kernels {
@@ -41,7 +41,10 @@ void
 GemmBenchmark::setInputs(std::vector<int16_t> a, std::vector<int16_t> b)
 {
     const size_t n2 = static_cast<size_t>(dim_) * dim_;
-    assert(a.size() == n2 && b.size() == n2);
+    if (a.size() != n2 || b.size() != n2)
+        mmxdsp_fatal("gemm: inputs of %zu and %zu elements for a %dx%d "
+                     "matrix (want %zu each)",
+                     a.size(), b.size(), dim_, dim_, n2);
     a_ = std::move(a);
     b_ = std::move(b);
 }

@@ -7,7 +7,8 @@ namespace mmxdsp::mem {
 bool
 Btb::valid(uint32_t entries, uint32_t ways)
 {
-    if (ways == 0 || entries % ways)
+    if (ways == 0 || ways > kMaxWays || entries > kMaxEntries
+        || entries % ways)
         return false;
     const uint32_t sets = entries / ways;
     return sets != 0 && (sets & (sets - 1)) == 0;
@@ -18,8 +19,8 @@ Btb::Btb(uint32_t entries, uint32_t ways)
 {
     if (!valid(entries, ways))
         mmxdsp_fatal("BTB: %u entries / %u ways is not a power-of-two "
-                     "set count",
-                     entries, ways);
+                     "set count of at most %u entries and %u ways",
+                     entries, ways, kMaxEntries, kMaxWays);
     sets_ = entries / ways;
     entries_.resize(entries);
 }

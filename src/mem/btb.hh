@@ -48,11 +48,16 @@ class Btb
     /** @param entries total entries; @param ways associativity. */
     explicit Btb(uint32_t entries = 256, uint32_t ways = 4);
 
+    /** Caps that keep the entry array small: at most 1 MB. */
+    static constexpr uint32_t kMaxEntries = 1u << 16;
+    static constexpr uint32_t kMaxWays = 64;
+
     /**
      * True when a Btb can be built with this geometry: @p ways > 0
-     * divides @p entries into a power-of-two number of sets. The
-     * constructor enforces it; untrusted geometries (vprofd query
-     * lines) are checked with it first.
+     * divides @p entries into a power-of-two number of sets, and
+     * neither @p entries nor @p ways exceeds its cap. The constructor
+     * enforces it; untrusted geometries (vprofd query lines) are
+     * checked with it first.
      */
     static bool valid(uint32_t entries, uint32_t ways);
 

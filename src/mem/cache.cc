@@ -44,6 +44,7 @@ CacheConfig::valid() const
     // 64-bit: line * ways must not wrap around to a false divisor.
     const uint64_t set_bytes = static_cast<uint64_t>(line_bytes) * ways;
     return isPowerOfTwo(size_bytes) && isPowerOfTwo(line_bytes) && ways != 0
+           && ways <= kMaxWays && size_bytes / line_bytes <= kMaxLines
            && size_bytes % set_bytes == 0
            && isPowerOfTwo(size_bytes / set_bytes);
 }
@@ -54,8 +55,9 @@ Cache::Cache(const CacheConfig &config)
     if (!config.valid())
         mmxdsp_fatal("cache %s: invalid geometry %s (size and line must "
                      "be powers of two, size / (line * ways) a power of "
-                     "two)",
-                     config.name.c_str(), config.describe().c_str());
+                     "two, at most %u lines and %u ways)",
+                     config.name.c_str(), config.describe().c_str(),
+                     CacheConfig::kMaxLines, CacheConfig::kMaxWays);
     numSets_ = config.size_bytes / (config.line_bytes * config.ways);
     // Both divisors are enforced powers of two, so the per-access
     // index/tag math reduces to shifts computed once here.

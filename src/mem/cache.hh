@@ -26,15 +26,20 @@ struct CacheConfig
     uint32_t line_bytes = 32;
     uint32_t ways = 4;
 
+    /** Caps that keep one level's tag array small: at most 6 MB. */
+    static constexpr uint32_t kMaxLines = 1u << 18;
+    static constexpr uint32_t kMaxWays = 64;
+
     /** Compact geometry label for sweep reports, e.g. "16KB/32B/4w". */
     std::string describe() const;
 
     /**
      * True when a Cache can be built from this geometry: size and line
-     * are powers of two and the size splits into a power-of-two number
-     * of sets of @c ways lines. The Cache constructor enforces it;
-     * untrusted geometries (vprofd query lines) are checked with it
-     * before they reach a constructor.
+     * are powers of two, the size splits into a power-of-two number of
+     * sets of @c ways lines, and neither the line count nor @c ways
+     * exceeds its cap. The Cache constructor enforces it; untrusted
+     * geometries (vprofd query lines) are checked with it before they
+     * reach a constructor.
      */
     bool valid() const;
 };

@@ -8,22 +8,21 @@
  * pack instructions narrow with saturation, unpack instructions
  * interleave, and pmaddwd forms two 32-bit dot-product halves.
  *
- * Three interchangeable implementations live behind the same names:
+ * Two interchangeable implementations live behind the same names:
  *
  *  - mmx::scalar — lane-at-a-time golden reference (mmx_scalar.hh,
  *    out-of-line), always compiled;
- *  - mmx::swar   — branchless SWAR over one uint64_t (mmx_swar.hh,
- *    header-inline), always compiled;
  *  - mmx::host   — SSE2 intrinsics on the low 64 bits of an XMM
- *    register, compiled when the host has __SSE2__.
+ *    register (mmx_host.hh, header-inline), compiled when the host has
+ *    __SSE2__.
  *
  * The public mmxdsp::mmx::paddb(...) etc. are inline forwarders to the
- * `active` namespace: scalar when the build sets MMXDSP_FORCE_SCALAR_MMX
- * (a CMake option, applied globally so every translation unit agrees),
- * otherwise host when available, otherwise swar. Being header-inline is
- * what lets runtime::Cpu's MMX methods compile down to straight-line
- * bit ops. The differential tests assert all paths bit-identical, so
- * swapping paths can never change benchmark outputs or captured traces.
+ * `active` namespace: host when the host has SSE2 (every x86-64 build),
+ * otherwise scalar. Being header-inline is what lets runtime::Cpu's MMX
+ * methods compile down to straight-line SSE2 ops. The differential
+ * tests check `active` against `scalar` bit-for-bit at run time, so the
+ * path a host takes can never change benchmark outputs or captured
+ * traces.
  *
  * These are pure value functions; the instrumented runtime
  * (runtime/cpu.hh) wraps them with instruction-event emission. Keeping
@@ -34,19 +33,17 @@
 #ifndef MMXDSP_MMX_MMX_OPS_HH
 #define MMXDSP_MMX_MMX_OPS_HH
 
+#include "mmx/mmx_host.hh"
 #include "mmx/mmx_op_list.hh"
 #include "mmx/mmx_reg.hh"
 #include "mmx/mmx_scalar.hh"
-#include "mmx/mmx_swar.hh"
 
 namespace mmxdsp::mmx {
 
-#if defined(MMXDSP_FORCE_SCALAR_MMX)
-namespace active = scalar;
-#elif defined(MMXDSP_MMX_HAVE_HOST_SIMD)
+#if defined(MMXDSP_MMX_HAVE_HOST_SIMD)
 namespace active = host;
 #else
-namespace active = swar;
+namespace active = scalar;
 #endif
 
 #define MMXDSP_X(name, op_enum)                                              \

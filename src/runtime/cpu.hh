@@ -257,9 +257,9 @@ class Cpu
 
     /*
      * Two-operand MMX value ops, generated header-inline from
-     * mmx/mmx_op_list.hh: a call compiles down to the SWAR/SSE2 bit ops
-     * plus one buffered event append, with no out-of-line hop on the
-     * hot path of the NSP kernels.
+     * mmx/mmx_op_list.hh: a call compiles down to the SSE2 ops plus one
+     * buffered event append, with no out-of-line hop on the hot path of
+     * the NSP kernels.
      */
 #define MMXDSP_X(op_name, op_enum)                                           \
     M64 op_name(M64 a, M64 b, Loc loc = Loc::current())                      \

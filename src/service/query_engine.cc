@@ -80,11 +80,16 @@ geometryError(const sim::MachineConfig &machine)
             return std::string("invalid ") + (c == &t.l1 ? "L1" : "L2")
                    + " geometry " + c->describe()
                    + " (size and line must be powers of two, size / "
-                     "(line * ways) a power of two)";
+                     "(line * ways) a power of two, at most "
+                   + std::to_string(mem::CacheConfig::kMaxLines)
+                   + " lines and "
+                   + std::to_string(mem::CacheConfig::kMaxWays) + " ways)";
     if (!mem::Btb::valid(t.btb_entries, t.btb_ways))
         return "invalid BTB geometry " + std::to_string(t.btb_entries)
                + " entries / " + std::to_string(t.btb_ways)
-               + " ways (want a power-of-two set count)";
+               + " ways (want a power-of-two set count, at most "
+               + std::to_string(mem::Btb::kMaxEntries) + " entries and "
+               + std::to_string(mem::Btb::kMaxWays) + " ways)";
     return {};
 }
 

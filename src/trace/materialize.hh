@@ -369,10 +369,9 @@ class MaterializedTrace
      *     entry whose penalties or front end do not fit 32-bit lanes;
      *  3. every other entry runs per machine, on the memoized kernel.
      * The lane blocks and the per-machine runs share one worker pool,
-     * largest task first. A build pinning
-     * MMXDSP_FORCE_SCALAR_SWEEP runs every entry per machine. Results
-     * are index-aligned with @p machines and bit-identical to
-     * per-machine replayProfile() calls either way. @p report, when
+     * largest task first. Results are index-aligned with @p machines
+     * and bit-identical to per-machine replayProfile() calls
+     * (replaySweepScalar() is the run-time oracle). @p report, when
      * given, receives what the sweep of the unique entries did.
      */
     std::vector<profile::ProfileResult>

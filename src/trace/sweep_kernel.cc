@@ -591,9 +591,6 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     std::vector<size_t> solo; ///< entries for the per-machine kernel
     for (auto &[key, group] : groups) {
         bool pack = isa != LaneIsa::None;
-#ifdef MMXDSP_FORCE_SCALAR_SWEEP
-        pack = pack && route == SweepRoute::Packed;
-#endif
         if (pack) {
             const auto unfit = std::stable_partition(
                 group.begin(), group.end(),

@@ -408,24 +408,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmxPropertyTest,
 
 // ================= differential suite =================
 //
-// The dispatch header compiles three interchangeable implementations of
-// every op (scalar reference, generic SWAR, host SSE2 when available).
-// These tests drive all of them through the X-macro op list with
-// adversarial lane values and random operands and demand bit-for-bit
-// agreement with the scalar oracle — the gate that lets the fast paths
-// replace the reference on the capture hot path without ever changing
-// benchmark outputs or trace contents.
+// The dispatch header compiles two implementations of every op: the
+// scalar reference and, when the host has SSE2, the host path that
+// `active` forwards to. These tests drive both through the X-macro op
+// list with adversarial, exhaustive and random operands and demand
+// bit-for-bit agreement with the scalar oracle — the gate that lets the
+// host path replace the reference on the capture hot path without ever
+// changing benchmark outputs or trace contents.
 
 struct BinOpEntry
 {
     const char *name;
     MmxReg (*ref)(MmxReg, MmxReg);
-    MmxReg (*fast)(MmxReg, MmxReg);
     MmxReg (*act)(MmxReg, MmxReg);
 };
 
 constexpr BinOpEntry kBinOps[] = {
-#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &swar::op, &op},
+#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &op},
     MMXDSP_MMX_BINOP_LIST(MMXDSP_X)
 #undef MMXDSP_X
 };
@@ -434,12 +433,11 @@ struct ShiftOpEntry
 {
     const char *name;
     MmxReg (*ref)(MmxReg, unsigned);
-    MmxReg (*fast)(MmxReg, unsigned);
     MmxReg (*act)(MmxReg, unsigned);
 };
 
 constexpr ShiftOpEntry kShiftOps[] = {
-#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &swar::op, &op},
+#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &op},
     MMXDSP_MMX_SHIFT_LIST(MMXDSP_X)
 #undef MMXDSP_X
 };
@@ -476,11 +474,7 @@ TEST(MmxDifferential, BinopsAgreeOnAdversarialLanes)
     for (const BinOpEntry &op : kBinOps) {
         for (MmxReg a : regs) {
             for (MmxReg b : regs) {
-                const MmxReg want = op.ref(a, b);
-                EXPECT_EQ(op.fast(a, b).bits, want.bits)
-                    << op.name << " swar mismatch, a=0x" << std::hex
-                    << a.bits << " b=0x" << b.bits;
-                EXPECT_EQ(op.act(a, b).bits, want.bits)
+                EXPECT_EQ(op.act(a, b).bits, op.ref(a, b).bits)
                     << op.name << " active mismatch, a=0x" << std::hex
                     << a.bits << " b=0x" << b.bits;
             }
@@ -495,11 +489,7 @@ TEST(MmxDifferential, BinopsAgreeOnRandomLanes)
         for (int iter = 0; iter < 4096; ++iter) {
             const MmxReg a = randomReg(rng);
             const MmxReg b = randomReg(rng);
-            const MmxReg want = op.ref(a, b);
-            ASSERT_EQ(op.fast(a, b).bits, want.bits)
-                << op.name << " swar mismatch, a=0x" << std::hex << a.bits
-                << " b=0x" << b.bits;
-            ASSERT_EQ(op.act(a, b).bits, want.bits)
+            ASSERT_EQ(op.act(a, b).bits, op.ref(a, b).bits)
                 << op.name << " active mismatch, a=0x" << std::hex << a.bits
                 << " b=0x" << b.bits;
         }
@@ -515,11 +505,7 @@ TEST(MmxDifferential, ShiftsAgreeIncludingOverwideCounts)
     for (const ShiftOpEntry &op : kShiftOps) {
         for (MmxReg a : regs) {
             for (unsigned c : counts) {
-                const MmxReg want = op.ref(a, c);
-                EXPECT_EQ(op.fast(a, c).bits, want.bits)
-                    << op.name << " swar mismatch, a=0x" << std::hex
-                    << a.bits << std::dec << " count=" << c;
-                EXPECT_EQ(op.act(a, c).bits, want.bits)
+                EXPECT_EQ(op.act(a, c).bits, op.ref(a, c).bits)
                     << op.name << " active mismatch, a=0x" << std::hex
                     << a.bits << std::dec << " count=" << c;
             }
@@ -534,9 +520,6 @@ TEST(MmxDifferential, ShiftsAgreeOnRandomLanes)
         for (int iter = 0; iter < 4096; ++iter) {
             const MmxReg a = randomReg(rng);
             const unsigned c = static_cast<unsigned>(rng.nextBelow(70));
-            ASSERT_EQ(op.fast(a, c).bits, op.ref(a, c).bits)
-                << op.name << " swar mismatch, a=0x" << std::hex << a.bits
-                << std::dec << " count=" << c;
             ASSERT_EQ(op.act(a, c).bits, op.ref(a, c).bits)
                 << op.name << " active mismatch, a=0x" << std::hex << a.bits
                 << std::dec << " count=" << c;
@@ -544,25 +527,65 @@ TEST(MmxDifferential, ShiftsAgreeOnRandomLanes)
     }
 }
 
-// The SWAR formulations are constexpr: spot-check the saturation and
-// smear algebra at compile time.
-static_assert(swar::paddsw(MmxReg::splatW(0x7fff), MmxReg::splatW(1)).bits
-              == MmxReg::splatW(0x7fff).bits);
-static_assert(swar::paddsw(MmxReg::splatW(-0x8000), MmxReg::splatW(-1)).bits
-              == MmxReg::splatW(-0x8000).bits);
-static_assert(swar::paddusb(MmxReg::splatB(0xff), MmxReg::splatB(1)).bits
-              == MmxReg::splatB(0xff).bits);
-static_assert(swar::psubusw(MmxReg::splatW(0), MmxReg::splatW(1)).bits == 0);
-static_assert(swar::pcmpgtw(MmxReg::splatW(1), MmxReg::splatW(-1)).bits
-              == ~0ull);
-static_assert(swar::packsswb(MmxReg::splatW(0x300),
-                             MmxReg::splatW(-0x300)).bits
-              == MmxReg::fromBytes(0x7f, 0x7f, 0x7f, 0x7f, 0x80, 0x80, 0x80,
-                                   0x80).bits);
-static_assert(swar::psraw(MmxReg::splatW(-2), 1).bits
-              == MmxReg::splatW(-1).bits);
-static_assert(swar::psraw(MmxReg::splatW(-2), 999).bits
-              == MmxReg::splatW(-1).bits);
+TEST(MmxDifferential, ByteLanesAndPacksAgreeExhaustively)
+{
+    // Every byte-lane binop over all 256 x 256 byte pairs in every lane,
+    // eight pairs per call: lane i of call k holds pair
+    // p = (k + 8192 i) mod 65536, byte p >> 8 in a and p & 0xff in b.
+    constexpr BinOpEntry byteOps[] = {
+#define MMXDSP_X(op) {#op, &scalar::op, &op},
+        MMXDSP_X(paddb) MMXDSP_X(paddsb) MMXDSP_X(paddusb) MMXDSP_X(psubb)
+        MMXDSP_X(psubsb) MMXDSP_X(psubusb) MMXDSP_X(pcmpeqb)
+        MMXDSP_X(pcmpgtb) MMXDSP_X(punpcklbw) MMXDSP_X(punpckhbw)
+        MMXDSP_X(pand) MMXDSP_X(pandn) MMXDSP_X(por) MMXDSP_X(pxor)
+#undef MMXDSP_X
+    };
+    for (const BinOpEntry &op : byteOps) {
+        for (uint32_t k = 0; k < 65536; ++k) {
+            MmxReg a, b;
+            for (uint32_t i = 0; i < 8; ++i) {
+                const uint64_t p = (k + 8192 * i) & 0xffff;
+                a.bits |= (p >> 8) << (8 * i);
+                b.bits |= (p & 0xff) << (8 * i);
+            }
+            ASSERT_EQ(op.act(a, b).bits, op.ref(a, b).bits)
+                << op.name << " active mismatch, a=0x" << std::hex << a.bits
+                << " b=0x" << b.bits;
+        }
+    }
+
+    // The packs over every word value in every source slot. packsswb
+    // and packuswb take eight words per call, slot j of call k holding
+    // w = (k + 8192 j) mod 65536 as is. packssdw takes four dwords,
+    // slot j holding w = (k + 16384 j) mod 65536 sign-extended (never
+    // clamped), doubled (every value around both bounds) and copied into
+    // both halves (clamped unless w is 0 or 0xffff).
+    for (uint64_t k = 0; k < 65536; ++k) {
+        MmxReg a, b;
+        for (uint64_t j = 0; j < 4; ++j) {
+            a.bits |= ((k + 8192 * j) & 0xffff) << (16 * j);
+            b.bits |= ((k + 8192 * (j + 4)) & 0xffff) << (16 * j);
+        }
+        ASSERT_EQ(packsswb(a, b).bits, scalar::packsswb(a, b).bits) << k;
+        ASSERT_EQ(packuswb(a, b).bits, scalar::packuswb(a, b).bits) << k;
+    }
+    int32_t (*const embeds[])(uint32_t) = {
+        [](uint32_t w) { return int32_t(int16_t(w)); },
+        [](uint32_t w) { return 2 * int32_t(int16_t(w)); },
+        [](uint32_t w) { return int32_t(w << 16 | w); },
+    };
+    for (const auto embed : embeds) {
+        for (uint32_t k = 0; k < 65536; ++k) {
+            const auto slot = [&](uint32_t j) {
+                return embed((k + 16384 * j) & 0xffff);
+            };
+            const MmxReg a = MmxReg::fromDwords(slot(0), slot(1));
+            const MmxReg b = MmxReg::fromDwords(slot(2), slot(3));
+            ASSERT_EQ(packssdw(a, b).bits, scalar::packssdw(a, b).bits)
+                << std::hex << "a=0x" << a.bits << " b=0x" << b.bits;
+        }
+    }
+}
 
 } // namespace
 } // namespace mmxdsp::mmx

@@ -512,6 +512,9 @@ TEST(QueryEngineTest, ParseQueryLineAcceptsAndRejects)
         "fir c btb=3",           // 3 entries do not fill 4 ways
         "fir c btb_ways=3",      // 256 entries do not split 3 ways
         "fir c l1=4294967297",   // above UINT32_MAX (not truncated to 1)
+        "fir c btb_ways=4294967295 btb=4294967295", // above the BTB caps
+        "fir c btb=2147483648 btb_ways=1",          // above the entry cap
+        "fir c l2=2147483648 l2_line=1 l2_ways=1",  // above the line cap
         "fir c mp=-1",           // negative
     };
     for (const char *line : bad) {
@@ -555,13 +558,17 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
 {
     // Each invalid line gets an error reply and the session goes on:
     // the valid query after them is still answered, and nothing
-    // reached a Cache or Btb constructor (whose check is fatal).
+    // reached a Cache or Btb constructor (whose check is fatal) or
+    // allocated a tag array of billions of entries.
     ScratchDir scratch("mmxdsp_engine_serve_test");
     service::QueryEngine engine(engineOpts(scratch));
     std::istringstream in("fir c l1=3000\n"
                           "fir c l1_ways=3\n"
                           "fir c btb=3\n"
                           "fir c l1=4294967297\n"
+                          "fir c btb_ways=4294967295 btb=4294967295\n"
+                          "fir c btb=2147483648 btb_ways=1\n"
+                          "fir c l2=2147483648 l2_line=1 l2_ways=1\n"
                           "\n"
                           "# comment\n"
                           "fir c\n"
@@ -575,17 +582,20 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
     std::istringstream lines(out.str());
     for (std::string line; std::getline(lines, line);)
         replies.push_back(line);
-    ASSERT_EQ(replies.size(), 6u) << out.str();
-    for (size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(replies.size(), 9u) << out.str();
+    for (size_t i = 0; i < 7; ++i) {
         EXPECT_EQ(replies[i].rfind("{\"ok\":false,\"error\":\"", 0), 0u)
             << replies[i];
     }
     EXPECT_NE(replies[0].find("L1 geometry"), std::string::npos);
     EXPECT_NE(replies[2].find("BTB geometry"), std::string::npos);
     EXPECT_NE(replies[3].find("out of range"), std::string::npos);
-    EXPECT_NE(replies[4].find("\"benchmark\":\"fir\""), std::string::npos);
-    EXPECT_NE(replies[4].find("\"ok\":true"), std::string::npos);
-    EXPECT_EQ(replies[5].rfind("{\"queries\":1,", 0), 0u) << replies[5];
+    EXPECT_NE(replies[4].find("BTB geometry"), std::string::npos);
+    EXPECT_NE(replies[5].find("BTB geometry"), std::string::npos);
+    EXPECT_NE(replies[6].find("L2 geometry"), std::string::npos);
+    EXPECT_NE(replies[7].find("\"benchmark\":\"fir\""), std::string::npos);
+    EXPECT_NE(replies[7].find("\"ok\":true"), std::string::npos);
+    EXPECT_EQ(replies[8].rfind("{\"queries\":1,", 0), 0u) << replies[8];
     EXPECT_EQ(engine.stats().failures, 0u);
 }
 

@@ -30,7 +30,7 @@
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
- * of which path MMXDSP_FORCE_SCALAR_SWEEP makes replaySweep() take.
+ * of which groups replaySweep() puts on lanes.
  */
 
 #include <gtest/gtest.h>
@@ -471,18 +471,26 @@ TEST(SweepDriver, AblationSweepMatchesScalarOnEveryPair)
                 expectSameProfile(scalar[i], mat->replayProfile(machines[i]),
                                   what + " solo " + std::to_string(i));
 
+        // The memoized per-machine kernel records the memos at one
+        // thread and reuses them at two and four.
+        trace::MaterializedTrace::Memos memos;
         for (int threads : {1, 2, 4}) {
             const std::string at =
                 what + " threads " + std::to_string(threads) + " machine ";
             const auto dispatched = mat->replaySweep(machines, threads);
             const auto packed = mat->replaySweepPacked(machines, threads);
+            const auto memoized =
+                mat->replaySweepScalar(machines, threads, &memos);
             ASSERT_EQ(dispatched.size(), machines.size()) << at;
             ASSERT_EQ(packed.size(), machines.size()) << at;
+            ASSERT_EQ(memoized.size(), machines.size()) << at;
             for (size_t i = 0; i < machines.size(); ++i) {
                 expectSameProfile(dispatched[i], scalar[i],
                                   at + std::to_string(i) + " dispatched");
                 expectSameProfile(packed[i], scalar[i],
                                   at + std::to_string(i) + " packed");
+                expectSameProfile(memoized[i], scalar[i],
+                                  at + std::to_string(i) + " memoized");
             }
         }
     }
