@@ -10,23 +10,69 @@ namespace mmxdsp::service {
 
 namespace {
 
-/** Minimal JSON string escape (keys here are benchmark names, but the
- *  error strings can hold arbitrary file paths). */
+/**
+ * Length of the well-formed UTF-8 sequence at @p s[i], or 0 when the
+ * bytes there are not one (RFC 3629: no overlong forms, surrogates or
+ * code points past U+10FFFF).
+ */
+size_t
+utf8Length(const std::string &s, size_t i)
+{
+    const auto at = [&](size_t k) -> unsigned {
+        return k < s.size() ? static_cast<unsigned char>(s[k]) : 0;
+    };
+    const unsigned c = at(i);
+    if (c < 0x80)
+        return 1;
+    size_t n;
+    unsigned lo = 0x80, hi = 0xbf; // range of the second byte
+    if (c >= 0xc2 && c <= 0xdf) {
+        n = 2;
+    } else if (c >= 0xe0 && c <= 0xef) {
+        n = 3;
+        lo = c == 0xe0 ? 0xa0 : lo;
+        hi = c == 0xed ? 0x9f : hi;
+    } else if (c >= 0xf0 && c <= 0xf4) {
+        n = 4;
+        lo = c == 0xf0 ? 0x90 : lo;
+        hi = c == 0xf4 ? 0x8f : hi;
+    } else {
+        return 0;
+    }
+    for (size_t k = 1; k < n; ++k) {
+        const unsigned b = at(i + k);
+        if (b < (k == 1 ? lo : 0x80) || b > (k == 1 ? hi : 0xbf))
+            return 0;
+    }
+    return n;
+}
+
+/** JSON string escape (keys here are benchmark names, but the error
+ *  strings can hold arbitrary file paths and query bytes). Every byte
+ *  that is not part of well-formed UTF-8 becomes U+FFFD, so a reply is
+ *  valid JSON whatever the input line held. */
 std::string
 jsonEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
+    for (size_t i = 0; i < s.size();) {
+        const char c = s[i];
         if (c == '"' || c == '\\') {
             out.push_back('\\');
             out.push_back(c);
+            ++i;
         } else if (static_cast<unsigned char>(c) < 0x20) {
             char buf[8];
             std::snprintf(buf, sizeof(buf), "\\u%04x", c);
             out += buf;
+            ++i;
+        } else if (const size_t n = utf8Length(s, i)) {
+            out.append(s, i, n);
+            i += n;
         } else {
-            out.push_back(c);
+            out += "\\ufffd";
+            ++i;
         }
     }
     return out;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Trace-driven timing model of the Pentium II (P6) front end.
+ * Trace-driven timing models of the P6 family: the Pentium II (P6)
+ * front end and, on top of it, a Pentium III-class issue-port machine
+ * (P6P).
  *
- * This is the machine behind the paper's dynamic micro-op counts: the
- * P6 decoders translate each x86 instruction into uops (the counts in
- * sim::uopTable()) and the core issues them at a fixed width. We model
- * the in-order front end and retirement only:
+ * The P6 is the machine behind the paper's dynamic micro-op counts:
+ * the P6 decoders translate each x86 instruction into uops (the counts
+ * in sim::uopTable()) and the core issues them at a fixed width. We
+ * model the in-order front end and retirement only:
  *
  *  - 4-1-1 decode: up to decode_width instructions per cycle, of which
  *    only decoder 0 may produce a multi-uop (up to complex_uops)
@@ -14,14 +16,40 @@
  *    cycle out of it (the reorder buffer drains at retire_width, which
  *    backpressures decode on uop-dense code),
  *  - a register scoreboard for result latencies reusing isa::RegTag
- *    (with the P6's pipelined multiplier: imul/mul latency drops to 4),
+ *    (with the P6's pipelined multiplier: imul/mul latency drops to 4,
+ *    vs 10 on the Pentium — half of why the paper's FIR/LMS kernels
+ *    behave so differently across the two machines),
  *  - the same shared mem::MemoryHierarchy / mem::Btb structures as the
  *    P5 model, with the P6's deeper-pipeline mispredict penalty.
  *
- * NOT modelled (see DESIGN.md): out-of-order scheduling, register
+ * The P6 stops at those widths: any three uops issue per cycle, no
+ * matter which execution units they need. The machines the paper's
+ * lineage leads to (the PIII of Aberdeen & Baxter's SIMD GEMM work) are
+ * instead limited by *issue-port contention*. The P6P model (the Ports
+ * arm of the template) adds exactly that to the same front end:
+ *
+ *  - five single-issue execution ports: p0 and p1 take compute uops
+ *    (p0 the multipliers/dividers/x87, p1 the MMX shifter and branch
+ *    resolution, either port the plain ALU uops — earliest-free wins,
+ *    ties to p0), p2 takes loads, p3/p4 the store-address/store-data
+ *    pair (UopDesc::port / aluUops / loadUops / storeOps);
+ *  - a small scheduler window: a new decode group may start at most
+ *    `window` cycles before the latest port dispatch, so a port-bound
+ *    stream backpressures the front end and sustained throughput
+ *    collapses to the dispatch rate (two ALU uops per cycle on a
+ *    dual-ALU-saturating stream, where the P6 model would claim three).
+ *    The cycles a new group waits for that floor are
+ *    TimerStats::portStallCycles;
+ *  - a mispredict penalty one stage deeper than the P6's.
+ *
+ * NOT modelled (see DESIGN.md): out-of-order scheduling and selection
+ * from the window (dispatch is in program order per port), register
  * renaming, the reservation station, or non-blocking loads. Dependency
  * stalls are therefore in-order upper bounds, which is consistent with
- * the paper's static-latency accounting methodology.
+ * the paper's static-latency accounting methodology. Port dispatch
+ * delays bound decode through the window but do not extend result
+ * latencies — scoreboard readiness stays issue + latency on both
+ * models, which keeps dependency stalls comparable across them.
  */
 
 #ifndef MMXDSP_SIM_P6_TIMER_HH
@@ -32,54 +60,47 @@
 #include <cstdint>
 
 #include "isa/event.hh"
-#include "mem/btb.hh"
-#include "mem/cache.hh"
 #include "sim/timing_model.hh"
 #include "sim/uop.hh"
 
 namespace mmxdsp::sim {
 
 /**
- * The P6 cycle-accounting engine. Same contract as PentiumTimer: feed
- * events in program order, each consume() returns the cycles that event
- * advanced the machine (0 when it joined an already-open decode group),
- * and per-event costs sum exactly to cycles().
+ * The P6-family cycle-accounting engine: the P6 model, or with @p Ports
+ * the P6P. Same contract as PentiumTimer: feed events in program order,
+ * each consume() returns the cycles that event advanced the machine (0
+ * when it joined an already-open decode group), and per-event costs sum
+ * exactly to cycles().
  *
  * Final, with the per-event methods inline, for the same reason as
- * PentiumTimer: replay kernels holding a P6Timer by concrete type get
- * fully devirtualized, register-resident inner loops.
+ * PentiumTimer: replay kernels holding one by concrete type get fully
+ * devirtualized, register-resident inner loops.
  */
-class P6Timer final : public TimingModel
+template <bool Ports>
+class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
 {
-  public:
-    explicit P6Timer(const TimerConfig &config = TimerConfig{});
+    using Base = TimerBase<P6FamilyTimer>;
+    using Base::descs_;
 
-    /** Account one instruction; returns the cycle cost charged to it. */
-    uint64_t
-    consume(const isa::InstrEvent &event) override
+  public:
+    /** Never inlined, see TimerBase. */
+    [[gnu::noinline]] explicit P6FamilyTimer(
+        const TimerConfig &config = TimerConfig{})
+        : Base(config),
+          fe_(frontEnd(Ports ? ModelKind::P6P : ModelKind::P6, config))
     {
-        bool mispredict = false;
-        if (isa::isControl(event.op))
-            mispredict = btb_.predict(event.site, event.taken);
-        uint32_t mem_penalty = 0;
-        if (event.mem != isa::MemMode::None)
-            mem_penalty = memory_.access(event.addr, event.size,
-                                         event.mem == isa::MemMode::Store);
-        return consumeResolved(event, mem_penalty, mispredict);
     }
 
     /**
      * consume() with the data-access penalty and branch outcome
      * supplied by the caller; the internal cache hierarchy and BTB are
-     * neither consulted nor updated. Because every model resolves
-     * outcomes through identical mem::MemoryHierarchy / mem::Btb
-     * structures keyed only on the event stream, one recorded outcome
-     * memo serves P5 and P6 replays alike. @p mem_penalty must be 0 for
-     * non-memory ops and @p mispredict false for non-control ops.
+     * neither consulted nor updated (the shared-memo contract of
+     * TimingModel). @p mem_penalty must be 0 for non-memory ops and
+     * @p mispredict false for non-control ops.
      */
     uint64_t
     consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
-                    bool mispredict) override
+                    bool mispredict)
     {
         const UopDesc &desc = descs_[uopTableIndex(event)];
         const uint32_t uops = desc.uops;
@@ -92,13 +113,14 @@ class P6Timer final : public TimingModel
 
         stats_.memPenaltyCycles += mem_penalty;
 
-        const P6Params &p6 = config_.p6;
         uint64_t issue;
         if (slotsLeft_ > 0 && uopsLeft_ >= uops
-            && (uops <= 1 || complexFree_) && uops <= p6.complex_uops
+            && (uops <= 1 || complexFree_) && uops <= fe_.complex_uops
             && ready <= groupCycle_ && mem_penalty == 0 && !mispredict) {
             // Decode into the open group: a free 4-1-1 slot, issue
             // bandwidth left this cycle, and operands already ready.
+            // Port pressure only gates the *next* group, through the
+            // window.
             issue = groupCycle_;
             --slotsLeft_;
             uopsLeft_ -= uops;
@@ -109,21 +131,31 @@ class P6Timer final : public TimingModel
             // Start a new decode group. It may not run ahead of
             // retirement (the ROB drains retire_width uops/cycle)...
             uint64_t at = time_;
-            const uint64_t retire_floor = retiredUops_ / p6.retire_width;
+            const uint64_t retire_floor = retiredUops_ / fe_.retire_width;
             if (retire_floor > at) {
                 stats_.retireStallCycles += retire_floor - at;
                 at = retire_floor;
             }
-            // ...or of its operands (in-order issue, no renaming).
+            // ...or of its operands (in-order issue, no renaming)...
             if (ready > at) {
                 stats_.dependStallCycles += ready - at;
                 at = ready;
             }
+            // ...and (P6P) more than `window` cycles of port dispatch.
+            if constexpr (Ports) {
+                const uint64_t port_floor = lastDispatch_ > fe_.window
+                                                ? lastDispatch_ - fe_.window
+                                                : 0;
+                if (port_floor > at) {
+                    stats_.portStallCycles += port_floor - at;
+                    at = port_floor;
+                }
+            }
 
             // issue_width uops leave per cycle; microcoded templates
             // (uops > complex_uops) stream from the ROM and decode alone.
-            const uint32_t occupy = (uops + p6.issue_width - 1)
-                                    / p6.issue_width;
+            const uint32_t occupy = (uops + fe_.issue_width - 1)
+                                    / fe_.issue_width;
             if (occupy > 1)
                 stats_.blockingExtraCycles += occupy - 1;
 
@@ -131,57 +163,95 @@ class P6Timer final : public TimingModel
             time_ = at + occupy + mem_penalty;
             if (occupy == 1 && mem_penalty == 0 && !mispredict) {
                 groupCycle_ = at;
-                slotsLeft_ = p6.decode_width - 1;
-                uopsLeft_ = p6.issue_width - uops;
+                slotsLeft_ = fe_.decode_width - 1;
+                uopsLeft_ = fe_.issue_width - uops;
                 complexFree_ = uops <= 1;
             } else {
                 slotsLeft_ = 0;
             }
         }
 
+        if constexpr (Ports)
+            dispatch(desc, issue);
+
         retiredUops_ += uops;
         ready_[event.dst] = issue + desc.latP6 + mem_penalty;
         ready_[isa::kNoReg] = 0; // restore the sentinel
 
         if (mispredict) {
-            time_ += p6.mispredict_penalty;
-            stats_.mispredictCycles += p6.mispredict_penalty;
+            time_ += fe_.mispredict_penalty;
+            stats_.mispredictCycles += fe_.mispredict_penalty;
             slotsLeft_ = 0;
         }
 
         return time_ - before;
     }
 
-    /** Batched consume: one virtual dispatch per block of events. */
-    void
-    consumeBatch(std::span<const isa::InstrEvent> events,
-                 uint64_t *costs) override
-    {
-        for (size_t i = 0; i < events.size(); ++i)
-            costs[i] = consume(events[i]);
-    }
-
     /** Total cycles of everything consumed so far. */
     uint64_t cycles() const override { return time_; }
 
-    /** Reset time, scoreboard, caches, and BTB. */
-    void reset() override;
+    /** Reset time/scoreboard/ports but keep cache + BTB contents warm. */
+    void
+    resetTimeOnly()
+    {
+        time_ = 0;
+        groupCycle_ = 0;
+        slotsLeft_ = 0;
+        uopsLeft_ = 0;
+        complexFree_ = true;
+        retiredUops_ = 0;
+        portFree_.fill(0);
+        lastDispatch_ = 0;
+        ready_.fill(0);
+        stats_ = TimerStats{};
+    }
 
-    /** Reset time/scoreboard but keep cache + BTB contents warm. */
-    void resetTimeOnly();
-
-    const TimerStats &stats() const override { return stats_; }
-    const mem::MemoryHierarchy &memory() const override { return memory_; }
-    const mem::Btb &btb() const override { return btb_; }
-    const TimerConfig &config() const override { return config_; }
-    ModelKind kind() const override { return ModelKind::P6; }
+    ModelKind
+    kind() const override
+    {
+        return Ports ? ModelKind::P6P : ModelKind::P6;
+    }
 
   private:
-    TimerConfig config_;
-    mem::MemoryHierarchy memory_;
-    mem::Btb btb_;
-    /** sim::descTable().data(), hoisted past the static-init guard. */
-    const UopDesc *descs_;
+    /** Bind every uop of @p desc to its port at the earliest free cycle
+     *  at or after @p issue; each port accepts one uop per cycle. */
+    void
+    dispatch(const UopDesc &desc, uint64_t issue)
+    {
+        if (desc.loadUops)
+            dispatchTo(2, issue);
+        if (desc.storeOps) {
+            dispatchTo(3, issue);
+            dispatchTo(4, issue);
+        }
+        for (uint32_t k = 0; k < desc.aluUops; ++k) {
+            size_t p = 0;
+            switch (desc.port) {
+              case PortClass::P0:
+                break;
+              case PortClass::P1:
+                p = 1;
+                break;
+              case PortClass::Either:
+                p = portFree_[0] <= portFree_[1] ? 0 : 1;
+                break;
+            }
+            dispatchTo(p, issue);
+        }
+    }
+
+    /** Dispatch one uop to port @p p no earlier than @p issue. */
+    void
+    dispatchTo(size_t p, uint64_t issue)
+    {
+        const uint64_t at = std::max(issue, portFree_[p]);
+        portFree_[p] = at + 1;
+        if (at > lastDispatch_)
+            lastDispatch_ = at;
+    }
+
+    /** frontEnd() of this model, read once. */
+    const FrontEnd fe_;
 
     uint64_t time_ = 0;       ///< next cycle a new decode group may start
     uint64_t groupCycle_ = 0; ///< issue cycle of the open decode group
@@ -190,12 +260,25 @@ class P6Timer final : public TimingModel
     bool complexFree_ = true; ///< decoder 0 (the 4-uop one) still free
     uint64_t retiredUops_ = 0;
 
-    /** Result-ready cycle per scoreboard slot; same 256-entry sentinel
-     *  layout as PentiumTimer (slot isa::kNoReg pinned at zero). */
-    std::array<uint64_t, 256> ready_{};
+    /** Next free cycle of each single-issue port (p0 p1 p2 p3 p4; P6P
+     *  only). */
+    std::array<uint64_t, 5> portFree_{};
+    /** Latest cycle any uop has dispatched at (the window anchor; P6P
+     *  only). */
+    uint64_t lastDispatch_ = 0;
 
+    /** Result-ready cycle per scoreboard slot; same 256-entry sentinel
+     *  layout as PentiumTimer's. */
+    std::array<uint64_t, 256> ready_{};
     TimerStats stats_;
+
+    friend Base;
 };
+
+/** The Pentium II decode front end. */
+using P6Timer = P6FamilyTimer<false>;
+/** The Pentium III-class issue-port model. */
+using P6PTimer = P6FamilyTimer<true>;
 
 } // namespace mmxdsp::sim
 

@@ -26,8 +26,6 @@
 #include <cstdint>
 
 #include "isa/event.hh"
-#include "mem/btb.hh"
-#include "mem/cache.hh"
 #include "sim/timing_model.hh"
 #include "sim/uop.hh"
 
@@ -45,23 +43,14 @@ namespace mmxdsp::sim {
  * TimingModel calls devirtualize and the issue/scoreboard state lives in
  * registers across loop iterations.
  */
-class PentiumTimer final : public TimingModel
+class PentiumTimer final : public TimerBase<PentiumTimer>
 {
   public:
-    explicit PentiumTimer(const TimerConfig &config = TimerConfig{});
-
-    /** Account one instruction; returns the cycle cost charged to it. */
-    uint64_t
-    consume(const isa::InstrEvent &event) override
+    /** Never inlined, see TimerBase. */
+    [[gnu::noinline]] explicit PentiumTimer(
+        const TimerConfig &config = TimerConfig{})
+        : TimerBase(config)
     {
-        bool mispredict = false;
-        if (isa::isControl(event.op))
-            mispredict = btb_.predict(event.site, event.taken);
-        uint32_t mem_penalty = 0;
-        if (event.mem != isa::MemMode::None)
-            mem_penalty = memory_.access(event.addr, event.size,
-                                         event.mem == isa::MemMode::Store);
-        return consumeResolved(event, mem_penalty, mispredict);
     }
 
     /**
@@ -80,7 +69,7 @@ class PentiumTimer final : public TimingModel
      */
     uint64_t
     consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
-                    bool mispredict) override
+                    bool mispredict)
     {
         const UopDesc &desc = descs_[uopTableIndex(event)];
         const uint64_t before = nextIssue_;
@@ -129,28 +118,19 @@ class PentiumTimer final : public TimingModel
         return nextIssue_ - before;
     }
 
-    /** Batched consume: one virtual dispatch per block of events. */
-    void
-    consumeBatch(std::span<const isa::InstrEvent> events,
-                 uint64_t *costs) override
-    {
-        for (size_t i = 0; i < events.size(); ++i)
-            costs[i] = consume(events[i]);
-    }
-
     /** Total cycles of everything consumed so far. */
     uint64_t cycles() const override { return nextIssue_; }
 
-    /** Reset time, scoreboard, caches, and BTB. */
-    void reset() override;
-
     /** Reset time/scoreboard but keep cache + BTB contents warm. */
-    void resetTimeOnly();
+    void
+    resetTimeOnly()
+    {
+        nextIssue_ = 0;
+        uSlot_ = OpenSlot{};
+        ready_.fill(0);
+        stats_ = TimerStats{};
+    }
 
-    const TimerStats &stats() const override { return stats_; }
-    const mem::MemoryHierarchy &memory() const override { return memory_; }
-    const mem::Btb &btb() const override { return btb_; }
-    const TimerConfig &config() const override { return config_; }
     ModelKind kind() const override { return ModelKind::P5; }
 
   private:
@@ -193,13 +173,6 @@ class PentiumTimer final : public TimingModel
         return true;
     }
 
-    TimerConfig config_;
-    mem::MemoryHierarchy memory_;
-    mem::Btb btb_;
-    /** descTable().data(), hoisted so consume() skips the per-call
-     *  static-init guard. */
-    const UopDesc *descs_;
-
     uint64_t nextIssue_ = 0; ///< earliest cycle the next instr may issue
     OpenSlot uSlot_;
     /**
@@ -210,6 +183,8 @@ class PentiumTimer final : public TimingModel
      */
     std::array<uint64_t, 256> ready_{};
     TimerStats stats_;
+
+    friend class TimerBase<PentiumTimer>;
 };
 
 } // namespace mmxdsp::sim

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "sim/p6_timer.hh"
-#include "sim/p6p_timer.hh"
 #include "sim/pentium_timer.hh"
 #include "support/logging.hh"
 

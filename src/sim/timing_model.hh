@@ -5,8 +5,8 @@
  * The paper characterizes every benchmark on *two* microarchitectures:
  * the Pentium (P5) in-order dual-pipe machine its cycle counts come
  * from, and the Pentium Pro / Pentium II (P6) decode model behind its
- * dynamic micro-op counts. TimingModel is the interface both machines
- * implement; everything above the sim layer (profiler, harness, trace
+ * dynamic micro-op counts. TimingModel is the interface every machine
+ * implements; everything above the sim layer (profiler, harness, trace
  * replay, bench CLI) selects a machine through MachineConfig instead of
  * naming a concrete timer.
  *
@@ -15,16 +15,18 @@
  *  - consume() accounts one instruction in program order and returns
  *    the cycles that event advanced the machine, so per-event costs sum
  *    exactly to cycles();
- *  - consumeResolved() is consume() with both outcomes supplied by
- *    the caller — the data access's penalty and the branch outcome:
- *    the model's own cache hierarchy and BTB must be neither consulted
- *    nor updated, which is what lets one memoized penalty-class stream
- *    (recorded per cache geometry) and one mispredict bitvector
- *    (recorded per BTB geometry) drive every model that shares them;
+ *  - each concrete timer's consumeResolved() is consume() with both
+ *    outcomes supplied by the caller — the data access's penalty and
+ *    the branch outcome: the model's own cache hierarchy and BTB must
+ *    be neither consulted nor updated, which is what lets one memoized
+ *    penalty-class stream (recorded per cache geometry) and one
+ *    mispredict bitvector (recorded per BTB geometry) drive every model
+ *    that shares them;
  *  - outcome resolution in consume() is exactly
  *    `memory().access(addr, size, store)` for memory ops and
  *    `btb().predict(site, taken)` for control-transfer ops, and
  *    nothing else, so recorded outcomes are model-independent.
+ *    TimerBase::consume() is that rule, written once for every model.
  */
 
 #ifndef MMXDSP_SIM_TIMING_MODEL_HH
@@ -32,15 +34,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "isa/event.hh"
+#include "isa/op.hh"
 #include "mem/btb.hh"
 #include "mem/cache.hh"
+#include "sim/uop.hh"
 
 namespace mmxdsp::sim {
 
-/** Pentium II front-end parameters (consumed by P6Timer only). */
+/** Pentium II front-end parameters (consumed by the P6 model only). */
 struct P6Params
 {
     uint32_t decode_width = 3;  ///< instructions decoded per cycle (4-1-1)
@@ -51,13 +54,13 @@ struct P6Params
 };
 
 /**
- * Pentium III-class port-model parameters (consumed by P6PTimer only).
+ * Pentium III-class port-model parameters (consumed by the P6P model only).
  * The front end is the P6's (4-1-1 decode, issue/retire widths); on top
  * of it every uop must dispatch to one of five single-issue execution
- * ports (p0/p1 ALU, p2 load, p3 store-address, p4 store-data), and
- * decode may run at most `window` cycles ahead of the latest dispatch —
- * a small scheduler window, so sustained decode collapses to the
- * port-bound dispatch rate instead of the issue width.
+ * ports (p0/p1 ALU, p2 load, p3 store-address, p4 store-data), and the
+ * latest dispatch may run at most `window` cycles ahead of a new decode
+ * group — a small scheduler window, so sustained decode collapses to
+ * the port-bound dispatch rate instead of the issue width.
  */
 struct P6PParams
 {
@@ -65,7 +68,7 @@ struct P6PParams
     uint32_t complex_uops = 4;  ///< decoder 0 handles up to this many uops
     uint32_t issue_width = 3;   ///< uops issued to the core per cycle
     uint32_t retire_width = 3;  ///< uops retired per cycle
-    uint32_t window = 8;        ///< cycles decode may lead port dispatch
+    uint32_t window = 8;        ///< cycles port dispatch may lead decode
     uint32_t mispredict_penalty = 12; ///< one stage deeper than the P6
 };
 
@@ -110,6 +113,43 @@ struct MachineConfig
     TimerConfig timer{};
 };
 
+/**
+ * The front end one model reads, as one set of fields: the P6's
+ * P6Params or the P6P's P6PParams. The P5 has no decode front end, so
+ * it sets only its mispredict penalty; only the P6P has a window (0
+ * elsewhere).
+ */
+struct FrontEnd
+{
+    uint32_t decode_width = 0;
+    uint32_t complex_uops = 0;
+    uint32_t issue_width = 0;
+    uint32_t retire_width = 0;
+    uint32_t window = 0;
+    uint32_t mispredict_penalty = 0;
+
+    bool operator==(const FrontEnd &) const = default;
+};
+
+/** The front end @p model reads from @p config. */
+constexpr FrontEnd
+frontEnd(ModelKind model, const TimerConfig &config)
+{
+    const P6Params &p6 = config.p6;
+    const P6PParams &pp = config.p6p;
+    switch (model) {
+      case ModelKind::P6:
+        return {p6.decode_width, p6.complex_uops, p6.issue_width,
+                p6.retire_width, 0,              p6.mispredict_penalty};
+      case ModelKind::P6P:
+        return {pp.decode_width, pp.complex_uops, pp.issue_width,
+                pp.retire_width, pp.window,      pp.mispredict_penalty};
+      case ModelKind::P5:
+        break;
+    }
+    return {0, 0, 0, 0, 0, config.mispredict_penalty};
+}
+
 /** Aggregate timing statistics (the stall breakdown of one model). */
 struct TimerStats
 {
@@ -141,11 +181,11 @@ struct TimerStats
 };
 
 /**
- * A trace-driven cycle-accounting machine. Concrete models are final
- * classes, so code holding one by concrete type (the replay kernels)
- * still gets fully inlined per-event calls; code that only knows the
- * machine at run time (the profiler, anything driven by a
- * MachineConfig) pays one virtual dispatch per event or batch.
+ * A trace-driven cycle-accounting machine, as the code that only knows
+ * the machine at run time sees it (the profiler, anything driven by a
+ * MachineConfig): one virtual dispatch per event. Concrete models are
+ * final classes, so code holding one by concrete type (the replay
+ * kernels) still gets fully inlined per-event calls.
  */
 class TimingModel
 {
@@ -154,30 +194,6 @@ class TimingModel
 
     /** Account one instruction; returns the cycle cost charged to it. */
     virtual uint64_t consume(const isa::InstrEvent &event) = 0;
-
-    /**
-     * consume() with both outcomes supplied by the caller instead of
-     * this model's cache hierarchy and BTB (which must stay untouched):
-     * @p memPenalty is what memory().access() would have charged (0 for
-     * non-memory ops), @p mispredict the branch outcome (false for
-     * non-control ops).
-     */
-    virtual uint64_t consumeResolved(const isa::InstrEvent &event,
-                                     uint32_t memPenalty,
-                                     bool mispredict) = 0;
-
-    /**
-     * Account a block of consecutive instructions, writing each event's
-     * cycle cost to @p costs (which must hold events.size() slots).
-     * Models override this with a tight loop so batched producers pay
-     * one virtual dispatch per block; the default forwards to consume().
-     */
-    virtual void
-    consumeBatch(std::span<const isa::InstrEvent> events, uint64_t *costs)
-    {
-        for (size_t i = 0; i < events.size(); ++i)
-            costs[i] = consume(events[i]);
-    }
 
     /** Total cycles of everything consumed so far. */
     virtual uint64_t cycles() const = 0;
@@ -190,6 +206,81 @@ class TimingModel
     virtual const mem::Btb &btb() const = 0;
     virtual const TimerConfig &config() const = 0;
     virtual ModelKind kind() const = 0;
+};
+
+/**
+ * What every concrete timer shares: its TimerConfig, the cache
+ * hierarchy and BTB that consume() resolves outcomes through, and the
+ * accessors. @p Model supplies
+ *
+ *  - consumeResolved(event, mem_penalty, mispredict): consume() with
+ *    both outcomes supplied by the caller (@p mem_penalty 0 for
+ *    non-memory ops, @p mispredict false for non-control ops);
+ *  - resetTimeOnly(): reset time, scoreboard and statistics but keep
+ *    the cache and BTB contents warm;
+ *  - `TimerStats stats_`, readable by this class.
+ *
+ * The per-event state (pipeline, scoreboard, statistics) stays in the
+ * concrete class, and the concrete constructors are never inlined
+ * ([[gnu::noinline]]): that keeps the replay kernels' inner loops as
+ * tight as with one self-contained class per model. With the
+ * statistics in this base, or a constructor inlined into a kernel, GCC
+ * spills more of the issue state to the stack on every event.
+ */
+template <class Model>
+class TimerBase : public TimingModel
+{
+  public:
+    /** Resolve both outcomes through this model's own cache hierarchy
+     *  and BTB, then account the event. */
+    uint64_t
+    consume(const isa::InstrEvent &event) final
+    {
+        bool mispredict = false;
+        if (isa::isControl(event.op))
+            mispredict = btb_.predict(event.site, event.taken);
+        uint32_t mem_penalty = 0;
+        if (event.mem != isa::MemMode::None)
+            mem_penalty = memory_.access(event.addr, event.size,
+                                         event.mem == isa::MemMode::Store);
+        return static_cast<Model *>(this)->consumeResolved(
+            event, mem_penalty, mispredict);
+    }
+
+    void
+    reset() final
+    {
+        static_cast<Model *>(this)->resetTimeOnly();
+        memory_.flush();
+        memory_.resetStats();
+        btb_.flush();
+        btb_.resetStats();
+    }
+
+    const TimerStats &
+    stats() const final
+    {
+        return static_cast<const Model *>(this)->stats_;
+    }
+    const mem::MemoryHierarchy &memory() const final { return memory_; }
+    const mem::Btb &btb() const final { return btb_; }
+    const TimerConfig &config() const final { return config_; }
+
+  protected:
+    explicit TimerBase(const TimerConfig &config)
+        : config_(config),
+          memory_(config.l1, config.l2, config.penalties),
+          btb_(config.btb_entries, config.btb_ways),
+          descs_(descTable().data())
+    {
+    }
+
+    TimerConfig config_;
+    mem::MemoryHierarchy memory_;
+    mem::Btb btb_;
+    /** descTable().data(), hoisted so consumeResolved() skips the
+     *  per-call static-init guard. */
+    const UopDesc *descs_;
 };
 
 /** Build the timing model @p machine selects. */

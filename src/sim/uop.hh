@@ -11,9 +11,10 @@
  * timing model consumes: uop count, the port decomposition of those
  * uops (compute vs load vs store-address/data), the P5 pairing and
  * structural-hazard bits, and both machines' result latencies. The
- * PentiumTimer, P6Timer, P6PTimer, and the lane-packed sweep kernel all
- * derive their per-event facts from this one table, so a new backend
- * only has to interpret descriptors — not re-encode decode rules.
+ * PentiumTimer, the P6-family timer (P6FamilyTimer<Ports>: the P6 and
+ * P6P models), and the lane-packed sweep kernel all derive their
+ * per-event facts from this one table, so a new backend only has to
+ * interpret descriptors — not re-encode decode rules.
  */
 
 #ifndef MMXDSP_SIM_UOP_HH

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "sim/p6_timer.hh"
-#include "sim/p6p_timer.hh"
 #include "sim/uop.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"

@@ -22,7 +22,7 @@
  *     caller's MaterializedTrace::Memos already holds are reused.
  *
  *  2. **Lanes.** Machines are grouped by model and front end (every
- *     P6Params/P6PParams field except the mispredict penalty). A
+ *     sim::FrontEnd field except the mispredict penalty). A
  *     group of more than max(2, workers) machines advances together
  *     in ONE pass over the trace's own 6-byte records (PackedOp), read
  *     in place, one 32-bit lane per machine, in blocks of one vector
@@ -165,19 +165,11 @@ struct Lanes
     typedef int64_t Wide __attribute__((vector_size(8 * W)));
 };
 
-/** The mispredict penalty @p machine's model charges. */
-uint64_t
-mispredictPenalty(const sim::MachineConfig &machine)
+/** The front end @p m's model reads (sim::frontEnd()). */
+sim::FrontEnd
+frontEnd(const sim::MachineConfig &m)
 {
-    switch (machine.model) {
-      case sim::ModelKind::P6:
-        return machine.timer.p6.mispredict_penalty;
-      case sim::ModelKind::P6P:
-        return machine.timer.p6p.mispredict_penalty;
-      case sim::ModelKind::P5:
-        break;
-    }
-    return machine.timer.mispredict_penalty;
+    return sim::frontEnd(m.model, m.timer);
 }
 
 /**
@@ -200,7 +192,8 @@ assembleLane(const SweepProgram &prog, const LaneRef &ref,
     r.timer.memPenaltyCycles = ref.mem->l2Served * tc.penalties.ofClass(1)
                                + ref.mem->l2Missed * tc.penalties.ofClass(2);
     r.timer.mispredictCycles =
-        ref.btb->stats.mispredicts * mispredictPenalty(*ref.machine);
+        ref.btb->stats.mispredicts
+        * uint64_t{frontEnd(*ref.machine).mispredict_penalty};
     r.l1 = ref.mem->l1;
     r.l2 = ref.mem->l2;
     r.btb = ref.btb->stats;
@@ -276,22 +269,12 @@ taskRank(sim::ModelKind model, size_t width)
 
 /** What must match for two machines to share a lane block: the model
  *  and every front-end field but the mispredict penalty. */
-std::array<uint32_t, 6>
-frontEnd(const sim::MachineConfig &m)
+std::pair<sim::ModelKind, sim::FrontEnd>
+laneGroup(const sim::MachineConfig &m)
 {
-    const sim::P6Params &p6 = m.timer.p6;
-    const sim::P6PParams &pp = m.timer.p6p;
-    switch (m.model) {
-      case sim::ModelKind::P6:
-        return {1, p6.decode_width, p6.complex_uops, p6.issue_width,
-                p6.retire_width, 0};
-      case sim::ModelKind::P6P:
-        return {2, pp.decode_width, pp.complex_uops, pp.issue_width,
-                pp.retire_width, pp.window};
-      case sim::ModelKind::P5:
-        break;
-    }
-    return {};
+    sim::FrontEnd fe = frontEnd(m);
+    fe.mispredict_penalty = 0;
+    return {m.model, fe};
 }
 
 /**
@@ -313,7 +296,6 @@ sameMachine(const sim::MachineConfig &a, const sim::MachineConfig &b)
     const sim::TimerConfig &ta = a.timer;
     const sim::TimerConfig &tb = b.timer;
     return a.model == b.model && frontEnd(a) == frontEnd(b)
-           && mispredictPenalty(a) == mispredictPenalty(b)
            && sameCache(ta.l1, tb.l1) && sameCache(ta.l2, tb.l2)
            && ta.penalties.l1_miss == tb.penalties.l1_miss
            && ta.penalties.l2_hit == tb.penalties.l2_hit
@@ -340,22 +322,11 @@ laneBound(const sim::MachineConfig &m)
         return lat + blocking + uops;
     }();
     const sim::TimerConfig &tc = m.timer;
-    uint64_t bound = reach
-                     + std::max(tc.penalties.ofClass(1),
-                                tc.penalties.ofClass(2))
-                     + mispredictPenalty(m);
-    switch (m.model) {
-      case sim::ModelKind::P6:
-        bound += uint64_t{tc.p6.decode_width} + tc.p6.issue_width;
-        break;
-      case sim::ModelKind::P6P:
-        bound += uint64_t{tc.p6p.decode_width} + tc.p6p.issue_width
-                 + tc.p6p.window;
-        break;
-      case sim::ModelKind::P5:
-        break;
-    }
-    return bound;
+    const sim::FrontEnd fe = frontEnd(m);
+    return reach
+           + std::max(tc.penalties.ofClass(1), tc.penalties.ofClass(2))
+           + fe.mispredict_penalty + fe.decode_width + fe.issue_width
+           + fe.window;
 }
 
 /** Whether @p m can run on 32-bit lanes: a lane bound of at most
@@ -364,19 +335,8 @@ laneBound(const sim::MachineConfig &m)
 bool
 laneFits(const sim::MachineConfig &m)
 {
-    switch (m.model) {
-      case sim::ModelKind::P6:
-        if (m.timer.p6.issue_width > m.timer.p6.retire_width)
-            return false;
-        break;
-      case sim::ModelKind::P6P:
-        if (m.timer.p6p.issue_width > m.timer.p6p.retire_width)
-            return false;
-        break;
-      case sim::ModelKind::P5:
-        break;
-    }
-    return laneBound(m) <= kLaneBoundMax;
+    const sim::FrontEnd fe = frontEnd(m);
+    return fe.issue_width <= fe.retire_width && laneBound(m) <= kLaneBoundMax;
 }
 
 /** One 16-byte register, as bytes, u16s and u64s. */
@@ -576,10 +536,11 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     // replaySweepPacked() packs every group. Machines that do not fit
     // 32-bit lanes run per machine either way.
     const size_t workers = static_cast<size_t>(resolveThreads(threads));
-    std::vector<std::pair<std::array<uint32_t, 6>, std::vector<size_t>>>
+    std::vector<std::pair<std::pair<sim::ModelKind, sim::FrontEnd>,
+                          std::vector<size_t>>>
         groups;
     for (size_t i = 0; i < machines.size(); ++i) {
-        const std::array<uint32_t, 6> key = frontEnd(machines[i]);
+        const auto key = laneGroup(machines[i]);
         auto it = std::find_if(groups.begin(), groups.end(),
                                [&](const auto &g) { return g.first == key; });
         if (it == groups.end())

@@ -377,6 +377,35 @@ engineOpts(const ScratchDir &scratch)
     return opts;
 }
 
+/** Whether @p s is well-formed UTF-8: every sequence decodes to a code
+ *  point in its length's range that is not a surrogate. */
+bool
+isUtf8(const std::string &s)
+{
+    static const uint32_t kMin[] = {0, 0, 0x80, 0x800, 0x10000};
+    for (size_t i = 0; i < s.size();) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        const size_t n = c < 0x80           ? 1
+                         : (c >> 5) == 0x6  ? 2
+                         : (c >> 4) == 0xe  ? 3
+                         : (c >> 3) == 0x1e ? 4
+                                            : 0;
+        if (n == 0 || i + n > s.size())
+            return false;
+        uint32_t cp = n == 1 ? c : c & (0x7fu >> n);
+        for (size_t k = 1; k < n; ++k) {
+            const unsigned char b = static_cast<unsigned char>(s[i + k]);
+            if ((b >> 6) != 2)
+                return false;
+            cp = cp << 6 | (b & 0x3f);
+        }
+        if (cp < kMin[n] || cp > 0x10ffff || (cp >= 0xd800 && cp <= 0xdfff))
+            return false;
+        i += n;
+    }
+    return true;
+}
+
 TEST(QueryEngineTest, RepeatQueryIsServedFromResultCache)
 {
     ScratchDir scratch("mmxdsp_engine_cache_test");
@@ -569,6 +598,8 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
                           "fir c btb_ways=4294967295 btb=4294967295\n"
                           "fir c btb=2147483648 btb_ways=1\n"
                           "fir c l2=2147483648 l2_line=1 l2_ways=1\n"
+                          "fir c \xff\xfe=1\n"
+                          "fir\xc3 c\n"
                           "\n"
                           "# comment\n"
                           "fir c\n"
@@ -582,10 +613,13 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
     std::istringstream lines(out.str());
     for (std::string line; std::getline(lines, line);)
         replies.push_back(line);
-    ASSERT_EQ(replies.size(), 9u) << out.str();
-    for (size_t i = 0; i < 7; ++i) {
+    ASSERT_EQ(replies.size(), 11u) << out.str();
+    for (size_t i = 0; i < 9; ++i) {
         EXPECT_EQ(replies[i].rfind("{\"ok\":false,\"error\":\"", 0), 0u)
             << replies[i];
+        // Bytes that are not UTF-8 in a query line must not reach the
+        // reply raw, or it is not JSON.
+        EXPECT_TRUE(isUtf8(replies[i])) << replies[i];
     }
     EXPECT_NE(replies[0].find("L1 geometry"), std::string::npos);
     EXPECT_NE(replies[2].find("BTB geometry"), std::string::npos);
@@ -593,9 +627,9 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
     EXPECT_NE(replies[4].find("BTB geometry"), std::string::npos);
     EXPECT_NE(replies[5].find("BTB geometry"), std::string::npos);
     EXPECT_NE(replies[6].find("L2 geometry"), std::string::npos);
-    EXPECT_NE(replies[7].find("\"benchmark\":\"fir\""), std::string::npos);
-    EXPECT_NE(replies[7].find("\"ok\":true"), std::string::npos);
-    EXPECT_EQ(replies[8].rfind("{\"queries\":1,", 0), 0u) << replies[8];
+    EXPECT_NE(replies[9].find("\"benchmark\":\"fir\""), std::string::npos);
+    EXPECT_NE(replies[9].find("\"ok\":true"), std::string::npos);
+    EXPECT_EQ(replies[10].rfind("{\"queries\":1,", 0), 0u) << replies[10];
     EXPECT_EQ(engine.stats().failures, 0u);
 }
 

@@ -2,19 +2,20 @@
  * @file
  * Unit tests for the sim::TimingModel layer: the P6 (Pentium II) decode
  * and issue model, the P6P (Pentium III-class) issue-port model, the
- * model factory and name parsing, the batched consume contract shared
- * by every backend, and the edge timer geometries (direct-mapped
- * caches, 1-entry BTB) that a sweep may request.
+ * per-event cost contract shared by every backend, the P6-family
+ * relation (a P6P with an open window times like the P6), the model
+ * factory and name parsing, and the edge timer geometries
+ * (direct-mapped caches, 1-entry BTB) that a sweep may request.
  */
 
 #include <gtest/gtest.h>
 
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "isa/event.hh"
+#include "isa/op.hh"
 #include "sim/p6_timer.hh"
-#include "sim/p6p_timer.hh"
 #include "sim/pentium_timer.hh"
 #include "sim/timing_model.hh"
 #include "sim/uop.hh"
@@ -395,30 +396,55 @@ TEST(TimingModel, PerEventCostsSumToCyclesOnBothModels)
     }
 }
 
-TEST(TimingModel, ConsumeBatchMatchesTheConsumeLoop)
+TEST(TimingModel, P6PWithAnOpenWindowTimesLikeP6)
 {
-    Rng rng(55);
-    std::vector<InstrEvent> events;
-    for (int i = 0; i < 2000; ++i)
-        events.push_back(randomEvent(rng));
-
-    for (ModelKind kind :
-         {ModelKind::P5, ModelKind::P6, ModelKind::P6P}) {
-        const MachineConfig machine{kind, TimerConfig{}};
-        auto looped = makeTimingModel(machine);
-        std::vector<uint64_t> loop_costs(events.size());
-        for (size_t i = 0; i < events.size(); ++i)
-            loop_costs[i] = looped->consume(events[i]);
-
-        auto batched = makeTimingModel(machine);
-        std::vector<uint64_t> batch_costs(events.size());
-        batched->consumeBatch(std::span<const InstrEvent>(events),
-                              batch_costs.data());
-
-        EXPECT_EQ(batched->cycles(), looped->cycles()) << modelName(kind);
-        EXPECT_EQ(batch_costs, loop_costs) << modelName(kind);
-        EXPECT_EQ(batched->stats().pairs, looped->stats().pairs)
-            << modelName(kind);
+    // The P6P is the P6 front end plus a port-dispatch window. With a
+    // window no dispatch can outrun and the P6's widths and mispredict
+    // penalty, the window floor never binds, so the P6P must time
+    // every stream exactly as the P6 does — on both outcome paths.
+    Rng rng(2024);
+    for (int round = 0; round < 20; ++round) {
+        TimerConfig config;
+        P6Params &p6 = config.p6;
+        p6.decode_width = 1 + rng.nextBelow(4);
+        p6.complex_uops = 1 + rng.nextBelow(6);
+        p6.issue_width = 1 + rng.nextBelow(4);
+        p6.retire_width = 1 + rng.nextBelow(4);
+        p6.mispredict_penalty = rng.nextBelow(16);
+        config.p6p = P6PParams{p6.decode_width, p6.complex_uops,
+                               p6.issue_width,  p6.retire_width,
+                               UINT32_MAX,      p6.mispredict_penalty};
+        P6Timer base(config);
+        P6PTimer open(config);
+        for (int i = 0; i < 2000; ++i) {
+            const InstrEvent e = randomEvent(rng);
+            uint64_t want, got;
+            if (i % 2 == 0) {
+                want = base.consume(e);
+                got = open.consume(e);
+            } else {
+                const uint32_t penalty =
+                    e.mem != MemMode::None ? rng.nextBelow(20) : 0;
+                const bool mispredict =
+                    isa::isControl(e.op) && rng.nextBelow(2) != 0;
+                want = base.consumeResolved(e, penalty, mispredict);
+                got = open.consumeResolved(e, penalty, mispredict);
+            }
+            ASSERT_EQ(got, want) << "round " << round << " event " << i;
+        }
+        EXPECT_EQ(open.cycles(), base.cycles()) << round;
+        const TimerStats &a = base.stats();
+        const TimerStats &b = open.stats();
+        EXPECT_EQ(b.instructions, a.instructions) << round;
+        EXPECT_EQ(b.pairs, a.pairs) << round;
+        EXPECT_EQ(b.memPenaltyCycles, a.memPenaltyCycles) << round;
+        EXPECT_EQ(b.mispredictCycles, a.mispredictCycles) << round;
+        EXPECT_EQ(b.dependStallCycles, a.dependStallCycles) << round;
+        EXPECT_EQ(b.blockingExtraCycles, a.blockingExtraCycles) << round;
+        EXPECT_EQ(b.uopsIssued, a.uopsIssued) << round;
+        EXPECT_EQ(b.retireStallCycles, a.retireStallCycles) << round;
+        EXPECT_EQ(b.portStallCycles, a.portStallCycles) << round;
+        EXPECT_EQ(b.portStallCycles, 0u) << round;
     }
 }
 
