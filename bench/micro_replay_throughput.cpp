@@ -1,48 +1,36 @@
 /**
  * @file
- * Microbenchmark of the replay engine's sweep paths over one resident
- * trace, and the regression gate for the sweep dispatcher:
+ * Microbenchmark of the sweep driver over one resident trace, and the
+ * regression gate for its dispatch rule.
  *
- *  - per machine: replaySweepScalar without memos, one full timing pass
- *    per configuration with the timer's own cache and BTB (the golden
- *    reference path);
- *  - lanes: replaySweepPacked, all configurations advancing together
- *    on the config-parallel lane kernel, fed by per-geometry cache/BTB
- *    memos (where replaySweep sends every wide group of machines of one
- *    model and front end).
- *
- * Also times cold capture (functional execution into a
- * trace::MaterializeSink, no timing model) on a fresh cache-less suite,
- * so the capture-once cost can be read next to the replay-many cost.
- *
- * --configs=N picks the sweep width of the headline table (default 12);
- * a scaling run at N = 2/4/8/12 lands in BENCH_replay.json regardless.
- * The dispatch boundary then times, on each model, the lanes against
- * memoized per-machine runs (memo pre-pass + the per-machine kernel,
- * what replaySweep runs for narrow groups) at the two widths around
- * the switch: max(2, workers) machines, the widest group replaySweep
- * keeps per machine, and one more, the narrowest it puts on lanes. The
+ * The dispatch boundary times, on each model, the lanes
+ * (replaySweepPacked: every machine advancing together on the lane
+ * kernel, fed by per-geometry cache/BTB memos) against memoized
+ * per-machine runs (memo pre-pass + the per-machine kernel, what
+ * replaySweep runs for narrow groups) at the two widths around the
+ * switch: max(2, workers) machines, the widest group replaySweep keeps
+ * per machine, and one more, the narrowest it puts on lanes. The
  * cache-size ablation's 36-machine mixed sweep is split into its parts:
  * ns per lane-event of the memo pre-pass, the outcome planes, the lanes
  * of each model and the P6 and P6P per-machine runs, on the widest lane
  * ISA the CPU runs.
+ *
+ * Single-replay, capture and wide-sweep throughput are perfbench's
+ * layer metrics (sim.*, runtime.capture_ns_per_event, trace.sweep*).
  * The binary verifies all sweeps are bit-identical and exits nonzero on
  * divergence or (in optimized builds on a CPU with a lane ISA) if, on
  * any model, the lanes lose to the per-machine runs at the narrowest
  * width replaySweep gives them (median of paired ratios below 1.0x).
+ * Results land in BENCH_replay.json.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "harness/cli.hh"
 #include "harness/suite.hh"
-#include "profile/vprof.hh"
 #include "support/parallel.hh"
 #include "support/table.hh"
 #include "trace/materialize.hh"
@@ -51,8 +39,7 @@ using namespace mmxdsp;
 
 namespace {
 
-constexpr int kRepetitions = 3;
-/** The dispatch boundary's sweeps take milliseconds: more repetitions. */
+/** Repetitions per timed sweep (each takes milliseconds). */
 constexpr int kLadderRepetitions = 9;
 /** At the narrowest lane width: lanes vs per-machine runs, per model. */
 constexpr double kDispatchGate = 1.0;
@@ -128,14 +115,6 @@ sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
     return true;
 }
 
-/** One sweep-width measurement across the two sweep kernels. */
-struct ScalePoint
-{
-    size_t configs = 0;
-    double scalar_seconds = 0.0; ///< replaySweepScalar, no memos
-    double packed_seconds = 0.0; ///< replaySweepPacked
-};
-
 /** One dispatch-boundary point: sweep-only times on a resident trace. */
 struct DispatchPoint
 {
@@ -177,24 +156,7 @@ median(std::vector<double> v)
 int
 main(int argc, char **argv)
 {
-    // --configs=N is this binary's own flag; parseBenchArgs exits on
-    // anything it does not recognize, so strip it from argv first.
-    size_t gateConfigs = 12;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--configs=", 10) == 0) {
-            const long v = std::atol(argv[i] + 10);
-            if (v < 1) {
-                std::fprintf(stderr, "--configs=N requires N >= 1\n");
-                return 2;
-            }
-            gateConfigs = static_cast<size_t>(v);
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    harness::BenchOptions opts = harness::parseBenchArgs(
-        static_cast<int>(args.size()), args.data());
+    harness::BenchOptions opts = harness::parseBenchArgs(argc, argv);
     harness::BenchmarkSuite suite = opts.makeSuite();
 
     const char *bench = "jpeg";
@@ -204,54 +166,6 @@ main(int argc, char **argv)
     const auto trace = suite.materializedFor(bench, version);
     const trace::MaterializedTrace &mat = *trace;
     const uint64_t events = mat.instrCount();
-
-    // The sweep widths measured: the scaling ladder plus --configs=N.
-    std::vector<size_t> widths = {2, 4, 8, 12};
-    if (std::find(widths.begin(), widths.end(), gateConfigs) == widths.end())
-        widths.push_back(gateConfigs);
-    std::sort(widths.begin(), widths.end());
-
-    // -- both sweep kernels at every width (best-of-N wall time each) --
-    std::vector<ScalePoint> scaling;
-    std::vector<profile::ProfileResult> scalarSwept, packedSwept;
-    for (size_t width : widths) {
-        std::vector<sim::MachineConfig> machines;
-        for (const sim::TimerConfig &config : makeConfigs(width))
-            machines.push_back({opts.model, config});
-        ScalePoint point;
-        point.configs = width;
-        std::vector<profile::ProfileResult> scalar, packed;
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-            double t0 = now();
-            scalar = mat.replaySweepScalar(machines, opts.threads);
-            double dt = now() - t0;
-            if (!rep || dt < point.scalar_seconds)
-                point.scalar_seconds = dt;
-            t0 = now();
-            packed = mat.replaySweepPacked(machines, opts.threads);
-            dt = now() - t0;
-            if (!rep || dt < point.packed_seconds)
-                point.packed_seconds = dt;
-        }
-        scaling.push_back(point);
-        if (width == gateConfigs) {
-            scalarSwept = std::move(scalar);
-            packedSwept = std::move(packed);
-        }
-    }
-    const ScalePoint &gate = *std::find_if(
-        scaling.begin(), scaling.end(),
-        [&](const ScalePoint &p) { return p.configs == gateConfigs; });
-
-    // -- single-replay throughput --
-    double single = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        const double t0 = now();
-        mat.replayProfile(opts.machineConfig());
-        const double dt = now() - t0;
-        if (!rep || dt < single)
-            single = dt;
-    }
 
     // -- dispatch boundary: lanes vs per-machine runs around the switch --
     // replaySweep keeps a group of at most max(2, workers) machines per
@@ -371,75 +285,10 @@ main(int argc, char **argv)
                 mixed_identical && sameResult(swept[i], golden[i]);
     }
 
-    // -- capture arm: execution into a MaterializeSink, no timing model --
-    // A fresh cache-less suite pays the full cold capture each time.
-    double capture_seconds = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        harness::BenchmarkSuite cold(opts.suiteConfig(),
-                                     harness::TraceOptions{},
-                                     opts.machineConfig());
-        const double t0 = now();
-        auto captured = cold.materializedFor(bench, version);
-        const double dt = now() - t0;
-        if (captured->instrCount() != events) {
-            std::fprintf(stderr, "FAIL: cold capture event count drifted\n");
-            return 1;
-        }
-        if (!rep || dt < capture_seconds)
-            capture_seconds = dt;
-    }
+    const bool identical = boundary_identical && mixed_identical;
 
-    // -- bit-identity gate: per machine == lanes at every point --
-    bool identical = packedSwept.size() == scalarSwept.size();
-    for (size_t i = 0; identical && i < scalarSwept.size(); ++i)
-        identical = sameResult(packedSwept[i], scalarSwept[i]);
-    identical = identical && boundary_identical && mixed_identical;
-
-    const double scalar_eps = static_cast<double>(events) / single;
-    const double packed_speedup = gate.scalar_seconds / gate.packed_seconds;
-    const double capture_eps = static_cast<double>(events) / capture_seconds;
-    // Aggregate config-lanes-per-second of the packed pass: N configs
-    // advance per event, so the kernel's useful work scales with N.
-    const double packed_lane_eps =
-        static_cast<double>(events) * static_cast<double>(gateConfigs)
-        / gate.packed_seconds;
-
-    std::printf("replay throughput — %s.%s, %llu events, %zu configs\n\n",
-                bench, version, static_cast<unsigned long long>(events),
-                gateConfigs);
-    Table table({"path", "sweep ms", "single ms", "events/sec"});
-    table.addRow({"per machine",
-                  Table::fmtCount(
-                      static_cast<int64_t>(gate.scalar_seconds * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(single * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(scalar_eps))});
-    table.addRow({"config-parallel",
-                  Table::fmtCount(
-                      static_cast<int64_t>(gate.packed_seconds * 1e3)),
-                  "n/a",
-                  Table::fmtCount(static_cast<int64_t>(packed_lane_eps))});
-    table.addRow({"cold capture", "n/a",
-                  Table::fmtCount(
-                      static_cast<int64_t>(capture_seconds * 1e3)),
-                  Table::fmtCount(static_cast<int64_t>(capture_eps))});
-    table.print();
-
-    std::printf("\nsweep scaling (ms, resident trace)\n");
-    Table scale({"configs", "per machine", "config-parallel",
-                 "speedup vs per machine"});
-    for (const ScalePoint &p : scaling) {
-        char speed[32];
-        std::snprintf(speed, sizeof(speed), "%.2fx",
-                      p.scalar_seconds / p.packed_seconds);
-        scale.addRow({Table::fmtCount(static_cast<int64_t>(p.configs)),
-                      Table::fmtCount(
-                          static_cast<int64_t>(p.scalar_seconds * 1e3)),
-                      Table::fmtCount(
-                          static_cast<int64_t>(p.packed_seconds * 1e3)),
-                      speed});
-    }
-    scale.print();
-
+    std::printf("replay sweeps — %s.%s, %llu events\n", bench, version,
+                static_cast<unsigned long long>(events));
     std::printf("\nsweep dispatch boundary (ms, resident trace, "
                 "--threads=%d: lanes from %zu machines)\n",
                 opts.threads, laneWidth);
@@ -478,10 +327,7 @@ main(int argc, char **argv)
     }
     parts.print();
 
-    std::printf("\nresident trace        %.1f MB\n",
-                static_cast<double>(mat.byteSize()) / 1e6);
-    std::printf("packed sweep speedup  %.2fx (vs per machine)\n",
-                packed_speedup);
+    std::printf("\n");
     for (const DispatchPoint &p : boundary)
         if (p.configs == laneWidth)
             std::printf("lanes at %zu machines %.2fx (%s, vs per machine)\n",
@@ -490,47 +336,17 @@ main(int argc, char **argv)
 
     std::FILE *json = std::fopen("BENCH_replay.json", "w");
     if (json) {
-        std::fprintf(
-            json,
-            "{\n"
-            "  \"benchmark\": \"%s.%s\",\n"
-            "  \"scale\": %d,\n"
-            "  \"events\": %llu,\n"
-            "  \"configs\": %zu,\n"
-            "  \"repetitions\": %d,\n"
-            "  \"per_machine\": {\n"
-            "    \"sweep_seconds\": %.6f,\n"
-            "    \"single_seconds\": %.6f,\n"
-            "    \"events_per_sec\": %.0f,\n"
-            "    \"resident_bytes\": %zu\n"
-            "  },\n"
-            "  \"config_parallel\": {\n"
-            "    \"sweep_seconds\": %.6f,\n"
-            "    \"lane_events_per_sec\": %.0f,\n"
-            "    \"speedup_vs_per_machine\": %.3f\n"
-            "  },\n"
-            "  \"cold_capture\": {\n"
-            "    \"seconds\": %.6f,\n"
-            "    \"events_per_sec\": %.0f\n"
-            "  },\n",
-            bench, version, opts.scale,
-            static_cast<unsigned long long>(events), gateConfigs,
-            kRepetitions, gate.scalar_seconds, single, scalar_eps,
-            mat.byteSize(), gate.packed_seconds, packed_lane_eps,
-            packed_speedup, capture_seconds, capture_eps);
-        std::fprintf(json, "  \"scaling\": [\n");
-        for (size_t i = 0; i < scaling.size(); ++i) {
-            const ScalePoint &p = scaling[i];
-            std::fprintf(
-                json,
-                "    {\"configs\": %zu, \"scalar_seconds\": %.6f, "
-                "\"packed_seconds\": %.6f, \"packed_speedup\": %.3f}%s\n",
-                p.configs, p.scalar_seconds, p.packed_seconds,
-                p.scalar_seconds / p.packed_seconds,
-                i + 1 < scaling.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n  \"lane_width\": %zu,\n  \"dispatch\": [\n",
-                     laneWidth);
+        std::fprintf(json,
+                     "{\n"
+                     "  \"benchmark\": \"%s.%s\",\n"
+                     "  \"scale\": %d,\n"
+                     "  \"events\": %llu,\n"
+                     "  \"repetitions\": %d,\n"
+                     "  \"lane_width\": %zu,\n"
+                     "  \"dispatch\": [\n",
+                     bench, version, opts.scale,
+                     static_cast<unsigned long long>(events),
+                     kLadderRepetitions, laneWidth);
         for (size_t i = 0; i < boundary.size(); ++i) {
             const DispatchPoint &p = boundary[i];
             std::fprintf(

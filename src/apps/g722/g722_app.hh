@@ -27,10 +27,6 @@ class G722Benchmark
     void runC(Cpu &cpu);
     void runMmx(Cpu &cpu);
 
-    const std::vector<uint8_t> &encodedC() const { return encodedC_; }
-    const std::vector<uint8_t> &encodedMmx() const { return encodedMmx_; }
-    const std::vector<int16_t> &decodedC() const { return decodedC_; }
-    const std::vector<int16_t> &decodedMmx() const { return decodedMmx_; }
     const std::vector<int16_t> &input() const { return speech_; }
 
     /** Reconstruction SNR (dB) with the codec delay compensated. */
@@ -41,7 +37,6 @@ class G722Benchmark
     double snrOf(const std::vector<int16_t> &decoded) const;
 
     std::vector<int16_t> speech_;
-    std::vector<uint8_t> encodedC_, encodedMmx_;
     std::vector<int16_t> decodedC_, decodedMmx_;
 };
 

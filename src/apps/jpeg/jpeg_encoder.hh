@@ -50,9 +50,6 @@ class JpegBenchmark
     int width() const { return width_; }
     int height() const { return height_; }
 
-    const std::array<uint16_t, 64> &lumaQuant() const { return qLuma_; }
-    const std::array<uint16_t, 64> &chromaQuant() const { return qChroma_; }
-
   private:
     // ---- shared pipeline pieces ----
     void writeHeaders(std::vector<uint8_t> &out) const;

@@ -24,7 +24,8 @@ usage(const char *prog, int exit_code)
         "  --model=p5|p6|p6p     timing model profiles run on (default p5)\n"
         "  --trace-dir=PATH  instruction-trace store directory\n"
         "                    (default traces; MMXDSP_TRACE_DIR overrides)\n"
-        "  --no-trace-cache  always execute; skip trace capture/replay\n"
+        "  --no-trace-cache  read and write no trace files; pairs are still\n"
+        "                    captured and replayed in memory\n"
         "  --sizes=A,B,...   problem sizes for size-sweeping benches\n"
         "  --blocks=A,B,...  block sizes for blocking-sweeping benches\n",
         prog);

@@ -10,7 +10,9 @@
  *   --threads=N        replay worker threads (0 = auto, default 0)
  *   --model=p5|p6|p6p      timing model the profiles run on (default p5)
  *   --trace-dir=PATH   trace store directory (default "traces")
- *   --no-trace-cache   always execute; do not read or write trace files
+ *   --no-trace-cache   no trace store: read and write no trace files
+ *                      (runAll() and sweeps still capture each pair in
+ *                      memory and replay it; run() alone executes live)
  *   --sizes=A,B,...    problem-size list (benches that sweep sizes)
  *   --blocks=A,B,...   block-size list (benches that sweep blockings)
  *   --help             usage

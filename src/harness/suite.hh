@@ -195,6 +195,16 @@ class BenchmarkSuite
     const TraceActivity &traceActivity() const { return activity_; }
 
     /**
+     * Capture one pair live and publish it when tracing is on. The
+     * suite keeps no reference to the trace (unlike materializedFor()),
+     * so it lives exactly as long as the caller holds it; @p published
+     * (when given) says whether the store took it.
+     */
+    std::shared_ptr<const trace::MaterializedTrace>
+    capture(const std::string &benchmark, const std::string &version,
+            bool *published = nullptr);
+
+    /**
      * Execute one pair on the suite's live runtime with @p sink
      * attached, caching nothing (tests tee a VProf and a
      * trace::MaterializeSink onto one execution this way).
@@ -204,12 +214,6 @@ class BenchmarkSuite
 
   private:
     struct Impl;
-
-    /** Capture one pair live and publish it when tracing is on;
-     *  @p published (when given) says whether the store took it. */
-    std::shared_ptr<const trace::MaterializedTrace>
-    capture(const std::string &benchmark, const std::string &version,
-            bool *published = nullptr);
 
     SuiteConfig config_;
     sim::MachineConfig machine_;

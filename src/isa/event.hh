@@ -46,9 +46,7 @@ makeTag(RegClass cls, uint8_t index)
 
 constexpr bool tagValid(RegTag t) { return t != kNoReg; }
 
-/** Flat scoreboard slot for a tag (int 0-31, fp 32-63, mmx 64-95). */
-constexpr size_t tagSlot(RegTag t) { return t; }
-
+/** Scoreboard slots, one per tag value (int 0-31, fp 32-63, mmx 64-95). */
 constexpr size_t kNumTagSlots = 96;
 
 /** One executed instruction. */

@@ -144,16 +144,6 @@ VProf::reset()
 }
 
 void
-VProf::reserveReplay(size_t num_sites, size_t num_functions)
-{
-    siteStats_.reserve(num_sites);
-    fnNames_.reserve(num_functions + 1);
-    fnStats_.reserve(num_functions + 1);
-    fnIds_.reserve(num_functions);
-    fnStack_.reserve(16);
-}
-
-void
 VProf::account(const InstrEvent &event)
 {
     const size_t op_idx = static_cast<size_t>(event.op);

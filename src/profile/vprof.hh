@@ -139,14 +139,6 @@ class VProf : public sim::TraceSink
     /** Clear all counters and the timing model (cold caches). */
     void reset();
 
-    /**
-     * Pre-size the site table and function-interning containers from
-     * trace metadata (site count from the trace's site table, an
-     * expected function count), so replay does not pay rehash/regrow
-     * churn while streaming events.
-     */
-    void reserveReplay(size_t num_sites, size_t num_functions);
-
     /** Snapshot of all metrics collected so far. */
     ProfileResult result() const;
 

@@ -212,12 +212,14 @@ QueryEngine::traceFor(const std::string &benchmark,
     }
 
     // Capture live through the bench harness (with its tracing off, so
-    // the engine's store is the one persistence layer here), then
-    // publish so every later process takes the mmap path.
+    // the engine's store is the one persistence layer here, and the
+    // suite keeps nothing, so the trace cache's budget is the one
+    // bound on resident traces), then publish so every later process
+    // takes the mmap path.
     if (!suite_)
         suite_ = std::make_unique<harness::BenchmarkSuite>(
             opts_.suite, harness::TraceOptions{false, ""});
-    auto mat = suite_->materializedFor(benchmark, version);
+    auto mat = suite_->capture(benchmark, version);
     if (!mat || !mat->valid()) {
         *error = "live capture failed";
         return nullptr;

@@ -3,7 +3,7 @@
  * vprofd's query engine: (benchmark, version, machine) in, profile out.
  *
  * The engine sits between the sharded TraceStore and callers (the
- * vprofd binary, the service_load generator, tests) and implements the
+ * vprofd binary, perfbench, tests) and implements the
  * compute-once/serve-many pipeline:
  *
  *   result cache  — completed profiles keyed by (trace key, machine

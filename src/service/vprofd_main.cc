@@ -13,7 +13,7 @@
  *                    exits)
  *   --stats          print store contents and exit
  *
- * Query line grammar (also used by tests and service_load):
+ * Query line grammar (also used by tests and perfbench):
  *
  *   <benchmark> <version> [model=p5|p6|p6p] [l1=BYTES] [l1_ways=N]
  *   [l1_line=N] [l2=BYTES] [l2_ways=N] [l2_line=N] [btb=ENTRIES]

@@ -22,7 +22,6 @@ Table::addRow(std::vector<std::string> cells)
                      cells.size(), headers_.size());
     }
     rows_.push_back(std::move(cells));
-    ++numDataRows_;
 }
 
 void

@@ -36,9 +36,6 @@ class Table
     /** Render and write to stdout. */
     void print() const;
 
-    /** Number of data rows added so far (separators excluded). */
-    size_t rowCount() const { return numDataRows_; }
-
     // Cell formatting helpers used throughout the bench binaries.
     static std::string fmtInt(int64_t v);
     /** Integer with thousands separators, e.g. 12,953,062. */
@@ -52,7 +49,6 @@ class Table
     std::vector<std::string> headers_;
     /** Rows; an empty row vector denotes a separator. */
     std::vector<std::vector<std::string>> rows_;
-    size_t numDataRows_ = 0;
 };
 
 } // namespace mmxdsp

@@ -103,8 +103,8 @@ const char *laneIsaName(LaneIsa isa);
 
 /**
  * What one sweep of the driver did and where its time went
- * (MMXDSP_SWEEP_DEBUG prints it; replaySweep() can return it). Task
- * times are summed over the workers; each wall is one pool's.
+ * (replaySweep() can return it). Task times are summed over the
+ * workers; each wall is one pool's.
  */
 struct SweepReport
 {

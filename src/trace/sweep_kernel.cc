@@ -64,8 +64,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -712,21 +710,6 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     rep.prepassWallMs = wall(t0, t1);
     rep.planeWallMs = wall(t1, t2);
     rep.timingWallMs = wall(t2, t3);
-    if (std::getenv("MMXDSP_SWEEP_DEBUG")) {
-        std::fprintf(
-            stderr,
-            "[sweep] memo pre-pass(%zu recorded, %zu reused) %.2fms "
-            "(pre-pass wall %.2fms) planes(%zu for %zu blocks) %.2fms "
-            "(wall %.2fms) lanes(%s: p5 %zu, p6 %zu, p6p %zu; %zu "
-            "rebases) %.2fms per-machine(%zu, %zu unfit for lanes) %.2fms "
-            "(wall %.2fms)\n",
-            rep.memosRecorded, rep.memosReused, rep.prepassMs,
-            rep.prepassWallMs, rep.planes, rep.blocks, rep.planeMs,
-            rep.planeWallMs, blocks.empty() ? "none" : laneIsaName(isa),
-            rep.lanes[0], rep.lanes[1], rep.lanes[2], rep.rebases,
-            rep.laneMs, rep.perMachine, rep.unfit, rep.perMachineMs,
-            rep.timingWallMs);
-    }
     if (report)
         *report = rep;
     return results;

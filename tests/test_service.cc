@@ -478,28 +478,52 @@ TEST(QueryEngineTest, BatchMatchesStoreReplayExactly)
 
 TEST(QueryEngineTest, ColdRestartServesWithoutCapture)
 {
+    // Compute once, serve many: a warm engine captures each pair once,
+    // then a capture-less engine on the same store answers every (pair,
+    // machine) from one mmap load per pair.
     ScratchDir scratch("mmxdsp_engine_restart_test");
     service::EngineOptions opts = engineOpts(scratch);
-    uint64_t expect_cycles = 0;
+    const std::pair<const char *, const char *> pairs[] = {
+        {"fir", "c"}, {"fir", "mmx"}, {"iir", "c"}};
+    std::vector<sim::MachineConfig> machines(4);
+    machines[1].model = sim::ModelKind::P6;
+    machines[2].timer.l1.size_bytes = 8 * 1024;
+    machines[3].model = sim::ModelKind::P6;
+    machines[3].timer.btb_entries = 128;
+
+    std::vector<service::Query> queries;
+    std::vector<profile::ProfileResult> expect;
     {
         service::QueryEngine warm(opts);
-        const auto r =
-            warm.query({"fir", "c", sim::MachineConfig{}});
-        ASSERT_TRUE(r.ok) << r.error;
-        expect_cycles = r.profile.cycles;
+        for (const auto &[bench, version] : pairs) {
+            for (size_t m = 0; m < machines.size(); ++m) {
+                queries.push_back({bench, version, machines[m]});
+                const auto r = warm.query(queries.back());
+                ASSERT_TRUE(r.ok) << r.error;
+                EXPECT_EQ(r.trace_captured, m == 0) << bench << "." << version;
+                expect.push_back(r.profile);
+            }
+        }
+        EXPECT_EQ(warm.stats().captures, std::size(pairs));
     }
 
     // A fresh engine with capture disabled can only serve from disk.
     service::EngineOptions cold = opts;
     cold.allow_capture = false;
     service::QueryEngine engine(cold);
-    const auto r = engine.query({"fir", "c", sim::MachineConfig{}});
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.trace_captured);
-    EXPECT_EQ(r.profile.cycles, expect_cycles);
+    const auto results = engine.queryBatch(queries);
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        ASSERT_TRUE(results[i].ok) << results[i].error;
+        EXPECT_FALSE(results[i].trace_captured);
+        const size_t m = i % machines.size();
+        expectSameProfile(results[i].profile, expect[i],
+                          queries[i].benchmark + "." + queries[i].version
+                              + " machine " + std::to_string(m));
+    }
     EXPECT_EQ(engine.stats().captures, 0u);
-    EXPECT_EQ(engine.stats().store_loads, 1u);
-    EXPECT_EQ(engine.store().stats().v2_hits, 1u);
+    EXPECT_EQ(engine.stats().store_loads, std::size(pairs));
+    EXPECT_EQ(engine.store().stats().v2_hits, std::size(pairs));
 
     // A pair absent from the store must fail, not fatal.
     const auto miss =

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -412,6 +413,37 @@ TEST(SuiteTraceStore, DisabledTracingWritesNothing)
     suite.materializedFor("fir", "c");
     EXPECT_EQ(suite.traceActivity().captured, 1);
     EXPECT_TRUE(fs::is_empty(scratch.path));
+}
+
+TEST(SuiteTraceStore, CaptureKeepsNoReference)
+{
+    // capture() hands its trace to the caller alone, so a caller with a
+    // memory budget of its own (vprofd's trace cache) is the one bound
+    // on how long it stays resident. With the store on, the capture is
+    // published; either way a later materializedFor() cannot find it in
+    // the suite and loads it back or executes again.
+    for (const bool tracing : {false, true}) {
+        SCOPED_TRACE(tracing ? "store on" : "store off");
+        ScratchDir scratch("mmxdsp_trace_capture_test");
+        harness::BenchmarkSuite suite(
+            tinyConfig(),
+            harness::TraceOptions{tracing, scratch.path.string()});
+        bool published = !tracing;
+        std::weak_ptr<const trace::MaterializedTrace> weak;
+        {
+            const auto mat = suite.capture("fir", "c", &published);
+            ASSERT_NE(mat, nullptr);
+            EXPECT_TRUE(mat->valid());
+            weak = mat;
+        }
+        EXPECT_TRUE(weak.expired());
+        EXPECT_EQ(published, tracing);
+        EXPECT_EQ(suite.traceActivity().captured, 1);
+
+        suite.materializedFor("fir", "c");
+        EXPECT_EQ(suite.traceActivity().captured, tracing ? 1 : 2);
+        EXPECT_EQ(suite.traceActivity().disk_hits, tracing ? 1 : 0);
+    }
 }
 
 TEST(SuiteTraceStore, DamagedEntryFallsBackToCaptureAndIsRewritten)
