@@ -6,15 +6,12 @@
  *    lane-loop golden reference and through the active dispatch path
  *    (host SSE2), reported as Mops/sec plus geomean speedup;
  *  - live capture: an MMX micro kernel captured through the real
- *    runtime into a trace::MaterializeSink twice — with the block
- *    buffer disabled (setEmitBatch(1)) and with the default 512-event
+ *    runtime into a trace::MaterializeSink in the runtime's 512-event
  *    blocks.
  *
- * Verifies that the batched and per-instruction captures serialize to
- * byte-identical trace images, writes BENCH_mmx_ops.json, and (in
- * Release builds with the host SSE2 path) exits nonzero unless the
- * op-layer geomean beats scalar — so CI can run it as a perf smoke
- * test.
+ * Writes BENCH_mmx_ops.json and (in Release builds with the host SSE2
+ * path) exits nonzero unless the op-layer geomean beats scalar — so CI
+ * can run it as a perf smoke test.
  */
 
 #include <chrono>
@@ -139,7 +136,7 @@ geomeanSpeedup(const std::vector<OpRow> &rows)
     return std::exp(logSum / static_cast<double>(rows.size()));
 }
 
-// ---------------- live-capture arms ----------------
+// ---------------- live capture ----------------
 
 /**
  * The measured MMX micro kernel, driven through the real runtime:
@@ -165,40 +162,34 @@ cpuMicroKernel(runtime::Cpu &cpu, const int16_t *src, const int16_t *coef,
     }
 }
 
-struct CaptureArm
+struct Capture
 {
     double seconds = 0.0;
     uint64_t events = 0;
-    std::vector<uint8_t> image; ///< trace image from the last rep
 };
 
 /**
- * Capture the Cpu-driven kernel with the given emit block size. The
- * timed region is attach -> run -> detach: the per-event emit and
- * capture path. finish()/serializeV2() (one-shot per capture) run
- * outside the clock but still feed the byte-identity gate.
+ * Capture the Cpu-driven kernel, best of kRepetitions. The timed
+ * region is attach -> run -> detach: the per-event emit and capture
+ * path; finish() (one-shot per capture) runs outside the clock.
  */
-CaptureArm
-captureWithCpu(uint32_t batch, const int16_t *src, const int16_t *coef,
-               int16_t *dst)
+Capture
+captureWithCpu(const int16_t *src, const int16_t *coef, int16_t *dst)
 {
-    CaptureArm arm;
+    Capture cap;
     for (int rep = 0; rep < kRepetitions; ++rep) {
         runtime::Cpu cpu; // fresh register round-robin state per rep
-        cpu.setEmitBatch(batch);
         trace::MaterializeSink sink("micro_mmx", "mmx", 1);
         cpu.attachSink(&sink);
         const double t0 = now();
         cpuMicroKernel(cpu, src, coef, dst, kKernelIters);
         cpu.attachSink(nullptr); // tail flush is part of the capture
         const double dt = now() - t0;
-        if (!rep || dt < arm.seconds)
-            arm.seconds = dt;
-        const trace::MaterializedTrace mat = sink.finish(&cpu);
-        arm.events = mat.instrCount();
-        arm.image = mat.serializeV2();
+        if (!rep || dt < cap.seconds)
+            cap.seconds = dt;
+        cap.events = sink.finish(&cpu).instrCount();
     }
-    return arm;
+    return cap;
 }
 
 } // namespace
@@ -236,32 +227,18 @@ main()
     for (int16_t &v : coef)
         v = static_cast<int16_t>(rng.next());
 
-    CaptureArm perInstr =
-        captureWithCpu(1, src.data(), coef.data(), dst.data());
-    CaptureArm batched = captureWithCpu(runtime::Cpu::kEmitBatch, src.data(),
-                                        coef.data(), dst.data());
-
-    const bool identical = perInstr.image == batched.image;
-    auto eps = [](double seconds, uint64_t events) {
-        return static_cast<double>(events) / seconds;
-    };
-    const double speedupVsPerInstr = perInstr.seconds / batched.seconds;
+    const Capture batched =
+        captureWithCpu(src.data(), coef.data(), dst.data());
+    const double eventsPerSec =
+        static_cast<double>(batched.events) / batched.seconds;
 
     std::printf("live capture — %llu events into a MaterializeSink\n\n",
                 static_cast<unsigned long long>(batched.events));
     Table capTable({"arm", "capture ms", "events/sec"});
-    capTable.addRow({"cpu, batch=1",
-                     Table::fmtFixed(perInstr.seconds * 1e3, 2),
-                     Table::fmtCount(static_cast<int64_t>(
-                         eps(perInstr.seconds, perInstr.events)))});
     capTable.addRow({"cpu, batch=512",
                      Table::fmtFixed(batched.seconds * 1e3, 2),
-                     Table::fmtCount(static_cast<int64_t>(
-                         eps(batched.seconds, batched.events)))});
+                     Table::fmtCount(static_cast<int64_t>(eventsPerSec))});
     capTable.print();
-    std::printf("\ncapture speedup       %.2fx vs batch=1\n",
-                speedupVsPerInstr);
-    std::printf("traces byte-identical %s\n", identical ? "yes" : "NO");
 
     std::FILE *json = std::fopen("BENCH_mmx_ops.json", "w");
     if (json) {
@@ -285,25 +262,14 @@ main()
             "  \"geomean_op_speedup\": %.3f,\n"
             "  \"live_capture\": {\n"
             "    \"events\": %llu,\n"
-            "    \"per_instr_seconds\": %.6f,\n"
             "    \"batched_seconds\": %.6f,\n"
-            "    \"batched_events_per_sec\": %.0f,\n"
-            "    \"speedup_vs_per_instr\": %.3f,\n"
-            "    \"identical\": %s\n"
+            "    \"batched_events_per_sec\": %.0f\n"
             "  }\n"
             "}\n",
             geomean, static_cast<unsigned long long>(batched.events),
-            perInstr.seconds, batched.seconds,
-            eps(batched.seconds, batched.events), speedupVsPerInstr,
-            identical ? "true" : "false");
+            batched.seconds, eventsPerSec);
         std::fclose(json);
         std::fprintf(stderr, "wrote BENCH_mmx_ops.json\n");
-    }
-
-    if (!identical) {
-        std::fprintf(stderr, "FAIL: batched capture diverged from "
-                             "per-instruction capture\n");
-        return 1;
     }
 #if defined(NDEBUG) && defined(MMXDSP_MMX_HAVE_HOST_SIMD)
     if (geomean <= 1.0) {

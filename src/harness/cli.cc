@@ -23,7 +23,7 @@ usage(const char *prog, int exit_code)
         "  --threads=N       replay worker threads (0 = auto)\n"
         "  --model=p5|p6|p6p     timing model profiles run on (default p5)\n"
         "  --trace-dir=PATH  instruction-trace store directory\n"
-        "                    (default traces; MMXDSP_TRACE_DIR overrides)\n"
+        "                    (default traces)\n"
         "  --no-trace-cache  read and write no trace files; pairs are still\n"
         "                    captured and replayed in memory\n"
         "  --sizes=A,B,...   problem sizes for size-sweeping benches\n"

@@ -16,8 +16,6 @@
  *   --sizes=A,B,...    problem-size list (benches that sweep sizes)
  *   --blocks=A,B,...   block-size list (benches that sweep blockings)
  *   --help             usage
- *
- * MMXDSP_TRACE_DIR / MMXDSP_TRACE_CACHE=0 override the trace flags.
  */
 
 #ifndef MMXDSP_HARNESS_CLI_HH

@@ -1,7 +1,6 @@
 #include "suite.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <future>
 
 #include "apps/g722/g722_app.hh"
@@ -65,28 +64,6 @@ SuiteConfig::hash() const
     return h;
 }
 
-namespace {
-
-/** The store root @p options resolve to under the environment
- *  overrides (see TraceOptions); empty means tracing is off. */
-std::string
-resolveTraceDir(const TraceOptions &options)
-{
-    bool enabled = options.enabled;
-    if (const char *flag = std::getenv("MMXDSP_TRACE_CACHE")) {
-        if (flag[0] == '0' && flag[1] == '\0')
-            return {};
-        enabled = true;
-    }
-    if (!enabled)
-        return {};
-    if (const char *env = std::getenv("MMXDSP_TRACE_DIR"); env && env[0])
-        return env;
-    return options.dir;
-}
-
-} // namespace
-
 struct BenchmarkSuite::Impl
 {
     kernels::FirBenchmark fir;
@@ -108,9 +85,9 @@ BenchmarkSuite::BenchmarkSuite(const SuiteConfig &config,
       machine_(machine),
       impl_(std::make_unique<Impl>())
 {
-    if (std::string dir = resolveTraceDir(trace_options); !dir.empty()) {
+    if (trace_options.enabled && !trace_options.dir.empty()) {
         service::StoreOptions store;
-        store.root = std::move(dir);
+        store.root = trace_options.dir;
         store_ = std::make_unique<service::TraceStore>(std::move(store));
     }
     impl_->fir.setup(config.fir_samples, config.seed);

@@ -68,12 +68,7 @@ struct SuiteConfig
  */
 constexpr uint64_t kTraceKeySalt = 1;
 
-/**
- * How the suite uses the instruction-trace layer. The environment
- * overrides both fields: MMXDSP_TRACE_CACHE=0 turns tracing off (any
- * other value turns it on), and a non-empty MMXDSP_TRACE_DIR replaces
- * @c dir.
- */
+/** How the suite uses the instruction-trace layer. */
 struct TraceOptions
 {
     /** Capture executions into the trace store and replay them. */

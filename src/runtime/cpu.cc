@@ -44,8 +44,6 @@ class SiteTable
         return infos_[id];
     }
 
-    uint32_t count() const { return static_cast<uint32_t>(infos_.size()); }
-
     static SiteTable &
     instance()
     {
@@ -97,23 +95,10 @@ Cpu::attachSink(sim::TraceSink *sink)
     sink_ = sink;
 }
 
-void
-Cpu::setEmitBatch(uint32_t n)
-{
-    flushEmit();
-    emitCap_ = n ? n : 1;
-}
-
 const SiteInfo &
 Cpu::siteInfo(uint32_t site) const
 {
     return SiteTable::instance().info(site);
-}
-
-uint32_t
-Cpu::siteCount() const
-{
-    return SiteTable::instance().count();
 }
 
 uint32_t

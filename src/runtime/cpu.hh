@@ -107,19 +107,8 @@ class Cpu
         emitBuf_.clear();
     }
 
-    /**
-     * Override the emit block size (default kEmitBatch); flushes first
-     * so already-buffered events keep their delivery order. n == 1
-     * restores the historical one-virtual-call-per-instruction cadence;
-     * event content and ordering are identical at any block size.
-     */
-    void setEmitBatch(uint32_t n);
-
     /** Descriptive info for a site id (for profiler reports). */
     const SiteInfo &siteInfo(uint32_t site) const;
-
-    /** Number of distinct sites seen so far (across the process). */
-    uint32_t siteCount() const;
 
     using Loc = std::source_location;
 
@@ -332,7 +321,7 @@ class Cpu
         e.dst = dst;
         e.taken = taken;
         emitBuf_.push_back(e);
-        if (emitBuf_.size() >= emitCap_)
+        if (emitBuf_.size() >= kEmitBatch)
             flushEmit();
     }
 
@@ -372,7 +361,6 @@ class Cpu
 
     /** Pending live-capture events, flushed in kEmitBatch-sized blocks. */
     std::vector<isa::InstrEvent> emitBuf_;
-    uint32_t emitCap_ = kEmitBatch;
 
     uint8_t intRr_ = 0;
     uint8_t fpRr_ = 0;

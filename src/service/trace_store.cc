@@ -8,6 +8,7 @@
 #include "support/io.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
+#include "trace/format_v2.hh"
 
 namespace fs = std::filesystem;
 
@@ -31,6 +32,16 @@ touchEntry(const std::string &path)
 {
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+}
+
+/** True when @p path holds a trace image of another format version:
+ *  left behind by a format change, so a plain miss that the next
+ *  store() of its key renames over, not a corrupt entry. */
+bool
+isStaleEntry(const std::string &path)
+{
+    trace::MmapFile file;
+    return file.open(path) && trace::isStaleV2Image(file.data(), file.size());
 }
 
 void
@@ -94,7 +105,7 @@ TraceStore::load(const std::string &benchmark, const std::string &version,
         }
         quarantineEntry(p, "key-mismatched entry");
         bump(&StoreStats::quarantined);
-    } else if (std::error_code ec; fs::exists(p, ec)) {
+    } else if (std::error_code ec; fs::exists(p, ec) && !isStaleEntry(p)) {
         quarantineEntry(p, "corrupt entry");
         bump(&StoreStats::quarantined);
     }

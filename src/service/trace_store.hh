@@ -15,7 +15,9 @@
  *  - publishes are write-to-unique-temp + rename (support/io.hh), so
  *    readers never see partial files, and any file that fails
  *    validation or carries another key is moved to the shard's
- *    "quarantine/" subdirectory and treated as a miss;
+ *    "quarantine/" subdirectory and treated as a miss (an image of
+ *    another format version is a plain miss, replaced in place by the
+ *    next publish of its key);
  *  - an optional size budget is enforced by evicting the
  *    least-recently-used entries (hits refresh the file mtime), so a
  *    long-running daemon cannot grow the corpus without bound.
@@ -99,8 +101,9 @@ class TraceStore
 
     /**
      * Look up a trace. A hit mmaps the file (zero-copy, validated).
-     * Invalid or key-mismatched files are quarantined. A miss (or an
-     * unloadable entry) returns nullptr. Hits refresh the entry's
+     * Invalid or key-mismatched files are quarantined; an image of
+     * another format version stays put. A miss (or an unloadable
+     * entry) returns nullptr. Hits refresh the entry's
      * mtime for LRU eviction.
      */
     std::shared_ptr<const trace::MaterializedTrace>

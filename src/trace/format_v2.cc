@@ -34,6 +34,16 @@ isV2Image(const uint8_t *data, size_t size)
     return size >= 4 && std::memcmp(data, kMagicV2, 4) == 0;
 }
 
+bool
+isStaleV2Image(const uint8_t *data, size_t size)
+{
+    uint32_t version;
+    if (!isV2Image(data, size) || size < 8)
+        return false;
+    std::memcpy(&version, data + 4, sizeof(version));
+    return version != kFormatVersionV2;
+}
+
 // ------------------------------------------------------------- fnv1aWords
 
 uint64_t
@@ -173,24 +183,10 @@ MaterializedTrace::layoutV2() const
     std::vector<uint8_t> &meta = layout.meta;
     putString(meta, benchmark_);
     putString(meta, version_);
-    putVarint(meta, siteTableSize_);
-    putVarint(meta, fnNames_.size());
-    for (size_t i = 0; i < fnNames_.size(); ++i) {
-        putString(meta, fnNames_[i]);
-        putVarint(meta, fnCounts_[i].calls);
-        putVarint(meta, fnCounts_[i].instructions);
-    }
-    putVarint(meta, counts_.dynamicInstructions);
-    putVarint(meta, counts_.staticInstructions);
-    putVarint(meta, counts_.uops);
-    putVarint(meta, counts_.memoryReferences);
-    putVarint(meta, counts_.functionCalls);
-    putVarint(meta, counts_.mmxInstructions);
-    for (uint64_t v : counts_.mmxByCategory)
-        putVarint(meta, v);
     putVarint(meta, isa::kNumOps);
-    for (uint64_t v : counts_.opCounts)
-        putVarint(meta, v);
+    putVarint(meta, fnNames_.size());
+    for (const std::string &name : fnNames_)
+        putString(meta, name);
     putVarint(meta, strings_.size());
     for (const std::string &s : strings_)
         putString(meta, s);
@@ -248,7 +244,6 @@ MaterializedTrace::layoutV2() const
     header.configHash = configHash_;
     header.instrCount = ops_.size();
     header.segmentCount = segments_.size();
-    header.controlCount = controlCount_;
     header.sectionCount = kNumSections;
     header.tableChecksum =
         fnv1aWords(reinterpret_cast<const uint8_t *>(table.data()),
@@ -378,31 +373,14 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
         ByteReader r(sec(V2SectionId::Meta), len(V2SectionId::Meta));
         benchmark_ = r.getString();
         version_ = r.getString();
-        siteTableSize_ = static_cast<uint32_t>(r.getVarint());
+        if (r.getVarint() != isa::kNumOps)
+            return false; // op table shape changed: stale image
         const uint64_t nfn = r.getVarint();
         if (!r.ok() || nfn == 0 || nfn > len(V2SectionId::Meta))
             return false;
         fnNames_.reserve(static_cast<size_t>(nfn));
-        fnCounts_.reserve(static_cast<size_t>(nfn));
-        for (uint64_t i = 0; i < nfn; ++i) {
+        for (uint64_t i = 0; i < nfn; ++i)
             fnNames_.push_back(r.getString());
-            profile::FunctionStats st;
-            st.calls = r.getVarint();
-            st.instructions = r.getVarint();
-            fnCounts_.push_back(st);
-        }
-        counts_.dynamicInstructions = r.getVarint();
-        counts_.staticInstructions = r.getVarint();
-        counts_.uops = r.getVarint();
-        counts_.memoryReferences = r.getVarint();
-        counts_.functionCalls = r.getVarint();
-        counts_.mmxInstructions = r.getVarint();
-        for (uint64_t &v : counts_.mmxByCategory)
-            v = r.getVarint();
-        if (r.getVarint() != isa::kNumOps)
-            return false; // op table shape changed: stale image
-        for (uint64_t &v : counts_.opCounts)
-            v = r.getVarint();
         const uint64_t nstrings = r.getVarint();
         if (!r.ok() || nstrings > len(V2SectionId::Meta))
             return false;
@@ -423,8 +401,7 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
                 || m.function >= static_cast<int32_t>(strings_.size()))
                 return false;
         }
-        if (!r.ok() || counts_.dynamicInstructions != n
-            || counts_.memoryReferences != naddr)
+        if (!r.ok())
             return false;
     }
 
@@ -443,14 +420,15 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
         nseg);
 
     // Referential integrity: everything a replay kernel indexes with
-    // must be in range, and the redundant counts must agree, so a
-    // corrupt-but-checksum-valid image can never walk a kernel out of
-    // bounds. The static table first (O(entries)), then one linear
-    // pass over the records.
+    // must be in range, and the address column must cover the memory
+    // events, so a corrupt-but-checksum-valid image can never walk a
+    // kernel out of bounds. The static table first (O(entries)), then
+    // one linear pass over the records, which also counts each static
+    // entry's events for derive(). A site id is any u32: nothing is
+    // indexed by it.
     for (const StaticInstr &s : statics_) {
         if (s.op >= isa::kNumOps
-            || s.mem > static_cast<uint8_t>(isa::MemMode::Store)
-            || s.site >= siteTableSize_)
+            || s.mem > static_cast<uint8_t>(isa::MemMode::Store))
             return false;
     }
     uint64_t runSum = 0;
@@ -466,28 +444,28 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
     }
     if (runSum != n)
         return false;
-    derive();
-    uint64_t memory = 0;
-    uint64_t control = 0;
+    // One past the region index each static entry's events may carry
+    // (a memory event's indexes the region table, any other's is 0), so
+    // the record pass checks regions without a branch per event.
+    std::vector<uint32_t> regionEnd(nstatic);
+    for (size_t sid = 0; sid < nstatic; ++sid)
+        regionEnd[sid] =
+            statics_[sid].mem ? static_cast<uint32_t>(nregion) : 1;
+    std::vector<uint64_t> sidCounts(nstatic, 0);
+    bool bad = false;
     for (const PackedOp &p : ops_) {
         if (p.sid >= nstatic)
             return false;
-        const uint8_t f = facts_[p.sid].flags;
-        const uint32_t region = p.ev >> 1;
-        if (f & kOpMem) {
-            if (region >= nregion)
-                return false;
-            ++memory;
-        } else if (region != 0) {
-            return false;
-        }
-        control += (f & kOpControl) != 0;
+        ++sidCounts[p.sid];
+        bad |= uint32_t{p.ev} >> 1 >= regionEnd[p.sid];
     }
-    if (memory != naddr || control != header.controlCount)
+    if (bad)
+        return false;
+    derive(sidCounts);
+    if (counts_.memoryReferences != naddr)
         return false;
 
     configHash_ = header.configHash;
-    controlCount_ = header.controlCount;
     backing_ = std::move(holder);
     valid_ = true;
     return true;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The trace image — the one on-disk form of a captured trace (header
- * version kFormatVersionV2, currently 4; the names keep the "V2" of
+ * version kFormatVersionV2, currently 5; the names keep the "V2" of
  * the first mmap'd layout).
  *
  * Its layout *is* the trace::MaterializedTrace tables, so a load is an
@@ -12,17 +12,17 @@
  *
  * Layout (all fixed-width fields little-endian):
  *
- *   header        V2Header (64 bytes): magic "MXT2", version, config
- *                 hash, instruction/segment/control counts, section
- *                 count, word-folded FNV-1a checksum of the section
- *                 table
+ *   header        V2Header (56 bytes): magic "MXT2", version, config
+ *                 hash, instruction and segment counts, section count,
+ *                 word-folded FNV-1a checksum of the section table
  *   section table sectionCount x V2Section {id, offset, length,
  *                 checksum}; offsets are from the start of the file and
  *                 kV2Align-aligned, checksums are word-folded FNV-1a
  *                 (fnv1aWords) over the section bytes
- *   sections      Meta: the varint-encoded small tables (names,
- *                 per-function counts, the config-independent
- *                 ProfileResult template, site metadata);
+ *   sections      Meta: the varint-encoded small tables (benchmark
+ *                 and version names, the op-table size, function
+ *                 names, site metadata: file and function strings,
+ *                 line and column per site);
  *                 Statics: StaticInstr {u32 site, u16 op, u8 memory
  *                 mode, u8 size} per distinct tuple (at most 65536);
  *                 Regions: u32 high address half per region (at most
@@ -38,17 +38,23 @@
  * the j-th memory event, so every host address replays exactly. About
  * 8 bytes per event in all: 6 for the record, 4 per memory event.
  *
+ * The image stores only what capture observed. Every tally (the
+ * ProfileResult template, per-function counts, the control and
+ * static-site counts) is derived at load from these tables, like the
+ * per-entry timing facts, so an edit to the op or micro-op tables
+ * takes effect without invalidating images.
+ *
  * mmap() returns page-aligned memory and every section offset is
  * 64-byte aligned, so each array is naturally aligned for its element
  * type. Integrity: a load validates magic, version, the table checksum
  * and every section checksum (a fast linear scan — no decode), then
- * every index a kernel reads through: each static entry's op, memory
- * mode and site, each record's sid and (memory events) region, the
- * address column's length against the memory events and the Meta
- * memory-reference count, the control count against the header, and
- * the segment stream against the function table and the event count.
- * Any mismatch is a refused load, which the trace store turns into
- * quarantine-and-miss.
+ * every index a kernel reads through: each static entry's op and
+ * memory mode, each record's sid and (memory events) region, the
+ * address column's length against the memory events, and the segment
+ * stream's enter ids against the function table and its runs against
+ * the event count. Any mismatch is a refused load, which the trace
+ * store turns into quarantine-and-miss; an image of another version is
+ * a plain miss.
  */
 
 #ifndef MMXDSP_TRACE_FORMAT_V2_HH
@@ -67,8 +73,8 @@ constexpr char kMagicV2[4] = {'M', 'X', 'T', '2'};
  *  definition changes. v3 switched section checksums from byte-wise to
  *  word-folded FNV-1a (fnv1aWords); v4 replaced the per-field event
  *  columns with the static table, 6-byte records and the memory-only
- *  address column. */
-constexpr uint32_t kFormatVersionV2 = 4;
+ *  address column; v5 dropped the stored tallies (derived at load). */
+constexpr uint32_t kFormatVersionV2 = 5;
 
 /** Every section offset is aligned to this (covers u64 naturally). */
 constexpr size_t kV2Align = 64;
@@ -94,13 +100,12 @@ struct V2Header
     uint64_t configHash;
     uint64_t instrCount;
     uint64_t segmentCount;
-    uint64_t controlCount;
     uint32_t sectionCount;
     uint32_t reserved;
     uint64_t tableChecksum; ///< fnv1aWords over the section table bytes
     uint64_t reserved2;
 };
-static_assert(sizeof(V2Header) == 64);
+static_assert(sizeof(V2Header) == 56);
 
 /** One section-table entry. */
 struct V2Section
@@ -153,6 +158,10 @@ struct Fnv1aStream
 
 /** True when @p data starts with the v2 magic. */
 bool isV2Image(const uint8_t *data, size_t size);
+
+/** True when @p data is a trace image of another format version: a
+ *  store entry a format change left behind, not a corrupt one. */
+bool isStaleV2Image(const uint8_t *data, size_t size);
 
 /**
  * A read-only memory-mapped file. On platforms (or filesystems) where

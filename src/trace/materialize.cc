@@ -27,7 +27,7 @@ constexpr size_t kBatchEvents = 512;
 } // namespace
 
 void
-MaterializedTrace::derive()
+MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
 {
     // The OpFacts of every static entry: its descriptor and flags, with
     // the attribution bits of its op's cost class merged in. The kOp*
@@ -53,10 +53,11 @@ MaterializedTrace::derive()
             f.flags |= kOpOverhead;
     }
 
-    // The function-run list: each Run segment belongs to the function
-    // on top of the enter/leave stack, adjacent runs of one function
-    // merge.
+    // The function-run list and the per-function counts: each Run
+    // segment belongs to the function on top of the enter/leave stack,
+    // adjacent runs of one function merge, and each Enter is a call.
     fnRuns_.clear();
+    fnCounts_.assign(fnNames_.size(), profile::FunctionStats{});
     std::vector<uint32_t> stack;
     uint32_t current = 0;
     for (const Segment &seg : segments_) {
@@ -64,6 +65,7 @@ MaterializedTrace::derive()
           case Segment::Enter:
             stack.push_back(seg.value);
             current = seg.value;
+            ++fnCounts_[current].calls;
             break;
           case Segment::Leave:
             if (!stack.empty())
@@ -73,6 +75,7 @@ MaterializedTrace::derive()
           case Segment::Run:
             if (!seg.value)
                 break;
+            fnCounts_[current].instructions += seg.value;
             if (!fnRuns_.empty() && fnRuns_.back().fnId == current
                 && fnRuns_.back().count <= UINT32_MAX - seg.value)
                 fnRuns_.back().count += seg.value;
@@ -81,6 +84,44 @@ MaterializedTrace::derive()
             break;
         }
     }
+
+    // The config-independent tallies depend only on the static entry,
+    // so they fold from the per-entry event counts.
+    profile::ProfileResult counts{};
+    controlCount_ = 0;
+    for (size_t sid = 0; sid < statics_.size(); ++sid) {
+        const StaticInstr &s = statics_[sid];
+        const uint64_t count = sidCounts[sid];
+        const profile::OpReplayEntry &entry = table[s.op];
+        counts.dynamicInstructions += count;
+        counts.uops += count * entry.uopsByMem[s.mem];
+        counts.memoryReferences += s.mem ? count : 0;
+        counts.opCounts[s.op] += count;
+        if (entry.mmxCategory)
+            counts.mmxByCategory[entry.mmxCategory] += count;
+        if (entry.costClass == profile::kCostCall)
+            counts.functionCalls += count;
+        if (facts_[sid].flags & kOpControl)
+            controlCount_ += count;
+    }
+    counts.staticInstructions = executedSites(sidCounts).size();
+    for (size_t c = 1; c < counts.mmxByCategory.size(); ++c)
+        counts.mmxInstructions += counts.mmxByCategory[c];
+    counts_ = counts;
+}
+
+std::vector<uint32_t>
+MaterializedTrace::executedSites(const std::vector<uint64_t> &sidCounts) const
+{
+    // Sorted rather than marked in a site-indexed array: a site id is
+    // any u32, and nothing is sized by a value an image supplies.
+    std::vector<uint32_t> sites;
+    for (size_t sid = 0; sid < statics_.size(); ++sid)
+        if (sidCounts[sid])
+            sites.push_back(statics_[sid].site);
+    std::sort(sites.begin(), sites.end());
+    sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+    return sites;
 }
 
 size_t

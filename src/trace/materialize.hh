@@ -22,12 +22,12 @@
  *  - function enter/leave markers collapsed into a segment list with an
  *    interned function-name table, and the capture's site metadata
  *    interned densely for hotspot labelling;
- *  - per-event facts that no timing configuration can change (micro-op
- *    counts, instruction/op/MMX-category/memory-reference totals,
- *    per-function call and instruction counts, the static-site count)
- *    folded into a ProfileResult template at capture time, so a
- *    per-configuration replay only has to run the timing model and
- *    attribute cycles.
+ *  - the tallies no timing configuration can change (micro-op counts,
+ *    instruction/op/MMX-category/memory-reference totals, per-function
+ *    call and instruction counts, the static-site count), derived from
+ *    the tables into a ProfileResult template by derive() — on capture
+ *    and on load alike — so a per-configuration replay only has to run
+ *    the timing model and attribute cycles.
  *
  * replayTo() decodes the records through sim::TraceSink::onInstrBatch
  * in cache-friendly blocks (any sink, bit-identical event stream);
@@ -39,8 +39,9 @@
  * Its on-disk form is the trace image (format_v2.hh), whose layout is
  * exactly these tables: serializeV2() writes it, and loadV2File() maps
  * it back so the records alias the mapped file (zero copy, no
- * per-event decode; the per-static-entry timing facts and the
- * function-run list are derived from the small tables). Memory use is
+ * per-event decode; the per-static-entry timing facts, the
+ * function-run list and the tallies are derived from the tables, so
+ * the image stores only what capture observed). Memory use is
  * about 8 bytes per event. service::TraceStore keeps these images for
  * the bench harness and vprofd alike.
  */
@@ -279,8 +280,6 @@ class MaterializedTrace
     const std::string &benchmark() const { return benchmark_; }
     const std::string &version() const { return version_; }
     uint64_t configHash() const { return configHash_; }
-    /** One past the largest site id in the event stream (0 if empty). */
-    uint32_t siteTableSize() const { return siteTableSize_; }
     /** Interned function names; index 0 is the measured root. */
     const std::vector<std::string> &functionNames() const
     {
@@ -334,8 +333,8 @@ class MaterializedTrace
      * The fast replay kernel: profile this trace under @p config on the
      * default machine (P5) and return metrics bit-identical to replaying
      * through a fresh profile::VProf. Config-independent counts come
-     * from the template computed at capture time; the per-event loop runs
-     * only the timing model and cycle attribution.
+     * from the template derive() folded; the per-event loop runs only
+     * the timing model and cycle attribution.
      */
     profile::ProfileResult
     replayProfile(const sim::TimerConfig &config = sim::TimerConfig{}) const;
@@ -483,11 +482,19 @@ class MaterializedTrace
                  std::shared_ptr<const void> holder);
 
     /**
-     * Derive what the kernels read besides the records: the OpFacts of
-     * every static entry and the function-run list of the segment
-     * stream. O(static entries + segments); run on capture and load.
+     * Derive everything besides the tables, on capture and load alike:
+     * the OpFacts of every static entry; the function-run list and the
+     * per-function calls and instructions of the segment stream; and,
+     * folded from @p sidCounts (events per static entry), the
+     * ProfileResult template and the control count. O(static entries
+     * + segments).
      */
-    void derive();
+    void derive(const std::vector<uint64_t> &sidCounts);
+
+    /** The distinct sites of the static entries @p sidCounts gives
+     *  events, ascending. */
+    std::vector<uint32_t>
+    executedSites(const std::vector<uint64_t> &sidCounts) const;
 
     /**
      * Per-section FNV-1a checksums carried alongside the tables,
@@ -502,21 +509,18 @@ class MaterializedTrace
     std::array<uint64_t, kV2SectionIds> sectionChecksums_{};
 
     std::vector<std::string> fnNames_;
+
+    // -- derived by derive() --
+    std::vector<OpFacts> facts_; ///< indexed by PackedOp::sid
+    std::vector<FnRun> fnRuns_;  ///< the segment stream's runs, in order
     /** Per-function calls/instructions (config-independent). */
     std::vector<profile::FunctionStats> fnCounts_;
-
     /**
      * ProfileResult template holding every config-independent metric;
      * cycle-dependent fields stay zero until a replay fills them.
      */
     profile::ProfileResult counts_;
-
-    uint32_t siteTableSize_ = 0;
     uint64_t controlCount_ = 0; ///< number of events with kOpControl
-
-    // -- derived by derive() --
-    std::vector<OpFacts> facts_; ///< indexed by PackedOp::sid
-    std::vector<FnRun> fnRuns_;  ///< the segment stream's runs, in order
 
     /**
      * Record the CacheMemo of every L2 geometry in @p l2s behind the L1

@@ -32,38 +32,18 @@ MaterializeSink::MaterializeSink(std::string benchmark, std::string version,
     // Index 0 is the measured root. It is deliberately not interned
     // into fnIds_: an explicit enter of the same name gets its own id.
     fnNames_.emplace_back(profile::rootFunctionName());
-    fnCounts_.emplace_back();
 }
 
 void
 MaterializeSink::onInstr(const InstrEvent &e)
 {
-    if (stage_.empty())
-        stage_.resize(kBlockEvents);
-    stage_[nstage_++] = e;
-    if (nstage_ == kBlockEvents)
-        flushStage();
-}
-
-void
-MaterializeSink::flushStage()
-{
-    if (nstage_) {
-        const size_t n = nstage_;
-        nstage_ = 0; // before appendBlock: keeps reentry impossible
-        appendBlock(std::span<const InstrEvent>(stage_.data(), n));
-    }
+    // A chunk of one: Fnv1aStream folds chunks of any size, so the
+    // image is the same as a batched capture's.
+    appendChunk(std::span<const InstrEvent>(&e, 1));
 }
 
 void
 MaterializeSink::onInstrBatch(std::span<const InstrEvent> events)
-{
-    flushStage();
-    appendBlock(events);
-}
-
-void
-MaterializeSink::appendBlock(std::span<const InstrEvent> events)
 {
     // Producer batches are at most kBlockEvents today (the runtime's
     // emit buffer), but chunking here keeps any larger span correct.
@@ -106,10 +86,6 @@ MaterializeSink::appendChunk(std::span<const InstrEvent> events)
         }
         b.ops[i] = {static_cast<uint16_t>(sid), e.src0, e.src1, e.dst, ev};
     }
-    // The owning function is constant within a block: markers always
-    // flush the emit buffer first (runtime::Cpu) / close the run
-    // (replayTo, flushStage), so a block never straddles an enter/leave.
-    fnCounts_[current_].instructions += m;
 
     // Fold the running section checksums over the block while it is
     // still L1-resident — by the time finish() or serializeV2() runs,
@@ -174,30 +150,20 @@ MaterializeSink::internRegion(uint32_t hi)
 void
 MaterializeSink::onEnterFunction(const char *name)
 {
-    flushStage();
     flushRun();
     auto [it, inserted] =
         fnIds_.try_emplace(name ? name : "", static_cast<uint32_t>(0));
     if (inserted) {
         it->second = static_cast<uint32_t>(fnNames_.size());
         fnNames_.push_back(it->first);
-        fnCounts_.emplace_back();
     }
-    const uint32_t id = it->second;
-    stack_.push_back(id);
-    current_ = id;
-    ++fnCounts_[id].calls;
-    segs_.push_back({MaterializedTrace::Segment::Enter, id});
+    segs_.push_back({MaterializedTrace::Segment::Enter, it->second});
 }
 
 void
 MaterializeSink::onLeaveFunction()
 {
-    flushStage();
     flushRun();
-    if (!stack_.empty())
-        stack_.pop_back();
-    current_ = stack_.empty() ? 0 : stack_.back();
     segs_.push_back({MaterializedTrace::Segment::Leave, 0});
 }
 
@@ -216,7 +182,6 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
     if (finished_)
         mmxdsp_fatal("MaterializeSink::finish called twice");
     finished_ = true;
-    flushStage();
     flushRun();
 
     MaterializedTrace t;
@@ -229,49 +194,15 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
     t.regions_.adopt(std::move(regions_));
     t.segments_.adopt(std::move(segs_));
     t.fnNames_ = std::move(fnNames_);
-    t.fnCounts_ = std::move(fnCounts_);
-    t.derive();
-
-    // The config-independent tallies depend only on the static entry,
-    // so they fold from the per-entry event counts: O(entries).
-    const auto &table = profile::opReplayTable();
-    profile::ProfileResult counts{};
-    uint64_t control = 0;
-    uint32_t maxSite = 0;
-    for (size_t sid = 0; sid < t.statics_.size(); ++sid) {
-        const StaticInstr &s = t.statics_[sid];
-        const uint64_t count = sidCounts_[sid];
-        const profile::OpReplayEntry &entry = table[s.op];
-        counts.uops += count * entry.uopsByMem[s.mem];
-        counts.memoryReferences += s.mem ? count : 0;
-        counts.opCounts[s.op] += count;
-        if (entry.mmxCategory)
-            counts.mmxByCategory[entry.mmxCategory] += count;
-        if (entry.costClass == profile::kCostCall)
-            counts.functionCalls += count;
-        if (t.facts_[sid].flags & kOpControl)
-            control += count;
-        maxSite = std::max(maxSite, s.site);
-    }
-    const size_t n = t.ops_.size();
-    t.siteTableSize_ = n ? maxSite + 1 : 0;
-    std::vector<uint8_t> seenSites(t.siteTableSize_, 0);
-    for (const StaticInstr &s : t.statics_)
-        seenSites[s.site] = 1;
-    counts.staticInstructions = static_cast<uint64_t>(
-        std::count(seenSites.begin(), seenSites.end(), uint8_t{1}));
-    counts.dynamicInstructions = n;
-    for (size_t c = 1; c < counts.mmxByCategory.size(); ++c)
-        counts.mmxInstructions += counts.mmxByCategory[c];
-    t.counts_ = counts;
-    t.controlCount_ = control;
+    t.derive(sidCounts_);
 
     // Site metadata for every site the stream touched, interned in
     // ascending id order with the file name before the function name,
     // so the Meta section serializes byte-identically for the same
-    // stream.
-    if (cpu && n) {
-        t.siteMeta_.resize(t.siteTableSize_);
+    // stream. Site ids come from the live runtime, so they are dense.
+    if (cpu && !t.ops_.empty()) {
+        const std::vector<uint32_t> sites = t.executedSites(sidCounts_);
+        t.siteMeta_.resize(size_t{sites.back()} + 1);
         std::unordered_map<std::string, int32_t> stringIds;
         auto intern = [&](const char *s) {
             auto [it, inserted] = stringIds.try_emplace(
@@ -282,9 +213,7 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
             }
             return it->second;
         };
-        for (uint32_t id = 0; id < t.siteTableSize_; ++id) {
-            if (!seenSites[id])
-                continue;
+        for (const uint32_t id : sites) {
             const runtime::SiteInfo &info = cpu->siteInfo(id);
             MaterializedTrace::SiteMeta &meta = t.siteMeta_[id];
             meta.line = info.line;

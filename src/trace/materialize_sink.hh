@@ -2,16 +2,18 @@
  * @file
  * MaterializeSink — the capture path: runtime::Cpu → MaterializedTrace.
  *
- * It implements TraceSink::onInstrBatch and packs each 512-event
- * capture block straight into the trace tables: each event's (site,
- * op, memory mode, size) tuple is interned into the static table
- * through a per-site last-entry cache, its address's high half into
- * the region table, and what is left — the 6-byte record and a memory
- * event's low address half — is appended while a running FNV-1a state
- * per image section folds over the block. The segment stream and the
- * function table are built incrementally, and the config-independent
- * tallies are counted per static entry and folded at finish(). So
- * capture → on-disk image is one pass over the event stream.
+ * It only records. TraceSink::onInstrBatch packs each capture block
+ * (at most 512 events; onInstr is a block of one) straight into the
+ * trace tables: each event's (site, op, memory mode, size) tuple is
+ * interned into the static table through a per-site last-entry cache,
+ * its address's high half into the region table, and what is left —
+ * the 6-byte record and a memory event's low address half — is
+ * appended while a running FNV-1a state per image section folds over
+ * the block. The segment stream and the function table are built
+ * incrementally, and each static entry's events are counted; finish()
+ * hands those counts to MaterializedTrace::derive(), which folds the
+ * tallies exactly as a load does. So capture → on-disk image is one
+ * pass over the event stream.
  *
  * An event without a memory operand keeps no address (it replays as
  * 0). A stream with more than kMaxStaticInstrs distinct tuples or
@@ -54,8 +56,6 @@ class MaterializeSink final : public sim::TraceSink
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
 
-    uint64_t instrCount() const { return ops_.size() + nstage_; }
-
     /**
      * Seal the capture and return the materialized trace (valid, with
      * the per-section checksums cached for serializeV2). Pass the
@@ -69,8 +69,6 @@ class MaterializeSink final : public sim::TraceSink
     static constexpr size_t kBlockEvents = 512;
 
   private:
-    /** Append a producer batch (chunked to kBlockEvents internally). */
-    void appendBlock(std::span<const isa::InstrEvent> events);
     /** Append one ≤kBlockEvents chunk: pack, checksum, insert. */
     void appendChunk(std::span<const isa::InstrEvent> events);
     /** The static-table index of @p st, whose interning key is
@@ -78,8 +76,6 @@ class MaterializeSink final : public sim::TraceSink
     uint32_t internStatic(const StaticInstr &st, uint64_t key);
     /** The region-table index of high address half @p hi. */
     uint32_t internRegion(uint32_t hi);
-    /** Flush the per-event staging block (see onInstr). */
-    void flushStage();
     /** Close the currently open instruction run in the segment stream. */
     void flushRun();
 
@@ -87,16 +83,6 @@ class MaterializeSink final : public sim::TraceSink
     std::string version_;
     uint64_t configHash_ = 0;
     bool finished_ = false;
-
-    /**
-     * Staging for per-event producers (a sink that does not override
-     * onInstrBatch forwards one onInstr per event): events accumulate
-     * here and flush through appendBlock() in kBlockEvents blocks, so
-     * the appends and checksum folds always run over full blocks.
-     * Batch producers (runtime::Cpu) bypass it entirely.
-     */
-    std::vector<isa::InstrEvent> stage_;
-    size_t nstage_ = 0;
 
     /**
      * One capture block packed, L1-resident and reused for every chunk:
@@ -126,7 +112,7 @@ class MaterializeSink final : public sim::TraceSink
     std::vector<uint32_t> lastSid_;
     static constexpr uint32_t kNoSid = UINT32_MAX;
     /** Events per static entry: the config-independent tallies depend
-     *  only on the entry, so finish() folds them from these. */
+     *  only on the entry, so derive() folds them from these. */
     std::vector<uint64_t> sidCounts_;
     /** The last memory event's high address half (~0: none yet) and
      *  its region index. */
@@ -135,11 +121,8 @@ class MaterializeSink final : public sim::TraceSink
 
     // -- function table: index 0 is the measured root --
     std::vector<std::string> fnNames_;
-    std::vector<profile::FunctionStats> fnCounts_;
     std::unordered_map<std::string, uint32_t> fnIds_;
-    std::vector<uint32_t> stack_;
-    uint32_t current_ = 0; ///< owning function id for arriving events
-    uint32_t run_ = 0;     ///< length of the open instruction run
+    uint32_t run_ = 0; ///< length of the open instruction run
 
     /**
      * Running word-folded FNV-1a state of the record and address

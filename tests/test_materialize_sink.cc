@@ -4,9 +4,10 @@
  * capture passes full validation and survives truncation and
  * corruption fuzz, and the BenchmarkSuite wiring publishes each cold
  * capture to the trace store, where a second process maps it instead
- * of re-executing, and quarantines an image of an older layout. Random
- * streams and every registry pair are captured next to live VProfs, and
- * the capture's image must reproduce each live profile on every model.
+ * of re-executing, and treats an image of an older layout as a miss.
+ * Random streams and every registry pair are captured next to live
+ * VProfs, and the capture's image must reproduce each live profile on
+ * every model.
  * A capture past the image's address-region limit panics.
  */
 
@@ -271,11 +272,12 @@ TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
     expectSameProfile(run.profile, mat1->replayProfile(), "second process");
 }
 
-TEST(MaterializeSink, SuiteQuarantinesAnOlderImageVersionAndRecaptures)
+TEST(MaterializeSink, SuiteTreatsAnOlderImageVersionAsAMiss)
 {
     // An image of an older layout version (a store filled before the
-    // last format change) must not load: the store quarantines it and
-    // the suite captures the pair afresh and publishes it again.
+    // last format change) must not load, yet it is no corruption: the
+    // store leaves it in place as a plain miss, and the suite captures
+    // the pair afresh and publishes it over the old entry.
     ScratchDir scratch("mmxdsp_matsink_version_test");
     const harness::SuiteConfig config = tinyConfig();
     service::StoreOptions store_opts;
@@ -299,12 +301,16 @@ TEST(MaterializeSink, SuiteQuarantinesAnOlderImageVersionAndRecaptures)
     EXPECT_EQ(suite.traceActivity().captured, 1);
     EXPECT_EQ(suite.traceActivity().disk_hits, 0);
 
-    size_t quarantined = 0;
-    for (const auto &de : fs::recursive_directory_iterator(scratch.path))
+    size_t files = 0, quarantined = 0;
+    for (const auto &de : fs::recursive_directory_iterator(scratch.path)) {
+        files += de.is_regular_file();
         quarantined += de.is_regular_file()
                        && de.path().parent_path().filename() == "quarantine";
-    EXPECT_EQ(quarantined, 1u);
-    // The recapture took the old entry's place in the current layout.
+    }
+    EXPECT_EQ(quarantined, 0u);
+    EXPECT_EQ(files, 1u);
+    // The recapture replaced the old entry in place, in the current
+    // layout.
     const auto reloaded = store.load("fir", "mmx", config.hash());
     ASSERT_TRUE(reloaded);
     EXPECT_EQ(reloaded->serializeV2(), mat->serializeV2());

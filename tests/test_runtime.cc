@@ -337,48 +337,6 @@ TEST(CpuEmitBatching, FullBlocksAreDeliveredInKEmitBatchUnits)
     EXPECT_EQ(sink.events.size(), n);
 }
 
-TEST(CpuEmitBatching, BatchedStreamEqualsPerInstructionStream)
-{
-    // The same instruction sequence, once with the default block size
-    // and once with blocks disabled, must reach the sink as the same
-    // event sequence with the same interleaving around enter/leave.
-    auto run = [](Cpu &cpu) {
-        alignas(8) int16_t data[4] = {100, -200, 300, -400};
-        CallGuard g(cpu, "kernel", 2, 1);
-        M64 d = cpu.movqLoad(data);
-        M64 s = cpu.paddsw(d, d);
-        cpu.movqStore(data, cpu.psraw(s, 1));
-        cpu.cmpImm(cpu.imm32(0), 1);
-        cpu.jcc(false);
-    };
-
-    Cpu batched;
-    RecordingSink bs;
-    batched.attachSink(&bs);
-    run(batched);
-    batched.attachSink(nullptr);
-
-    Cpu unbatched;
-    RecordingSink us;
-    unbatched.setEmitBatch(1);
-    unbatched.attachSink(&us);
-    run(unbatched);
-    unbatched.attachSink(nullptr);
-
-    ASSERT_EQ(bs.events.size(), us.events.size());
-    for (size_t i = 0; i < bs.events.size(); ++i) {
-        EXPECT_EQ(bs.events[i].op, us.events[i].op) << i;
-        EXPECT_EQ(bs.events[i].mem, us.events[i].mem) << i;
-        EXPECT_EQ(bs.events[i].size, us.events[i].size) << i;
-        EXPECT_EQ(bs.events[i].src0, us.events[i].src0) << i;
-        EXPECT_EQ(bs.events[i].src1, us.events[i].src1) << i;
-        EXPECT_EQ(bs.events[i].dst, us.events[i].dst) << i;
-        EXPECT_EQ(bs.events[i].taken, us.events[i].taken) << i;
-    }
-    EXPECT_EQ(bs.entered, us.entered);
-    EXPECT_EQ(bs.leaves, us.leaves);
-}
-
 TEST(CpuEmitBatching, EnterAndLeaveMarkersForceAFlush)
 {
     Cpu cpu;
@@ -397,18 +355,6 @@ TEST(CpuEmitBatching, EnterAndLeaveMarkersForceAFlush)
     cpu.flushEmit();
     EXPECT_EQ(sink.batchSizes.size(), 3u);
     EXPECT_EQ(sink.countOf(Op::Add), 1u);
-}
-
-TEST(CpuEmitBatching, ZeroBlockSizeBehavesLikeOne)
-{
-    Cpu cpu;
-    BatchRecordingSink sink;
-    cpu.setEmitBatch(0);
-    cpu.attachSink(&sink);
-    R32 a = cpu.imm32(1);
-    cpu.addImm(a, 1);
-    EXPECT_EQ(sink.events.size(), 2u);
-    EXPECT_EQ(sink.batchSizes, (std::vector<size_t>{1, 1}));
 }
 
 TEST(CallGuard, NestedCallsBalanceTheModelledStack)

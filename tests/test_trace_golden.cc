@@ -139,15 +139,15 @@ TEST(TraceGolden, EncoderImageIsByteStable)
 {
     // Golden size and FNV-1a of the image for the fixed stream above.
     // Any drift in the section layout, the static-table or region
-    // interning order, the Meta encoding, the profile template, the
-    // checksums or the header trips this. Last re-pinned for the v4
-    // image (static table, 6-byte records, memory-only addresses).
+    // interning order, the Meta encoding, the checksums or the header
+    // trips this. Last re-pinned for the v5 image (no stored tallies,
+    // 56-byte header).
     trace::MaterializeSink sink("golden", "mmx", 0xfeedfacecafef00dull);
     writeFixedStream(sink);
     const std::vector<uint8_t> image = sink.finish().serializeV2();
-    EXPECT_EQ(image.size(), 14080u);
+    EXPECT_EQ(image.size(), 13952u);
     EXPECT_EQ(trace::fnv1a(image.data(), image.size()),
-              0x76575e0d450ae316ull);
+              0x94da4ea88076ba03ull);
 }
 
 } // namespace
