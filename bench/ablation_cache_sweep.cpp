@@ -23,19 +23,20 @@ using harness::BenchmarkSuite;
 
 namespace {
 
-/** The L1 x L2 grid: every pairing where L2 is strictly larger. */
-std::vector<sim::TimerConfig>
+/** The L1 x L2 grid on the P5: every pairing where L2 is strictly
+ *  larger. */
+std::vector<sim::MachineConfig>
 makeGrid()
 {
-    std::vector<sim::TimerConfig> grid;
+    std::vector<sim::MachineConfig> grid;
     for (uint32_t l1_kb : {4, 8, 16, 32, 64}) {
         for (uint32_t l2_kb : {128, 512, 2048}) {
             if (l2_kb <= l1_kb)
                 continue;
-            sim::TimerConfig config;
-            config.l1.size_bytes = l1_kb * 1024;
-            config.l2.size_bytes = l2_kb * 1024;
-            grid.push_back(config);
+            sim::MachineConfig machine{sim::ModelKind::P5, {}};
+            machine.timer.l1.size_bytes = l1_kb * 1024;
+            machine.timer.l2.size_bytes = l2_kb * 1024;
+            grid.push_back(machine);
         }
     }
     return grid;
@@ -45,7 +46,7 @@ void
 sweepOne(BenchmarkSuite &suite, const char *bench, const char *version,
          int threads)
 {
-    const std::vector<sim::TimerConfig> grid = makeGrid();
+    const std::vector<sim::MachineConfig> grid = makeGrid();
     const std::vector<profile::ProfileResult> results =
         suite.sweep(bench, version, grid, threads);
 
@@ -56,11 +57,12 @@ sweepOne(BenchmarkSuite &suite, const char *bench, const char *version,
     uint64_t baseline = 0;
     for (size_t i = 0; i < results.size(); ++i) {
         const profile::ProfileResult &p = results[i];
-        if (grid[i].l1.size_bytes == 16 * 1024
-            && grid[i].l2.size_bytes == 512 * 1024)
+        const sim::TimerConfig &config = grid[i].timer;
+        if (config.l1.size_bytes == 16 * 1024
+            && config.l2.size_bytes == 512 * 1024)
             baseline = p.cycles;
         table.addRow(
-            {grid[i].l1.describe(), grid[i].l2.describe(),
+            {config.l1.describe(), config.l2.describe(),
              Table::fmtCount(static_cast<int64_t>(p.cycles)),
              Table::fmtFixed(p.instructionsPerCycle(), 2),
              Table::fmtPercent(p.l1.missRate(), 2),

@@ -107,7 +107,8 @@ main(int argc, char **argv)
             std::vector<sim::MachineConfig>{p5, p6, p6p}, opts.threads);
 
         // Gate 1: the sweep's P5 entry matches the plain P5 replay.
-        if (!sameResult(swept[0], mat->replayProfile(sim::TimerConfig{}))) {
+        if (!sameResult(swept[0],
+                        mat->replayProfile({sim::ModelKind::P5, {}}))) {
             std::fprintf(stderr,
                          "FAIL: %s.%s cross-model sweep P5 entry diverged "
                          "from plain P5 replay\n",

@@ -360,16 +360,6 @@ BenchmarkSuite::runAll(int n_threads)
 std::vector<profile::ProfileResult>
 BenchmarkSuite::sweep(const std::string &benchmark,
                       const std::string &version,
-                      const std::vector<sim::TimerConfig> &configs,
-                      int threads)
-{
-    return materializedFor(benchmark, version)
-        ->replaySweep(configs, threads);
-}
-
-std::vector<profile::ProfileResult>
-BenchmarkSuite::sweep(const std::string &benchmark,
-                      const std::string &version,
                       const std::vector<sim::MachineConfig> &machines,
                       int threads)
 {

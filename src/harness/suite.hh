@@ -73,7 +73,8 @@ struct TraceOptions
 {
     /** Capture executions into the trace store and replay them. */
     bool enabled = false;
-    /** Root of the trace store (entries live in "<dir>/shard-NN/"). */
+    /** Root of the trace store (entries live in "<dir>/", one file per
+     *  pair). */
     std::string dir = "traces";
 };
 
@@ -146,18 +147,10 @@ class BenchmarkSuite
                     const std::string &version);
 
     /**
-     * Replay one benchmark's trace under every timing configuration in
-     * @p configs (L1/L2 geometry, penalties, BTB size, ...), fanning out
+     * Replay one benchmark's trace on every machine in @p machines
+     * (model, L1/L2 geometry, penalties, BTB size, ...), fanning out
      * over @p threads workers. One capture, many machine models: every
-     * worker replays the same MaterializedTrace.
-     */
-    std::vector<profile::ProfileResult>
-    sweep(const std::string &benchmark, const std::string &version,
-          const std::vector<sim::TimerConfig> &configs, int threads = 0);
-
-    /**
-     * Cross-model sweep: each entry selects its own machine (P5 or P6)
-     * and timer parameters, all replayed from the same captured trace.
+     * entry replays the same MaterializedTrace.
      */
     std::vector<profile::ProfileResult>
     sweep(const std::string &benchmark, const std::string &version,

@@ -49,6 +49,9 @@ machineHash(const sim::MachineConfig &machine)
 
 namespace {
 
+/** Completed-profile cache capacity (entries). */
+constexpr size_t kResultCacheEntries = 4096;
+
 std::string
 resultKey(const std::string &benchmark, const std::string &version,
           uint64_t config_hash, const sim::MachineConfig &machine)
@@ -123,8 +126,6 @@ void
 QueryEngine::insertResult(const std::string &key,
                           const profile::ProfileResult &profile)
 {
-    if (!opts_.result_cache_entries)
-        return;
     auto it = results_.find(key);
     if (it != results_.end()) {
         it->second.profile = profile;
@@ -133,7 +134,7 @@ QueryEngine::insertResult(const std::string &key,
     }
     resultLru_.push_front(key);
     results_.emplace(key, ResultEntry{profile, resultLru_.begin()});
-    while (results_.size() > opts_.result_cache_entries) {
+    while (results_.size() > kResultCacheEntries) {
         results_.erase(resultLru_.back());
         resultLru_.pop_back();
     }
@@ -360,8 +361,9 @@ QueryEngine::parseQueryLine(const std::string &line, Query *out,
         }
         char *end = nullptr;
         errno = 0;
-        const unsigned long long n = std::strtoull(value.c_str(), &end, 0);
-        if (end == value.c_str() || *end != '\0' || value[0] == '-') {
+        const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+        // Decimal digits only (strtoull would also take a sign).
+        if (value[0] < '0' || value[0] > '9' || *end != '\0') {
             *error = "parameter '" + key + "' wants a number, got '"
                      + value + "'";
             return false;

@@ -2,7 +2,7 @@
  * @file
  * vprofd's query engine: (benchmark, version, machine) in, profile out.
  *
- * The engine sits between the sharded TraceStore and callers (the
+ * The engine sits between the TraceStore and callers (the
  * vprofd binary, perfbench, tests) and implements the
  * compute-once/serve-many pipeline:
  *
@@ -89,8 +89,6 @@ struct EngineOptions
     int threads = 0;
     /** Capture missing traces live; off = such queries fail. */
     bool allow_capture = true;
-    /** Completed-profile cache capacity (entries; 0 disables). */
-    size_t result_cache_entries = 4096;
     /** Resident-trace cache budget in bytes, memos included (0
      *  disables both). */
     size_t trace_cache_bytes = 512ull << 20;
@@ -132,10 +130,10 @@ class QueryEngine
     /**
      * Parse one query line: "benchmark version [model=p5|p6|p6p] [scale-
      * free key=value parameters: l1=BYTES l1_ways=N l1_line=N l2=BYTES
-     * l2_ways=N l2_line=N btb=ENTRIES btb_ways=N mp=CYCLES]". Unknown
-     * pairs and malformed parameters fail with a message in @p error
-     * (daemon input is untrusted; a bad line must never hit the
-     * harness's fatal path).
+     * l2_ways=N l2_line=N btb=ENTRIES btb_ways=N mp=CYCLES]", every
+     * number in decimal. Unknown pairs and malformed parameters fail
+     * with a message in @p error (daemon input is untrusted; a bad line
+     * must never hit the harness's fatal path).
      */
     static bool parseQueryLine(const std::string &line, Query *out,
                                std::string *error);

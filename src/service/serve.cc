@@ -78,6 +78,13 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** The reply to a line that does not parse. */
+std::string
+errorToJson(const std::string &error)
+{
+    return "{\"ok\":false,\"error\":\"" + jsonEscape(error) + "\"}";
+}
+
 } // namespace
 
 std::string
@@ -110,13 +117,7 @@ statsToJson(QueryEngine &engine)
 {
     const EngineStats es = engine.stats();
     const StoreStats ss = engine.store().stats();
-    const std::vector<ShardUsage> shards = engine.store().shardUsage();
-    uint64_t entries = 0, bytes = 0, parked = 0;
-    for (const ShardUsage &u : shards) {
-        entries += u.entries;
-        bytes += u.bytes;
-        parked += u.quarantined;
-    }
+    const StoreUsage usage = engine.store().usage();
     std::ostringstream out;
     out << "{\"queries\":" << es.queries
         << ",\"result_hits\":" << es.result_hits
@@ -127,19 +128,13 @@ statsToJson(QueryEngine &engine)
         << ",\"memo_hits\":" << es.memo_hits
         << ",\"memo_bytes\":" << es.memo_bytes
         << ",\"failures\":" << es.failures
-        << ",\"store\":{\"entries\":" << entries << ",\"bytes\":" << bytes
-        << ",\"quarantine_entries\":" << parked
+        << ",\"store\":{\"entries\":" << usage.entries
+        << ",\"bytes\":" << usage.bytes
+        << ",\"quarantine_entries\":" << usage.quarantined
         << ",\"v2_hits\":" << ss.v2_hits << ",\"misses\":" << ss.misses
         << ",\"stores\":" << ss.stores
         << ",\"quarantined\":" << ss.quarantined
-        << ",\"evicted\":" << ss.evicted << ",\"shards\":[";
-    for (size_t i = 0; i < shards.size(); ++i) {
-        const ShardUsage &u = shards[i];
-        out << (i ? "," : "") << "{\"shard\":" << u.shard
-            << ",\"entries\":" << u.entries << ",\"bytes\":" << u.bytes
-            << ",\"quarantine_entries\":" << u.quarantined << "}";
-    }
-    out << "]}}";
+        << ",\"evicted\":" << ss.evicted << "}}";
     return out.str();
 }
 
@@ -161,9 +156,42 @@ serveSession(QueryEngine &engine, std::istream &in, std::ostream &out)
         if (QueryEngine::parseQueryLine(line, &q, &error))
             out << resultToJson(engine.query(q)) << std::endl;
         else
-            out << "{\"ok\":false,\"error\":\"" << jsonEscape(error)
-                << "\"}" << std::endl;
+            out << errorToJson(error) << std::endl;
     }
+}
+
+size_t
+serveBatch(QueryEngine &engine, std::istream &in, std::ostream &out)
+{
+    std::vector<std::string> replies; ///< one per query line, in order
+    std::vector<Query> queries;
+    std::vector<size_t> slot; ///< queries[k] answers replies[slot[k]]
+    size_t failed = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        Query q;
+        std::string error;
+        if (QueryEngine::parseQueryLine(line, &q, &error)) {
+            queries.push_back(std::move(q));
+            slot.push_back(replies.size());
+            replies.emplace_back();
+        } else {
+            replies.push_back(errorToJson(error));
+            ++failed;
+        }
+    }
+    const std::vector<QueryResult> results = engine.queryBatch(queries);
+    for (size_t k = 0; k < results.size(); ++k) {
+        replies[slot[k]] = resultToJson(results[k]);
+        failed += !results[k].ok;
+    }
+    out << "[\n";
+    for (size_t i = 0; i < replies.size(); ++i)
+        out << "  " << replies[i] << (i + 1 < replies.size() ? ",\n" : "\n");
+    out << "]\n";
+    return failed;
 }
 
 } // namespace mmxdsp::service

@@ -1,7 +1,7 @@
 /**
  * @file
- * vprofd's wire format and its --serve session loop, kept out of the
- * executable so tests can drive a session through string streams.
+ * vprofd's wire format and its --serve and --batch loops, kept out of
+ * the executable so tests can drive them through string streams.
  */
 
 #ifndef MMXDSP_SERVICE_SERVE_HH
@@ -30,6 +30,16 @@ std::string statsToJson(QueryEngine &engine);
  * goes on.
  */
 void serveSession(QueryEngine &engine, std::istream &in, std::ostream &out);
+
+/**
+ * The --batch run: answer every query line of @p in at once (one
+ * QueryEngine::queryBatch() over the lines that parse) and write a JSON
+ * array to @p out with one reply per query line, in line order. Blank
+ * lines and '#' comments are skipped; a line that does not parse gets
+ * the --serve error reply in its place. Returns the number of replies
+ * that are not ok.
+ */
+size_t serveBatch(QueryEngine &engine, std::istream &in, std::ostream &out);
 
 } // namespace mmxdsp::service
 

@@ -7,7 +7,6 @@
 
 #include "support/io.hh"
 #include "support/logging.hh"
-#include "trace/format.hh"
 #include "trace/format_v2.hh"
 
 namespace fs = std::filesystem;
@@ -56,38 +55,13 @@ quarantineEntry(const std::string &path, const char *why)
 
 } // namespace
 
-TraceStore::TraceStore(StoreOptions opts) : opts_(std::move(opts))
-{
-    opts_.shards = std::clamp<uint32_t>(opts_.shards, 1, 256);
-}
-
-uint32_t
-TraceStore::shardOf(const std::string &benchmark, const std::string &version,
-                    uint64_t config_hash) const
-{
-    uint64_t h = trace::fnv1a(
-        reinterpret_cast<const uint8_t *>(benchmark.data()),
-        benchmark.size());
-    h = trace::fnv1a(reinterpret_cast<const uint8_t *>(version.data()),
-                     version.size(), h);
-    h = trace::fnv1aMix(h, config_hash);
-    return static_cast<uint32_t>(h % opts_.shards);
-}
-
-std::string
-TraceStore::shardDir(uint32_t shard) const
-{
-    char name[24];
-    std::snprintf(name, sizeof(name), "shard-%02x", shard);
-    return opts_.root + "/" + name;
-}
+TraceStore::TraceStore(StoreOptions opts) : opts_(std::move(opts)) {}
 
 std::string
 TraceStore::path(const std::string &benchmark, const std::string &version,
                  uint64_t config_hash) const
 {
-    return shardDir(shardOf(benchmark, version, config_hash)) + "/"
-           + keyFileName(benchmark, version, config_hash);
+    return opts_.root + "/" + keyFileName(benchmark, version, config_hash);
 }
 
 std::shared_ptr<const trace::MaterializedTrace>
@@ -119,12 +93,11 @@ TraceStore::store(const std::string &benchmark, const std::string &version,
 {
     if (!mat.valid())
         return false;
-    const uint32_t shard = shardOf(benchmark, version, config_hash);
     std::error_code ec;
-    fs::create_directories(shardDir(shard), ec);
+    fs::create_directories(opts_.root, ec);
     if (ec) {
-        mmxdsp_warn("trace store: cannot create %s: %s",
-                    shardDir(shard).c_str(), ec.message().c_str());
+        mmxdsp_warn("trace store: cannot create %s: %s", opts_.root.c_str(),
+                    ec.message().c_str());
         return false;
     }
     const std::string p = path(benchmark, version, config_hash);
@@ -139,32 +112,38 @@ TraceStore::store(const std::string &benchmark, const std::string &version,
 }
 
 std::vector<TraceStore::Entry>
-TraceStore::scan() const
+TraceStore::scan(uint64_t *quarantined) const
 {
     std::vector<Entry> entries;
     std::error_code ec;
-    for (uint32_t shard = 0; shard < opts_.shards; ++shard) {
-        fs::directory_iterator it(shardDir(shard), ec);
-        if (ec) {
-            ec.clear();
+    for (fs::recursive_directory_iterator
+             it(opts_.root, fs::directory_options::skip_permission_denied, ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
+        const fs::directory_entry &de = *it;
+        std::error_code fe;
+        if (!de.is_regular_file(fe))
+            continue;
+        if (de.path().parent_path().filename() == "quarantine") {
+            if (quarantined)
+                ++*quarantined;
             continue;
         }
-        for (const fs::directory_entry &de : it) {
-            if (!de.is_regular_file(ec))
-                continue;
-            const std::string name = de.path().filename().string();
-            // In-flight atomic publishes are not corpus entries.
-            if (name.find(".tmp.") != std::string::npos)
-                continue;
-            Entry e;
-            e.path = de.path().string();
-            e.bytes = static_cast<uint64_t>(de.file_size(ec));
-            const auto mtime = de.last_write_time(ec);
-            e.mtime_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             mtime.time_since_epoch())
-                             .count();
-            entries.push_back(std::move(e));
-        }
+        // Only images are entries: in-flight publishes end in
+        // ".tmp.<pid>.<n>", and nothing else is the store's to evict.
+        if (de.path().extension() != ".mxt2")
+            continue;
+        const uintmax_t bytes = de.file_size(fe);
+        const auto mtime = de.last_write_time(fe);
+        if (fe) // evicted or replaced since the directory was read
+            continue;
+        Entry e;
+        e.path = de.path().string();
+        e.bytes = static_cast<uint64_t>(bytes);
+        e.mtime_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         mtime.time_since_epoch())
+                         .count();
+        entries.push_back(std::move(e));
     }
     return entries;
 }
@@ -172,49 +151,24 @@ TraceStore::scan() const
 uint64_t
 TraceStore::totalBytes() const
 {
-    uint64_t total = 0;
-    for (const Entry &e : scan())
-        total += e.bytes;
-    return total;
+    return usage().bytes;
 }
 
 uint64_t
 TraceStore::entryCount() const
 {
-    return static_cast<uint64_t>(scan().size());
+    return usage().entries;
 }
 
-std::vector<ShardUsage>
-TraceStore::shardUsage() const
+StoreUsage
+TraceStore::usage() const
 {
-    std::vector<ShardUsage> usage(opts_.shards);
-    std::error_code ec;
-    for (uint32_t shard = 0; shard < opts_.shards; ++shard) {
-        ShardUsage &u = usage[shard];
-        u.shard = shard;
-        const std::string dir = shardDir(shard);
-        for (fs::directory_iterator it(dir, ec);
-             !ec && it != fs::directory_iterator(); ++it) {
-            const fs::directory_entry &de = *it;
-            if (!de.is_regular_file(ec))
-                continue;
-            const std::string name = de.path().filename().string();
-            if (name.find(".tmp.") != std::string::npos)
-                continue;
-            ++u.entries;
-            u.bytes += static_cast<uint64_t>(de.file_size(ec));
-        }
-        ec.clear();
-        // quarantineFile() parks bad entries in the shard's own
-        // quarantine/ subdirectory; count them where they fell.
-        for (fs::directory_iterator it(dir + "/quarantine", ec);
-             !ec && it != fs::directory_iterator(); ++it) {
-            if (it->is_regular_file(ec))
-                ++u.quarantined;
-        }
-        ec.clear();
-    }
-    return usage;
+    StoreUsage u;
+    const std::vector<Entry> entries = scan(&u.quarantined);
+    u.entries = entries.size();
+    for (const Entry &e : entries)
+        u.bytes += e.bytes;
+    return u;
 }
 
 uint64_t

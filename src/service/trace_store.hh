@@ -1,26 +1,27 @@
 /**
  * @file
- * Sharded, content-addressed trace store — the one persistence layer
- * for captured traces, shared by the bench harness
+ * Content-addressed trace store — the one persistence layer for
+ * captured traces, shared by the bench harness
  * (harness::BenchmarkSuite) and vprofd (service::QueryEngine):
  *
  *  - entries are keyed by (benchmark, version, SuiteConfig hash) and
- *    spread over N shard subdirectories ("shard-00" ..) by a stable
- *    hash of the key, so directory scans and evictions touch 1/N of
- *    the corpus and two stores rarely contend on one directory;
+ *    live side by side in one directory, one file per key
+ *    ("<root>/<bench>.<ver>.<hash16>.mxt2");
  *  - every entry is a trace image (format_v2.hh), so a hit is an mmap
  *    + checksum scan with no decode — the returned MaterializedTrace
  *    aliases the mapping and is shared (read-only) between any number
  *    of replay threads;
  *  - publishes are write-to-unique-temp + rename (support/io.hh), so
  *    readers never see partial files, and any file that fails
- *    validation or carries another key is moved to the shard's
- *    "quarantine/" subdirectory and treated as a miss (an image of
- *    another format version is a plain miss, replaced in place by the
- *    next publish of its key);
+ *    validation or carries another key is moved to "<root>/quarantine/"
+ *    and treated as a miss (an image of another format version is a
+ *    plain miss, replaced in place by the next publish of its key);
  *  - an optional size budget is enforced by evicting the
  *    least-recently-used entries (hits refresh the file mtime), so a
- *    long-running daemon cannot grow the corpus without bound.
+ *    long-running daemon cannot grow the corpus without bound. The
+ *    budget counts every image under the root, subdirectories
+ *    included, so an image the older sharded layout left in
+ *    "<root>/shard-NN/" (never served, never refreshed) goes first.
  *
  * Everything is safe under concurrent readers, writers and evictors:
  * POSIX keeps an unlinked file's mapping alive, so a trace served to a
@@ -43,25 +44,16 @@ namespace mmxdsp::service {
 struct StoreOptions
 {
     std::string root = "vprofd_store";
-    /** Number of shard subdirectories (clamped to [1, 256]). */
-    uint32_t shards = 16;
     /** Total corpus size budget in bytes; 0 = unlimited. */
     uint64_t budget_bytes = 0;
 };
 
-/**
- * One shard directory's disk usage, from a directory scan (the same
- * walk enforceBudget uses). `quarantined` counts files parked in the
- * shard's own "quarantine/" subdirectory — quarantineFile() moves a
- * bad entry aside within its parent shard, so the evidence stays
- * attributable to the shard that served it.
- */
-struct ShardUsage
+/** What a store holds on disk, from one walk of its root. */
+struct StoreUsage
 {
-    uint32_t shard = 0;
-    uint64_t entries = 0;     ///< live entries (temp files excluded)
-    uint64_t bytes = 0;       ///< bytes across those entries
-    uint64_t quarantined = 0; ///< files in this shard's quarantine/
+    uint64_t entries = 0;     ///< live images (temp files excluded)
+    uint64_t bytes = 0;       ///< bytes across those images
+    uint64_t quarantined = 0; ///< files in quarantine/ directories
 };
 
 struct StoreStats
@@ -83,18 +75,7 @@ class TraceStore
 
     const StoreOptions &options() const { return opts_; }
 
-    /**
-     * The shard an entry lives in: a stable FNV-1a hash of the key,
-     * so every process (and every future run) routes one key to the
-     * same shard directory.
-     */
-    uint32_t shardOf(const std::string &benchmark,
-                     const std::string &version,
-                     uint64_t config_hash) const;
-
-    std::string shardDir(uint32_t shard) const;
-
-    /** On-disk path for a key: "<root>/shard-NN/<bench>.<ver>.<hash>.mxt2". */
+    /** On-disk path for a key: "<root>/<bench>.<ver>.<hash16>.mxt2". */
     std::string path(const std::string &benchmark,
                      const std::string &version,
                      uint64_t config_hash) const;
@@ -115,18 +96,14 @@ class TraceStore
     bool store(const std::string &benchmark, const std::string &version,
                uint64_t config_hash, const trace::MaterializedTrace &mat);
 
-    /** Total bytes of live entries across all shards. */
+    /** Total bytes of live entries. */
     uint64_t totalBytes() const;
 
-    /** Number of live entries across all shards. */
+    /** Number of live entries. */
     uint64_t entryCount() const;
 
-    /**
-     * Per-shard usage breakdown, one row per configured shard (empty
-     * shards included, so the caller can spot routing skew). Totals
-     * across rows equal entryCount()/totalBytes().
-     */
-    std::vector<ShardUsage> shardUsage() const;
+    /** Live entries, their bytes and the quarantined files, together. */
+    StoreUsage usage() const;
 
     /**
      * Remove least-recently-used entries until the corpus fits the
@@ -146,8 +123,12 @@ class TraceStore
         int64_t mtime_ns;
     };
 
-    /** All live entries (shard dirs only; temp files skipped). */
-    std::vector<Entry> scan() const;
+    /**
+     * All live entries: every image under the root, subdirectories
+     * included, but none in a quarantine/ directory and no temp file.
+     * Counts the quarantined files into @p quarantined when given.
+     */
+    std::vector<Entry> scan(uint64_t *quarantined = nullptr) const;
 
     void bump(uint64_t StoreStats::*field, uint64_t n = 1);
 

@@ -6,7 +6,8 @@
  * Modes (exactly one):
  *
  *   --batch=FILE     answer every query line in FILE, write a JSON
- *                    array of results to --out (default stdout)
+ *                    array of replies in line order to --out (default
+ *                    stdout)
  *   --serve          persistent pipe mode: read query lines from
  *                    stdin, write one JSON object per line to stdout
  *                    ("stats" prints engine/store counters, "quit"
@@ -19,8 +20,9 @@
  *   [l1_line=N] [l2=BYTES] [l2_ways=N] [l2_line=N] [btb=ENTRIES]
  *   [btb_ways=N] [mp=CYCLES]
  *
- * Store/engine knobs: --store=DIR --shards=N --budget-mb=N --scale=N
- * --threads=N --no-capture.
+ * Store/engine knobs: --store=DIR --budget-mb=N --scale=N --threads=N
+ * --no-capture. The store keeps one image per captured pair in DIR
+ * (see service/trace_store.hh).
  */
 
 #include <cstdio>
@@ -30,13 +32,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "service/query_engine.hh"
 #include "service/serve.hh"
 
 using namespace mmxdsp;
-using service::resultToJson;
+using service::serveBatch;
 using service::serveSession;
 using service::statsToJson;
 
@@ -47,8 +48,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--store=DIR] [--shards=N] [--budget-mb=N] [--scale=N]\n"
-        "          [--threads=N] [--no-capture]\n"
+        "usage: %s [--store=DIR] [--budget-mb=N] [--scale=N] [--threads=N]\n"
+        "          [--no-capture]\n"
         "          --batch=FILE [--out=FILE] | --serve | --stats\n"
         "\n"
         "query line: <benchmark> <version> [model=p5|p6|p6p] [l1=BYTES]\n"
@@ -83,8 +84,6 @@ main(int argc, char **argv)
         const char *value = nullptr;
         if (flagValue(arg, "--store", &value))
             opts.store.root = value;
-        else if (flagValue(arg, "--shards", &value))
-            opts.store.shards = static_cast<uint32_t>(std::atoi(value));
         else if (flagValue(arg, "--budget-mb", &value))
             opts.store.budget_bytes =
                 static_cast<uint64_t>(std::atoll(value)) << 20;
@@ -130,33 +129,8 @@ main(int argc, char **argv)
                          batch_path.c_str());
             return 1;
         }
-        std::vector<service::Query> queries;
-        std::vector<service::QueryResult> bad; // failed-parse lines
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty() || line[0] == '#')
-                continue;
-            service::Query q;
-            std::string error;
-            if (service::QueryEngine::parseQueryLine(line, &q, &error)) {
-                queries.push_back(std::move(q));
-            } else {
-                service::QueryResult r;
-                r.error = error;
-                bad.push_back(std::move(r));
-            }
-        }
-        std::vector<service::QueryResult> results =
-            engine.queryBatch(queries);
-        for (auto &r : bad)
-            results.push_back(std::move(r));
-
         std::ostringstream json;
-        json << "[\n";
-        for (size_t i = 0; i < results.size(); ++i)
-            json << "  " << resultToJson(results[i])
-                 << (i + 1 < results.size() ? ",\n" : "\n");
-        json << "]\n";
+        const size_t failed = serveBatch(engine, in, json);
         if (out_path.empty()) {
             std::fputs(json.str().c_str(), stdout);
         } else {
@@ -168,12 +142,6 @@ main(int argc, char **argv)
             }
             out << json.str();
         }
-        const size_t failed =
-            static_cast<size_t>(std::count_if(results.begin(),
-                                              results.end(),
-                                              [](const auto &r) {
-                                                  return !r.ok;
-                                              }));
         return failed ? 1 : 0;
     }
 

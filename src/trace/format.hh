@@ -1,9 +1,8 @@
 /**
  * @file
  * Byte-level primitives shared by the trace layer: FNV-1a hashing
- * (SuiteConfig::hash(), the trace store's shard routing and vprofd's
- * machine hash) and the LEB128 varint encoding of the v3 image's Meta
- * section (format_v2.hh).
+ * (SuiteConfig::hash() and vprofd's machine hash) and the LEB128 varint
+ * encoding of the v3 image's Meta section (format_v2.hh).
  */
 
 #ifndef MMXDSP_TRACE_FORMAT_HH
@@ -15,7 +14,7 @@
 
 namespace mmxdsp::trace {
 
-/** FNV-1a over a byte range (store shard and cache-key hashes). */
+/** FNV-1a over a byte range. */
 uint64_t fnv1a(const uint8_t *data, size_t size, uint64_t seed = 0xcbf29ce484222325ull);
 
 /** Mix one u64 into an FNV-1a running hash (for struct field hashing). */

@@ -411,27 +411,9 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
 }
 
 profile::ProfileResult
-MaterializedTrace::replayProfile(const sim::TimerConfig &config) const
-{
-    return runKernel(sim::MachineConfig{sim::ModelKind::P5, config},
-                     nullptr, nullptr);
-}
-
-profile::ProfileResult
 MaterializedTrace::replayProfile(const sim::MachineConfig &machine) const
 {
     return runKernel(machine, nullptr, nullptr);
-}
-
-std::vector<profile::ProfileResult>
-MaterializedTrace::replaySweep(const std::vector<sim::TimerConfig> &configs,
-                               int threads) const
-{
-    std::vector<sim::MachineConfig> machines;
-    machines.reserve(configs.size());
-    for (const sim::TimerConfig &config : configs)
-        machines.push_back({sim::ModelKind::P5, config});
-    return replaySweep(machines, threads);
 }
 
 std::vector<profile::ProfileResult>
@@ -482,7 +464,6 @@ MaterializedTrace::planMemos(const std::vector<sim::MachineConfig> &machines,
     std::vector<const sim::TimerConfig *> cacheCfg; ///< per newCache entry
     std::vector<size_t> cacheOf(n);
     std::vector<size_t> btbOf(n);
-    std::vector<uint8_t> reused(cacheBase + btbBase, 0);
     for (size_t i = 0; i < n; ++i) {
         const sim::TimerConfig &tc = machines[i].timer;
         const Memos::CacheKey ck = Memos::cacheKey(tc);
@@ -493,8 +474,6 @@ MaterializedTrace::planMemos(const std::vector<sim::MachineConfig> &machines,
                 pass.newCache.push_back({ck, {}});
                 cacheCfg.push_back(&tc);
             }
-        } else {
-            reused[c] = 1;
         }
         const Memos::BtbKey bk = Memos::btbKey(tc);
         size_t b = memoIndex(memos.btb_, bk);
@@ -502,15 +481,11 @@ MaterializedTrace::planMemos(const std::vector<sim::MachineConfig> &machines,
             b += memoIndex(pass.newBtb, bk);
             if (b == btbBase + pass.newBtb.size())
                 pass.newBtb.push_back({bk, {}});
-        } else {
-            reused[cacheBase + b] = 1;
         }
         cacheOf[i] = c;
         btbOf[i] = b;
         memos.hits_ += c < cacheBase && b < btbBase;
     }
-    pass.reused = static_cast<size_t>(
-        std::count(reused.begin(), reused.end(), uint8_t{1}));
 
     // New cache geometries grouped by L1: one recorder per group filters
     // the events through the L1 once for all of its L2 geometries, so

@@ -102,15 +102,9 @@ LaneIsa hostLaneIsa();
 /** "avx512" / "avx2" / "none". */
 const char *laneIsaName(LaneIsa isa);
 
-/**
- * What one sweep of the driver did and where its time went
- * (replaySweep() can return it). Task times are summed over the
- * workers; each wall is one pool's.
- */
+/** What one sweep of the driver did (replaySweep() can return it). */
 struct SweepReport
 {
-    size_t memosRecorded = 0;
-    size_t memosReused = 0;
     /** Machines on lanes, per sim::ModelKind. */
     std::array<size_t, sim::kNumModelKinds> lanes{};
     size_t blocks = 0;
@@ -122,8 +116,7 @@ struct SweepReport
      *  bound above the limit, or a front end issuing wider than it
      *  retires. */
     size_t unfit = 0;
-    double prepassMs = 0.0, planeMs = 0.0, laneMs = 0.0, perMachineMs = 0.0;
-    double prepassWallMs = 0.0, planeWallMs = 0.0, timingWallMs = 0.0;
+    double planeWallMs = 0.0; ///< wall time of the plane-packing pool
 };
 
 /**
@@ -330,27 +323,15 @@ class MaterializedTrace
     bool replayTo(sim::TraceSink &sink) const;
 
     /**
-     * The fast replay kernel: profile this trace under @p config on the
-     * default machine (P5) and return metrics bit-identical to replaying
-     * through a fresh profile::VProf. Config-independent counts come
-     * from the template derive() folded; the per-event loop runs only
-     * the timing model and cycle attribution.
+     * The fast replay kernel: profile this trace on @p machine (P5, P6
+     * or P6P and its timer parameters; the default is the P5) and
+     * return metrics bit-identical to replaying through a fresh
+     * profile::VProf. Config-independent counts come from the template
+     * derive() folded; the per-event loop runs only the timing model
+     * and cycle attribution.
      */
     profile::ProfileResult
-    replayProfile(const sim::TimerConfig &config = sim::TimerConfig{}) const;
-
-    /** replayProfile() on the machine (P5/P6/P6P) @p machine selects. */
-    profile::ProfileResult
-    replayProfile(const sim::MachineConfig &machine) const;
-
-    /**
-     * Replay under every configuration in @p configs on the P5, fanning
-     * out over @p threads workers (0 = auto); all workers share these
-     * buffers. The machine overload below with the model fixed to P5.
-     */
-    std::vector<profile::ProfileResult>
-    replaySweep(const std::vector<sim::TimerConfig> &configs,
-                int threads = 0) const;
+    replayProfile(const sim::MachineConfig &machine = {}) const;
 
     /**
      * The sweep driver. Each entry picks its own machine and timer
@@ -555,7 +536,6 @@ class MaterializedTrace
         /** One per new L1 geometry (all of its L2 geometries), then one
          *  per new BTB geometry. */
         std::vector<std::function<void()>> recorders;
-        size_t reused = 0; ///< memos found already recorded
         std::vector<std::pair<Memos::CacheKey, CacheMemo>> newCache;
         std::vector<std::pair<Memos::BtbKey, BtbMemo>> newBtb;
     };

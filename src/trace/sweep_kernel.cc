@@ -522,8 +522,6 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     if (machines.empty())
         return results;
 
-    using Clock = std::chrono::steady_clock;
-    const auto t0 = Clock::now();
     SweepReport rep;
 
     // Group the machines by model and front end. The lane kernel
@@ -571,17 +569,15 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     Memos &store = memos ? *memos : local;
     MemoPass pass = planMemos(machines, store);
 
-    // A task of the shared pool, timed by kind for the report.
-    enum Kind { kRecord, kPlane, kLanes, kSolo, kKinds };
+    // A task of the shared pool.
     struct Task
     {
-        Kind kind;
         size_t rank; ///< taskRank(), for the largest-first order
         std::function<void()> run;
     };
     std::vector<Task> tasks;
     for (std::function<void()> &record : pass.recorders)
-        tasks.push_back({kRecord, 0, std::move(record)});
+        tasks.push_back({0, std::move(record)});
     const size_t prepared = tasks.size();
 
     // The lanes read the trace in place.
@@ -643,7 +639,7 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
         plane.mispredicted =
             std::make_unique_for_overwrite<uint16_t[]>(prog.controlEvents);
         for (size_t c = 0; c < chunks; ++c)
-            tasks.push_back({kPlane, 0, [&, c] {
+            tasks.push_back({0, [&, c] {
                                  fillPlane(plane, prog.memEvents,
                                            prog.controlEvents, c, chunks);
                              }});
@@ -651,8 +647,7 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     const size_t packed = tasks.size();
     std::atomic<size_t> rebases{0};
     for (const LaneBlock &block : blocks)
-        tasks.push_back({kLanes,
-                         taskRank(block.lanes[0].machine->model,
+        tasks.push_back({taskRank(block.lanes[0].machine->model,
                                   block.lanes.size()),
                          [&] {
                              rebases += block.kernel(prog, block, results);
@@ -660,7 +655,7 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
 
     // ---- 3. one per-machine run per other entry ----
     for (size_t i : solo)
-        tasks.push_back({kSolo, taskRank(machines[i].model, 0), [&, i] {
+        tasks.push_back({taskRank(machines[i].model, 0), [&, i] {
                              results[i] = runKernel(machines[i],
                                                     pass.refs[i].cache,
                                                     pass.refs[i].btb);
@@ -670,46 +665,29 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
                          return a.rank > b.rank;
                      });
 
-    // Three pools: the memo pre-pass, the plane packing, then every
-    // lane block and per-machine run, largest first.
-    std::array<std::atomic<int64_t>, kKinds> taskNs{};
+    // Three pools: the memo pre-pass, the plane packing (timed for the
+    // report), then every lane block and per-machine run, largest
+    // first.
     const auto runTasks = [&](size_t from, size_t to) {
-        parallelFor(to - from, threads, [&](size_t t) {
-            const Task &task = tasks[from + t];
-            const auto s0 = Clock::now();
-            task.run();
-            taskNs[task.kind] +=
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - s0)
-                    .count();
-        });
-        return Clock::now();
+        parallelFor(to - from, threads,
+                    [&](size_t t) { tasks[from + t].run(); });
     };
-    const auto t1 = runTasks(0, prepared);
-    const auto t2 = runTasks(prepared, packed);
-    const auto t3 = runTasks(packed, tasks.size());
+    using Clock = std::chrono::steady_clock;
+    runTasks(0, prepared);
+    const auto t1 = Clock::now();
+    runTasks(prepared, packed);
+    rep.planeWallMs =
+        std::chrono::duration<double, std::milli>(Clock::now() - t1).count();
+    runTasks(packed, tasks.size());
     std::move(pass.newCache.begin(), pass.newCache.end(),
               std::back_inserter(store.cache_));
     std::move(pass.newBtb.begin(), pass.newBtb.end(),
               std::back_inserter(store.btb_));
 
-    const auto ms = [&](Kind kind) { return taskNs[kind].load() / 1e6; };
-    const auto wall = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    rep.memosRecorded = pass.newCache.size() + pass.newBtb.size();
-    rep.memosReused = pass.reused;
     rep.blocks = blocks.size();
     rep.planes = planes.size();
     rep.rebases = rebases.load();
     rep.perMachine = solo.size();
-    rep.prepassMs = ms(kRecord);
-    rep.planeMs = ms(kPlane);
-    rep.laneMs = ms(kLanes);
-    rep.perMachineMs = ms(kSolo);
-    rep.prepassWallMs = wall(t0, t1);
-    rep.planeWallMs = wall(t1, t2);
-    rep.timingWallMs = wall(t2, t3);
     if (report)
         *report = rep;
     return results;

@@ -248,14 +248,13 @@ TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
     EXPECT_EQ(first.traceActivity().disk_hits, 0);
     EXPECT_EQ(first.traceDir(), scratch.path.string());
 
-    // The entry is a trace image in its shard directory.
+    // The entry is a trace image directly in the store root.
     service::StoreOptions store_opts;
     store_opts.root = scratch.path.string();
     const service::TraceStore store(store_opts);
     const fs::path entry = store.path("fir", "mmx", config.hash());
     EXPECT_TRUE(fs::exists(entry));
-    EXPECT_EQ(entry.parent_path().filename().string().rfind("shard-", 0),
-              0u);
+    EXPECT_EQ(entry.parent_path(), scratch.path);
 
     harness::BenchmarkSuite second(config, opts);
     auto mat2 = second.materializedFor("fir", "mmx");

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the vprofd service layer: the sharded TraceStore (round
- * trips, stable sharding, quarantine, LRU eviction, concurrency), the
- * QueryEngine (result cache, batch-vs-scalar identity, capture-free
- * cold restart, untrusted query parsing, memo reuse and its share of
- * the trace-cache budget) and the --serve session loop.
+ * Tests for the vprofd service layer: the TraceStore (round trips, one
+ * flat file per key, quarantine, LRU eviction, concurrency, entries an
+ * older sharded layout left behind), the QueryEngine (result cache,
+ * batch-vs-scalar identity, capture-free cold restart, untrusted query
+ * parsing, memo reuse and its share of the trace-cache budget) and the
+ * --serve and --batch loops.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,11 +53,10 @@ syntheticTrace(uint64_t seed, uint64_t config_hash, int events = 400)
 }
 
 service::StoreOptions
-storeOpts(const ScratchDir &scratch, uint32_t shards = 8)
+storeOpts(const ScratchDir &scratch)
 {
     service::StoreOptions opts;
     opts.root = (scratch.path / "store").string();
-    opts.shards = shards;
     return opts;
 }
 
@@ -110,37 +109,29 @@ TEST(TraceStoreTest, StoreThenLoadRoundTrips)
     EXPECT_EQ(store.stats().quarantined, 0u);
 }
 
-TEST(TraceStoreTest, ShardingIsStableAcrossInstances)
+TEST(TraceStoreTest, PathIsOneFlatFilePerKeyInEveryInstance)
 {
-    // The shard is a pure function of the key: a second store instance
-    // (a different process in real life) with a different root and a
-    // fresh state must route every key to the same shard, or corpus
+    // An entry's name is a pure function of the key: a second store
+    // instance (a different process in real life) with a fresh state
+    // must name every key the same file under its root, or corpus
     // lookups would miss entries written by another process.
-    ScratchDir scratch("mmxdsp_store_shard_test");
-    service::TraceStore a(storeOpts(scratch, 16));
-    service::StoreOptions bOpts = storeOpts(scratch, 16);
+    ScratchDir scratch("mmxdsp_store_path_test");
+    const service::TraceStore a(storeOpts(scratch));
+    service::StoreOptions bOpts = storeOpts(scratch);
     bOpts.root = (scratch.path / "other_root").string();
-    service::TraceStore b(bOpts);
+    const service::TraceStore b(bOpts);
 
-    std::set<uint32_t> seen;
+    EXPECT_EQ(a.path("fir", "mmx", 0x2a),
+              a.options().root + "/fir.mmx.000000000000002a.mxt2");
     for (int i = 0; i < 64; ++i) {
         const std::string bench = "bench" + std::to_string(i);
         const uint64_t h = 0x9000u + static_cast<uint64_t>(i);
-        const uint32_t shard = a.shardOf(bench, "mmx", h);
-        EXPECT_LT(shard, 16u);
-        EXPECT_EQ(shard, b.shardOf(bench, "mmx", h));
-        seen.insert(shard);
+        const fs::path pa = a.path(bench, "mmx", h);
+        const fs::path pb = b.path(bench, "mmx", h);
+        EXPECT_EQ(pa.parent_path(), fs::path(a.options().root));
+        EXPECT_EQ(pb.parent_path(), fs::path(bOpts.root));
+        EXPECT_EQ(pa.filename(), pb.filename());
     }
-    // 64 distinct keys into 16 shards must not all collapse into one
-    // directory, or sharding buys nothing.
-    EXPECT_GT(seen.size(), 4u);
-
-    // Different key components move the shard (not a constant).
-    std::set<uint32_t> varied{a.shardOf("fir", "c", 1),
-                              a.shardOf("fir", "mmx", 1),
-                              a.shardOf("fft", "c", 1),
-                              a.shardOf("fir", "c", 2)};
-    EXPECT_GT(varied.size(), 1u);
 }
 
 TEST(TraceStoreTest, CorruptEntryIsQuarantinedAndSurvivesRewrite)
@@ -177,50 +168,57 @@ TEST(TraceStoreTest, CorruptEntryIsQuarantinedAndSurvivesRewrite)
     EXPECT_EQ(store.entryCount(), 1u);
 }
 
-TEST(TraceStoreTest, ShardUsageBreaksDownCorpusByShard)
+TEST(TraceStoreTest, OlderShardedEntryIsCountedAndEvictedButNeverServed)
 {
-    ScratchDir scratch("mmxdsp_store_usage_test");
-    service::TraceStore store(storeOpts(scratch, 8));
+    // A store written before the flat layout keeps its images in
+    // "<root>/shard-NN/". Such an entry must not be served (load()
+    // looks only at the flat path, so the suite recaptures the pair
+    // into the root), yet it is still corpus: the budget counts it and,
+    // as nothing refreshes it, evicts it first. Quarantined evidence
+    // beside it is counted and never evicted.
+    ScratchDir scratch("mmxdsp_store_legacy_test");
+    const harness::SuiteConfig config = tinyConfig();
+    const harness::TraceOptions topts{true, scratch.path.string()};
+    service::StoreOptions opts;
+    opts.root = scratch.path.string();
+    service::TraceStore store(opts);
 
-    trace::MaterializedTrace mat = syntheticTrace(4, 0xfeed);
-    std::vector<std::string> benches{"fir", "fft", "dct", "g711"};
-    for (const std::string &bench : benches)
-        ASSERT_TRUE(store.store(bench, "c", 0xfeed, mat));
+    harness::BenchmarkSuite(config, topts).materializedFor("fir", "mmx");
+    const fs::path flat = store.path("fir", "mmx", config.hash());
+    const fs::path legacy = scratch.path / "shard-0a" / flat.filename();
+    const fs::path parked =
+        scratch.path / "shard-0a" / "quarantine" / flat.filename();
+    fs::create_directories(parked.parent_path());
+    fs::rename(flat, legacy);
+    fs::copy_file(legacy, parked);
+    fs::last_write_time(legacy, fs::file_time_type::clock::now()
+                                    - std::chrono::hours(1));
+    const uint64_t legacy_bytes = fs::file_size(legacy);
 
-    // One row per configured shard; totals must agree with the flat
-    // accounting, and each entry must sit in the shard shardOf() names.
-    std::vector<service::ShardUsage> usage = store.shardUsage();
-    ASSERT_EQ(usage.size(), 8u);
-    uint64_t entries = 0, bytes = 0, parked = 0;
-    for (const service::ShardUsage &u : usage) {
-        EXPECT_EQ(u.shard, static_cast<uint32_t>(&u - usage.data()));
-        entries += u.entries;
-        bytes += u.bytes;
-        parked += u.quarantined;
-    }
-    EXPECT_EQ(entries, store.entryCount());
-    EXPECT_EQ(bytes, store.totalBytes());
-    EXPECT_EQ(parked, 0u);
-    for (const std::string &bench : benches)
-        EXPECT_GE(usage[store.shardOf(bench, "c", 0xfeed)].entries, 1u);
+    EXPECT_EQ(store.load("fir", "mmx", config.hash()), nullptr);
+    EXPECT_EQ(store.stats().quarantined, 0u);
+    EXPECT_TRUE(fs::exists(legacy));
+    EXPECT_EQ(store.entryCount(), 1u);
+    EXPECT_EQ(store.totalBytes(), legacy_bytes);
+    EXPECT_EQ(store.usage().quarantined, 1u);
 
-    // Corrupt one entry: it must leave its shard's live count and show
-    // up in the same shard's quarantine count (quarantineFile parks
-    // evidence beside the shard that served it).
-    const uint32_t shard = store.shardOf("fir", "c", 0xfeed);
-    const std::string path = store.path("fir", "c", 0xfeed);
-    std::vector<uint8_t> raw;
-    ASSERT_TRUE(readFile(path, raw));
-    raw.resize(raw.size() / 2);
-    ASSERT_TRUE(writeFileAtomic(path, raw));
-    EXPECT_EQ(store.load("fir", "c", 0xfeed), nullptr);
+    harness::BenchmarkSuite suite(config, topts);
+    suite.materializedFor("fir", "mmx");
+    EXPECT_EQ(suite.traceActivity().captured, 1);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
+    ASSERT_TRUE(fs::exists(flat));
+    EXPECT_EQ(store.entryCount(), 2u);
+    EXPECT_EQ(store.totalBytes(), legacy_bytes + fs::file_size(flat));
 
-    usage = store.shardUsage();
-    EXPECT_EQ(usage[shard].quarantined, 1u);
-    uint64_t live = 0;
-    for (const service::ShardUsage &u : usage)
-        live += u.entries;
-    EXPECT_EQ(live, benches.size() - 1);
+    service::StoreOptions budgeted = opts;
+    budgeted.budget_bytes = fs::file_size(flat);
+    service::TraceStore evictor(budgeted);
+    EXPECT_EQ(evictor.enforceBudget(), legacy_bytes);
+    EXPECT_EQ(evictor.stats().evicted, 1u);
+    EXPECT_FALSE(fs::exists(legacy));
+    EXPECT_TRUE(fs::exists(flat));
+    EXPECT_TRUE(fs::exists(parked));
+    EXPECT_NE(evictor.load("fir", "mmx", config.hash()), nullptr);
 }
 
 TEST(TraceStoreTest, KeyMismatchedEntryIsQuarantined)
@@ -569,6 +567,9 @@ TEST(QueryEngineTest, ParseQueryLineAcceptsAndRejects)
         "fir c btb=2147483648 btb_ways=1",          // above the entry cap
         "fir c l2=2147483648 l2_line=1 l2_ways=1",  // above the line cap
         "fir c mp=-1",           // negative
+        "fir c l1=020000",       // decimal 20000, not octal 8192
+        "fir c l1=0x2000",       // hex is not in the grammar
+        "fir c l1=+8192",        // nor is a sign
     };
     for (const char *line : bad) {
         EXPECT_FALSE(
@@ -655,6 +656,118 @@ TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
     EXPECT_NE(replies[9].find("\"ok\":true"), std::string::npos);
     EXPECT_EQ(replies[10].rfind("{\"queries\":1,", 0), 0u) << replies[10];
     EXPECT_EQ(engine.stats().failures, 0u);
+}
+
+/** The replies of a serveBatch() array, one string per element. */
+std::vector<std::string>
+batchReplies(const std::string &json)
+{
+    std::vector<std::string> replies;
+    std::istringstream lines(json);
+    for (std::string line; std::getline(lines, line);) {
+        if (line == "[" || line == "]")
+            continue;
+        if (line.back() == ',')
+            line.pop_back();
+        replies.push_back(line.substr(2));
+    }
+    return replies;
+}
+
+TEST(QueryEngineTest, ServeBatchRepliesInLineOrder)
+{
+    // Lines that do not parse get their error reply at their own index,
+    // between the answers of the lines around them.
+    ScratchDir scratch("mmxdsp_engine_batch_order_test");
+    service::QueryEngine engine(engineOpts(scratch));
+    std::istringstream in("fir c\n"
+                          "bogus line\n"
+                          "\n"
+                          "# comment\n"
+                          "fft c l1=3000\n"
+                          "fft mmx\n");
+    std::ostringstream out;
+    EXPECT_EQ(service::serveBatch(engine, in, out), 2u);
+
+    const std::vector<std::string> replies = batchReplies(out.str());
+    ASSERT_EQ(replies.size(), 4u) << out.str();
+    EXPECT_EQ(replies[0].rfind("{\"benchmark\":\"fir\",\"version\":\"c\"", 0),
+              0u)
+        << replies[0];
+    EXPECT_NE(replies[0].find("\"ok\":true"), std::string::npos);
+    EXPECT_EQ(replies[1].rfind("{\"ok\":false,\"error\":\"", 0), 0u)
+        << replies[1];
+    EXPECT_NE(replies[1].find("bogus.line"), std::string::npos);
+    EXPECT_EQ(replies[2].rfind("{\"ok\":false,\"error\":\"", 0), 0u)
+        << replies[2];
+    EXPECT_NE(replies[2].find("L1 geometry"), std::string::npos);
+    EXPECT_EQ(
+        replies[3].rfind("{\"benchmark\":\"fft\",\"version\":\"mmx\"", 0),
+        0u)
+        << replies[3];
+    EXPECT_NE(replies[3].find("\"ok\":true"), std::string::npos);
+}
+
+TEST(QueryEngineTest, BatchOverEveryPairFillsOneFlatStore)
+{
+    // One batch over all pairs leaves one image per pair directly in
+    // the store root, and the stats of a restarted engine count exactly
+    // the files on disk.
+    ScratchDir scratch("mmxdsp_engine_flat_store_test");
+    const service::EngineOptions opts = engineOpts(scratch);
+    const auto pairs = harness::BenchmarkSuite::allRuns();
+    std::string lines;
+    for (const auto &[bench, version] : pairs)
+        lines += bench + " " + version + "\n";
+    {
+        service::QueryEngine engine(opts);
+        std::istringstream in(lines);
+        std::ostringstream out;
+        EXPECT_EQ(service::serveBatch(engine, in, out), 0u) << out.str();
+        EXPECT_EQ(batchReplies(out.str()).size(), pairs.size());
+    }
+
+    size_t files = 0, dirs = 0;
+    uint64_t bytes = 0;
+    for (const auto &de : fs::directory_iterator(opts.store.root)) {
+        if (de.is_directory()) {
+            ++dirs;
+            continue;
+        }
+        ++files;
+        bytes += de.file_size();
+        EXPECT_EQ(de.path().extension(), ".mxt2") << de.path();
+    }
+    EXPECT_EQ(files, pairs.size());
+    EXPECT_EQ(dirs, 0u);
+
+    service::QueryEngine restarted(opts);
+    const auto storeStats = [&] {
+        const std::string json = service::statsToJson(restarted);
+        return json.substr(json.find("\"store\":"));
+    };
+    EXPECT_EQ(storeStats().rfind("\"store\":{\"entries\":"
+                                 + std::to_string(pairs.size())
+                                 + ",\"bytes\":" + std::to_string(bytes)
+                                 + ",\"quarantine_entries\":0,",
+                                 0),
+              0u)
+        << storeStats();
+
+    // A damaged entry leaves the live count for the quarantine count.
+    const std::string fir = restarted.store().path("fir", "c",
+                                                   opts.suite.hash());
+    const uint64_t fir_bytes = fs::file_size(fir);
+    fs::resize_file(fir, fir_bytes / 2);
+    EXPECT_EQ(restarted.store().load("fir", "c", opts.suite.hash()), nullptr);
+    EXPECT_EQ(storeStats().rfind("\"store\":{\"entries\":"
+                                 + std::to_string(pairs.size() - 1)
+                                 + ",\"bytes\":"
+                                 + std::to_string(bytes - fir_bytes)
+                                 + ",\"quarantine_entries\":1,",
+                                 0),
+              0u)
+        << storeStats();
 }
 
 TEST(QueryEngineTest, QueryBatchRejectsInvalidGeometry)

@@ -158,8 +158,9 @@ TEST(SweepDedup, DuplicateConfigsReturnIdenticalResults)
     // differences (cache names) that must not defeat the dedup.
     sim::TimerConfig renamed = paper;
     renamed.l1.name = "l1-under-an-alias";
-    const std::vector<sim::TimerConfig> configs = {paper, tiny, paper,
-                                                   renamed, tiny};
+    constexpr sim::ModelKind kP5 = sim::ModelKind::P5;
+    const std::vector<sim::MachineConfig> configs = {
+        {kP5, paper}, {kP5, tiny}, {kP5, paper}, {kP5, renamed}, {kP5, tiny}};
     const auto results = mat->replaySweep(configs, 2);
     ASSERT_EQ(results.size(), configs.size());
 
@@ -168,8 +169,10 @@ TEST(SweepDedup, DuplicateConfigsReturnIdenticalResults)
     expectSameProfile(results[3], results[0], "renamed duplicate");
     expectSameProfile(results[4], results[1], "tiny duplicate");
     // ...which is itself bit-identical to a solo replay.
-    expectSameProfile(results[0], mat->replayProfile(paper), "paper solo");
-    expectSameProfile(results[1], mat->replayProfile(tiny), "tiny solo");
+    expectSameProfile(results[0], mat->replayProfile({kP5, paper}),
+                      "paper solo");
+    expectSameProfile(results[1], mat->replayProfile({kP5, tiny}),
+                      "tiny solo");
     // And the two machines genuinely differ, so the dedup didn't just
     // collapse everything onto one config.
     EXPECT_NE(results[0].cycles, results[1].cycles);

@@ -175,7 +175,7 @@ TEST(TraceReplay, DiskCacheSkipsExecution)
     const profile::ProfileResult fir = first.run("fir", "mmx").profile;
     EXPECT_EQ(first.traceActivity().captured, 1);
     // run() and sweep() of one suite replay the one capture.
-    first.sweep("fir", "mmx", std::vector<sim::TimerConfig>(1), 1);
+    first.sweep("fir", "mmx", std::vector<sim::MachineConfig>(1), 1);
     EXPECT_EQ(first.traceActivity().captured, 1);
 
     // A second suite (fresh process state as far as the trace layer is
@@ -223,7 +223,7 @@ TEST(TraceReplay, SweepVariesWithGeometry)
     tiny.l1.size_bytes = 512;
     tiny.l1.ways = 1;
     sim::TimerConfig paper; // the default 16KB/512KB machine
-    auto results = suite.sweep("fft", "mmx", {tiny, paper}, 2);
+    auto results = suite.sweep("fft", "mmx", onP5({tiny, paper}), 2);
     ASSERT_EQ(results.size(), 2u);
     // Same instruction stream under both machines...
     EXPECT_EQ(results[0].dynamicInstructions,
@@ -321,20 +321,21 @@ TEST(MaterializedTraceTest, SweepMatchesPerConfigReplayAtAnyThreadCount)
     }
     configs.back().mispredict_penalty = 9;
 
-    const auto serial = mat->replaySweep(configs, 1);
-    const auto parallel = mat->replaySweep(configs, 0);
+    const auto serial = mat->replaySweep(onP5(configs), 1);
+    const auto parallel = mat->replaySweep(onP5(configs), 0);
     ASSERT_EQ(serial.size(), configs.size());
     ASSERT_EQ(parallel.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         const std::string what = "config " + std::to_string(i);
         expectSameProfile(serial[i], parallel[i], what + " thread count");
-        expectSameProfile(serial[i], mat->replayProfile(configs[i]),
+        expectSameProfile(serial[i],
+                          mat->replayProfile({sim::ModelKind::P5, configs[i]}),
                           what + " vs single replay");
     }
 
     // The suite's sweep path agrees too, and repeated calls reuse the
     // suite's resident trace.
-    const auto via_suite = suite.sweep("fft", "mmx", configs, 2);
+    const auto via_suite = suite.sweep("fft", "mmx", onP5(configs), 2);
     EXPECT_EQ(suite.materializedFor("fft", "mmx").get(), mat.get());
     ASSERT_EQ(via_suite.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i)
@@ -479,7 +480,7 @@ TEST(SuiteTraceStore, DamagedEntryFallsBackToCaptureAndIsRewritten)
 
 TEST(SuiteTraceStore, DamagedEntryIsQuarantinedAndSurvivesRewrite)
 {
-    // A damaged entry is not just skipped: it is moved into its shard's
+    // A damaged entry is not just skipped: it is moved into the store's
     // quarantine/ directory (evidence for debugging), and recapturing
     // the pair must publish a fresh entry without disturbing the
     // quarantined file.
@@ -628,7 +629,8 @@ TEST(TraceReplay, CrossModelSweepKeepsP5ColumnsBitIdentical)
     // The P5 columns are exactly the TimerConfig-only results.
     expectSameProfile(serial[0], mat->replayProfile(),
                       "P5 default vs TimerConfig replay");
-    expectSameProfile(serial[2], mat->replayProfile(small),
+    expectSameProfile(serial[2],
+                      mat->replayProfile({sim::ModelKind::P5, small}),
                       "P5 small-L1 vs TimerConfig replay");
     // The P6 columns really ran the other machine.
     EXPECT_EQ(serial[0].timer.uopsIssued, 0u);

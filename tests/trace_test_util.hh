@@ -37,6 +37,16 @@ namespace fs = std::filesystem;
 inline constexpr sim::ModelKind kModels[] = {
     sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P};
 
+/** One P5 machine per timer configuration of @p configs. */
+inline std::vector<sim::MachineConfig>
+onP5(const std::vector<sim::TimerConfig> &configs)
+{
+    std::vector<sim::MachineConfig> machines;
+    for (const sim::TimerConfig &config : configs)
+        machines.push_back({sim::ModelKind::P5, config});
+    return machines;
+}
+
 /** Fresh scratch directory under the temp dir, removed on destruction. */
 struct ScratchDir
 {
