@@ -2,11 +2,12 @@
  * @file
  * Capture-once / simulate-many demonstration of the trace engine: one
  * recorded execution each of fft.mmx and jpeg.c is replayed through a
- * grid of Pentium memory hierarchies (L1 size x L2 size), reporting
- * cycles and miss rates per configuration without ever re-running the
- * benchmark code. The 16KB/512KB point reproduces the paper's machine
- * (a 200 MHz Pentium with MMX); the rest of the grid shows how far the
- * paper's cycle counts depend on that geometry.
+ * grid of memory hierarchies (L1 size x L2 size) on the machine model
+ * --model selects (the P5 by default), reporting cycles and miss rates
+ * per configuration without ever re-running the benchmark code. On the
+ * P5 the 16KB/512KB point reproduces the paper's machine (a 200 MHz
+ * Pentium with MMX); the rest of the grid shows how far the paper's
+ * cycle counts depend on that geometry.
  */
 
 #include <cstdio>
@@ -15,7 +16,7 @@
 #include "harness/cli.hh"
 #include "harness/suite.hh"
 #include "mem/cache.hh"
-#include "sim/pentium_timer.hh"
+#include "sim/timing_model.hh"
 #include "support/table.hh"
 
 using namespace mmxdsp;
@@ -23,17 +24,17 @@ using harness::BenchmarkSuite;
 
 namespace {
 
-/** The L1 x L2 grid on the P5: every pairing where L2 is strictly
+/** The L1 x L2 grid on @p base: every pairing where L2 is strictly
  *  larger. */
 std::vector<sim::MachineConfig>
-makeGrid()
+makeGrid(const sim::MachineConfig &base)
 {
     std::vector<sim::MachineConfig> grid;
     for (uint32_t l1_kb : {4, 8, 16, 32, 64}) {
         for (uint32_t l2_kb : {128, 512, 2048}) {
             if (l2_kb <= l1_kb)
                 continue;
-            sim::MachineConfig machine{sim::ModelKind::P5, {}};
+            sim::MachineConfig machine = base;
             machine.timer.l1.size_bytes = l1_kb * 1024;
             machine.timer.l2.size_bytes = l2_kb * 1024;
             grid.push_back(machine);
@@ -46,7 +47,7 @@ void
 sweepOne(BenchmarkSuite &suite, const char *bench, const char *version,
          int threads)
 {
-    const std::vector<sim::MachineConfig> grid = makeGrid();
+    const std::vector<sim::MachineConfig> grid = makeGrid(suite.machine());
     const std::vector<profile::ProfileResult> results =
         suite.sweep(bench, version, grid, threads);
 
@@ -75,7 +76,10 @@ sweepOne(BenchmarkSuite &suite, const char *bench, const char *version,
     }
     table.print();
     if (baseline)
-        std::printf("\n16KB/512KB is the paper's machine: %llu cycles.\n\n",
+        std::printf("\n16KB/512KB is the paper's %s: %llu cycles.\n\n",
+                    suite.machine().model == sim::ModelKind::P5
+                        ? "machine"
+                        : "cache geometry",
                     static_cast<unsigned long long>(baseline));
 }
 

@@ -64,43 +64,6 @@ ProfileResult::instructionsPerCycle() const
                   : 0.0;
 }
 
-const std::array<OpReplayEntry, isa::kNumOps> &
-opReplayTable()
-{
-    static const std::array<OpReplayEntry, isa::kNumOps> table = [] {
-        std::array<OpReplayEntry, isa::kNumOps> t{};
-        for (size_t i = 0; i < isa::kNumOps; ++i) {
-            const Op op = static_cast<Op>(i);
-            InstrEvent e;
-            e.op = op;
-            for (size_t m = 0; m < t[i].uopsByMem.size(); ++m) {
-                e.mem = static_cast<MemMode>(m);
-                t[i].uopsByMem[m] =
-                    static_cast<uint8_t>(sim::uopCount(e));
-            }
-            t[i].mmxCategory =
-                static_cast<uint8_t>(isa::opInfo(op).mmx);
-            switch (op) {
-              case Op::Call:
-                t[i].costClass = kCostCall;
-                break;
-              case Op::Ret:
-                t[i].costClass = kCostRet;
-                break;
-              case Op::Push:
-              case Op::Pop:
-                t[i].costClass = kCostPushPop;
-                break;
-              default:
-                t[i].costClass = kCostNone;
-                break;
-            }
-        }
-        return t;
-    }();
-    return table;
-}
-
 const char *
 rootFunctionName()
 {
@@ -126,7 +89,6 @@ VProf::reset()
     dynamicInstructions_ = 0;
     uops_ = 0;
     memoryReferences_ = 0;
-    functionCalls_ = 0;
     callRetCycles_ = 0;
     callOverheadCycles_ = 0;
     opCounts_.fill(0);
@@ -147,18 +109,19 @@ void
 VProf::account(const InstrEvent &event)
 {
     const size_t op_idx = static_cast<size_t>(event.op);
-    const OpReplayEntry &entry = opReplayTable()[op_idx];
+    const sim::UopDesc &desc = sim::uopDesc(event);
     const uint64_t cost = timer_->consume(event);
 
     ++dynamicInstructions_;
-    uops_ += entry.uopsByMem[static_cast<size_t>(event.mem)];
+    uops_ += desc.uops;
     memoryReferences_ += event.mem != MemMode::None;
 
     ++opCounts_[op_idx];
     opCycles_[op_idx] += cost;
 
-    if (entry.mmxCategory)
-        ++mmxByCategory_[entry.mmxCategory];
+    if (const isa::MmxCategory cat = isa::opInfo(event.op).mmx;
+        cat != isa::MmxCategory::None)
+        ++mmxByCategory_[static_cast<size_t>(cat)];
 
     if (event.site >= siteStats_.size())
         siteStats_.resize(static_cast<size_t>(event.site) + 1);
@@ -171,24 +134,10 @@ VProf::account(const InstrEvent &event)
     ++fstats.instructions;
     fstats.cycles += cost;
 
-    switch (entry.costClass) {
-      case kCostCall:
-        ++functionCalls_;
+    if (desc.flags & sim::kDescCallRet)
         callRetCycles_ += cost;
+    if (desc.flags & sim::kDescOverhead)
         callOverheadCycles_ += cost;
-        break;
-      case kCostRet:
-        callRetCycles_ += cost;
-        callOverheadCycles_ += cost;
-        break;
-      case kCostPushPop:
-        // All push/pop traffic in this runtime is call-linkage overhead
-        // (argument passing, saved registers, frame pointers).
-        callOverheadCycles_ += cost;
-        break;
-      default:
-        break;
-    }
 }
 
 void
@@ -246,7 +195,7 @@ VProf::result() const
     for (size_t c = 1; c < mmxByCategory_.size(); ++c)
         r.mmxInstructions += mmxByCategory_[c];
     r.mmxByCategory = mmxByCategory_;
-    r.functionCalls = functionCalls_;
+    r.functionCalls = opCounts_[static_cast<size_t>(Op::Call)];
     r.callRetCycles = callRetCycles_;
     r.callOverheadCycles = callOverheadCycles_;
     r.opCounts = opCounts_;

@@ -14,8 +14,9 @@
  * dense vector indexed by site id (site ids are allocated densely by
  * the runtime and by trace capture), function attribution goes through
  * an interned id resolved on enter/leave rather than a map lookup per
- * instruction, and all per-op facts (micro-op count by memory mode, MMX
- * category, call-overhead class) come from one precomputed table. The
+ * instruction, and the per-(op, memory mode) facts (micro-op count,
+ * call/ret and call-overhead attribution) come from sim::descTable(),
+ * the table every timer and replay kernel reads. The
  * batched sink entry point (onInstrBatch) amortizes the virtual
  * dispatch over whole blocks for replay producers that can deliver
  * them.
@@ -87,32 +88,6 @@ struct ProfileResult
     double pctCallRetCycles() const;
     double instructionsPerCycle() const;
 };
-
-/** Call-overhead class of an op (see OpReplayEntry::costClass). */
-enum : uint8_t {
-    kCostNone = 0,
-    kCostCall = 1,
-    kCostRet = 2,
-    kCostPushPop = 3,
-};
-
-/**
- * Per-op facts pre-resolved once for the replay hot path, so per-event
- * accounting is pure table indexing (no opInfo() chasing or uop-decode
- * branching per instruction).
- */
-struct OpReplayEntry
-{
-    /** Pentium II micro-ops, indexed by isa::MemMode. */
-    std::array<uint8_t, 3> uopsByMem{};
-    /** isa::MmxCategory as an index (0 = not MMX). */
-    uint8_t mmxCategory = 0;
-    /** kCostNone / kCostCall / kCostRet / kCostPushPop. */
-    uint8_t costClass = 0;
-};
-
-/** The shared per-op replay table (built once, thread-safe). */
-const std::array<OpReplayEntry, isa::kNumOps> &opReplayTable();
 
 /** Name of the implicit root function instructions outside any
  *  CallGuard are attributed to ("<measured-root>"). */
@@ -190,7 +165,6 @@ class VProf : public sim::TraceSink
     uint64_t dynamicInstructions_ = 0;
     uint64_t uops_ = 0;
     uint64_t memoryReferences_ = 0;
-    uint64_t functionCalls_ = 0;
     uint64_t callRetCycles_ = 0;
     uint64_t callOverheadCycles_ = 0;
 

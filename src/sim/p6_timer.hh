@@ -6,7 +6,7 @@
  *
  * The P6 is the machine behind the paper's dynamic micro-op counts:
  * the P6 decoders translate each x86 instruction into uops (the counts
- * in sim::uopTable()) and the core issues them at a fixed width. We
+ * in sim::descTable()) and the core issues them at a fixed width. We
  * model the in-order front end and retirement only:
  *
  *  - 4-1-1 decode: up to decode_width instructions per cycle, of which

@@ -66,24 +66,6 @@ uopCount(const isa::InstrEvent &event)
     return info.uops;
 }
 
-const std::array<uint8_t, isa::kNumOps * 3> &
-uopTable()
-{
-    static const std::array<uint8_t, isa::kNumOps * 3> table = [] {
-        std::array<uint8_t, isa::kNumOps * 3> t{};
-        for (size_t op = 0; op < isa::kNumOps; ++op) {
-            for (size_t mem = 0; mem < 3; ++mem) {
-                isa::InstrEvent e;
-                e.op = static_cast<Op>(op);
-                e.mem = static_cast<MemMode>(mem);
-                t[op * 3 + mem] = static_cast<uint8_t>(uopCount(e));
-            }
-        }
-        return t;
-    }();
-    return table;
-}
-
 namespace {
 
 /** Port binding of an execution unit's compute uops. */
@@ -115,12 +97,14 @@ descTable()
 {
     static const std::array<UopDesc, isa::kNumOps * 3> table = [] {
         std::array<UopDesc, isa::kNumOps * 3> t{};
-        const auto &uops = uopTable();
         for (size_t op = 0; op < isa::kNumOps; ++op) {
             const isa::OpInfo &info = isa::opInfo(static_cast<Op>(op));
             for (size_t mem = 0; mem < 3; ++mem) {
-                UopDesc &d = t[op * 3 + mem];
-                d.uops = uops[op * 3 + mem];
+                isa::InstrEvent e;
+                e.op = static_cast<Op>(op);
+                e.mem = static_cast<MemMode>(mem);
+                UopDesc &d = t[uopTableIndex(e)];
+                d.uops = static_cast<uint8_t>(uopCount(e));
                 d.loadUops = mem == static_cast<size_t>(MemMode::Load);
                 d.storeOps = mem == static_cast<size_t>(MemMode::Store);
                 d.aluUops = static_cast<uint8_t>(
@@ -141,8 +125,12 @@ descTable()
                         || info.pair == isa::PairClass::PU)
                         f |= kDescPairUP;
                 }
-                if (isa::isControl(static_cast<Op>(op)))
+                if (isa::isControl(e.op))
                     f |= kDescControl;
+                if (e.op == Op::Call || e.op == Op::Ret)
+                    f |= kDescCallRet | kDescOverhead;
+                if (e.op == Op::Push || e.op == Op::Pop)
+                    f |= kDescOverhead;
                 d.flags = f;
                 d.blocking = info.blocking;
                 d.latP5 = info.latency;
@@ -150,8 +138,7 @@ descTable()
                 // instead of the P5's blocking 10) is the one per-op
                 // latency difference between the machines.
                 d.latP6 = info.latency;
-                if (static_cast<Op>(op) == Op::Imul
-                    || static_cast<Op>(op) == Op::Mul)
+                if (e.op == Op::Imul || e.op == Op::Mul)
                     d.latP6 = 4;
             }
         }

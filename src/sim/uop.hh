@@ -7,14 +7,15 @@
  * alongside Pentium cycle counts; this model reproduces that column of
  * Table 2 from the event stream.
  *
- * descTable() is the structured per-(op, mem-form) cost contract every
- * timing model consumes: uop count, the port decomposition of those
- * uops (compute vs load vs store-address/data), the P5 pairing and
- * structural-hazard bits, and both machines' result latencies. The
- * PentiumTimer, the P6-family timer (P6FamilyTimer<Ports>: the P6 and
- * P6P models), and the lane-packed sweep kernel all derive their
- * per-event facts from this one table, so a new backend only has to
- * interpret descriptors — not re-encode decode rules.
+ * descTable() is the one table of per-(op, mem-form) facts: uop count,
+ * the port decomposition of those uops (compute vs load vs
+ * store-address/data), the P5 pairing and structural-hazard bits, both
+ * machines' result latencies, and the call/ret and call-overhead
+ * attribution bits. The PentiumTimer, the P6-family timer
+ * (P6FamilyTimer<Ports>: the P6 and P6P models), VProf, the replay
+ * kernels and the lane-packed sweep kernel all read their per-event
+ * facts from it, so a new backend only has to interpret descriptors —
+ * not re-encode decode rules.
  */
 
 #ifndef MMXDSP_SIM_UOP_HH
@@ -42,15 +43,10 @@ namespace mmxdsp::sim {
 uint32_t uopCount(const isa::InstrEvent &event);
 
 /**
- * The same decode rules as uopCount(), flattened into a dense table
- * indexed by `op * 3 + MemMode` so per-event hot loops (the P6 issue
- * model, the materialized replay kernel) take one load instead of two
- * branches and an OpInfo fetch. uopTableIndex() builds the index;
- * uopTable()[uopTableIndex(e)] == uopCount(e) for every event.
+ * Index of @p event's entry in descTable(): `op * 3 + MemMode`, so
+ * per-event hot loops take one load instead of two branches and an
+ * OpInfo fetch.
  */
-const std::array<uint8_t, isa::kNumOps * 3> &uopTable();
-
-/** Index of @p event's decode entry in uopTable(). */
 inline size_t
 uopTableIndex(const isa::InstrEvent &event)
 {
@@ -64,7 +60,8 @@ uopTableIndex(const isa::InstrEvent &event)
  * iff (flags & uFlags & 7) != 0 — one memory reference per pair, and
  * one op per single-instance MMX unit per pair. The pairing bits fold
  * the published pairing class together with the blocking==1 requirement
- * (anything that blocks would stall the pair anyway).
+ * (anything that blocks would stall the pair anyway). The top two bits
+ * say where a profile attributes the op's cycles; no timer reads them.
  */
 enum : uint8_t {
     kDescMem = 1 << 0,      ///< references memory (one access per event)
@@ -73,6 +70,11 @@ enum : uint8_t {
     kDescPairPV = 1 << 3,   ///< may issue in V: (UV|PV) and 1-cycle
     kDescPairUP = 1 << 4,   ///< may open a pair in U: (UV|PU) and 1-cycle
     kDescControl = 1 << 5,  ///< control transfer (consumes a prediction)
+    kDescCallRet = 1 << 6,  ///< call or ret: call/ret cycles
+    /** call, ret, push or pop: call-overhead cycles (all push/pop
+     *  traffic in this runtime is call linkage: argument passing,
+     *  saved registers, frame pointers) */
+    kDescOverhead = 1 << 7,
 };
 
 /** Which issue port(s) a descriptor's compute uops may dispatch to. */
@@ -83,14 +85,14 @@ enum class PortClass : uint8_t {
 };
 
 /**
- * The structured cost descriptor of one (op, memory-form): everything a
- * timing model needs per event, pre-decoded. uops always equals
- * aluUops + loadUops + 2 * storeOps (store-address on p3 plus
- * store-data on p4 per store).
+ * The descriptor of one (op, memory-form), pre-decoded: everything a
+ * timing model needs per event and where a profile attributes its
+ * cycles. uops always equals aluUops + loadUops + 2 * storeOps
+ * (store-address on p3 plus store-data on p4 per store).
  */
 struct UopDesc
 {
-    uint8_t uops;     ///< total decode template size (== uopTable())
+    uint8_t uops;     ///< total decode template size (== uopCount())
     uint8_t aluUops;  ///< compute uops dispatched to p0/p1
     uint8_t loadUops; ///< load uops dispatched to p2 (0 or 1)
     uint8_t storeOps; ///< store-address+data uop pairs on p3+p4 (0 or 1)
@@ -103,9 +105,8 @@ struct UopDesc
 
 /**
  * The dense descriptor table, indexed by uopTableIndex() (op * 3 +
- * MemMode) like uopTable(). Derived once from isa::opTable() and the
- * decode rules above; hot loops hoist descTable().data() past the
- * static-init guard.
+ * MemMode). Derived once from isa::opTable() and uopCount()'s decode
+ * rules; hot loops hoist descTable().data() past the static-init guard.
  */
 const std::array<UopDesc, isa::kNumOps * 3> &descTable();
 

@@ -22,15 +22,6 @@ fromQ(int16_t v, int frac_bits)
     return static_cast<double>(v) / static_cast<double>(1 << frac_bits);
 }
 
-std::vector<int16_t>
-quantizeVector(const std::vector<double> &v, int frac_bits)
-{
-    std::vector<int16_t> out(v.size());
-    for (size_t i = 0; i < v.size(); ++i)
-        out[i] = toQ(v[i], frac_bits);
-    return out;
-}
-
 int
 chooseFracBits(const std::vector<double> &v)
 {

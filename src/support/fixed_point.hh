@@ -73,10 +73,6 @@ inline int16_t toQ15(double v) { return toQ(v, 15); }
 /** Convert Q15 back to a real value. */
 inline double fromQ15(int16_t v) { return fromQ(v, 15); }
 
-/** Quantize a vector of reals to Qn. */
-std::vector<int16_t> quantizeVector(const std::vector<double> &v,
-                                    int frac_bits);
-
 /**
  * Choose the largest fraction-bit count that represents every value in
  * @p v without overflow (the "a priori scale factor" the Intel library

@@ -4,24 +4,6 @@
 
 namespace mmxdsp {
 
-namespace {
-
-bool gVerbose = true;
-
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    gVerbose = verbose;
-}
-
-bool
-verbose()
-{
-    return gVerbose;
-}
-
 namespace detail {
 
 std::string
@@ -59,10 +41,9 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-alertImpl(const char *prefix, const std::string &msg)
+warnImpl(const std::string &msg)
 {
-    if (gVerbose)
-        std::fprintf(stderr, "%s: %s\n", prefix, msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a bug in this library), fatal() is for user-level errors
- * (bad arguments, missing files), warn()/inform() are non-fatal status
- * channels.
+ * (bad arguments, missing files), warn() is the non-fatal status
+ * channel.
  */
 
 #ifndef MMXDSP_SUPPORT_LOGGING_HH
@@ -32,13 +32,9 @@ std::string formatMessage(const char *fmt, ...)
                             const std::string &msg);
 
 /** Emit a prefixed, non-fatal message to stderr. */
-void alertImpl(const char *prefix, const std::string &msg);
+void warnImpl(const std::string &msg);
 
 } // namespace detail
-
-/** Toggle for inform()/warn() output (useful to silence tests). */
-void setVerbose(bool verbose);
-bool verbose();
 
 } // namespace mmxdsp
 
@@ -54,12 +50,6 @@ bool verbose();
 
 /** Non-fatal warning about questionable conditions. */
 #define mmxdsp_warn(...)                                                     \
-    ::mmxdsp::detail::alertImpl("warn",                                      \
-                                ::mmxdsp::detail::formatMessage(__VA_ARGS__))
-
-/** Informational status message. */
-#define mmxdsp_inform(...)                                                   \
-    ::mmxdsp::detail::alertImpl("info",                                      \
-                                ::mmxdsp::detail::formatMessage(__VA_ARGS__))
+    ::mmxdsp::detail::warnImpl(::mmxdsp::detail::formatMessage(__VA_ARGS__))
 
 #endif // MMXDSP_SUPPORT_LOGGING_HH

@@ -142,22 +142,6 @@ referenceIdct8x8(const double in[64], double out[64])
 }
 
 double
-meanSquaredError(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        mmxdsp_panic("MSE of different-length vectors (%zu vs %zu)",
-                     a.size(), b.size());
-    if (a.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-        double d = a[i] - b[i];
-        acc += d * d;
-    }
-    return acc / static_cast<double>(a.size());
-}
-
-double
 psnrDb(double mse)
 {
     if (mse <= 0.0)

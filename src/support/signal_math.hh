@@ -40,10 +40,6 @@ void referenceDct8x8(const double in[64], double out[64]);
 /** 8x8 inverse DCT-II with orthonormal scaling. */
 void referenceIdct8x8(const double in[64], double out[64]);
 
-/** Mean squared error between two equal-length vectors. */
-double meanSquaredError(const std::vector<double> &a,
-                        const std::vector<double> &b);
-
 /** Peak signal-to-noise ratio in dB for 8-bit imagery (peak = 255). */
 double psnrDb(double mse);
 

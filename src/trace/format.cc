@@ -3,17 +3,6 @@
 namespace mmxdsp::trace {
 
 uint64_t
-fnv1a(const uint8_t *data, size_t size, uint64_t seed)
-{
-    uint64_t h = seed;
-    for (size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-uint64_t
 fnv1aMix(uint64_t hash, uint64_t value)
 {
     for (int i = 0; i < 8; ++i) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Byte-level primitives shared by the trace layer: FNV-1a hashing
+ * Byte-level primitives shared by the trace layer: FNV-1a field mixing
  * (SuiteConfig::hash() and vprofd's machine hash) and the LEB128 varint
  * encoding of the v3 image's Meta section (format_v2.hh).
  */
@@ -13,9 +13,6 @@
 #include <vector>
 
 namespace mmxdsp::trace {
-
-/** FNV-1a over a byte range. */
-uint64_t fnv1a(const uint8_t *data, size_t size, uint64_t seed = 0xcbf29ce484222325ull);
 
 /** Mix one u64 into an FNV-1a running hash (for struct field hashing). */
 uint64_t fnv1aMix(uint64_t hash, uint64_t value);

@@ -29,16 +29,7 @@ constexpr size_t kBatchEvents = 512;
 void
 MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
 {
-    // The OpFacts of every static entry: its descriptor and flags, with
-    // the attribution bits of its op's cost class merged in. The kOp*
-    // bits 0-5 are the sim::kDesc* encoding.
-    static_assert(int{kOpMem} == int{sim::kDescMem}
-                  && int{kOpMmxMul} == int{sim::kDescMmxMul}
-                  && int{kOpMmxShift} == int{sim::kDescMmxShift}
-                  && int{kOpPairPV} == int{sim::kDescPairPV}
-                  && int{kOpPairUP} == int{sim::kDescPairUP}
-                  && int{kOpControl} == int{sim::kDescControl});
-    const auto &table = profile::opReplayTable();
+    // The OpFacts of every static entry: its descriptor and flags.
     const sim::UopDesc *descs = sim::descTable().data();
     facts_.resize(statics_.size());
     for (size_t sid = 0; sid < statics_.size(); ++sid) {
@@ -46,11 +37,6 @@ MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
         OpFacts &f = facts_[sid];
         f.desc = static_cast<uint16_t>(s.op * 3u + s.mem);
         f.flags = descs[f.desc].flags;
-        const uint8_t cost = table[s.op].costClass;
-        if (cost == profile::kCostCall || cost == profile::kCostRet)
-            f.flags |= kOpCallRet | kOpOverhead;
-        else if (cost == profile::kCostPushPop)
-            f.flags |= kOpOverhead;
     }
 
     // The function-run list and the per-function counts: each Run
@@ -92,18 +78,20 @@ MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
     for (size_t sid = 0; sid < statics_.size(); ++sid) {
         const StaticInstr &s = statics_[sid];
         const uint64_t count = sidCounts[sid];
-        const profile::OpReplayEntry &entry = table[s.op];
+        const OpFacts &f = facts_[sid];
         counts.dynamicInstructions += count;
-        counts.uops += count * entry.uopsByMem[s.mem];
+        counts.uops += count * descs[f.desc].uops;
         counts.memoryReferences += s.mem ? count : 0;
         counts.opCounts[s.op] += count;
-        if (entry.mmxCategory)
-            counts.mmxByCategory[entry.mmxCategory] += count;
-        if (entry.costClass == profile::kCostCall)
-            counts.functionCalls += count;
-        if (facts_[sid].flags & kOpControl)
+        const isa::MmxCategory cat =
+            isa::opInfo(static_cast<isa::Op>(s.op)).mmx;
+        if (cat != isa::MmxCategory::None)
+            counts.mmxByCategory[static_cast<size_t>(cat)] += count;
+        if (f.flags & sim::kDescControl)
             controlCount_ += count;
     }
+    counts.functionCalls =
+        counts.opCounts[static_cast<size_t>(isa::Op::Call)];
     counts.staticInstructions = executedSites(sidCounts).size();
     for (size_t c = 1; c < counts.mmxByCategory.size(); ++c)
         counts.mmxInstructions += counts.mmxByCategory[c];
@@ -283,7 +271,7 @@ MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
     const StaticInstr *statics = statics_.data();
     size_t branch = 0;
     for (const PackedOp &p : ops_) {
-        if (facts[p.sid].flags & kOpControl) {
+        if (facts[p.sid].flags & sim::kDescControl) {
             if (btb.predict(statics[p.sid].site, (p.ev & 1) != 0))
                 memo.bits[branch >> 6] |= uint64_t{1} << (branch & 63);
             ++branch;
@@ -318,10 +306,10 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
                                  const CacheMemo *cache,
                                  const BtbMemo *btb) const
 {
-    // Start from the config-independent template; this loop only runs
-    // the timing model and attributes its cycles. Model is a final
-    // class, so every consume call below devirtualizes and inlines.
-    profile::ProfileResult r = counts_;
+    // The config-independent counts come from the template (assemble());
+    // this loop only runs the timing model and attributes its cycles.
+    // Model is a final class, so every consume call below devirtualizes
+    // and inlines.
     std::vector<uint64_t> fnCycles(fnNames_.size(), 0);
     uint64_t callRet = 0;
     uint64_t overhead = 0;
@@ -366,10 +354,10 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
                 e.dst = p.dst;
                 // Both outcomes were recorded once for these geometries.
                 uint32_t penalty = 0;
-                if (f & kOpMem)
+                if (f & sim::kDescMem)
                     penalty = penaltyOf[cls[memIdx++]];
                 bool mispredict = false;
-                if (f & kOpControl) {
+                if (f & sim::kDescControl) {
                     mispredict = (bits[branch >> 6] >> (branch & 63)) & 1;
                     ++branch;
                 }
@@ -379,31 +367,44 @@ MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
             }
             runCycles += cost;
             // Branchless attribution from the static entry's flags.
-            callRet += cost & -static_cast<uint64_t>((f & kOpCallRet) != 0);
+            callRet +=
+                cost & -static_cast<uint64_t>((f & sim::kDescCallRet) != 0);
             overhead +=
-                cost & -static_cast<uint64_t>((f & kOpOverhead) != 0);
+                cost & -static_cast<uint64_t>((f & sim::kDescOverhead) != 0);
         }
         fnCycles[run.fnId] += runCycles;
     }
 
-    r.cycles = timer.cycles();
-    r.callRetCycles = callRet;
-    r.callOverheadCycles = overhead;
-    r.timer = timer.stats();
+    Measured m{timer.cycles(), callRet, overhead, timer.stats(), {}, {}, {}};
     if constexpr (Memoized) {
-        r.l1 = cache->l1;
-        r.l2 = cache->l2;
-        r.btb = btb->stats;
+        m.l1 = cache->l1;
+        m.l2 = cache->l2;
+        m.btb = btb->stats;
     } else {
-        r.l1 = timer.memory().l1().stats();
-        r.l2 = timer.memory().l2().stats();
-        r.btb = timer.btb().stats();
+        m.l1 = timer.memory().l1().stats();
+        m.l2 = timer.memory().l2().stats();
+        m.btb = timer.btb().stats();
     }
+    return assemble(m, fnCycles.data(), 1);
+}
+
+profile::ProfileResult
+MaterializedTrace::assemble(const Measured &m, const uint64_t *fnCycles,
+                            size_t stride) const
+{
+    profile::ProfileResult r = counts_;
+    r.cycles = m.cycles;
+    r.callRetCycles = m.callRet;
+    r.callOverheadCycles = m.overhead;
+    r.timer = m.timer;
+    r.l1 = m.l1;
+    r.l2 = m.l2;
+    r.btb = m.btb;
     for (size_t id = 0; id < fnCounts_.size(); ++id) {
         const profile::FunctionStats &st = fnCounts_[id];
         if (st.calls || st.instructions) {
             profile::FunctionStats full = st;
-            full.cycles = fnCycles[id];
+            full.cycles = fnCycles[id * stride];
             r.functions.emplace(fnNames_[id], full);
         }
     }

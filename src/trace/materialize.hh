@@ -152,29 +152,17 @@ constexpr size_t kMaxStaticInstrs = size_t{1} << 16;
 constexpr size_t kMaxAddrRegions = 128;
 
 /**
- * Bit layout of OpFacts::flags: everything a replay kernel branches on
- * per event. Bits 0-5 are the sim::UopDesc flags (kDesc*) of the
- * entry's (op, memory mode); the low three double as the P5 intra-pair
- * structural-hazard signature: an op conflicts with the open U-pipe op
- * iff (flags & uHaz & 7) != 0.
+ * The per-sid pre-join the replay kernels read per event, derived on
+ * capture and load: a static entry's sim::descTable() row and that
+ * row's flags byte (the sim::kDesc* bits every kernel branches on).
  */
-enum : uint8_t {
-    kOpMem = 1 << 0,      ///< references memory (one access per event)
-    kOpMmxMul = 1 << 1,   ///< occupies the single MMX multiplier
-    kOpMmxShift = 1 << 2, ///< occupies the single MMX shifter
-    kOpPairPV = 1 << 3,   ///< may issue in V: (UV|PV) and 1-cycle
-    kOpPairUP = 1 << 4,   ///< may open a pair in U: (UV|PU) and 1-cycle
-    kOpControl = 1 << 5,  ///< consumes one branch prediction
-    kOpCallRet = 1 << 6,  ///< cycles attributed to call/ret
-    kOpOverhead = 1 << 7, ///< cycles attributed to call overhead
-};
-
-/** The timing facts of one static entry, derived on capture and load. */
 struct OpFacts
 {
     uint16_t desc; ///< sim::descTable() index (op * 3 + memory mode)
-    uint8_t flags; ///< kOp* bits
+    uint8_t flags; ///< sim::UopDesc::flags of descTable()[desc]
 };
+
+struct SweepProgram;
 
 /** A maximal run of consecutive events owned by one function: the unit
  *  of cycle attribution (per-event costs telescope across a run). */
@@ -395,6 +383,8 @@ class MaterializedTrace
   private:
     /** The live-capture sink fills the buffers in place. */
     friend class MaterializeSink;
+    /** The lanes' view of this trace (trace/sweep_kernel.cc). */
+    friend struct SweepProgram;
 
     /**
      * Reassemble one event from its record; @p memIdx walks the
@@ -501,7 +491,31 @@ class MaterializedTrace
      * cycle-dependent fields stay zero until a replay fills them.
      */
     profile::ProfileResult counts_;
-    uint64_t controlCount_ = 0; ///< number of events with kOpControl
+    uint64_t controlCount_ = 0; ///< number of events with kDescControl
+
+    /** What one machine's replay measured besides its per-function
+     *  cycles: the ProfileResult fields counts_ leaves zero. */
+    struct Measured
+    {
+        uint64_t cycles = 0;
+        uint64_t callRet = 0;  ///< ProfileResult::callRetCycles
+        uint64_t overhead = 0; ///< ProfileResult::callOverheadCycles
+        sim::TimerStats timer;
+        mem::CacheStats l1;
+        mem::CacheStats l2;
+        mem::BtbStats btb;
+    };
+
+    /**
+     * One machine's ProfileResult: counts_ plus @p m, with function
+     * id's cycles at @p fnCycles[id * stride]. The per-machine kernel
+     * and the lanes assemble every result here. (@p m is one argument
+     * so that no call passes arguments on the stack, which would cost
+     * the kernels their frame-pointer register.)
+     */
+    profile::ProfileResult assemble(const Measured &m,
+                                    const uint64_t *fnCycles,
+                                    size_t stride) const;
 
     /**
      * Record the CacheMemo of every L2 geometry in @p l2s behind the L1

@@ -86,6 +86,70 @@
 
 namespace mmxdsp::trace {
 
+/** One sweep entry bound to its shared memos and its result slot. */
+struct LaneRef
+{
+    const sim::MachineConfig *machine = nullptr;
+    const CacheMemo *mem = nullptr;
+    const BtbMemo *btb = nullptr;
+    size_t resultIndex = 0;
+};
+
+/** What the lanes read of one trace, borrowed from the
+ *  MaterializedTrace: its records in place, the OpFacts of its static
+ *  entries and its function-run list; results go through its
+ *  assemble(). */
+struct SweepProgram
+{
+    explicit SweepProgram(const MaterializedTrace &t)
+        : trace(t), n(t.ops_.size()), ops(t.ops_.data()),
+          facts(t.facts_.data()), runs(&t.fnRuns_),
+          memEvents(t.counts_.memoryReferences),
+          controlEvents(t.controlCount_), functions(t.fnNames_.size())
+    {
+    }
+
+    /**
+     * Lane @p ref's ProfileResult from its loop-carried statistics
+     * (@p timer, @p cycles, @p callRet, @p overhead, function id's
+     * cycles at @p fnCycles[id * stride]) and the statistics with a
+     * closed form over its memos.
+     */
+    profile::ProfileResult
+    laneResult(const LaneRef &ref, const sim::TimerStats &timer,
+               uint64_t cycles, uint64_t callRet, uint64_t overhead,
+               const uint64_t *fnCycles, size_t stride) const;
+
+    const MaterializedTrace &trace;
+    size_t n;
+    const PackedOp *ops;
+    const OpFacts *facts; ///< indexed by PackedOp::sid
+    const std::vector<FnRun> *runs;
+    size_t memEvents;     ///< length of every CacheMemo::cls
+    size_t controlEvents; ///< bits in every BtbMemo
+    size_t functions;     ///< function ids (rows of per-function cycles)
+};
+
+profile::ProfileResult
+SweepProgram::laneResult(const LaneRef &ref, const sim::TimerStats &timer,
+                         uint64_t cycles, uint64_t callRet, uint64_t overhead,
+                         const uint64_t *fnCycles, size_t stride) const
+{
+    const sim::MachineConfig &machine = *ref.machine;
+    MaterializedTrace::Measured m{cycles,      callRet,     overhead,
+                                  timer,       ref.mem->l1, ref.mem->l2,
+                                  ref.btb->stats};
+    m.timer.instructions = n;
+    m.timer.memPenaltyCycles =
+        ref.mem->l2Served * machine.timer.penalties.ofClass(1)
+        + ref.mem->l2Missed * machine.timer.penalties.ofClass(2);
+    m.timer.mispredictCycles =
+        ref.btb->stats.mispredicts
+        * uint64_t{
+            sim::frontEnd(machine.model, machine.timer).mispredict_penalty};
+    return trace.assemble(m, fnCycles, stride);
+}
+
 namespace {
 
 /** After a rebase no time-like lane value lies below this; one further
@@ -97,31 +161,6 @@ constexpr uint64_t kLaneSpan = uint64_t{1} << 29;
 /** The largest lane bound a machine may have to run on lanes (so a
  *  block rebases at least every 32 events). */
 constexpr uint64_t kLaneBoundMax = uint64_t{1} << 24;
-
-/** What the lanes read of one trace, borrowed from the
- *  MaterializedTrace: its records in place, the OpFacts of its static
- *  entries, its function-run list and the result-assembly context. */
-struct SweepProgram
-{
-    size_t n = 0;
-    const PackedOp *ops = nullptr;
-    const OpFacts *facts = nullptr; ///< indexed by PackedOp::sid
-    const std::vector<FnRun> *runs = nullptr;
-    size_t memEvents = 0;     ///< length of every CacheMemo::cls
-    size_t controlEvents = 0; ///< bits in every BtbMemo
-    const profile::ProfileResult *counts = nullptr;
-    const std::vector<std::string> *fnNames = nullptr;
-    const std::vector<profile::FunctionStats> *fnCounts = nullptr;
-};
-
-/** One sweep entry bound to its shared memos and its result slot. */
-struct LaneRef
-{
-    const sim::MachineConfig *machine = nullptr;
-    const CacheMemo *mem = nullptr;
-    const BtbMemo *btb = nullptr;
-    size_t resultIndex = 0;
-};
 
 /**
  * The memo outcomes of one lane tuple (the cache and BTB memo of each
@@ -168,42 +207,6 @@ sim::FrontEnd
 frontEnd(const sim::MachineConfig &m)
 {
     return sim::frontEnd(m.model, m.timer);
-}
-
-/**
- * Build one lane's ProfileResult from the config-independent template,
- * its loop-carried statistics, and the closed-form memo totals.
- */
-profile::ProfileResult
-assembleLane(const SweepProgram &prog, const LaneRef &ref,
-             const sim::TimerStats &timer, uint64_t cycles, uint64_t callRet,
-             uint64_t overhead, const uint64_t *fnCycles, size_t stride,
-             size_t lane)
-{
-    const sim::TimerConfig &tc = ref.machine->timer;
-    profile::ProfileResult r = *prog.counts;
-    r.cycles = cycles;
-    r.callRetCycles = callRet;
-    r.callOverheadCycles = overhead;
-    r.timer = timer;
-    r.timer.instructions = prog.n;
-    r.timer.memPenaltyCycles = ref.mem->l2Served * tc.penalties.ofClass(1)
-                               + ref.mem->l2Missed * tc.penalties.ofClass(2);
-    r.timer.mispredictCycles =
-        ref.btb->stats.mispredicts
-        * uint64_t{frontEnd(*ref.machine).mispredict_penalty};
-    r.l1 = ref.mem->l1;
-    r.l2 = ref.mem->l2;
-    r.btb = ref.btb->stats;
-    for (size_t id = 0; id < prog.fnCounts->size(); ++id) {
-        const profile::FunctionStats &st = (*prog.fnCounts)[id];
-        if (st.calls || st.instructions) {
-            profile::FunctionStats full = st;
-            full.cycles = fnCycles[id * stride + lane];
-            r.functions.emplace((*prog.fnNames)[id], full);
-        }
-    }
-    return r;
 }
 
 #if MMXDSP_SWEEP_LANES
@@ -581,11 +584,7 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     const size_t prepared = tasks.size();
 
     // The lanes read the trace in place.
-    const SweepProgram prog{ops_.size(),      ops_.data(),
-                            facts_.data(),    &fnRuns_,
-                            counts_.memoryReferences,
-                            controlCount_,    &counts_,
-                            &fnNames_,        &fnCounts_};
+    const SweepProgram prog(*this);
 
     // ---- 2. lane blocks: one register of lanes each; a remainder of
     // at most half a register takes a half-width block. Each block

@@ -81,13 +81,44 @@ constexpr isa::RegTag m1 = isa::makeTag(RegClass::Mmx, 1);
 
 TEST(UopTable, MatchesUopCountForEveryOpAndMemMode)
 {
+    // descTable() is the one per-(op, memory mode) table: its uops are
+    // uopCount()'s, its attribution bits are set for exactly the ops
+    // VProf charges to call/ret and to call overhead, and bits 0-5 are
+    // the timers' flags, derived from isa::opInfo().
     for (size_t op = 0; op < isa::kNumOps; ++op) {
         for (size_t mem = 0; mem < 3; ++mem) {
             InstrEvent e;
             e.op = static_cast<Op>(op);
             e.mem = static_cast<MemMode>(mem);
-            EXPECT_EQ(uopTable()[uopTableIndex(e)], uopCount(e))
-                << isa::opInfo(e.op).name << " mem " << mem;
+            const isa::OpInfo &info = isa::opInfo(e.op);
+            const UopDesc &d = descTable()[uopTableIndex(e)];
+            EXPECT_EQ(d.uops, uopCount(e)) << info.name << " mem " << mem;
+
+            const bool callRet = e.op == Op::Call || e.op == Op::Ret;
+            const bool overhead =
+                callRet || e.op == Op::Push || e.op == Op::Pop;
+            EXPECT_EQ((d.flags & kDescCallRet) != 0, callRet)
+                << info.name << " mem " << mem;
+            EXPECT_EQ((d.flags & kDescOverhead) != 0, overhead)
+                << info.name << " mem " << mem;
+
+            const bool pairable = info.blocking == 1;
+            uint8_t low = 0;
+            if (e.mem != MemMode::None)
+                low |= kDescMem;
+            if (info.unit == isa::Unit::MmxMul)
+                low |= kDescMmxMul;
+            if (info.unit == isa::Unit::MmxShift)
+                low |= kDescMmxShift;
+            if (pairable && (info.pair == isa::PairClass::UV
+                             || info.pair == isa::PairClass::PV))
+                low |= kDescPairPV;
+            if (pairable && (info.pair == isa::PairClass::UV
+                             || info.pair == isa::PairClass::PU))
+                low |= kDescPairUP;
+            if (isa::isControl(e.op))
+                low |= kDescControl;
+            EXPECT_EQ(d.flags & 0x3f, low) << info.name << " mem " << mem;
         }
     }
 }

@@ -82,7 +82,7 @@ TEST(TraceFormat, Fnv1aDistinguishesInputs)
 {
     const uint8_t a[] = {1, 2, 3};
     const uint8_t b[] = {1, 2, 4};
-    EXPECT_NE(trace::fnv1a(a, sizeof(a)), trace::fnv1a(b, sizeof(b)));
+    EXPECT_NE(testutil::fnv1a(a, sizeof(a)), testutil::fnv1a(b, sizeof(b)));
     EXPECT_NE(trace::fnv1aMix(0, 1), trace::fnv1aMix(0, 2));
 }
 
@@ -146,6 +146,9 @@ expectEveryPairKernelMatchesLive(size_t model)
         if (kModels[model] != sim::ModelKind::P5) {
             EXPECT_GT(want.timer.uopsIssued, 0u) << what;
         }
+        EXPECT_EQ(want.functionCalls,
+                  want.opCounts[static_cast<size_t>(isa::Op::Call)])
+            << what;
         expectSameProfile(pc.mat.replayProfile(machine), want,
                           what + " kernel");
     }

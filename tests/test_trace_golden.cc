@@ -21,9 +21,9 @@
 #include "kernels/fir.hh"
 #include "runtime/cpu.hh"
 #include "sim/trace_sink.hh"
-#include "trace/format.hh"
 #include "trace/materialize.hh"
 #include "trace/materialize_sink.hh"
+#include "trace_test_util.hh"
 
 namespace mmxdsp {
 namespace {
@@ -146,7 +146,7 @@ TEST(TraceGolden, EncoderImageIsByteStable)
     writeFixedStream(sink);
     const std::vector<uint8_t> image = sink.finish().serializeV2();
     EXPECT_EQ(image.size(), 13952u);
-    EXPECT_EQ(trace::fnv1a(image.data(), image.size()),
+    EXPECT_EQ(testutil::fnv1a(image.data(), image.size()),
               0x94da4ea88076ba03ull);
 }
 

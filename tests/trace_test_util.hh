@@ -1,10 +1,10 @@
 /**
  * @file
- * Helpers shared by the trace, format, capture and store tests: scratch
- * directories, a small suite config, random event streams captured
- * through trace::MaterializeSink, every registry pair captured next to
- * its live profiles, a recording sink, and field-by-field ProfileResult
- * comparison.
+ * Helpers shared by the trace, format, capture and store tests: a
+ * byte-wise FNV-1a digest, scratch directories, a small suite config,
+ * random event streams captured through trace::MaterializeSink, every
+ * registry pair captured next to its live profiles, a recording sink,
+ * and field-by-field ProfileResult comparison.
  */
 
 #ifndef MMXDSP_TESTS_TRACE_TEST_UTIL_HH
@@ -36,6 +36,18 @@ namespace fs = std::filesystem;
 /** The machine models every identity test covers. */
 inline constexpr sim::ModelKind kModels[] = {
     sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P};
+
+/** Byte-wise FNV-1a over a byte range: the tests' digest of an image. */
+inline uint64_t
+fnv1a(const uint8_t *data, size_t size)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t i = 0; i < size; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
 
 /** One P5 machine per timer configuration of @p configs. */
 inline std::vector<sim::MachineConfig>
