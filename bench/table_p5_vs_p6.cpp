@@ -91,9 +91,9 @@ main(int argc, char **argv)
     {
         std::string benchmark;
         std::string version;
-        profile::ProfileResult p5;
-        profile::ProfileResult p6;
-        profile::ProfileResult p6p;
+        profile::ProfileResult onP5;
+        profile::ProfileResult onP6;
+        profile::ProfileResult onP6P;
     };
     std::vector<Row> rows;
     bool identical = true;
@@ -145,20 +145,20 @@ main(int argc, char **argv)
         table.addRow(
             {row.benchmark + "." + row.version,
              Table::fmtCount(
-                 static_cast<int64_t>(row.p5.dynamicInstructions)),
-             Table::fmtCount(static_cast<int64_t>(row.p5.uops)),
-             Table::fmtCount(static_cast<int64_t>(row.p5.cycles)),
-             Table::fmtCount(static_cast<int64_t>(row.p6.cycles)),
-             Table::fmtCount(static_cast<int64_t>(row.p6p.cycles)),
-             Table::fmtFixed(cpi(row.p5.cycles, row.p5.dynamicInstructions),
-                             2),
-             Table::fmtFixed(cpi(row.p6.cycles, row.p6.dynamicInstructions),
-                             2),
+                 static_cast<int64_t>(row.onP5.dynamicInstructions)),
+             Table::fmtCount(static_cast<int64_t>(row.onP5.uops)),
+             Table::fmtCount(static_cast<int64_t>(row.onP5.cycles)),
+             Table::fmtCount(static_cast<int64_t>(row.onP6.cycles)),
+             Table::fmtCount(static_cast<int64_t>(row.onP6P.cycles)),
              Table::fmtFixed(
-                 cpi(row.p6p.cycles, row.p6p.dynamicInstructions), 2),
+                 cpi(row.onP5.cycles, row.onP5.dynamicInstructions), 2),
+             Table::fmtFixed(
+                 cpi(row.onP6.cycles, row.onP6.dynamicInstructions), 2),
+             Table::fmtFixed(
+                 cpi(row.onP6P.cycles, row.onP6P.dynamicInstructions), 2),
              Table::fmtCount(
-                 static_cast<int64_t>(row.p6p.timer.portStallCycles)),
-             Table::fmtRatio(cpi(row.p5.cycles, row.p6p.cycles))});
+                 static_cast<int64_t>(row.onP6P.timer.portStallCycles)),
+             Table::fmtRatio(cpi(row.onP5.cycles, row.onP6P.cycles))});
     }
     table.print();
 
@@ -180,9 +180,9 @@ main(int argc, char **argv)
         const Row *mmx = find(benchmark, "mmx");
         speedups.addRow(
             {benchmark,
-             Table::fmtRatio(cpi(c->p5.cycles, mmx->p5.cycles)),
-             Table::fmtRatio(cpi(c->p6.cycles, mmx->p6.cycles)),
-             Table::fmtRatio(cpi(c->p6p.cycles, mmx->p6p.cycles))});
+             Table::fmtRatio(cpi(c->onP5.cycles, mmx->onP5.cycles)),
+             Table::fmtRatio(cpi(c->onP6.cycles, mmx->onP6.cycles)),
+             Table::fmtRatio(cpi(c->onP6P.cycles, mmx->onP6P.cycles))});
     }
     speedups.print();
     std::printf("\nresults bit-identical %s\n", identical ? "yes" : "NO");
@@ -198,18 +198,16 @@ main(int argc, char **argv)
                 "    {\"name\": \"%s.%s\", \"instructions\": %llu, "
                 "\"uops\": %llu, \"p5_cycles\": %llu, "
                 "\"p6_cycles\": %llu, \"p6p_cycles\": %llu, "
-                "\"p6_retire_stalls\": %llu, "
                 "\"p6p_port_stalls\": %llu}%s\n",
                 row.benchmark.c_str(), row.version.c_str(),
-                static_cast<unsigned long long>(row.p5.dynamicInstructions),
-                static_cast<unsigned long long>(row.p5.uops),
-                static_cast<unsigned long long>(row.p5.cycles),
-                static_cast<unsigned long long>(row.p6.cycles),
-                static_cast<unsigned long long>(row.p6p.cycles),
                 static_cast<unsigned long long>(
-                    row.p6.timer.retireStallCycles),
+                    row.onP5.dynamicInstructions),
+                static_cast<unsigned long long>(row.onP5.uops),
+                static_cast<unsigned long long>(row.onP5.cycles),
+                static_cast<unsigned long long>(row.onP6.cycles),
+                static_cast<unsigned long long>(row.onP6P.cycles),
                 static_cast<unsigned long long>(
-                    row.p6p.timer.portStallCycles),
+                    row.onP6P.timer.portStallCycles),
                 i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(json, "  ],\n  \"identical\": %s\n}\n",

@@ -17,33 +17,9 @@ namespace mmxdsp::service {
 uint64_t
 machineHash(const sim::MachineConfig &machine)
 {
-    using trace::fnv1aMix;
-    const sim::TimerConfig &t = machine.timer;
     uint64_t h = 0x9e3779b97f4a7c15ull;
-    h = fnv1aMix(h, static_cast<uint64_t>(machine.model));
-    h = fnv1aMix(h, t.l1.size_bytes);
-    h = fnv1aMix(h, t.l1.line_bytes);
-    h = fnv1aMix(h, t.l1.ways);
-    h = fnv1aMix(h, t.l2.size_bytes);
-    h = fnv1aMix(h, t.l2.line_bytes);
-    h = fnv1aMix(h, t.l2.ways);
-    h = fnv1aMix(h, t.penalties.l1_miss);
-    h = fnv1aMix(h, t.penalties.l2_hit);
-    h = fnv1aMix(h, t.penalties.l2_miss);
-    h = fnv1aMix(h, t.btb_entries);
-    h = fnv1aMix(h, t.btb_ways);
-    h = fnv1aMix(h, t.mispredict_penalty);
-    h = fnv1aMix(h, t.p6.decode_width);
-    h = fnv1aMix(h, t.p6.complex_uops);
-    h = fnv1aMix(h, t.p6.issue_width);
-    h = fnv1aMix(h, t.p6.retire_width);
-    h = fnv1aMix(h, t.p6.mispredict_penalty);
-    h = fnv1aMix(h, t.p6p.decode_width);
-    h = fnv1aMix(h, t.p6p.complex_uops);
-    h = fnv1aMix(h, t.p6p.issue_width);
-    h = fnv1aMix(h, t.p6p.retire_width);
-    h = fnv1aMix(h, t.p6p.window);
-    h = fnv1aMix(h, t.p6p.mispredict_penalty);
+    for (uint32_t v : sim::machineKey(machine))
+        h = trace::fnv1aMix(h, v);
     return h;
 }
 
@@ -390,11 +366,9 @@ QueryEngine::parseQueryLine(const std::string &line, Query *out,
             t.btb_entries = v;
         else if (key == "btb_ways")
             t.btb_ways = v;
-        else if (key == "mp") {
+        else if (key == "mp")
             t.mispredict_penalty = v;
-            t.p6.mispredict_penalty = v;
-            t.p6p.mispredict_penalty = v;
-        } else {
+        else {
             *error = "unknown parameter '" + key + "'";
             return false;
         }

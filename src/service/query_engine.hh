@@ -54,11 +54,12 @@
 namespace mmxdsp::service {
 
 /**
- * Stable FNV-1a hash of one simulated machine: the model kind plus
- * every timing parameter (cache geometries, penalties, BTB geometry,
- * mispredict penalties, P6 front-end widths). Cosmetic fields (cache
- * names) are excluded. Two machines hash equal iff they time traces
- * identically, which is what makes this a safe result-cache key.
+ * Stable FNV-1a hash of one simulated machine's sim::machineKey(): its
+ * model, cache and BTB geometry, memory penalties and resolved
+ * mispredict penalty. Machines with equal keys time traces identically,
+ * which is what makes this a safe result-cache key; a query that sets
+ * its model's own penalty (`mp=4` on the P5) hits the entry of one that
+ * leaves it unset.
  */
 uint64_t machineHash(const sim::MachineConfig &machine);
 

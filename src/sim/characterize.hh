@@ -18,7 +18,7 @@
  *    (expectedP5Latency / expectedP5Throughput below, pinned in tests),
  *  - the P6P rows must *diverge* from the P6 rows on any stream that
  *    saturates both ALU ports — the contention the port model exists to
- *    express, which no retire-only model can.
+ *    express, which no issue-width-only model can.
  *
  * Measurements run kCharacterizeWarmup events to reach steady state
  * (first-touch cache misses, pipeline fill), then time exactly

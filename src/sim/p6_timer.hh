@@ -7,20 +7,36 @@
  * The P6 is the machine behind the paper's dynamic micro-op counts:
  * the P6 decoders translate each x86 instruction into uops (the counts
  * in sim::descTable()) and the core issues them at a fixed width. We
- * model the in-order front end and retirement only:
+ * model the in-order front end only, at the Pentium II's fixed widths:
  *
- *  - 4-1-1 decode: up to decode_width instructions per cycle, of which
- *    only decoder 0 may produce a multi-uop (up to complex_uops)
- *    template; longer instructions are microcoded and decode alone,
- *  - issue_width uops per cycle into the core, retire_width uops per
- *    cycle out of it (the reorder buffer drains at retire_width, which
- *    backpressures decode on uop-dense code),
+ *  - 4-1-1 decode: three decoders, of which only decoder 0 takes a
+ *    multi-uop (up to 4-uop) template; longer templates are microcoded
+ *    and decode alone,
+ *  - kIssueWidth = 3 uops per cycle into the core (and 3 retired per
+ *    cycle out of it),
  *  - a register scoreboard for result latencies reusing isa::RegTag
  *    (with the P6's pipelined multiplier: imul/mul latency drops to 4,
  *    vs 10 on the Pentium — half of why the paper's FIR/LMS kernels
  *    behave so differently across the two machines),
  *  - the same shared mem::MemoryHierarchy / mem::Btb structures as the
  *    P5 model, with the P6's deeper-pipeline mispredict penalty.
+ *
+ * At these widths the issue bandwidth is the one front-end rule that
+ * can bind; every other is implied by it, and none is coded:
+ *
+ *  - decode slots: every op is at least one uop (isa::opTable(), as
+ *    IsaTable.EveryOpHasSaneAttributes checks), so the op that opens a
+ *    group leaves at most 2 issue slots and at most 2 more ops — the
+ *    two simple decoders — can join it;
+ *  - decoder 0: a multi-uop joiner needs 2 issue slots left, which
+ *    only a 1-uop opener leaves, and then it is the group's only
+ *    multi-uop op and takes at most the 2 slots left, well inside the
+ *    4-uop limit;
+ *  - retirement: a group issues at most 3 uops per cycle it occupies
+ *    and the next group starts no earlier than those cycles end, so
+ *    the uops issued so far never exceed 3 times the clock, and a
+ *    3-wide retire stage never holds decode back
+ *    (TimerStats::retireStallCycles stays 0).
  *
  * The P6 stops at those widths: any three uops issue per cycle, no
  * matter which execution units they need. The machines the paper's
@@ -34,7 +50,7 @@
  *    ties to p0), p2 takes loads, p3/p4 the store-address/store-data
  *    pair (UopDesc::port / aluUops / loadUops / storeOps);
  *  - a small scheduler window: a new decode group may start at most
- *    `window` cycles before the latest port dispatch, so a port-bound
+ *    kWindow = 8 cycles before the latest port dispatch, so a port-bound
  *    stream backpressures the front end and sustained throughput
  *    collapses to the dispatch rate (two ALU uops per cycle on a
  *    dual-ALU-saturating stream, where the P6 model would claim three).
@@ -81,13 +97,19 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
 {
     using Base = TimerBase<P6FamilyTimer>;
     using Base::descs_;
+    using Base::mispredictPenalty_;
 
   public:
+    /** Uops issued per cycle. */
+    static constexpr uint32_t kIssueWidth = 3;
+    /** Cycles the latest port dispatch may lead a new decode group
+     *  (P6P only). */
+    static constexpr uint32_t kWindow = 8;
+
     /** Never inlined, see TimerBase. */
     [[gnu::noinline]] explicit P6FamilyTimer(
         const TimerConfig &config = TimerConfig{})
-        : Base(config),
-          fe_(frontEnd(Ports ? ModelKind::P6P : ModelKind::P6, config))
+        : Base(config, Ports ? ModelKind::P6P : ModelKind::P6)
     {
     }
 
@@ -114,74 +136,56 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
         stats_.memPenaltyCycles += mem_penalty;
 
         uint64_t issue;
-        if (slotsLeft_ > 0 && uopsLeft_ >= uops
-            && (uops <= 1 || complexFree_) && uops <= fe_.complex_uops
-            && ready <= groupCycle_ && mem_penalty == 0 && !mispredict) {
-            // Decode into the open group: a free 4-1-1 slot, issue
-            // bandwidth left this cycle, and operands already ready.
-            // Port pressure only gates the *next* group, through the
-            // window.
+        if (uopsLeft_ >= uops && ready <= groupCycle_ && mem_penalty == 0
+            && !mispredict) {
+            // Decode into the open group: issue bandwidth left this
+            // cycle and operands already ready. Port pressure only
+            // gates the *next* group, through the window.
             issue = groupCycle_;
-            --slotsLeft_;
             uopsLeft_ -= uops;
-            if (uops > 1)
-                complexFree_ = false;
             ++stats_.pairs;
         } else {
-            // Start a new decode group. It may not run ahead of
-            // retirement (the ROB drains retire_width uops/cycle)...
+            // Start a new decode group. It may not run ahead of its
+            // operands (in-order issue, no renaming)...
             uint64_t at = time_;
-            const uint64_t retire_floor = retiredUops_ / fe_.retire_width;
-            if (retire_floor > at) {
-                stats_.retireStallCycles += retire_floor - at;
-                at = retire_floor;
-            }
-            // ...or of its operands (in-order issue, no renaming)...
             if (ready > at) {
                 stats_.dependStallCycles += ready - at;
                 at = ready;
             }
-            // ...and (P6P) more than `window` cycles of port dispatch.
+            // ...nor (P6P) more than kWindow cycles of port dispatch.
             if constexpr (Ports) {
-                const uint64_t port_floor = lastDispatch_ > fe_.window
-                                                ? lastDispatch_ - fe_.window
-                                                : 0;
+                const uint64_t port_floor =
+                    lastDispatch_ > kWindow ? lastDispatch_ - kWindow : 0;
                 if (port_floor > at) {
                     stats_.portStallCycles += port_floor - at;
                     at = port_floor;
                 }
             }
 
-            // issue_width uops leave per cycle; microcoded templates
-            // (uops > complex_uops) stream from the ROM and decode alone.
-            const uint32_t occupy = (uops + fe_.issue_width - 1)
-                                    / fe_.issue_width;
+            // kIssueWidth uops leave per cycle: a longer template holds
+            // decode for ceil(uops / kIssueWidth) cycles and closes its
+            // group, as a cache miss or a mispredict does.
+            const uint32_t occupy = (uops + kIssueWidth - 1) / kIssueWidth;
             if (occupy > 1)
                 stats_.blockingExtraCycles += occupy - 1;
 
             issue = at;
             time_ = at + occupy + mem_penalty;
-            if (occupy == 1 && mem_penalty == 0 && !mispredict) {
-                groupCycle_ = at;
-                slotsLeft_ = fe_.decode_width - 1;
-                uopsLeft_ = fe_.issue_width - uops;
-                complexFree_ = uops <= 1;
-            } else {
-                slotsLeft_ = 0;
-            }
+            groupCycle_ = at;
+            uopsLeft_ = occupy == 1 && mem_penalty == 0 && !mispredict
+                            ? kIssueWidth - uops
+                            : 0;
         }
 
         if constexpr (Ports)
             dispatch(desc, issue);
 
-        retiredUops_ += uops;
         ready_[event.dst] = issue + desc.latP6 + mem_penalty;
         ready_[isa::kNoReg] = 0; // restore the sentinel
 
         if (mispredict) {
-            time_ += fe_.mispredict_penalty;
-            stats_.mispredictCycles += fe_.mispredict_penalty;
-            slotsLeft_ = 0;
+            time_ += mispredictPenalty_;
+            stats_.mispredictCycles += mispredictPenalty_;
         }
 
         return time_ - before;
@@ -196,10 +200,7 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
     {
         time_ = 0;
         groupCycle_ = 0;
-        slotsLeft_ = 0;
         uopsLeft_ = 0;
-        complexFree_ = true;
-        retiredUops_ = 0;
         portFree_.fill(0);
         lastDispatch_ = 0;
         ready_.fill(0);
@@ -250,15 +251,10 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
             lastDispatch_ = at;
     }
 
-    /** frontEnd() of this model, read once. */
-    const FrontEnd fe_;
-
     uint64_t time_ = 0;       ///< next cycle a new decode group may start
     uint64_t groupCycle_ = 0; ///< issue cycle of the open decode group
-    uint32_t slotsLeft_ = 0;  ///< decode slots left in the open group
-    uint32_t uopsLeft_ = 0;   ///< issue-width uops left in the open group
-    bool complexFree_ = true; ///< decoder 0 (the 4-uop one) still free
-    uint64_t retiredUops_ = 0;
+    /** Issue slots left in the open group; 0 when none is open. */
+    uint32_t uopsLeft_ = 0;
 
     /** Next free cycle of each single-issue port (p0 p1 p2 p3 p4; P6P
      *  only). */

@@ -49,7 +49,7 @@ class PentiumTimer final : public TimerBase<PentiumTimer>
     /** Never inlined, see TimerBase. */
     [[gnu::noinline]] explicit PentiumTimer(
         const TimerConfig &config = TimerConfig{})
-        : TimerBase(config)
+        : TimerBase(config, ModelKind::P5)
     {
     }
 
@@ -110,8 +110,8 @@ class PentiumTimer final : public TimerBase<PentiumTimer>
         ready_[isa::kNoReg] = 0; // restore the sentinel (dst may be absent)
 
         if (mispredict) {
-            nextIssue_ += config_.mispredict_penalty;
-            stats_.mispredictCycles += config_.mispredict_penalty;
+            nextIssue_ += mispredictPenalty_;
+            stats_.mispredictCycles += mispredictPenalty_;
             uSlot_.valid = false;
         }
 

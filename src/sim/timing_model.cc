@@ -40,6 +40,25 @@ parseModelName(const char *name, ModelKind *out)
     return false;
 }
 
+MachineKey
+machineKey(const MachineConfig &machine)
+{
+    const TimerConfig &t = machine.timer;
+    return {static_cast<uint32_t>(machine.model),
+            t.l1.size_bytes,
+            t.l1.line_bytes,
+            t.l1.ways,
+            t.l2.size_bytes,
+            t.l2.line_bytes,
+            t.l2.ways,
+            t.penalties.l1_miss,
+            t.penalties.l2_hit,
+            t.penalties.l2_miss,
+            t.btb_entries,
+            t.btb_ways,
+            mispredictPenalty(machine.model, t)};
+}
+
 std::unique_ptr<TimingModel>
 makeTimingModel(const MachineConfig &machine)
 {

@@ -32,8 +32,10 @@
 #ifndef MMXDSP_SIM_TIMING_MODEL_HH
 #define MMXDSP_SIM_TIMING_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "isa/event.hh"
 #include "isa/op.hh"
@@ -43,36 +45,9 @@
 
 namespace mmxdsp::sim {
 
-/** Pentium II front-end parameters (consumed by the P6 model only). */
-struct P6Params
-{
-    uint32_t decode_width = 3;  ///< instructions decoded per cycle (4-1-1)
-    uint32_t complex_uops = 4;  ///< decoder 0 handles up to this many uops
-    uint32_t issue_width = 3;   ///< uops issued to the core per cycle
-    uint32_t retire_width = 3;  ///< uops retired per cycle
-    uint32_t mispredict_penalty = 11; ///< deeper pipeline than the P5's 4
-};
-
-/**
- * Pentium III-class port-model parameters (consumed by the P6P model only).
- * The front end is the P6's (4-1-1 decode, issue/retire widths); on top
- * of it every uop must dispatch to one of five single-issue execution
- * ports (p0/p1 ALU, p2 load, p3 store-address, p4 store-data), and the
- * latest dispatch may run at most `window` cycles ahead of a new decode
- * group — a small scheduler window, so sustained decode collapses to
- * the port-bound dispatch rate instead of the issue width.
- */
-struct P6PParams
-{
-    uint32_t decode_width = 3;  ///< instructions decoded per cycle (4-1-1)
-    uint32_t complex_uops = 4;  ///< decoder 0 handles up to this many uops
-    uint32_t issue_width = 3;   ///< uops issued to the core per cycle
-    uint32_t retire_width = 3;  ///< uops retired per cycle
-    uint32_t window = 8;        ///< cycles port dispatch may lead decode
-    uint32_t mispredict_penalty = 12; ///< one stage deeper than the P6
-};
-
-/** Tunable parameters shared by every timing model. */
+/** Tunable parameters shared by every timing model. The front end of
+ *  each model (decode and issue widths, the P6P's window) is a fixed
+ *  fact of the machine, not a parameter (p6_timer.hh). */
 struct TimerConfig
 {
     mem::CacheConfig l1{"L1D", 16 * 1024, 32, 4};
@@ -80,9 +55,9 @@ struct TimerConfig
     mem::MemoryHierarchy::Penalties penalties{};
     uint32_t btb_entries = 256;
     uint32_t btb_ways = 4;
-    uint32_t mispredict_penalty = 4;
-    P6Params p6{};
-    P6PParams p6p{};
+    /** Cycles a mispredicted branch costs; unset, the model's own
+     *  (mispredictPenalty()). */
+    std::optional<uint32_t> mispredict_penalty;
 };
 
 /** Which microarchitecture a MachineConfig selects. */
@@ -114,41 +89,36 @@ struct MachineConfig
 };
 
 /**
- * The front end one model reads, as one set of fields: the P6's
- * P6Params or the P6P's P6PParams. The P5 has no decode front end, so
- * it sets only its mispredict penalty; only the P6P has a window (0
- * elsewhere).
+ * The mispredict penalty @p model charges under @p config: the one
+ * @p config sets, or else the model's own — 4 cycles on the P5, 11 on
+ * the P6's deeper pipeline, 12 on the P6P, one stage deeper still.
  */
-struct FrontEnd
+constexpr uint32_t
+mispredictPenalty(ModelKind model, const TimerConfig &config)
 {
-    uint32_t decode_width = 0;
-    uint32_t complex_uops = 0;
-    uint32_t issue_width = 0;
-    uint32_t retire_width = 0;
-    uint32_t window = 0;
-    uint32_t mispredict_penalty = 0;
-
-    bool operator==(const FrontEnd &) const = default;
-};
-
-/** The front end @p model reads from @p config. */
-constexpr FrontEnd
-frontEnd(ModelKind model, const TimerConfig &config)
-{
-    const P6Params &p6 = config.p6;
-    const P6PParams &pp = config.p6p;
     switch (model) {
       case ModelKind::P6:
-        return {p6.decode_width, p6.complex_uops, p6.issue_width,
-                p6.retire_width, 0,              p6.mispredict_penalty};
+        return config.mispredict_penalty.value_or(11);
       case ModelKind::P6P:
-        return {pp.decode_width, pp.complex_uops, pp.issue_width,
-                pp.retire_width, pp.window,      pp.mispredict_penalty};
+        return config.mispredict_penalty.value_or(12);
       case ModelKind::P5:
         break;
     }
-    return {0, 0, 0, 0, 0, config.mispredict_penalty};
+    return config.mispredict_penalty.value_or(4);
 }
+
+/**
+ * What decides how a machine times a trace, as one row: the model, the
+ * L1 and L2 geometry, the three memory penalties, the BTB geometry and
+ * the resolved mispredict penalty. Cosmetic fields (cache names) are
+ * left out, and a penalty left unset keys like the model's own set
+ * explicitly.
+ */
+using MachineKey = std::array<uint32_t, 13>;
+
+/** @p machine's key: two machines with equal keys time every trace
+ *  identically. */
+MachineKey machineKey(const MachineConfig &machine);
 
 /** Aggregate timing statistics (the stall breakdown of one model). */
 struct TimerStats
@@ -163,7 +133,9 @@ struct TimerStats
     uint64_t blockingExtraCycles = 0; ///< cycles >1 held by NP/long ops
     /** Micro-ops issued (P6/P6P models only; stays 0 on the P5). */
     uint64_t uopsIssued = 0;
-    /** Cycles lost to the retire-width limit (P6/P6P models only). */
+    /** Cycles decode waited for retirement: always 0, since at three
+     *  uops issued and retired per cycle retirement never falls behind
+     *  (p6_timer.hh). */
     uint64_t retireStallCycles = 0;
     /** Cycles decode stalled behind the port-dispatch window (P6P model
      *  only; stays 0 on the P5 and P6). */
@@ -209,9 +181,9 @@ class TimingModel
 };
 
 /**
- * What every concrete timer shares: its TimerConfig, the cache
- * hierarchy and BTB that consume() resolves outcomes through, and the
- * accessors. @p Model supplies
+ * What every concrete timer shares: its TimerConfig and resolved
+ * mispredict penalty, the cache hierarchy and BTB that consume()
+ * resolves outcomes through, and the accessors. @p Model supplies
  *
  *  - consumeResolved(event, mem_penalty, mispredict): consume() with
  *    both outcomes supplied by the caller (@p mem_penalty 0 for
@@ -267,11 +239,12 @@ class TimerBase : public TimingModel
     const TimerConfig &config() const final { return config_; }
 
   protected:
-    explicit TimerBase(const TimerConfig &config)
+    TimerBase(const TimerConfig &config, ModelKind kind)
         : config_(config),
           memory_(config.l1, config.l2, config.penalties),
           btb_(config.btb_entries, config.btb_ways),
-          descs_(descTable().data())
+          descs_(descTable().data()),
+          mispredictPenalty_(mispredictPenalty(kind, config))
     {
     }
 
@@ -281,6 +254,8 @@ class TimerBase : public TimingModel
     /** descTable().data(), hoisted so consumeResolved() skips the
      *  per-call static-init guard. */
     const UopDesc *descs_;
+    /** mispredictPenalty() of this model, resolved once. */
+    const uint32_t mispredictPenalty_;
 };
 
 /** Build the timing model @p machine selects. */

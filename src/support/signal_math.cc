@@ -83,24 +83,6 @@ referenceFft(std::vector<std::complex<double>> &data, bool inverse)
     }
 }
 
-std::vector<std::complex<double>>
-referenceDft(const std::vector<std::complex<double>> &data)
-{
-    const size_t n = data.size();
-    std::vector<std::complex<double>> out(n);
-    for (size_t k = 0; k < n; ++k) {
-        std::complex<double> acc(0.0, 0.0);
-        for (size_t t = 0; t < n; ++t) {
-            double angle = -2.0 * kPi * static_cast<double>(k * t)
-                           / static_cast<double>(n);
-            acc += data[t] * std::complex<double>(std::cos(angle),
-                                                  std::sin(angle));
-        }
-        out[k] = acc;
-    }
-    return out;
-}
-
 void
 referenceDct8x8(const double in[64], double out[64])
 {
@@ -147,24 +129,6 @@ psnrDb(double mse)
     if (mse <= 0.0)
         return 99.0;
     return 10.0 * std::log10(255.0 * 255.0 / mse);
-}
-
-double
-snrDb(const std::vector<double> &signal,
-      const std::vector<double> &reconstruction)
-{
-    if (signal.size() != reconstruction.size())
-        mmxdsp_panic("SNR of different-length vectors");
-    double sig = 0.0;
-    double err = 0.0;
-    for (size_t i = 0; i < signal.size(); ++i) {
-        sig += signal[i] * signal[i];
-        double d = signal[i] - reconstruction[i];
-        err += d * d;
-    }
-    if (err <= 0.0)
-        return 99.0;
-    return 10.0 * std::log10(sig / err);
 }
 
 std::vector<Biquad>

@@ -30,10 +30,6 @@ std::vector<double> referenceIir(const std::vector<double> &b,
 /** In-place radix-2 DIT FFT; size must be a power of two. */
 void referenceFft(std::vector<std::complex<double>> &data, bool inverse);
 
-/** O(n^2) DFT for cross-checking the FFT. */
-std::vector<std::complex<double>>
-referenceDft(const std::vector<std::complex<double>> &data);
-
 /** 8x8 forward DCT-II with orthonormal scaling (JPEG convention). */
 void referenceDct8x8(const double in[64], double out[64]);
 
@@ -42,10 +38,6 @@ void referenceIdct8x8(const double in[64], double out[64]);
 
 /** Peak signal-to-noise ratio in dB for 8-bit imagery (peak = 255). */
 double psnrDb(double mse);
-
-/** Signal-to-noise ratio in dB: 10*log10(sum s^2 / sum (s-r)^2). */
-double snrDb(const std::vector<double> &signal,
-             const std::vector<double> &reconstruction);
 
 /**
  * Butterworth bandpass design via bilinear transform, returned as

@@ -113,8 +113,7 @@ struct SweepReport
     size_t rebases = 0;    ///< summed over the blocks
     size_t perMachine = 0;
     /** Of the per-machine runs, those the lanes could not take: a lane
-     *  bound above the limit, or a front end issuing wider than it
-     *  retires. */
+     *  bound above the limit. */
     size_t unfit = 0;
     double planeWallMs = 0.0; ///< wall time of the plane-packing pool
 };
@@ -323,18 +322,18 @@ class MaterializedTrace
 
     /**
      * The sweep driver. Each entry picks its own machine and timer
-     * parameters; duplicates are computed once and fanned back out.
+     * parameters; duplicates (equal sim::machineKey()) are computed
+     * once and fanned back out.
      * Then, in order:
      *  1. the memo pre-pass records every cache and BTB geometry the
      *     entries use and @p memos lacks (into @p memos, or into
      *     call-local memos without one), one pass per L1 geometry
      *     shared by all of its L2 geometries;
-     *  2. entries are grouped by model and front end (every P6/P6P
-     *     parameter but the mispredict penalty); a group of more than
+     *  2. entries are grouped by model; a group of more than
      *     max(2, workers) entries runs on the config-parallel lane
      *     kernel (trace/sweep_kernel.cc) of hostLaneIsa(), over one
      *     bit-per-lane outcome plane per distinct lane tuple, except an
-     *     entry whose penalties or front end do not fit 32-bit lanes;
+     *     entry whose penalties do not fit 32-bit lanes;
      *  3. every other entry runs per machine, on the memoized kernel.
      * The lane blocks and the per-machine runs share one worker pool,
      * largest task first. Results are index-aligned with @p machines

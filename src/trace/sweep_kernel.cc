@@ -21,8 +21,8 @@
  *     control events, recording a mispredict bitvector. Memos the
  *     caller's MaterializedTrace::Memos already holds are reused.
  *
- *  2. **Lanes.** Machines are grouped by model and front end (every
- *     sim::FrontEnd field except the mispredict penalty). A
+ *  2. **Lanes.** Machines are grouped by model (each model's front
+ *     end is fixed, so only its penalties differ per machine). A
  *     group of more than max(2, workers) machines advances together
  *     in ONE pass over the trace's own 6-byte records (PackedOp), read
  *     in place, one 32-bit lane per machine, in blocks of one vector
@@ -32,16 +32,15 @@
  *     offsets from a per-lane 64-bit origin that the kernel moves to
  *     the lane's clock every LaneBlock::period events, so every trace
  *     is timed exactly however long it is (sweep_lanes.inc). A machine
- *     whose lane bound exceeds kLaneBoundMax, or whose front end issues
- *     wider than it retires, runs per machine instead. Before the lanes
- *     run, the memo outcomes of each distinct lane tuple (the memos of
- *     a block's lanes, in lane order) are packed once into an outcome
- *     plane, one bit per lane, which every block with that tuple reads
- *     in place. The kernel is written once over GCC/Clang vector
- *     extensions and templated on a per-model step; every per-lane
- *     choice is a mask select, because whether a lane pairs or joins a
- *     decode group is data-dependent and a branch would mispredict
- *     constantly. Statistics with a closed form over the memos (memory
+ *     whose lane bound exceeds kLaneBoundMax runs per machine instead.
+ *     Before the lanes run, the memo outcomes of each distinct lane
+ *     tuple (the memos of a block's lanes, in lane order) are packed
+ *     once into an outcome plane, one bit per lane, which every block
+ *     with that tuple reads in place. The kernel is written once over
+ *     GCC/Clang vector extensions and templated on a per-model step;
+ *     every per-lane choice is a mask select, because whether a lane
+ *     pairs or joins a decode group is data-dependent and a branch
+ *     would mispredict constantly. Statistics with a closed form over the memos (memory
  *     penalty and mispredict cycles) leave the loop.
  *
  *  3. **Per-machine runs.** Every other machine (a narrow group, every
@@ -71,6 +70,7 @@
 #include <memory>
 #include <utility>
 
+#include "sim/p6_timer.hh"
 #include "sim/uop.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
@@ -145,8 +145,7 @@ SweepProgram::laneResult(const LaneRef &ref, const sim::TimerStats &timer,
         + ref.mem->l2Missed * machine.timer.penalties.ofClass(2);
     m.timer.mispredictCycles =
         ref.btb->stats.mispredicts
-        * uint64_t{
-            sim::frontEnd(machine.model, machine.timer).mispredict_penalty};
+        * uint64_t{sim::mispredictPenalty(machine.model, machine.timer)};
     return trace.assemble(m, fnCycles, stride);
 }
 
@@ -201,13 +200,6 @@ struct Lanes
     typedef uint32_t U __attribute__((vector_size(4 * W)));
     typedef int64_t Wide __attribute__((vector_size(8 * W)));
 };
-
-/** The front end @p m's model reads (sim::frontEnd()). */
-sim::FrontEnd
-frontEnd(const sim::MachineConfig &m)
-{
-    return sim::frontEnd(m.model, m.timer);
-}
 
 #if MMXDSP_SWEEP_LANES
 namespace avx512 {
@@ -268,47 +260,11 @@ taskRank(sim::ModelKind model, size_t width)
     return width ? 3 + 3 * width + rank : rank;
 }
 
-/** What must match for two machines to share a lane block: the model
- *  and every front-end field but the mispredict penalty. */
-std::pair<sim::ModelKind, sim::FrontEnd>
-laneGroup(const sim::MachineConfig &m)
-{
-    sim::FrontEnd fe = frontEnd(m);
-    fe.mispredict_penalty = 0;
-    return {m.model, fe};
-}
-
-/**
- * True when two sweep entries are guaranteed to produce bit-identical
- * ProfileResults: same model and same value for every parameter that
- * model reads. Cosmetic fields (cache names) are ignored, as are
- * parameters the selected model never consults (P6 front-end widths on
- * a P5 entry; the P5 mispredict penalty on a P6 entry, which uses
- * p6.mispredict_penalty instead).
- */
-bool
-sameMachine(const sim::MachineConfig &a, const sim::MachineConfig &b)
-{
-    const auto sameCache = [](const mem::CacheConfig &x,
-                              const mem::CacheConfig &y) {
-        return x.size_bytes == y.size_bytes && x.line_bytes == y.line_bytes
-               && x.ways == y.ways;
-    };
-    const sim::TimerConfig &ta = a.timer;
-    const sim::TimerConfig &tb = b.timer;
-    return a.model == b.model && frontEnd(a) == frontEnd(b)
-           && sameCache(ta.l1, tb.l1) && sameCache(ta.l2, tb.l2)
-           && ta.penalties.l1_miss == tb.penalties.l1_miss
-           && ta.penalties.l2_hit == tb.penalties.l2_hit
-           && ta.penalties.l2_miss == tb.penalties.l2_miss
-           && ta.btb_entries == tb.btb_entries && ta.btb_ways == tb.btb_ways;
-}
-
 /**
  * The lane bound of @p m: how far one event can move any of its lane
  * values — the descriptor table's largest latency, blocking and uop
- * count, its memory and mispredict penalties and its front-end widths
- * and window (the furthest a port can run ahead of the clock).
+ * count, its memory and mispredict penalties and (P6P) its window, the
+ * furthest a port can run ahead of the clock.
  */
 uint64_t
 laneBound(const sim::MachineConfig &m)
@@ -323,21 +279,10 @@ laneBound(const sim::MachineConfig &m)
         return lat + blocking + uops;
     }();
     const sim::TimerConfig &tc = m.timer;
-    const sim::FrontEnd fe = frontEnd(m);
     return reach
            + std::max(tc.penalties.ofClass(1), tc.penalties.ofClass(2))
-           + fe.mispredict_penalty + fe.decode_width + fe.issue_width
-           + fe.window;
-}
-
-/** Whether @p m can run on 32-bit lanes: a lane bound of at most
- *  kLaneBoundMax, and (P6/P6P) an issue width no wider than the retire
- *  width, which is what lets a rebase clamp the retire floor. */
-bool
-laneFits(const sim::MachineConfig &m)
-{
-    const sim::FrontEnd fe = frontEnd(m);
-    return fe.issue_width <= fe.retire_width && laneBound(m) <= kLaneBoundMax;
+           + sim::mispredictPenalty(m.model, tc)
+           + (m.model == sim::ModelKind::P6P ? sim::P6PTimer::kWindow : 0);
 }
 
 /** One 16-byte register, as bytes, u16s and u64s. */
@@ -490,17 +435,16 @@ MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
     // index, so callers may pass redundant grids at no extra cost.
     std::vector<size_t> uniqueOf(machines.size());
     std::vector<sim::MachineConfig> unique;
+    std::vector<sim::MachineKey> keys;
     unique.reserve(machines.size());
     for (size_t i = 0; i < machines.size(); ++i) {
-        size_t u = unique.size();
-        for (size_t j = 0; j < unique.size(); ++j) {
-            if (sameMachine(machines[i], unique[j])) {
-                u = j;
-                break;
-            }
-        }
-        if (u == unique.size())
+        const sim::MachineKey key = sim::machineKey(machines[i]);
+        const size_t u = static_cast<size_t>(
+            std::find(keys.begin(), keys.end(), key) - keys.begin());
+        if (u == keys.size()) {
+            keys.push_back(key);
             unique.push_back(machines[i]);
+        }
         uniqueOf[i] = u;
     }
 
@@ -527,34 +471,26 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
 
     SweepReport rep;
 
-    // Group the machines by model and front end. The lane kernel
-    // advances a group in one pass, but a lane block is one serial task
-    // while per-machine passes run side by side, so replaySweep() only
-    // packs a group once it holds more machines than there are workers
-    // to run per-machine passes (the crossover in EXPERIMENTS.md);
+    // Group the machines by model. The lane kernel advances a group in
+    // one pass, but a lane block is one serial task while per-machine
+    // passes run side by side, so replaySweep() only packs a group once
+    // it holds more machines than there are workers to run per-machine
+    // passes (the crossover in EXPERIMENTS.md);
     // replaySweepPacked() packs every group. Machines that do not fit
     // 32-bit lanes run per machine either way.
     const size_t workers = static_cast<size_t>(resolveThreads(threads));
-    std::vector<std::pair<std::pair<sim::ModelKind, sim::FrontEnd>,
-                          std::vector<size_t>>>
-        groups;
-    for (size_t i = 0; i < machines.size(); ++i) {
-        const auto key = laneGroup(machines[i]);
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const auto &g) { return g.first == key; });
-        if (it == groups.end())
-            groups.push_back({key, {i}});
-        else
-            it->second.push_back(i);
-    }
+    std::array<std::vector<size_t>, sim::kNumModelKinds> groups;
+    for (size_t i = 0; i < machines.size(); ++i)
+        groups[static_cast<size_t>(machines[i].model)].push_back(i);
     std::vector<std::vector<size_t>> lanes; ///< groups for the lane kernel
     std::vector<size_t> solo; ///< entries for the per-machine kernel
-    for (auto &[key, group] : groups) {
+    for (std::vector<size_t> &group : groups) {
         bool pack = isa != LaneIsa::None;
         if (pack) {
             const auto unfit = std::stable_partition(
-                group.begin(), group.end(),
-                [&](size_t i) { return laneFits(machines[i]); });
+                group.begin(), group.end(), [&](size_t i) {
+                    return laneBound(machines[i]) <= kLaneBoundMax;
+                });
             rep.unfit += static_cast<size_t>(group.end() - unfit);
             solo.insert(solo.end(), unfit, group.end());
             group.erase(unfit, group.end());

@@ -5,7 +5,7 @@
  * pairing/latency/blocking rules bit-exactly, a handful of
  * paper-derived spot values are pinned literally so a table edit that
  * happens to satisfy the closed forms still trips a golden, and the
- * P6P port model must diverge from the P6 retire-only model exactly
+ * P6P port model must diverge from the P6 issue-width-only model exactly
  * where dual-ALU contention predicts.
  */
 

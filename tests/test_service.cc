@@ -432,6 +432,37 @@ TEST(QueryEngineTest, RepeatQueryIsServedFromResultCache)
     EXPECT_EQ(engine.stats().captures, 1u);
 }
 
+TEST(QueryEngineTest, ExplicitDefaultPenaltyIsAResultCacheHit)
+{
+    // Naming a model's own mispredict penalty asks for the machine the
+    // plain query already answered: a result-cache hit, no replay.
+    ScratchDir scratch("mmxdsp_engine_default_mp_test");
+    service::QueryEngine engine(engineOpts(scratch));
+
+    std::string error;
+    for (const auto &[model, own] :
+         {std::pair<const char *, const char *>{"p5", "4"},
+          {"p6", "11"},
+          {"p6p", "12"}}) {
+        service::Query plain, named;
+        ASSERT_TRUE(service::QueryEngine::parseQueryLine(
+            std::string("fir c model=") + model, &plain, &error))
+            << error;
+        ASSERT_TRUE(service::QueryEngine::parseQueryLine(
+            std::string("fir c model=") + model + " mp=" + own, &named,
+            &error))
+            << error;
+        const service::QueryResult first = engine.query(plain);
+        ASSERT_TRUE(first.ok) << first.error;
+        const uint64_t replays = engine.stats().replays;
+        const service::QueryResult again = engine.query(named);
+        ASSERT_TRUE(again.ok) << again.error;
+        EXPECT_TRUE(again.from_result_cache) << model;
+        EXPECT_EQ(engine.stats().replays, replays) << model;
+        EXPECT_EQ(again.profile.cycles, first.profile.cycles) << model;
+    }
+}
+
 TEST(QueryEngineTest, BatchMatchesStoreReplayExactly)
 {
     // The batch path answers misses through one replaySweep per trace;
@@ -602,10 +633,19 @@ TEST(QueryEngineTest, ParseQueryLineAcceptsAndRejects)
     EXPECT_NE(service::machineHash(a), service::machineHash(b));
     b.model = sim::ModelKind::P6P;
     EXPECT_NE(service::machineHash(a), service::machineHash(b));
-    // Same model, different port-model knob: still apart.
-    a = b;
-    b.timer.p6p.window += 1;
-    EXPECT_NE(service::machineHash(a), service::machineHash(b));
+    // Setting a model's own mispredict penalty changes no timing, so
+    // it keys with the penalty left unset; any other penalty does not.
+    for (const auto &[model, own] :
+         {std::pair{sim::ModelKind::P5, 4u},
+          {sim::ModelKind::P6, 11u},
+          {sim::ModelKind::P6P, 12u}}) {
+        a = sim::MachineConfig{model, sim::TimerConfig{}};
+        b = a;
+        b.timer.mispredict_penalty = own;
+        EXPECT_EQ(service::machineHash(a), service::machineHash(b));
+        b.timer.mispredict_penalty = own + 1;
+        EXPECT_NE(service::machineHash(a), service::machineHash(b));
+    }
 }
 
 TEST(QueryEngineTest, ServeSessionSurvivesInvalidGeometryLines)
@@ -913,7 +953,7 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
 {
     ScratchDir scratch("mmxdsp_engine_memo_batch_test");
     service::EngineOptions opts = engineOpts(scratch);
-    // Two workers: a 12-machine batch with 4 P5 machines is wider than
+    // Two workers: a batch that replays 3 P5 machines is wider than
     // max(2, workers), so its P5 entries take the lane kernel.
     opts.threads = 2;
     service::QueryEngine engine(opts);
@@ -933,7 +973,9 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
     EXPECT_EQ(hits, 1u);
 
     // A wide batch on that geometry: 4 x P5, P6 and P6P, every machine
-    // distinct through its mispredict penalty.
+    // distinct through its mispredict penalty. "model=p5 mp=4" names the
+    // P5's own penalty, so it is the first query's machine and the
+    // result cache answers it; the other 11 replay the memos.
     std::vector<service::Query> batch;
     for (const char *model : {"p5", "p6", "p6p"})
         for (int mp = 2; mp < 6; ++mp) {
@@ -945,7 +987,7 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
         }
     const std::vector<service::QueryResult> served = engine.queryBatch(batch);
     ASSERT_EQ(served.size(), batch.size());
-    EXPECT_EQ(engine.stats().memo_hits, hits + batch.size());
+    EXPECT_EQ(engine.stats().memo_hits, hits + batch.size() - 1);
     EXPECT_EQ(engine.stats().memo_bytes, bytes);
 
     // Every answer equals an independent load + memo-less replay.
@@ -954,7 +996,7 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
     ASSERT_NE(mat, nullptr);
     for (const service::QueryResult &r : served) {
         ASSERT_TRUE(r.ok) << r.error;
-        EXPECT_FALSE(r.from_result_cache);
+        EXPECT_EQ(r.from_result_cache, &r == &served[2]);
         expectSameServed(r.profile, mat->replayProfile(r.query.machine),
                          sim::modelName(r.query.machine.model));
     }
@@ -993,8 +1035,9 @@ TEST(QueryEngineTest, OverBoundMispredictPenaltyIsAnsweredBesideLanes)
         expectSameServed(r.profile, mat->replayProfile(r.query.machine),
                          std::string(sim::modelName(r.query.machine.model))
                              + " mp="
-                             + std::to_string(
-                                 r.query.machine.timer.mispredict_penalty));
+                             + std::to_string(sim::mispredictPenalty(
+                                 r.query.machine.model,
+                                 r.query.machine.timer)));
     }
 }
 

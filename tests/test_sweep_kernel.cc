@@ -20,13 +20,12 @@
  *    threads;
  *  - the lane kernel at every vector ISA the host runs (the others
  *    skip): 1-33 lanes per model, so full, half-width and padded blocks
- *    all run, with distinct penalties per lane, four P6 front ends in
- *    one sweep and P6P window/retire-width variants; penalties near
- *    the lane bound, which make every block rebase every few dozen
- *    events, on every pair; machines the 32-bit lanes cannot take (a
- *    4294967295-cycle mispredict penalty, a front end issuing wider
- *    than it retires) running per machine beside the lanes; and one
- *    outcome plane shared by the ablation's three lane groups.
+ *    all run, with distinct penalties per lane; penalties near the lane
+ *    bound, which make every block rebase every few dozen events, on
+ *    every pair; machines the 32-bit lanes cannot take (a
+ *    4294967295-cycle mispredict penalty) running per machine beside
+ *    the lanes; and one outcome plane shared by the ablation's three
+ *    lane groups.
  *
  * These tests deliberately go through both replaySweepPacked() and
  * replaySweepScalar() explicitly, so they pin the identity regardless
@@ -305,17 +304,6 @@ randomMachine(Rng &rng)
     tc.btb_ways = 1u << rng.nextBelow(3);
     tc.btb_entries = tc.btb_ways << rng.nextBelow(5);
     tc.mispredict_penalty = rng.nextBelow(8);
-    tc.p6.decode_width = 1 + rng.nextBelow(4);
-    tc.p6.complex_uops = 1 + rng.nextBelow(6);
-    tc.p6.issue_width = 1 + rng.nextBelow(4);
-    tc.p6.retire_width = 1 + rng.nextBelow(4);
-    tc.p6.mispredict_penalty = rng.nextBelow(16);
-    tc.p6p.decode_width = 1 + rng.nextBelow(4);
-    tc.p6p.complex_uops = 1 + rng.nextBelow(6);
-    tc.p6p.issue_width = 1 + rng.nextBelow(4);
-    tc.p6p.retire_width = 1 + rng.nextBelow(4);
-    tc.p6p.window = 1 + rng.nextBelow(16);
-    tc.p6p.mispredict_penalty = rng.nextBelow(16);
     return m;
 }
 
@@ -411,7 +399,7 @@ TEST(SweepMemos, RandomizedMachinesReplayAcrossModelsOnEveryPair)
                               what + " recorder " + std::to_string(c));
 
             // ...and replay under another model with fresh penalties
-            // and front-end widths on the same geometries.
+            // on the same geometries.
             sim::MachineConfig other = randomMachine(rng);
             other.model = static_cast<sim::ModelKind>(
                 (static_cast<size_t>(recorder.model) + 1
@@ -549,8 +537,8 @@ TEST(SweepDriver, P5LaneBlocksRunBesidePerMachineTasks)
 // ---------------- the lane kernel at every vector ISA ----------------
 
 /**
- * @p n machines of @p model on the default front end, each lane with
- * its own cache/BTB geometry, memory penalties and mispredict penalty.
+ * @p n machines of @p model, each lane with its own cache/BTB
+ * geometry, memory penalties and mispredict penalty.
  */
 std::vector<sim::MachineConfig>
 laneMachines(sim::ModelKind model, uint32_t n)
@@ -565,8 +553,6 @@ laneMachines(sim::ModelKind model, uint32_t n)
         m.timer.penalties.l2_hit = 1 + k % 3;
         m.timer.penalties.l2_miss = 4 + k;
         m.timer.mispredict_penalty = 1 + k;
-        m.timer.p6.mispredict_penalty = 2 + k;
-        m.timer.p6p.mispredict_penalty = 3 + 2 * k;
         machines.push_back(m);
     }
     return machines;
@@ -635,50 +621,6 @@ TEST_P(SweepLanes, EveryLaneCountMatchesScalar)
                       mat->replayProfile(one[0]), "P6P solo");
 }
 
-TEST_P(SweepLanes, FrontEndVariantsMatchScalar)
-{
-    ScratchDir scratch(scratchName("front").c_str());
-    harness::BenchmarkSuite suite(
-        tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
-
-    // Four P6 front ends in one sweep (four groups): the default, a
-    // narrow one, and two wide ones whose issue width lets two
-    // multi-uop ops reach one decode group (so the complex decoder's
-    // state matters), one retiring as wide as it issues (lanes) and one
-    // narrower (per machine); then P6P window and retire-width variants
-    // (retire width 1 runs per machine). 5 or 9 lanes each.
-    const sim::P6Params narrow{2, 2, 2, 2};
-    const sim::P6Params wide{4, 3, 6, 6};
-    const sim::P6Params wideIssue{4, 3, 6, 4};
-    std::vector<sim::MachineConfig> machines;
-    for (const sim::P6Params &front :
-         {sim::P6Params{}, narrow, wide, wideIssue})
-        for (sim::MachineConfig m : laneMachines(
-                 sim::ModelKind::P6, front.issue_width == 2 ? 5 : 9)) {
-            const uint32_t mp = m.timer.p6.mispredict_penalty;
-            m.timer.p6 = front;
-            m.timer.p6.mispredict_penalty = mp;
-            machines.push_back(m);
-        }
-    for (uint32_t window : {1u, 5u, 16u})
-        for (uint32_t retire : {1u, 4u})
-            for (sim::MachineConfig m :
-                 laneMachines(sim::ModelKind::P6P, retire == 1 ? 5 : 9)) {
-                m.timer.p6p.window = window;
-                m.timer.p6p.retire_width = retire;
-                machines.push_back(m);
-            }
-
-    for (const auto &[bench, version] :
-         {std::pair<std::string, std::string>{"fir", "mmx"},
-          {"jpeg", "c"},
-          {"gemm", "mmx_blocked"}}) {
-        auto mat = materializedTrace(suite, bench, version);
-        expectLanesMatchScalar(*mat, machines, GetParam(),
-                               bench + "." + version);
-    }
-}
-
 /**
  * laneMachines() with memory and mispredict penalties near 2^22: a
  * block's lane bound comes near the lane limit, so the kernel rebases
@@ -694,8 +636,6 @@ nearBoundMachines(sim::ModelKind model, uint32_t n)
         t.penalties.l1_miss = (1u << 20) + k;
         t.penalties.l2_miss = (3u << 22) - 7 * k;
         t.mispredict_penalty = (1u << 21) + k;
-        t.p6.mispredict_penalty = (1u << 21) + 3 * k;
-        t.p6p.mispredict_penalty = (1u << 21) + 5 * k;
     }
     return machines;
 }
@@ -786,8 +726,7 @@ TEST_P(SweepLanes, OverBoundMachinesRunPerMachine)
         tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
 
     // Per model, 6 ordinary machines and one whose mispredict penalty
-    // (4294967295, which vprofd accepts) is beyond any lane bound; then
-    // P6 and P6P front ends that issue 4 uops a cycle but retire 3.
+    // (4294967295, which vprofd accepts) is beyond any lane bound.
     std::vector<sim::MachineConfig> machines;
     for (sim::ModelKind model :
          {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
@@ -795,18 +734,8 @@ TEST_P(SweepLanes, OverBoundMachinesRunPerMachine)
         machines.insert(machines.end(), some.begin(), some.end());
         sim::MachineConfig huge = some[2];
         huge.timer.mispredict_penalty = 4294967295u;
-        huge.timer.p6.mispredict_penalty = 4294967295u;
-        huge.timer.p6p.mispredict_penalty = 4294967295u;
         machines.push_back(huge);
     }
-    for (sim::ModelKind model : {sim::ModelKind::P6, sim::ModelKind::P6P})
-        for (sim::MachineConfig m : laneMachines(model, 5)) {
-            m.timer.p6.issue_width = 4;
-            m.timer.p6.retire_width = 3;
-            m.timer.p6p.issue_width = 4;
-            m.timer.p6p.retire_width = 3;
-            machines.push_back(m);
-        }
 
     for (const auto &[bench, version] :
          {std::pair<std::string, std::string>{"fir", "mmx"},
@@ -816,8 +745,8 @@ TEST_P(SweepLanes, OverBoundMachinesRunPerMachine)
         trace::SweepReport report;
         const auto packed =
             mat->replaySweepPacked(machines, 2, GetParam(), &report);
-        EXPECT_EQ(report.unfit, 13u) << what;
-        EXPECT_EQ(report.perMachine, 13u) << what;
+        EXPECT_EQ(report.unfit, 3u) << what;
+        EXPECT_EQ(report.perMachine, 3u) << what;
         EXPECT_EQ(report.lanes,
                   (std::array<size_t, sim::kNumModelKinds>{6, 6, 6}))
             << what;

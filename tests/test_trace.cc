@@ -673,8 +673,6 @@ TEST(MaterializedTraceTest, SweepDispatchBoundaryIsBitIdentical)
             m.timer.l1.size_bytes = 1024u << (k % 3);
             m.timer.btb_entries = 64u << (k % 2);
             m.timer.mispredict_penalty = 3 + k;
-            m.timer.p6.mispredict_penalty = 9 + k;
-            m.timer.p6p.mispredict_penalty = 10 + k;
             machines.push_back(m);
             solo.push_back(mat->replayProfile(m));
         }
