@@ -35,35 +35,17 @@ Btb::missAllocate(Entry *base, uint32_t branch_id, bool taken)
 
     // Taken branch missing from the BTB: mispredict and allocate.
     ++stats_.mispredicts;
+    // The victim is the least stamp, so the first empty way (stamp 0)
+    // wins while one is left.
     Entry *victim = base;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = base[w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
+    for (uint32_t w = 1; w < ways_; ++w) {
+        if (base[w].lru < victim->lru)
+            victim = &base[w];
     }
-    victim->valid = true;
     victim->id = branch_id;
     victim->counter = 2; // weakly taken after the first taken outcome
     victim->lru = tick_;
     return true;
-}
-
-void
-Btb::flush()
-{
-    for (auto &e : entries_)
-        e = Entry{};
-    tick_ = 0;
-}
-
-void
-Btb::resetStats()
-{
-    stats_ = BtbStats{};
 }
 
 } // namespace mmxdsp::mem

@@ -82,7 +82,7 @@ class Btb
 
         for (uint32_t w = 0; w < ways_; ++w) {
             Entry &e = base[w];
-            if (e.valid && e.id == branch_id) {
+            if (e.lru != 0 && e.id == branch_id) {
                 e.lru = tick_;
                 const bool predicted_taken = e.counter >= 2;
                 const bool mispredict = predicted_taken != taken;
@@ -97,21 +97,17 @@ class Btb
         return missAllocate(base, branch_id, taken);
     }
 
-    /** Clear all entries and counters (stats kept). */
-    void flush();
-
-    /** Reset statistics only. */
-    void resetStats();
-
     const BtbStats &stats() const { return stats_; }
 
   private:
+    /** An entry is empty iff its stamp is 0 (tick_ is bumped before
+     *  every prediction); any u32 is a real site id, so no id can mark
+     *  an empty entry. */
     struct Entry
     {
         uint32_t id = 0;
-        bool valid = false;
         uint8_t counter = 0; ///< 2-bit: 0,1 -> not taken; 2,3 -> taken
-        uint64_t lru = 0;
+        uint64_t lru = 0;    ///< last-use timestamp; 0 = empty
     };
 
     /** Not-present bookkeeping: fall-through or mispredict + allocate. */

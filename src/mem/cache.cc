@@ -50,7 +50,6 @@ CacheConfig::valid() const
 }
 
 Cache::Cache(const CacheConfig &config)
-    : config_(config)
 {
     if (!config.valid())
         mmxdsp_fatal("cache %s: invalid geometry %s (size and line must "
@@ -68,59 +67,21 @@ Cache::Cache(const CacheConfig &config)
 }
 
 void
-Cache::missFill(Line *base, uint64_t tag, bool write)
+Cache::missFill(Line *base, uint64_t tag)
 {
     ++stats_.misses;
 
-    // Pick the LRU victim (preferring invalid ways).
+    // The victim is the least stamp, so the first empty way (stamp 0)
+    // wins while one is left.
     Line *victim = base;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < victim->lru)
-            victim = &line;
+    for (uint32_t w = 1; w < ways_; ++w) {
+        if (base[w].lru < victim->lru)
+            victim = &base[w];
     }
 
-    if (victim->valid) {
-        ++stats_.evictions;
-        if (victim->dirty)
-            ++stats_.writebacks;
-    }
-    victim->valid = true;
+    stats_.evictions += victim->lru != 0;
     victim->tag = tag;
-    victim->dirty = write;
     victim->lru = tick_;
-}
-
-bool
-Cache::probe(uint64_t addr) const
-{
-    const uint64_t line_addr = lineIndex(addr);
-    const uint64_t set = setOf(line_addr);
-    const uint64_t tag = tagOf(line_addr);
-    const Line *base = &lines_[set * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &line : lines_)
-        line = Line{};
-    tick_ = 0;
-}
-
-void
-Cache::resetStats()
-{
-    stats_ = CacheStats{};
 }
 
 MemoryHierarchy::MemoryHierarchy()
@@ -135,20 +96,6 @@ MemoryHierarchy::MemoryHierarchy(const CacheConfig &l1, const CacheConfig &l2,
                                  const Penalties &penalties)
     : l1_(l1), l2_(l2), penalties_(penalties)
 {
-}
-
-void
-MemoryHierarchy::flush()
-{
-    l1_.flush();
-    l2_.flush();
-}
-
-void
-MemoryHierarchy::resetStats()
-{
-    l1_.resetStats();
-    l2_.resetStats();
 }
 
 } // namespace mmxdsp::mem

@@ -1,11 +1,14 @@
 /**
  * @file
- * A set-associative, write-back/write-allocate cache model with true-LRU
+ * A set-associative, write-allocate cache model with true-LRU
  * replacement, used for the Pentium L1 data cache and the off-chip L2.
  *
- * The model tracks tags only (no data): the runtime computes real values;
- * the cache exists purely to charge miss penalties and count hit/miss
- * statistics the way VTune's Pentium model did.
+ * The model keeps tags and LRU stamps only (no data, no write-back
+ * state): the runtime computes real values, and a penalty depends on
+ * the access class alone (L1 hit, served from L2, missed both), so
+ * loads and stores access a line alike. The cache exists purely to
+ * charge miss penalties and count hit/miss statistics the way VTune's
+ * Pentium model did.
  */
 
 #ifndef MMXDSP_MEM_CACHE_HH
@@ -50,6 +53,9 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
+    /** Always 0: the model writes nothing back. Kept because the
+     *  pipeline benchmark's profile comparison (perfbench/src/common.cc)
+     *  still reads it. */
     uint64_t writebacks = 0;
 
     double
@@ -75,11 +81,10 @@ class Cache
      * Inline so the (overwhelmingly common) hit path costs a tag loop
      * and an LRU store at the call site; only misses leave the header.
      *
-     * @param addr   byte address (the caller splits line-crossing accesses)
-     * @param write  true for stores (marks the line dirty)
+     * @param addr  byte address (the caller splits line-crossing accesses)
      * @return true on hit.
      */
-    bool access(uint64_t addr, bool write)
+    bool access(uint64_t addr)
     {
         ++stats_.accesses;
         ++tick_;
@@ -89,37 +94,27 @@ class Cache
         Line *base = &lines_[set * ways_];
         for (uint32_t w = 0; w < ways_; ++w) {
             Line &line = base[w];
-            if (line.valid && line.tag == tag) {
+            if (line.lru != 0 && line.tag == tag) {
                 line.lru = tick_;
-                line.dirty = line.dirty || write;
                 return true;
             }
         }
-        missFill(base, tag, write);
+        missFill(base, tag);
         return false;
     }
 
-    /** True if the line holding @p addr is currently resident. */
-    bool probe(uint64_t addr) const;
-
-    /** Drop all lines and reset LRU (stats are kept). */
-    void flush();
-
-    /** Reset statistics only. */
-    void resetStats();
-
     const CacheStats &stats() const { return stats_; }
-    const CacheConfig &config() const { return config_; }
     /** log2 of the line size (line size is always a power of two). */
     uint32_t lineShift() const { return lineShift_; }
 
   private:
+    /** A way is empty iff its stamp is 0: tick_ is bumped before every
+     *  access, so a filled way's stamp is nonzero. Any tag is a real
+     *  tag (addresses are any u64), so none can mark an empty way. */
     struct Line
     {
         uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0; ///< last-use timestamp
+        uint64_t lru = 0; ///< last-use timestamp; 0 = empty
     };
 
     uint64_t lineIndex(uint64_t addr) const { return addr >> lineShift_; }
@@ -130,11 +125,10 @@ class Cache
     uint64_t tagOf(uint64_t line_addr) const { return line_addr >> setShift_; }
 
     /** Miss bookkeeping: victim choice, eviction stats, line install. */
-    void missFill(Line *base, uint64_t tag, bool write);
+    void missFill(Line *base, uint64_t tag);
 
-    CacheConfig config_;
     uint32_t numSets_;
-    uint32_t ways_ = 1; ///< config_.ways, hoisted for the access loop
+    uint32_t ways_ = 1; ///< CacheConfig::ways, hoisted for the access loop
     /** log2(line_bytes) / log2(numSets_); both enforced powers of two. */
     uint32_t lineShift_ = 0;
     uint32_t setShift_ = 0;
@@ -187,38 +181,31 @@ class MemoryHierarchy
      * both lines and pay the larger penalty. Inline: the timing model
      * calls this for every memory operand.
      */
-    uint32_t access(uint64_t addr, uint32_t size, bool write)
+    uint32_t access(uint64_t addr, uint32_t size)
     {
         const uint32_t shift = l1_.lineShift();
         const uint64_t first = addr >> shift;
         const uint64_t last = (addr + (size ? size - 1 : 0)) >> shift;
-        uint32_t penalty = accessLine(addr, write);
+        uint32_t penalty = accessLine(addr);
         if (last != first)
-            penalty = std::max(penalty, accessLine(last << shift, write));
+            penalty = std::max(penalty, accessLine(last << shift));
         return penalty;
     }
 
-    /** Invalidate both levels (between benchmark runs). */
-    void flush();
-
-    /** Reset statistics on both levels. */
-    void resetStats();
-
     const Cache &l1() const { return l1_; }
     const Cache &l2() const { return l2_; }
-    const Penalties &penalties() const { return penalties_; }
 
   private:
-    uint32_t accessLine(uint64_t addr, bool write)
+    uint32_t accessLine(uint64_t addr)
     {
-        return penalties_.ofClass(classifyLine(addr, write));
+        return penalties_.ofClass(classifyLine(addr));
     }
 
-    uint32_t classifyLine(uint64_t addr, bool write)
+    uint32_t classifyLine(uint64_t addr)
     {
-        if (l1_.access(addr, write))
+        if (l1_.access(addr))
             return 0;
-        return l2_.access(addr, write) ? 1 : 2;
+        return l2_.access(addr) ? 1 : 2;
     }
 
     Cache l1_;

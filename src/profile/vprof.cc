@@ -83,29 +83,6 @@ VProf::VProf(const sim::MachineConfig &machine)
 }
 
 void
-VProf::reset()
-{
-    timer_->reset();
-    dynamicInstructions_ = 0;
-    uops_ = 0;
-    memoryReferences_ = 0;
-    callRetCycles_ = 0;
-    callOverheadCycles_ = 0;
-    opCounts_.fill(0);
-    opCycles_.fill(0);
-    mmxByCategory_.fill(0);
-    siteStats_.clear();
-    staticSites_ = 0;
-    fnNames_.clear();
-    fnStats_.clear();
-    fnIds_.clear();
-    fnStack_.clear();
-    currentFn_ = 0;
-    fnNames_.emplace_back(kRootName);
-    fnStats_.emplace_back();
-}
-
-void
 VProf::account(const InstrEvent &event)
 {
     const size_t op_idx = static_cast<size_t>(event.op);
@@ -123,10 +100,7 @@ VProf::account(const InstrEvent &event)
         cat != isa::MmxCategory::None)
         ++mmxByCategory_[static_cast<size_t>(cat)];
 
-    if (event.site >= siteStats_.size())
-        siteStats_.resize(static_cast<size_t>(event.site) + 1);
     SiteStats &site = siteStats_[event.site];
-    staticSites_ += site.instructions == 0;
     ++site.instructions;
     site.cycles += cost;
 
@@ -188,7 +162,7 @@ VProf::result() const
 {
     ProfileResult r;
     r.dynamicInstructions = dynamicInstructions_;
-    r.staticInstructions = staticSites_;
+    r.staticInstructions = siteStats_.size();
     r.uops = uops_;
     r.cycles = timer_->cycles();
     r.memoryReferences = memoryReferences_;
@@ -296,14 +270,13 @@ VProf::printReport(const SiteLabeler &label, size_t top_sites) const
         fns.print();
     }
 
-    // Hottest static sites.
-    std::vector<std::pair<uint32_t, SiteStats>> hot;
-    for (size_t id = 0; id < siteStats_.size(); ++id) {
-        if (siteStats_[id].instructions)
-            hot.emplace_back(static_cast<uint32_t>(id), siteStats_[id]);
-    }
+    // Hottest static sites; ties go to the lower id.
+    std::vector<std::pair<uint32_t, SiteStats>> hot(siteStats_.begin(),
+                                                    siteStats_.end());
     std::sort(hot.begin(), hot.end(), [](const auto &a, const auto &b) {
-        return a.second.cycles > b.second.cycles;
+        return a.second.cycles != b.second.cycles
+                   ? a.second.cycles > b.second.cycles
+                   : a.first < b.first;
     });
     if (hot.size() > top_sites)
         hot.resize(top_sites);

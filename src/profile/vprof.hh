@@ -11,8 +11,8 @@
  * (the paper's "ret and call consume 23.88% of total cycles" analysis).
  *
  * The per-event path is deliberately flat: site statistics live in a
- * dense vector indexed by site id (site ids are allocated densely by
- * the runtime and by trace capture), function attribution goes through
+ * hash map keyed by site id (a loaded trace's ids are any u32, so
+ * nothing is sized by one), function attribution goes through
  * an interned id resolved on enter/leave rather than a map lookup per
  * instruction, and the per-(op, memory mode) facts (micro-op count,
  * call/ret and call-overhead attribution) come from sim::descTable(),
@@ -111,24 +111,23 @@ class VProf : public sim::TraceSink
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
 
-    /** Clear all counters and the timing model (cold caches). */
-    void reset();
-
     /** Snapshot of all metrics collected so far. */
     ProfileResult result() const;
 
-    /** Per-site dynamic counts, dense by site id. */
+    /** Per-site dynamic counts. */
     struct SiteStats
     {
         uint64_t instructions = 0;
         uint64_t cycles = 0;
     };
 
-    /**
-     * Dense per-site statistics indexed by site id. Sites that never
-     * executed an instruction have zeroed entries.
-     */
-    const std::vector<SiteStats> &sites() const { return siteStats_; }
+    /** Per-site statistics keyed by site id, one entry per site that
+     *  executed an instruction. */
+    const std::unordered_map<uint32_t, SiteStats> &
+    sites() const
+    {
+        return siteStats_;
+    }
 
     /** Maps a static-site id to a printable "file:line" label. */
     using SiteLabeler = std::function<std::string(uint32_t)>;
@@ -150,9 +149,6 @@ class VProf : public sim::TraceSink
     /** The timing model this profiler is attached to. */
     const sim::TimingModel &timer() const { return *timer_; }
 
-    /** Which microarchitecture this profiler simulates. */
-    sim::ModelKind model() const { return timer_->kind(); }
-
   private:
     /** The per-event accounting body shared by onInstr/onInstrBatch. */
     void account(const isa::InstrEvent &event);
@@ -172,9 +168,7 @@ class VProf : public sim::TraceSink
     std::array<uint64_t, isa::kNumOps> opCycles_{};
     std::array<uint64_t, 5> mmxByCategory_{};
 
-    /** Dense site table; staticSites_ counts entries that went live. */
-    std::vector<SiteStats> siteStats_;
-    uint64_t staticSites_ = 0;
+    std::unordered_map<uint32_t, SiteStats> siteStats_;
 
     /** Interned function names; index 0 is the measured root. */
     std::vector<std::string> fnNames_;

@@ -22,9 +22,9 @@
  *   batch sweeps  — queryBatch() groups result-cache misses by trace
  *                   and answers each group with one replaySweep()
  *                   call over the trace's memos: per-machine passes
- *                   side by side, and the P5 machines of a wide group
- *                   on the config-parallel lanes (one pass over the
- *                   trace, one lane per distinct machine);
+ *                   side by side, and the machines of a wide group (of
+ *                   any model) on the config-parallel lanes (one pass
+ *                   over the trace, one lane per distinct machine);
  *   capture       — a trace absent from the store is captured live
  *                   (BenchmarkSuite, the same capture path the bench
  *                   harness uses), published to the store as format

@@ -194,19 +194,6 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
     /** Total cycles of everything consumed so far. */
     uint64_t cycles() const override { return time_; }
 
-    /** Reset time/scoreboard/ports but keep cache + BTB contents warm. */
-    void
-    resetTimeOnly()
-    {
-        time_ = 0;
-        groupCycle_ = 0;
-        uopsLeft_ = 0;
-        portFree_.fill(0);
-        lastDispatch_ = 0;
-        ready_.fill(0);
-        stats_ = TimerStats{};
-    }
-
     ModelKind
     kind() const override
     {

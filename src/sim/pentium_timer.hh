@@ -121,16 +121,6 @@ class PentiumTimer final : public TimerBase<PentiumTimer>
     /** Total cycles of everything consumed so far. */
     uint64_t cycles() const override { return nextIssue_; }
 
-    /** Reset time/scoreboard but keep cache + BTB contents warm. */
-    void
-    resetTimeOnly()
-    {
-        nextIssue_ = 0;
-        uSlot_ = OpenSlot{};
-        ready_.fill(0);
-        stats_ = TimerStats{};
-    }
-
     ModelKind kind() const override { return ModelKind::P5; }
 
   private:

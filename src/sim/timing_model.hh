@@ -170,9 +170,6 @@ class TimingModel
     /** Total cycles of everything consumed so far. */
     virtual uint64_t cycles() const = 0;
 
-    /** Reset time, scoreboard, caches, and BTB. */
-    virtual void reset() = 0;
-
     virtual const TimerStats &stats() const = 0;
     virtual const mem::MemoryHierarchy &memory() const = 0;
     virtual const mem::Btb &btb() const = 0;
@@ -188,8 +185,6 @@ class TimingModel
  *  - consumeResolved(event, mem_penalty, mispredict): consume() with
  *    both outcomes supplied by the caller (@p mem_penalty 0 for
  *    non-memory ops, @p mispredict false for non-control ops);
- *  - resetTimeOnly(): reset time, scoreboard and statistics but keep
- *    the cache and BTB contents warm;
  *  - `TimerStats stats_`, readable by this class.
  *
  * The per-event state (pipeline, scoreboard, statistics) stays in the
@@ -213,20 +208,9 @@ class TimerBase : public TimingModel
             mispredict = btb_.predict(event.site, event.taken);
         uint32_t mem_penalty = 0;
         if (event.mem != isa::MemMode::None)
-            mem_penalty = memory_.access(event.addr, event.size,
-                                         event.mem == isa::MemMode::Store);
+            mem_penalty = memory_.access(event.addr, event.size);
         return static_cast<Model *>(this)->consumeResolved(
             event, mem_penalty, mispredict);
-    }
-
-    void
-    reset() final
-    {
-        static_cast<Model *>(this)->resetTimeOnly();
-        memory_.flush();
-        memory_.resetStats();
-        btb_.flush();
-        btb_.resetStats();
     }
 
     const TimerStats &

@@ -211,7 +211,6 @@ MaterializedTrace::buildCacheMemos(
     {
         uint64_t addr;
         uint32_t event; ///< memory-event index
-        bool write;
     };
     mem::Cache first(l1);
     const uint32_t shift = first.lineShift();
@@ -225,14 +224,13 @@ MaterializedTrace::buildCacheMemos(
         if (!s.mem)
             continue;
         const uint64_t a = uint64_t{regions[p.ev >> 1]} << 32 | addrLo[j];
-        const bool w = static_cast<MemMode>(s.mem) == MemMode::Store;
         const uint64_t line = a >> shift;
         const uint64_t last = (a + (s.size ? s.size - 1 : 0)) >> shift;
         const uint32_t event = static_cast<uint32_t>(j++);
-        if (!first.access(a, w))
-            misses.push_back({a, event, w});
-        if (last != line && !first.access(last << shift, w))
-            misses.push_back({last << shift, event, w});
+        if (!first.access(a))
+            misses.push_back({a, event});
+        if (last != line && !first.access(last << shift))
+            misses.push_back({last << shift, event});
     }
 
     // Each L2 then runs over just those lines. An event the L1 served
@@ -244,7 +242,7 @@ MaterializedTrace::buildCacheMemos(
         CacheMemo &memo = *out[k];
         memo.cls.assign(counts_.memoryReferences, 0);
         for (const Miss &m : misses) {
-            const uint8_t c = second.access(m.addr, m.write) ? 1 : 2;
+            const uint8_t c = second.access(m.addr) ? 1 : 2;
             uint8_t &cls = memo.cls[m.event];
             cls = std::max(cls, c);
         }

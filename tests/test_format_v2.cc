@@ -333,8 +333,9 @@ TEST(FormatV2, RefusesOutOfRangeStaticEntriesDespiteValidChecksums)
 
 TEST(FormatV2, LoadsAnySiteIdWithoutSizingByIt)
 {
-    // A site id is any u32: nothing a load derives is sized or indexed
-    // by it, so the largest one loads, replays on every model and
+    // A site id is any u32: nothing a load derives, and nothing a VProf
+    // fed the loaded stream keeps, is sized or indexed by it, so the
+    // largest one loads, replays on every model (through both) and
     // labels as unknown (ASan checks the reads).
     const trace::MaterializedTrace built = randomTrace(5, 600);
     trace::MaterializedTrace mat;
@@ -346,10 +347,13 @@ TEST(FormatV2, LoadsAnySiteIdWithoutSizingByIt)
     ASSERT_TRUE(mat.replayTo(sink));
     EXPECT_EQ(sink.events.size(), built.instrCount());
     for (const sim::ModelKind model : kModels) {
-        const profile::ProfileResult got =
-            mat.replayProfile(sim::MachineConfig{model, {}});
+        const sim::MachineConfig machine{model, {}};
+        const profile::ProfileResult got = mat.replayProfile(machine);
         EXPECT_EQ(got.dynamicInstructions, built.instrCount());
         EXPECT_GT(got.cycles, 0u);
+        profile::VProf vprof(machine);
+        ASSERT_TRUE(mat.replayTo(vprof));
+        expectSameProfile(got, vprof.result(), sim::modelName(model));
     }
 }
 

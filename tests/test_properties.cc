@@ -273,7 +273,7 @@ TEST_P(RandomProgramSweep, TimingInvariantsHold)
     EXPECT_GE(r.uops, r.dynamicInstructions);
     // Per-site cycle accounting is exact.
     uint64_t sum = 0;
-    for (const auto &st : prof.sites())
+    for (const auto &[id, st] : prof.sites())
         sum += st.cycles;
     EXPECT_EQ(sum, r.cycles);
     // Static sites bounded by distinct source locations used above.

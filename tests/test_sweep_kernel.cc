@@ -112,7 +112,6 @@ expectSameProfile(const profile::ProfileResult &a,
     EXPECT_EQ(a.l1.accesses, b.l1.accesses);
     EXPECT_EQ(a.l1.misses, b.l1.misses);
     EXPECT_EQ(a.l1.evictions, b.l1.evictions);
-    EXPECT_EQ(a.l1.writebacks, b.l1.writebacks);
     EXPECT_EQ(a.l2.accesses, b.l2.accesses);
     EXPECT_EQ(a.l2.misses, b.l2.misses);
     EXPECT_EQ(a.btb.branches, b.btb.branches);

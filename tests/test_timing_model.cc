@@ -255,22 +255,6 @@ TEST(P6Timer, UopsIssuedMatchesTheDecodeTable)
     EXPECT_EQ(cost_sum, t.cycles());
 }
 
-TEST(P6Timer, ResetClearsTimeAndScoreboard)
-{
-    P6Timer t;
-    t.consume(ev(Op::Imul, r1, isa::kNoReg, r0));
-    t.consume(load(Op::Mov, 0x80, 8, r2));
-    ASSERT_GT(t.cycles(), 0u);
-    t.reset();
-    EXPECT_EQ(t.cycles(), 0u);
-    EXPECT_EQ(t.stats().instructions, 0u);
-    // The scoreboard is clear: a consumer of the pre-reset imul result
-    // does not stall.
-    t.consume(ev(Op::Add, r0, isa::kNoReg, r2));
-    EXPECT_EQ(t.cycles(), 1u);
-    EXPECT_EQ(t.stats().dependStallCycles, 0u);
-}
-
 // ---------------- P6P port binding ----------------
 
 TEST(P6PTimer, DualAluStreamIsPortBoundNotDecodeBound)
@@ -342,25 +326,6 @@ TEST(P6PTimer, MispredictPaysTheDeeperPipelinePenalty)
     // The fetch bubble closes the decode group.
     EXPECT_EQ(t.consume(ev(Op::Add, r1, isa::kNoReg, r0)), 1u);
     EXPECT_EQ(t.cycles(), 14u);
-}
-
-TEST(P6PTimer, ResetClearsTimeScoreboardAndPorts)
-{
-    P6PTimer t;
-    for (int i = 0; i < 64; ++i)
-        t.consume(ev(Op::Add, isa::kNoReg, isa::kNoReg,
-                     isa::makeTag(RegClass::Int, i & 7)));
-    t.consume(ev(Op::Imul, r1, isa::kNoReg, r0));
-    ASSERT_GT(t.cycles(), 0u);
-    t.reset();
-    EXPECT_EQ(t.cycles(), 0u);
-    EXPECT_EQ(t.stats().instructions, 0u);
-    EXPECT_EQ(t.stats().portStallCycles, 0u);
-    // The scoreboard and port clocks are clear: a consumer of the
-    // pre-reset imul result does not stall.
-    t.consume(ev(Op::Add, r0, isa::kNoReg, r2));
-    EXPECT_EQ(t.cycles(), 1u);
-    EXPECT_EQ(t.stats().dependStallCycles, 0u);
 }
 
 // ---------------- shared TimingModel contract ----------------

@@ -254,7 +254,6 @@ expectSameProfile(const profile::ProfileResult &a,
         EXPECT_EQ(x->accesses, y->accesses);
         EXPECT_EQ(x->misses, y->misses);
         EXPECT_EQ(x->evictions, y->evictions);
-        EXPECT_EQ(x->writebacks, y->writebacks);
     }
     EXPECT_EQ(a.btb.branches, b.btb.branches);
     EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
