@@ -43,7 +43,7 @@ main(int argc, char **argv)
     Table table({"Benchmark", "Speedup", "%MMX", "pack/unpack", "arith",
                  "mov64", "emms", "paper %MMX"});
     for (const auto &bench : order) {
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         const harness::PaperTable2Row *paper =
             harness::paperTable2For(bench + ".mmx");
         auto cat = [&](isa::MmxCategory c) {
@@ -62,7 +62,7 @@ main(int argc, char **argv)
 
     std::printf("\nBars (P = pack/unpack, A = arithmetic, M = moves):\n\n");
     for (const auto &bench : order) {
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         double p = mmx.pctMmxOfCategory(isa::MmxCategory::PackUnpack);
         double a = mmx.pctMmxOfCategory(isa::MmxCategory::Arith);
         double m = mmx.pctMmxOfCategory(isa::MmxCategory::Mov);

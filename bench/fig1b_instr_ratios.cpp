@@ -30,8 +30,8 @@ main(int argc, char **argv)
     Table table({"Benchmark", "Speedup", "static c/mmx", "dynamic c/mmx",
                  "| paper:", "static", "dynamic"});
     for (const auto &bench : order) {
-        const auto &c = suite.run(bench, "c").profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto c = suite.run(bench, "c").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         const harness::PaperTable3Row *paper =
             harness::paperTable3For(bench + ".c");
         table.addRow(
@@ -54,8 +54,8 @@ main(int argc, char **argv)
                 "code size):");
     bool all = true;
     for (const auto &bench : order) {
-        const auto &c = suite.run(bench, "c").profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto c = suite.run(bench, "c").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         all = all && c.staticInstructions < mmx.staticInstructions;
     }
     std::printf(" %s\n", all ? "yes" : "NO");

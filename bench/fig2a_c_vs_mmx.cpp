@@ -37,8 +37,8 @@ main(int argc, char **argv)
     double mean_s = 0.0;
     double mean_d = 0.0;
     for (const auto &bench : order) {
-        const auto &c = suite.run(bench, "c").profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto c = suite.run(bench, "c").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         double s = suite.speedup(bench);
         double d = static_cast<double>(c.dynamicInstructions)
                    / static_cast<double>(mmx.dynamicInstructions);
@@ -62,8 +62,8 @@ main(int argc, char **argv)
     mean_s /= static_cast<double>(order.size());
     mean_d /= static_cast<double>(order.size());
     for (const auto &bench : order) {
-        const auto &c = suite.run(bench, "c").profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto c = suite.run(bench, "c").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         double s = suite.speedup(bench) - mean_s;
         double d = static_cast<double>(c.dynamicInstructions)
                        / static_cast<double>(mmx.dynamicInstructions)

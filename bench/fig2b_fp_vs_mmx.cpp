@@ -29,8 +29,8 @@ main(int argc, char **argv)
     Table table({"Benchmark", "speedup", "dyn instrs", "mem refs",
                  "| paper:", "speedup", "dyn", "mem"});
     for (const char *bench : {"fft", "fir", "iir"}) {
-        const auto &fp = suite.run(bench, "fp").profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto fp = suite.run(bench, "fp").profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         double s = static_cast<double>(fp.cycles)
                    / static_cast<double>(mmx.cycles);
         double d = static_cast<double>(fp.dynamicInstructions)

@@ -28,7 +28,7 @@ main(int argc, char **argv)
                  "depend-stall %", "mispredict %", "L1 miss", "BTB mpr"});
 
     for (const auto &[bench, version] : BenchmarkSuite::allRuns()) {
-        const auto &p = suite.run(bench, version).profile;
+        const auto p = suite.run(bench, version).profile;
         auto pct = [&](uint64_t cyc) {
             return Table::fmtPercent(
                 p.cycles ? static_cast<double>(cyc)

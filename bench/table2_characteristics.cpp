@@ -37,7 +37,7 @@ main(int argc, char **argv)
             table.addSeparator();
         last_bench = bench;
 
-        const harness::RunResult &r = suite.run(bench, version);
+        const harness::RunResult r = suite.run(bench, version);
         const auto &p = r.profile;
         const harness::PaperTable2Row *paper =
             harness::paperTable2For(r.name());

@@ -49,8 +49,8 @@ main(int argc, char **argv)
     };
 
     for (const auto &[bench, version] : rows) {
-        const auto &base = suite.run(bench, version).profile;
-        const auto &mmx = suite.run(bench, "mmx").profile;
+        const auto base = suite.run(bench, version).profile;
+        const auto mmx = suite.run(bench, "mmx").profile;
         std::string name = std::string(bench) + "." + version;
         const harness::PaperTable3Row *paper = harness::paperTable3For(name);
 
@@ -99,8 +99,8 @@ main(int argc, char **argv)
         {"jpeg", "8.3x more clock cycles in function calling"},
     };
     for (const auto &n : notes) {
-        const auto &c = suite.run(n.bench, "c").profile;
-        const auto &mmx = suite.run(n.bench, "mmx").profile;
+        const auto c = suite.run(n.bench, "c").profile;
+        const auto mmx = suite.run(n.bench, "mmx").profile;
         calls.addRow({n.bench,
                       Table::fmtCount(static_cast<int64_t>(c.functionCalls)),
                       Table::fmtCount(

@@ -11,8 +11,8 @@
  *   --model=p5|p6|p6p      timing model the profiles run on (default p5)
  *   --trace-dir=PATH   trace store directory (default "traces")
  *   --no-trace-cache   no trace store: read and write no trace files
- *                      (runAll() and sweeps still capture each pair in
- *                      memory and replay it; run() alone executes live)
+ *                      (each pair is still captured and replayed in
+ *                      memory)
  *   --sizes=A,B,...    problem-size list (benches that sweep sizes)
  *   --blocks=A,B,...   block-size list (benches that sweep blockings)
  *   --help             usage

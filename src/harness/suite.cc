@@ -1,7 +1,6 @@
 #include "suite.hh"
 
 #include <algorithm>
-#include <future>
 
 #include "apps/g722/g722_app.hh"
 #include "apps/image/image_app.hh"
@@ -12,8 +11,9 @@
 #include "kernels/gemm.hh"
 #include "kernels/iir.hh"
 #include "kernels/matvec.hh"
+#include "runtime/cpu.hh"
+#include "service/query_engine.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 #include "trace/format.hh"
 #include "trace/materialize_sink.hh"
 #include "workloads/image_data.hh"
@@ -64,8 +64,9 @@ SuiteConfig::hash() const
     return h;
 }
 
-struct BenchmarkSuite::Impl
+struct PairRunner::Impl
 {
+    uint64_t configHash;
     kernels::FirBenchmark fir;
     kernels::IirBenchmark iir;
     kernels::FftBenchmark fft;
@@ -78,18 +79,71 @@ struct BenchmarkSuite::Impl
     runtime::Cpu cpu;
 };
 
-BenchmarkSuite::BenchmarkSuite(const SuiteConfig &config,
-                               const TraceOptions &trace_options,
-                               const sim::MachineConfig &machine)
-    : config_(config),
-      machine_(machine),
-      impl_(std::make_unique<Impl>())
+namespace {
+
+/** One registered pair: its names and how it runs. */
+struct Pair
 {
-    if (trace_options.enabled && !trace_options.dir.empty()) {
-        service::StoreOptions store;
-        store.root = trace_options.dir;
-        store_ = std::make_unique<service::TraceStore>(std::move(store));
-    }
+    const char *benchmark;
+    const char *version;
+    void (*run)(PairRunner::Impl &w);
+};
+
+/** The pair registry, kernels first (paper order). */
+const Pair kPairs[] = {
+    {"fft", "c", [](auto &w) { w.fft.runC(w.cpu); }},
+    {"fft", "fp", [](auto &w) { w.fft.runFp(w.cpu); }},
+    {"fft", "mmx", [](auto &w) { w.fft.runMmx(w.cpu); }},
+    {"fir", "c", [](auto &w) { w.fir.runC(w.cpu); }},
+    {"fir", "fp", [](auto &w) { w.fir.runFp(w.cpu); }},
+    {"fir", "mmx", [](auto &w) { w.fir.runMmx(w.cpu); }},
+    {"iir", "c", [](auto &w) { w.iir.runC(w.cpu); }},
+    {"iir", "fp", [](auto &w) { w.iir.runFp(w.cpu); }},
+    {"iir", "mmx", [](auto &w) { w.iir.runMmx(w.cpu); }},
+    {"matvec", "c", [](auto &w) { w.matvec.runC(w.cpu); }},
+    {"matvec", "mmx", [](auto &w) { w.matvec.runMmx(w.cpu); }},
+    {"gemm", "c", [](auto &w) { w.gemm.runC(w.cpu); }},
+    {"gemm", "c_blocked", [](auto &w) { w.gemm.runCBlocked(w.cpu); }},
+    {"gemm", "mmx", [](auto &w) { w.gemm.runMmx(w.cpu); }},
+    {"gemm", "mmx_blocked", [](auto &w) { w.gemm.runMmxBlocked(w.cpu); }},
+    {"radar", "c", [](auto &w) { w.radar.runC(w.cpu); }},
+    {"radar", "mmx", [](auto &w) { w.radar.runMmx(w.cpu); }},
+    {"g722", "c", [](auto &w) { w.g722.runC(w.cpu); }},
+    {"g722", "mmx", [](auto &w) { w.g722.runMmx(w.cpu); }},
+    {"jpeg", "c", [](auto &w) { w.jpeg.runC(w.cpu); }},
+    {"jpeg", "mmx", [](auto &w) { w.jpeg.runMmx(w.cpu); }},
+    {"image", "c", [](auto &w) { w.image.runC(w.cpu); }},
+    {"image", "mmx", [](auto &w) { w.image.runMmx(w.cpu); }},
+};
+
+const Pair *
+findPair(const std::string &benchmark, const std::string &version)
+{
+    for (const Pair &p : kPairs)
+        if (benchmark == p.benchmark && version == p.version)
+            return &p;
+    return nullptr;
+}
+
+service::EngineOptions
+engineOptions(const SuiteConfig &config, const TraceOptions &trace_options)
+{
+    service::EngineOptions opts;
+    opts.store.root = trace_options.enabled ? trace_options.dir : "";
+    opts.suite = config;
+    // Every trace of a scale-8 corpus (21 MB) stays resident across a
+    // bench's sweeps, while a full-scale run (0.64 GB) keeps little
+    // beyond the traces it is replaying.
+    opts.trace_cache_bytes = size_t{32} << 20;
+    return opts;
+}
+
+} // namespace
+
+PairRunner::PairRunner(const SuiteConfig &config)
+    : impl_(std::make_unique<Impl>())
+{
+    impl_->configHash = config.hash();
     impl_->fir.setup(config.fir_samples, config.seed);
     impl_->iir.setup(config.iir_samples, config.seed + 1);
     impl_->fft.setup(config.fft_size, config.seed + 2);
@@ -108,253 +162,108 @@ BenchmarkSuite::BenchmarkSuite(const SuiteConfig &config,
     impl_->radar.setup(scenario);
 }
 
+PairRunner::~PairRunner() = default;
+
+bool
+PairRunner::known(const std::string &benchmark, const std::string &version)
+{
+    return findPair(benchmark, version) != nullptr;
+}
+
+void
+PairRunner::execute(const std::string &benchmark, const std::string &version,
+                    sim::TraceSink *sink)
+{
+    const Pair *pair = findPair(benchmark, version);
+    if (!pair)
+        mmxdsp_fatal("unknown benchmark run %s.%s", benchmark.c_str(),
+                     version.c_str());
+    impl_->cpu.attachSink(sink);
+    pair->run(*impl_);
+    impl_->cpu.attachSink(nullptr);
+}
+
+std::shared_ptr<const trace::MaterializedTrace>
+PairRunner::capture(const std::string &benchmark, const std::string &version)
+{
+    // Capture-only pass: no profiler attached, so the capture costs
+    // functional execution plus packing the records, not a timing-model
+    // run.
+    trace::MaterializeSink sink(benchmark, version, impl_->configHash);
+    execute(benchmark, version, &sink);
+    return std::make_shared<const trace::MaterializedTrace>(
+        sink.finish(&impl_->cpu));
+}
+
+BenchmarkSuite::BenchmarkSuite(const SuiteConfig &config,
+                               const TraceOptions &trace_options,
+                               const sim::MachineConfig &machine)
+    : machine_(machine),
+      engine_(std::make_unique<service::QueryEngine>(
+          engineOptions(config, trace_options)))
+{
+    // The workloads are set up with the suite, so a capture costs
+    // execution alone (perfbench times the two as separate layers).
+    engine_->runner();
+}
+
 BenchmarkSuite::~BenchmarkSuite() = default;
+
+const SuiteConfig &
+BenchmarkSuite::config() const
+{
+    return engine_->options().suite;
+}
+
+const std::string &
+BenchmarkSuite::traceDir() const
+{
+    return engine_->options().store.root;
+}
 
 void
 BenchmarkSuite::executeLive(const std::string &benchmark,
                             const std::string &version, sim::TraceSink *sink)
 {
-    runtime::Cpu &cpu = impl_->cpu;
-    cpu.attachSink(sink);
-
-    bool ok = true;
-    if (benchmark == "fir") {
-        if (version == "c")
-            impl_->fir.runC(cpu);
-        else if (version == "fp")
-            impl_->fir.runFp(cpu);
-        else if (version == "mmx")
-            impl_->fir.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "iir") {
-        if (version == "c")
-            impl_->iir.runC(cpu);
-        else if (version == "fp")
-            impl_->iir.runFp(cpu);
-        else if (version == "mmx")
-            impl_->iir.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "fft") {
-        if (version == "c")
-            impl_->fft.runC(cpu);
-        else if (version == "fp")
-            impl_->fft.runFp(cpu);
-        else if (version == "mmx")
-            impl_->fft.runMmx(cpu);
-        else if (version == "mmx_v1")
-            impl_->fft.runMmxV1(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "matvec") {
-        if (version == "c")
-            impl_->matvec.runC(cpu);
-        else if (version == "mmx")
-            impl_->matvec.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "gemm") {
-        if (version == "c")
-            impl_->gemm.runC(cpu);
-        else if (version == "c_blocked")
-            impl_->gemm.runCBlocked(cpu);
-        else if (version == "mmx")
-            impl_->gemm.runMmx(cpu);
-        else if (version == "mmx_blocked")
-            impl_->gemm.runMmxBlocked(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "jpeg") {
-        if (version == "c")
-            impl_->jpeg.runC(cpu);
-        else if (version == "mmx")
-            impl_->jpeg.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "image") {
-        if (version == "c")
-            impl_->image.runC(cpu);
-        else if (version == "mmx")
-            impl_->image.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "g722") {
-        if (version == "c")
-            impl_->g722.runC(cpu);
-        else if (version == "mmx")
-            impl_->g722.runMmx(cpu);
-        else
-            ok = false;
-    } else if (benchmark == "radar") {
-        if (version == "c")
-            impl_->radar.runC(cpu);
-        else if (version == "mmx")
-            impl_->radar.runMmx(cpu);
-        else
-            ok = false;
-    } else {
-        ok = false;
-    }
-    cpu.attachSink(nullptr);
-    if (!ok)
-        mmxdsp_fatal("unknown benchmark run %s.%s", benchmark.c_str(),
-                     version.c_str());
+    engine_->runner().execute(benchmark, version, sink);
 }
 
 std::shared_ptr<const trace::MaterializedTrace>
 BenchmarkSuite::capture(const std::string &benchmark,
                         const std::string &version, bool *published)
 {
-    // Capture-only pass: no profiler attached, so the capture costs
-    // functional execution plus packing the records, not a timing-model
-    // run.
-    const uint64_t h = config_.hash();
-    trace::MaterializeSink sink(benchmark, version, h);
-    executeLive(benchmark, version, &sink);
-    auto mat = std::make_shared<const trace::MaterializedTrace>(
-        sink.finish(&impl_->cpu));
-    ++activity_.captured;
-    const bool stored = store_ && store_->store(benchmark, version, h, *mat);
-    if (published)
-        *published = stored;
-    return mat;
+    return engine_->capture(benchmark, version, published);
 }
 
 std::shared_ptr<const trace::MaterializedTrace>
 BenchmarkSuite::materializedFor(const std::string &benchmark,
                                 const std::string &version)
 {
-    const std::string key = benchmark + "." + version;
-    auto it = materialized_.find(key);
-    if (it != materialized_.end())
-        return it->second;
-
-    std::shared_ptr<const trace::MaterializedTrace> mat;
-    if (store_ && (mat = store_->load(benchmark, version, config_.hash())))
-        ++activity_.disk_hits;
-    else
-        mat = capture(benchmark, version);
-    materialized_.emplace(key, mat);
+    std::string error;
+    auto mat = engine_->trace(benchmark, version, &error);
+    if (!mat)
+        mmxdsp_fatal("%s.%s: %s", benchmark.c_str(), version.c_str(),
+                     error.c_str());
     return mat;
 }
 
-const RunResult &
+RunResult
 BenchmarkSuite::run(const std::string &benchmark, const std::string &version)
 {
-    const std::string key = benchmark + "." + version;
-    auto it = cache_.find(key);
-    if (it != cache_.end())
-        return it->second;
-
-    RunResult result;
-    result.benchmark = benchmark;
-    result.version = version;
-    // A pair already captured by this suite (sweep()/materializedFor())
-    // replays too, so run() and sweep() see one event stream.
-    if (store_ || materialized_.count(key)) {
-        result.profile =
-            materializedFor(benchmark, version)->replayProfile(machine_);
-        result.replayed = true;
-    } else {
-        profile::VProf prof(machine_);
-        executeLive(benchmark, version, &prof);
-        result.profile = prof.result();
-    }
-    return cache_.emplace(key, std::move(result)).first->second;
+    service::QueryResult r = engine_->query({benchmark, version, machine_});
+    if (!r.ok)
+        mmxdsp_fatal("%s.%s: %s", benchmark.c_str(), version.c_str(),
+                     r.error.c_str());
+    return {benchmark, version, std::move(r.profile)};
 }
 
 void
 BenchmarkSuite::runAll(int n_threads)
 {
-    struct Job
-    {
-        std::string benchmark;
-        std::string version;
-        std::shared_ptr<const trace::MaterializedTrace> mat;
-        profile::ProfileResult profile;
-        bool done = false; ///< profile filled
-    };
-
-    // Phase 1: gather every pair still to be measured; a pair this
-    // suite already holds a trace for replays that trace.
-    std::vector<Job> jobs;
-    for (const auto &[benchmark, version] : allRuns()) {
-        const std::string key = benchmark + "." + version;
-        if (cache_.count(key))
-            continue;
-        Job job{benchmark, version, nullptr, {}};
-        if (auto it = materialized_.find(key); it != materialized_.end())
-            job.mat = it->second;
-        jobs.push_back(std::move(job));
-    }
-
-    // Phase 2 (parallel): the store lookups — mapping and checksumming
-    // an image costs real time, and each load is independent. A loaded
-    // trace is replayed at once and dropped (a later materializedFor()
-    // maps it again), so the corpus is never resident all at once.
-    if (store_) {
-        const uint64_t h = config_.hash();
-        parallelFor(jobs.size(), n_threads, [&](size_t i) {
-            Job &job = jobs[i];
-            if (job.mat)
-                return;
-            if (auto loaded = store_->load(job.benchmark, job.version, h)) {
-                job.profile = loaded->replayProfile(machine_);
-                job.done = true;
-            }
-        });
-        for (const Job &job : jobs)
-            activity_.disk_hits += job.done;
-    }
-
-    // Phase 3 (serial): capture whatever the store didn't have. The
-    // runtime executes single-threaded. A capture the store took is
-    // replayed beside the next pair's execution and then dropped, so a
-    // cold run holds about two traces rather than every one. A capture
-    // the store could not take stays in materialized_: a recapture
-    // could shift the address stream.
-    const bool overlap = resolveThreads(n_threads) > 1;
-    std::future<void> replaying; // destroyed before jobs: waits for its task
-    for (Job &job : jobs) {
-        if (job.mat || job.done)
-            continue;
-        bool published = false;
-        auto mat = capture(job.benchmark, job.version, &published);
-        if (!published) {
-            job.mat = mat;
-            materialized_.emplace(job.benchmark + "." + job.version, mat);
-            continue;
-        }
-        auto replay = [this, &job, mat = std::move(mat)] {
-            job.profile = mat->replayProfile(machine_);
-            job.done = true;
-        };
-        if (replaying.valid())
-            replaying.get();
-        if (overlap)
-            replaying = std::async(std::launch::async, std::move(replay));
-        else
-            replay();
-    }
-    if (replaying.valid())
-        replaying.get();
-
-    // Phase 4 (parallel): each worker replays a trace through its own
-    // timing model; the shared traces are immutable.
-    parallelFor(jobs.size(), n_threads, [&](size_t i) {
-        if (!jobs[i].done)
-            jobs[i].profile = jobs[i].mat->replayProfile(machine_);
-    });
-
-    for (Job &job : jobs) {
-        RunResult result;
-        result.benchmark = job.benchmark;
-        result.version = job.version;
-        result.profile = std::move(job.profile);
-        result.replayed = true;
-        cache_.emplace(job.benchmark + "." + job.version, std::move(result));
-    }
+    std::vector<service::Query> queries;
+    for (const auto &[benchmark, version] : allRuns())
+        queries.push_back({benchmark, version, machine_});
+    engine_->queryBatch(queries, n_threads);
 }
 
 std::vector<profile::ProfileResult>
@@ -370,27 +279,25 @@ BenchmarkSuite::sweep(const std::string &benchmark,
 std::vector<std::pair<std::string, std::string>>
 BenchmarkSuite::allRuns()
 {
-    return {
-        {"fft", "c"},    {"fft", "fp"},  {"fft", "mmx"},
-        {"fir", "c"},    {"fir", "fp"},  {"fir", "mmx"},
-        {"iir", "c"},    {"iir", "fp"},  {"iir", "mmx"},
-        {"matvec", "c"}, {"matvec", "mmx"},
-        {"gemm", "c"},   {"gemm", "c_blocked"},
-        {"gemm", "mmx"}, {"gemm", "mmx_blocked"},
-        {"radar", "c"},  {"radar", "mmx"},
-        {"g722", "c"},   {"g722", "mmx"},
-        {"jpeg", "c"},   {"jpeg", "mmx"},
-        {"image", "c"},  {"image", "mmx"},
-    };
+    std::vector<std::pair<std::string, std::string>> runs;
+    for (const Pair &p : kPairs)
+        runs.emplace_back(p.benchmark, p.version);
+    return runs;
+}
+
+BenchmarkSuite::TraceActivity
+BenchmarkSuite::traceActivity() const
+{
+    const service::EngineStats stats = engine_->stats();
+    return {static_cast<int>(stats.captures),
+            static_cast<int>(stats.store_loads)};
 }
 
 double
 BenchmarkSuite::speedup(const std::string &benchmark)
 {
-    const RunResult &c = run(benchmark, "c");
-    const RunResult &mmx = run(benchmark, "mmx");
-    return static_cast<double>(c.profile.cycles)
-           / static_cast<double>(mmx.profile.cycles);
+    return static_cast<double>(run(benchmark, "c").profile.cycles)
+           / static_cast<double>(run(benchmark, "mmx").profile.cycles);
 }
 
 std::vector<std::string>

@@ -1,35 +1,32 @@
 /**
  * @file
- * The benchmark harness: owns one instance of every benchmark, runs any
- * (benchmark, version) pair under a fresh profiler with the paper's
- * workload parameters, and caches results so one bench binary can build
- * several tables from a single simulation pass.
+ * The benchmark harness: every (benchmark, version) pair profiled with
+ * the paper's workload parameters on one machine, so one bench binary
+ * builds several tables from a single simulation pass.
  *
- * With tracing enabled the harness follows the paper's VTune
- * methodology — capture the instruction stream once, characterize it as
- * often as needed: each pair executes once through a
- * trace::MaterializeSink, its trace image is published to a
- * service::TraceStore rooted at the trace directory, and every result
- * is a replay of that trace. Later suites (or other bench binaries with
- * the same workload config) mmap the stored image instead of executing
- * benchmark code. runAll() fans replay out over a worker pool, and
- * sweep() replays one trace under many timing configurations.
+ * BenchmarkSuite is a thin front over service::QueryEngine, the one
+ * trace pipeline, and follows the paper's VTune methodology — capture
+ * the instruction stream once, characterize it as often as needed:
+ * each pair executes once (PairRunner) into a trace, published to the
+ * trace store rooted at the trace directory, and every result is a
+ * replay of that trace. Later suites mmap the stored image instead of
+ * executing benchmark code; without a store (--no-trace-cache) a pair
+ * is still captured and replayed, in memory.
  */
 
 #ifndef MMXDSP_HARNESS_SUITE_HH
 #define MMXDSP_HARNESS_SUITE_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "profile/vprof.hh"
-#include "runtime/cpu.hh"
-#include "sim/pentium_timer.hh"
-#include "sim/timing_model.hh"
-#include "service/trace_store.hh"
+#include "sim/trace_sink.hh"
 #include "trace/materialize.hh"
+
+namespace mmxdsp::service {
+class QueryEngine;
+}
 
 namespace mmxdsp::harness {
 
@@ -82,12 +79,44 @@ struct TraceOptions
 struct RunResult
 {
     std::string benchmark;
-    std::string version; ///< "c", "fp", "mmx", "mmx_v1"
+    std::string version; ///< "c", "fp", "mmx", "c_blocked", ...
     profile::ProfileResult profile;
-    /** True when the metrics came from trace replay, not execution. */
-    bool replayed = false;
 
     std::string name() const { return benchmark + "." + version; }
+};
+
+/**
+ * One instance of every benchmark, set up from a SuiteConfig, and the
+ * single-threaded runtime they execute on.
+ */
+class PairRunner
+{
+  public:
+    explicit PairRunner(const SuiteConfig &config);
+    ~PairRunner();
+
+    /** True when @p benchmark.@p version is a registered pair (one of
+     *  BenchmarkSuite::allRuns()). */
+    static bool known(const std::string &benchmark,
+                      const std::string &version);
+
+    /**
+     * Execute one pair with @p sink attached. Fatal on an unknown pair
+     * (callers that take untrusted names check known() first).
+     */
+    void execute(const std::string &benchmark, const std::string &version,
+                 sim::TraceSink *sink);
+
+    /** Execute one pair into a trace::MaterializeSink and return its
+     *  trace, keyed by the config's hash(). */
+    std::shared_ptr<const trace::MaterializedTrace>
+    capture(const std::string &benchmark, const std::string &version);
+
+    /** The benchmark instances and the runtime (suite.cc). */
+    struct Impl;
+
+  private:
+    std::unique_ptr<Impl> impl_;
 };
 
 class BenchmarkSuite
@@ -105,53 +134,22 @@ class BenchmarkSuite
         const sim::MachineConfig &machine = sim::MachineConfig{});
     ~BenchmarkSuite();
 
-    /**
-     * Run (and cache) one benchmark version. Valid names:
-     * fft/fir/iir/matvec/gemm/jpeg/image/g722/radar; versions "c" for
-     * all, "fp" for fft/fir/iir, "mmx" for all, "mmx_v1" for fft, and
-     * "c_blocked"/"mmx_blocked" for gemm. Fatal on unknown pairs.
-     *
-     * With tracing enabled (or once materializedFor() has captured the
-     * pair) the result is a replay of the pair's trace; otherwise the
-     * pair executes live under a profile::VProf — the oracle every
-     * replay is tested against.
-     */
-    const RunResult &run(const std::string &benchmark,
-                         const std::string &version);
+    /** One pair's profile on machine(): an engine query, a replay of
+     *  the pair's trace. Fatal on a pair not in allRuns(). */
+    RunResult run(const std::string &benchmark, const std::string &version);
 
-    /**
-     * Produce every (benchmark, version) result: the store is searched
-     * in parallel, missing traces are captured (serially — the runtime
-     * is single-threaded), and every profile is computed by replaying
-     * a trace across @p n_threads workers (0 = auto). Afterwards run()
-     * returns cached results. Metrics are bit-identical to the serial
-     * path.
-     *
-     * With a store attached, a trace loaded from it or published to it
-     * is dropped once replayed (a later materializedFor() maps it
-     * again), so peak memory follows a few traces, not the corpus. A
-     * capture the store could not take is kept.
-     */
+    /** Profile every pair in one engine batch on @p n_threads workers
+     *  (0 = auto); afterwards run() answers from the result cache. */
     void runAll(int n_threads = 1);
 
-    /**
-     * The captured trace of one pair, loaded from the trace store or
-     * captured on demand (and published when tracing is enabled), then
-     * kept for the suite's lifetime (runAll() drops the traces the
-     * store holds once it has replayed them). This is the trace run(),
-     * runAll() and sweep() replay from; a pair executes at most once in
-     * one suite, unless the store loses an entry runAll() dropped.
-     */
+    /** The engine's trace of one pair (resident, loaded or captured):
+     *  the trace run(), runAll() and sweep() replay. */
     std::shared_ptr<const trace::MaterializedTrace>
     materializedFor(const std::string &benchmark,
                     const std::string &version);
 
-    /**
-     * Replay one benchmark's trace on every machine in @p machines
-     * (model, L1/L2 geometry, penalties, BTB size, ...), fanning out
-     * over @p threads workers. One capture, many machine models: every
-     * entry replays the same MaterializedTrace.
-     */
+    /** Replay one pair's trace on every machine in @p machines over
+     *  @p threads workers, leaving no memos or results in the engine. */
     std::vector<profile::ProfileResult>
     sweep(const std::string &benchmark, const std::string &version,
           const std::vector<sim::MachineConfig> &machines, int threads = 0);
@@ -165,14 +163,11 @@ class BenchmarkSuite
     /** Measured C-version / MMX-version cycle ratio. */
     double speedup(const std::string &benchmark);
 
-    const SuiteConfig &config() const { return config_; }
+    const SuiteConfig &config() const;
     /** The machine run()/runAll() results are computed on. */
     const sim::MachineConfig &machine() const { return machine_; }
     /** Root of the trace store; empty when tracing is off. */
-    std::string traceDir() const
-    {
-        return store_ ? store_->options().root : std::string();
-    }
+    const std::string &traceDir() const;
 
     /** How traces were obtained so far (for provenance footers). */
     struct TraceActivity
@@ -180,7 +175,8 @@ class BenchmarkSuite
         int captured = 0;  ///< pairs executed live this process
         int disk_hits = 0; ///< pairs loaded from the trace store
     };
-    const TraceActivity &traceActivity() const { return activity_; }
+    /** The engine's captures and store loads so far. */
+    TraceActivity traceActivity() const;
 
     /**
      * Capture one pair live and publish it when tracing is on. The
@@ -193,7 +189,7 @@ class BenchmarkSuite
             bool *published = nullptr);
 
     /**
-     * Execute one pair on the suite's live runtime with @p sink
+     * Execute one pair on the engine's live runtime with @p sink
      * attached, caching nothing (tests tee a VProf and a
      * trace::MaterializeSink onto one execution this way).
      */
@@ -201,16 +197,8 @@ class BenchmarkSuite
                      const std::string &version, sim::TraceSink *sink);
 
   private:
-    struct Impl;
-
-    SuiteConfig config_;
     sim::MachineConfig machine_;
-    std::unique_ptr<service::TraceStore> store_; ///< null = tracing off
-    TraceActivity activity_;
-    std::unique_ptr<Impl> impl_;
-    std::map<std::string, RunResult> cache_;
-    std::map<std::string, std::shared_ptr<const trace::MaterializedTrace>>
-        materialized_;
+    std::unique_ptr<service::QueryEngine> engine_;
 };
 
 } // namespace mmxdsp::harness

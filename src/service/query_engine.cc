@@ -5,11 +5,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <future>
 #include <sstream>
 
 #include "mem/btb.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "trace/format.hh"
 
 namespace mmxdsp::service {
@@ -39,13 +40,10 @@ resultKey(const std::string &benchmark, const std::string &version,
     return benchmark + "." + version + buf;
 }
 
-bool
-knownPair(const std::string &benchmark, const std::string &version)
+std::string
+traceKey(const std::string &benchmark, const std::string &version)
 {
-    for (const auto &[b, v] : harness::BenchmarkSuite::allRuns())
-        if (b == benchmark && v == version)
-            return true;
-    return false;
+    return benchmark + "." + version;
 }
 
 /** Why @p machine's cache or BTB geometry cannot be built; empty when
@@ -74,19 +72,27 @@ geometryError(const sim::MachineConfig &machine)
 
 } // namespace
 
+/** The misses of one batch on one trace, answered by one replay. */
+struct QueryEngine::Group
+{
+    std::string benchmark;
+    std::string version;
+    std::vector<size_t> indices{}; ///< the queries it answers
+    std::vector<sim::MachineConfig> machines{};
+    std::shared_ptr<const trace::MaterializedTrace> mat{};
+    TraceEntry *entry = nullptr; ///< its resident entry, held busy
+    bool loaded = false;         ///< from the store in this batch
+    bool captured = false;       ///< captured in this batch
+    std::vector<profile::ProfileResult> profiles{};
+    uint64_t memoHits = 0;       ///< replays the memos served
+};
+
 QueryEngine::QueryEngine(EngineOptions opts)
     : opts_(std::move(opts)), store_(opts_.store)
 {
 }
 
 QueryEngine::~QueryEngine() = default;
-
-std::string
-QueryEngine::traceKey(const std::string &benchmark,
-                      const std::string &version) const
-{
-    return benchmark + "." + version;
-}
 
 const profile::ProfileResult *
 QueryEngine::lookupResult(const std::string &key)
@@ -117,94 +123,129 @@ QueryEngine::insertResult(const std::string &key,
 }
 
 void
-QueryEngine::insertTrace(const std::string &key,
-                         std::shared_ptr<const trace::MaterializedTrace> t)
+QueryEngine::hold(Group &g)
 {
-    if (!opts_.trace_cache_bytes)
+    auto it = traces_.find(traceKey(g.benchmark, g.version));
+    if (it == traces_.end())
         return;
-    const size_t bytes = t->byteSize();
-    auto it = traces_.find(key);
-    if (it != traces_.end()) {
-        traceLru_.splice(traceLru_.begin(), traceLru_, it->second.lru);
-        return;
-    }
-    traceLru_.push_front(key);
-    TraceEntry &entry = traces_[key];
-    entry.trace = std::move(t);
-    entry.lru = traceLru_.begin();
-    traceBytes_ += bytes;
-    chargeMemos(entry);
+    ++stats_.trace_mem_hits;
+    traceLru_.splice(traceLru_.begin(), traceLru_, it->second.lru);
+    ++it->second.busy;
+    g.entry = &it->second;
+    g.mat = it->second.trace;
 }
 
 void
-QueryEngine::chargeMemos(TraceEntry &entry)
+QueryEngine::admit(Group &g, bool pinned)
 {
+    if (!opts_.trace_cache_bytes && !pinned)
+        return;
+    Evicted evicted;
+    std::lock_guard<std::mutex> lock(cacheMu_); // unlocks before evicted
+    traceLru_.push_front(traceKey(g.benchmark, g.version));
+    TraceEntry &entry = traces_[traceLru_.front()];
+    entry.trace = g.mat;
+    entry.lru = traceLru_.begin();
+    entry.busy = 1;
+    entry.pinned = pinned;
+    traceBytes_ += g.mat->byteSize();
+    g.entry = &entry;
+    evictIdle(evicted);
+}
+
+void
+QueryEngine::evictIdle(Evicted &evicted)
+{
+    for (auto it = traceLru_.end();
+         traceBytes_ > opts_.trace_cache_bytes && it != traceLru_.begin();) {
+        auto victim = traces_.find(*--it);
+        if (victim->second.busy || victim->second.pinned)
+            continue;
+        traceBytes_ -= victim->second.trace->byteSize()
+                       + victim->second.memoBytes;
+        stats_.memo_bytes -= victim->second.memoBytes;
+        evicted.push_back(std::move(victim->second.trace));
+        traces_.erase(victim);
+        it = traceLru_.erase(it);
+    }
+}
+
+void
+QueryEngine::release(Group &g)
+{
+    g.mat.reset(); // an evicted trace unmaps once its replay is done
+    Evicted evicted;
+    std::lock_guard<std::mutex> lock(cacheMu_); // unlocks before evicted
+    stats_.replays += g.profiles.size();
+    stats_.memo_hits += g.memoHits;
+    if (!g.entry)
+        return;
+    TraceEntry &entry = *g.entry;
+    g.entry = nullptr;
+    --entry.busy;
+
+    // Charge the memos the replay recorded. Over budget, the trace's
+    // own memos go before any other trace: a memo costs one pass over a
+    // resident trace to record again, an evicted trace a store reload.
     const size_t bytes = entry.memos.byteSize();
     traceBytes_ = traceBytes_ - entry.memoBytes + bytes;
     stats_.memo_bytes = stats_.memo_bytes - entry.memoBytes + bytes;
     entry.memoBytes = bytes;
-    // Over budget, this trace's own memos go before any other trace:
-    // a memo costs one pass over a resident trace to record again, an
-    // evicted trace a store reload.
-    if (traceBytes_ > opts_.trace_cache_bytes && entry.memoBytes) {
-        traceBytes_ -= entry.memoBytes;
-        stats_.memo_bytes -= entry.memoBytes;
+    if (traceBytes_ > opts_.trace_cache_bytes && bytes) {
+        traceBytes_ -= bytes;
+        stats_.memo_bytes -= bytes;
         entry.memos.clear();
         entry.memoBytes = 0;
     }
-    while (traceBytes_ > opts_.trace_cache_bytes && traces_.size() > 1) {
-        auto victim = traces_.find(traceLru_.back());
-        traceBytes_ -= victim->second.trace->byteSize()
-                       + victim->second.memoBytes;
-        stats_.memo_bytes -= victim->second.memoBytes;
-        traces_.erase(victim);
-        traceLru_.pop_back();
-    }
+    evictIdle(evicted);
+}
+
+harness::PairRunner &
+QueryEngine::runner()
+{
+    if (!runner_)
+        runner_ = std::make_unique<harness::PairRunner>(opts_.suite);
+    return *runner_;
 }
 
 std::shared_ptr<const trace::MaterializedTrace>
-QueryEngine::traceFor(const std::string &benchmark,
-                      const std::string &version, bool *captured,
-                      std::string *error)
+QueryEngine::capture(const std::string &benchmark, const std::string &version,
+                     bool *published)
 {
-    *captured = false;
-    const std::string key = traceKey(benchmark, version);
-    auto it = traces_.find(key);
-    if (it != traces_.end()) {
-        ++stats_.trace_mem_hits;
-        traceLru_.splice(traceLru_.begin(), traceLru_, it->second.lru);
-        return it->second.trace;
-    }
-
-    const uint64_t config_hash = opts_.suite.hash();
-    if (auto mat = store_.load(benchmark, version, config_hash)) {
-        ++stats_.store_loads;
-        insertTrace(key, mat);
-        return mat;
-    }
-
-    if (!opts_.allow_capture) {
-        *error = "trace not in store and capture is disabled";
-        return nullptr;
-    }
-
-    // Capture live through the bench harness (with its tracing off, so
-    // the engine's store is the one persistence layer here, and the
-    // suite keeps nothing, so the trace cache's budget is the one
-    // bound on resident traces), then publish so every later process
-    // takes the mmap path.
-    if (!suite_)
-        suite_ = std::make_unique<harness::BenchmarkSuite>(
-            opts_.suite, harness::TraceOptions{false, ""});
-    auto mat = suite_->capture(benchmark, version);
-    if (!mat || !mat->valid()) {
-        *error = "live capture failed";
-        return nullptr;
-    }
+    auto mat = runner().capture(benchmark, version);
+    const bool stored =
+        store_.store(benchmark, version, opts_.suite.hash(), *mat);
+    if (published)
+        *published = stored;
     ++stats_.captures;
-    *captured = true;
-    store_.store(benchmark, version, config_hash, *mat);
-    insertTrace(key, mat);
+    return mat;
+}
+
+std::shared_ptr<const trace::MaterializedTrace>
+QueryEngine::trace(const std::string &benchmark, const std::string &version,
+                   std::string *error)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!harness::PairRunner::known(benchmark, version)) {
+        if (error)
+            *error = "unknown benchmark pair " + traceKey(benchmark, version);
+        return nullptr;
+    }
+    Group g{benchmark, version};
+    hold(g);
+    if (!g.mat
+        && (g.mat = store_.load(benchmark, version, opts_.suite.hash()))) {
+        ++stats_.store_loads;
+        admit(g, false);
+    } else if (!g.mat && opts_.allow_capture) {
+        bool published = false;
+        g.mat = capture(benchmark, version, &published);
+        admit(g, !published);
+    } else if (!g.mat && error) {
+        *error = "trace not in store and capture is disabled";
+    }
+    auto mat = g.mat;
+    release(g);
     return mat;
 }
 
@@ -215,27 +256,21 @@ QueryEngine::query(const Query &q)
 }
 
 std::vector<QueryResult>
-QueryEngine::queryBatch(const std::vector<Query> &queries)
+QueryEngine::queryBatch(const std::vector<Query> &queries, int threads)
 {
     std::lock_guard<std::mutex> lock(mu_);
 
     std::vector<QueryResult> out(queries.size());
     const uint64_t config_hash = opts_.suite.hash();
 
-    // Per-trace groups of result-cache misses: query index + the
-    // machine it wants, answered below by one sweep per group.
-    struct Group
-    {
-        std::vector<size_t> indices;
-        std::vector<sim::MachineConfig> machines;
-    };
-    std::map<std::string, Group> groups;
-
+    // Result-cache misses, grouped by trace in first-query order.
+    std::vector<Group> groups;
+    std::unordered_map<std::string, size_t> groupOf;
     for (size_t i = 0; i < queries.size(); ++i) {
         const Query &q = queries[i];
         out[i].query = q;
         ++stats_.queries;
-        if (!knownPair(q.benchmark, q.version))
+        if (!harness::PairRunner::known(q.benchmark, q.version))
             out[i].error =
                 "unknown benchmark pair " + q.benchmark + "." + q.version;
         else
@@ -253,47 +288,82 @@ QueryEngine::queryBatch(const std::vector<Query> &queries)
             ++stats_.result_hits;
             continue;
         }
-        Group &g = groups[traceKey(q.benchmark, q.version)];
-        g.indices.push_back(i);
-        g.machines.push_back(q.machine);
+        const auto [at, fresh] = groupOf.emplace(
+            traceKey(q.benchmark, q.version), groups.size());
+        if (fresh)
+            groups.push_back({q.benchmark, q.version});
+        groups[at->second].indices.push_back(i);
+        groups[at->second].machines.push_back(q.machine);
     }
 
-    for (auto &[key, group] : groups) {
-        const Query &first = queries[group.indices.front()];
-        bool captured = false;
-        std::string error;
-        auto mat = traceFor(first.benchmark, first.version, &captured,
-                            &error);
-        if (!mat) {
-            for (size_t idx : group.indices) {
-                out[idx].error = error;
-                ++stats_.failures;
-            }
-            continue;
-        }
-        // One sweep for the whole group over the trace's memos:
-        // replaySweep dedups identical machines, records each missing
-        // geometry once and replays it for every machine using it.
-        auto entry = traces_.find(key);
+    // A batch of one trace gives it every worker; across traces, each
+    // worker loads and replays one trace at a time, and a trace asked
+    // for one machine runs the fused kernel: recording its memos would
+    // cost a second pass.
+    const bool spread = groups.size() > 1;
+    const auto replay = [&](Group &g) {
         trace::MaterializedTrace::Memos *memos =
-            entry != traces_.end() ? &entry->second.memos : nullptr;
+            g.entry ? &g.entry->memos : nullptr;
         const uint64_t memoHits = memos ? memos->hits() : 0;
-        std::vector<profile::ProfileResult> profiles =
-            mat->replaySweep(group.machines, opts_.threads, memos);
-        stats_.replays += group.machines.size();
-        if (memos) {
-            stats_.memo_hits += memos->hits() - memoHits;
-            chargeMemos(entry->second);
+        if (spread && g.machines.size() == 1)
+            g.profiles = {g.mat->replayProfile(g.machines.front())};
+        else
+            g.profiles =
+                g.mat->replaySweep(g.machines, spread ? 1 : threads, memos);
+        g.memoHits = memos ? memos->hits() - memoHits : 0;
+        release(g);
+    };
+    for (Group &g : groups)
+        hold(g);
+    parallelFor(groups.size(), spread ? threads : 1, [&](size_t k) {
+        Group &g = groups[k];
+        if (!g.mat) {
+            g.mat = store_.load(g.benchmark, g.version, config_hash);
+            if (!g.mat)
+                return;
+            g.loaded = true;
+            admit(g, false);
         }
-        for (size_t j = 0; j < group.indices.size(); ++j) {
-            const size_t idx = group.indices[j];
+        replay(g);
+    });
+
+    // Captures, one at a time on this thread (the runtime is
+    // single-threaded); across traces, each replay runs beside the next
+    // capture.
+    std::future<void> replaying; // destroyed before groups: waits
+    for (Group &g : groups) {
+        if (!g.profiles.empty() || !opts_.allow_capture)
+            continue;
+        bool published = false;
+        g.mat = capture(g.benchmark, g.version, &published);
+        g.captured = true;
+        admit(g, !published);
+        if (replaying.valid())
+            replaying.get();
+        if (spread && resolveThreads(threads) > 1)
+            replaying = std::async(std::launch::async, replay, std::ref(g));
+        else
+            replay(g);
+    }
+    if (replaying.valid())
+        replaying.get();
+
+    for (const Group &g : groups) {
+        stats_.store_loads += g.loaded;
+        for (size_t j = 0; j < g.indices.size(); ++j) {
+            const size_t idx = g.indices[j];
+            if (g.profiles.empty()) {
+                out[idx].error = "trace not in store and capture is disabled";
+                ++stats_.failures;
+                continue;
+            }
             out[idx].ok = true;
-            out[idx].trace_captured = captured && j == 0;
-            out[idx].profile = profiles[j];
+            out[idx].trace_captured = g.captured && j == 0;
+            out[idx].profile = g.profiles[j];
             insertResult(resultKey(queries[idx].benchmark,
                                    queries[idx].version, config_hash,
                                    queries[idx].machine),
-                         profiles[j]);
+                         g.profiles[j]);
         }
     }
     return out;
@@ -309,7 +379,7 @@ QueryEngine::parseQueryLine(const std::string &line, Query *out,
         *error = "expected: <benchmark> <version> [key=value ...]";
         return false;
     }
-    if (!knownPair(benchmark, version)) {
+    if (!harness::PairRunner::known(benchmark, version)) {
         *error = "unknown benchmark pair " + benchmark + "." + version;
         return false;
     }

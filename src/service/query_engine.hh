@@ -1,39 +1,35 @@
 /**
  * @file
- * vprofd's query engine: (benchmark, version, machine) in, profile out.
+ * The query engine: (benchmark, version, machine) in, profile out. It
+ * is the one trace pipeline: vprofd, perfbench and the bench harness
+ * (harness::BenchmarkSuite is a thin front over it) all ask it.
  *
- * The engine sits between the TraceStore and callers (the
- * vprofd binary, perfbench, tests) and implements the
- * compute-once/serve-many pipeline:
- *
- *   result cache  — completed profiles keyed by (trace key, machine
- *                   hash); a repeat query is a map lookup, no replay;
- *   trace cache   — resident MaterializedTraces keyed by trace key;
- *                   a v2 store hit mmaps the entry zero-copy, and the
- *                   mapping stays resident (LRU by byte size) for
- *                   subsequent queries against other machines;
+ *   result cache  — completed profiles keyed by (pair, workload hash,
+ *                   machine hash); a repeat query is a map lookup;
+ *   trace cache   — resident MaterializedTraces, LRU by byte size; a
+ *                   store hit mmaps the entry zero-copy. The budget
+ *                   counts the traces a batch is replaying, but only
+ *                   idle traces are evicted. A capture the store could
+ *                   not take is pinned: a recapture could shift the
+ *                   address stream;
  *   memos         — beside each resident trace, its per-geometry
- *                   cache/BTB outcome memos (MaterializedTrace::Memos):
- *                   the first replay on a geometry records them, and a
+ *                   cache/BTB outcome memos (MaterializedTrace::Memos),
+ *                   recorded by the first replay on a geometry, so a
  *                   later miss that only changes penalties or the model
- *                   replays them and runs the timing pass alone. Their
- *                   bytes count against the trace-cache budget and they
- *                   are dropped with their trace;
- *   batch sweeps  — queryBatch() groups result-cache misses by trace
- *                   and answers each group with one replaySweep()
- *                   call over the trace's memos: per-machine passes
- *                   side by side, and the machines of a wide group (of
- *                   any model) on the config-parallel lanes (one pass
- *                   over the trace, one lane per distinct machine);
+ *                   runs the timing pass alone. They count against the
+ *                   budget and leave with their trace;
+ *   scheduler     — queryBatch() groups result-cache misses by trace.
+ *                   One trace is one replaySweep() over its memos on
+ *                   every worker. Across traces, store loads and
+ *                   replays share the worker pool, one trace per
+ *                   worker, and a trace asked for one machine runs the
+ *                   fused kernel (replayProfile) and records no memos;
  *   capture       — a trace absent from the store is captured live
- *                   (BenchmarkSuite, the same capture path the bench
- *                   harness uses), published to the store as format
- *                   v2, and then served like any other entry. Capture
- *                   can be disabled for pure-replay daemons.
+ *                   (harness::PairRunner), one at a time on the calling
+ *                   thread, each replay beside the next capture, and
+ *                   published. Capture can be disabled.
  *
- * Results are bit-identical to constructing a BenchmarkSuite and
- * profiling the pair directly: the engine only moves where the replay
- * runs, never what it computes.
+ * Every answer is bit-identical to replayProfile() of the pair's trace.
  */
 
 #ifndef MMXDSP_SERVICE_QUERY_ENGINE_HH
@@ -91,7 +87,7 @@ struct EngineOptions
     /** Capture missing traces live; off = such queries fail. */
     bool allow_capture = true;
     /** Resident-trace cache budget in bytes, memos included (0
-     *  disables both). */
+     *  disables both; pinned captures stay resident). */
     size_t trace_cache_bytes = 512ull << 20;
 };
 
@@ -120,13 +116,44 @@ class QueryEngine
     QueryResult query(const Query &q);
 
     /**
-     * Answer many queries, index-aligned with @p queries. Result-cache
-     * misses are grouped by trace and each group is answered by one
-     * replaySweep() over that trace and its memos (duplicate machines
-     * deduplicated), so every geometry of a batch is recorded at most
-     * once and replayed by all of its machines.
+     * Answer many queries, index-aligned with @p queries, on
+     * options().threads workers. Result-cache misses are grouped by
+     * trace, and a group is answered by one replay of its trace (the
+     * scheduler above): duplicate machines are computed once, and a
+     * geometry is recorded at most once and replayed by all machines.
      */
-    std::vector<QueryResult> queryBatch(const std::vector<Query> &queries);
+    std::vector<QueryResult> queryBatch(const std::vector<Query> &queries)
+    {
+        return queryBatch(queries, opts_.threads);
+    }
+    /** queryBatch() on @p threads workers (0 = auto). */
+    std::vector<QueryResult> queryBatch(const std::vector<Query> &queries,
+                                        int threads);
+
+    /**
+     * The resident trace of a pair: memory cache, then store (mmap),
+     * then live capture + publish. It joins the trace cache like any
+     * trace a query loads, but nothing is replayed, so it brings no
+     * memos and no results. Returns nullptr with @p error set when the
+     * pair is unknown or absent and capture is off.
+     */
+    std::shared_ptr<const trace::MaterializedTrace>
+    trace(const std::string &benchmark, const std::string &version,
+          std::string *error = nullptr);
+
+    /**
+     * Capture one pair live and publish it to the store. The engine
+     * keeps no reference to the trace, so it lives exactly as long as
+     * the caller holds it; @p published (when given) says whether the
+     * store took it. Fatal on an unknown pair. Like runner(), for one
+     * thread and never beside a query.
+     */
+    std::shared_ptr<const trace::MaterializedTrace>
+    capture(const std::string &benchmark, const std::string &version,
+            bool *published = nullptr);
+
+    /** The live runtime every capture executes on, built on first use. */
+    harness::PairRunner &runner();
 
     /**
      * Parse one query line: "benchmark version [model=p5|p6|p6p] [scale-
@@ -155,31 +182,37 @@ class QueryEngine
         std::list<std::string>::iterator lru;
         trace::MaterializedTrace::Memos memos;
         size_t memoBytes = 0; ///< memos.byteSize() as last charged
+        int busy = 0;         ///< replays in flight: not evictable
+        bool pinned = false;  ///< not in the store: never evicted
     };
-
-    std::string traceKey(const std::string &benchmark,
-                         const std::string &version) const;
-
-    /**
-     * Resident trace for a pair: memory cache, then store (mmap), then
-     * live capture + publish. Returns nullptr with @p error set.
-     */
-    std::shared_ptr<const trace::MaterializedTrace>
-    traceFor(const std::string &benchmark, const std::string &version,
-             bool *captured, std::string *error);
+    struct Group;
 
     void insertResult(const std::string &key,
                       const profile::ProfileResult &profile);
     const profile::ProfileResult *lookupResult(const std::string &key);
-    void insertTrace(const std::string &key,
-                     std::shared_ptr<const trace::MaterializedTrace> t);
-    /** Charge @p entry's memo growth to the budget; to fit, drop
-     *  @p entry's memos first, then evict least recently used traces. */
-    void chargeMemos(TraceEntry &entry);
+
+    /** Hold @p g's trace busy when it is resident (refreshed as most
+     *  recent). */
+    void hold(Group &g);
+    /** Make @p g's trace resident and hold it busy, unless the cache is
+     *  off and @p pinned is not set. */
+    void admit(Group &g, bool pinned);
+    /** Drop @p g's hold: charge its memos to the budget, then, to fit,
+     *  drop its memos first and evict idle traces (its own included). */
+    void release(Group &g);
+
+    /** Traces the cache let go, released once the cache lock is (an
+     *  unmap of a large image takes milliseconds). */
+    using Evicted =
+        std::vector<std::shared_ptr<const trace::MaterializedTrace>>;
+    /** Evict least recently used idle traces into @p evicted until the
+     *  cache fits its budget. */
+    void evictIdle(Evicted &evicted);
 
     EngineOptions opts_;
     TraceStore store_;
-    mutable std::mutex mu_; ///< serializes cache + suite access
+    mutable std::mutex mu_; ///< serializes queries, trace() and stats()
+    std::mutex cacheMu_;    ///< guards what a batch's workers share
     EngineStats stats_;
 
     std::unordered_map<std::string, ResultEntry> results_;
@@ -189,9 +222,7 @@ class QueryEngine
     std::list<std::string> traceLru_;
     size_t traceBytes_ = 0;
 
-    /** Lazily created capture harness (never constructed when every
-     *  query is served from the store or caches). */
-    std::unique_ptr<harness::BenchmarkSuite> suite_;
+    std::unique_ptr<harness::PairRunner> runner_; ///< built on first use
 };
 
 } // namespace mmxdsp::service

@@ -68,6 +68,8 @@ std::shared_ptr<const trace::MaterializedTrace>
 TraceStore::load(const std::string &benchmark, const std::string &version,
                  uint64_t config_hash)
 {
+    if (opts_.root.empty())
+        return nullptr;
     const std::string p = path(benchmark, version, config_hash);
     auto mat = std::make_shared<trace::MaterializedTrace>();
     if (mat->loadV2File(p)) {
@@ -91,7 +93,7 @@ bool
 TraceStore::store(const std::string &benchmark, const std::string &version,
                   uint64_t config_hash, const trace::MaterializedTrace &mat)
 {
-    if (!mat.valid())
+    if (opts_.root.empty() || !mat.valid())
         return false;
     std::error_code ec;
     fs::create_directories(opts_.root, ec);

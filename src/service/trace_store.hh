@@ -1,8 +1,8 @@
 /**
  * @file
  * Content-addressed trace store — the one persistence layer for
- * captured traces, shared by the bench harness
- * (harness::BenchmarkSuite) and vprofd (service::QueryEngine):
+ * captured traces, behind service::QueryEngine (and so behind the
+ * bench harness and vprofd alike):
  *
  *  - entries are keyed by (benchmark, version, SuiteConfig hash) and
  *    live side by side in one directory, one file per key
@@ -43,6 +43,7 @@ namespace mmxdsp::service {
 
 struct StoreOptions
 {
+    /** Directory of the entries; empty = a store that holds nothing. */
     std::string root = "vprofd_store";
     /** Total corpus size budget in bytes; 0 = unlimited. */
     uint64_t budget_bytes = 0;

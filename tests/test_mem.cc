@@ -199,14 +199,5 @@ TEST(Btb, AlternatingBranchIsTheTwoBitWorstCase)
     EXPECT_EQ(late, 100u);
 }
 
-TEST(Hierarchy, WriteAllocateBringsLineIn)
-{
-    // A store accesses its line like a load: a cold one misses and
-    // allocates, so the next access hits.
-    MemoryHierarchy h;
-    EXPECT_GT(h.access(0x9000, 4), 0u);
-    EXPECT_EQ(h.access(0x9000, 4), 0u);
-}
-
 } // namespace
 } // namespace mmxdsp::mem

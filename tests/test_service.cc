@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1100,6 +1101,102 @@ TEST(QueryEngineTest, MemosCountAgainstTheTraceBudgetAndLeaveWithTheirTrace)
         expectSameServed(r.profile, firTrace->replayProfile(r.query.machine),
                          "over-budget memos");
     }
+}
+
+TEST(QueryEngineTest, CrossTraceBatchMatchesOneQueryPerLine)
+{
+    // The scheduler only moves where a replay runs: a batch over every
+    // pair on two models, loaded and replayed across the worker pool,
+    // answers exactly what one query per line does, at any thread
+    // count, and so does a suite's runAll() + run() on the same store.
+    ScratchDir scratch("mmxdsp_engine_cross_batch_test");
+    const service::EngineOptions opts = engineOpts(scratch);
+    const auto pairs = harness::BenchmarkSuite::allRuns();
+    const sim::ModelKind models[] = {sim::ModelKind::P5, sim::ModelKind::P6};
+    std::vector<service::Query> queries;
+    for (const auto &[bench, version] : pairs)
+        for (sim::ModelKind model : models)
+            queries.push_back({bench, version, {model, {}}});
+
+    std::vector<profile::ProfileResult> expect;
+    {
+        service::QueryEngine single(opts); // captures and publishes
+        for (const service::Query &q : queries) {
+            const service::QueryResult r = single.query(q);
+            ASSERT_TRUE(r.ok) << r.error;
+            expect.push_back(r.profile);
+        }
+        EXPECT_EQ(single.stats().captures, pairs.size());
+    }
+    const auto name = [&](size_t i) {
+        return queries[i].benchmark + "." + queries[i].version + " on "
+               + sim::modelName(queries[i].machine.model);
+    };
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        service::QueryEngine engine(opts);
+        const auto results = engine.queryBatch(queries, threads);
+        ASSERT_EQ(results.size(), queries.size());
+        for (size_t i = 0; i < results.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            EXPECT_FALSE(results[i].from_result_cache);
+            expectSameProfile(results[i].profile, expect[i], name(i));
+        }
+        EXPECT_EQ(engine.stats().captures, 0u);
+        EXPECT_EQ(engine.stats().store_loads, pairs.size());
+    }
+    for (size_t m = 0; m < std::size(models); ++m) {
+        harness::BenchmarkSuite suite(
+            opts.suite, harness::TraceOptions{true, opts.store.root},
+            {models[m], {}});
+        suite.runAll(4);
+        EXPECT_EQ(suite.traceActivity().captured, 0);
+        EXPECT_EQ(suite.traceActivity().disk_hits,
+                  static_cast<int>(pairs.size()));
+        for (size_t k = 0; k < pairs.size(); ++k)
+            expectSameProfile(
+                suite.run(pairs[k].first, pairs[k].second).profile,
+                expect[k * std::size(models) + m],
+                name(k * std::size(models) + m) + " via runAll()");
+    }
+}
+
+TEST(QueryEngineTest, CaptureTheStoreCannotTakeIsPinned)
+{
+    // A store rooted at a regular file takes nothing. A budget below
+    // one trace would evict every trace, yet a capture the store did
+    // not take is never evicted: a recapture could shift the address
+    // stream. So A, B, then A on another machine captures A once, and
+    // both answers for A replay that one capture.
+    ScratchDir scratch("mmxdsp_engine_pinned_test");
+    service::EngineOptions opts = engineOpts(scratch);
+    const fs::path root = scratch.path / "not-a-directory";
+    std::ofstream(root) << "x";
+    opts.store.root = root.string();
+    opts.trace_cache_bytes = 1;
+    service::QueryEngine engine(opts);
+
+    const service::Query a{"fir", "c", sim::MachineConfig{}};
+    const service::Query b{"iir", "c", sim::MachineConfig{}};
+    service::Query aP6 = a;
+    aP6.machine.model = sim::ModelKind::P6;
+    const service::QueryResult first = engine.query(a);
+    ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_TRUE(engine.query(b).ok);
+    const service::QueryResult again = engine.query(aP6);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_FALSE(again.trace_captured);
+    EXPECT_EQ(engine.stats().captures, 2u);
+    EXPECT_EQ(engine.stats().trace_mem_hits, 1u);
+    EXPECT_EQ(engine.store().stats().stores, 0u);
+
+    const auto pinned = engine.trace("fir", "c");
+    ASSERT_NE(pinned, nullptr);
+    EXPECT_EQ(engine.stats().captures, 2u);
+    expectSameProfile(first.profile, pinned->replayProfile(a.machine),
+                      "fir.c first answer");
+    expectSameProfile(again.profile, pinned->replayProfile(aP6.machine),
+                      "fir.c second answer");
 }
 
 } // namespace

@@ -185,8 +185,7 @@ TEST(TraceReplay, DiskCacheSkipsExecution)
     // concerned) replays the stored trace instead of executing, and its
     // numbers are the first suite's numbers.
     harness::BenchmarkSuite second(tinyConfig(), topts);
-    const harness::RunResult &replayed = second.run("fir", "mmx");
-    EXPECT_TRUE(replayed.replayed);
+    const harness::RunResult replayed = second.run("fir", "mmx");
     EXPECT_EQ(second.traceActivity().disk_hits, 1);
     EXPECT_EQ(second.traceActivity().captured, 0);
     expectSameProfile(replayed.profile, fir, "fir.mmx disk replay");
@@ -370,7 +369,8 @@ corruptFile(const fs::path &p, bool truncate)
 
 /** Where the suite's store keeps one pair of tinyConfig(). */
 fs::path
-entryPath(const ScratchDir &scratch, const char *bench, const char *version)
+entryPath(const ScratchDir &scratch, const std::string &bench,
+          const std::string &version)
 {
     service::StoreOptions opts;
     opts.root = scratch.path.string();
@@ -413,9 +413,16 @@ TEST(SuiteTraceStore, DisabledTracingWritesNothing)
     harness::BenchmarkSuite suite(
         tinyConfig(), harness::TraceOptions{false, scratch.path.string()});
     EXPECT_TRUE(suite.traceDir().empty());
-    EXPECT_FALSE(suite.run("fir", "mmx").replayed); // the live oracle
-    suite.materializedFor("fir", "c");
+    // Without a store, run() still captures and replays in memory, and
+    // the capture stays resident: the store cannot take it back.
+    const profile::ProfileResult fir = suite.run("fir", "mmx").profile;
     EXPECT_EQ(suite.traceActivity().captured, 1);
+    expectSameProfile(suite.materializedFor("fir", "mmx")->replayProfile(),
+                      fir, "fir.mmx in-memory replay");
+    EXPECT_EQ(suite.traceActivity().captured, 1);
+    suite.materializedFor("fir", "c");
+    EXPECT_EQ(suite.traceActivity().captured, 2);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
     EXPECT_TRUE(fs::is_empty(scratch.path));
 }
 
@@ -466,14 +473,14 @@ TEST(SuiteTraceStore, DamagedEntryFallsBackToCaptureAndIsRewritten)
         corruptFile(entryPath(scratch, "fir", "mmx"), truncate);
 
         harness::BenchmarkSuite second(tinyConfig(), topts);
-        const harness::RunResult &recaptured = second.run("fir", "mmx");
+        const harness::RunResult recaptured = second.run("fir", "mmx");
         EXPECT_EQ(second.traceActivity().disk_hits, 0);
         EXPECT_EQ(second.traceActivity().captured, 1);
 
         // The recapture rewrote the entry: a third suite replays it,
         // bit-identical to the fallback's result.
         harness::BenchmarkSuite third(tinyConfig(), topts);
-        const harness::RunResult &replayed = third.run("fir", "mmx");
+        const harness::RunResult replayed = third.run("fir", "mmx");
         EXPECT_EQ(third.traceActivity().disk_hits, 1);
         EXPECT_EQ(third.traceActivity().captured, 0);
         expectSameProfile(replayed.profile, recaptured.profile,
@@ -516,14 +523,13 @@ TEST(SuiteTraceStore, DamagedEntryIsQuarantinedAndSurvivesRewrite)
     EXPECT_TRUE(fresh.loadV2File(entry.string()));
 }
 
-TEST(SuiteTraceStore, RunAllDropsStoredTracesOnceReplayed)
+TEST(SuiteTraceStore, RunAllKeepsTracesWithinTheEngineBudget)
 {
-    // With a store, runAll() keeps no trace the store holds: each
-    // capture is published, replayed (beside the next capture when
-    // there is more than one worker) and dropped, so a later
-    // materializedFor() maps the stored image — the very capture the
-    // runAll() profile came from.
-    ScratchDir scratch("mmxdsp_trace_runall_drop_test");
+    // With a store, runAll() publishes every capture and leaves each
+    // trace in the engine's trace cache, which a small corpus fits: a
+    // later materializedFor() neither loads nor executes, and replays
+    // the very capture the runAll() profile came from.
+    ScratchDir scratch("mmxdsp_trace_runall_resident_test");
     harness::BenchmarkSuite suite(
         tinyConfig(), harness::TraceOptions{true, scratch.path.string()});
     suite.runAll(4);
@@ -531,15 +537,15 @@ TEST(SuiteTraceStore, RunAllDropsStoredTracesOnceReplayed)
     const int n = static_cast<int>(pairs.size());
     EXPECT_EQ(suite.traceActivity().captured, n);
     EXPECT_EQ(suite.traceActivity().disk_hits, 0);
-    int loads = 0;
     for (const auto &[bench, version] : pairs) {
         const std::string name = bench + "." + version;
+        EXPECT_TRUE(fs::exists(entryPath(scratch, bench, version))) << name;
         const auto mat = suite.materializedFor(bench, version);
-        EXPECT_EQ(suite.traceActivity().disk_hits, ++loads) << name;
         expectSameProfile(suite.run(bench, version).profile,
                           mat->replayProfile(), name);
     }
     EXPECT_EQ(suite.traceActivity().captured, n);
+    EXPECT_EQ(suite.traceActivity().disk_hits, 0);
 }
 
 TEST(SuiteTraceStore, RunAllKeepsCapturesTheStoreCannotTake)
