@@ -76,45 +76,6 @@ makeConfigs(size_t count)
     return configs;
 }
 
-bool
-sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
-{
-    if (a.cycles != b.cycles
-        || a.dynamicInstructions != b.dynamicInstructions
-        || a.staticInstructions != b.staticInstructions || a.uops != b.uops
-        || a.memoryReferences != b.memoryReferences
-        || a.mmxInstructions != b.mmxInstructions
-        || a.mmxByCategory != b.mmxByCategory
-        || a.functionCalls != b.functionCalls
-        || a.callRetCycles != b.callRetCycles
-        || a.callOverheadCycles != b.callOverheadCycles
-        || a.opCounts != b.opCounts)
-        return false;
-    if (a.timer.pairs != b.timer.pairs
-        || a.timer.uopsIssued != b.timer.uopsIssued
-        || a.timer.memPenaltyCycles != b.timer.memPenaltyCycles
-        || a.timer.mispredictCycles != b.timer.mispredictCycles
-        || a.timer.dependStallCycles != b.timer.dependStallCycles
-        || a.timer.retireStallCycles != b.timer.retireStallCycles
-        || a.timer.blockingExtraCycles != b.timer.blockingExtraCycles)
-        return false;
-    if (a.l1.accesses != b.l1.accesses || a.l1.misses != b.l1.misses
-        || a.l2.accesses != b.l2.accesses || a.l2.misses != b.l2.misses
-        || a.btb.branches != b.btb.branches
-        || a.btb.mispredicts != b.btb.mispredicts)
-        return false;
-    if (a.functions.size() != b.functions.size())
-        return false;
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        if (it == b.functions.end() || st.calls != it->second.calls
-            || st.instructions != it->second.instructions
-            || st.cycles != it->second.cycles)
-            return false;
-    }
-    return true;
-}
-
 /** One dispatch-boundary point: sweep-only times on a resident trace. */
 struct DispatchPoint
 {
@@ -207,9 +168,8 @@ main(int argc, char **argv)
             const auto dispatched = mat.replaySweep(machines, opts.threads);
             for (size_t i = 0; i < width; ++i)
                 boundary_identical = boundary_identical
-                                     && sameResult(lanes[i], perMachine[i])
-                                     && sameResult(dispatched[i],
-                                                   perMachine[i]);
+                                     && lanes[i] == perMachine[i]
+                                     && dispatched[i] == perMachine[i];
             boundary.push_back(point);
         }
     }
@@ -281,8 +241,7 @@ main(int argc, char **argv)
                     median(p6p) * 1e9,      median(sweep) * 1e9};
         const auto golden = mat.replaySweepScalar(mixed, opts.threads);
         for (size_t i = 0; i < mixed.size(); ++i)
-            mixed_identical =
-                mixed_identical && sameResult(swept[i], golden[i]);
+            mixed_identical = mixed_identical && swept[i] == golden[i];
     }
 
     const bool identical = boundary_identical && mixed_identical;

@@ -62,21 +62,6 @@ makeGeometries()
     return geo;
 }
 
-bool
-sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
-{
-    return a.cycles == b.cycles
-           && a.dynamicInstructions == b.dynamicInstructions
-           && a.uops == b.uops && a.memoryReferences == b.memoryReferences
-           && a.opCounts == b.opCounts && a.l1.misses == b.l1.misses
-           && a.l2.misses == b.l2.misses
-           && a.btb.mispredicts == b.btb.mispredicts
-           && a.timer.pairs == b.timer.pairs
-           && a.timer.uopsIssued == b.timer.uopsIssued
-           && a.timer.retireStallCycles == b.timer.retireStallCycles
-           && a.timer.portStallCycles == b.timer.portStallCycles;
-}
-
 struct Lane
 {
     std::string variant;
@@ -186,7 +171,7 @@ main(int argc, char **argv)
             const std::vector<profile::ProfileResult> golden =
                 mat->replaySweepScalar(gate_machines, opts.threads);
             for (size_t g = 0; g < gate_lanes.size(); ++g) {
-                if (!sameResult(swept[gate_lanes[g]], golden[g])) {
+                if (swept[gate_lanes[g]] != golden[g]) {
                     std::fprintf(
                         stderr,
                         "FAIL: gemm.%s (dim %d block %d) packed sweep "

@@ -37,28 +37,6 @@ using harness::BenchmarkSuite;
 
 namespace {
 
-bool
-sameResult(const profile::ProfileResult &a, const profile::ProfileResult &b)
-{
-    if (a.cycles != b.cycles
-        || a.dynamicInstructions != b.dynamicInstructions
-        || a.staticInstructions != b.staticInstructions || a.uops != b.uops
-        || a.memoryReferences != b.memoryReferences
-        || a.mmxInstructions != b.mmxInstructions
-        || a.functionCalls != b.functionCalls
-        || a.callRetCycles != b.callRetCycles
-        || a.callOverheadCycles != b.callOverheadCycles
-        || a.opCounts != b.opCounts)
-        return false;
-    return a.timer.instructions == b.timer.instructions
-           && a.timer.pairs == b.timer.pairs
-           && a.timer.uopsIssued == b.timer.uopsIssued
-           && a.timer.retireStallCycles == b.timer.retireStallCycles
-           && a.timer.portStallCycles == b.timer.portStallCycles
-           && a.l1.misses == b.l1.misses && a.l2.misses == b.l2.misses
-           && a.btb.mispredicts == b.btb.mispredicts;
-}
-
 /** @p mat replayed event by event through a fresh VProf on @p machine. */
 profile::ProfileResult
 vprofReplay(const trace::MaterializedTrace &mat,
@@ -107,8 +85,7 @@ main(int argc, char **argv)
             std::vector<sim::MachineConfig>{p5, p6, p6p}, opts.threads);
 
         // Gate 1: the sweep's P5 entry matches the plain P5 replay.
-        if (!sameResult(swept[0],
-                        mat->replayProfile({sim::ModelKind::P5, {}}))) {
+        if (swept[0] != mat->replayProfile({sim::ModelKind::P5, {}})) {
             std::fprintf(stderr,
                          "FAIL: %s.%s cross-model sweep P5 entry diverged "
                          "from plain P5 replay\n",
@@ -117,14 +94,14 @@ main(int argc, char **argv)
         }
         // Gates 2 and 3: the sweep's P6/P6P entries match a VProf fed
         // the same trace event by event on those models.
-        if (!sameResult(swept[1], vprofReplay(*mat, p6))) {
+        if (swept[1] != vprofReplay(*mat, p6)) {
             std::fprintf(stderr,
                          "FAIL: %s.%s swept P6 entry diverged from the "
                          "VProf replay\n",
                          benchmark.c_str(), version.c_str());
             identical = false;
         }
-        if (!sameResult(swept[2], vprofReplay(*mat, p6p))) {
+        if (swept[2] != vprofReplay(*mat, p6p)) {
             std::fprintf(stderr,
                          "FAIL: %s.%s swept P6P entry diverged from the "
                          "VProf replay\n",

@@ -32,6 +32,18 @@ usage(const char *prog, int exit_code)
     std::exit(exit_code);
 }
 
+/** --name=A,B,... list flag built on parseIntList. */
+bool
+parseListFlag(const char *arg, const char *name, std::vector<int> *out)
+{
+    const size_t len = std::strlen(name);
+    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=')
+        return false;
+    return parseIntList(arg + len + 1, out);
+}
+
+} // namespace
+
 bool
 parseIntFlag(const char *arg, const char *name, int *out)
 {
@@ -45,18 +57,6 @@ parseIntFlag(const char *arg, const char *name, int *out)
     *out = static_cast<int>(v);
     return true;
 }
-
-/** --name=A,B,... list flag built on parseIntList. */
-bool
-parseListFlag(const char *arg, const char *name, std::vector<int> *out)
-{
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=')
-        return false;
-    return parseIntList(arg + len + 1, out);
-}
-
-} // namespace
 
 bool
 parseIntList(const char *text, std::vector<int> *out)
@@ -135,8 +135,6 @@ parseBenchArgs(int argc, char **argv)
         } else if (parseListFlag(arg, "--blocks", &opts.blocks)) {
         } else if (std::strcmp(arg, "--no-trace-cache") == 0) {
             opts.trace_cache = false;
-        } else if (std::strcmp(arg, "--trace-cache") == 0) {
-            opts.trace_cache = true;
         } else {
             std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
                          argv[0], arg);

@@ -61,6 +61,13 @@ struct BenchOptions
 BenchOptions parseBenchArgs(int argc, char **argv);
 
 /**
+ * Parse "@p name=N" with N a decimal integer in [0, 1<<20] into @p out.
+ * False when @p arg is another flag or N is malformed or out of range
+ * (empty, trailing characters, negative); @p out is then unchanged.
+ */
+bool parseIntFlag(const char *arg, const char *name, int *out);
+
+/**
  * Parse a comma-separated list of positive integers ("16,32,48") into
  * @p out. Rejects empty input, empty elements, non-digits, zero, and
  * values above 1<<20; on failure @p out is left unchanged. This is the

@@ -303,12 +303,15 @@ BenchmarkSuite::speedup(const std::string &benchmark)
 std::vector<std::string>
 BenchmarkSuite::benchmarksBySpeedup()
 {
-    std::vector<std::string> names{"jpeg", "g722", "radar", "fir",
-                                   "fft",  "iir",  "image", "matvec"};
-    std::sort(names.begin(), names.end(),
-              [&](const std::string &a, const std::string &b) {
-                  return speedup(a) < speedup(b);
-              });
+    std::vector<std::pair<double, std::string>> ranked;
+    for (const char *name : {"jpeg", "g722", "radar", "fir", "fft", "iir",
+                             "image", "matvec"})
+        ranked.emplace_back(speedup(name), name);
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    std::vector<std::string> names;
+    for (auto &entry : ranked)
+        names.push_back(std::move(entry.second));
     return names;
 }
 

@@ -30,6 +30,8 @@ struct BtbStats
     uint64_t mispredicts = 0;
     uint64_t missesInBtb = 0;
 
+    bool operator==(const BtbStats &) const = default;
+
     double
     mispredictRate() const
     {

@@ -58,6 +58,8 @@ struct CacheStats
      *  still reads it. */
     uint64_t writebacks = 0;
 
+    bool operator==(const CacheStats &) const = default;
+
     double
     missRate() const
     {

@@ -52,6 +52,8 @@ struct FunctionStats
     uint64_t calls = 0;
     uint64_t instructions = 0;
     uint64_t cycles = 0;
+
+    bool operator==(const FunctionStats &) const = default;
 };
 
 /** Everything VTune reported for one measured region. */
@@ -80,6 +82,9 @@ struct ProfileResult
     mem::CacheStats l1;
     mem::CacheStats l2;
     mem::BtbStats btb;
+
+    /** Bit-identical results: every count above, member by member. */
+    bool operator==(const ProfileResult &) const = default;
 
     // -- derived metrics used by the paper's tables --
     double pctMemoryReferences() const;

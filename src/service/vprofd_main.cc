@@ -21,18 +21,19 @@
  *   [btb_ways=N] [mp=CYCLES]
  *
  * Store/engine knobs: --store=DIR --budget-mb=N --scale=N --threads=N
- * --no-capture. The store keeps one image per captured pair in DIR
- * (see service/trace_store.hh).
+ * --no-capture, each N a decimal integer in [0, 1<<20] (anything else
+ * prints the usage and exits 2). The store keeps one image per captured
+ * pair in DIR (see service/trace_store.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "harness/cli.hh"
 #include "service/query_engine.hh"
 #include "service/serve.hh"
 
@@ -77,20 +78,17 @@ main(int argc, char **argv)
     service::EngineOptions opts;
     std::string batch_path, out_path;
     bool serve = false, show_stats = false;
-    int scale = 1;
+    int scale = 1, budget_mb = 0;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         const char *value = nullptr;
         if (flagValue(arg, "--store", &value))
             opts.store.root = value;
-        else if (flagValue(arg, "--budget-mb", &value))
-            opts.store.budget_bytes =
-                static_cast<uint64_t>(std::atoll(value)) << 20;
-        else if (flagValue(arg, "--scale", &value))
-            scale = std::atoi(value);
-        else if (flagValue(arg, "--threads", &value))
-            opts.threads = std::atoi(value);
+        else if (harness::parseIntFlag(arg, "--budget-mb", &budget_mb)
+                 || harness::parseIntFlag(arg, "--scale", &scale)
+                 || harness::parseIntFlag(arg, "--threads", &opts.threads))
+            continue;
         else if (std::strcmp(arg, "--no-capture") == 0)
             opts.allow_capture = false;
         else if (flagValue(arg, "--batch", &value))
@@ -106,6 +104,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    opts.store.budget_bytes = static_cast<uint64_t>(budget_mb) << 20;
     if (scale > 1)
         opts.suite.scaleDown(scale);
 

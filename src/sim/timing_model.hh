@@ -141,6 +141,8 @@ struct TimerStats
      *  only; stays 0 on the P5 and P6). */
     uint64_t portStallCycles = 0;
 
+    bool operator==(const TimerStats &) const = default;
+
     /** Fraction of instructions that shared an issue slot (paired into
      *  the V pipe on P5, joined a decode group on P6). */
     double

@@ -42,10 +42,7 @@ TEST_F(SuiteTest, AllRunsExecuteAndCache)
         const int captured = suite().traceActivity().captured;
         const RunResult again = suite().run(bench, version);
         EXPECT_EQ(suite().traceActivity().captured, captured) << r.name();
-        EXPECT_EQ(again.profile.cycles, r.profile.cycles) << r.name();
-        EXPECT_EQ(again.profile.dynamicInstructions,
-                  r.profile.dynamicInstructions)
-            << r.name();
+        EXPECT_TRUE(again.profile == r.profile) << r.name();
     }
 }
 
@@ -148,6 +145,22 @@ TEST(BenchCli, ParseIntListRejectsMalformedInputWithoutTouchingOutput)
     std::vector<int> out{99};
     EXPECT_FALSE(parseIntList(nullptr, &out));
     EXPECT_EQ(out, (std::vector<int>{99}));
+}
+
+TEST(BenchCli, ParseIntFlagTakesOnlyAWholeInRangeValue)
+{
+    int out = 99;
+    EXPECT_TRUE(parseIntFlag("--scale=8", "--scale", &out));
+    EXPECT_EQ(out, 8);
+    EXPECT_TRUE(parseIntFlag("--threads=0", "--threads", &out));
+    EXPECT_EQ(out, 0);
+    out = 99;
+    for (const char *bad : {"--scale=8x", "--scale=abc", "--scale=-7",
+                            "--scale=", "--scale", "--scales=8",
+                            "--scale=2000000"}) {
+        EXPECT_FALSE(parseIntFlag(bad, "--scale", &out)) << bad;
+        EXPECT_EQ(out, 99) << bad;
+    }
 }
 
 TEST(PaperData, TablesAreCompleteAndConsistent)

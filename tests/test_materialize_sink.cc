@@ -223,9 +223,7 @@ TEST(MaterializeSink, DirectImageFuzzedCorruptionNeverReplaysWrongNumbers)
             ++rejected;
             continue;
         }
-        const profile::ProfileResult got = mat.replayProfile();
-        ASSERT_EQ(got.cycles, expect.cycles) << "byte " << pos;
-        ASSERT_EQ(got.dynamicInstructions, expect.dynamicInstructions);
+        ASSERT_TRUE(mat.replayProfile() == expect) << "byte " << pos;
     }
     EXPECT_GT(rejected, 150);
 }

@@ -95,7 +95,7 @@ TEST(TraceStoreTest, StoreThenLoadRoundTrips)
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->instrCount(), mat.instrCount());
     EXPECT_EQ(loaded->configHash(), 0x1234u);
-    EXPECT_EQ(loaded->replayProfile().cycles, mat.replayProfile().cycles);
+    expectSameProfile(loaded->replayProfile(), mat.replayProfile(), "loaded");
 
     const service::StoreStats stats = store.stats();
     EXPECT_EQ(stats.stores, 1u);
@@ -161,8 +161,8 @@ TEST(TraceStoreTest, CorruptEntryIsQuarantinedAndSurvivesRewrite)
     ASSERT_TRUE(store.store("synth", "c", 0xbeef, mat));
     auto reloaded = store.load("synth", "c", 0xbeef);
     ASSERT_NE(reloaded, nullptr);
-    EXPECT_EQ(reloaded->replayProfile().cycles,
-              mat.replayProfile().cycles);
+    expectSameProfile(reloaded->replayProfile(), mat.replayProfile(),
+                      "reloaded");
     EXPECT_EQ(filesContaining(scratch.path, "/quarantine/"), quarantined);
 
     // Quarantined files are out of the corpus accounting.
@@ -287,11 +287,11 @@ TEST(TraceStoreTest, ReaderSurvivesConcurrentEviction)
     service::TraceStore store(opts);
 
     const int kKeys = 4;
-    std::vector<uint64_t> expect_cycles;
+    std::vector<profile::ProfileResult> expect;
     trace::MaterializedTrace mats[kKeys];
     for (int i = 0; i < kKeys; ++i) {
         mats[i] = syntheticTrace(200 + i, static_cast<uint64_t>(i), 1500);
-        expect_cycles.push_back(mats[i].replayProfile().cycles);
+        expect.push_back(mats[i].replayProfile());
     }
 
     std::atomic<bool> stop{false};
@@ -327,8 +327,8 @@ TEST(TraceStoreTest, ReaderSurvivesConcurrentEviction)
                     continue; // evicted between publish and load: fine
                 // The mapping must stay valid even if the file is
                 // unlinked while we replay.
-                EXPECT_EQ(mat->replayProfile().cycles,
-                          expect_cycles[static_cast<size_t>(key)]);
+                EXPECT_TRUE(mat->replayProfile()
+                            == expect[static_cast<size_t>(key)]);
                 ++mine;
                 ++served;
             }
@@ -362,7 +362,7 @@ TEST(TraceStoreTest, ConcurrentSameKeyWritersLeaveOneValidEntry)
     EXPECT_TRUE(filesContaining(scratch.path, ".tmp.").empty());
     auto loaded = store.load("synth", "c", 0xabc);
     ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(loaded->replayProfile().cycles, mat.replayProfile().cycles);
+    expectSameProfile(loaded->replayProfile(), mat.replayProfile(), "loaded");
 }
 
 // ---------------- QueryEngine ----------------
@@ -420,7 +420,7 @@ TEST(QueryEngineTest, RepeatQueryIsServedFromResultCache)
     ASSERT_TRUE(again.ok);
     EXPECT_TRUE(again.from_result_cache);
     EXPECT_FALSE(again.trace_captured);
-    EXPECT_EQ(again.profile.cycles, first.profile.cycles);
+    EXPECT_TRUE(again.profile == first.profile);
     EXPECT_EQ(engine.stats().result_hits, 1u);
 
     // A different machine on the same trace replays, not re-captures.
@@ -460,7 +460,7 @@ TEST(QueryEngineTest, ExplicitDefaultPenaltyIsAResultCacheHit)
         ASSERT_TRUE(again.ok) << again.error;
         EXPECT_TRUE(again.from_result_cache) << model;
         EXPECT_EQ(engine.stats().replays, replays) << model;
-        EXPECT_EQ(again.profile.cycles, first.profile.cycles) << model;
+        EXPECT_TRUE(again.profile == first.profile) << model;
     }
 }
 
@@ -487,23 +487,15 @@ TEST(QueryEngineTest, BatchMatchesStoreReplayExactly)
     ASSERT_EQ(results.size(), queries.size());
     for (const auto &r : results)
         ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(results[4].profile.cycles, results[0].profile.cycles);
+    expectSameProfile(results[4].profile, results[0].profile, "duplicate");
 
     // Independent scalar oracle over the same stored trace.
     service::TraceStore oracle(opts.store);
     auto mat = oracle.load("fir", "mmx", opts.suite.hash());
     ASSERT_NE(mat, nullptr);
-    for (size_t i = 0; i < machines.size(); ++i) {
-        const profile::ProfileResult expect =
-            mat->replayProfile(machines[i]);
-        EXPECT_EQ(results[i].profile.cycles, expect.cycles) << i;
-        EXPECT_EQ(results[i].profile.timer.memPenaltyCycles,
-                  expect.timer.memPenaltyCycles)
-            << i;
-        EXPECT_EQ(results[i].profile.btb.mispredicts,
-                  expect.btb.mispredicts)
-            << i;
-    }
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectSameProfile(results[i].profile, mat->replayProfile(machines[i]),
+                          "machine " + std::to_string(i));
 }
 
 TEST(QueryEngineTest, ColdRestartServesWithoutCapture)
@@ -857,11 +849,11 @@ TEST(QueryEngineTest, P6AndP6PNeverAliasInTheResultCache)
     const auto p6_again = engine.query(p6);
     ASSERT_TRUE(p6_again.ok);
     EXPECT_TRUE(p6_again.from_result_cache);
-    EXPECT_EQ(p6_again.profile.cycles, first.profile.cycles);
+    EXPECT_TRUE(p6_again.profile == first.profile);
     const auto p6p_again = engine.query(p6p);
     ASSERT_TRUE(p6p_again.ok);
     EXPECT_TRUE(p6p_again.from_result_cache);
-    EXPECT_EQ(p6p_again.profile.cycles, second.profile.cycles);
+    EXPECT_TRUE(p6p_again.profile == second.profile);
     EXPECT_EQ(engine.stats().result_hits, 2u);
 
     // Both models in one batch stay distinct as well.
@@ -869,36 +861,8 @@ TEST(QueryEngineTest, P6AndP6PNeverAliasInTheResultCache)
     ASSERT_EQ(batch.size(), 2u);
     ASSERT_TRUE(batch[0].ok);
     ASSERT_TRUE(batch[1].ok);
-    EXPECT_EQ(batch[0].profile.cycles, first.profile.cycles);
-    EXPECT_EQ(batch[1].profile.cycles, second.profile.cycles);
-}
-
-/** Every ProfileResult field a served answer must reproduce. */
-void
-expectSameServed(const profile::ProfileResult &a,
-                 const profile::ProfileResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
-    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
-    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
-    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
-    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
-    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
-    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
-    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
-    EXPECT_EQ(a.timer.portStallCycles, b.timer.portStallCycles);
-    EXPECT_EQ(a.l1.accesses, b.l1.accesses);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        ASSERT_NE(it, b.functions.end()) << name;
-        EXPECT_EQ(st.cycles, it->second.cycles) << name;
-    }
+    EXPECT_TRUE(batch[0].profile == first.profile);
+    EXPECT_TRUE(batch[1].profile == second.profile);
 }
 
 TEST(QueryEngineTest, PenaltyAndModelMissesReplayTheGeometryMemos)
@@ -945,8 +909,8 @@ TEST(QueryEngineTest, PenaltyAndModelMissesReplayTheGeometryMemos)
     for (const service::QueryResult &r : served) {
         ASSERT_TRUE(r.ok) << r.error;
         EXPECT_FALSE(r.from_result_cache);
-        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
-                         sim::modelName(r.query.machine.model));
+        expectSameProfile(r.profile, mat->replayProfile(r.query.machine),
+                          sim::modelName(r.query.machine.model));
     }
 }
 
@@ -998,8 +962,8 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
     for (const service::QueryResult &r : served) {
         ASSERT_TRUE(r.ok) << r.error;
         EXPECT_EQ(r.from_result_cache, &r == &served[2]);
-        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
-                         sim::modelName(r.query.machine.model));
+        expectSameProfile(r.profile, mat->replayProfile(r.query.machine),
+                          sim::modelName(r.query.machine.model));
     }
 }
 
@@ -1033,12 +997,12 @@ TEST(QueryEngineTest, OverBoundMispredictPenaltyIsAnsweredBesideLanes)
     ASSERT_NE(mat, nullptr);
     for (const service::QueryResult &r : served) {
         ASSERT_TRUE(r.ok) << r.error;
-        expectSameServed(r.profile, mat->replayProfile(r.query.machine),
-                         std::string(sim::modelName(r.query.machine.model))
-                             + " mp="
-                             + std::to_string(sim::mispredictPenalty(
-                                 r.query.machine.model,
-                                 r.query.machine.timer)));
+        expectSameProfile(r.profile, mat->replayProfile(r.query.machine),
+                          std::string(sim::modelName(r.query.machine.model))
+                              + " mp="
+                              + std::to_string(sim::mispredictPenalty(
+                                  r.query.machine.model,
+                                  r.query.machine.timer)));
     }
 }
 
@@ -1098,8 +1062,9 @@ TEST(QueryEngineTest, MemosCountAgainstTheTraceBudgetAndLeaveWithTheirTrace)
         ASSERT_TRUE(r.ok);
         EXPECT_EQ(engine.stats().memo_hits, 0u);
         EXPECT_EQ(engine.stats().store_loads, 1u);
-        expectSameServed(r.profile, firTrace->replayProfile(r.query.machine),
-                         "over-budget memos");
+        expectSameProfile(r.profile,
+                          firTrace->replayProfile(r.query.machine),
+                          "over-budget memos");
     }
 }
 

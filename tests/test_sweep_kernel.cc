@@ -36,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -48,6 +47,7 @@
 #include "support/rng.hh"
 #include "trace/materialize.hh"
 #include "trace/materialize_sink.hh"
+#include "trace_test_util.hh"
 
 namespace mmxdsp {
 namespace trace {
@@ -63,69 +63,7 @@ PrintTo(LaneIsa isa, std::ostream *os)
 
 namespace {
 
-namespace fs = std::filesystem;
-
-/** Fresh scratch directory, removed on destruction. */
-struct ScratchDir
-{
-    fs::path path;
-
-    explicit ScratchDir(const char *name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-    }
-    ~ScratchDir() { fs::remove_all(path); }
-};
-
-harness::SuiteConfig
-tinyConfig()
-{
-    harness::SuiteConfig config;
-    config.scaleDown(16);
-    return config;
-}
-
-void
-expectSameProfile(const profile::ProfileResult &a,
-                  const profile::ProfileResult &b, const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dynamicInstructions, b.dynamicInstructions);
-    EXPECT_EQ(a.staticInstructions, b.staticInstructions);
-    EXPECT_EQ(a.uops, b.uops);
-    EXPECT_EQ(a.memoryReferences, b.memoryReferences);
-    EXPECT_EQ(a.mmxInstructions, b.mmxInstructions);
-    EXPECT_EQ(a.functionCalls, b.functionCalls);
-    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
-    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
-    EXPECT_EQ(a.timer.instructions, b.timer.instructions);
-    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
-    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
-    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
-    EXPECT_EQ(a.timer.portStallCycles, b.timer.portStallCycles);
-    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
-    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
-    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
-    EXPECT_EQ(a.timer.blockingExtraCycles, b.timer.blockingExtraCycles);
-    EXPECT_EQ(a.l1.accesses, b.l1.accesses);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l1.evictions, b.l1.evictions);
-    EXPECT_EQ(a.l2.accesses, b.l2.accesses);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.btb.branches, b.btb.branches);
-    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
-    EXPECT_EQ(a.btb.missesInBtb, b.btb.missesInBtb);
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        ASSERT_NE(it, b.functions.end()) << name;
-        EXPECT_EQ(st.calls, it->second.calls) << name;
-        EXPECT_EQ(st.instructions, it->second.instructions) << name;
-        EXPECT_EQ(st.cycles, it->second.cycles) << name;
-    }
-}
+using namespace testutil;
 
 /** One materialized trace to sweep against, captured once per suite. */
 std::shared_ptr<const trace::MaterializedTrace>

@@ -4,7 +4,7 @@
  * byte-wise FNV-1a digest, scratch directories, a small suite config,
  * random event streams captured through trace::MaterializeSink, every
  * registry pair captured next to its live profiles, a recording sink,
- * and field-by-field ProfileResult comparison.
+ * and the gtest check that two ProfileResults are bit-identical.
  */
 
 #ifndef MMXDSP_TESTS_TRACE_TEST_UTIL_HH
@@ -224,48 +224,21 @@ expectSameStream(const RecordingSink &got, const RecordingSink &want)
     EXPECT_EQ(got.leaves, want.leaves);
 }
 
-/** Expect every field of two profiles to match exactly. */
+/**
+ * Expect two profiles to be bit-identical: ProfileResult::operator==
+ * decides; the message only names the parts that differ.
+ */
 inline void
 expectSameProfile(const profile::ProfileResult &a,
                   const profile::ProfileResult &b, const std::string &what)
 {
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.dynamicInstructions, b.dynamicInstructions);
-    EXPECT_EQ(a.staticInstructions, b.staticInstructions);
-    EXPECT_EQ(a.uops, b.uops);
-    EXPECT_EQ(a.memoryReferences, b.memoryReferences);
-    EXPECT_EQ(a.mmxInstructions, b.mmxInstructions);
-    EXPECT_EQ(a.mmxByCategory, b.mmxByCategory);
-    EXPECT_EQ(a.functionCalls, b.functionCalls);
-    EXPECT_EQ(a.callRetCycles, b.callRetCycles);
-    EXPECT_EQ(a.callOverheadCycles, b.callOverheadCycles);
-    EXPECT_EQ(a.opCounts, b.opCounts);
-    EXPECT_EQ(a.timer.instructions, b.timer.instructions);
-    EXPECT_EQ(a.timer.pairs, b.timer.pairs);
-    EXPECT_EQ(a.timer.memPenaltyCycles, b.timer.memPenaltyCycles);
-    EXPECT_EQ(a.timer.mispredictCycles, b.timer.mispredictCycles);
-    EXPECT_EQ(a.timer.dependStallCycles, b.timer.dependStallCycles);
-    EXPECT_EQ(a.timer.blockingExtraCycles, b.timer.blockingExtraCycles);
-    EXPECT_EQ(a.timer.uopsIssued, b.timer.uopsIssued);
-    EXPECT_EQ(a.timer.retireStallCycles, b.timer.retireStallCycles);
-    EXPECT_EQ(a.timer.portStallCycles, b.timer.portStallCycles);
-    for (const auto &[x, y] : {std::pair{&a.l1, &b.l1}, {&a.l2, &b.l2}}) {
-        EXPECT_EQ(x->accesses, y->accesses);
-        EXPECT_EQ(x->misses, y->misses);
-        EXPECT_EQ(x->evictions, y->evictions);
-    }
-    EXPECT_EQ(a.btb.branches, b.btb.branches);
-    EXPECT_EQ(a.btb.mispredicts, b.btb.mispredicts);
-    EXPECT_EQ(a.btb.missesInBtb, b.btb.missesInBtb);
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (const auto &[name, st] : a.functions) {
-        auto it = b.functions.find(name);
-        ASSERT_NE(it, b.functions.end()) << name;
-        EXPECT_EQ(st.calls, it->second.calls) << name;
-        EXPECT_EQ(st.instructions, it->second.instructions) << name;
-        EXPECT_EQ(st.cycles, it->second.cycles) << name;
-    }
+    EXPECT_TRUE(a == b)
+        << what << ": cycles " << a.cycles << " vs " << b.cycles
+        << (a.timer == b.timer ? "" : "; timer stats differ")
+        << (a.l1 == b.l1 && a.l2 == b.l2 ? "" : "; cache stats differ")
+        << (a.btb == b.btb ? "" : "; BTB stats differ")
+        << (a.opCounts == b.opCounts ? "" : "; op counts differ")
+        << (a.functions == b.functions ? "" : "; function stats differ");
 }
 
 } // namespace mmxdsp::testutil
