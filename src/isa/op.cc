@@ -25,7 +25,7 @@ idx(Op op)
  * Manual for the Pentium with MMX (P55C), with the values the paper
  * itself quotes taking precedence (imul = 10 cycles, emms up to 50).
  * Micro-op counts follow the Pentium II decode rules for the reg-reg
- * form; memory forms are adjusted by the UopCounter.
+ * form; the decode rules behind sim::descTable() adjust memory forms.
  */
 std::array<OpInfo, kNumOps>
 makeTable()

@@ -78,11 +78,13 @@ TraceDump::format(const InstrEvent &event, int depth)
 }
 
 void
-TraceDump::onInstr(const InstrEvent &event)
+TraceDump::onInstrBatch(std::span<const InstrEvent> events)
 {
-    ++total_;
-    if (lines_.size() < maxLines_)
-        lines_.push_back(format(event, depth_));
+    for (const InstrEvent &event : events) {
+        ++total_;
+        if (lines_.size() < maxLines_)
+            lines_.push_back(format(event, depth_));
+    }
 }
 
 void

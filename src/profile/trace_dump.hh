@@ -33,7 +33,7 @@ class TraceDump : public sim::TraceSink
     /** @param max_lines cap on retained lines (default 64k). */
     explicit TraceDump(size_t max_lines = 65536);
 
-    void onInstr(const isa::InstrEvent &event) override;
+    void onInstrBatch(std::span<const isa::InstrEvent> events) override;
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
 

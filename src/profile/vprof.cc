@@ -83,48 +83,37 @@ VProf::VProf(const sim::MachineConfig &machine)
 }
 
 void
-VProf::account(const InstrEvent &event)
-{
-    const size_t op_idx = static_cast<size_t>(event.op);
-    const sim::UopDesc &desc = sim::uopDesc(event);
-    const uint64_t cost = timer_->consume(event);
-
-    ++dynamicInstructions_;
-    uops_ += desc.uops;
-    memoryReferences_ += event.mem != MemMode::None;
-
-    ++opCounts_[op_idx];
-    opCycles_[op_idx] += cost;
-
-    if (const isa::MmxCategory cat = isa::opInfo(event.op).mmx;
-        cat != isa::MmxCategory::None)
-        ++mmxByCategory_[static_cast<size_t>(cat)];
-
-    SiteStats &site = siteStats_[event.site];
-    ++site.instructions;
-    site.cycles += cost;
-
-    FunctionStats &fstats = fnStats_[currentFn_];
-    ++fstats.instructions;
-    fstats.cycles += cost;
-
-    if (desc.flags & sim::kDescCallRet)
-        callRetCycles_ += cost;
-    if (desc.flags & sim::kDescOverhead)
-        callOverheadCycles_ += cost;
-}
-
-void
-VProf::onInstr(const InstrEvent &event)
-{
-    account(event);
-}
-
-void
 VProf::onInstrBatch(std::span<const InstrEvent> events)
 {
-    for (const InstrEvent &event : events)
-        account(event);
+    for (const InstrEvent &event : events) {
+        const size_t op_idx = static_cast<size_t>(event.op);
+        const sim::UopDesc &desc = sim::uopDesc(event);
+        const uint64_t cost = timer_->consume(event);
+
+        ++dynamicInstructions_;
+        uops_ += desc.uops;
+        memoryReferences_ += event.mem != MemMode::None;
+
+        ++opCounts_[op_idx];
+        opCycles_[op_idx] += cost;
+
+        if (const isa::MmxCategory cat = isa::opInfo(event.op).mmx;
+            cat != isa::MmxCategory::None)
+            ++mmxByCategory_[static_cast<size_t>(cat)];
+
+        SiteStats &site = siteStats_[event.site];
+        ++site.instructions;
+        site.cycles += cost;
+
+        FunctionStats &fstats = fnStats_[currentFn_];
+        ++fstats.instructions;
+        fstats.cycles += cost;
+
+        if (desc.flags & sim::kDescCallRet)
+            callRetCycles_ += cost;
+        if (desc.flags & sim::kDescOverhead)
+            callOverheadCycles_ += cost;
+    }
 }
 
 uint32_t

@@ -111,7 +111,6 @@ class VProf : public sim::TraceSink
     /** Profile on the machine @p machine selects (P5 or P6). */
     explicit VProf(const sim::MachineConfig &machine);
 
-    void onInstr(const isa::InstrEvent &event) override;
     void onInstrBatch(std::span<const isa::InstrEvent> events) override;
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
@@ -155,9 +154,6 @@ class VProf : public sim::TraceSink
     const sim::TimingModel &timer() const { return *timer_; }
 
   private:
-    /** The per-event accounting body shared by onInstr/onInstrBatch. */
-    void account(const isa::InstrEvent &event);
-
     /** Id for @p name, interning it on first sight (0 = measured root). */
     uint32_t internFunction(const char *name);
 

@@ -156,12 +156,6 @@ TraceStore::totalBytes() const
     return usage().bytes;
 }
 
-uint64_t
-TraceStore::entryCount() const
-{
-    return usage().entries;
-}
-
 StoreUsage
 TraceStore::usage() const
 {

@@ -100,9 +100,6 @@ class TraceStore
     /** Total bytes of live entries. */
     uint64_t totalBytes() const;
 
-    /** Number of live entries. */
-    uint64_t entryCount() const;
-
     /** Live entries, their bytes and the quarantined files, together. */
     StoreUsage usage() const;
 

@@ -17,35 +17,25 @@
 
 namespace mmxdsp::sim {
 
-/** Receives one callback per executed instruction. */
+/** Receives the executed instructions in program order, in blocks. */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
 
-    /** Called in program order for every executed instruction. */
-    virtual void onInstr(const isa::InstrEvent &event) = 0;
-
     /**
      * Called with a block of consecutive instructions in program order.
-     * Batch-aware producers — trace::MaterializedTrace replay and the
-     * runtime's live capture (runtime::Cpu buffers kEmitBatch events
-     * and flushes here) — deliver events in cache-friendly blocks so a
-     * sink pays one virtual dispatch per block instead of one per
-     * instruction; sinks that care override this with a tight loop.
-     * The default forwards to onInstr() so every existing sink keeps
-     * working unchanged. Producers always flush before
-     * onEnterFunction/onLeaveFunction, so batching never moves an
-     * event across a function marker: the concatenation of batches,
+     * Both producers — the runtime's live capture (runtime::Cpu buffers
+     * kEmitBatch events and flushes here) and trace::MaterializedTrace
+     * replay — deliver events in cache-friendly blocks, so a sink pays
+     * one virtual dispatch per block instead of one per instruction.
+     * A block may hold any number of events, one included. Producers
+     * always flush before onEnterFunction/onLeaveFunction, so a block
+     * never spans a function marker: the concatenation of blocks,
      * interleaved with the markers, is exactly the program-order
      * per-instruction stream.
      */
-    virtual void
-    onInstrBatch(std::span<const isa::InstrEvent> events)
-    {
-        for (const isa::InstrEvent &event : events)
-            onInstr(event);
-    }
+    virtual void onInstrBatch(std::span<const isa::InstrEvent> events) = 0;
 
     /** Called when the runtime enters a named function (after `call`). */
     virtual void onEnterFunction(const char *name) { (void)name; }
@@ -66,15 +56,6 @@ class TeeSink final : public TraceSink
     TeeSink(TraceSink *first, TraceSink *second)
         : first_(first), second_(second)
     {
-    }
-
-    void
-    onInstr(const isa::InstrEvent &event) override
-    {
-        if (first_)
-            first_->onInstr(event);
-        if (second_)
-            second_->onInstr(event);
     }
 
     void

@@ -29,16 +29,10 @@
 namespace mmxdsp::trace {
 
 bool
-isV2Image(const uint8_t *data, size_t size)
-{
-    return size >= 4 && std::memcmp(data, kMagicV2, 4) == 0;
-}
-
-bool
 isStaleV2Image(const uint8_t *data, size_t size)
 {
     uint32_t version;
-    if (!isV2Image(data, size) || size < 8)
+    if (size < 8 || std::memcmp(data, kMagicV2, 4) != 0)
         return false;
     std::memcpy(&version, data + 4, sizeof(version));
     return version != kFormatVersionV2;
@@ -63,36 +57,6 @@ fnv1aWords(const uint8_t *data, size_t size, uint64_t seed)
         hash = (hash ^ word) * kPrime;
     }
     return hash;
-}
-
-void
-Fnv1aStream::update(const void *data, size_t size)
-{
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    if (npending) {
-        // Top up the partial word from the previous update first.
-        while (npending < 8 && size) {
-            pending |= static_cast<uint64_t>(*p++) << (8 * npending);
-            ++npending;
-            --size;
-        }
-        if (npending < 8)
-            return;
-        hash = (hash ^ pending) * kPrime;
-        pending = 0;
-        npending = 0;
-    }
-    size_t i = 0;
-    for (; i + 8 <= size; i += 8) {
-        uint64_t word;
-        std::memcpy(&word, p + i, 8);
-        hash = (hash ^ word) * kPrime;
-    }
-    for (; i < size; ++i) {
-        pending |= static_cast<uint64_t>(p[i]) << (8 * npending);
-        ++npending;
-    }
 }
 
 // ---------------------------------------------------------------- MmapFile
@@ -216,10 +180,7 @@ MaterializedTrace::layoutV2() const
     static_assert(kNumSections + 1 == kV2SectionIds);
 
     // Lay out the section table, then every section 64-byte aligned.
-    // The table sections reuse the checksums every trace carries
-    // (folded at capture by MaterializeSink, or verified on a load);
-    // only the small Meta blob — assembled just above — is hashed
-    // here.
+    // This is the one place an image's section checksums are computed.
     std::vector<V2Section> &table = layout.table;
     table.resize(kNumSections);
     size_t offset = sizeof(V2Header) + kNumSections * sizeof(V2Section);
@@ -229,10 +190,7 @@ MaterializedTrace::layoutV2() const
         table[i].reserved = 0;
         table[i].offset = offset;
         table[i].length = sections[i].length;
-        table[i].checksum =
-            sections[i].id != V2SectionId::Meta
-                ? sectionChecksums_[static_cast<size_t>(sections[i].id)]
-                : fnv1aWords(sections[i].bytes, sections[i].length);
+        table[i].checksum = fnv1aWords(sections[i].bytes, sections[i].length);
         offset += sections[i].length;
         layout.bytes.push_back(sections[i].bytes);
     }
@@ -335,10 +293,6 @@ MaterializedTrace::adoptV2(const uint8_t *data, size_t size,
             return false;
         found[sec.id] = data + sec.offset;
         lengths[sec.id] = static_cast<size_t>(sec.length);
-        // Each checksum was just verified against the bytes, so carry
-        // it forward: a re-serialize of this trace can then skip
-        // re-hashing the big sections.
-        sectionChecksums_[sec.id] = sec.checksum;
     }
     for (uint32_t id = 1; id < kV2SectionIds; ++id)
         if (!found[id])

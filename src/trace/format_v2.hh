@@ -44,6 +44,11 @@
  * per-entry timing facts, so an edit to the op or micro-op tables
  * takes effect without invalidating images.
  *
+ * Checksums have one owner on each side: the writer
+ * (MaterializedTrace::serializeV2() and writeV2File(), through one
+ * layout step) hashes every section as it lays the image out, and a
+ * load verifies them; capture computes none.
+ *
  * mmap() returns page-aligned memory and every section offset is
  * 64-byte aligned, so each array is naturally aligned for its element
  * type. Integrity: a load validates magic, version, the table checksum
@@ -123,41 +128,13 @@ static_assert(sizeof(V2Section) == 32);
  * consumed as little-endian 64-bit words, each folded with the classic
  * FNV-1a step (xor, multiply by the 64-bit FNV prime); a trailing
  * partial word is zero-padded to 8 bytes. One multiply per 8 bytes
- * keeps the hash cheap enough to compute while capture blocks are
- * still cache-hot, and every fold step is a bijection of the running
- * state, so any single-word difference is guaranteed to change the
- * result.
+ * keeps the hash cheap enough that the writer hashes every section
+ * when it lays out an image and a load re-hashes every section it
+ * maps, and every fold step is a bijection of the running state, so
+ * any single-word difference is guaranteed to change the result.
  */
 uint64_t fnv1aWords(const uint8_t *data, size_t size,
                     uint64_t seed = 0xcbf29ce484222325ull);
-
-/**
- * Incremental fnv1aWords: feed a section's bytes in arbitrary-sized
- * chunks as they are produced and read the running checksum at the
- * end. digest() over the concatenation of all update()s equals
- * fnv1aWords over the whole buffer. This is what lets a capture sink
- * checksum sections block by block instead of re-reading gigabytes at
- * serialize time.
- */
-struct Fnv1aStream
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    uint64_t pending = 0;  ///< partial trailing word, little-endian
-    uint32_t npending = 0; ///< bytes of @c pending filled so far
-
-    void update(const void *data, size_t size);
-
-    /** The checksum of everything fed so far (zero-pads the tail). */
-    uint64_t
-    digest() const
-    {
-        constexpr uint64_t kPrime = 0x100000001b3ull;
-        return npending ? (hash ^ pending) * kPrime : hash;
-    }
-};
-
-/** True when @p data starts with the v2 magic. */
-bool isV2Image(const uint8_t *data, size_t size);
 
 /** True when @p data is a trace image of another format version: a
  *  store entry a format change left behind, not a corrupt one. */

@@ -37,12 +37,12 @@
  * shared by any number of replay threads.
  *
  * Its on-disk form is the trace image (format_v2.hh), whose layout is
- * exactly these tables: serializeV2() writes it, and loadV2File() maps
- * it back so the records alias the mapped file (zero copy, no
- * per-event decode; the per-static-entry timing facts, the
- * function-run list and the tallies are derived from the tables, so
- * the image stores only what capture observed). Memory use is
- * about 8 bytes per event. service::TraceStore keeps these images for
+ * exactly these tables: serializeV2() writes it, hashing every section
+ * as it lays the image out, and loadV2File() maps it back so the
+ * records alias the mapped file (zero copy, no per-event decode; the
+ * per-static-entry timing facts, the function-run list and the
+ * tallies are derived from the tables, so the image stores only what
+ * capture observed). Memory use is about 8 bytes per event. service::TraceStore keeps these images for
  * the bench harness and vprofd alike.
  */
 
@@ -61,7 +61,6 @@
 #include "sim/pentium_timer.hh"
 #include "sim/timing_model.hh"
 #include "sim/trace_sink.hh"
-#include "trace/format_v2.hh"
 
 namespace mmxdsp::trace {
 
@@ -226,8 +225,9 @@ class MaterializedTrace
 
     /**
      * The complete image of this trace (header + section table + the
-     * trace tables; see format_v2.hh). Deterministic: the
-     * same trace always serializes byte for byte identically.
+     * trace tables; see format_v2.hh), with every section checksum
+     * computed over the tables here. Deterministic: the same trace
+     * always serializes byte for byte identically.
      */
     std::vector<uint8_t> serializeV2() const;
 
@@ -465,18 +465,6 @@ class MaterializedTrace
      *  events, ascending. */
     std::vector<uint32_t>
     executedSites(const std::vector<uint64_t> &sidCounts) const;
-
-    /**
-     * Per-section FNV-1a checksums carried alongside the tables,
-     * indexed by V2SectionId (format_v2.hh): the record and address
-     * sections are folded incrementally by MaterializeSink as capture
-     * blocks land, the small tables hashed at finish(), and all of
-     * them harvested from the validated table on the load path, so
-     * serializeV2() never re-hashes the O(instrCount) sections. The
-     * Meta section is always hashed at serialize time (it is
-     * assembled there).
-     */
-    std::array<uint64_t, kV2SectionIds> sectionChecksums_{};
 
     std::vector<std::string> fnNames_;
 

@@ -5,7 +5,6 @@
 
 #include "runtime/cpu.hh"
 #include "support/logging.hh"
-#include "trace/format_v2.hh"
 
 namespace mmxdsp::trace {
 
@@ -32,44 +31,35 @@ MaterializeSink::MaterializeSink(std::string benchmark, std::string version,
     // Index 0 is the measured root. It is deliberately not interned
     // into fnIds_: an explicit enter of the same name gets its own id.
     fnNames_.emplace_back(profile::rootFunctionName());
-}
-
-void
-MaterializeSink::onInstr(const InstrEvent &e)
-{
-    // A chunk of one: Fnv1aStream folds chunks of any size, so the
-    // image is the same as a batched capture's.
-    appendChunk(std::span<const InstrEvent>(&e, 1));
+    lastSid_.fill(kNoSid);
 }
 
 void
 MaterializeSink::onInstrBatch(std::span<const InstrEvent> events)
 {
-    // Producer batches are at most kBlockEvents today (the runtime's
-    // emit buffer), but chunking here keeps any larger span correct.
-    while (events.size() > kBlockEvents) {
-        appendChunk(events.first(kBlockEvents));
-        events = events.subspan(kBlockEvents);
-    }
-    if (!events.empty())
-        appendChunk(events);
-}
+    // Aggressive (x8) growth with a 1M-entry floor: a multi-million-
+    // event capture pays at most one small realloc copy instead of the
+    // default doubling's full-buffer copy cascade, and the
+    // over-reserved tail is never touched, so it costs address space,
+    // not resident pages. Reserving the whole span up front (the
+    // address column by its bound) keeps the loop's appends from ever
+    // reallocating.
+    const auto grow = [](auto &v, size_t add) {
+        if (v.size() + add > v.capacity())
+            v.reserve(std::max({v.capacity() * 8, size_t{1} << 20,
+                                v.size() + add}));
+    };
+    grow(ops_, events.size());
+    grow(addrLo_, events.size());
 
-void
-MaterializeSink::appendChunk(std::span<const InstrEvent> events)
-{
-    const size_t m = events.size();
-    Block &b = block_;
-    b.mem = 0;
-    for (size_t i = 0; i < m; ++i) {
-        const InstrEvent &e = events[i];
+    for (const InstrEvent &e : events) {
         // The static entry: a site almost always repeats its last
         // tuple, so one compare against the site's last entry settles
         // nearly every event.
         const StaticInstr st{e.site, static_cast<uint16_t>(e.op),
                              static_cast<uint8_t>(e.mem), e.size};
         const uint64_t key = keyOf(st);
-        uint32_t sid = e.site < lastSid_.size() ? lastSid_[e.site] : kNoSid;
+        uint32_t &sid = lastSid_[e.site % kSiteSlots];
         if (sid == kNoSid || keyOf(statics_[sid]) != key)
             sid = internStatic(st, key);
         ++sidCounts_[sid];
@@ -82,32 +72,12 @@ MaterializeSink::appendChunk(std::span<const InstrEvent> events)
                 regionHi_ = hi;
             }
             ev |= static_cast<uint8_t>(region_ << 1);
-            b.addr[b.mem++] = static_cast<uint32_t>(e.addr);
+            addrLo_.push_back(static_cast<uint32_t>(e.addr));
         }
-        b.ops[i] = {static_cast<uint16_t>(sid), e.src0, e.src1, e.dst, ev};
+        ops_.push_back(
+            {static_cast<uint16_t>(sid), e.src0, e.src1, e.dst, ev});
     }
-
-    // Fold the running section checksums over the block while it is
-    // still L1-resident — by the time finish() or serializeV2() runs,
-    // these bytes would be cold.
-    opsSum_.update(b.ops, m * sizeof(PackedOp));
-    addrSum_.update(b.addr, b.mem * sizeof(uint32_t));
-
-    // Aggressive (x8) growth with a 1M-entry floor: a multi-million-
-    // event capture pays at most one small realloc copy instead of the
-    // default doubling's full-buffer copy cascade, and the
-    // over-reserved tail is never touched, so it costs address space,
-    // not resident pages.
-    const auto grow = [](auto &v, size_t add) {
-        if (v.size() + add > v.capacity())
-            v.reserve(std::max({v.capacity() * 8, size_t{1} << 20,
-                                v.size() + add}));
-    };
-    grow(ops_, m);
-    grow(addrLo_, b.mem);
-    ops_.insert(ops_.end(), b.ops, b.ops + m);
-    addrLo_.insert(addrLo_.end(), b.addr, b.addr + b.mem);
-    run_ += static_cast<uint32_t>(m);
+    run_ += static_cast<uint32_t>(events.size());
 }
 
 uint32_t
@@ -125,10 +95,6 @@ MaterializeSink::internStatic(const StaticInstr &st, uint64_t key)
         statics_.push_back(st);
         sidCounts_.push_back(0);
     }
-    if (st.site >= lastSid_.size())
-        lastSid_.resize(std::max<size_t>(st.site + 1, lastSid_.size() * 2),
-                        kNoSid);
-    lastSid_[st.site] = it->second;
     return it->second;
 }
 
@@ -222,22 +188,6 @@ MaterializeSink::finish(const runtime::Cpu *cpu)
             meta.function = intern(info.function);
         }
     }
-
-    // Seal the section checksums: the record and address sections
-    // carry their capture-time running state forward; the small tables
-    // only settle here, so hash them now.
-    const auto hash = [](const auto &buf) {
-        return fnv1aWords(reinterpret_cast<const uint8_t *>(buf.data()),
-                          buf.size() * sizeof(buf[0]));
-    };
-    const auto slot = [&](V2SectionId id) -> uint64_t & {
-        return t.sectionChecksums_[static_cast<size_t>(id)];
-    };
-    slot(V2SectionId::Ops) = opsSum_.digest();
-    slot(V2SectionId::Addr) = addrSum_.digest();
-    slot(V2SectionId::Statics) = hash(t.statics_);
-    slot(V2SectionId::Regions) = hash(t.regions_);
-    slot(V2SectionId::Segments) = hash(t.segments_);
 
     t.valid_ = true;
     return t;

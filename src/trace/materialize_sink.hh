@@ -2,40 +2,40 @@
  * @file
  * MaterializeSink — the capture path: runtime::Cpu → MaterializedTrace.
  *
- * It only records. TraceSink::onInstrBatch packs each capture block
- * (at most 512 events; onInstr is a block of one) straight into the
- * trace tables: each event's (site, op, memory mode, size) tuple is
- * interned into the static table through a per-site last-entry cache,
+ * It only records. TraceSink::onInstrBatch packs each span of events,
+ * whatever its length, straight into the trace tables: each event's
+ * (site, op, memory mode, size) tuple is interned into the static table
+ * through a direct-mapped per-site cache of the last entry a site used,
  * its address's high half into the region table, and what is left —
  * the 6-byte record and a memory event's low address half — is
- * appended while a running FNV-1a state per image section folds over
- * the block. The segment stream and the function table are built
+ * appended. The segment stream and the function table are built
  * incrementally, and each static entry's events are counted; finish()
  * hands those counts to MaterializedTrace::derive(), which folds the
- * tallies exactly as a load does. So capture → on-disk image is one
- * pass over the event stream.
+ * tallies exactly as a load does. No checksum is computed here: the
+ * image writer hashes every section when it lays the image out.
  *
  * An event without a memory operand keeps no address (it replays as
- * 0). A stream with more than kMaxStaticInstrs distinct tuples or
- * kMaxAddrRegions distinct high address halves does not fit the image:
- * capture panics.
+ * 0). A site id is any u32: nothing is sized or indexed by it beyond
+ * the fixed-size cache. A stream with more than kMaxStaticInstrs
+ * distinct tuples or kMaxAddrRegions distinct high address halves does
+ * not fit the image: capture panics.
  *
  * Contract (test_trace.cc, test_materialize_sink.cc): replaying the
  * finished trace reproduces the profile of the live execution it
- * captured bit for bit, and the image is the same whether the producer
- * delivers events in batches or one at a time.
+ * captured bit for bit, and the image is the same however the producer
+ * splits the events into spans.
  */
 
 #ifndef MMXDSP_TRACE_MATERIALIZE_SINK_HH
 #define MMXDSP_TRACE_MATERIALIZE_SINK_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/trace_sink.hh"
-#include "trace/format_v2.hh"
 #include "trace/materialize.hh"
 
 namespace mmxdsp::runtime {
@@ -51,26 +51,19 @@ class MaterializeSink final : public sim::TraceSink
     MaterializeSink(std::string benchmark, std::string version,
                     uint64_t config_hash);
 
-    void onInstr(const isa::InstrEvent &e) override;
     void onInstrBatch(std::span<const isa::InstrEvent> events) override;
     void onEnterFunction(const char *name) override;
     void onLeaveFunction() override;
 
     /**
-     * Seal the capture and return the materialized trace (valid, with
-     * the per-section checksums cached for serializeV2). Pass the
-     * capturing @p cpu to embed site metadata (file, line, function)
-     * for the sites the stream touched; with a null cpu the trace
-     * carries no site metadata. Fatal when called twice.
+     * Close the capture and return the materialized trace (valid).
+     * Pass the capturing @p cpu to embed site metadata (file, line,
+     * function) for the sites the stream touched; with a null cpu the
+     * trace carries no site metadata. Fatal when called twice.
      */
     MaterializedTrace finish(const runtime::Cpu *cpu = nullptr);
 
-    /** Capture-block size: matches the runtime's emit batch. */
-    static constexpr size_t kBlockEvents = 512;
-
   private:
-    /** Append one ≤kBlockEvents chunk: pack, checksum, insert. */
-    void appendChunk(std::span<const isa::InstrEvent> events);
     /** The static-table index of @p st, whose interning key is
      *  @p key; a new tuple gets a new entry. */
     uint32_t internStatic(const StaticInstr &st, uint64_t key);
@@ -84,20 +77,6 @@ class MaterializeSink final : public sim::TraceSink
     uint64_t configHash_ = 0;
     bool finished_ = false;
 
-    /**
-     * One capture block packed, L1-resident and reused for every chunk:
-     * events are packed and checksummed here while cache-hot, then
-     * appended to the big tables with insert() — a single write per
-     * byte, instead of resize()'s zero-fill followed by the store.
-     */
-    struct Block
-    {
-        PackedOp ops[kBlockEvents];
-        uint32_t addr[kBlockEvents]; ///< the first `mem` are filled
-        size_t mem = 0;
-    };
-    Block block_;
-
     // -- the trace tables, adopted by the trace at finish() --
     std::vector<PackedOp> ops_;
     std::vector<uint32_t> addrLo_;
@@ -108,9 +87,15 @@ class MaterializeSink final : public sim::TraceSink
     // -- interning state --
     /** Static-table index by the entry's 8 bytes. */
     std::unordered_map<uint64_t, uint32_t> staticIds_;
-    /** Per site id: the entry its last event used (kNoSid: none). */
-    std::vector<uint32_t> lastSid_;
+    /**
+     * Direct-mapped by site id modulo kSiteSlots: the entry the last
+     * event of a site in that slot used (kNoSid: none yet). The entry
+     * itself carries its site, so comparing it with the event's tuple
+     * checks the tag; a miss falls back to staticIds_.
+     */
+    static constexpr size_t kSiteSlots = 4096;
     static constexpr uint32_t kNoSid = UINT32_MAX;
+    std::array<uint32_t, kSiteSlots> lastSid_;
     /** Events per static entry: the config-independent tallies depend
      *  only on the entry, so derive() folds them from these. */
     std::vector<uint64_t> sidCounts_;
@@ -123,15 +108,6 @@ class MaterializeSink final : public sim::TraceSink
     std::vector<std::string> fnNames_;
     std::unordered_map<std::string, uint32_t> fnIds_;
     uint32_t run_ = 0; ///< length of the open instruction run
-
-    /**
-     * Running word-folded FNV-1a state of the record and address
-     * sections, advanced over each appended block while its bytes are
-     * still cache-hot; chunk-sequential, so after the last block each
-     * digest() equals fnv1aWords over the whole section.
-     */
-    Fnv1aStream opsSum_;
-    Fnv1aStream addrSum_;
 };
 
 } // namespace mmxdsp::trace

@@ -26,6 +26,7 @@
 #include "isa/op.hh"
 #include "trace/format_v2.hh"
 #include "trace/materialize.hh"
+#include "trace/materialize_sink.hh"
 #include "trace_test_util.hh"
 
 namespace mmxdsp {
@@ -37,17 +38,22 @@ using namespace testutil;
 
 TEST(FormatV2, DetectsImageVersions)
 {
+    // An image of this version loads and is not stale; a prefix too
+    // short to hold the magic, or another magic, is neither.
     const std::vector<uint8_t> image = randomTrace(1, 100).serializeV2();
-    EXPECT_TRUE(trace::isV2Image(image.data(), image.size()));
-    EXPECT_FALSE(trace::isV2Image(image.data(), 3)); // too short
+    trace::MaterializedTrace mat;
+    EXPECT_TRUE(mat.loadV2Image(image));
+    EXPECT_FALSE(trace::isStaleV2Image(image.data(), image.size()));
+    const std::vector<uint8_t> prefix(image.begin(), image.begin() + 3);
+    EXPECT_FALSE(mat.loadV2Image(prefix));
+    EXPECT_FALSE(trace::isStaleV2Image(prefix.data(), prefix.size()));
 
     std::vector<uint8_t> other = image;
     other[3] ^= 0x01; // "MXT2" -> another magic
-    EXPECT_FALSE(trace::isV2Image(other.data(), other.size()));
+    EXPECT_FALSE(mat.loadV2Image(other));
 
     // Another format version is stale, not corrupt; another magic is
     // neither.
-    EXPECT_FALSE(trace::isStaleV2Image(image.data(), image.size()));
     std::vector<uint8_t> older = image;
     older[4] ^= 0x01;
     EXPECT_TRUE(trace::isStaleV2Image(older.data(), older.size()));
@@ -332,9 +338,10 @@ TEST(FormatV2, RefusesOutOfRangeStaticEntriesDespiteValidChecksums)
 TEST(FormatV2, LoadsAnySiteIdWithoutSizingByIt)
 {
     // A site id is any u32: nothing a load derives, and nothing a VProf
-    // fed the loaded stream keeps, is sized or indexed by it, so the
-    // largest one loads, replays on every model (through both) and
-    // labels as unknown (ASan checks the reads).
+    // or a MaterializeSink fed the loaded stream keeps, is sized or
+    // indexed by it, so the largest one loads, replays on every model
+    // (through both), recaptures and labels as unknown (ASan checks
+    // the reads and writes).
     const trace::MaterializedTrace built = randomTrace(5, 600);
     trace::MaterializedTrace mat;
     ASSERT_TRUE(mat.loadV2Image(recomputed(
@@ -353,6 +360,21 @@ TEST(FormatV2, LoadsAnySiteIdWithoutSizingByIt)
         ASSERT_TRUE(mat.replayTo(vprof));
         expectSameProfile(got, vprof.result(), sim::modelName(model));
     }
+
+    // Nor is anything a capture keeps: recapturing the loaded stream
+    // gives a trace that replays the same profile on every model and
+    // serializes to the same image.
+    trace::MaterializeSink recapture(mat.benchmark(), mat.version(),
+                                     mat.configHash());
+    ASSERT_TRUE(mat.replayTo(recapture));
+    const trace::MaterializedTrace recaptured = recapture.finish();
+    for (const sim::ModelKind model : kModels) {
+        const sim::MachineConfig machine{model, {}};
+        expectSameProfile(recaptured.replayProfile(machine),
+                          mat.replayProfile(machine),
+                          sim::modelName(model));
+    }
+    EXPECT_EQ(recaptured.serializeV2(), mat.serializeV2());
 }
 
 TEST(FormatV2, TalliesAreDerivedFromTheRecords)

@@ -125,7 +125,7 @@ TEST(MaterializeSinkDeathTest, PanicsPastTheAddressRegionLimit)
                 e.mem = isa::MemMode::Load;
                 e.addr = r << 32 | 0x40;
                 e.size = 4;
-                sink.onInstr(e);
+                sink.onInstrBatch({&e, 1});
             }
             sink.finish();
         },
@@ -143,7 +143,7 @@ TEST(MaterializeSinkDeathTest, PanicsPastTheStaticTableLimit)
             e.op = isa::Op::Nop;
             for (uint32_t site = 0; site <= trace::kMaxStaticInstrs; ++site) {
                 e.site = site;
-                sink.onInstr(e);
+                sink.onInstrBatch({&e, 1});
             }
             sink.finish();
         },
@@ -162,7 +162,7 @@ TEST(MaterializeSink, HoldsExactlyTheAddressRegionLimit)
         e.mem = isa::MemMode::Store;
         e.addr = (r * 0x9e3779b9ull) << 32 | (0xfffffff0u - r);
         e.size = 4;
-        tee.onInstr(e);
+        tee.onInstrBatch({&e, 1});
     }
     trace::MaterializedTrace loaded;
     ASSERT_TRUE(loaded.loadV2Image(sink.finish().serializeV2()));
@@ -171,21 +171,21 @@ TEST(MaterializeSink, HoldsExactlyTheAddressRegionLimit)
     expectSameStream(replayed, fed);
 }
 
-// ---------------- streaming serializer integrity ----------------
+// ---------------- serializer integrity ----------------
 
 TEST(MaterializeSink, DirectImagePassesFullValidationRehash)
 {
     // loadV2Image re-hashes every section against the table, so a
-    // successful load proves each incrementally-folded checksum equals
-    // the whole-array FNV-1a of the final bytes.
+    // successful load proves each checksum the writer computed equals
+    // the FNV-1a of the bytes it wrote.
     const trace::MaterializedTrace direct = firCapture();
     trace::MaterializedTrace loaded;
     ASSERT_TRUE(loaded.loadV2Image(direct.serializeV2()));
     expectSameProfile(loaded.replayProfile(), direct.replayProfile(),
                       "validated reload");
     EXPECT_EQ(loaded.siteLabel(1), direct.siteLabel(1));
-    // And a load-then-reserialize (which reuses the harvested
-    // checksums) is still byte-stable.
+    // And a load-then-reserialize (which hashes the mapped sections
+    // afresh) is still byte-stable.
     EXPECT_EQ(loaded.serializeV2(), direct.serializeV2());
 }
 

@@ -22,7 +22,11 @@ using isa::Op;
 class RecordingSink : public sim::TraceSink
 {
   public:
-    void onInstr(const InstrEvent &e) override { events.push_back(e); }
+    void
+    onInstrBatch(std::span<const InstrEvent> batch) override
+    {
+        events.insert(events.end(), batch.begin(), batch.end());
+    }
     void
     onEnterFunction(const char *name) override
     {
@@ -298,8 +302,7 @@ class BatchRecordingSink : public RecordingSink
     onInstrBatch(std::span<const InstrEvent> events) override
     {
         batchSizes.push_back(events.size());
-        for (const InstrEvent &e : events)
-            onInstr(e);
+        RecordingSink::onInstrBatch(events);
     }
 
     std::vector<size_t> batchSizes;

@@ -47,7 +47,7 @@ syntheticTrace(uint64_t seed, uint64_t config_hash, int events = 400)
         isa::InstrEvent e;
         e.op = static_cast<isa::Op>(rng.nextBelow(isa::kNumOps));
         e.site = rng.nextBelow(64);
-        sink.onInstr(e);
+        sink.onInstrBatch({&e, 1});
     }
     sink.onLeaveFunction();
     return sink.finish();
@@ -88,7 +88,7 @@ TEST(TraceStoreTest, StoreThenLoadRoundTrips)
 
     trace::MaterializedTrace mat = syntheticTrace(1, 0x1234);
     ASSERT_TRUE(store.store("synth", "c", 0x1234, mat));
-    EXPECT_EQ(store.entryCount(), 1u);
+    EXPECT_EQ(store.usage().entries, 1u);
     EXPECT_GT(store.totalBytes(), 0u);
 
     auto loaded = store.load("synth", "c", 0x1234);
@@ -166,7 +166,7 @@ TEST(TraceStoreTest, CorruptEntryIsQuarantinedAndSurvivesRewrite)
     EXPECT_EQ(filesContaining(scratch.path, "/quarantine/"), quarantined);
 
     // Quarantined files are out of the corpus accounting.
-    EXPECT_EQ(store.entryCount(), 1u);
+    EXPECT_EQ(store.usage().entries, 1u);
 }
 
 TEST(TraceStoreTest, OlderShardedEntryIsCountedAndEvictedButNeverServed)
@@ -199,7 +199,7 @@ TEST(TraceStoreTest, OlderShardedEntryIsCountedAndEvictedButNeverServed)
     EXPECT_EQ(store.load("fir", "mmx", config.hash()), nullptr);
     EXPECT_EQ(store.stats().quarantined, 0u);
     EXPECT_TRUE(fs::exists(legacy));
-    EXPECT_EQ(store.entryCount(), 1u);
+    EXPECT_EQ(store.usage().entries, 1u);
     EXPECT_EQ(store.totalBytes(), legacy_bytes);
     EXPECT_EQ(store.usage().quarantined, 1u);
 
@@ -208,7 +208,7 @@ TEST(TraceStoreTest, OlderShardedEntryIsCountedAndEvictedButNeverServed)
     EXPECT_EQ(suite.traceActivity().captured, 1);
     EXPECT_EQ(suite.traceActivity().disk_hits, 0);
     ASSERT_TRUE(fs::exists(flat));
-    EXPECT_EQ(store.entryCount(), 2u);
+    EXPECT_EQ(store.usage().entries, 2u);
     EXPECT_EQ(store.totalBytes(), legacy_bytes + fs::file_size(flat));
 
     service::StoreOptions budgeted = opts;
@@ -268,7 +268,7 @@ TEST(TraceStoreTest, EvictionRespectsBudgetAndKeepsNewest)
     const uint64_t removed = store.enforceBudget();
     EXPECT_GT(removed, 0u);
     EXPECT_LE(store.totalBytes(), budgeted.budget_bytes);
-    EXPECT_EQ(store.entryCount(), 2u);
+    EXPECT_EQ(store.usage().entries, 2u);
     EXPECT_EQ(store.stats().evicted, 4u);
     // LRU: the two most recently touched entries survive.
     EXPECT_NE(store.load("synth", "c", n - 1), nullptr);
@@ -358,7 +358,7 @@ TEST(TraceStoreTest, ConcurrentSameKeyWritersLeaveOneValidEntry)
         w.join();
 
     // Rename-on-publish: exactly one live entry, no temp litter.
-    EXPECT_EQ(store.entryCount(), 1u);
+    EXPECT_EQ(store.usage().entries, 1u);
     EXPECT_TRUE(filesContaining(scratch.path, ".tmp.").empty());
     auto loaded = store.load("synth", "c", 0xabc);
     ASSERT_NE(loaded, nullptr);

@@ -632,7 +632,7 @@ TEST_P(SweepLanes, StalePortsKeepTheirOrderAcrossRebases)
         e.site = static_cast<uint32_t>(op);
         e.src0 = isa::makeTag(isa::RegClass::Mmx, 0); // always ready
         e.dst = isa::makeTag(isa::RegClass::Mmx, reg);
-        sink.onInstr(e);
+        sink.onInstrBatch({&e, 1});
     };
     emit(isa::Op::Psllw, isa::MemMode::None, 0, 1);
     emit(isa::Op::Pmullw, isa::MemMode::None, 0, 2);

@@ -4,8 +4,9 @@
  *
  * The batched emit path (runtime::Cpu buffering kEmitBatch events per
  * TraceSink::onInstrBatch call) must be invisible on disk: the same
- * execution captured batched and per-instruction has to produce the
- * same image bytes, the image itself has to stay byte-stable for a
+ * execution captured batched, per instruction and in one span per run
+ * between function markers has to produce the same image bytes, the
+ * image itself has to stay byte-stable for a
  * fixed event stream, and SuiteConfig::hash() — the trace-store key —
  * must not move, or every stored trace on every machine is silently
  * invalidated.
@@ -13,12 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "harness/suite.hh"
 #include "isa/event.hh"
 #include "kernels/fir.hh"
+#include "kernels/gemm.hh"
 #include "runtime/cpu.hh"
 #include "sim/trace_sink.hh"
 #include "trace/materialize.hh"
@@ -50,15 +55,18 @@ TEST(TraceGolden, SuiteConfigHashIsStable)
 
 // ---------------- batched capture == per-event capture ----------------
 
-/** Forwards every event one at a time into a second sink. Deliberately
- *  does NOT override onInstrBatch: the base class unrolls batches into
- *  per-instruction onInstr calls, i.e. the historical delivery
- *  cadence. */
+/** Forwards every event into a second sink as a span of one: the
+ *  per-instruction delivery cadence. */
 class PerEventRelay final : public sim::TraceSink
 {
   public:
     explicit PerEventRelay(sim::TraceSink &s) : s_(s) {}
-    void onInstr(const isa::InstrEvent &e) override { s_.onInstr(e); }
+    void
+    onInstrBatch(std::span<const isa::InstrEvent> events) override
+    {
+        for (const isa::InstrEvent &e : events)
+            s_.onInstrBatch({&e, 1});
+    }
     void onEnterFunction(const char *n) override { s_.onEnterFunction(n); }
     void onLeaveFunction() override { s_.onLeaveFunction(); }
 
@@ -66,39 +74,102 @@ class PerEventRelay final : public sim::TraceSink
     sim::TraceSink &s_;
 };
 
+/** Gathers everything between two function markers and forwards it
+ *  into a second sink as one span, however long. */
+class PerRunRelay final : public sim::TraceSink
+{
+  public:
+    explicit PerRunRelay(sim::TraceSink &s) : s_(s) {}
+    void
+    onInstrBatch(std::span<const isa::InstrEvent> events) override
+    {
+        run_.insert(run_.end(), events.begin(), events.end());
+    }
+    void
+    onEnterFunction(const char *n) override
+    {
+        flush();
+        s_.onEnterFunction(n);
+    }
+    void
+    onLeaveFunction() override
+    {
+        flush();
+        s_.onLeaveFunction();
+    }
+    /** Forward the open run (the events after the last marker). */
+    void
+    flush()
+    {
+        if (run_.empty())
+            return;
+        longest = std::max(longest, run_.size());
+        s_.onInstrBatch(run_);
+        run_.clear();
+    }
+
+    size_t longest = 0; ///< the longest span forwarded
+
+  private:
+    sim::TraceSink &s_;
+    std::vector<isa::InstrEvent> run_;
+};
+
 TEST(TraceGolden, BatchedCaptureIsByteIdenticalToPerEventCapture)
 {
-    // One real benchmark pair, captured once. The tee hands each block
-    // to `batched` through onInstrBatch and unrolls the same block
-    // per-instruction into `unbatched`; since both sinks see the
+    // Real benchmark pairs, each captured once. The tees hand each
+    // block to `batched` as the runtime emits it, to `unbatched` one
+    // event at a time, and to `perRun` as one span per run between
+    // function markers (gemm's single call is one run far longer than
+    // the runtime's 512-event blocks); since all three sinks see the
     // identical sequence in the identical process, their images
     // (addresses, segments, checksums and all) must match byte for
     // byte. This pins the whole batching layer — block boundaries,
-    // enter/leave flush points, tail flush on detach — to the exact
-    // on-disk artifact the per-instruction path produces.
+    // enter/leave flush points, tail flush on detach, spans of any
+    // length — to one on-disk artifact.
     kernels::FirBenchmark fir;
     fir.setup(512, 42);
+    kernels::GemmBenchmark gemm;
+    gemm.setup(16, 8, 42);
+    struct Pair
+    {
+        const char *name;
+        std::function<void(runtime::Cpu &)> run;
+    };
+    const Pair pairs[] = {
+        {"fir.c", [&](runtime::Cpu &c) { fir.runC(c); }},
+        {"fir.mmx", [&](runtime::Cpu &c) { fir.runMmx(c); }},
+        {"gemm.c", [&](runtime::Cpu &c) { gemm.runC(c); }},
+    };
     runtime::Cpu cpu;
+    size_t longest = 0;
 
-    for (const char *version : {"c", "mmx"}) {
-        trace::MaterializeSink batched("fir", version, 0x1234);
-        trace::MaterializeSink unbatched("fir", version, 0x1234);
-        PerEventRelay relay(unbatched);
-        sim::TeeSink tee(&batched, &relay);
+    for (const Pair &pair : pairs) {
+        trace::MaterializeSink batched(pair.name, "", 0x1234);
+        trace::MaterializeSink unbatched(pair.name, "", 0x1234);
+        trace::MaterializeSink perRun(pair.name, "", 0x1234);
+        PerEventRelay eventRelay(unbatched);
+        PerRunRelay runRelay(perRun);
+        sim::TeeSink relays(&eventRelay, &runRelay);
+        sim::TeeSink tee(&batched, &relays);
 
         cpu.attachSink(&tee);
-        if (version[0] == 'c')
-            fir.runC(cpu);
-        else
-            fir.runMmx(cpu);
+        pair.run(cpu);
         cpu.attachSink(nullptr);
+        runRelay.flush();
+        longest = std::max(longest, runRelay.longest);
 
         const trace::MaterializedTrace a = batched.finish(&cpu);
         const trace::MaterializedTrace b = unbatched.finish(&cpu);
-        ASSERT_GT(a.instrCount(), 1000u) << version;
-        EXPECT_EQ(a.instrCount(), b.instrCount()) << version;
-        EXPECT_EQ(a.serializeV2(), b.serializeV2()) << version;
+        const trace::MaterializedTrace c = perRun.finish(&cpu);
+        ASSERT_GT(a.instrCount(), 1000u) << pair.name;
+        EXPECT_EQ(a.instrCount(), b.instrCount()) << pair.name;
+        EXPECT_EQ(a.instrCount(), c.instrCount()) << pair.name;
+        const std::vector<uint8_t> image = a.serializeV2();
+        EXPECT_EQ(image, b.serializeV2()) << pair.name;
+        EXPECT_EQ(image, c.serializeV2()) << pair.name;
     }
+    EXPECT_GT(longest, size_t{runtime::Cpu::kEmitBatch});
 }
 
 // ---------------- image byte-stability ----------------
@@ -129,7 +200,7 @@ writeFixedStream(sim::TraceSink &writer)
 
         if (i % 100 == 0)
             writer.onEnterFunction(i % 200 == 0 ? "even" : "odd");
-        writer.onInstr(e);
+        writer.onInstrBatch({&e, 1});
         if (i % 100 == 99)
             writer.onLeaveFunction();
     }

@@ -130,7 +130,8 @@ feedRandomStream(uint64_t seed, int target_events, sim::TraceSink &sink)
             sink.onLeaveFunction();
             --depth;
         } else {
-            sink.onInstr(randomEvent(rng));
+            const isa::InstrEvent e = randomEvent(rng);
+            sink.onInstrBatch({&e, 1});
         }
     }
 }
@@ -194,9 +195,9 @@ struct RecordingSink final : sim::TraceSink
     std::vector<std::string> enters;
     int leaves = 0;
 
-    void onInstr(const isa::InstrEvent &event) override
+    void onInstrBatch(std::span<const isa::InstrEvent> batch) override
     {
-        events.push_back(event);
+        events.insert(events.end(), batch.begin(), batch.end());
     }
     void onEnterFunction(const char *name) override
     {
