@@ -8,12 +8,12 @@
  * kernel, fed by per-geometry cache/BTB memos) against memoized
  * per-machine runs (memo pre-pass + the per-machine kernel, what
  * replaySweep runs for narrow groups) at the two widths around the
- * switch: max(2, workers) machines, the widest group replaySweep keeps
- * per machine, and one more, the narrowest it puts on lanes. The
- * cache-size ablation's 36-machine mixed sweep is split into its parts:
- * ns per lane-event of the memo pre-pass, the outcome planes, the lanes
- * of each model and the P6 and P6P per-machine runs, on the widest lane
- * ISA the CPU runs.
+ * switch: trace::perMachineWidth() machines, the widest group
+ * replaySweep keeps per machine, and one more, the narrowest it puts on
+ * lanes. The cache-size ablation's 36-machine mixed sweep is split into
+ * its parts: ns per lane-event of the memo pre-pass, the outcome
+ * planes, and the lanes and the memoized per-machine runs of each
+ * model, on the widest lane ISA the CPU runs.
  *
  * Single-replay, capture and wide-sweep throughput are perfbench's
  * layer metrics (sim.*, runtime.capture_ns_per_event, trace.sweep*).
@@ -31,7 +31,6 @@
 
 #include "harness/cli.hh"
 #include "harness/suite.hh"
-#include "support/parallel.hh"
 #include "support/table.hh"
 #include "trace/materialize.hh"
 
@@ -81,6 +80,7 @@ struct DispatchPoint
 {
     sim::ModelKind model = sim::ModelKind::P5;
     size_t configs = 0;
+    bool lanes = false; ///< the narrowest width replaySweep puts on lanes
     double per_machine_seconds = 0.0; ///< memo pre-pass + per machine
     double lanes_seconds = 0.0;       ///< replaySweepPacked
     /** Median over repetitions of per-machine / lanes time, each pair
@@ -100,6 +100,7 @@ struct LaneCost
     double p5_lanes_ns = 0.0;  ///< P5 lanes over recorded memos
     double p6_lanes_ns = 0.0;  ///< P6 lanes over recorded memos
     double p6p_lanes_ns = 0.0; ///< P6P lanes over recorded memos
+    double p5_ns = 0.0;        ///< P5 per-machine runs over recorded memos
     double p6_ns = 0.0;        ///< P6 per-machine runs over recorded memos
     double p6p_ns = 0.0;       ///< P6P per-machine runs over recorded memos
     double sweep_ns = 0.0;    ///< the dispatched sweep, end to end
@@ -129,15 +130,14 @@ main(int argc, char **argv)
     const uint64_t events = mat.instrCount();
 
     // -- dispatch boundary: lanes vs per-machine runs around the switch --
-    // replaySweep keeps a group of at most max(2, workers) machines per
+    // replaySweep keeps a group of at most perMachineWidth() machines per
     // machine and puts a wider one on lanes.
-    const size_t laneWidth =
-        std::max<size_t>(2, static_cast<size_t>(resolveThreads(opts.threads)))
-        + 1;
     std::vector<DispatchPoint> boundary;
     bool boundary_identical = true;
     for (sim::ModelKind model :
          {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
+        const size_t laneWidth =
+            trace::perMachineWidth(model, opts.threads) + 1;
         for (size_t width : {laneWidth - 1, laneWidth}) {
             std::vector<sim::MachineConfig> machines;
             for (const sim::TimerConfig &config : makeConfigs(width))
@@ -145,6 +145,7 @@ main(int argc, char **argv)
             DispatchPoint point;
             point.model = model;
             point.configs = width;
+            point.lanes = width == laneWidth;
             // Both arms record the same memos per call (the per-machine
             // arm into fresh Memos), so each pays the memo pre-pass.
             std::vector<profile::ProfileResult> perMachine, lanes;
@@ -191,8 +192,8 @@ main(int argc, char **argv)
         mixed.insert(mixed.end(), p6Set.begin(), p6Set.end());
         mixed.insert(mixed.end(), p6pSet.begin(), p6pSet.end());
         const double ev = static_cast<double>(events);
-        std::vector<double> memo, planes, p5, p6Lanes, p6pLanes, p6, p6p,
-            sweep;
+        std::vector<double> memo, planes, p5, p6Lanes, p6pLanes, p5s, p6,
+            p6p, sweep;
         std::vector<profile::ProfileResult> swept;
         for (int rep = 0; rep < kLadderRepetitions; ++rep) {
             trace::MaterializedTrace::Memos memos;
@@ -208,6 +209,9 @@ main(int argc, char **argv)
                 mat.replaySweepScalar(p6Set, opts.threads, &memos);
             });
             memo.push_back((recording - p6s) / (ev * 36));
+            p5s.push_back(time([&] {
+                mat.replaySweepScalar(p5Set, opts.threads, &memos);
+            }) / (ev * 12));
             p6.push_back(p6s / (ev * 12));
             p6p.push_back(time([&] {
                 mat.replaySweepScalar(p6pSet, opts.threads, &memos);
@@ -237,8 +241,9 @@ main(int argc, char **argv)
         }
         laneCost = {median(memo) * 1e9,     median(planes) * 1e9,
                     median(p5) * 1e9,       median(p6Lanes) * 1e9,
-                    median(p6pLanes) * 1e9, median(p6) * 1e9,
-                    median(p6p) * 1e9,      median(sweep) * 1e9};
+                    median(p6pLanes) * 1e9, median(p5s) * 1e9,
+                    median(p6) * 1e9,       median(p6p) * 1e9,
+                    median(sweep) * 1e9};
         const auto golden = mat.replaySweepScalar(mixed, opts.threads);
         for (size_t i = 0; i < mixed.size(); ++i)
             mixed_identical = mixed_identical && swept[i] == golden[i];
@@ -249,8 +254,9 @@ main(int argc, char **argv)
     std::printf("replay sweeps — %s.%s, %llu events\n", bench, version,
                 static_cast<unsigned long long>(events));
     std::printf("\nsweep dispatch boundary (ms, resident trace, "
-                "--threads=%d: lanes from %zu machines)\n",
-                opts.threads, laneWidth);
+                "--threads=%d; replaySweep puts the second width of each "
+                "model on lanes)\n",
+                opts.threads);
     Table dispatch({"model", "configs", "per machine", "lanes",
                     "per machine / lanes"});
     for (const DispatchPoint &p : boundary) {
@@ -274,6 +280,7 @@ main(int argc, char **argv)
         {"memo pre-pass (per lane served)", laneCost.memo_ns},
         {"outcome planes (per lane served)", laneCost.plane_ns},
         {"P5 lanes", laneCost.p5_lanes_ns},
+        {"P5 per-machine", laneCost.p5_ns},
         {"P6 lanes", laneCost.p6_lanes_ns},
         {"P6 per-machine", laneCost.p6_ns},
         {"P6P lanes", laneCost.p6p_lanes_ns},
@@ -288,7 +295,7 @@ main(int argc, char **argv)
 
     std::printf("\n");
     for (const DispatchPoint &p : boundary)
-        if (p.configs == laneWidth)
+        if (p.lanes)
             std::printf("lanes at %zu machines %.2fx (%s, vs per machine)\n",
                         p.configs, p.speedup, sim::modelName(p.model));
     std::printf("results bit-identical %s\n", identical ? "yes" : "NO");
@@ -301,19 +308,20 @@ main(int argc, char **argv)
                      "  \"scale\": %d,\n"
                      "  \"events\": %llu,\n"
                      "  \"repetitions\": %d,\n"
-                     "  \"lane_width\": %zu,\n"
                      "  \"dispatch\": [\n",
                      bench, version, opts.scale,
                      static_cast<unsigned long long>(events),
-                     kLadderRepetitions, laneWidth);
+                     kLadderRepetitions);
         for (size_t i = 0; i < boundary.size(); ++i) {
             const DispatchPoint &p = boundary[i];
             std::fprintf(
                 json,
                 "    {\"model\": \"%s\", \"configs\": %zu, "
+                "\"dispatched_to_lanes\": %s, "
                 "\"per_machine_seconds\": %.6f, \"lanes_seconds\": %.6f, "
                 "\"speedup\": %.3f}%s\n",
-                sim::modelName(p.model), p.configs, p.per_machine_seconds,
+                sim::modelName(p.model), p.configs,
+                p.lanes ? "true" : "false", p.per_machine_seconds,
                 p.lanes_seconds, p.speedup,
                 i + 1 < boundary.size() ? "," : "");
         }
@@ -322,14 +330,15 @@ main(int argc, char **argv)
                      "  \"lane_cost\": {\"machines\": 36, \"threads\": %d, "
                      "\"isa\": \"%s\", \"lanes_per_register\": %d, "
                      "\"memo_prepass_ns\": %.3f, \"planes_ns\": %.3f, "
-                     "\"p5_lanes_ns\": %.3f, "
+                     "\"p5_lanes_ns\": %.3f, \"p5_per_machine_ns\": %.3f, "
                      "\"p6_lanes_ns\": %.3f, \"p6_per_machine_ns\": %.3f, "
                      "\"p6p_lanes_ns\": %.3f, \"p6p_per_machine_ns\": %.3f, "
                      "\"sweep_ns\": %.3f},\n",
                      opts.threads, trace::laneIsaName(isa),
                      static_cast<int>(isa), laneCost.memo_ns,
-                     laneCost.plane_ns, laneCost.p5_lanes_ns, laneCost.p6_lanes_ns,
-                     laneCost.p6_ns, laneCost.p6p_lanes_ns, laneCost.p6p_ns,
+                     laneCost.plane_ns, laneCost.p5_lanes_ns, laneCost.p5_ns,
+                     laneCost.p6_lanes_ns, laneCost.p6_ns,
+                     laneCost.p6p_lanes_ns, laneCost.p6p_ns,
                      laneCost.sweep_ns);
         std::fprintf(json, "  \"identical\": %s\n}\n",
                      identical ? "true" : "false");
@@ -348,7 +357,7 @@ main(int argc, char **argv)
     // to the per-machine runs it would otherwise use, on any model.
     bool fast = true;
     for (const DispatchPoint &p : boundary) {
-        if (isa == trace::LaneIsa::None || p.configs != laneWidth
+        if (isa == trace::LaneIsa::None || !p.lanes
             || p.speedup >= kDispatchGate)
             continue;
         std::fprintf(stderr,

@@ -82,117 +82,130 @@
 namespace mmxdsp::sim {
 
 /**
+ * The P6 family's schedule state: what one event hands the next besides
+ * the scoreboard, and the schedule's counters. The ports stay at zero
+ * on the P6. Small and plain, so a replay kernel that holds it as a
+ * local keeps it in registers.
+ */
+struct P6State
+{
+    uint64_t clock = 0;      ///< next cycle a new decode group may start
+    uint64_t groupCycle = 0; ///< issue cycle of the open decode group
+    /** Issue slots left in the open group; 0 when none is open. */
+    uint32_t uopsLeft = 0;
+    /**
+     * Next free cycle of each single-issue port (P6P only): p0, p1, p2
+     * and the store pair p3/p4, which a store's address and data uops
+     * take at the same cycle, so one clock serves both. Each port's
+     * dispatches run in increasing cycles, so the latest dispatch on
+     * any port (the window anchor) is the largest of these less one.
+     */
+    std::array<uint64_t, 4> portFree{};
+    uint64_t pairs = 0;
+    uint64_t dependStall = 0;
+    uint64_t portStall = 0;
+
+    void
+    addTo(TimerStats &t) const
+    {
+        t.pairs = pairs;
+        t.dependStallCycles = dependStall;
+        t.portStallCycles = portStall;
+    }
+};
+
+/**
  * The P6-family cycle-accounting engine: the P6 model, or with @p Ports
  * the P6P. Same contract as PentiumTimer: feed events in program order,
  * each consume() returns the cycles that event advanced the machine (0
  * when it joined an already-open decode group), and per-event costs sum
  * exactly to cycles().
- *
- * Final, with the per-event methods inline, for the same reason as
- * PentiumTimer: replay kernels holding one by concrete type get fully
- * devirtualized, register-resident inner loops.
  */
 template <bool Ports>
-class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
+class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>, P6State>
 {
-    using Base = TimerBase<P6FamilyTimer>;
-    using Base::descs_;
-    using Base::mispredictPenalty_;
+    using Base = TimerBase<P6FamilyTimer, P6State>;
 
   public:
+    using State = P6State;
+
     /** Uops issued per cycle. */
-    static constexpr uint32_t kIssueWidth = 3;
+    static constexpr uint32_t kIssueWidth = kP6IssueWidth;
     /** Cycles the latest port dispatch may lead a new decode group
      *  (P6P only). */
     static constexpr uint32_t kWindow = 8;
 
-    /** Never inlined, see TimerBase. */
-    [[gnu::noinline]] explicit P6FamilyTimer(
+    explicit P6FamilyTimer(
         const TimerConfig &config = TimerConfig{})
         : Base(config, Ports ? ModelKind::P6P : ModelKind::P6)
     {
     }
 
     /**
-     * consume() with the data-access penalty and branch outcome
-     * supplied by the caller; the internal cache hierarchy and BTB are
-     * neither consulted nor updated (the shared-memo contract of
-     * TimingModel). @p mem_penalty must be 0 for non-memory ops and
-     * @p mispredict false for non-control ops.
+     * The model's rule for one event, with the same arguments as
+     * PentiumTimer::step(): the outcomes come from the caller, and the
+     * event's cost is the advance of @p s.clock. consume() and both
+     * per-machine replay kernels run this; the lane kernel's P6Step
+     * mirrors it.
      */
-    uint64_t
-    consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
-                    bool mispredict)
+    static void
+    step(State &s, Scoreboard &ready, const UopDesc row, isa::RegTag src0,
+         isa::RegTag src1, isa::RegTag dst, uint32_t mem_penalty,
+         bool mispredict, uint32_t mispredict_penalty)
     {
-        const UopDesc &desc = descs_[uopTableIndex(event)];
-        const uint32_t uops = desc.uops;
-        const uint64_t before = time_;
-        ++stats_.instructions;
-        stats_.uopsIssued += uops;
+        const uint64_t rdy = std::max(ready[src0], ready[src1]);
+        const bool free = mem_penalty == 0 && !mispredict;
 
-        const uint64_t ready =
-            std::max(ready_[event.src0], ready_[event.src1]);
+        // Decode into the open group when it has issue bandwidth left
+        // this cycle and the operands are already ready. Port pressure
+        // only gates the *next* group, through the window. Whether an
+        // op joins depends on the data, so both outcomes are computed
+        // and one is selected: the compiler then needs no branch on it
+        // (an if/else here ran 1.2-1.4x slower per event).
+        const bool join =
+            (s.uopsLeft >= row.uops) & (rdy <= s.groupCycle) & free;
 
-        stats_.memPenaltyCycles += mem_penalty;
-
-        uint64_t issue;
-        if (uopsLeft_ >= uops && ready <= groupCycle_ && mem_penalty == 0
-            && !mispredict) {
-            // Decode into the open group: issue bandwidth left this
-            // cycle and operands already ready. Port pressure only
-            // gates the *next* group, through the window.
-            issue = groupCycle_;
-            uopsLeft_ -= uops;
-            ++stats_.pairs;
-        } else {
-            // Start a new decode group. It may not run ahead of its
-            // operands (in-order issue, no renaming)...
-            uint64_t at = time_;
-            if (ready > at) {
-                stats_.dependStallCycles += ready - at;
-                at = ready;
-            }
-            // ...nor (P6P) more than kWindow cycles of port dispatch.
-            if constexpr (Ports) {
-                const uint64_t port_floor =
-                    lastDispatch_ > kWindow ? lastDispatch_ - kWindow : 0;
-                if (port_floor > at) {
-                    stats_.portStallCycles += port_floor - at;
-                    at = port_floor;
-                }
-            }
-
-            // kIssueWidth uops leave per cycle: a longer template holds
-            // decode for ceil(uops / kIssueWidth) cycles and closes its
-            // group, as a cache miss or a mispredict does.
-            const uint32_t occupy = (uops + kIssueWidth - 1) / kIssueWidth;
-            if (occupy > 1)
-                stats_.blockingExtraCycles += occupy - 1;
-
-            issue = at;
-            time_ = at + occupy + mem_penalty;
-            groupCycle_ = at;
-            uopsLeft_ = occupy == 1 && mem_penalty == 0 && !mispredict
-                            ? kIssueWidth - uops
-                            : 0;
+        // Otherwise a new decode group starts. It may not run ahead of
+        // its operands (in-order issue, no renaming)...
+        const uint64_t ready_at = std::max(s.clock, rdy);
+        uint64_t at = ready_at;
+        // ...nor (P6P) more than kWindow cycles ahead of the latest
+        // port dispatch.
+        if constexpr (Ports) {
+            const uint64_t next =
+                std::max(std::max(s.portFree[0], s.portFree[1]),
+                         std::max(s.portFree[2], s.portFree[3]));
+            at = std::max(at, next > kWindow + 1 ? next - (kWindow + 1) : 0);
+            s.portStall += join ? 0 : at - ready_at;
         }
+        s.dependStall += join ? 0 : ready_at - s.clock;
+        s.pairs += join;
+
+        // kIssueWidth uops leave per cycle: a longer template holds
+        // decode for row.occupy cycles and closes its group, as a cache
+        // miss or a mispredict does.
+        const uint64_t issue = join ? s.groupCycle : at;
+        s.clock = join ? s.clock : at + row.occupy + mem_penalty;
+        s.uopsLeft = join ? s.uopsLeft - row.uops : free ? row.opens : 0;
+        s.groupCycle = issue;
 
         if constexpr (Ports)
-            dispatch(desc, issue);
+            dispatch(s, row, issue);
 
-        ready_[event.dst] = issue + desc.latP6 + mem_penalty;
-        ready_[isa::kNoReg] = 0; // restore the sentinel
+        ready[dst] = issue + row.latP6 + mem_penalty;
+        ready[isa::kNoReg] = 0; // restore the sentinel
 
-        if (mispredict) {
-            time_ += mispredictPenalty_;
-            stats_.mispredictCycles += mispredictPenalty_;
-        }
-
-        return time_ - before;
+        s.clock += mispredict ? mispredict_penalty : 0;
     }
 
-    /** Total cycles of everything consumed so far. */
-    uint64_t cycles() const override { return time_; }
+    /** Decode cycles beyond the first that @p row occupies; such an op
+     *  never joins a group, so every one of its events counts them. */
+    static uint32_t blockingExtra(const UopDesc &row)
+    {
+        return row.occupy - 1u;
+    }
+
+    static uint32_t uopsIssued(const UopDesc &row) { return row.uops; }
 
     ModelKind
     kind() const override
@@ -201,61 +214,40 @@ class P6FamilyTimer final : public TimerBase<P6FamilyTimer<Ports>>
     }
 
   private:
-    /** Bind every uop of @p desc to its port at the earliest free cycle
+    /** Bind every uop of @p row to its port at the earliest free cycle
      *  at or after @p issue; each port accepts one uop per cycle. */
-    void
-    dispatch(const UopDesc &desc, uint64_t issue)
+    static void
+    dispatch(State &s, const UopDesc &row, uint64_t issue)
     {
-        if (desc.loadUops)
-            dispatchTo(2, issue);
-        if (desc.storeOps) {
-            dispatchTo(3, issue);
-            dispatchTo(4, issue);
-        }
-        for (uint32_t k = 0; k < desc.aluUops; ++k) {
-            size_t p = 0;
-            switch (desc.port) {
-              case PortClass::P0:
-                break;
-              case PortClass::P1:
-                p = 1;
-                break;
-              case PortClass::Either:
-                p = portFree_[0] <= portFree_[1] ? 0 : 1;
-                break;
+        take(s.portFree[2], issue, row.loadUops);
+        take(s.portFree[3], issue, row.storeOps);
+        switch (row.port) {
+          case PortClass::P0:
+            take(s.portFree[0], issue, row.aluUops);
+            break;
+          case PortClass::P1:
+            take(s.portFree[1], issue, row.aluUops);
+            break;
+          case PortClass::Either:
+            // Earliest-free, ties to p0, one uop at a time.
+            for (uint32_t k = 0; k < row.aluUops; ++k) {
+                if (s.portFree[0] <= s.portFree[1])
+                    take(s.portFree[0], issue, 1);
+                else
+                    take(s.portFree[1], issue, 1);
             }
-            dispatchTo(p, issue);
+            break;
         }
     }
 
-    /** Dispatch one uop to port @p p no earlier than @p issue. */
-    void
-    dispatchTo(size_t p, uint64_t issue)
+    /** Dispatch @p uops uops to @p port, back to back from the first
+     *  free cycle at or after @p issue. */
+    static void
+    take(uint64_t &port, uint64_t issue, uint32_t uops)
     {
-        const uint64_t at = std::max(issue, portFree_[p]);
-        portFree_[p] = at + 1;
-        if (at > lastDispatch_)
-            lastDispatch_ = at;
+        if (uops)
+            port = std::max(issue, port) + uops;
     }
-
-    uint64_t time_ = 0;       ///< next cycle a new decode group may start
-    uint64_t groupCycle_ = 0; ///< issue cycle of the open decode group
-    /** Issue slots left in the open group; 0 when none is open. */
-    uint32_t uopsLeft_ = 0;
-
-    /** Next free cycle of each single-issue port (p0 p1 p2 p3 p4; P6P
-     *  only). */
-    std::array<uint64_t, 5> portFree_{};
-    /** Latest cycle any uop has dispatched at (the window anchor; P6P
-     *  only). */
-    uint64_t lastDispatch_ = 0;
-
-    /** Result-ready cycle per scoreboard slot; same 256-entry sentinel
-     *  layout as PentiumTimer's. */
-    std::array<uint64_t, 256> ready_{};
-    TimerStats stats_;
-
-    friend Base;
 };
 
 /** The Pentium II decode front end. */

@@ -32,149 +32,129 @@
 namespace mmxdsp::sim {
 
 /**
+ * The P5's schedule state: what one event hands the next besides the
+ * scoreboard, and the schedule's counters. Small and plain, so a replay
+ * kernel that holds it as a local keeps it in registers.
+ */
+struct P5State
+{
+    uint64_t clock = 0;  ///< earliest cycle the next instr may issue
+    /** The U-pipe instruction still waiting for a V-pipe partner: its
+     *  issue cycle, structural-hazard signature (UopDesc::flags & 7)
+     *  and destination; the fields are stale while !uValid. */
+    uint64_t uCycle = 0;
+    bool uValid = false;
+    uint8_t uHaz = 0;
+    isa::RegTag uDst = isa::kNoReg;
+    uint64_t pairs = 0;
+    uint64_t dependStall = 0;
+
+    void
+    addTo(TimerStats &t) const
+    {
+        t.pairs = pairs;
+        t.dependStallCycles = dependStall;
+    }
+};
+
+/**
  * The P5 cycle-accounting engine. Feed it events in program order with
  * consume(); each call returns the cycles that event advanced the machine
  * (0 for the V-pipe half of a pair), so a caller can attribute every
  * cycle to a site or function and the per-event costs sum exactly to
  * cycles().
- *
- * The class is final and its per-event methods are defined inline: the
- * replay kernels hold a PentiumTimer by concrete type, so the virtual
- * TimingModel calls devirtualize and the issue/scoreboard state lives in
- * registers across loop iterations.
  */
-class PentiumTimer final : public TimerBase<PentiumTimer>
+class PentiumTimer final : public TimerBase<PentiumTimer, P5State>
 {
   public:
-    /** Never inlined, see TimerBase. */
-    [[gnu::noinline]] explicit PentiumTimer(
+    using State = P5State;
+
+    explicit PentiumTimer(
         const TimerConfig &config = TimerConfig{})
         : TimerBase(config, ModelKind::P5)
     {
     }
 
     /**
-     * consume() with the data-access penalty and the branch outcome
-     * supplied by the caller instead of this timer's cache hierarchy
-     * and BTB. Memoized replays use this: both outcomes depend only on
-     * the cache / BTB geometry, so machines that share one can record
-     * the outcomes once and feed them back here. @p mem_penalty must be
-     * 0 for non-memory ops and @p mispredict false for non-control ops.
-     * Neither structure is consulted or updated, so the caller owns
-     * cache- and btb-stat reporting.
-     *
-     * Inline (as is consume()): the replay loops call this per event,
-     * and inlining lets the issue/scoreboard state live in registers
-     * across iterations.
+     * The P5's rule for one event with operands @p src0 / @p src1 and
+     * destination @p dst, described by @p row, its data-access penalty
+     * @p mem_penalty (0 for non-memory ops) and branch outcome
+     * @p mispredict (false for non-control ops) supplied by the caller;
+     * a mispredict costs @p mispredict_penalty. The event's cost is the
+     * advance of @p s.clock. consume() and both per-machine replay
+     * kernels (live and memoized) run this; the lane kernel's P5Step
+     * mirrors it.
      */
-    uint64_t
-    consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
-                    bool mispredict)
+    static void
+    step(State &s, Scoreboard &ready, const UopDesc row, isa::RegTag src0,
+         isa::RegTag src1, isa::RegTag dst, uint32_t mem_penalty,
+         bool mispredict, uint32_t mispredict_penalty)
     {
-        const UopDesc &desc = descs_[uopTableIndex(event)];
-        const uint64_t before = nextIssue_;
-        ++stats_.instructions;
-
         // Operand readiness from the scoreboard. Slot kNoReg is a
         // sentinel held at zero, so absent operands need no branches.
-        const uint64_t ready =
-            std::max(ready_[event.src0], ready_[event.src1]);
-
-        // Data-cache behaviour (blocking on the Pentium).
-        stats_.memPenaltyCycles += mem_penalty;
+        const uint64_t rdy = std::max(ready[src0], ready[src1]);
+        const bool free = mem_penalty == 0 && !mispredict;
 
         uint64_t issue;
-        if (canPairInV(event, desc, ready, mem_penalty, mispredict)) {
+        if (s.uValid && canPairInV(s, row, src0, src1, dst, rdy) && free) {
             // Issue in the V pipe alongside the pending U instruction.
-            issue = uSlot_.cycle;
-            uSlot_.valid = false;
-            ++stats_.pairs;
+            issue = s.uCycle;
+            s.uValid = false;
+            ++s.pairs;
         } else {
-            issue = std::max(nextIssue_, ready);
-            if (issue > nextIssue_)
-                stats_.dependStallCycles += issue - nextIssue_;
-
-            const bool can_open_pair = (desc.flags & kDescPairUP) != 0
-                                       && mem_penalty == 0 && !mispredict;
-            uSlot_.valid = can_open_pair;
-            uSlot_.cycle = issue;
-            uSlot_.haz = desc.flags & 7;
-            uSlot_.dst = event.dst;
-
-            nextIssue_ = issue + desc.blocking + mem_penalty;
-            if (desc.blocking > 1)
-                stats_.blockingExtraCycles += desc.blocking - 1;
+            issue = std::max(s.clock, rdy);
+            s.dependStall += issue - s.clock;
+            // Only a UP-class op with no penalty and no mispredict (which
+            // would close the pair anyway) opens one.
+            s.uValid = (row.flags & kDescPairUP) != 0 && free;
+            s.uCycle = issue;
+            s.uHaz = row.flags & 7;
+            s.uDst = dst;
+            // Data-cache misses block on the Pentium.
+            s.clock = issue + row.blocking + mem_penalty;
         }
 
-        ready_[event.dst] = issue + desc.latP5 + mem_penalty;
-        ready_[isa::kNoReg] = 0; // restore the sentinel (dst may be absent)
+        ready[dst] = issue + row.latP5 + mem_penalty;
+        ready[isa::kNoReg] = 0; // restore the sentinel (dst may be absent)
 
-        if (mispredict) {
-            nextIssue_ += mispredictPenalty_;
-            stats_.mispredictCycles += mispredictPenalty_;
-            uSlot_.valid = false;
-        }
-
-        return nextIssue_ - before;
+        if (mispredict)
+            s.clock += mispredict_penalty;
     }
 
-    /** Total cycles of everything consumed so far. */
-    uint64_t cycles() const override { return nextIssue_; }
+    /** Cycles beyond the first that @p row blocks issue for; such an op
+     *  never pairs, so every one of its events counts them. */
+    static uint32_t blockingExtra(const UopDesc &row)
+    {
+        return row.blocking - 1u;
+    }
+
+    /** The P5 does not count uops. */
+    static uint32_t uopsIssued(const UopDesc &) { return 0; }
 
     ModelKind kind() const override { return ModelKind::P5; }
 
   private:
-    /** The U-pipe instruction still waiting for a V-pipe partner. */
-    struct OpenSlot
+    /** Whether @p row can issue in V beside the open U instruction,
+     *  outcomes aside. */
+    static bool
+    canPairInV(const State &s, const UopDesc &row, isa::RegTag src0,
+               isa::RegTag src1, isa::RegTag dst, uint64_t rdy)
     {
-        bool valid = false;
-        uint64_t cycle = 0;
-        /** Structural-hazard signature (UopDesc::flags & 7). */
-        uint8_t haz = 0;
-        isa::RegTag dst = isa::kNoReg;
-    };
-
-    bool
-    canPairInV(const isa::InstrEvent &event, const UopDesc &desc,
-               uint64_t ready, uint32_t mem_penalty, bool mispredict) const
-    {
-        if (!uSlot_.valid)
-            return false;
         // Only simple single-cycle, non-stalling instructions pair in V
         // (kDescPairPV folds the pairing class and blocking==1 legs).
-        if ((desc.flags & kDescPairPV) == 0)
-            return false;
-        if (mem_penalty != 0 || mispredict)
+        if ((row.flags & kDescPairPV) == 0)
             return false;
         // Operands must be ready at the U-pipe issue cycle.
-        if (ready > uSlot_.cycle)
+        if (rdy > s.uCycle)
             return false;
         // No intra-pair RAW or WAW dependence.
-        if (isa::tagValid(uSlot_.dst)) {
-            if (event.src0 == uSlot_.dst || event.src1 == uSlot_.dst)
-                return false;
-            if (event.dst == uSlot_.dst)
-                return false;
-        }
+        if (isa::tagValid(s.uDst)
+            && (src0 == s.uDst || src1 == s.uDst || dst == s.uDst))
+            return false;
         // One memory reference per pair, one op per single-instance MMX
         // unit per pair: the low-3-bit hazard signatures must not meet.
-        if ((desc.flags & uSlot_.haz & 7) != 0)
-            return false;
-        return true;
+        return (row.flags & s.uHaz & 7) == 0;
     }
-
-    uint64_t nextIssue_ = 0; ///< earliest cycle the next instr may issue
-    OpenSlot uSlot_;
-    /**
-     * Result-ready cycle per scoreboard slot, indexed directly by RegTag.
-     * Sized 256 (not kNumTagSlots) so slot isa::kNoReg (0xff) is a live
-     * sentinel pinned at zero: reads and writes for absent operands go
-     * through it unconditionally instead of branching on tag validity.
-     */
-    std::array<uint64_t, 256> ready_{};
-    TimerStats stats_;
-
-    friend class TimerBase<PentiumTimer>;
 };
 
 } // namespace mmxdsp::sim

@@ -15,18 +15,31 @@
  *  - consume() accounts one instruction in program order and returns
  *    the cycles that event advanced the machine, so per-event costs sum
  *    exactly to cycles();
- *  - each concrete timer's consumeResolved() is consume() with both
- *    outcomes supplied by the caller — the data access's penalty and
- *    the branch outcome: the model's own cache hierarchy and BTB must
- *    be neither consulted nor updated, which is what lets one memoized
+ *  - each concrete timer writes its rule once, as a static step() over
+ *    a small schedule state, a scoreboard and the event's UopDesc row,
+ *    with both outcomes supplied by the caller — the data access's
+ *    penalty and the branch outcome. The step neither consults nor
+ *    updates a cache hierarchy or BTB, which is what lets one memoized
  *    penalty-class stream (recorded per cache geometry) and one
  *    mispredict bitvector (recorded per BTB geometry) drive every model
- *    that shares them;
+ *    that shares them: the per-machine replay kernels call the same
+ *    step with a local state;
  *  - outcome resolution in consume() is exactly
- *    `memory().access(addr, size, store)` for memory ops and
+ *    `memory().access(addr, size)` for memory ops and
  *    `btb().predict(site, taken)` for control-transfer ops, and
  *    nothing else, so recorded outcomes are model-independent.
- *    TimerBase::consume() is that rule, written once for every model.
+ *    TimerBase::consume() is that rule, written once for every model
+ *    (the live replay kernel reads the same two calls off a trace's
+ *    records);
+ *  - the step counts only what the schedule decides (pairs or joins,
+ *    dependency and port stalls). Every other TimerStats field is a
+ *    sum of per-event facts — instructions, the outcomes' penalty
+ *    cycles, and the blocking extra cycles and uops issued of each op,
+ *    since an op that blocks or occupies decode for more than one cycle
+ *    never pairs or joins — which consume() adds per event and a
+ *    memoized replay takes in closed form. So cycles() is exactly
+ *    (instructions - pairs) + blockingExtraCycles + dependStallCycles
+ *    + memPenaltyCycles + mispredictCycles + portStallCycles.
  */
 
 #ifndef MMXDSP_SIM_TIMING_MODEL_HH
@@ -157,9 +170,8 @@ struct TimerStats
 /**
  * A trace-driven cycle-accounting machine, as the code that only knows
  * the machine at run time sees it (the profiler, anything driven by a
- * MachineConfig): one virtual dispatch per event. Concrete models are
- * final classes, so code holding one by concrete type (the replay
- * kernels) still gets fully inlined per-event calls.
+ * MachineConfig): one virtual dispatch per event. The replay kernels
+ * hold no timer: they run each model's static step() directly.
  */
 class TimingModel
 {
@@ -172,7 +184,7 @@ class TimingModel
     /** Total cycles of everything consumed so far. */
     virtual uint64_t cycles() const = 0;
 
-    virtual const TimerStats &stats() const = 0;
+    virtual TimerStats stats() const = 0;
     virtual const mem::MemoryHierarchy &memory() const = 0;
     virtual const mem::Btb &btb() const = 0;
     virtual const TimerConfig &config() const = 0;
@@ -180,23 +192,33 @@ class TimingModel
 };
 
 /**
+ * Result-ready cycle per scoreboard slot, indexed directly by RegTag.
+ * Sized 256 (not kNumTagSlots) so slot isa::kNoReg (0xff) is a live
+ * sentinel pinned at zero: reads and writes for absent operands go
+ * through it unconditionally instead of branching on tag validity.
+ */
+using Scoreboard = std::array<uint64_t, 256>;
+
+/**
  * What every concrete timer shares: its TimerConfig and resolved
  * mispredict penalty, the cache hierarchy and BTB that consume()
- * resolves outcomes through, and the accessors. @p Model supplies
+ * resolves outcomes through, the schedule state and scoreboard its
+ * step advances, the statistics no schedule decides, and the
+ * accessors. @p Model supplies
  *
- *  - consumeResolved(event, mem_penalty, mispredict): consume() with
- *    both outcomes supplied by the caller (@p mem_penalty 0 for
+ *  - `static void step(State &, Scoreboard &, UopDesc row,
+ *    src0, src1, dst, mem_penalty, mispredict, mispredict_penalty)`:
+ *    one event, both outcomes supplied (@p mem_penalty 0 for
  *    non-memory ops, @p mispredict false for non-control ops);
- *  - `TimerStats stats_`, readable by this class.
+ *  - `static uint32_t blockingExtra(const UopDesc &)` and
+ *    `static uint32_t uopsIssued(const UopDesc &)`: the op's share of
+ *    the two TimerStats fields that are per-op facts.
  *
- * The per-event state (pipeline, scoreboard, statistics) stays in the
- * concrete class, and the concrete constructors are never inlined
- * ([[gnu::noinline]]): that keeps the replay kernels' inner loops as
- * tight as with one self-contained class per model. With the
- * statistics in this base, or a constructor inlined into a kernel, GCC
- * spills more of the issue state to the stack on every event.
+ * @p State holds the clock (`clock`), whatever else the schedule
+ * carries from one event to the next, and the schedule's counters,
+ * which its `addTo(TimerStats &)` writes out.
  */
-template <class Model>
+template <class Model, class State>
 class TimerBase : public TimingModel
 {
   public:
@@ -211,14 +233,42 @@ class TimerBase : public TimingModel
         uint32_t mem_penalty = 0;
         if (event.mem != isa::MemMode::None)
             mem_penalty = memory_.access(event.addr, event.size);
-        return static_cast<Model *>(this)->consumeResolved(
-            event, mem_penalty, mispredict);
+        return consumeResolved(event, mem_penalty, mispredict);
     }
 
-    const TimerStats &
+    /**
+     * consume() with both outcomes supplied by the caller instead of
+     * this timer's cache hierarchy and BTB, which are neither consulted
+     * nor updated: @p mem_penalty must be 0 for non-memory ops and
+     * @p mispredict false for non-control ops.
+     */
+    uint64_t
+    consumeResolved(const isa::InstrEvent &event, uint32_t mem_penalty,
+                    bool mispredict)
+    {
+        const UopDesc &row = descs_[uopTableIndex(event)];
+        ++stats_.instructions;
+        stats_.memPenaltyCycles += mem_penalty;
+        if (mispredict)
+            stats_.mispredictCycles += mispredictPenalty_;
+        stats_.blockingExtraCycles += Model::blockingExtra(row);
+        stats_.uopsIssued += Model::uopsIssued(row);
+
+        const uint64_t before = state_.clock;
+        Model::step(state_, ready_, row, event.src0, event.src1, event.dst,
+                    mem_penalty, mispredict, mispredictPenalty_);
+        return state_.clock - before;
+    }
+
+    /** Total cycles of everything consumed so far. */
+    uint64_t cycles() const final { return state_.clock; }
+
+    TimerStats
     stats() const final
     {
-        return static_cast<const Model *>(this)->stats_;
+        TimerStats s = stats_;
+        state_.addTo(s);
+        return s;
     }
     const mem::MemoryHierarchy &memory() const final { return memory_; }
     const mem::Btb &btb() const final { return btb_; }
@@ -234,14 +284,19 @@ class TimerBase : public TimingModel
     {
     }
 
+  private:
     TimerConfig config_;
     mem::MemoryHierarchy memory_;
     mem::Btb btb_;
-    /** descTable().data(), hoisted so consumeResolved() skips the
-     *  per-call static-init guard. */
+    /** descTable().data(), hoisted so consume() skips the per-call
+     *  static-init guard. */
     const UopDesc *descs_;
     /** mispredictPenalty() of this model, resolved once. */
     const uint32_t mispredictPenalty_;
+    State state_{};
+    Scoreboard ready_{};
+    /** The fields no schedule decides; state_ holds the others. */
+    TimerStats stats_;
 };
 
 /** Build the timing model @p machine selects. */

@@ -140,6 +140,10 @@ descTable()
                 d.latP6 = info.latency;
                 if (e.op == Op::Imul || e.op == Op::Mul)
                     d.latP6 = 4;
+                d.occupy = static_cast<uint8_t>(
+                    (d.uops + kP6IssueWidth - 1) / kP6IssueWidth);
+                d.opens = static_cast<uint8_t>(
+                    d.occupy == 1 ? kP6IssueWidth - d.uops : 0);
             }
         }
         return t;

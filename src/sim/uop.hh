@@ -84,11 +84,16 @@ enum class PortClass : uint8_t {
     P1,     ///< p1 only (the MMX shifter and branch resolution)
 };
 
+/** Uops the P6 family's front end issues per cycle (p6_timer.hh). */
+constexpr uint32_t kP6IssueWidth = 3;
+
 /**
  * The descriptor of one (op, memory-form), pre-decoded: everything a
  * timing model needs per event and where a profile attributes its
  * cycles. uops always equals aluUops + loadUops + 2 * storeOps
- * (store-address on p3 plus store-data on p4 per store).
+ * (store-address on p3 plus store-data on p4 per store). It is also
+ * the dense timing row a trace keeps per static entry, so a replay
+ * kernel reads every fact of an event with one load.
  */
 struct UopDesc
 {
@@ -101,6 +106,11 @@ struct UopDesc
     uint8_t blocking; ///< P5 issue-blocking cycles (1 = pipelined)
     uint8_t latP5;    ///< P5 result latency
     uint8_t latP6;    ///< P6/P6P result latency (pipelined multiplier)
+    /** P6 decode cycles: ceil(uops / kP6IssueWidth). */
+    uint8_t occupy;
+    /** P6 issue slots a decode group this op opens leaves for joiners:
+     *  kP6IssueWidth - uops when it occupies one cycle, else 0. */
+    uint8_t opens;
 };
 
 /**

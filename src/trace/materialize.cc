@@ -16,7 +16,6 @@
 namespace mmxdsp::trace {
 
 using isa::InstrEvent;
-using isa::MemMode;
 
 namespace {
 
@@ -29,15 +28,11 @@ constexpr size_t kBatchEvents = 512;
 void
 MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
 {
-    // The OpFacts of every static entry: its descriptor and flags.
+    // The timing row of every static entry: its descriptor.
     const sim::UopDesc *descs = sim::descTable().data();
-    facts_.resize(statics_.size());
-    for (size_t sid = 0; sid < statics_.size(); ++sid) {
-        const StaticInstr &s = statics_[sid];
-        OpFacts &f = facts_[sid];
-        f.desc = static_cast<uint16_t>(s.op * 3u + s.mem);
-        f.flags = descs[f.desc].flags;
-    }
+    rows_.resize(statics_.size());
+    for (size_t sid = 0; sid < statics_.size(); ++sid)
+        rows_[sid] = descs[statics_[sid].op * 3u + statics_[sid].mem];
 
     // The function-run list and the per-function counts: each Run
     // segment belongs to the function on top of the enter/leave stack,
@@ -75,21 +70,29 @@ MaterializedTrace::derive(const std::vector<uint64_t> &sidCounts)
     // so they fold from the per-entry event counts.
     profile::ProfileResult counts{};
     controlCount_ = 0;
+    opStats_ = {};
     for (size_t sid = 0; sid < statics_.size(); ++sid) {
         const StaticInstr &s = statics_[sid];
         const uint64_t count = sidCounts[sid];
-        const OpFacts &f = facts_[sid];
+        const sim::UopDesc &row = rows_[sid];
         counts.dynamicInstructions += count;
-        counts.uops += count * descs[f.desc].uops;
+        counts.uops += count * row.uops;
         counts.memoryReferences += s.mem ? count : 0;
         counts.opCounts[s.op] += count;
         const isa::MmxCategory cat =
             isa::opInfo(static_cast<isa::Op>(s.op)).mmx;
         if (cat != isa::MmxCategory::None)
             counts.mmxByCategory[static_cast<size_t>(cat)] += count;
-        if (f.flags & sim::kDescControl)
+        if (row.flags & sim::kDescControl)
             controlCount_ += count;
+        sim::TimerStats &p5 = opStats_[0], &p6 = opStats_[1];
+        p5.blockingExtraCycles +=
+            count * sim::PentiumTimer::blockingExtra(row);
+        p5.uopsIssued += count * sim::PentiumTimer::uopsIssued(row);
+        p6.blockingExtraCycles += count * sim::P6Timer::blockingExtra(row);
+        p6.uopsIssued += count * sim::P6Timer::uopsIssued(row);
     }
+    opStats_[0].instructions = opStats_[1].instructions = ops_.size();
     counts.functionCalls =
         counts.opCounts[static_cast<size_t>(isa::Op::Call)];
     counts.staticInstructions = executedSites(sidCounts).size();
@@ -120,7 +123,7 @@ MaterializedTrace::byteSize() const
                    + statics_.size() * sizeof(StaticInstr)
                    + regions_.size() * sizeof(uint32_t)
                    + segments_.size() * sizeof(Segment)
-                   + facts_.size() * sizeof(OpFacts)
+                   + rows_.size() * sizeof(sim::UopDesc)
                    + fnRuns_.size() * sizeof(FnRun)
                    + siteMeta_.size() * sizeof(SiteMeta);
     for (const std::string &s : fnNames_)
@@ -265,11 +268,11 @@ MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
     BtbMemo memo;
     memo.bits.assign((controlCount_ + 63) / 64, 0);
     mem::Btb btb(entries, ways);
-    const OpFacts *facts = facts_.data();
+    const sim::UopDesc *rows = rows_.data();
     const StaticInstr *statics = statics_.data();
     size_t branch = 0;
     for (const PackedOp &p : ops_) {
-        if (facts[p.sid].flags & sim::kDescControl) {
+        if (rows[p.sid].flags & sim::kDescControl) {
             if (btb.predict(statics[p.sid].site, (p.ev & 1) != 0))
                 memo.bits[branch >> 6] |= uint64_t{1} << (branch & 63);
             ++branch;
@@ -279,111 +282,202 @@ MaterializedTrace::buildBtbMemo(uint32_t entries, uint32_t ways) const
     return memo;
 }
 
+/** Outcomes recorded once per geometry: a penalty class per memory
+ *  event and a mispredict bit per control event. The kernel keeps the
+ *  cursors (memory event @p j, control event @p b), so they stay in
+ *  registers. */
+struct MaterializedTrace::MemoOutcomes
+{
+    MemoOutcomes(const MaterializedTrace &t,
+                 const sim::MachineConfig &machine, const MemoRefs &m)
+        : trace(t), memos(m), cls(m.cache->cls.data()),
+          bits(m.btb->bits.data()),
+          penaltyOf{0, machine.timer.penalties.ofClass(1),
+                    machine.timer.penalties.ofClass(2)}
+    {
+    }
+
+    uint32_t
+    penalty(const PackedOp &, size_t j) const
+    {
+        return penaltyOf[cls[j]];
+    }
+
+    bool
+    mispredict(const PackedOp &, size_t b) const
+    {
+        return (bits[b >> 6] >> (b & 63)) & 1;
+    }
+
+    profile::ProfileResult
+    finish(Measured &m, const sim::MachineConfig &machine,
+           const uint64_t *fnCycles) const
+    {
+        return trace.assembleMemoized(m, machine, memos, fnCycles, 1);
+    }
+
+    const MaterializedTrace &trace;
+    const MemoRefs &memos;
+    const uint8_t *cls;
+    const uint64_t *bits;
+    const std::array<uint32_t, 3> penaltyOf;
+};
+
+/** Outcomes resolved as the events arrive, through the machine's own
+ *  cache hierarchy and BTB: exactly sim::TimerBase::consume()'s rule. */
+struct MaterializedTrace::LiveOutcomes
+{
+    LiveOutcomes(const MaterializedTrace &t, const sim::TimerConfig &c)
+        : trace(t), memory(c.l1, c.l2, c.penalties),
+          btb(c.btb_entries, c.btb_ways)
+    {
+    }
+
+    uint32_t
+    penalty(const PackedOp &p, size_t j)
+    {
+        const uint64_t addr = uint64_t{trace.regions_[p.ev >> 1]} << 32
+                              | trace.addrLo_[j];
+        const uint32_t cycles =
+            memory.access(addr, trace.statics_[p.sid].size);
+        penaltyCycles += cycles;
+        return cycles;
+    }
+
+    bool
+    mispredict(const PackedOp &p, size_t)
+    {
+        return btb.predict(trace.statics_[p.sid].site, (p.ev & 1) != 0);
+    }
+
+    profile::ProfileResult
+    finish(Measured &m, const sim::MachineConfig &machine,
+           const uint64_t *fnCycles) const
+    {
+        trace.addOpStats(m.timer, machine.model);
+        m.timer.memPenaltyCycles = penaltyCycles;
+        m.timer.mispredictCycles =
+            btb.stats().mispredicts
+            * uint64_t{sim::mispredictPenalty(machine.model, machine.timer)};
+        m.l1 = memory.l1().stats();
+        m.l2 = memory.l2().stats();
+        m.btb = btb.stats();
+        return trace.assemble(m, fnCycles, 1);
+    }
+
+    const MaterializedTrace &trace;
+    mem::MemoryHierarchy memory;
+    mem::Btb btb;
+    uint64_t penaltyCycles = 0;
+};
+
 profile::ProfileResult
 MaterializedTrace::runKernel(const sim::MachineConfig &machine,
-                             const CacheMemo *cache, const BtbMemo *btb) const
+                             const MemoRefs &memos) const
 {
-    const sim::TimerConfig &c = machine.timer;
+    const auto run = [&]<typename Model>() {
+        if (memos.cache) {
+            MemoOutcomes outcomes(*this, machine, memos);
+            return runKernelImpl<Model>(machine, outcomes);
+        }
+        LiveOutcomes outcomes(*this, machine.timer);
+        return runKernelImpl<Model>(machine, outcomes);
+    };
     switch (machine.model) {
       case sim::ModelKind::P6:
-        return cache ? runKernelImpl<sim::P6Timer, true>(c, cache, btb)
-                     : runKernelImpl<sim::P6Timer, false>(c, cache, btb);
+        return run.template operator()<sim::P6Timer>();
       case sim::ModelKind::P6P:
-        return cache ? runKernelImpl<sim::P6PTimer, true>(c, cache, btb)
-                     : runKernelImpl<sim::P6PTimer, false>(c, cache, btb);
+        return run.template operator()<sim::P6PTimer>();
       case sim::ModelKind::P5:
         break;
     }
-    return cache ? runKernelImpl<sim::PentiumTimer, true>(c, cache, btb)
-                 : runKernelImpl<sim::PentiumTimer, false>(c, cache, btb);
+    return run.template operator()<sim::PentiumTimer>();
 }
 
-template <typename Model, bool Memoized>
+template <typename Model, typename Outcomes>
 profile::ProfileResult
-MaterializedTrace::runKernelImpl(const sim::TimerConfig &config,
-                                 const CacheMemo *cache,
-                                 const BtbMemo *btb) const
+MaterializedTrace::runKernelImpl(const sim::MachineConfig &machine,
+                                 Outcomes &outcomes) const
 {
-    // The config-independent counts come from the template (assemble());
-    // this loop only runs the timing model and attributes its cycles.
-    // Model is a final class, so every consume call below devirtualizes
-    // and inlines.
+    // Per event only the schedule runs: Model's step over a local state
+    // (so it stays in registers) and the sid's timing row. The
+    // config-independent counts come from the template (assemble()),
+    // per-function cycles telescope over each run of one function, and
+    // only call/ret and overhead events take a per-event cost.
     std::vector<uint64_t> fnCycles(fnNames_.size(), 0);
     uint64_t callRet = 0;
     uint64_t overhead = 0;
-
-    // With memos, consumeResolved() never touches the timer's own
-    // cache hierarchy and BTB, so they get the smallest legal geometry
-    // instead of real tag arrays.
-    sim::TimerConfig timing = config;
-    if constexpr (Memoized) {
-        timing.l1 = timing.l2 = mem::CacheConfig{"unused", 8, 8, 1};
-        timing.btb_entries = timing.btb_ways = 1;
-    }
-    Model timer(timing);
-    const uint8_t *cls = Memoized ? cache->cls.data() : nullptr;
-    const uint64_t *bits = Memoized ? btb->bits.data() : nullptr;
-    const std::array<uint32_t, 3> penaltyOf = {
-        0, config.penalties.ofClass(1), config.penalties.ofClass(2)};
+    typename Model::State s{};
+    sim::Scoreboard ready{};
+    const uint32_t mispredictPenalty =
+        sim::mispredictPenalty(machine.model, machine.timer);
 
     const PackedOp *ops = ops_.data();
-    const OpFacts *facts = facts_.data();
-    const StaticInstr *statics = statics_.data();
+    const sim::UopDesc *rows = rows_.data();
     size_t memIdx = 0;
     size_t branch = 0;
     size_t i = 0;
 
     for (const FnRun &run : fnRuns_) {
-        uint64_t runCycles = 0;
+        const uint64_t start = s.clock;
         for (const size_t runEnd = i + run.count; i < runEnd; ++i) {
-            const PackedOp &p = ops[i];
-            const uint8_t f = facts[p.sid].flags;
-            uint64_t cost;
-            if constexpr (Memoized) {
-                // consumeResolved() reads only the op, the memory mode
-                // and the register tags, so the address column is
-                // never loaded.
-                const StaticInstr &s = statics[p.sid];
-                InstrEvent e;
-                e.op = static_cast<isa::Op>(s.op);
-                e.mem = static_cast<MemMode>(s.mem);
-                e.src0 = p.src0;
-                e.src1 = p.src1;
-                e.dst = p.dst;
-                // Both outcomes were recorded once for these geometries.
-                uint32_t penalty = 0;
-                if (f & sim::kDescMem)
-                    penalty = penaltyOf[cls[memIdx++]];
-                bool mispredict = false;
-                if (f & sim::kDescControl) {
-                    mispredict = (bits[branch >> 6] >> (branch & 63)) & 1;
-                    ++branch;
-                }
-                cost = timer.consumeResolved(e, penalty, mispredict);
-            } else {
-                cost = timer.consume(decode(p, memIdx));
+            const PackedOp p = ops[i];
+            const sim::UopDesc &row = rows[p.sid];
+            const uint8_t f = row.flags;
+            uint32_t penalty = 0;
+            if (f & sim::kDescMem)
+                penalty = outcomes.penalty(p, memIdx++);
+            bool mispredict = false;
+            if (f & sim::kDescControl)
+                mispredict = outcomes.mispredict(p, branch++);
+            const uint64_t before = s.clock;
+            Model::step(s, ready, row, p.src0, p.src1, p.dst, penalty,
+                        mispredict, mispredictPenalty);
+            // Every call/ret op is an overhead op too.
+            if (f & sim::kDescOverhead) {
+                const uint64_t cost = s.clock - before;
+                overhead += cost;
+                if (f & sim::kDescCallRet)
+                    callRet += cost;
             }
-            runCycles += cost;
-            // Branchless attribution from the static entry's flags.
-            callRet +=
-                cost & -static_cast<uint64_t>((f & sim::kDescCallRet) != 0);
-            overhead +=
-                cost & -static_cast<uint64_t>((f & sim::kDescOverhead) != 0);
         }
-        fnCycles[run.fnId] += runCycles;
+        fnCycles[run.fnId] += s.clock - start;
     }
 
-    Measured m{timer.cycles(), callRet, overhead, timer.stats(), {}, {}, {}};
-    if constexpr (Memoized) {
-        m.l1 = cache->l1;
-        m.l2 = cache->l2;
-        m.btb = btb->stats;
-    } else {
-        m.l1 = timer.memory().l1().stats();
-        m.l2 = timer.memory().l2().stats();
-        m.btb = timer.btb().stats();
-    }
-    return assemble(m, fnCycles.data(), 1);
+    Measured m{s.clock, callRet, overhead, {}, {}, {}, {}};
+    s.addTo(m.timer);
+    return outcomes.finish(m, machine, fnCycles.data());
+}
+
+void
+MaterializedTrace::addOpStats(sim::TimerStats &t, sim::ModelKind model) const
+{
+    const sim::TimerStats &ops =
+        opStats_[model == sim::ModelKind::P5 ? 0 : 1];
+    t.instructions = ops.instructions;
+    t.blockingExtraCycles = ops.blockingExtraCycles;
+    t.uopsIssued = ops.uopsIssued;
+}
+
+profile::ProfileResult
+MaterializedTrace::assembleMemoized(Measured &m,
+                                    const sim::MachineConfig &machine,
+                                    const MemoRefs &memos,
+                                    const uint64_t *fnCycles,
+                                    size_t stride) const
+{
+    const sim::TimerConfig &tc = machine.timer;
+    addOpStats(m.timer, machine.model);
+    m.timer.memPenaltyCycles =
+        memos.cache->l2Served * tc.penalties.ofClass(1)
+        + memos.cache->l2Missed * tc.penalties.ofClass(2);
+    m.timer.mispredictCycles =
+        memos.btb->stats.mispredicts
+        * uint64_t{sim::mispredictPenalty(machine.model, tc)};
+    m.l1 = memos.cache->l1;
+    m.l2 = memos.cache->l2;
+    m.btb = memos.btb->stats;
+    return assemble(m, fnCycles, stride);
 }
 
 profile::ProfileResult
@@ -412,7 +506,7 @@ MaterializedTrace::assemble(const Measured &m, const uint64_t *fnCycles,
 profile::ProfileResult
 MaterializedTrace::replayProfile(const sim::MachineConfig &machine) const
 {
-    return runKernel(machine, nullptr, nullptr);
+    return runKernel(machine, {});
 }
 
 std::vector<profile::ProfileResult>
@@ -425,7 +519,7 @@ MaterializedTrace::replaySweepScalar(
                         LaneIsa::None);
     std::vector<profile::ProfileResult> results(machines.size());
     parallelFor(machines.size(), threads, [&](size_t i) {
-        results[i] = runKernel(machines[i], nullptr, nullptr);
+        results[i] = runKernel(machines[i], {});
     });
     return results;
 }

@@ -101,6 +101,16 @@ LaneIsa hostLaneIsa();
 /** "avx512" / "avx2" / "none". */
 const char *laneIsaName(LaneIsa isa);
 
+/**
+ * The widest group of @p model machines replaySweep() runs per machine
+ * at @p threads (0: every hardware thread); a wider group rides the
+ * lanes. A lane block is one serial task while per-machine runs go side
+ * by side, so the lanes take a group once it needs more rounds of the
+ * workers than the model's per-machine kernel can beat: two for the P5
+ * and P6, one for the slower P6P (the crossover in EXPERIMENTS.md).
+ */
+size_t perMachineWidth(sim::ModelKind model, int threads);
+
 /** What one sweep of the driver did (replaySweep() can return it). */
 struct SweepReport
 {
@@ -148,17 +158,6 @@ static_assert(sizeof(StaticInstr) == 8);
 constexpr size_t kMaxStaticInstrs = size_t{1} << 16;
 /** The most address regions a trace holds (7 bits of PackedOp::ev). */
 constexpr size_t kMaxAddrRegions = 128;
-
-/**
- * The per-sid pre-join the replay kernels read per event, derived on
- * capture and load: a static entry's sim::descTable() row and that
- * row's flags byte (the sim::kDesc* bits every kernel branches on).
- */
-struct OpFacts
-{
-    uint16_t desc; ///< sim::descTable() index (op * 3 + memory mode)
-    uint8_t flags; ///< sim::UopDesc::flags of descTable()[desc]
-};
 
 struct SweepProgram;
 
@@ -330,7 +329,7 @@ class MaterializedTrace
      *     call-local memos without one), one pass per L1 geometry
      *     shared by all of its L2 geometries;
      *  2. entries are grouped by model; a group of more than
-     *     max(2, workers) entries runs on the config-parallel lane
+     *     perMachineWidth() entries runs on the config-parallel lane
      *     kernel (trace/sweep_kernel.cc) of hostLaneIsa(), over one
      *     bit-per-lane outcome plane per distinct lane tuple, except an
      *     entry whose penalties do not fit 32-bit lanes;
@@ -348,11 +347,12 @@ class MaterializedTrace
 
     /**
      * The per-machine sweep: one scalar timing pass per entry. Without
-     * @p memos every entry runs the timer's own cache and BTB — the
-     * golden reference every other sweep path is checked against.
+     * @p memos every entry runs the live kernel over the machine's own
+     * cache and BTB — the golden reference every other sweep path is
+     * checked against.
      * With @p memos it is the sweep driver with no lane kernel: the
-     * memo pre-pass, then every entry replays its two memos through
-     * the timer's consumeResolved() and walks no tag array.
+     * memo pre-pass, then every entry runs the memoized per-machine
+     * kernel over its two memos and walks no tag array.
      */
     std::vector<profile::ProfileResult>
     replaySweepScalar(const std::vector<sim::MachineConfig> &machines,
@@ -388,8 +388,7 @@ class MaterializedTrace
     /**
      * Reassemble one event from its record; @p memIdx walks the
      * address column and advances past a memory event. Decodes the
-     * stream in order, the way replayTo() and the memo-less kernel
-     * read it.
+     * stream in order, the way replayTo() reads it.
      */
     isa::InstrEvent decode(const PackedOp &p, size_t &memIdx) const
     {
@@ -453,11 +452,11 @@ class MaterializedTrace
 
     /**
      * Derive everything besides the tables, on capture and load alike:
-     * the OpFacts of every static entry; the function-run list and the
-     * per-function calls and instructions of the segment stream; and,
-     * folded from @p sidCounts (events per static entry), the
-     * ProfileResult template and the control count. O(static entries
-     * + segments).
+     * the timing row of every static entry; the function-run list and
+     * the per-function calls and instructions of the segment stream;
+     * and, folded from @p sidCounts (events per static entry), the
+     * ProfileResult template, the control count and each model
+     * family's per-op statistics. O(static entries + segments).
      */
     void derive(const std::vector<uint64_t> &sidCounts);
 
@@ -469,7 +468,10 @@ class MaterializedTrace
     std::vector<std::string> fnNames_;
 
     // -- derived by derive() --
-    std::vector<OpFacts> facts_; ///< indexed by PackedOp::sid
+    /** The timing row of each static entry (its sim::descTable() row),
+     *  indexed by PackedOp::sid: every fact a kernel reads per event,
+     *  in one load. */
+    std::vector<sim::UopDesc> rows_;
     std::vector<FnRun> fnRuns_;  ///< the segment stream's runs, in order
     /** Per-function calls/instructions (config-independent). */
     std::vector<profile::FunctionStats> fnCounts_;
@@ -479,6 +481,10 @@ class MaterializedTrace
      */
     profile::ProfileResult counts_;
     uint64_t controlCount_ = 0; ///< number of events with kDescControl
+    /** The TimerStats fields that are sums of per-op facts
+     *  (instructions, blocking extra cycles, uops issued; TimingModel's
+     *  contract) of every replay: [0] on the P5, [1] on the P6 family. */
+    std::array<sim::TimerStats, 2> opStats_{};
 
     /** What one machine's replay measured besides its per-function
      *  cycles: the ProfileResult fields counts_ leaves zero. */
@@ -495,7 +501,7 @@ class MaterializedTrace
 
     /**
      * One machine's ProfileResult: counts_ plus @p m, with function
-     * id's cycles at @p fnCycles[id * stride]. The per-machine kernel
+     * id's cycles at @p fnCycles[id * stride]. The per-machine kernels
      * and the lanes assemble every result here. (@p m is one argument
      * so that no call passes arguments on the stack, which would cost
      * the kernels their frame-pointer register.)
@@ -503,6 +509,32 @@ class MaterializedTrace
     profile::ProfileResult assemble(const Measured &m,
                                     const uint64_t *fnCycles,
                                     size_t stride) const;
+
+    /** One sweep entry's two memos. */
+    struct MemoRefs
+    {
+        const CacheMemo *cache = nullptr;
+        const BtbMemo *btb = nullptr;
+    };
+
+    /** Set @p t's per-op fields (instructions, blocking extra cycles,
+     *  uops issued) for a replay on @p model: sums of per-op facts. */
+    void addOpStats(sim::TimerStats &t, sim::ModelKind model) const;
+
+    /**
+     * A replay over memos: @p m as the kernel measured it (cycles,
+     * attribution, and in @p m.timer the schedule's counters: pairs,
+     * dependency and port stalls), completed by every statistic with a
+     * closed form — addOpStats(), memory penalty and mispredict cycles
+     * from @p memos' counts, the cache and BTB statistics from
+     * @p memos — then assemble()d. The memoized kernel and the lanes
+     * both finish here.
+     */
+    profile::ProfileResult assembleMemoized(Measured &m,
+                                            const sim::MachineConfig &machine,
+                                            const MemoRefs &memos,
+                                            const uint64_t *fnCycles,
+                                            size_t stride) const;
 
     /**
      * Record the CacheMemo of every L2 geometry in @p l2s behind the L1
@@ -517,13 +549,6 @@ class MaterializedTrace
 
     /** Record one BTB geometry's memo: the BTB over the control events. */
     BtbMemo buildBtbMemo(uint32_t entries, uint32_t ways) const;
-
-    /** One sweep entry's two memos. */
-    struct MemoRefs
-    {
-        const CacheMemo *cache = nullptr;
-        const BtbMemo *btb = nullptr;
-    };
 
     /**
      * The memos of one sweep: what every entry reads, and the recorder
@@ -570,25 +595,30 @@ class MaterializedTrace
              SweepReport *report = nullptr) const;
 
     /**
-     * The per-config replay loop behind replayProfile()/replaySweep(),
+     * The per-machine replay behind replayProfile()/replaySweep(),
      * dispatching once per replay to the kernel instantiated for the
-     * selected machine. With memos (both or neither), memory and branch
-     * outcomes come from their records and their stats are reported;
-     * without, the timer's own cache and BTB run.
+     * selected machine: with @p memos (both or neither), outcomes come
+     * from their records (the memoized kernel); without, from the
+     * machine's own cache hierarchy and BTB (the live kernel).
      */
     profile::ProfileResult runKernel(const sim::MachineConfig &machine,
-                                     const CacheMemo *cache,
-                                     const BtbMemo *btb) const;
+                                     const MemoRefs &memos) const;
+
+    /** Where runKernelImpl() takes each event's outcomes from and how
+     *  it finishes its result (trace/materialize.cc). */
+    struct MemoOutcomes;
+    struct LiveOutcomes;
 
     /**
-     * The kernel body, templated on the concrete (final) model class so
-     * the per-event consume calls devirtualize and inline, and on
-     * whether the outcomes come from memos.
+     * The per-machine kernel: @p Model's step() over a local schedule
+     * state and scoreboard (locals, so the state can live in
+     * registers), the per-sid timing rows, and each memory and control
+     * event's outcome from @p outcomes. Per event it keeps only what
+     * the schedule decides; everything else has a closed form.
      */
-    template <typename Model, bool Memoized>
-    profile::ProfileResult runKernelImpl(const sim::TimerConfig &config,
-                                         const CacheMemo *cache,
-                                         const BtbMemo *btb) const;
+    template <typename Model, typename Outcomes>
+    profile::ProfileResult runKernelImpl(const sim::MachineConfig &machine,
+                                         Outcomes &outcomes) const;
 
     // -- re-interned site metadata for hotspot labelling --
     struct SiteMeta

@@ -23,7 +23,7 @@
  *
  *  2. **Lanes.** Machines are grouped by model (each model's front
  *     end is fixed, so only its penalties differ per machine). A
- *     group of more than max(2, workers) machines advances together
+ *     group of more than perMachineWidth() machines advances together
  *     in ONE pass over the trace's own 6-byte records (PackedOp), read
  *     in place, one 32-bit lane per machine, in blocks of one vector
  *     register: 16 lanes per zmm on AVX-512, 8 per ymm on AVX2 (a
@@ -40,18 +40,19 @@
  *     GCC/Clang vector extensions and templated on a per-model step;
  *     every per-lane choice is a mask select, because whether a lane
  *     pairs or joins a decode group is data-dependent and a branch
- *     would mispredict constantly. Statistics with a closed form over the memos (memory
- *     penalty and mispredict cycles) leave the loop.
+ *     would mispredict constantly. Statistics with a closed form over
+ *     the memos (memory penalty and mispredict cycles) or the per-op
+ *     facts (blocking extra cycles, uops issued) leave the loop.
  *
  *  3. **Per-machine runs.** Every other machine (a narrow group, every
  *     vprofd miss) runs the memoized per-machine kernel
- *     (MaterializedTrace::runKernelImpl<Model, true>), which hands the
- *     timer both recorded outcomes through consumeResolved().
+ *     (MaterializedTrace::runKernelImpl<Model, MemoOutcomes>), which runs
+ *     the model's own step() over both recorded outcomes.
  *
  * The pre-pass, the plane packing and the timing tasks (lane blocks
  * and per-machine runs, largest first) are three worker pools in turn.
  * Every result is bit-identical to replaySweepScalar() without memos:
- * each lane step mirrors its model's consumeResolved() exactly,
+ * each lane step mirrors its model's step() exactly,
  * exploiting only don't-care stores (fields the scalar model leaves
  * stale behind a flag may be overwritten unconditionally).
  */
@@ -96,14 +97,14 @@ struct LaneRef
 };
 
 /** What the lanes read of one trace, borrowed from the
- *  MaterializedTrace: its records in place, the OpFacts of its static
- *  entries and its function-run list; results go through its
- *  assemble(). */
+ *  MaterializedTrace: its records in place, the timing rows of its
+ *  static entries and its function-run list; results go through its
+ *  assembleMemoized(). */
 struct SweepProgram
 {
     explicit SweepProgram(const MaterializedTrace &t)
-        : trace(t), n(t.ops_.size()), ops(t.ops_.data()),
-          facts(t.facts_.data()), runs(&t.fnRuns_),
+        : trace(t), ops(t.ops_.data()), rows(t.rows_.data()),
+          runs(&t.fnRuns_),
           memEvents(t.counts_.memoryReferences),
           controlEvents(t.controlCount_), functions(t.fnNames_.size())
     {
@@ -111,19 +112,18 @@ struct SweepProgram
 
     /**
      * Lane @p ref's ProfileResult from its loop-carried statistics
-     * (@p timer, @p cycles, @p callRet, @p overhead, function id's
-     * cycles at @p fnCycles[id * stride]) and the statistics with a
-     * closed form over its memos.
+     * (@p schedule's counters, @p cycles, @p callRet, @p overhead,
+     * function id's cycles at @p fnCycles[id * stride]) and the
+     * statistics with a closed form.
      */
     profile::ProfileResult
-    laneResult(const LaneRef &ref, const sim::TimerStats &timer,
+    laneResult(const LaneRef &ref, const sim::TimerStats &schedule,
                uint64_t cycles, uint64_t callRet, uint64_t overhead,
                const uint64_t *fnCycles, size_t stride) const;
 
     const MaterializedTrace &trace;
-    size_t n;
     const PackedOp *ops;
-    const OpFacts *facts; ///< indexed by PackedOp::sid
+    const sim::UopDesc *rows; ///< indexed by PackedOp::sid
     const std::vector<FnRun> *runs;
     size_t memEvents;     ///< length of every CacheMemo::cls
     size_t controlEvents; ///< bits in every BtbMemo
@@ -131,22 +131,14 @@ struct SweepProgram
 };
 
 profile::ProfileResult
-SweepProgram::laneResult(const LaneRef &ref, const sim::TimerStats &timer,
+SweepProgram::laneResult(const LaneRef &ref, const sim::TimerStats &schedule,
                          uint64_t cycles, uint64_t callRet, uint64_t overhead,
                          const uint64_t *fnCycles, size_t stride) const
 {
-    const sim::MachineConfig &machine = *ref.machine;
-    MaterializedTrace::Measured m{cycles,      callRet,     overhead,
-                                  timer,       ref.mem->l1, ref.mem->l2,
-                                  ref.btb->stats};
-    m.timer.instructions = n;
-    m.timer.memPenaltyCycles =
-        ref.mem->l2Served * machine.timer.penalties.ofClass(1)
-        + ref.mem->l2Missed * machine.timer.penalties.ofClass(2);
-    m.timer.mispredictCycles =
-        ref.btb->stats.mispredicts
-        * uint64_t{sim::mispredictPenalty(machine.model, machine.timer)};
-    return trace.assemble(m, fnCycles, stride);
+    MaterializedTrace::Measured m{cycles, callRet, overhead, schedule,
+                                  {},     {},      {}};
+    return trace.assembleMemoized(m, *ref.machine, {ref.mem, ref.btb},
+                                  fnCycles, stride);
 }
 
 namespace {
@@ -399,6 +391,14 @@ fillPlane(OutcomePlane &plane, size_t memEvents, size_t controlEvents,
 
 } // namespace
 
+size_t
+perMachineWidth(sim::ModelKind model, int threads)
+{
+    const size_t rounds = model == sim::ModelKind::P6P ? 1 : 2;
+    return rounds
+           * std::max<size_t>(2, static_cast<size_t>(resolveThreads(threads)));
+}
+
 LaneIsa
 hostLaneIsa()
 {
@@ -471,14 +471,9 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
 
     SweepReport rep;
 
-    // Group the machines by model. The lane kernel advances a group in
-    // one pass, but a lane block is one serial task while per-machine
-    // passes run side by side, so replaySweep() only packs a group once
-    // it holds more machines than there are workers to run per-machine
-    // passes (the crossover in EXPERIMENTS.md);
-    // replaySweepPacked() packs every group. Machines that do not fit
-    // 32-bit lanes run per machine either way.
-    const size_t workers = static_cast<size_t>(resolveThreads(threads));
+    // Group the machines by model. replaySweep() packs a group wider
+    // than perMachineWidth(); replaySweepPacked() packs every group.
+    // Machines that do not fit 32-bit lanes run per machine either way.
     std::array<std::vector<size_t>, sim::kNumModelKinds> groups;
     for (size_t i = 0; i < machines.size(); ++i)
         groups[static_cast<size_t>(machines[i].model)].push_back(i);
@@ -495,8 +490,10 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
             solo.insert(solo.end(), unfit, group.end());
             group.erase(unfit, group.end());
         }
-        if (route == SweepRoute::Dispatch)
-            pack = pack && group.size() > std::max<size_t>(2, workers);
+        if (route == SweepRoute::Dispatch && !group.empty())
+            pack = pack
+                   && group.size()
+                          > perMachineWidth(machines[group[0]].model, threads);
         if (pack && !group.empty())
             lanes.push_back(std::move(group));
         else
@@ -591,9 +588,8 @@ MaterializedTrace::runSweep(const std::vector<sim::MachineConfig> &machines,
     // ---- 3. one per-machine run per other entry ----
     for (size_t i : solo)
         tasks.push_back({taskRank(machines[i].model, 0), [&, i] {
-                             results[i] = runKernel(machines[i],
-                                                    pass.refs[i].cache,
-                                                    pass.refs[i].btb);
+                             results[i] =
+                                 runKernel(machines[i], pass.refs[i]);
                          }});
     std::stable_sort(tasks.begin() + static_cast<ptrdiff_t>(packed),
                      tasks.end(), [](const Task &a, const Task &b) {

@@ -918,8 +918,8 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
 {
     ScratchDir scratch("mmxdsp_engine_memo_batch_test");
     service::EngineOptions opts = engineOpts(scratch);
-    // Two workers: a batch that replays 3 P5 machines is wider than
-    // max(2, workers), so its P5 entries take the lane kernel.
+    // Two workers: a batch that replays 5 machines of a model is wider
+    // than perMachineWidth(), so every model's entries take the lanes.
     opts.threads = 2;
     service::QueryEngine engine(opts);
 
@@ -937,13 +937,13 @@ TEST(QueryEngineTest, WideBatchesReplayTheGeometryMemos)
     const uint64_t bytes = engine.stats().memo_bytes;
     EXPECT_EQ(hits, 1u);
 
-    // A wide batch on that geometry: 4 x P5, P6 and P6P, every machine
+    // A wide batch on that geometry: 6 x P5, P6 and P6P, every machine
     // distinct through its mispredict penalty. "model=p5 mp=4" names the
     // P5's own penalty, so it is the first query's machine and the
-    // result cache answers it; the other 11 replay the memos.
+    // result cache answers it; the other 17 replay the memos.
     std::vector<service::Query> batch;
     for (const char *model : {"p5", "p6", "p6p"})
-        for (int mp = 2; mp < 6; ++mp) {
+        for (int mp = 2; mp < 8; ++mp) {
             const std::string line = std::string("fir mmx model=") + model
                                      + " mp=" + std::to_string(mp);
             ASSERT_TRUE(service::QueryEngine::parseQueryLine(line, &q, &error))
@@ -981,7 +981,7 @@ TEST(QueryEngineTest, OverBoundMispredictPenaltyIsAnsweredBesideLanes)
     std::vector<service::Query> batch;
     std::string error;
     for (const char *model : {"p5", "p6", "p6p"})
-        for (const char *mp : {"2", "3", "4294967295", "5", "6"}) {
+        for (const char *mp : {"2", "3", "4294967295", "5", "6", "7", "8"}) {
             service::Query q;
             const std::string line = std::string("fir mmx model=") + model
                                      + " mp=" + mp;

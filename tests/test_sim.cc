@@ -275,17 +275,29 @@ TEST(PentiumTimer, ResetTimeOnlyKeepsCachesWarm)
 
 TEST(PentiumTimer, StatsDecomposeCycles)
 {
-    // The stall counters never exceed total cycles.
+    // The stall counters decompose total cycles exactly: each issue
+    // slot not shared with a pair costs one cycle, and every other
+    // cycle is a blocking, dependency, memory or mispredict stall.
     PentiumTimer t;
     for (int i = 0; i < 50; ++i) {
         t.consume(ev(Op::Imul, r0, r1, r0));
         t.consume(ev(Op::Add, r2, r0, r2));
+        t.consume(ev(Op::Sub, r3, isa::kNoReg, r3));
+        t.consume(ev(Op::Pmullw, m0, m1, m0));
+        t.consume(ev(Op::Paddw, m2, m0, m2));
+        t.consume(load(Op::Mov, 0x1000 + 4096u * i, 4, r1));
         t.consume(branch(Op::Jcc, 400 + (i % 3), i % 2 == 0));
     }
     const TimerStats &s = t.stats();
-    EXPECT_EQ(s.instructions, 150u);
-    EXPECT_LE(s.memPenaltyCycles + s.mispredictCycles
-                  + s.dependStallCycles,
+    EXPECT_EQ(s.instructions, 350u);
+    EXPECT_GT(s.pairs, 0u);
+    EXPECT_GT(s.blockingExtraCycles, 0u);
+    EXPECT_GT(s.dependStallCycles, 0u);
+    EXPECT_GT(s.memPenaltyCycles, 0u);
+    EXPECT_GT(s.mispredictCycles, 0u);
+    EXPECT_EQ((s.instructions - s.pairs) + s.blockingExtraCycles
+                  + s.dependStallCycles + s.memPenaltyCycles
+                  + s.mispredictCycles + s.portStallCycles,
               t.cycles());
 }
 

@@ -18,6 +18,10 @@
  *    every pair, and P5 lane blocks of several widths beside
  *    per-machine P6/P6P runs, dispatched and packed, at 1, 2 and 4
  *    threads;
+ *  - the CPI stack identity, cycles = (instructions - pairs) +
+ *    blocking extra + dependency + memory + mispredict + port stall
+ *    cycles, on every pair and model, for the live VProf, the live and
+ *    memoized per-machine kernels and the lanes;
  *  - the lane kernel at every vector ISA the host runs (the others
  *    skip): 1-33 lanes per model, so full, half-width and padded blocks
  *    all run, with distinct penalties per lane; penalties near the lane
@@ -419,6 +423,37 @@ TEST(SweepDriver, AblationSweepMatchesScalarOnEveryPair)
                                   at + std::to_string(i) + " packed");
                 expectSameProfile(memoized[i], scalar[i],
                                   at + std::to_string(i) + " memoized");
+            }
+        }
+    }
+}
+
+TEST(SweepDriver, CpiStackIsExactOnEveryPairAndKernel)
+{
+    for (const PairCapture &pc : everyPairCapture()) {
+        for (size_t k = 0; k < std::size(kModels); ++k) {
+            const sim::MachineConfig machine{kModels[k], {}};
+            trace::MaterializedTrace::Memos memos;
+            pc.mat.replaySweepScalar({machine}, 1, &memos);
+            const std::pair<const char *, profile::ProfileResult> runs[] = {
+                {"vprof", pc.live[k]},
+                {"live kernel", pc.mat.replayProfile(machine)},
+                {"memoized kernel",
+                 pc.mat.replaySweepScalar({machine}, 1, &memos)[0]},
+                {"lanes", pc.mat.replaySweepPacked({machine}, 1)[0]},
+            };
+            ASSERT_EQ(memos.hits(), 1u) << pc.name;
+            for (const auto &[kernel, r] : runs) {
+                const sim::TimerStats &s = r.timer;
+                EXPECT_EQ(s.instructions, r.dynamicInstructions)
+                    << pc.name << " " << sim::modelName(kModels[k]) << " "
+                    << kernel;
+                EXPECT_EQ((s.instructions - s.pairs) + s.blockingExtraCycles
+                              + s.dependStallCycles + s.memPenaltyCycles
+                              + s.mispredictCycles + s.portStallCycles,
+                          r.cycles)
+                    << pc.name << " " << sim::modelName(kModels[k]) << " "
+                    << kernel;
             }
         }
     }

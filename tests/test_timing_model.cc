@@ -374,6 +374,54 @@ TEST(TimingModel, PerEventCostsSumToCyclesOnBothModels)
     }
 }
 
+TEST(TimingModel, StatsDecomposeCyclesExactlyOnEveryModel)
+{
+    // The CPI stack: cycles = (instructions - pairs) + blocking extra +
+    // dependency + memory + mispredict + port stall cycles, exactly, on
+    // a stream with pairs or joins, multi-uop ops, penalties and
+    // mispredicts on both outcome paths. Every other thousand events
+    // are port-bound (independent multiplies, which p0 alone takes), so
+    // the P6P's window stalls too.
+    const auto check = [](auto &&timer) {
+        Rng rng(77);
+        for (int i = 0; i < 6000; ++i) {
+            InstrEvent e = randomEvent(rng);
+            if ((i / 1000) % 2 == 1 && rng.nextBelow(4) != 0) {
+                e.op = Op::Pmullw;
+                e.mem = MemMode::None;
+                e.src0 = e.src1 = isa::kNoReg;
+            }
+            if (i % 2 == 0) {
+                timer.consume(e);
+                continue;
+            }
+            const uint32_t penalty =
+                e.mem != MemMode::None ? rng.nextBelow(20) : 0;
+            const bool mispredict =
+                isa::isControl(e.op) && rng.nextBelow(2) != 0;
+            timer.consumeResolved(e, penalty, mispredict);
+        }
+        const TimerStats s = timer.stats();
+        const char *name = modelName(timer.kind());
+        EXPECT_EQ(s.instructions, 6000u) << name;
+        EXPECT_GT(s.pairs, 0u) << name;
+        EXPECT_GT(s.blockingExtraCycles, 0u) << name;
+        EXPECT_GT(s.dependStallCycles, 0u) << name;
+        EXPECT_GT(s.memPenaltyCycles, 0u) << name;
+        EXPECT_GT(s.mispredictCycles, 0u) << name;
+        EXPECT_EQ(s.portStallCycles > 0, timer.kind() == ModelKind::P6P)
+            << name;
+        EXPECT_EQ((s.instructions - s.pairs) + s.blockingExtraCycles
+                      + s.dependStallCycles + s.memPenaltyCycles
+                      + s.mispredictCycles + s.portStallCycles,
+                  timer.cycles())
+            << name;
+    };
+    check(PentiumTimer{});
+    check(P6Timer{});
+    check(P6PTimer{});
+}
+
 TEST(TimingModel, P6PTimesLikeP6UntilItsFirstPortStall)
 {
     // The P6P is the P6 front end plus a port-dispatch window. With one

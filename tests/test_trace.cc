@@ -656,9 +656,9 @@ TEST(TraceReplay, CrossModelSweepKeepsP5ColumnsBitIdentical)
 
 TEST(MaterializedTraceTest, SweepDispatchBoundaryIsBitIdentical)
 {
-    // replaySweep() sends up to max(2, workers) machines through the
+    // replaySweep() sends up to perMachineWidth() machines through the
     // per-machine kernel and wider sweeps through the packed one. Pin
-    // both sides of that boundary: at every width 1-5 on each model and
+    // both sides of that boundary: at every width 1-9 on each model and
     // at 1, 2 and 4 threads, the dispatched sweep, both kernels called
     // directly and a solo replayProfile() agree bit for bit. So does
     // the per-machine kernel over fresh memos, which records each
@@ -674,7 +674,7 @@ TEST(MaterializedTraceTest, SweepDispatchBoundaryIsBitIdentical)
          {sim::ModelKind::P5, sim::ModelKind::P6, sim::ModelKind::P6P}) {
         std::vector<sim::MachineConfig> machines;
         std::vector<profile::ProfileResult> solo;
-        for (uint32_t k = 0; k < 5; ++k) {
+        for (uint32_t k = 0; k < 9; ++k) {
             sim::MachineConfig m{model, sim::TimerConfig{}};
             m.timer.l1.size_bytes = 1024u << (k % 3);
             m.timer.btb_entries = 64u << (k % 2);
